@@ -19,7 +19,6 @@ from .complexes import (
     substitute,
     tensor,
 )
-from .gf2 import f2_reduce
 from .infer import PageSpec, Pattern, TargetSpec, Tower, enumerate_patterns, resolve_filtration
 from .khovanov import LinkDiagram, basepoint_action, ckh, edge_map, mirror, parse_pd, resolve, smooth, cyclic_knot, unlink
 from .models import MODEL_NAMES, build_model, canonical_fg, run_model_suite, top_homology_table, verify_action

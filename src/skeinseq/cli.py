@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import khovanov as kh
@@ -16,17 +15,6 @@ from .spectral import FilteredComplex, analyze, check_constraints, converge, pag
 
 class InputError(Exception):
     pass
-
-
-def _threads() -> int:
-    raw = os.environ.get("SKEINSEQ_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError("SKEINSEQ_THREADS must be an integer, got %r" % raw)
-    if n < 1:
-        raise InputError("SKEINSEQ_THREADS must be positive")
-    return n  # computations are deterministic at any cap
 
 
 def _normalize(keys):
@@ -295,7 +283,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        _threads()
         return args.func(args)
     except InputError as exc:
         sys.stderr.write("error: %s\n" % exc)

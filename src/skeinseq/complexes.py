@@ -63,6 +63,7 @@ class ChainComplex:
         if len(self.order) != len(self.gens):
             raise ValueError("duplicate generator ids")
         self.diff = {k: p for k, p in diff.items() if p}
+        self._columns: dict[str, dict[str, Poly]] | None = None
         self.pairs = dict(pairs or {})
         for pid, names in self.pairs.items():
             for n in names:
@@ -102,10 +103,18 @@ class ChainComplex:
         return (unit,)
 
     def columns(self) -> dict[str, dict[str, Poly]]:
-        out: dict[str, dict[str, Poly]] = {g.gid: {} for g in self.gens}
-        for (src, tgt), p in self.diff.items():
-            out[src][tgt] = p
-        return out
+        """The differential by columns: source gid -> {target gid: entry}.
+
+        This is the one index of the differential.  It is built on first use
+        and kept, since a complex is immutable; callers share it and must
+        only read it.
+        """
+        if self._columns is None:
+            out: dict[str, dict[str, Poly]] = {g.gid: {} for g in self.gens}
+            for (src, tgt), p in self.diff.items():
+                out[src][tgt] = p
+            self._columns = out
+        return self._columns
 
     # -- validation -----------------------------------------------------------
 
@@ -385,23 +394,21 @@ def homology_f2(cx: ChainComplex) -> dict[tuple[int, ...], int]:
     groups: dict[tuple[int, ...], list[str]] = {}
     for g in cx.gens:
         groups.setdefault(cx.grade(g.gid), []).append(g.gid)
-    cols_by_src: dict[str, int] = {g.gid: 0 for g in cx.gens}
-    for (s, t), p in cx.diff.items():
-        if p:
-            cols_by_src[s] |= 1 << cx.order[t]
+    cols = cx.columns()
     rank_out: dict[tuple[int, ...], int] = {}
-    target_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    rank_into: dict[tuple[int, ...], int] = {}
     for grade, grp in groups.items():
-        rank_out[grade] = gf2.matrix_rank([cols_by_src[g] for g in grp], cx.n)
-    for (s, t), p in cx.diff.items():
-        if p:
-            target_of[cx.grade(s)] = cx.grade(t)
-    dims: dict[tuple[int, ...], int] = {}
-    for grade, grp in groups.items():
-        into = sum(
-            rank_out[src] for src, tgt in target_of.items() if tgt == grade
-        )
-        dims[grade] = len(grp) - rank_out[grade] - into
+        first = next((t for gid in grp for t in cols[gid]), None)
+        if first is None:
+            continue
+        vecs = [sum(1 << cx.order[t] for t in cols[gid]) for gid in grp]
+        rank = rank_out[grade] = gf2.matrix_rank(vecs, cx.n)
+        tgt = cx.grade(first)  # the differential is homogeneous
+        rank_into[tgt] = rank_into.get(tgt, 0) + rank
+    dims = {
+        grade: len(grp) - rank_out.get(grade, 0) - rank_into.get(grade, 0)
+        for grade, grp in groups.items()
+    }
     return dict(sorted(dims.items()))
 
 
@@ -413,13 +420,12 @@ class UHomology:
             raise ValueError("u-homology needs a one-variable complex")
         self.cx = cx
         cols: list[MonoVec] = []
+        by_src = cx.columns()
         for g in cx.gens:
             col: MonoVec = {}
-            for (s, t), p in cx.diff.items():
-                if s != g.gid:
-                    continue
+            for t, p in by_src[g.gid].items():
                 if not p.is_monomial():
-                    raise ValueError("inhomogeneous entry %s -> %s" % (s, t))
+                    raise ValueError("inhomogeneous entry %s -> %s" % (g.gid, t))
                 col[cx.order[t]] = p.single_exponent()
             cols.append(col)
         pivots, kernel_logs = reduce_columns(cols)
@@ -552,6 +558,7 @@ def slice_dims(cx: ChainComplex, h_from: int, h_to: int) -> dict[int, int]:
     index = {
         d: {slot: i for i, slot in enumerate(lst)} for d, lst in slots.items()
     }
+    by_src = cx.columns()
     ranks: dict[int, int] = {}
     for d in range(lo, hi + 2):
         if d not in slots or (d - 1) not in slots:
@@ -560,9 +567,7 @@ def slice_dims(cx: ChainComplex, h_from: int, h_to: int) -> dict[int, int]:
         tgt_index = index[d - 1]
         for gid, m in slots[d]:
             vec = 0
-            for (s, t), p in cx.diff.items():
-                if s != gid:
-                    continue
+            for t, p in by_src[gid].items():
                 for mm in p.terms:
                     tot = tuple(a + b for a, b in zip(m, mm))
                     key = (t, tot)

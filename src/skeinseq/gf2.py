@@ -1,117 +1,83 @@
 """GF(2) linear algebra on int bitsets.
 
 A vector over n slots is an int whose bit i is coordinate i; a matrix is a
-list of such row (or column) ints.  Pivoting is lowest-index-first
-throughout so every output is deterministic.
+list of such column ints.  There is one eliminator, ``ColumnSpace``: it
+keeps its reduced vectors in a dict keyed by pivot, the lowest set bit, and
+reduces a vector by repeatedly looking up its lowest set bit.  Rank, kernel
+combinations, membership and the persistence pairing all come from it.
 """
 
 from __future__ import annotations
 
 
-def rref(rows: list[int], ncols: int) -> tuple[int, list[tuple[int, int]], list[int]]:
-    """Reduced row echelon form.
-
-    Returns (rank, pivots, reduced_rows) where pivots is a list of
-    (row, col) in echelon order.  Input rows are not modified.
-    """
-    work = list(rows)
-    pivots: list[tuple[int, int]] = []
-    row_idx = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row_idx, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[row_idx], work[pivot] = work[pivot], work[row_idx]
-        for r in range(len(work)):
-            if r != row_idx and ((work[r] >> col) & 1):
-                work[r] ^= work[row_idx]
-        pivots.append((row_idx, col))
-        row_idx += 1
-        if row_idx == len(work):
-            break
-    return len(pivots), pivots, work
-
-
-def matrix_rank(rows: list[int], ncols: int) -> int:
-    return rref(rows, ncols)[0]
-
-
-def kernel_basis(rows: list[int], ncols: int) -> list[int]:
-    """Basis of {x : for every row r, parity(r & x) = 0}, as column bitsets."""
-    rank, pivots, red = rref(rows, ncols)
-    pivot_cols = [c for _, c in pivots]
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for (r, c) in pivots:
-            if (red[r] >> free) & 1:
-                vec |= 1 << c
-        basis.append(vec)
-    return basis
-
-
-def solve(rows: list[int], ncols: int, rhs: int) -> int | None:
-    """One solution x of the system row_i . x = bit i of rhs, or None."""
-    aug = [row | (((rhs >> i) & 1) << ncols) for i, row in enumerate(rows)]
-    rank, pivots, red = rref(aug, ncols + 1)
-    x = 0
-    for (r, c) in pivots:
-        if c == ncols:
-            return None
-        if (red[r] >> ncols) & 1:
-            x |= 1 << c
-    return x
-
-
 class ColumnSpace:
     """Incremental column echelon with combination tracking.
 
-    Vectors are ints; each inserted vector remembers which original columns
-    it combines.  Reduction uses the lowest set bit as the leading position.
+    Vectors are ints; each inserted vector remembers which inserted columns
+    it combines (bit i of a combo stands for the i-th insert).
     """
 
     def __init__(self) -> None:
-        self.basis: list[tuple[int, int, int]] = []  # (lead, vec, combo)
+        self.pivots: dict[int, tuple[int, int]] = {}  # lead -> (vec, combo)
         self.count = 0
 
     def _reduce(self, vec: int, combo: int) -> tuple[int, int]:
-        for lead, bvec, bcombo in self.basis:
-            if (vec >> lead) & 1:
-                vec ^= bvec
-                combo ^= bcombo
+        pivots = self.pivots
+        while vec:
+            hit = pivots.get((vec & -vec).bit_length() - 1)
+            if hit is None:
+                break
+            vec ^= hit[0]
+            combo ^= hit[1]
         return vec, combo
 
-    def add(self, vec: int) -> int | None:
-        """Insert a vector; returns a kernel combo if it was dependent."""
+    def insert(self, vec: int) -> tuple[int, int]:
+        """Insert a vector; returns (lead, combo).
+
+        lead is the lowest set bit of the reduced vector, which becomes a
+        new pivot; it is -1 when the vector was dependent, and then combo is
+        the kernel combination it closes.
+        """
         combo = 1 << self.count
         self.count += 1
         vec, combo = self._reduce(vec, combo)
         if vec == 0:
-            return combo
+            return -1, combo
         lead = (vec & -vec).bit_length() - 1
-        self.basis.append((lead, vec, combo))
-        self.basis.sort(key=lambda t: t[0])
-        return None
+        self.pivots[lead] = (vec, combo)
+        return lead, combo
+
+    def add(self, vec: int) -> int | None:
+        """Insert a vector; returns a kernel combo if it was dependent."""
+        lead, combo = self.insert(vec)
+        return combo if lead < 0 else None
 
     def contains(self, vec: int) -> bool:
-        v, _ = self._reduce(vec, 0)
-        return v == 0
+        return self._reduce(vec, 0)[0] == 0
 
     def express(self, vec: int) -> int | None:
         """Combo of inserted vectors equal to vec, or None."""
         v, combo = self._reduce(vec, 0)
         return combo if v == 0 else None
 
+    def vectors(self) -> list[int]:
+        """The reduced basis vectors, in order of their leads."""
+        return [self.pivots[lead][0] for lead in sorted(self.pivots)]
+
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
+
+
+def matrix_rank(cols: list[int], nbits: int) -> int:
+    """Rank of a list of vectors over nbits coordinates.
+
+    nbits gives the matrix shape; the elimination itself does not need it.
+    """
+    space = ColumnSpace()
+    for v in cols:
+        space.insert(v)
+    return space.rank
 
 
 def column_kernel(cols: list[int]) -> list[int]:
@@ -123,9 +89,3 @@ def column_kernel(cols: list[int]) -> list[int]:
         if combo is not None:
             out.append(combo)
     return out
-
-
-def f2_reduce(rows: list[int], ncols: int) -> tuple[int, list[tuple[int, int]], list[int]]:
-    """Rank, pivot positions and kernel basis of a matrix over F2."""
-    rank, pivots, _ = rref(rows, ncols)
-    return rank, pivots, kernel_basis(rows, ncols)

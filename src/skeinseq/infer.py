@@ -261,12 +261,17 @@ class FiltrationReport:
 def replay(e2: PageSpec, pattern: Pattern) -> list[Tower]:
     """Survivor towers after running the pattern's differentials."""
     summands = list(e2.towers)
-    index = {t.name: i for i, t in enumerate(summands)}
-    by_page: dict[int, list[tuple[int, int, int]]] = {}
+    # a pattern names towers as enumerate_patterns saw them: E2 names up to
+    # the first nonzero page, then the p<i>@h,q names of _page_homology
+    names = [t.name for t in summands]
+    by_page: dict[int, list[tuple[str, str, int]]] = {}
     for (k, src, tgt, a) in pattern.entries:
-        by_page.setdefault(k, []).append((index[src], index[tgt], a))
+        by_page.setdefault(k, []).append((src, tgt, a))
     for k in sorted(by_page):
-        summands2 = _page_homology(summands, by_page[k])
+        index = {nm: i for i, nm in enumerate(names)}
+        entries = [(index[src], index[tgt], a) for (src, tgt, a) in by_page[k]]
+        summands2 = _page_homology(summands, entries)
+        names = [t.name for t in summands2]
         # keep original names where a summand survives at the same grade
         used = set()
         renamed = []
@@ -284,7 +289,6 @@ def replay(e2: PageSpec, pattern: Pattern) -> list[Tower]:
             else:
                 renamed.append(t)
         summands = renamed
-        index = {t.name: i for i, t in enumerate(summands)}
     return summands
 
 

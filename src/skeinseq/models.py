@@ -191,12 +191,11 @@ def _top_cycles(cx: ChainComplex) -> tuple[list[str], list[int]]:
     top = max(g.h for g in cx.gens)
     tops = [g.gid for g in cx.gens if g.h == top]
     row_index: dict[tuple[str, tuple[int, ...]], int] = {}
+    by_src = cx.columns()
     cols = []
     for gid in tops:
         vec = 0
-        for (s, t), p in cx.diff.items():
-            if s != gid:
-                continue
+        for t, p in by_src[gid].items():
             for m in p.terms:
                 key = (t, m)
                 if key not in row_index:
@@ -540,8 +539,7 @@ def _z11_checks(m: ModelComplex) -> list[tuple[str, bool, str]]:
                     key = (pos[src], pos[tgt])
                     mat[key] = mat.get(key, 0) ^ 1
         cols = []
-        basis = space0.basis
-        vecs = [v for _, v, _ in basis]
+        vecs = space0.vectors()
         for v in vecs:
             cols.append(_apply_mask(mat, v, nt))
         kern = gf2.column_kernel(cols)
@@ -676,13 +674,12 @@ def _u_injective_on_top(m: ModelComplex) -> bool:
     top = max(g.h for g in cx.gens)
     var = cx.vars.names[0]
     below, index = _slice_basis(cx, top - 1)
+    by_src = cx.columns()
     image_cols = []
     for g in cx.gens:
         for m0 in _monomials_of_drop(cx.vars, g.h - top):
             vec = 0
-            for (s, t), p in cx.diff.items():
-                if s != g.gid:
-                    continue
+            for t, p in by_src[g.gid].items():
                 for mm in p.terms:
                     tot = tuple(a + b for a, b in zip(m0, mm))
                     vec ^= 1 << index[(t, tot)]

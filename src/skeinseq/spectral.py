@@ -180,16 +180,24 @@ def _sort_key(s: SlotRef) -> tuple:
     return (-s.level, s.grade, s.gid, s.upow)
 
 
+def _mono_cols(cx: ChainComplex) -> dict[str, list[tuple[str, int]]]:
+    """Per source gid, the (target gid, u power) of each differential term."""
+    return {
+        src: [(tgt, sum(m)) for tgt, p in col.items() for m in p.terms]
+        for src, col in cx.columns().items()
+    }
+
+
 def analyze(fc: FilteredComplex) -> SpectralData:
-    """Run the level-respecting reduction and collect the pairing data."""
+    """Run the level-respecting reduction and collect the pairing data.
+
+    Rows are numbered in reverse of their sort order, so the persistence
+    "low" of a column (its last row) is the eliminator's lowest set bit.
+    """
     cx = fc.base
     slices, floor = _enumerate_slices(fc)
     by_value = dict(slices)
-
-    mono_cols: dict[str, list[tuple[str, int]]] = {g.gid: [] for g in cx.gens}
-    for (src, tgt), p in cx.diff.items():
-        for m in p.terms:
-            mono_cols[src].append((tgt, sum(m)))
+    mono_cols = _mono_cols(cx)
 
     if cx.vars.n == 0:
         blocks = [(slices[0][1], slices[0][1])]
@@ -207,10 +215,9 @@ def analyze(fc: FilteredComplex) -> SpectralData:
     targets: set[SlotRef] = set()
 
     for col_slots, row_slots in blocks:
-        rows = sorted(row_slots, key=_sort_key)
+        rows = sorted(row_slots, key=_sort_key, reverse=True)
         row_index = {(s.gid, s.upow): i for i, s in enumerate(rows)}
-        lows: dict[int, int] = {}
-        vecs: list[int] = []
+        space = gf2.ColumnSpace()
         for slot in sorted(col_slots, key=_sort_key):
             vec = 0
             for (tgt, e) in mono_cols[slot.gid]:
@@ -221,21 +228,12 @@ def analyze(fc: FilteredComplex) -> SpectralData:
                         % (tgt, slot.upow + e)
                     )
                 vec ^= 1 << idx
-            while vec:
-                low = vec.bit_length() - 1
-                other = lows.get(low)
-                if other is None:
-                    lows[low] = len(vecs)
-                    break
-                vec ^= vecs[other]
-            vecs.append(vec)
-            if vec == 0:
-                col_zero[slot] = True
-            else:
+            lead = space.insert(vec)[0]
+            col_zero[slot] = lead < 0
+            if lead >= 0:
                 if slot in targets:
                     raise AssertionError("paired target with nonzero column")
-                col_zero[slot] = False
-                x = rows[vec.bit_length() - 1]
+                x = rows[lead]
                 targets.add(x)
                 events.append(PairEvent(slot, x))
 
@@ -375,10 +373,7 @@ def _graded_homology_dims(
     for _, sl in slices:
         for s in sl:
             by_grade.setdefault(s.grade, []).append(s)
-    mono_cols: dict[str, list[tuple[str, int]]] = {g.gid: [] for g in cx.gens}
-    for (src, tgt), p in cx.diff.items():
-        for m in p.terms:
-            mono_cols[src].append((tgt, sum(m)))
+    mono_cols = _mono_cols(cx)
 
     def local_boundary(s: SlotRef, index: dict[tuple[str, int], int]) -> int | None:
         vec = 0

@@ -131,15 +131,6 @@ def test_examples_suite(capsys):
     assert "# failures\t0" in out
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("SKEINSEQ_THREADS", "nope")
-    code, out, err = run(capsys, "kh", "--pd", "U")
-    assert code == 2
-    monkeypatch.setenv("SKEINSEQ_THREADS", "4")
-    code, out, err = run(capsys, "kh", "--pd", "U", "--flavor", "hat")
-    assert code == 0
-
-
 def test_diagram_json_input(tmp_path, capsys):
     doc = {"crossings": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]}
     path = tmp_path / "d.json"

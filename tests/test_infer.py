@@ -86,6 +86,25 @@ def test_replay_survivors():
     assert len(tors) == 1 and tors[0].order == 1 and (tors[0].h, tors[0].q) == (3, 5)
 
 
+def test_replay_follows_later_page_names():
+    """Entries past the first nonzero page use the page-homology names."""
+    page = PageSpec((Tower("t0", 1, 4), Tower("t1", 1, 6), Tower("t2", 3, 2),
+                     Tower("t3", 6, 14)))
+    target = TargetSpec(free_rank=2)
+    pats = enumerate_patterns(page, target)
+    assert pats[0].nonzero_pages() == (3, 5)
+    assert any(src.startswith("p") for (k, src, _, _) in pats[0].entries if k == 5)
+    for pat in pats:
+        out = replay(page, pat)
+        assert sum(1 for t in out if t.free) == 2
+    # d3 t2 = X^4 t3 leaves F[X]/X^4 at (6,14); d5 sends t0 -> X t3 and
+    # t1 -> t3, whose kernel is spanned by t0 + X t1 at (1,4) and X^4 t1 at
+    # (1,-2), both five steps below the top of the page
+    rep = resolve_filtration(page, pats[0], target)
+    assert rep.status == "underdetermined"
+    assert rep.survivors == (("p0@1,-2", 1, -2, 5), ("t0", 1, 4, 5))
+
+
 def test_trefoil_survivor_level():
     pat = Pattern(((3, "z", "x", 1),))
     rep = resolve_filtration(TREFOIL_PAGE, pat, TargetSpec(free_rank=1, torsion=(1,)))
