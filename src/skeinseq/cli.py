@@ -88,11 +88,18 @@ def cmd_ss(args) -> int:
     cx, levels, _ = serde.load_complex(serde.read_json(args.infile))
     if levels is None:
         raise InputError("the ss input needs filtration levels")
+    bad = cx.verify_d2()
+    if bad:
+        src, tgt, p = bad[0]
+        raise InputError(
+            "the differential does not square to zero: d^2 has %d nonzero"
+            " entries, the first is %s from %s to %s" % (len(bad), p, src, tgt)
+        )
     fc = FilteredComplex(cx, levels, extra_depth=args.truncation)
     data = analyze(fc)
     max_r = args.max_r if args.max_r else max(data.max_jump() + 1, 2)
-    page_list = pages(fc, max_r)
-    rep = converge(fc)
+    page_list = pages(data, max_r)
+    rep = converge(fc, data)
     lines = ["r\tq_rel\th_rel\tdim\ttorsion-profile"]
     rows = []
     h0, q0 = _normalize(list(page_list[0].dims) or [(0, 0)])
@@ -223,7 +230,7 @@ def _khovanov_golden_rows():
     ]
     note("mirror hopf component actions equal", acts[0] == acts[1], repr(acts[0]))
     fc = FilteredComplex(cc.complex, cc.levels)
-    note("mirror hopf cube converges", converge(fc).ok)
+    note("mirror hopf cube converges", converge(fc, analyze(fc)).ok)
     for n in (1, 2, 3, 4):
         hom = UHomology(kh.ckh(kh.unlink(n), "minus").complex)
         note(

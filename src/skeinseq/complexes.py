@@ -14,6 +14,7 @@ Complexes are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Mapping, Sequence
 
 from . import gf2
@@ -148,21 +149,31 @@ class ChainComplex:
                 )
 
     def verify_d2(self) -> list[tuple[str, str, Poly]]:
-        """Nonzero entries of the squared differential (empty means pass)."""
-        cols = self.columns()
+        """Nonzero entries of the squared differential (empty means pass).
+
+        Works on monomial exponent tuples: a product of two monomials adds
+        exponents, and a sum over F2 toggles the product's presence.
+        """
+        terms = {
+            src: [(tgt, m) for tgt, p in col.items() for m in p.terms]
+            for src, col in self.columns().items()
+        }
         bad: list[tuple[str, str, Poly]] = []
         for src in (g.gid for g in self.gens):
-            acc: dict[str, Poly] = {}
-            for mid, p in cols[src].items():
-                for tgt, p2 in cols[mid].items():
-                    prod = p * p2
-                    if not prod:
-                        continue
-                    cur = acc.get(tgt)
-                    acc[tgt] = prod if cur is None else cur + prod
-            for tgt, p in sorted(acc.items()):
-                if p:
-                    bad.append((src, tgt, p))
+            acc: dict[str, set[tuple[int, ...]]] = {}
+            for mid, m1 in terms[src]:
+                for tgt, m2 in terms[mid]:
+                    prods = acc.get(tgt)
+                    if prods is None:
+                        prods = acc[tgt] = set()
+                    m = tuple(map(add, m1, m2))
+                    if m in prods:
+                        prods.remove(m)
+                    else:
+                        prods.add(m)
+            for tgt, prods in sorted(acc.items()):
+                if prods:
+                    bad.append((src, tgt, Poly(self.vars, frozenset(prods))))
         return bad
 
     # -- rebuilding helpers -----------------------------------------------------

@@ -14,36 +14,88 @@ UNIT_NAMES = {"1": FULL, "1/2": HALF, "0.5": HALF}
 UNIT_TEXT = {FULL: "1", HALF: "1/2"}
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string",
+               bool: "a boolean", int: "a number", float: "a number",
+               type(None): "null"}
+
+
+def _kind(val: Any) -> str:
+    return _JSON_KINDS.get(type(val), type(val).__name__)
+
+
+def _object(val: Any, what: str) -> dict[str, Any]:
+    if not isinstance(val, dict):
+        raise ValueError("%s must be a JSON object, not %s" % (what, _kind(val)))
+    return val
+
+
+def _array(val: Any, what: str) -> list | tuple:
+    if not isinstance(val, (list, tuple)):
+        raise ValueError("%s must be a JSON array, not %s" % (what, _kind(val)))
+    return val
+
+
+def _field(obj: dict[str, Any], key: str, what: str) -> Any:
+    if key not in obj:
+        raise ValueError("%s has no %r" % (what, key))
+    return obj[key]
+
+
+def _int(val: Any, what: str) -> int:
+    if isinstance(val, (int, float, str)):
+        try:
+            return int(val)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError("%s must be an integer, not %r" % (what, val))
+
+
 def load_complex(doc: dict[str, Any]):
     """(complex, levels or None, raw action specs) from the JSON format."""
-    vars_doc = doc.get("variables", [])
-    names = tuple(v["name"] for v in vars_doc)
-    units = tuple(UNIT_NAMES[str(v.get("unit", "1/2"))] for v in vars_doc)
-    vs = VarSet(names, units)
+    doc = _object(doc, "a complex")
+    names, units = [], []
+    for v in _array(doc.get("variables", []), "'variables'"):
+        v = _object(v, "a variable")
+        name = str(_field(v, "name", "a variable"))
+        unit = str(v.get("unit", "1/2"))
+        if unit not in UNIT_NAMES:
+            raise ValueError("unknown unit %r of variable %r (expected one of %s)"
+                             % (unit, name, ", ".join(sorted(UNIT_NAMES))))
+        names.append(name)
+        units.append(UNIT_NAMES[unit])
+    vs = VarSet(tuple(names), tuple(units))
     gens = []
     levels: dict[str, int] = {}
     any_level = False
     any_q = False
-    for g in doc.get("generators", []):
-        gid = str(g["id"])
+    for g in _array(doc.get("generators", []), "'generators'"):
+        g = _object(g, "a generator")
+        gid = str(_field(g, "id", "a generator"))
+        what = "generator %r" % gid
         q = g.get("q")
         alex2 = g.get("alex2")
         if q is not None:
             any_q = True
-        gens.append(Generator(gid, int(g["h"]), q if q is None else int(q),
-                              alex2 if alex2 is None else int(alex2)))
+        gens.append(Generator(
+            gid, _int(_field(g, "h", what), what + " h"),
+            q if q is None else _int(q, what + " q"),
+            alex2 if alex2 is None else _int(alex2, what + " alex2"),
+        ))
         if "filtration" in g:
             any_level = True
-            levels[gid] = int(g["filtration"])
+            levels[gid] = _int(g["filtration"], what + " filtration")
     convention = doc.get("convention")
     if convention is None:
         convention = CONV_KH if any_q else CONV_FLOER
     diff = {}
-    for e in doc.get("diff", []):
-        key = (str(e["from"]), str(e["to"]))
-        p = parse_poly(vs, str(e["poly"]))
+    for e in _array(doc.get("diff", []), "'diff'"):
+        e = _object(e, "a diff entry")
+        key = (str(_field(e, "from", "a diff entry")),
+               str(_field(e, "to", "a diff entry")))
+        p = parse_poly(vs, str(_field(e, "poly", "a diff entry")))
         diff[key] = diff[key] + p if key in diff else p
-    pairs = {str(k): tuple(v) for k, v in doc.get("pairs", {}).items()}
+    pairs = {str(k): tuple(_array(v, "pair %r" % k))
+             for k, v in _object(doc.get("pairs", {}), "'pairs'").items()}
     cx = ChainComplex(vs, gens, diff, convention, pairs)
     lv = None
     if any_level:
@@ -84,40 +136,59 @@ def dump_complex(cx: ChainComplex, levels: dict[str, int] | None = None) -> dict
 
 
 def load_diagram(doc: dict[str, Any]) -> LinkDiagram:
-    crossings = tuple(tuple(int(x) for x in c) for c in doc.get("crossings", []))
-    basepoints = tuple(
-        sorted((str(k), int(v)) for k, v in doc.get("basepoints", {}).items())
+    doc = _object(doc, "a diagram")
+    crossings = tuple(
+        tuple(_int(x, "an arc label") for x in _array(c, "a crossing"))
+        for c in _array(doc.get("crossings", []), "'crossings'")
     )
-    return LinkDiagram(crossings, int(doc.get("free_loops", 0)), basepoints)
+    basepoints = tuple(
+        sorted((str(k), _int(v, "basepoint %r" % k))
+               for k, v in _object(doc.get("basepoints", {}), "'basepoints'").items())
+    )
+    return LinkDiagram(crossings, _int(doc.get("free_loops", 0), "'free_loops'"),
+                       basepoints)
 
 
 def load_page_spec(doc: dict[str, Any]) -> PageSpec:
+    doc = _object(doc, "a page spec")
     towers = []
-    for t in doc.get("towers", []):
+    for t in _array(doc.get("towers", []), "'towers'"):
+        t = _object(t, "a tower")
+        name = str(_field(t, "name", "a tower"))
+        what = "tower %r" % name
+        order = t.get("order")
         towers.append(
-            Tower(str(t["name"]), int(t["h"]), int(t["q"]), t.get("order"))
+            Tower(name, _int(_field(t, "h", what), what + " h"),
+                  _int(_field(t, "q", what), what + " q"),
+                  order if order is None else _int(order, what + " order"))
         )
     return PageSpec(tuple(towers))
 
 
 def load_target_spec(doc: dict[str, Any]) -> TargetSpec:
+    doc = _object(doc, "a target spec")
     anchors = None
     if doc.get("anchors") is not None:
-        anchors = tuple(
-            (int(a[0]), int(a[1]), None if a[2] is None else int(a[2]))
-            for a in doc["anchors"]
-        )
+        anchors = []
+        for a in _array(doc["anchors"], "'anchors'"):
+            if not isinstance(a, (list, tuple)) or len(a) < 3:
+                raise ValueError("an anchor must be a JSON array [h, q, order]")
+            anchors.append((_int(a[0], "an anchor h"), _int(a[1], "an anchor q"),
+                            None if a[2] is None else _int(a[2], "an anchor order")))
+        anchors = tuple(anchors)
     actions = {}
-    for name, entries in doc.get("actions", {}).items():
+    for name, entries in _object(doc.get("actions", {}), "'actions'").items():
         mat = {}
-        for e in entries:
+        for e in _array(entries, "action %r" % name):
+            if not isinstance(e, (list, tuple)) or len(e) < 2:
+                raise ValueError("an entry of action %r must be a [row, column] pair" % name)
             mat[(str(e[0]), str(e[1]))] = 1
         actions[str(name)] = mat
     return TargetSpec(
-        int(doc.get("free_rank", 0)),
-        tuple(int(k) for k in doc.get("torsion", [])),
+        _int(doc.get("free_rank", 0), "'free_rank'"),
+        tuple(_int(k, "a torsion order") for k in _array(doc.get("torsion", []), "'torsion'")),
         anchors,
-        tuple(str(b) for b in doc.get("basis", [])),
+        tuple(str(b) for b in _array(doc.get("basis", []), "'basis'")),
         actions,
     )
 

@@ -156,24 +156,16 @@ def _enumerate_slices(
                for g in cx.gens}
     top, bot = max(scalars.values()), min(scalars.values())
     floor = bot - (top - bot) - 4 * step - 2 - fc.extra_depth
-    values: set[int] = set()
-    for s in scalars.values():
-        v = s
+    buckets: dict[int, list[SlotRef]] = {}
+    for g in cx.gens:
+        v, j = scalars[g.gid], 0
         while v >= floor - 2 * step:
-            values.add(v)
+            buckets.setdefault(v, []).append(
+                SlotRef(g.gid, j, _slot_grade(cx, g.gid, j), fc.levels[g.gid])
+            )
             v -= step
-    slices: list[tuple[int, list[SlotRef]]] = []
-    for v in sorted(values, reverse=True):
-        lst = []
-        for g in cx.gens:
-            s = scalars[g.gid]
-            if (s - v) % step == 0 and s >= v:
-                j = (s - v) // step
-                lst.append(
-                    SlotRef(g.gid, j, _slot_grade(cx, g.gid, j), fc.levels[g.gid])
-                )
-        slices.append((v, lst))
-    return slices, floor
+            j += 1
+    return sorted(buckets.items(), reverse=True), floor
 
 
 def _sort_key(s: SlotRef) -> tuple:
@@ -248,11 +240,10 @@ def analyze(fc: FilteredComplex) -> SpectralData:
     return SpectralData(events, survivors, floor, cx.convention)
 
 
-def pages(fc: FilteredComplex, max_r: int) -> list[SpectralPage]:
-    """Pages E_1..E_max_r with dimension tables and d_r rank profiles."""
+def pages(data: SpectralData, max_r: int) -> list[SpectralPage]:
+    """Pages E_1..E_max_r of a pairing, with dimension tables and d_r ranks."""
     if max_r < 1:
         raise ValueError("max_r must be at least 1")
-    data = analyze(fc)
     return [
         SpectralPage(r, data.page_dims(r), data.d_ranks(r))
         for r in range(1, max_r + 1)
@@ -329,14 +320,14 @@ class ConvergenceReport:
         return not self.mismatches
 
 
-def converge(fc: FilteredComplex) -> ConvergenceReport:
-    """Compare the limit page with the filtered homology of the total complex.
+def converge(fc: FilteredComplex, data: SpectralData) -> ConvergenceReport:
+    """Compare the limit page of `data`, the pairing of `fc`, with the
+    filtered homology of the total complex.
 
     The homology side is an independent rank computation (cycles meeting
-    each filtration step modulo all boundaries), so agreement genuinely
-    cross-checks the pairing engine.
+    each filtration step modulo all boundaries) that shares no elimination
+    state with `analyze`, so agreement genuinely cross-checks the pairing.
     """
-    data = analyze(fc)
     einf = data.einf_by_level()
     gr = _graded_homology_dims(fc, data.trusted_floor)
     mismatches = []
@@ -408,32 +399,23 @@ def _graded_homology_dims(
                 boundaries.append(vec)
         if incomplete:
             continue
-        levels = sorted({s.level for s in block}, reverse=True)
+        # block is sorted by level, descending, so the columns of level
+        # >= lvl are a prefix of it: one elimination over the block yields
+        # the cycles of every prefix, in block coordinates, as it goes.
+        space = gf2.ColumnSpace()
+        for b in boundaries:
+            space.add(b)
+        cycles = gf2.ColumnSpace()
+        added = 0
         dims_by_level: dict[int, int] = {}
-        for lvl in levels:
-            sub_idx = [i for i, s in enumerate(block) if s.level >= lvl]
-            cols = [block_cols[i] for i in sub_idx]
-            space = gf2.ColumnSpace()
-            for b in boundaries:
-                space.add(b)
-            added = 0
-            for combo in gf2.column_kernel(cols):
-                vec = 0
-                for i in _bits(combo):
-                    vec ^= 1 << sub_idx[i]
-                if space.add(vec) is None:
-                    added += 1
-            dims_by_level[lvl] = added
-        for pos, lvl in enumerate(levels):
-            above = dims_by_level[levels[pos - 1]] if pos else 0
-            piece = dims_by_level[lvl] - above
-            if piece:
-                out[(grade, lvl)] = piece
+        for s, col in zip(block, block_cols):
+            combo = cycles.add(col)
+            if combo is not None and space.add(combo) is None:
+                added += 1
+            dims_by_level[s.level] = added
+        above = 0
+        for lvl, dim in dims_by_level.items():  # levels descending
+            if dim > above:
+                out[(grade, lvl)] = dim - above
+            above = dim
     return dict(sorted(out.items()))
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -152,7 +152,7 @@ def test_criterion_5_spectral_engine():
             else:
                 hom = UHomology(cc.complex)
                 ok = ok and _windowed(hom, data.trusted_floor) == p2
-            ok = ok and converge(fc).ok
+            ok = ok and converge(fc, data).ok
         elapsed = time.time() - t0
         ok = ok and elapsed < 30.0
         assert ok, (name, elapsed)
@@ -171,7 +171,7 @@ def test_criterion_5_spectral_engine():
         for r in range(1, jump + 2):
             nonzero = sum(data.d_ranks(r).values()) > 0
             ok = ok and nonzero == (r == jump)
-        ok = ok and converge(fc).ok
+        ok = ok and converge(fc, data).ok
     report("5. spectral engine: corpus cubes and planted jumps", ok)
 
 
@@ -197,7 +197,7 @@ def test_criterion_6_constraints():
         cc = kh.ckh(d, "minus")
         fc = FilteredComplex(cc.complex, cc.levels)
         data = analyze(fc)
-        page_list = pages(fc, max(data.max_jump() + 1, 2))
+        page_list = pages(data, max(data.max_jump() + 1, 2))
         ok = ok and check_constraints(page_list).ok
     # inferred patterns as synthetic pages
     e2 = PageSpec((Tower("z", 0, -1), Tower("y", 1, 1), Tower("x", 3, 5)))

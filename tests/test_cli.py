@@ -1,6 +1,13 @@
+import hashlib
 import json
 import os
 
+import pytest
+
+import skeinseq.cli
+import skeinseq.spectral
+from skeinseq import khovanov as kh
+from skeinseq import serde
 from skeinseq.cli import main
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
@@ -93,6 +100,87 @@ def test_ss_decreasing_filtration_reindexed(tmp_path, capsys):
     code, out, err = run(capsys, "ss", "--in", str(path))
     assert code == 0
     assert "# converge\tpass" in out
+
+
+def test_ss_pairs_once(tmp_path, capsys, monkeypatch):
+    cc = kh.ckh(kh.mirror(kh.parse_pd("PD[X(1,3,2,4),X(3,1,4,2)]")), "minus")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(serde.dump_complex(cc.complex, cc.levels)))
+    calls = []
+    analyze = skeinseq.cli.analyze
+
+    def counting(fc):
+        calls.append(fc)
+        return analyze(fc)
+
+    # ss calls analyze from cli; pages and converge would call it in spectral
+    monkeypatch.setattr(skeinseq.cli, "analyze", counting)
+    monkeypatch.setattr(skeinseq.spectral, "analyze", counting)
+    code, out, err = run(capsys, "ss", "--in", str(path))
+    assert code == 0
+    assert len(calls) == 1
+    assert "# constraints\tpass\n# converge\tpass\n" in out
+    # the 67-line table printed when ss paired the complex three times
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "13871b8c26b44b417c62d2a5c837de34d3809838aee46654cc32ab5e786afae3"
+    )
+
+
+def test_ss_rejects_nonzero_d_squared(tmp_path, capsys):
+    doc = {
+        "variables": [],
+        "convention": "kh",
+        "generators": [
+            {"id": "a", "h": 0, "q": 0, "filtration": 0},
+            {"id": "b", "h": 1, "q": 0, "filtration": 1},
+            {"id": "c", "h": 2, "q": 0, "filtration": 2},
+        ],
+        "diff": [{"from": "a", "to": "b", "poly": "1"},
+                 {"from": "b", "to": "c", "poly": "1"}],
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "ss", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert "does not square to zero" in err and "from a to c" in err
+
+
+GEN = {"id": "a", "h": 0, "filtration": 0}
+E2 = {"towers": [{"name": "x", "h": 0, "q": 0}]}
+TARGET = {"free_rank": 1}
+
+
+@pytest.mark.parametrize("cmd, doc, message", [
+    ("ss", [1, 2], "a complex must be a JSON object, not an array"),
+    ("ss", "x", "a complex must be a JSON object, not a string"),
+    ("ss", {"generators": 5}, "'generators' must be a JSON array"),
+    ("ss", {"generators": ["a"]}, "a generator must be a JSON object"),
+    ("ss", {"generators": [GEN], "diff": [5]}, "a diff entry must be a JSON object"),
+    ("ss", {"generators": [{"id": "a", "h": [0]}]}, "generator 'a' h must be an integer"),
+    ("ss", {"variables": [{"name": "u", "unit": "2"}], "generators": [GEN]},
+     "unknown unit '2'"),
+    ("e2", [1], "a page spec must be a JSON object"),
+    ("e2", {"towers": 5}, "'towers' must be a JSON array"),
+    ("e2", {"towers": [{"name": "x", "h": 0}]}, "tower 'x' has no 'q'"),
+    ("target", {"anchors": [[0]]}, "an anchor must be a JSON array"),
+    ("target", {"actions": {"U": [1]}}, "an entry of action 'U'"),
+    ("kh", {"crossings": [3]}, "a crossing must be a JSON array"),
+])
+def test_malformed_json_exits_2(tmp_path, capsys, cmd, doc, message):
+    bad, e2, target = tmp_path / "bad.json", tmp_path / "e2.json", tmp_path / "t.json"
+    bad.write_text(json.dumps(doc))
+    e2.write_text(json.dumps(E2))
+    target.write_text(json.dumps(TARGET))
+    argv = {
+        "ss": ["ss", "--in", str(bad)],
+        "e2": ["infer", "--e2", str(bad), "--target", str(target)],
+        "target": ["infer", "--e2", str(e2), "--target", str(bad)],
+        "kh": ["kh", "--in", str(bad)],
+    }[cmd]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
 
 
 def test_infer_cli(tmp_path, capsys):

@@ -2,21 +2,26 @@ import random
 
 import pytest
 
+from skeinseq import gf2
 from skeinseq import khovanov as kh
-from skeinseq.complexes import CONV_FLOER, ChainComplex, Generator, UHomology, homology_f2
+from skeinseq import spectral
+from skeinseq.complexes import CONV_FLOER, CONV_KH, ChainComplex, Generator, UHomology, homology_f2
 from skeinseq.poly import HALF, Poly, VarSet
 from skeinseq.spectral import (
     FilteredComplex,
+    SlotRef,
     SpectralPage,
     analyze,
     check_constraints,
     converge,
     pages,
 )
+from test_spectral_hard import one_map_complexes, planted_sums
 
 U1 = VarSet(("u",), (HALF,))
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
+FIG8 = "PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]"
 
 
 def planted(jump, power=1):
@@ -32,7 +37,7 @@ def test_planted_jumps_recover_page_profile():
         fc = planted(jump, power=jump)  # h-homogeneity ties power to h here
         data = analyze(fc)
         assert sorted({e.jump for e in data.events}) == [jump]
-        page_list = pages(fc, jump + 1)
+        page_list = pages(data, jump + 1)
         tot = [sum(p.dims.values()) for p in page_list]
         # constant through page `jump`, then it drops
         assert all(t == tot[0] for t in tot[:jump])
@@ -40,7 +45,7 @@ def test_planted_jumps_recover_page_profile():
         for r in range(1, jump + 1):
             ranks = page_list[r - 1].d_ranks
             assert (sum(ranks.values()) > 0) == (r == jump)
-        rep = converge(fc)
+        rep = converge(fc, data)
         assert rep.ok
 
 
@@ -53,7 +58,7 @@ def test_spec_example_jump_three():
     data = analyze(fc)
     assert [e.jump for e in data.events][:1] == [3]
     assert all(e.jump == 3 for e in data.events)
-    rep = converge(fc)
+    rep = converge(fc, data)
     assert rep.ok
     # the total homology is one u-torsion class: cross-check independently
     hom = UHomology(cx)
@@ -65,8 +70,8 @@ def test_zero_differential():
     fc = FilteredComplex(cx, {"a": 0, "b": 2})
     data = analyze(fc)
     assert data.events == []
-    assert converge(fc).ok
-    page_list = pages(fc, 3)
+    assert converge(fc, data).ok
+    page_list = pages(data, 3)
     assert page_list[0].dims == page_list[2].dims
 
 
@@ -89,10 +94,10 @@ def test_cube_pages_collapse_at_e2():
             data = analyze(fc)
             assert all(e.jump == 1 for e in data.events)
             # E2 = Einf: page dims stabilize from r = 2 on
-            p = pages(fc, 4)
+            p = pages(data, 4)
             assert p[1].dims == p[2].dims == p[3].dims
-            assert converge(fc).ok
-            cons = check_constraints(pages(fc, 3))
+            assert converge(fc, data).ok
+            cons = check_constraints(pages(data, 3))
             assert cons.ok
 
 
@@ -182,4 +187,153 @@ def test_einf_free_rank_matches_module_decomposition():
         if grade[0] == max(g.h for g in fc.base.gens)
     )
     assert einf_total_top == 1
-    assert converge(fc).ok
+    assert converge(fc, data).ok
+
+
+# -- reference versions of the slice enumeration and the graded homology -------
+
+
+def ref_enumerate_slices(fc):
+    """Collect the slice values, then scan every generator for each value."""
+    cx = fc.base
+    if cx.vars.n == 0:
+        slots = [
+            SlotRef(g.gid, 0, spectral._slot_grade(cx, g.gid, 0), fc.levels[g.gid])
+            for g in cx.gens
+        ]
+        return [(0, slots)], None
+    unit = cx.vars.units[0]
+    step = unit if cx.convention != CONV_KH else 2 * unit
+    scalars = {
+        g.gid: spectral.grade_scalar(spectral._slot_grade(cx, g.gid, 0), cx.convention)
+        for g in cx.gens
+    }
+    top, bot = max(scalars.values()), min(scalars.values())
+    floor = bot - (top - bot) - 4 * step - 2 - fc.extra_depth
+    values = set()
+    for s in scalars.values():
+        v = s
+        while v >= floor - 2 * step:
+            values.add(v)
+            v -= step
+    slices = []
+    for v in sorted(values, reverse=True):
+        lst = []
+        for g in cx.gens:
+            s = scalars[g.gid]
+            if (s - v) % step == 0 and s >= v:
+                j = (s - v) // step
+                lst.append(SlotRef(g.gid, j, spectral._slot_grade(cx, g.gid, j),
+                                   fc.levels[g.gid]))
+        slices.append((v, lst))
+    return slices, floor
+
+
+def ref_graded_homology_dims(fc, floor):
+    """Rebuild the boundary space and the cycles once per filtration level."""
+    cx = fc.base
+    slices, _ = ref_enumerate_slices(fc)
+    by_grade = {}
+    for _, sl in slices:
+        for s in sl:
+            by_grade.setdefault(s.grade, []).append(s)
+    mono_cols = spectral._mono_cols(cx)
+
+    def local_boundary(s, index):
+        vec = 0
+        for (tgt, e) in mono_cols[s.gid]:
+            idx = index.get((tgt, s.upow + e))
+            if idx is None:
+                return None
+            vec ^= 1 << idx
+        return vec
+
+    out = {}
+    for grade in sorted(by_grade):
+        if floor is not None and spectral.grade_scalar(grade, cx.convention) < floor:
+            continue
+        block = sorted(by_grade[grade], key=spectral._sort_key)
+        index = {(s.gid, s.upow): i for i, s in enumerate(block)}
+        tgt_block = sorted(by_grade.get(spectral._diff_grade(grade, cx.convention), []),
+                           key=spectral._sort_key)
+        tgt_index = {(s.gid, s.upow): i for i, s in enumerate(tgt_block)}
+        block_cols = [local_boundary(s, tgt_index) for s in block]
+        if any(c is None for c in block_cols):
+            continue
+        sources = by_grade.get(spectral._source_grade(grade, cx.convention), [])
+        boundaries = [local_boundary(s, index) for s in sources]
+        if any(b is None for b in boundaries):
+            continue
+        levels = sorted({s.level for s in block}, reverse=True)
+        dims_by_level = {}
+        for lvl in levels:
+            sub_idx = [i for i, s in enumerate(block) if s.level >= lvl]
+            space = gf2.ColumnSpace()
+            for b in boundaries:
+                if b:
+                    space.add(b)
+            added = 0
+            for combo in gf2.column_kernel([block_cols[i] for i in sub_idx]):
+                vec = 0
+                for k, i in enumerate(sub_idx):
+                    if combo >> k & 1:
+                        vec ^= 1 << i
+                if space.add(vec) is None:
+                    added += 1
+            dims_by_level[lvl] = added
+        for pos, lvl in enumerate(levels):
+            above = dims_by_level[levels[pos - 1]] if pos else 0
+            piece = dims_by_level[lvl] - above
+            if piece:
+                out[(grade, lvl)] = piece
+    return dict(sorted(out.items()))
+
+
+def alex2_planted_sums():
+    """Floer planted pieces whose generators carry a mod-2 Alexander grading."""
+    rng = random.Random(31)
+    for _ in range(12):
+        gens, diff, levels = [], {}, {}
+        for k in range(rng.randrange(1, 5)):
+            power, jump, bit = rng.randrange(1, 4), rng.randrange(1, 5), rng.randrange(2)
+            a = Generator("p%d_a" % k, 0, None, bit)
+            b = Generator("p%d_b" % k, power - 1, None, (bit + power) % 2)
+            gens += [a, b]
+            diff[(a.gid, b.gid)] = Poly.var(U1, "u", power)
+            shift = rng.randrange(3)
+            levels.update({a.gid: shift, b.gid: shift + jump})
+        rng.shuffle(gens)
+        yield FilteredComplex(ChainComplex(U1, gens, diff, CONV_FLOER), levels)
+
+
+def reference_cases():
+    for _, fc in one_map_complexes():
+        yield fc
+    for fc, _ in planted_sums():
+        yield fc
+    yield from alex2_planted_sums()
+    for depth in (1, 3):
+        yield FilteredComplex(planted(3, power=2).base, {"a": 0, "b": 3}, depth)
+        cc = kh.ckh(kh.parse_pd(TREFOIL), "minus")
+        yield FilteredComplex(cc.complex, cc.levels, depth)
+    for d in (kh.cyclic_knot(3), kh.cyclic_knot(5), kh.parse_pd(FIG8)):
+        cc = kh.ckh(d, "minus")
+        yield FilteredComplex(cc.complex, cc.levels)
+    cc = kh.ckh(kh.parse_pd(TREFOIL), "hat")
+    yield FilteredComplex(cc.complex, cc.levels)
+
+
+def test_slices_and_graded_homology_match_references():
+    kinds = set()
+    for fc in reference_cases():
+        slices, floor = spectral._enumerate_slices(fc)
+        assert (slices, floor) == ref_enumerate_slices(fc)
+        dims = spectral._graded_homology_dims(fc, floor)
+        assert dims == ref_graded_homology_dims(fc, floor)
+        kinds.add((fc.base.convention, fc.base.vars.n, fc.extra_depth > 0,
+                   any(g.alex2 is not None for g in fc.base.gens)))
+    assert kinds == {
+        (CONV_FLOER, 1, False, False), (CONV_FLOER, 1, False, True),
+        (CONV_FLOER, 1, True, False), (CONV_KH, 1, False, False),
+        (CONV_KH, 1, True, False), (CONV_KH, 0, False, False),
+    }

@@ -36,13 +36,13 @@ def test_interleaved_jumps_hand_checked():
     einf = data.einf_by_level()
     assert einf[((2,), 4)] == 1  # the torsion class sits at level 4
     assert einf[((1,), 0)] == 1  # the free tower enters at level 0
-    assert converge(fc).ok
+    assert converge(fc, data).ok
     hom = UHomology(cx)
     assert hom.free_rank == 1 and hom.torsion == [1]
 
 
-def test_random_one_map_complexes_converge():
-    """Random single-layer maps: pairing limit matches the rank route."""
+def one_map_complexes():
+    """Random single-layer maps with random levels, from a fixed seed."""
     rng = random.Random(424242)
     for trial in range(60):
         n_src, n_tgt = rng.randrange(1, 4), rng.randrange(1, 4)
@@ -63,8 +63,14 @@ def test_random_one_map_complexes_converge():
             levels[g.gid] = (
                 rng.randrange(3) if g.gid.startswith("s") else 3 + rng.randrange(3)
             )
-        fc = FilteredComplex(cx, levels)
-        rep = converge(fc)
+        yield trial, FilteredComplex(cx, levels)
+
+
+def test_random_one_map_complexes_converge():
+    """Random single-layer maps: pairing limit matches the rank route."""
+    for trial, fc in one_map_complexes():
+        cx = fc.base
+        rep = converge(fc, analyze(fc))
         assert rep.ok, (trial, rep.mismatches)
         hom = UHomology(cx)
         # limit class count at the anchor slices equals the summand count
@@ -80,8 +86,9 @@ def _planted_piece(tag, jump, power, shift):
     return gens, diff, levels
 
 
-def test_random_sums_of_planted_pieces():
-    """Direct sums of planted pieces plus isolated towers, shuffled."""
+def planted_sums():
+    """Direct sums of planted pieces plus isolated towers, shuffled, from a
+    fixed seed; each with the set of jumps it plants."""
     rng = random.Random(777)
     for _ in range(30):
         gens, diff, levels = [], {}, {}
@@ -100,8 +107,13 @@ def test_random_sums_of_planted_pieces():
             levels[g.gid] = rng.randrange(6)
         rng.shuffle(gens)
         cx = ChainComplex(U1, gens, diff, CONV_FLOER)
-        assert cx.verify_d2() == []
-        fc = FilteredComplex(cx, levels)
+        yield FilteredComplex(cx, levels), expected_jumps
+
+
+def test_random_sums_of_planted_pieces():
+    """Direct sums of planted pieces plus isolated towers, shuffled."""
+    for fc, expected_jumps in planted_sums():
+        assert fc.base.verify_d2() == []
         data = analyze(fc)
         assert {e.jump for e in data.events} == expected_jumps
-        assert converge(fc).ok
+        assert converge(fc, data).ok
