@@ -21,6 +21,7 @@ from . import gf2
 from .poly import Poly, VarSet
 from .umod import (
     MonoVec,
+    Summand,
     echelonize,
     module_decompose,
     reduce_columns,
@@ -440,7 +441,7 @@ class UHomology:
                 col[cx.order[t]] = p.single_exponent()
             cols.append(col)
         pivots, kernel_logs = reduce_columns(cols)
-        self.kernel = echelonize(kernel_logs) if kernel_logs else []
+        self.kernel = echelonize(kernel_logs)
         image = [dict(vec) for _, (vec, _) in sorted(pivots.items())]
         rel_cols = [solve_in_echelon(self.kernel, v) for v in image]
         step = cx.ustep()
@@ -592,17 +593,71 @@ def slice_dims(cx: ChainComplex, h_from: int, h_to: int) -> dict[int, int]:
     return dims
 
 
+def q_slice_dims(cx: ChainComplex, q_from: int, q_to: int) -> dict[tuple[int, int], int]:
+    """F2 dimensions of homology per (h, q) for one-variable kh-convention complexes.
+
+    The q-slice is spanned by the monomials u^k g (k >= 0) with
+    q(g) - k * step = q, where u drops q by step = ustep()[1].  The
+    differential preserves q and raises h, so each slice is a finite complex
+    graded by h, holding each generator at most once.
+    """
+    if cx.convention != CONV_KH:
+        raise ValueError("q_slice_dims expects the kh convention")
+    step = cx.ustep()[1]
+    by_src = cx.columns()
+    dims: dict[tuple[int, int], int] = {}
+    for q in range(min(q_from, q_to), max(q_from, q_to) + 1):
+        slots: dict[int, dict[str, int]] = {}
+        for g in cx.gens:
+            if g.q >= q and (g.q - q) % step == 0:
+                index = slots.setdefault(g.h, {})
+                index[g.gid] = len(index)
+        rank_out: dict[int, int] = {}
+        for h, index in slots.items():
+            tgt_index = slots.get(h + 1, {})
+            cols = [sum(1 << tgt_index[t] for t in by_src[gid]) for gid in index]
+            rank_out[h] = gf2.matrix_rank(cols, len(tgt_index))
+        for h, index in slots.items():
+            dims[(h, q)] = len(index) - rank_out[h] - rank_out.get(h - 1, 0)
+    return dims
+
+
+def _in_tower(s: Summand, top: int, x: int, step: int) -> bool:
+    """Whether the u-tower of summand s, anchored at top, has an element at x."""
+    k, rem = divmod(top - x, step)
+    return rem == 0 and k >= 0 and (s.free or k < s.order)
+
+
 def check_truncation_stability(hom: UHomology) -> None:
     """Compare the exact decomposition with brute-force slice dimensions.
 
-    Dimensions per slice are recomputed over two window depths; both must
-    match the prediction from the decomposition.
+    Dimensions per slice (h-slices in the floer convention, q-slices in the
+    kh convention) are recomputed over two window depths; both must match
+    the prediction from the decomposition.
     """
     cx = hom.cx
     if not cx.gens:
         return
     if cx.convention == CONV_KH:
-        return  # slices run along q; covered by the spectral cross-checks
+        step = cx.ustep()[1]
+        qs = [g.q for g in cx.gens]
+        span = max(qs) - min(qs)
+        for extra in (2, 4):
+            lo, hi = min(qs) - span - extra * step, max(qs)
+            dims = q_slice_dims(cx, lo, hi)
+            predicted: dict[tuple[int, int], int] = {}
+            for s in hom.summands:
+                h, top = s.grades
+                for q in range(lo, hi + 1):
+                    if _in_tower(s, top, q, step):
+                        predicted[(h, q)] = predicted.get((h, q), 0) + 1
+            for key in sorted(set(dims) | set(predicted)):
+                if dims.get(key, 0) != predicted.get(key, 0):
+                    raise ArithmeticError(
+                        "truncated slice dimension mismatch at (h, q)=%r: %d vs %d"
+                        % (key, dims.get(key, 0), predicted.get(key, 0))
+                    )
+        return
     hs = [g.h for g in cx.gens]
     span = max(hs) - min(hs)
     unit = cx.vars.units[0]
@@ -611,15 +666,7 @@ def check_truncation_stability(hom: UHomology) -> None:
         lo, hi = min(hs) - depth, max(hs)
         dims = slice_dims(cx, lo, hi)
         for d in range(lo, hi + 1):
-            want = 0
-            for s in hom.summands:
-                anchor = s.grades[0]
-                if s.free:
-                    if anchor >= d and (anchor - d) % unit == 0:
-                        want += 1
-                else:
-                    if anchor >= d > anchor - s.order * unit and (anchor - d) % unit == 0:
-                        want += 1
+            want = sum(_in_tower(s, s.grades[0], d, unit) for s in hom.summands)
             if dims.get(d, 0) != want:
                 raise ArithmeticError(
                     "truncated slice dimension mismatch at h=%d: %d vs %d"

@@ -132,7 +132,7 @@ def _page_homology(
         proj = {slot: e for slot, e in log.items() if slot < n}
         if proj:
             xgens.append(proj)
-    basis = echelonize(xgens) if xgens else []
+    basis = echelonize(xgens)
     denoms: list[MonoVec] = []
     for j in range(n):
         if dcols[j]:

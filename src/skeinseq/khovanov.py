@@ -20,6 +20,12 @@ Crossing = tuple[int, int, int, int]
 
 FLAVORS = ("minus", "hat", "reduced")
 
+# Largest cube ckh builds.  A 13-crossing cube (cyclic_knot(13), 16383 minus
+# generators) takes about half a minute and under 0.5 GB to build and
+# decompose; each further crossing doubles the vertices, and a 30-crossing
+# diagram would enumerate 2^30 states.
+MAX_CUBE_VERTICES = 1 << 13
+
 
 @dataclass(frozen=True)
 class LinkDiagram:
@@ -389,6 +395,11 @@ def ckh(
         basepoint = None
 
     n = len(d.crossings)
+    if 1 << n > MAX_CUBE_VERTICES:
+        raise ValueError(
+            "the cube of a %d-crossing diagram has 2^%d = %d vertices, above the"
+            " limit of %d" % (n, n, 1 << n, MAX_CUBE_VERTICES)
+        )
     states = [
         resolve(d, tuple((i >> j) & 1 for j in range(n)), swap)
         for i in range(1 << n)

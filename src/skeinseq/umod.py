@@ -10,6 +10,7 @@ guarantees colliding exponents agree (asserted).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 MonoVec = dict[int, int]
 
@@ -69,25 +70,49 @@ def reduce_columns(
     return pivots, kernel_logs
 
 
-def echelonize(cols: list[MonoVec]) -> list[MonoVec]:
+class EchelonBasis:
+    """Homogeneous vectors with distinct leads, sorted by lead.
+
+    The lead index (lead slot -> position) is built once here, so every solve
+    against the basis reads it instead of rebuilding it.
+    """
+
+    __slots__ = ("vecs", "lead")
+
+    def __init__(self, vecs: list[MonoVec]) -> None:
+        self.vecs = vecs
+        self.lead = {min(b): i for i, b in enumerate(vecs)}
+
+    def __len__(self) -> int:
+        return len(self.vecs)
+
+    def __getitem__(self, i: int) -> MonoVec:
+        return self.vecs[i]
+
+    def __iter__(self):
+        return iter(self.vecs)
+
+
+def echelonize(cols: list[MonoVec]) -> EchelonBasis:
     """Reduce a list of homogeneous vectors to echelon form (distinct leads)."""
     pivots, kernel = reduce_columns(cols)
     if kernel:
         raise ArithmeticError("echelonize expected independent columns")
-    out = [vec for _, (vec, _) in sorted(pivots.items())]
-    return out
+    return EchelonBasis([vec for _, (vec, _) in sorted(pivots.items())])
 
 
-def solve_in_echelon(basis: list[MonoVec], target: MonoVec) -> MonoVec:
+def solve_in_echelon(basis: EchelonBasis, target: MonoVec) -> MonoVec:
     """Coordinates of target in an echelon basis (raises if unsolvable)."""
     coords: MonoVec = {}
     vec = dict(target)
-    by_lead = {min(b): (i, b) for i, b in enumerate(basis) if b}
+    by_lead = basis.lead
+    vecs = basis.vecs
     while vec:
         lead = min(vec)
-        if lead not in by_lead:
+        i = by_lead.get(lead)
+        if i is None:
             raise ArithmeticError("vector outside the span (slot %d)" % lead)
-        i, b = by_lead[lead]
+        b = vecs[i]
         shift = vec[lead] - b[lead]
         if shift < 0:
             raise ArithmeticError("vector not in the F2[u]-span (needs u^%d)" % shift)
@@ -120,6 +145,11 @@ class ModuleDecomposition:
     inverse: list[MonoVec] = field(repr=False, default_factory=list)
     killed: set[int] = field(repr=False, default_factory=set)
     torsion_caps: dict[int, int] = field(repr=False, default_factory=dict)
+    # transform by columns: old generator -> [(row, exponent)], rows ascending;
+    # built on the first coords_of call
+    _transform_cols: dict[int, list[tuple[int, int]]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def free_rank(self) -> int:
@@ -161,15 +191,17 @@ class ModuleDecomposition:
 
     def coords_of(self, vec: MonoVec) -> MonoVec:
         """Class of a generator-space vector in the decomposed coordinates."""
+        if self._transform_cols is None:
+            cols: dict[int, list[tuple[int, int]]] = {}
+            for row, transform_row in enumerate(self.transform):
+                for col, te in transform_row.items():
+                    cols.setdefault(col, []).append((row, te))
+            self._transform_cols = cols
         moved: MonoVec = {}
-        for row, transform_row in enumerate(self.transform):
-            acc: MonoVec = {}
-            for col, te in transform_row.items():
-                if col in vec:
-                    vec_add_shifted(acc, {0: vec[col] + te}, 0)
-            if acc:
-                moved[row] = acc[0]
-        return self.reduce_coords(moved)
+        for col, e in vec.items():
+            for row, te in self._transform_cols.get(col, ()):
+                vec_add_shifted(moved, {row: e + te}, 0)
+        return self.reduce_coords(dict(sorted(moved.items())))
 
     def summand_rep(self, s: Summand) -> MonoVec:
         """A vector in the original generator space representing the summand."""
@@ -178,19 +210,27 @@ class ModuleDecomposition:
         }
 
 
-def _mat_row_op(mat: list[MonoVec], dst: int, src: int, shift: int) -> None:
-    vec_add_shifted(mat[dst], mat[src], shift)
+def _add_tracked(
+    rows: list[MonoVec], cols: list[set[int]], dst: int, src: MonoVec, shift: int
+) -> list[tuple[int, int]]:
+    """rows[dst] += u^shift * src, keeping the column index cols in step.
 
-
-def _mat_col_op(mat: list[MonoVec], dst: int, src: int, shift: int) -> None:
-    for row in mat:
-        if src in row:
-            e = row[src] + shift
-            old = row.pop(dst, None)
-            if old is None:
-                row[dst] = e
-            elif old != e:
-                raise ArithmeticError("inhomogeneous collision in transform")
+    Returns the (column, exponent) entries the addition created.
+    """
+    row = rows[dst]
+    created: list[tuple[int, int]] = []
+    for c, e in src.items():
+        ee = e + shift
+        old = row.pop(c, None)
+        if old is None:
+            row[c] = ee
+            cols[c].add(dst)
+            created.append((c, ee))
+        elif old != ee:
+            raise ArithmeticError("inhomogeneous collision at column %d" % c)
+        else:
+            cols[c].discard(dst)
+    return created
 
 
 def module_decompose(
@@ -204,6 +244,14 @@ def module_decompose(
     relations are columns {generator: exponent}; grades are per-generator
     grading tuples.  When u_grade_step is given, homogeneity of every
     relation column is checked against it (u lowers the grade by the step).
+
+    The pivot is always the live entry u^e at (row r, column c) with the
+    least (e, r, c).  Row operations clear the rest of its column; then row
+    r is the only row left in column c, so clearing row r by column
+    operations would touch nothing else, and row r and column c simply leave
+    the matrix.  Pivots come from a lazy min-heap of entries, and each column
+    keeps the set of its rows, so a pivot costs the rows it clears, not a
+    scan of the matrix.
     """
     if u_grade_step is not None:
         for col in relations:
@@ -215,73 +263,54 @@ def module_decompose(
                 elif seen != g:
                     raise ValueError("non-homogeneous presentation column: %r" % (col,))
 
+    # mat holds only live entries: a row and a column leave together
     mat: list[MonoVec] = [dict() for _ in range(n_gens)]
+    mat_cols: list[set[int]] = [set() for _ in relations]
+    heap: list[tuple[int, int, int]] = []
     for j, col in enumerate(relations):
         for row, e in col.items():
             mat[row][j] = e
+            mat_cols[j].add(row)
+            heap.append((e, row, j))
+    heapify(heap)
     transform: list[MonoVec] = [{i: 0} for i in range(n_gens)]
     inverse: list[MonoVec] = [{i: 0} for i in range(n_gens)]
-    live_rows = set(range(n_gens))
-    live_cols = set(range(len(relations)))
+    inverse_cols: list[set[int]] = [{i} for i in range(n_gens)]
 
     killed: set[int] = set()
     torsion_caps: dict[int, int] = {}
 
-    while True:
-        best: tuple[int, int, int] | None = None
-        for r in sorted(live_rows):
-            for c, e in mat[r].items():
-                if c not in live_cols:
-                    continue
-                key = (e, r, c)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        e, r, c = best
+    while heap:
+        e, r, c = heappop(heap)
+        prow = mat[r]
+        if prow.get(c) != e:
+            continue  # stale: the entry cancelled, or its row already died
         # clear the pivot column with row operations (tracked in transforms)
-        for r2 in sorted(live_rows):
+        for r2 in sorted(mat_cols[c]):
             if r2 == r:
                 continue
-            e2 = mat[r2].get(c)
-            if e2 is None:
-                continue
-            shift = e2 - e
-            _mat_row_op(mat, r2, r, shift)
-            _mat_row_op(transform, r2, r, shift)
-            _mat_col_op(inverse, r, r2, shift)
-        # clear the pivot row with column operations (relations only)
-        for c2 in sorted(live_cols):
-            if c2 == c:
-                continue
-            e2 = mat[r].get(c2)
-            if e2 is None:
-                continue
-            shift = e2 - e
-            for row in sorted(live_rows):
-                if c in mat[row]:
-                    ee = mat[row][c] + shift
-                    old = mat[row].pop(c2, None)
-                    if old is None:
-                        mat[row][c2] = ee
-                    elif old != ee:
-                        raise ArithmeticError("inhomogeneous collision")
+            shift = mat[r2][c] - e
+            for c2, ee in _add_tracked(mat, mat_cols, r2, prow, shift):
+                heappush(heap, (ee, r2, c2))
+            vec_add_shifted(transform[r2], transform[r], shift)
+            # column r of the inverse += u^shift * column r2
+            for j in inverse_cols[r2]:
+                _add_tracked(inverse, inverse_cols, j, {r: inverse[j][r2] + shift}, 0)
         if e == 0:
             killed.add(r)
         else:
             torsion_caps[r] = e
-        live_rows.discard(r)
-        live_cols.discard(c)
+        for c2 in prow:
+            mat_cols[c2].discard(r)
+        mat[r] = {}
 
     # the new generator r is the class of column r of P^-1 in the old basis
     grade_of_row: dict[int, tuple[int, ...]] = {}
     for r in range(n_gens):
-        for j in range(n_gens):
-            if r in inverse[j]:
-                grade_of_row[r] = _shift_grade(grades[j], inverse[j][r], u_grade_step)
-                break
-        else:
+        if not inverse_cols[r]:
             raise ArithmeticError("degenerate transform column %d" % r)
+        j = min(inverse_cols[r])
+        grade_of_row[r] = _shift_grade(grades[j], inverse[j][r], u_grade_step)
 
     summands: list[Summand] = []
     for r in range(n_gens):

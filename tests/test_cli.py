@@ -226,3 +226,17 @@ def test_diagram_json_input(tmp_path, capsys):
     code, out, err = run(capsys, "kh", "--in", str(path), "--flavor", "hat")
     assert code == 0
     assert "# total\t6" in out
+
+
+def test_oversized_cube_exits_2_before_resolving(capsys, monkeypatch):
+    def no_states(*args, **kwargs):
+        raise AssertionError("resolve called on an oversized cube")
+
+    monkeypatch.setattr(kh, "resolve", no_states)
+    d = kh.cyclic_knot(31)
+    pd = "PD[%s]" % ",".join("X(%d,%d,%d,%d)" % c for c in d.crossings)
+    code, out, err = run(capsys, "kh", "--pd", pd, "--flavor", "hat")
+    assert code == 2
+    assert out == ""
+    assert "2^31 = 2147483648 vertices" in err
+    assert "limit of %d" % kh.MAX_CUBE_VERTICES in err

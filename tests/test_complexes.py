@@ -1,13 +1,17 @@
+import dataclasses
 import random
 
 import pytest
 
+from skeinseq import khovanov as kh
 from skeinseq.complexes import (
     CONV_FLOER,
+    CONV_KH,
     ChainComplex,
     ChainMap,
     Generator,
     UHomology,
+    check_truncation_stability,
     collapse_all,
     collapse_pairs,
     homology,
@@ -15,6 +19,7 @@ from skeinseq.complexes import (
     induced_on_homology,
     kill_vars,
     phi_action,
+    q_slice_dims,
     slice_dims,
     substitute,
     tensor,
@@ -302,3 +307,50 @@ def test_random_one_map_homology_stability():
         cx = ChainComplex(U1, gens, diff, CONV_FLOER)
         hom = homology(cx, "u")  # raises if the windows disagree
         assert hom.free_rank + len(hom.torsion) <= cx.n
+
+
+TREFOIL_PD = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
+FIG8_PD = "PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]"
+
+
+def test_kh_convention_slice_check():
+    """homology(cx, 'u') on minus cubes checks the q-slices of the decomposition."""
+    diagrams = [kh.parse_pd(TREFOIL_PD), kh.parse_pd(FIG8_PD), kh.cyclic_knot(5)]
+    for d in diagrams:
+        cx = kh.ckh(d, "minus").complex
+        hom = homology(cx, "u")  # raises if a slice disagrees
+        qs = [g.q for g in cx.gens]
+        lo = min(qs) - 4
+        dims = q_slice_dims(cx, lo, max(qs))
+        # far enough down, a slice meets each free tower once and no torsion
+        assert sum(v for (h, q), v in dims.items() if q == lo) == hom.free_rank
+        assert sum(dims.values()) > hom.free_rank
+    # minus cubes are free; one-map kh complexes carry torsion as well
+    rng = random.Random(4411)
+    torsion = 0
+    for _ in range(60):
+        gens = [Generator("s%d" % i, 0, 2 * rng.randrange(3)) for i in range(rng.randrange(1, 4))]
+        tgts = [Generator("t%d" % i, 1, 2 * rng.randrange(3)) for i in range(rng.randrange(1, 4))]
+        diff = {}
+        for s in gens:
+            for t in tgts:
+                e = (t.q - s.q) // 2
+                if e >= 0 and rng.random() < 0.6:
+                    diff[(s.gid, t.gid)] = Poly.var(U1, "u", e)
+        hom = homology(ChainComplex(U1, gens + tgts, diff, CONV_KH), "u")
+        torsion += len(hom.torsion)
+    assert torsion > 10
+
+
+def test_kh_slice_check_rejects_tampered_summands():
+    cx = kh.ckh(kh.cyclic_knot(5), "minus").complex
+    hom = UHomology(cx)
+    check_truncation_stability(hom)
+    s = hom.summands[0]
+    hom.summands[0] = dataclasses.replace(s, order=None if s.order else 1)
+    with pytest.raises(ArithmeticError, match="slice dimension mismatch"):
+        check_truncation_stability(hom)
+    hom = UHomology(cx)
+    del hom.summands[-1]
+    with pytest.raises(ArithmeticError, match="slice dimension mismatch"):
+        check_truncation_stability(hom)

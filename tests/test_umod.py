@@ -2,12 +2,17 @@ import random
 
 import pytest
 
+from skeinseq import complexes, infer
+from skeinseq import khovanov as kh
 from skeinseq.gf2 import matrix_rank
 from skeinseq.umod import (
+    ModuleDecomposition,
+    Summand,
     echelonize,
     module_decompose,
     reduce_columns,
     solve_in_echelon,
+    vec_add_shifted,
 )
 
 STEP = (1,)
@@ -60,7 +65,8 @@ def brute_window_dims(n_gens, relations, grades_list, window):
     return len(slots) - rank
 
 
-def test_window_dims_against_bruteforce():
+def equal_grade_family():
+    """Random presentations on generators of one grade."""
     rng = random.Random(20250101)
     for _ in range(120):
         n = rng.randrange(1, 5)
@@ -73,6 +79,11 @@ def test_window_dims_against_bruteforce():
                     col[row] = deg  # same grade rows: homogeneous with equal exps
             if col:
                 rels.append(col)
+        yield n, rels, grades(n), STEP
+
+
+def test_window_dims_against_bruteforce():
+    for n, rels, _, _ in equal_grade_family():
         dec = module_decompose(n, rels, grades(n), STEP)
         for window in (1, 2, 5, 8):
             assert dec.window_dim(window) == brute_window_dims(n, rels, grades(n), window)
@@ -143,14 +154,14 @@ def test_solve_in_echelon():
         solve_in_echelon(basis, {2: 0})
 
 
-def test_mixed_grade_homogeneous_random():
+def mixed_grade_family(seed=314159, count=120, max_gens=4, max_rels=3):
     """Random homogeneous presentations with distinct row grades."""
-    rng = random.Random(314159)
-    for _ in range(120):
-        n = rng.randrange(1, 5)
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, max_gens + 1)
         row_grades = [(rng.randrange(4),) for _ in range(n)]
         rels = []
-        for _ in range(rng.randrange(4)):
+        for _ in range(rng.randrange(max_rels + 1)):
             tgrade = rng.randrange(-2, 3)
             col = {}
             for r in range(n):
@@ -159,6 +170,12 @@ def test_mixed_grade_homogeneous_random():
                     col[r] = e
             if col:
                 rels.append(col)
+        yield n, rels, row_grades, STEP
+
+
+def test_mixed_grade_homogeneous_random():
+    """Random homogeneous presentations with distinct row grades."""
+    for n, rels, row_grades, _ in mixed_grade_family():
         dec = module_decompose(n, rels, row_grades, (1,))
         # brute-force slot expansion anchored per grade, window below all grades
         lo = min(g[0] for g in row_grades) - 6
@@ -190,3 +207,154 @@ def test_mixed_grade_homogeneous_random():
             else:
                 want += max(0, min(s.order, depth))
         assert brute_total == want, (rels, row_grades, dec.summands)
+
+
+def dense_decompose(n_gens, relations, grades_list, u_grade_step=None):
+    """Reference module_decompose: a full scan of every live row per pivot.
+
+    The pivot is the least (e, r, c) over live entries; its column is cleared
+    by row operations and its row by column operations over every live row.
+    """
+    mat = [dict() for _ in range(n_gens)]
+    for j, col in enumerate(relations):
+        for row, e in col.items():
+            mat[row][j] = e
+    transform = [{i: 0} for i in range(n_gens)]
+    inverse = [{i: 0} for i in range(n_gens)]
+    live_rows = set(range(n_gens))
+    live_cols = set(range(len(relations)))
+    killed = set()
+    torsion_caps = {}
+
+    def col_op(m, dst, src, shift):
+        for row in m:
+            if src in row:
+                vec_add_shifted(row, {dst: row[src] + shift}, 0)
+
+    while True:
+        best = None
+        for r in sorted(live_rows):
+            for c, e in mat[r].items():
+                if c in live_cols and (best is None or (e, r, c) < best):
+                    best = (e, r, c)
+        if best is None:
+            break
+        e, r, c = best
+        for r2 in sorted(live_rows):
+            e2 = mat[r2].get(c)
+            if r2 == r or e2 is None:
+                continue
+            vec_add_shifted(mat[r2], mat[r], e2 - e)
+            vec_add_shifted(transform[r2], transform[r], e2 - e)
+            col_op(inverse, r, r2, e2 - e)
+        for c2 in sorted(live_cols):
+            e2 = mat[r].get(c2)
+            if c2 == c or e2 is None:
+                continue
+            col_op([mat[row] for row in sorted(live_rows)], c2, c, e2 - e)
+        if e == 0:
+            killed.add(r)
+        else:
+            torsion_caps[r] = e
+        live_rows.discard(r)
+        live_cols.discard(c)
+
+    summands = []
+    for r in range(n_gens):
+        j = next(j for j in range(n_gens) if r in inverse[j])
+        grade = grades_list[j]
+        if u_grade_step is not None:
+            grade = tuple(x - inverse[j][r] * s for x, s in zip(grade, u_grade_step))
+        if r not in killed:
+            summands.append(Summand(torsion_caps.get(r), grade, r))
+    summands.sort(key=lambda s: (s.grades, s.order is None, s.order or 0, s.index))
+    return ModuleDecomposition(summands, transform, inverse, killed, torsion_caps)
+
+
+def dense_coords_of(dec, vec):
+    """Reference coords_of: walk every transform row for the vector."""
+    moved = {}
+    for row, transform_row in enumerate(dec.transform):
+        acc = {}
+        for col, te in transform_row.items():
+            if col in vec:
+                vec_add_shifted(acc, {0: vec[col] + te}, 0)
+        if acc:
+            moved[row] = acc[0]
+    return dec.reduce_coords(moved)
+
+
+def assert_same_decomposition(args, rng=None):
+    got = module_decompose(*args)
+    want = dense_decompose(*args)
+    for name in ("summands", "transform", "inverse", "killed", "torsion_caps"):
+        assert getattr(got, name) == getattr(want, name), (name, args)
+    if rng is None:
+        return
+    # homogeneous vectors: every entry u^e at row r lands in one grade
+    n_gens, _, grades_list, step = args
+    for _ in range(3):
+        top = rng.choice(grades_list)
+        vec = {}
+        for r, g in enumerate(grades_list):
+            e, rem = divmod(g[-1] - top[-1], step[-1])
+            if g[:-1] == top[:-1] and rem == 0 and e >= 0 and rng.random() < 0.5:
+                vec[r] = e
+        assert list(got.coords_of(vec).items()) == list(dense_coords_of(want, vec).items())
+
+
+def recorded_presentations(monkeypatch, module, run):
+    """Arguments of every module_decompose call that module makes in run()."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return module_decompose(*args)
+
+    monkeypatch.setattr(module, "module_decompose", record)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def test_sparse_decompose_matches_dense_reference(monkeypatch):
+    """Every field of the result, not only the invariants, equals the dense scan;
+    coords_of gives the same classes in the same order."""
+    rng = random.Random(5)
+    families = [equal_grade_family(), mixed_grade_family()]
+    families += [mixed_grade_family(seed=2718, count=300, max_gens=7, max_rels=6)]
+    for family in families:
+        for args in family:
+            assert_same_decomposition(args, rng)
+    diagrams = [kh.cyclic_knot(n) for n in (3, 5, 7)]
+    diagrams += [kh.parse_pd("PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]")]
+    diagrams += [kh.unlink(3)]
+    cube_calls = recorded_presentations(
+        monkeypatch, complexes,
+        lambda: [complexes.UHomology(kh.ckh(d, "minus").complex) for d in diagrams],
+    )
+    assert len(cube_calls) == len(diagrams)
+    towers = [infer.Tower(n, h, q) for n, h, q in (
+        ("t0", 1, 4), ("t1", 1, 6), ("t2", 3, 2), ("t3", 6, 14),
+        ("z", 0, -1), ("y", 1, 1), ("x", 3, 5))]
+    searches = [
+        (towers[:4], infer.TargetSpec(free_rank=2)),
+        (towers[4:], infer.TargetSpec(free_rank=1, torsion=(1,))),
+        (towers, infer.TargetSpec(free_rank=3)),
+        (towers, infer.TargetSpec(free_rank=1, torsion=(1, 1, 1))),
+    ]
+    page_calls = recorded_presentations(
+        monkeypatch, infer,
+        lambda: [infer.enumerate_patterns(infer.PageSpec(tuple(page)), target)
+                 for page, target in searches],
+    )
+    assert sum(len(args[1]) > 1 for args in page_calls) > 10
+    for args in cube_calls + page_calls:
+        assert_same_decomposition(args, rng)
+
+
+def test_echelon_basis_lead_index():
+    basis = echelonize([{2: 1, 3: 0}, {0: 0, 1: 1}, {1: 0}])
+    assert [min(v) for v in basis] == [0, 1, 2]
+    assert basis.lead == {0: 0, 1: 1, 2: 2}
+    assert len(echelonize([])) == 0
