@@ -121,13 +121,23 @@ class ChainComplex:
     # -- validation -----------------------------------------------------------
 
     def _entry_ok(self, src: Generator, tgt: Generator, p: Poly, dh: int,
-                  dq: int | None = 0, dalex: int = 0) -> bool:
+                  dq: int | None, dalex: int, drops: dict) -> bool:
+        """Whether every monomial of p sends src's grading to tgt's.
+
+        drops caches (h_drop, q_drop, alex2) per monomial; callers pass one
+        dict to a run of calls so each distinct monomial is weighed once.
+        """
+        floer = self.convention == CONV_FLOER
         for m in p.terms:
-            if self.convention == CONV_FLOER:
-                if tgt.h - self.vars.h_drop(m) != src.h + dh:
+            drop = drops.get(m)
+            if drop is None:
+                vs = self.vars
+                drop = drops[m] = (vs.h_drop(m), vs.q_drop(m), vs.alex2(m))
+            if floer:
+                if tgt.h - drop[0] != src.h + dh:
                     return False
                 if src.alex2 is not None and tgt.alex2 is not None:
-                    if (tgt.alex2 + self.vars.alex2(m)) % 2 != (src.alex2 + dalex) % 2:
+                    if (tgt.alex2 + drop[2]) % 2 != (src.alex2 + dalex) % 2:
                         return False
             else:
                 if tgt.h != src.h + dh:
@@ -135,16 +145,19 @@ class ChainComplex:
                 if src.q is None or tgt.q is None:
                     return False
                 want = src.q if dq is None else src.q + dq
-                if tgt.q - self.vars.q_drop(m) != want:
+                if tgt.q - drop[1] != want:
                     return False
         return True
 
     def _check_homogeneous(self) -> None:
         dh = -1 if self.convention == CONV_FLOER else 1
+        order, gens, entry_ok = self.order, self.gens, self._entry_ok
+        drops: dict = {}
         for (src, tgt), p in self.diff.items():
-            if src not in self.order or tgt not in self.order:
+            i, j = order.get(src), order.get(tgt)
+            if i is None or j is None:
                 raise ValueError("entry on unknown generator (%s,%s)" % (src, tgt))
-            if not self._entry_ok(self.gen(src), self.gen(tgt), p, dh):
+            if not entry_ok(gens[i], gens[j], p, dh, 0, 0, drops):
                 raise ValueError(
                     "inhomogeneous differential entry %s -> %s: %s" % (src, tgt, p)
                 )
@@ -253,11 +266,12 @@ class ChainMap:
         self.dalex = dalex
         self.name = name
         if check:
+            drops: dict = {}
             for (src, tgt), p in self.entries.items():
                 ok = source._entry_ok(
                     source.gen(src), target.gen(tgt), p, dh,
                     dq if source.convention == CONV_KH else 0,
-                    dalex,
+                    dalex, drops,
                 )
                 if not ok:
                     raise ValueError(

@@ -21,9 +21,9 @@ Crossing = tuple[int, int, int, int]
 FLAVORS = ("minus", "hat", "reduced")
 
 # Largest cube ckh builds.  A 13-crossing cube (cyclic_knot(13), 16383 minus
-# generators) takes about half a minute and under 0.5 GB to build and
-# decompose; each further crossing doubles the vertices, and a 30-crossing
-# diagram would enumerate 2^30 states.
+# generators) takes about 1 s to build and 25 s to decompose (UHomology), in
+# under 0.5 GB (2-vCPU VM, Python 3.11); each further crossing doubles the
+# vertices, and a 30-crossing diagram would enumerate 2^30 states.
 MAX_CUBE_VERTICES = 1 << 13
 
 
@@ -248,6 +248,8 @@ def smooth(d: LinkDiagram, crossing: int, choice: int) -> LinkDiagram:
 
 @dataclass(frozen=True)
 class ResolutionState:
+    """One vertex of the cube; circles are ordered by their least arc."""
+
     vertex: tuple[int, ...]
     circles: tuple[frozenset[int], ...]
 
@@ -262,30 +264,45 @@ class ResolutionState:
         raise KeyError("arc %r not on any circle" % arc)
 
 
+def _resolver(d: LinkDiagram, swap: bool = False):
+    """The state of each vertex of d's cube, by union-find on arc indices.
+
+    The joins of both smoothings of every crossing are turned into index
+    pairs once; each call then resolves one vertex on a list.
+    """
+    arcs = d.arcs
+    index = {a: k for k, a in enumerate(arcs)}
+    joins = []
+    for (a, b, c, dd) in d.crossings:
+        a, b, c, dd = index[a], index[b], index[c], index[dd]
+        zero, one = ((a, dd), (b, c)), ((a, b), (c, dd))
+        joins.append((one, zero) if swap else (zero, one))
+
+    def resolve_at(vertex: tuple[int, ...]) -> ResolutionState:
+        if len(vertex) != len(joins):
+            raise ValueError("vertex length mismatch")
+        parent = list(range(len(arcs)))
+        for pair, v in zip(joins, vertex):
+            for (x, y) in pair[1 if v else 0]:
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                parent[x] = y
+        groups: dict[int, list[int]] = {}
+        for k, a in enumerate(arcs):
+            while parent[k] != k:
+                k = parent[k]
+            groups.setdefault(k, []).append(a)
+        # arcs ascend, so the groups come out ordered by their least arc
+        return ResolutionState(tuple(vertex), tuple(map(frozenset, groups.values())))
+
+    return resolve_at
+
+
 def resolve(d: LinkDiagram, vertex: tuple[int, ...], swap: bool = False) -> ResolutionState:
     """Circles of the complete resolution given one 0/1 choice per crossing."""
-    if len(vertex) != len(d.crossings):
-        raise ValueError("vertex length mismatch")
-    parent = {a: a for a in d.arcs}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (a, b, c, dd), v in zip(d.crossings, vertex):
-        choice = v ^ (1 if swap else 0)
-        joins = [(a, dd), (b, c)] if choice == 0 else [(a, b), (c, dd)]
-        for (x, y) in joins:
-            parent[find(x)] = find(y)
-    groups: dict[int, set[int]] = {}
-    for a in d.arcs:
-        groups.setdefault(find(a), set()).add(a)
-    circles = tuple(
-        sorted((frozenset(g) for g in groups.values()), key=min)
-    )
-    return ResolutionState(tuple(vertex), circles)
+    return _resolver(d, swap)(vertex)
 
 
 # -- edge maps -------------------------------------------------------------------
@@ -326,8 +343,8 @@ class EdgeMap:
 def edge_map(st0: ResolutionState, st1: ResolutionState) -> EdgeMap:
     """Merge or split block between two resolutions differing at one crossing."""
     set0, set1 = set(st0.circles), set(st1.circles)
-    changed0 = tuple(sorted(set0 - set1, key=min))
-    changed1 = tuple(sorted(set1 - set0, key=min))
+    changed0 = tuple([c for c in st0.circles if c not in set1])
+    changed1 = tuple([c for c in st1.circles if c not in set0])
     if len(changed0) == 2 and len(changed1) == 1:
         return EdgeMap("merge", changed0, changed1)
     if len(changed0) == 1 and len(changed1) == 2:
@@ -339,17 +356,74 @@ def edge_map(st0: ResolutionState, st1: ResolutionState) -> EdgeMap:
 
 
 # -- the cube --------------------------------------------------------------------
+#
+# Inside ckh the labels of a generator are a bitmask over the free circles of
+# its state: the circles other than the basepoint circle, in the state's
+# order (by least arc), bit b for the b-th.  Generator m of a vertex is the
+# one with mask m, so a vertex's generators are listed by ascending mask and
+# its ids are spelled once into a mask -> id table.  An edge is a rule on
+# masks (_edge_rule): a carry table moves the circles it leaves alone to their
+# target bits, and EdgeMap.apply, run on each labelling of the changed
+# circles, gives the target bits and u-power of every term.  The rule depends
+# only on the edge's kind, source size and bit positions, so ckh builds it
+# once per distinct such key and every edge of that shape reuses it.
 
 
-def _gid(vertex: tuple[int, ...], labels: frozenset[frozenset[int]]) -> str:
-    tag = ",".join(str(min(c)) for c in sorted(labels, key=min))
-    return "v%s|%s" % ("".join(str(b) for b in vertex), tag)
+def _vertex_ids(vertex: tuple[int, ...], free: list[frozenset[int]]) -> list[str]:
+    """Generator ids of one vertex indexed by label mask over its free circles.
+
+    An id is "v<vertex bits>|<least arc of each x-labelled circle, by bit>".
+    """
+    ids = ["v%s|" % "".join(map(str, vertex))]
+    for c in free:
+        least = str(min(c))
+        ids += [ids[0] + least] + [t + "," + least for t in ids[1:]]
+    return ids
 
 
-def _subsets(items: list[frozenset[int]]):
-    n = len(items)
-    for mask in range(1 << n):
-        yield frozenset(items[i] for i in range(n) if (mask >> i) & 1)
+def _edge_rule(
+    em: EdgeMap, size: int, src_bits: list[int], tgt_bits: list[int],
+    flavor: str, upoly: list[Poly],
+) -> tuple[int, dict[int, list[tuple[int, Poly]]], list[int]]:
+    """The edge map em on label masks, as (sel, terms, carry).
+
+    size is the number of free circles at the source; src_bits and tgt_bits
+    hold the bit of each of em's sources and targets, 0 for the basepoint
+    circle.  That circle carries no label, so an x on it in the image is one
+    more power of u.  sel is the source bits of the changed circles; terms
+    maps each value of mask & sel to the (target bits, entry) terms that the
+    flavor keeps; carry maps each mask to the target bits of the circles the
+    edge leaves alone.  Those keep their order by least arc, so the k-th of
+    them at the source is the k-th at the target, and the rule depends on
+    nothing but em's kind, size and the bits.
+    """
+    sel = sum(src_bits)
+    changed = sum(tgt_bits)
+    size2 = size - sum(map(bool, src_bits)) + sum(map(bool, tgt_bits))
+    kept = iter([1 << b for b in range(size2) if not changed >> b & 1])
+    carry = [0]
+    for b in range(size):
+        tb = 0 if sel >> b & 1 else next(kept)
+        carry += [m | tb for m in carry]
+    terms: dict[int, list[tuple[int, Poly]]] = {}
+    free = [(c, b) for c, b in zip(em.sources, src_bits) if b]
+    for sub in range(1 << len(free)):
+        picked = [(c, b) for k, (c, b) in enumerate(free) if sub >> k & 1]
+        out_terms = []
+        for (ucount, out) in em.apply(frozenset(c for c, _ in picked)):
+            t = 2 * ucount
+            mask = 0
+            for c, b in zip(em.targets, tgt_bits):
+                if c in out:
+                    if b:
+                        mask |= b
+                    else:
+                        t += 1
+            if (flavor == "hat" and ucount) or (flavor == "reduced" and t):
+                continue
+            out_terms.append((mask, upoly[t]))
+        terms[sum(b for _, b in picked)] = out_terms
+    return sel, terms, carry
 
 
 @dataclass
@@ -386,12 +460,11 @@ def ckh(
     arcs = d.arcs
     if flavor == "reduced" and basepoint is None:
         raise ValueError("reduced flavor requires a basepoint")
-    if flavor in ("minus", "reduced"):
-        if basepoint is None:
-            basepoint = min(arcs)
-        elif basepoint not in arcs:
-            raise ValueError("basepoint on unknown arc %r" % basepoint)
-    else:
+    if basepoint is not None and basepoint not in arcs:
+        raise ValueError("basepoint on unknown arc %r" % basepoint)
+    if flavor == "minus" and basepoint is None:
+        basepoint = min(arcs)
+    elif flavor == "hat":
         basepoint = None
 
     n = len(d.crossings)
@@ -400,70 +473,63 @@ def ckh(
             "the cube of a %d-crossing diagram has 2^%d = %d vertices, above the"
             " limit of %d" % (n, n, 1 << n, MAX_CUBE_VERTICES)
         )
+    resolve_at = _resolver(d, swap)
     states = [
-        resolve(d, tuple((i >> j) & 1 for j in range(n)), swap)
-        for i in range(1 << n)
+        resolve_at(tuple((i >> j) & 1 for j in range(n))) for i in range(1 << n)
     ]
     if flavor == "minus":
         vs = VarSet(("u",), (HALF,))
-    else:
+        # one shared entry per u exponent: 2 per U-power, 1 per basepoint label
+        upoly = [Poly.var(vs, "u", t) for t in range(4)]
+    else:  # hat and reduced keep only the terms without u
         vs = VarSet((), ())
+        upoly = [Poly.one(vs)]
 
     gens: list[Generator] = []
     info: dict[str, tuple[int, frozenset[frozenset[int]]]] = {}
     levels: dict[str, int] = {}
-    by_vertex: list[list[str]] = [[] for _ in states]
+    ids: list[list[str]] = []
+    bits: list[dict[frozenset[int], int]] = []
     for i, st in enumerate(states):
-        circles = list(st.circles)
-        if basepoint is not None:
-            base = st.circle_of(basepoint)
-            circles = [c for c in circles if c != base]
-        c_total = len(st.circles)
-        for labels in _subsets(circles):
-            gid = _gid(st.vertex, labels)
-            h = st.weight
-            q = c_total - 2 * len(labels) + st.weight
+        base = st.circle_of(basepoint) if basepoint is not None else None
+        free = [c for c in st.circles if c != base]
+        h = st.weight
+        labels: list[frozenset[frozenset[int]]] = [frozenset()]
+        qs = [len(st.circles) + h]
+        for c in free:
+            one = frozenset((c,))
+            labels += [s | one for s in labels]
+            qs += [q - 2 for q in qs]
+        vids = _vertex_ids(st.vertex, free)
+        for gid, lab, q in zip(vids, labels, qs):
             gens.append(Generator(gid, h, q))
-            info[gid] = (i, labels)
+            info[gid] = (i, lab)
             levels[gid] = h
-            by_vertex[i].append(gid)
+        ids.append(vids)
+        bits.append({c: 1 << b for b, c in enumerate(free)})
 
     diff: dict[tuple[str, str], Poly] = {}
-
-    def add_entry(src: str, tgt: str, upow: int) -> None:
-        p = Poly.var(vs, "u", upow) if upow else Poly.one(vs)
-        key = (src, tgt)
-        cur = diff.get(key)
-        acc = p if cur is None else cur + p
-        if acc:
-            diff[key] = acc
-        elif key in diff:
-            del diff[key]
-
+    rules: dict[tuple, tuple[int, dict[int, list[tuple[int, Poly]]], list[int]]] = {}
     for i, st in enumerate(states):
+        vids, bit = ids[i], bits[i]
         for j in range(n):
             if (i >> j) & 1:
                 continue
             i2 = i | (1 << j)
             em = edge_map(st, states[i2])
-            base2 = (
-                states[i2].circle_of(basepoint) if basepoint is not None else None
-            )
-            for gid in by_vertex[i]:
-                labels = info[gid][1]
-                for (ucount, out) in em.apply(labels):
-                    t = 2 * ucount
-                    out2 = out
-                    if base2 is not None and base2 in out:
-                        out2 = out - {base2}
-                        t += 1
-                    if flavor == "hat" and ucount:
-                        continue
-                    if flavor == "reduced" and t:
-                        continue
-                    if flavor != "minus":
-                        t = 0
-                    add_entry(gid, _gid(states[i2].vertex, out2), t)
+            src_bits = [bit.get(c, 0) for c in em.sources]
+            tgt_bits = [bits[i2].get(c, 0) for c in em.targets]
+            key = (em.kind, len(bit), *src_bits, *tgt_bits)
+            rule = rules.get(key)
+            if rule is None:
+                rule = rules[key] = _edge_rule(
+                    em, len(bit), src_bits, tgt_bits, flavor, upoly
+                )
+            sel, terms, carry = rule
+            vids2 = ids[i2]
+            for m, src in enumerate(vids):
+                for mask, p in terms[m & sel]:
+                    diff[(src, vids2[carry[m] | mask])] = p
 
     cx = ChainComplex(vs, gens, diff, CONV_KH)
     return CubeComplex(d, flavor, basepoint, swap, cx, levels, states, info)
@@ -476,17 +542,14 @@ def basepoint_action(cc: CubeComplex, arc: int) -> ChainMap:
     if arc not in cc.diagram.arcs:
         raise ValueError("unknown point %r" % arc)
     vs = cc.complex.vars
+    gid_of = {key: gid for gid, key in cc.info.items()}
     entries: dict[tuple[str, str], Poly] = {}
     for gid, (vi, labels) in cc.info.items():
         circle = cc.states[vi].circle_of(arc)
         if circle == cc.base_circle(vi):
             entries[(gid, gid)] = Poly.var(vs, "u", 1)
         elif circle in labels:
-            entries[(gid, _gid(cc.states[vi].vertex, labels - {circle}))] = Poly.var(
-                vs, "u", 2
-            )
+            entries[(gid, gid_of[(vi, labels - {circle})])] = Poly.var(vs, "u", 2)
         else:
-            entries[(gid, _gid(cc.states[vi].vertex, labels | {circle}))] = Poly.one(
-                vs
-            )
+            entries[(gid, gid_of[(vi, labels | {circle})])] = Poly.one(vs)
     return ChainMap(cc.complex, cc.complex, entries, dh=0, dq=-2, name="X@%s" % arc)

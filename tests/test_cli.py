@@ -233,6 +233,7 @@ def test_oversized_cube_exits_2_before_resolving(capsys, monkeypatch):
         raise AssertionError("resolve called on an oversized cube")
 
     monkeypatch.setattr(kh, "resolve", no_states)
+    monkeypatch.setattr(kh, "_resolver", no_states)
     d = kh.cyclic_knot(31)
     pd = "PD[%s]" % ",".join("X(%d,%d,%d,%d)" % c for c in d.crossings)
     code, out, err = run(capsys, "kh", "--pd", pd, "--flavor", "hat")
@@ -240,3 +241,26 @@ def test_oversized_cube_exits_2_before_resolving(capsys, monkeypatch):
     assert out == ""
     assert "2^31 = 2147483648 vertices" in err
     assert "limit of %d" % kh.MAX_CUBE_VERTICES in err
+
+
+@pytest.mark.parametrize("flavor", ["minus", "hat", "reduced"])
+def test_nonplanar_edge_exits_2(capsys, flavor):
+    # X(1,2,1,2) resolves to one circle both ways: no merge or split
+    code, out, err = run(capsys, "kh", "--pd", "PD[X(1,2,1,2)]", "--flavor", flavor,
+                         "--basepoint", "1")
+    assert code == 2
+    assert out == ""
+    assert "circle counts differ by 0, not 1" in err
+
+
+@pytest.mark.parametrize("flavor", ["minus", "hat", "reduced"])
+def test_unknown_basepoint_exits_2_before_resolving(capsys, monkeypatch, flavor):
+    def no_states(*args, **kwargs):
+        raise AssertionError("states resolved for an unknown basepoint")
+
+    monkeypatch.setattr(kh, "_resolver", no_states)
+    code, out, err = run(capsys, "kh", "--pd", TREFOIL, "--flavor", flavor,
+                         "--basepoint", "99")
+    assert code == 2
+    assert out == ""
+    assert "basepoint on unknown arc 99" in err

@@ -351,3 +351,179 @@ def test_minus_determines_hat_bigraded():
                 want[(h, q + dq)] = want.get((h, q + dq), 0) + 1
         got = {k: v for k, v in homology_f2(kh.ckh(d, "hat").complex).items() if v}
         assert got == dict(sorted(want.items())), name
+
+
+# -- reference cube ---------------------------------------------------------------
+#
+# reference_ckh is the string-based cube builder that ckh replaced: a dict
+# union-find per state, one EdgeMap.apply per generator and edge, and ids
+# spelled from label sets.  ckh must reproduce every field, in order.
+
+
+def _reference_resolve(d, vertex, swap=False):
+    parent = {a: a for a in d.arcs}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (a, b, c, dd), v in zip(d.crossings, vertex):
+        choice = v ^ (1 if swap else 0)
+        joins = [(a, dd), (b, c)] if choice == 0 else [(a, b), (c, dd)]
+        for (x, y) in joins:
+            parent[find(x)] = find(y)
+    groups = {}
+    for a in d.arcs:
+        groups.setdefault(find(a), set()).add(a)
+    circles = tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+    return kh.ResolutionState(tuple(vertex), circles)
+
+
+def _reference_edge_map(st0, st1):
+    set0, set1 = set(st0.circles), set(st1.circles)
+    changed0 = tuple(sorted(set0 - set1, key=min))
+    changed1 = tuple(sorted(set1 - set0, key=min))
+    if len(changed0) == 2 and len(changed1) == 1:
+        return kh.EdgeMap("merge", changed0, changed1)
+    if len(changed0) == 1 and len(changed1) == 2:
+        return kh.EdgeMap("split", changed0, changed1)
+    raise ValueError("circle counts differ by %d, not 1"
+                     % abs(len(st1.circles) - len(st0.circles)))
+
+
+def _reference_gid(vertex, labels):
+    tag = ",".join(str(min(c)) for c in sorted(labels, key=min))
+    return "v%s|%s" % ("".join(str(b) for b in vertex), tag)
+
+
+def _reference_subsets(items):
+    n = len(items)
+    for mask in range(1 << n):
+        yield frozenset(items[i] for i in range(n) if (mask >> i) & 1)
+
+
+def reference_ckh(d, flavor, basepoint=None, swap=False):
+    """(gens, diff items, levels, info, states, basepoint_arc) of the old ckh."""
+    arcs = d.arcs
+    if flavor in ("minus", "reduced"):
+        basepoint = min(arcs) if basepoint is None else basepoint
+    else:
+        basepoint = None
+    n = len(d.crossings)
+    states = [
+        _reference_resolve(d, tuple((i >> j) & 1 for j in range(n)), swap)
+        for i in range(1 << n)
+    ]
+    if flavor == "minus":
+        vs = kh.VarSet(("u",), (kh.HALF,))
+    else:
+        vs = kh.VarSet((), ())
+    gens, info, levels = [], {}, {}
+    by_vertex = [[] for _ in states]
+    for i, st in enumerate(states):
+        circles = list(st.circles)
+        if basepoint is not None:
+            base = st.circle_of(basepoint)
+            circles = [c for c in circles if c != base]
+        for labels in _reference_subsets(circles):
+            gid = _reference_gid(st.vertex, labels)
+            h = st.weight
+            gens.append(kh.Generator(gid, h, len(st.circles) - 2 * len(labels) + h))
+            info[gid] = (i, labels)
+            levels[gid] = h
+            by_vertex[i].append(gid)
+    diff = {}
+    for i, st in enumerate(states):
+        for j in range(n):
+            if (i >> j) & 1:
+                continue
+            i2 = i | (1 << j)
+            em = _reference_edge_map(st, states[i2])
+            base2 = states[i2].circle_of(basepoint) if basepoint is not None else None
+            for gid in by_vertex[i]:
+                for (ucount, out) in em.apply(info[gid][1]):
+                    t = 2 * ucount
+                    if base2 is not None and base2 in out:
+                        out = out - {base2}
+                        t += 1
+                    if flavor == "hat" and ucount:
+                        continue
+                    if flavor == "reduced" and t:
+                        continue
+                    if flavor != "minus":
+                        t = 0
+                    p = Poly.var(vs, "u", t) if t else Poly.one(vs)
+                    key = (gid, _reference_gid(states[i2].vertex, out))
+                    acc = p if key not in diff else diff[key] + p
+                    if acc:
+                        diff[key] = acc
+                    else:
+                        del diff[key]
+    return gens, list(diff.items()), levels, info, states, basepoint
+
+
+def _cube_fields(cc):
+    return (list(cc.complex.gens), list(cc.complex.diff.items()), cc.levels,
+            cc.info, cc.states, cc.basepoint_arc)
+
+
+def _assert_same_cube(d, flavor, basepoint=None, swap=False):
+    got = _cube_fields(kh.ckh(d, flavor, basepoint=basepoint, swap=swap))
+    want = reference_ckh(d, flavor, basepoint=basepoint, swap=swap)
+    for name, g, w in zip(("gens", "diff", "levels", "info", "states", "basepoint"),
+                          got, want):
+        assert g == w, (flavor, basepoint, swap, name)
+    assert list(got[2]) == list(want[2]) and list(got[3]) == list(want[3])
+
+
+def _reference_family():
+    tre = kh.parse_pd(TREFOIL)
+    fig8 = kh.parse_pd(FIG8)
+    family = {"c%d" % k: kh.cyclic_knot(k) for k in (3, 5, 7, 9)}
+    family.update({
+        "unknot": kh.parse_pd("U"),
+        "kink": kh.parse_pd("PD[X(1,2,2,1)]"),
+        "kink2": kh.parse_pd("PD[X(1,2,2,3),X(3,4,4,1)]"),
+        "hopf": kh.parse_pd(HOPF),
+        "hopf_kinked": kh.add_kink(kh.parse_pd(HOPF), 1),
+        "trefoil": tre,
+        "trefoil_kinked": kh.add_kink(tre, 1),
+        "fig8": fig8,
+        "granny": kh.connect_sum(tre, tre),
+        "c7_kinked": kh.add_kink(kh.cyclic_knot(7), 1),
+        "fig8_sum": kh.connect_sum(fig8, fig8),
+        "mirror_c5": kh.mirror(kh.cyclic_knot(5)),
+        "mirror_fig8": kh.mirror(fig8),
+        "square": kh.connect_sum(tre, kh.mirror(tre)),
+        "c5_loops": kh.LinkDiagram(kh.cyclic_knot(5).crossings, 2),
+        "hopf_loop": kh.LinkDiagram(kh.parse_pd(HOPF).crossings, 1),
+    })
+    family.update({"unlink%d" % k: kh.unlink(k) for k in (1, 2, 3)})
+    return family
+
+
+@pytest.mark.parametrize("name", sorted(_reference_family()))
+def test_ckh_matches_reference(name):
+    d = _reference_family()[name]
+    # every basepoint arc on small cubes, fewer on big ones (the reference is slow)
+    n = len(d.crossings)
+    arcs = d.arcs if n <= 4 else (min(d.arcs), max(d.arcs)) if n <= 7 else (max(d.arcs),)
+    for swap in (False, True) if n <= 7 else (False,):
+        _assert_same_cube(d, "hat", swap=swap)
+        _assert_same_cube(d, "minus", swap=swap)
+        for arc in arcs:
+            _assert_same_cube(d, "minus", basepoint=arc, swap=swap)
+            _assert_same_cube(d, "reduced", basepoint=arc, swap=swap)
+
+
+def test_cube_entry_with_wrong_exponent_rejected():
+    cc = kh.ckh(kh.parse_pd(TREFOIL), "minus")
+    cx = cc.complex
+    vs = cx.vars
+    for key, p in cx.diff.items():
+        diff = dict(cx.diff)
+        diff[key] = Poly.var(vs, "u", p.single_exponent() + 1)
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            kh.ChainComplex(vs, cx.gens, diff, kh.CONV_KH)

@@ -1,0 +1,90 @@
+"""Invariant-based property suites over generated knot diagrams.
+
+Diagrams are built from small knots by connected sums, first Reidemeister
+kinks and mirrors, with at most MAX_CROSSINGS crossings so that every cube
+stays small.  The runs are derandomized so the suite is repeatable.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skeinseq import khovanov as kh
+from skeinseq.complexes import homology_f2
+
+TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
+FIG8 = "PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]"
+
+MAX_CROSSINGS = 7
+
+PRIMES = (
+    kh.parse_pd(TREFOIL),
+    kh.parse_pd(FIG8),
+    kh.cyclic_knot(5),
+    kh.cyclic_knot(7),
+)
+
+SUITE = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def knots(draw, max_crossings=MAX_CROSSINGS):
+    """A one-component diagram: a prime, then up to three moves."""
+    d = draw(st.sampled_from([p for p in PRIMES if len(p.crossings) <= max_crossings]))
+    for _ in range(draw(st.integers(0, 3))):
+        move = draw(st.sampled_from(("mirror", "kink", "sum")))
+        if move == "mirror":
+            d = kh.mirror(d)
+        elif move == "kink" and len(d.crossings) < max_crossings:
+            d = kh.add_kink(d, draw(st.sampled_from(d.arcs)))
+        elif move == "sum":
+            other = draw(st.sampled_from(PRIMES))
+            if len(d.crossings) + len(other.crossings) <= max_crossings:
+                d = kh.connect_sum(d, other, draw(st.sampled_from(d.arcs)))
+    return d
+
+
+def hat_table(d):
+    return {k: v for k, v in homology_f2(kh.ckh(d, "hat").complex).items() if v}
+
+
+def reduced_dim(d, arc=None):
+    arc = min(d.arcs) if arc is None else arc
+    return sum(homology_f2(kh.ckh(d, "reduced", basepoint=arc).complex).values())
+
+
+def normalized(table):
+    """A bigraded table moved so its least h and least q are 0."""
+    h0 = min(h for h, _ in table)
+    q0 = min(q for _, q in table)
+    return {(h - h0, q - q0): v for (h, q), v in table.items()}
+
+
+@SUITE
+@given(knots(), st.booleans())
+def test_d_squared_zero_in_every_flavor(d, swap):
+    assert kh.ckh(d, "minus", swap=swap).complex.verify_d2() == []
+    assert kh.ckh(d, "hat", swap=swap).complex.verify_d2() == []
+    arc = max(d.arcs)
+    assert kh.ckh(d, "reduced", basepoint=arc, swap=swap).complex.verify_d2() == []
+
+
+@SUITE
+@given(knots(), st.data())
+def test_hat_is_twice_reduced_for_knots(d, data):
+    # Shumakovitch: over F2, Kh(K) is Khr(K) tensor a rank-2 space for knots
+    assert d.components() == 1
+    arc = data.draw(st.sampled_from(d.arcs))
+    assert sum(hat_table(d).values()) == 2 * reduced_dim(d, arc)
+
+
+@SUITE
+@given(knots(max_crossings=4), knots(max_crossings=3))
+def test_reduced_multiplicative_under_connect_sum(d1, d2):
+    assert reduced_dim(kh.connect_sum(d1, d2)) == reduced_dim(d1) * reduced_dim(d2)
+
+
+@SUITE
+@given(knots(max_crossings=MAX_CROSSINGS - 1), st.data())
+def test_hat_invariant_under_kink_up_to_shift(d, data):
+    kinked = kh.add_kink(d, data.draw(st.sampled_from(d.arcs)))
+    assert normalized(hat_table(kinked)) == normalized(hat_table(d))

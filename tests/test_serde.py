@@ -63,3 +63,12 @@ def test_spec_loaders():
     )
     assert target.free_rank == 2 and target.torsion == (1,)
     assert target.actions["A"] == {("a", "a"): 1}
+
+
+def test_load_complex_rejects_wrong_exponent():
+    cc = kh.ckh(kh.parse_pd("PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"), "minus")
+    doc = dump_complex(cc.complex, cc.levels)
+    entry = next(e for e in doc["diff"] if e["poly"] == "1")
+    entry["poly"] = "u"
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        load_complex(doc)
