@@ -64,6 +64,13 @@ class ChainComplex:
         self.order = {g.gid: i for i, g in enumerate(self.gens)}
         if len(self.order) != len(self.gens):
             raise ValueError("duplicate generator ids")
+        # one grade tuple shape per complex, so a grade names one block
+        if convention == CONV_KH:
+            bare = next((g.gid for g in self.gens if g.q is None), None)
+            if bare is not None:
+                raise ValueError("kh-convention generator %r has no q" % bare)
+        elif len({g.alex2 is None for g in self.gens}) > 1:
+            raise ValueError("alex2 is given on some generators but not all")
         self.diff = {k: p for k, p in diff.items() if p}
         self._columns: dict[str, dict[str, Poly]] | None = None
         self.pairs = dict(pairs or {})
@@ -417,25 +424,7 @@ def homology_f2(cx: ChainComplex) -> dict[tuple[int, ...], int]:
     """Dimension of homology per grading for variable-free complexes."""
     if cx.vars.n != 0:
         raise ValueError("plain F2 homology needs a variable-free complex")
-    groups: dict[tuple[int, ...], list[str]] = {}
-    for g in cx.gens:
-        groups.setdefault(cx.grade(g.gid), []).append(g.gid)
-    cols = cx.columns()
-    rank_out: dict[tuple[int, ...], int] = {}
-    rank_into: dict[tuple[int, ...], int] = {}
-    for grade, grp in groups.items():
-        first = next((t for gid in grp for t in cols[gid]), None)
-        if first is None:
-            continue
-        vecs = [sum(1 << cx.order[t] for t in cols[gid]) for gid in grp]
-        rank = rank_out[grade] = gf2.matrix_rank(vecs, cx.n)
-        tgt = cx.grade(first)  # the differential is homogeneous
-        rank_into[tgt] = rank_into.get(tgt, 0) + rank
-    dims = {
-        grade: len(grp) - rank_out.get(grade, 0) - rank_into.get(grade, 0)
-        for grade, grp in groups.items()
-    }
-    return dict(sorted(dims.items()))
+    return Expansion(cx).dims()
 
 
 class UHomology:
@@ -546,27 +535,140 @@ def induced_on_homology(cmap: ChainMap) -> dict[tuple[int, int], int]:
     return hom.induced_matrix(cmap)
 
 
-# -- graded F2 slice dimensions (works for any number of variables) -------------
+# -- the F2 expansion of a complex over F2[u1..um] ------------------------------
+
+Grade = tuple[int, ...]
 
 
-def _monomials_of_drop(vs: VarSet, drop: int) -> list[tuple[int, ...]]:
-    """All exponent vectors whose graded drop equals the given value."""
-    out: list[tuple[int, ...]] = []
+class Expansion:
+    """The F2 basis {u^m g : slice value >= floor} of a complex over F2[u1..um].
 
-    def rec(i: int, left: int, acc: list[int]) -> None:
-        if i == vs.n:
-            if left == 0:
-                out.append(tuple(acc))
-            return
-        unit = vs.units[i]
-        e = 0
-        while e * unit <= left:
-            rec(i + 1, left - e * unit, acc + [e])
-            e += 1
+    A slot is one u^m g.  Its slice value is h in the floer convention and q
+    in the kh one (``axis`` picks it out of a grade), and u^m lowers it by
+    the monomial's drop.  Slots are numbered block by block, one block per
+    grade in ascending order, so ``blocks[grade]`` is a range of slot
+    numbers; inside a block they follow ``order`` (default: the generators'
+    own order), then the monomial.  The differential maps a block into one
+    block, ``lands[grade]`` (homogeneity makes it one; a block whose
+    differential is zero lands nowhere).  ``cols[s]`` is the image of slot
+    s as a bitset over that block, bit p for its p-th slot, or None where
+    the image reaches below the floor.  Monomials are coded as integers in
+    radix ``radix``, wide enough that adding an entry's monomial never
+    carries.  floor may be None only for a variable-free complex, whose
+    slots are its generators.
+    """
 
-    if drop >= 0:
-        rec(0, drop, [])
-    return out
+    def __init__(self, cx: ChainComplex, floor: int | None = None,
+                 order: Sequence[int] | None = None) -> None:
+        vs, gens, n = cx.vars, cx.gens, cx.n
+        if floor is None and vs.n:
+            raise ValueError("expanding a complex over F2[u...] needs a floor")
+        kh = cx.convention == CONV_KH
+        self.cx, self.axis = cx, int(kh)
+        scale = 2 if kh else 1  # slice drop per unit of a monomial's h drop
+        vals = [g.q if kh else g.h for g in gens]
+        depth = 0 if floor is None else max(
+            [(v - floor) // scale for v in vals], default=0)
+        monos = [((), 0)]  # every monomial with h drop <= depth
+        for unit in vs.units:
+            monos = [(m + (e,), d + e * unit) for m, d in monos
+                     for e in range((depth - d) // unit + 1)]
+        monos.sort(key=lambda md: (md[1], md[0]))
+        by_src = cx.columns()
+        entry_monos = set().union(*[p.terms for p in cx.diff.values()])
+        self.radix = 2 + max((e for m, _ in monos for e in m), default=0) + max(
+            (e for m in entry_monos for e in m), default=0)
+        # a slot's key is code * n + generator, and so is a term's offset:
+        # the image of the slot with key k under the term is key k - g + offset
+        if vs.n:
+            code = {m: self.code(m) * n for m in entry_monos}
+            offs = [[code[m] + cx.order[t] for t, p in by_src[g.gid].items()
+                     for m in p.terms] for g in gens]
+        else:  # every entry is the constant 1
+            offs = [[cx.order[t] for t in by_src[g.gid]] for g in gens]
+        slots = [(self.code(m), d, vs.alex2(m)) for m, d in monos]
+        buckets: dict[Grade, list[int]] = {}
+        for i in range(n) if order is None else order:
+            g = gens[i]
+            room = 0 if floor is None else vals[i] - floor
+            for c, d, a in slots:
+                if scale * d > room:
+                    break
+                if kh:
+                    grade: Grade = (g.h, g.q - 2 * d)
+                elif g.alex2 is None:
+                    grade = (g.h - d,)
+                else:
+                    grade = (g.h - d, (g.alex2 + a) % 2)
+                blk = buckets.get(grade)
+                if blk is None:
+                    blk = buckets[grade] = []
+                blk.append(c * n + i)
+        keys: list[int] = []
+        self.grade: list[Grade] = []
+        self.blocks: dict[Grade, range] = {}
+        for grade in sorted(buckets):
+            blk = buckets[grade]
+            self.blocks[grade] = range(len(keys), len(keys) + len(blk))
+            keys += blk
+            self.grade += [grade] * len(blk)
+        self.index = index = dict(zip(keys, range(len(keys))))  # key -> slot
+        self.gen = [k % n for k in keys]
+        self.mono = [k // n for k in keys]
+        self.cols: list[int | None] = []
+        self.lands: dict[Grade, Grade] = {}
+        append = self.cols.append
+        for grade, blk in self.blocks.items():
+            start = None
+            for key, i in zip(keys[blk.start:blk.stop], self.gen[blk.start:blk.stop]):
+                base, out = key - i, offs[i]
+                try:
+                    if start is None and out:
+                        tgt = self.lands[grade] = self.grade[index[base + out[0]]]
+                        start = self.blocks[tgt].start
+                    append(sum(1 << (index[base + o] - start) for o in out))
+                except KeyError:
+                    append(None)
+
+    def code(self, exps: Sequence[int]) -> int:
+        """Integer code of the monomial with exponents exps."""
+        out = 0
+        for e in reversed(exps):
+            out = out * self.radix + e
+        return out
+
+    def slot(self, gen: int, exps: Sequence[int]) -> int | None:
+        """The slot of u^exps times generator number gen, if it is present."""
+        if max(exps, default=0) >= self.radix:
+            return None
+        return self.index.get(self.code(exps) * self.cx.n + gen)
+
+    def image(self, s: int) -> int:
+        """The image of slot s as a bitset over all slots (bit t for slot t)."""
+        grade = self.lands.get(self.grade[s])
+        return 0 if grade is None else self.cols[s] << self.blocks[grade].start
+
+    def dims(self) -> dict[Grade, int]:
+        """F2 homology dimension of every block whose differential stays
+        inside the expansion, with zeros, in ascending grade order."""
+        cols, blocks = self.cols, self.blocks
+        rank_out: dict[Grade, int] = {}
+        rank_into: dict[Grade, int] = {}
+        closed = []
+        for grade, blk in blocks.items():
+            block_cols = cols[blk.start:blk.stop]
+            if None in block_cols:
+                continue  # the bottom edge of the window
+            closed.append(grade)
+            tgt = self.lands.get(grade)
+            if tgt is not None:
+                rank = gf2.matrix_rank(block_cols, len(blocks[tgt]))
+                rank_out[grade] = rank
+                rank_into[tgt] = rank_into.get(tgt, 0) + rank
+        return {
+            grade: len(blocks[grade]) - rank_out.get(grade, 0) - rank_into.get(grade, 0)
+            for grade in closed
+        }
 
 
 def slice_dims(cx: ChainComplex, h_from: int, h_to: int) -> dict[int, int]:
@@ -574,65 +676,10 @@ def slice_dims(cx: ChainComplex, h_from: int, h_to: int) -> dict[int, int]:
     if cx.convention != CONV_FLOER:
         raise ValueError("slice_dims expects the floer convention")
     lo, hi = min(h_from, h_to), max(h_from, h_to)
-    slots: dict[int, list[tuple[str, tuple[int, ...]]]] = {}
-    for d in range(lo - 1, hi + 2):
-        lst: list[tuple[str, tuple[int, ...]]] = []
-        for g in cx.gens:
-            for m in _monomials_of_drop(cx.vars, g.h - d):
-                lst.append((g.gid, m))
-        slots[d] = sorted(lst)
-    index = {
-        d: {slot: i for i, slot in enumerate(lst)} for d, lst in slots.items()
-    }
-    by_src = cx.columns()
-    ranks: dict[int, int] = {}
-    for d in range(lo, hi + 2):
-        if d not in slots or (d - 1) not in slots:
-            continue
-        cols = []
-        tgt_index = index[d - 1]
-        for gid, m in slots[d]:
-            vec = 0
-            for t, p in by_src[gid].items():
-                for mm in p.terms:
-                    tot = tuple(a + b for a, b in zip(m, mm))
-                    key = (t, tot)
-                    if key in tgt_index:
-                        vec ^= 1 << tgt_index[key]
-            cols.append(vec)
-        ranks[d] = gf2.matrix_rank(cols, len(slots[d - 1]))
-    dims: dict[int, int] = {}
-    for d in range(lo, hi + 1):
-        dims[d] = len(slots[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-    return dims
-
-
-def q_slice_dims(cx: ChainComplex, q_from: int, q_to: int) -> dict[tuple[int, int], int]:
-    """F2 dimensions of homology per (h, q) for one-variable kh-convention complexes.
-
-    The q-slice is spanned by the monomials u^k g (k >= 0) with
-    q(g) - k * step = q, where u drops q by step = ustep()[1].  The
-    differential preserves q and raises h, so each slice is a finite complex
-    graded by h, holding each generator at most once.
-    """
-    if cx.convention != CONV_KH:
-        raise ValueError("q_slice_dims expects the kh convention")
-    step = cx.ustep()[1]
-    by_src = cx.columns()
-    dims: dict[tuple[int, int], int] = {}
-    for q in range(min(q_from, q_to), max(q_from, q_to) + 1):
-        slots: dict[int, dict[str, int]] = {}
-        for g in cx.gens:
-            if g.q >= q and (g.q - q) % step == 0:
-                index = slots.setdefault(g.h, {})
-                index[g.gid] = len(index)
-        rank_out: dict[int, int] = {}
-        for h, index in slots.items():
-            tgt_index = slots.get(h + 1, {})
-            cols = [sum(1 << tgt_index[t] for t in by_src[gid]) for gid in index]
-            rank_out[h] = gf2.matrix_rank(cols, len(tgt_index))
-        for h, index in slots.items():
-            dims[(h, q)] = len(index) - rank_out[h] - rank_out.get(h - 1, 0)
+    dims = dict.fromkeys(range(lo, hi + 1), 0)
+    for grade, dim in Expansion(cx, lo - 1).dims().items():
+        if grade[0] in dims:
+            dims[grade[0]] += dim
     return dims
 
 
@@ -645,44 +692,33 @@ def _in_tower(s: Summand, top: int, x: int, step: int) -> bool:
 def check_truncation_stability(hom: UHomology) -> None:
     """Compare the exact decomposition with brute-force slice dimensions.
 
-    Dimensions per slice (h-slices in the floer convention, q-slices in the
-    kh convention) are recomputed over two window depths; both must match
-    the prediction from the decomposition.
+    Dimensions per grade (h in the floer convention, (h, q) in the kh one)
+    are recomputed over two window depths of the slice value; both must
+    match the prediction from the decomposition.
     """
     cx = hom.cx
     if not cx.gens:
         return
-    if cx.convention == CONV_KH:
-        step = cx.ustep()[1]
-        qs = [g.q for g in cx.gens]
-        span = max(qs) - min(qs)
-        for extra in (2, 4):
-            lo, hi = min(qs) - span - extra * step, max(qs)
-            dims = q_slice_dims(cx, lo, hi)
-            predicted: dict[tuple[int, int], int] = {}
-            for s in hom.summands:
-                h, top = s.grades
-                for q in range(lo, hi + 1):
-                    if _in_tower(s, top, q, step):
-                        predicted[(h, q)] = predicted.get((h, q), 0) + 1
-            for key in sorted(set(dims) | set(predicted)):
-                if dims.get(key, 0) != predicted.get(key, 0):
-                    raise ArithmeticError(
-                        "truncated slice dimension mismatch at (h, q)=%r: %d vs %d"
-                        % (key, dims.get(key, 0), predicted.get(key, 0))
-                    )
-        return
-    hs = [g.h for g in cx.gens]
-    span = max(hs) - min(hs)
-    unit = cx.vars.units[0]
+    axis = int(cx.convention == CONV_KH)
+    step = cx.ustep()[axis]
+    vals = [cx.ugrade(g.gid)[axis] for g in cx.gens]
+    span = max(vals) - min(vals)
     for extra in (2, 4):
-        depth = span + extra * unit
-        lo, hi = min(hs) - depth, max(hs)
-        dims = slice_dims(cx, lo, hi)
-        for d in range(lo, hi + 1):
-            want = sum(_in_tower(s, s.grades[0], d, unit) for s in hom.summands)
-            if dims.get(d, 0) != want:
+        lo = min(vals) - span - extra * step
+        dims: dict[Grade, int] = {}
+        for grade, dim in Expansion(cx, lo - 1).dims().items():
+            key = grade[:axis + 1]  # floer: forget the mod-2 alexander grade
+            if key[axis] >= lo:
+                dims[key] = dims.get(key, 0) + dim
+        predicted: dict[Grade, int] = {}
+        for s in hom.summands:
+            for x in range(lo, max(vals) + 1):
+                if _in_tower(s, s.grades[axis], x, step):
+                    key = s.grades[:axis] + (x,)
+                    predicted[key] = predicted.get(key, 0) + 1
+        for key in sorted(set(dims) | set(predicted)):
+            if dims.get(key, 0) != predicted.get(key, 0):
                 raise ArithmeticError(
-                    "truncated slice dimension mismatch at h=%d: %d vs %d"
-                    % (d, dims.get(d, 0), want)
+                    "truncated slice dimension mismatch at %r: %d vs %d"
+                    % (key, dims.get(key, 0), predicted.get(key, 0))
                 )

@@ -15,9 +15,9 @@ from .complexes import (
     CONV_FLOER,
     ChainComplex,
     ChainMap,
+    Expansion,
     Generator,
     UHomology,
-    _monomials_of_drop,
     collapse_all,
     collapse_pairs,
     phi_action,
@@ -189,21 +189,10 @@ class TopTable:
 
 def _top_cycles(cx: ChainComplex) -> tuple[list[str], list[int]]:
     top = max(g.h for g in cx.gens)
-    tops = [g.gid for g in cx.gens if g.h == top]
-    row_index: dict[tuple[str, tuple[int, ...]], int] = {}
-    by_src = cx.columns()
-    cols = []
-    for gid in tops:
-        vec = 0
-        for t, p in by_src[gid].items():
-            for m in p.terms:
-                key = (t, m)
-                if key not in row_index:
-                    row_index[key] = len(row_index)
-                vec ^= 1 << row_index[key]
-        cols.append(vec)
-    kernel = gf2.column_kernel(cols)
-    return tops, sorted(kernel)
+    exp = Expansion(cx, top - 1)
+    tops = [i for i, g in enumerate(cx.gens) if g.h == top]
+    cols = [exp.image(exp.slot(i, ())) for i in tops]
+    return [cx.gens[i].gid for i in tops], sorted(gf2.column_kernel(cols))
 
 
 def _phi_matrix_on_tops(model_cx: ChainComplex, pair: str,
@@ -672,38 +661,18 @@ def _u_injective_on_top(m: ModelComplex) -> bool:
     cx = collapse_pairs(m.complex)
     tops, cycles = _top_cycles(cx)
     top = max(g.h for g in cx.gens)
-    var = cx.vars.names[0]
-    below, index = _slice_basis(cx, top - 1)
-    by_src = cx.columns()
-    image_cols = []
-    for g in cx.gens:
-        for m0 in _monomials_of_drop(cx.vars, g.h - top):
-            vec = 0
-            for t, p in by_src[g.gid].items():
-                for mm in p.terms:
-                    tot = tuple(a + b for a, b in zip(m0, mm))
-                    vec ^= 1 << index[(t, tot)]
-            image_cols.append(vec)
+    exp = Expansion(cx, top - 1)
     space = gf2.ColumnSpace()
-    for v in image_cols:
-        space.add(v)
-    vidx = cx.vars.index(var)
+    for grade, blk in exp.blocks.items():
+        if grade[0] == top:
+            for s in blk:
+                space.add(exp.image(s))
+    u = (1,) + (0,) * (cx.vars.n - 1)  # the first variable
     for mask in cycles:
         vec = 0
         for i, gid in enumerate(tops):
             if (mask >> i) & 1:
-                mono = [0] * cx.vars.n
-                mono[vidx] = 1
-                vec ^= 1 << index[(gid, tuple(mono))]
+                vec ^= 1 << exp.slot(cx.order[gid], u)
         if space.contains(vec):
             return False
     return True
-
-
-def _slice_basis(cx: ChainComplex, d: int):
-    slots = []
-    for g in cx.gens:
-        for m in _monomials_of_drop(cx.vars, g.h - d):
-            slots.append((g.gid, m))
-    slots.sort()
-    return slots, {slot: i for i, slot in enumerate(slots)}

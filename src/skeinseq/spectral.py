@@ -1,40 +1,29 @@
 """Spectral sequences of filtered complexes over F2 and F2[u].
 
-The engine expands a one-variable complex into u-power slots.  Every
-grading slice of the expansion is a finite F2 complex, so a deterministic
-persistence-style column reduction per slice computes the page data
-exactly: a pair (x, y) with level jump k means the class of y kills the
-class of x on page k, and unpaired slots survive to the limit page.
-Reported dimensions are windowed at a trusted floor below which the slice
-pattern provably repeats.
+The engine reads the complex through its F2 expansion
+(``complexes.Expansion``): the slots u^j g down to a window floor, one
+block per grading.  The differential maps each block into one other block,
+so a deterministic persistence-style column reduction per block computes
+the page data exactly: a pair (x, y) with level jump k means the class of y
+kills the class of x on page k, and unpaired slots survive to the limit
+page.  Reported dimensions are windowed at a trusted floor below which the
+slice pattern provably repeats.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import gf2
-from .complexes import CONV_KH, ChainComplex
-
-Grade = tuple[int, ...]
+from .complexes import CONV_KH, ChainComplex, Expansion, Grade
 
 
-@dataclass(frozen=True)
-class SlotRef:
-    gid: str
-    upow: int
-    grade: Grade
-    level: int
-
-
-@dataclass(frozen=True)
-class PairEvent:
-    y: SlotRef  # source of the differential (lower filtration level)
-    x: SlotRef  # target (higher level)
-
-    @property
-    def jump(self) -> int:
-        return self.x.level - self.y.level
+class PairEvent(NamedTuple):
+    y: int  # slot of the source of the differential (lower filtration level)
+    x: int  # slot of the target (higher level)
+    jump: int  # level of x minus level of y
 
 
 class FilteredComplex:
@@ -58,6 +47,18 @@ class FilteredComplex:
                     "filtration violation: %s (level %d) -> %s (level %d)"
                     % (src, self.levels[src], tgt, self.levels[tgt])
                 )
+        self.trusted_floor: int | None = None  # minimal trusted slice value
+        self._lo: int | None = None  # floor of the expansion
+        if base.vars.n > 1:
+            raise ValueError("the spectral engine works over F2 or a single F2[u]")
+        if base.vars.n:
+            axis = int(base.convention == CONV_KH)
+            step = base.ustep()[axis]
+            vals = [g.q if axis else g.h for g in base.gens]
+            top, bot = max(vals, default=0), min(vals, default=0)
+            self.trusted_floor = bot - (top - bot) - 4 * step - 2 - self.extra_depth
+            self._lo = self.trusted_floor - 2 * step
+        self._expansion: Expansion | None = None
 
     @property
     def span(self) -> int:
@@ -66,66 +67,69 @@ class FilteredComplex:
         vals = [self.levels[g.gid] for g in self.base.gens]
         return max(vals) - min(vals)
 
+    def expansion(self) -> Expansion:
+        """The slots `analyze` and `converge` read, built on first use and kept.
 
-def _slot_grade(cx: ChainComplex, gid: str, j: int) -> Grade:
-    g = cx.gen(gid)
-    unit = cx.vars.units[0] if cx.vars.n else 0
-    if cx.convention == CONV_KH:
-        return (g.h, g.q - 2 * unit * j)
-    grade = [g.h - unit * j]
-    if g.alex2 is not None:
-        grade.append((g.alex2 + (unit % 2) * j) % 2)
-    return tuple(grade)
-
-
-def grade_scalar(grade: Grade, convention: str) -> int:
-    """The coordinate along which u-power slices run."""
-    return grade[1] if convention == CONV_KH else grade[0]
+        They reach two u-steps below the trusted floor, so every trusted
+        slot's differential stays inside.  Within a block, slots run in
+        reverse of the reduction order (level descending, then gid), so a
+        column's bit p stands for the row p-th from the end of that order.
+        """
+        if self._expansion is None:
+            gens, levels = self.base.gens, self.levels
+            order = sorted(range(len(gens)), reverse=True,
+                           key=lambda i: (-levels[gens[i].gid], gens[i].gid))
+            self._expansion = Expansion(self.base, self._lo, order)
+        return self._expansion
 
 
 @dataclass
 class SpectralData:
+    slots: Expansion
+    level: list[int]  # filtration level per generator position
     events: list[PairEvent]
-    survivors: list[SlotRef]
-    trusted_floor: int | None  # minimal trusted slice scalar (None = everything)
-    convention: str
+    survivors: list[int]  # unpaired slots
+    trusted_floor: int | None  # minimal trusted slice value (None = everything)
 
     def _trusted(self, grade: Grade) -> bool:
         if self.trusted_floor is None:
             return True
-        return grade_scalar(grade, self.convention) >= self.trusted_floor
+        return grade[self.slots.axis] >= self.trusted_floor
 
     def max_jump(self) -> int:
         return max((e.jump for e in self.events), default=0)
 
     def page_dims(self, r: int) -> dict[Grade, int]:
+        grade = self.slots.grade
         dims: dict[Grade, int] = {}
 
-        def bump(grade: Grade) -> None:
-            if self._trusted(grade):
-                dims[grade] = dims.get(grade, 0) + 1
+        def bump(g: Grade) -> None:
+            if self._trusted(g):
+                dims[g] = dims.get(g, 0) + 1
 
         for s in self.survivors:
-            bump(s.grade)
+            bump(grade[s])
         for e in self.events:
             if e.jump >= r:
-                bump(e.x.grade)
-                bump(e.y.grade)
+                bump(grade[e.x])
+                bump(grade[e.y])
         return dict(sorted(dims.items()))
 
     def d_ranks(self, r: int) -> dict[tuple[Grade, Grade], int]:
+        grade = self.slots.grade
         out: dict[tuple[Grade, Grade], int] = {}
         for e in self.events:
-            if e.jump == r and (self._trusted(e.y.grade) or self._trusted(e.x.grade)):
-                key = (e.y.grade, e.x.grade)
-                out[key] = out.get(key, 0) + 1
+            y, x = grade[e.y], grade[e.x]
+            if e.jump == r and (self._trusted(y) or self._trusted(x)):
+                out[(y, x)] = out.get((y, x), 0) + 1
         return dict(sorted(out.items()))
 
     def einf_by_level(self) -> dict[tuple[Grade, int], int]:
+        grade, gen = self.slots.grade, self.slots.gen
         out: dict[tuple[Grade, int], int] = {}
         for s in self.survivors:
-            if self._trusted(s.grade):
-                key = (s.grade, s.level)
+            if self._trusted(grade[s]):
+                key = (grade[s], self.level[gen[s]])
                 out[key] = out.get(key, 0) + 1
         return dict(sorted(out.items()))
 
@@ -137,107 +141,48 @@ class SpectralPage:
     d_ranks: dict[tuple[Grade, Grade], int]
 
 
-def _enumerate_slices(
-    fc: FilteredComplex,
-) -> tuple[list[tuple[int, list[SlotRef]]], int | None]:
-    """(slice value, slots) in descending value order, plus the trusted floor."""
-    cx = fc.base
-    if cx.vars.n == 0:
-        slots = [
-            SlotRef(g.gid, 0, _slot_grade(cx, g.gid, 0), fc.levels[g.gid])
-            for g in cx.gens
-        ]
-        return [(0, slots)], None
-    if cx.vars.n != 1:
-        raise ValueError("the spectral engine works over F2 or a single F2[u]")
-    unit = cx.vars.units[0]
-    step = unit if cx.convention != CONV_KH else 2 * unit
-    scalars = {g.gid: grade_scalar(_slot_grade(cx, g.gid, 0), cx.convention)
-               for g in cx.gens}
-    top, bot = max(scalars.values()), min(scalars.values())
-    floor = bot - (top - bot) - 4 * step - 2 - fc.extra_depth
-    buckets: dict[int, list[SlotRef]] = {}
-    for g in cx.gens:
-        v, j = scalars[g.gid], 0
-        while v >= floor - 2 * step:
-            buckets.setdefault(v, []).append(
-                SlotRef(g.gid, j, _slot_grade(cx, g.gid, j), fc.levels[g.gid])
-            )
-            v -= step
-            j += 1
-    return sorted(buckets.items(), reverse=True), floor
-
-
-def _sort_key(s: SlotRef) -> tuple:
-    return (-s.level, s.grade, s.gid, s.upow)
-
-
-def _mono_cols(cx: ChainComplex) -> dict[str, list[tuple[str, int]]]:
-    """Per source gid, the (target gid, u power) of each differential term."""
-    return {
-        src: [(tgt, sum(m)) for tgt, p in col.items() for m in p.terms]
-        for src, col in cx.columns().items()
-    }
+def _levels(fc: FilteredComplex) -> list[int]:
+    return [fc.levels[g.gid] for g in fc.base.gens]
 
 
 def analyze(fc: FilteredComplex) -> SpectralData:
     """Run the level-respecting reduction and collect the pairing data.
 
-    Rows are numbered in reverse of their sort order, so the persistence
-    "low" of a column (its last row) is the eliminator's lowest set bit.
+    Each trusted block is paired against the block its differential lands
+    in; the pairing of a block-diagonal matrix is the union of the block
+    pairings.  Columns are reduced in order (level descending, then gid),
+    the reverse of the slot order, so the persistence "low" of a column
+    (its last row in that order) is the eliminator's lowest set bit.
     """
-    cx = fc.base
-    slices, floor = _enumerate_slices(fc)
-    by_value = dict(slices)
-    mono_cols = _mono_cols(cx)
-
-    if cx.vars.n == 0:
-        blocks = [(slices[0][1], slices[0][1])]
-    elif cx.convention == CONV_KH:
-        blocks = [(sl, sl) for v, sl in slices if floor is None or v >= floor]
-    else:
-        blocks = []
-        for v, sl in slices:
-            if floor is not None and v < floor:
-                continue
-            blocks.append((sl, by_value.get(v - 1, [])))
-
+    exp = fc.expansion()
+    floor, level = fc.trusted_floor, _levels(fc)
+    cols, gen, blocks = exp.cols, exp.gen, exp.blocks
     events: list[PairEvent] = []
-    col_zero: dict[SlotRef, bool] = {}
-    targets: set[SlotRef] = set()
-
-    for col_slots, row_slots in blocks:
-        rows = sorted(row_slots, key=_sort_key, reverse=True)
-        row_index = {(s.gid, s.upow): i for i, s in enumerate(rows)}
+    zero: list[int] = []
+    targets: set[int] = set()
+    for grade, blk in blocks.items():
+        if floor is not None and grade[exp.axis] < floor:
+            continue
+        tgt = exp.lands.get(grade)
+        start = blocks[tgt].start if tgt is not None else 0
         space = gf2.ColumnSpace()
-        for slot in sorted(col_slots, key=_sort_key):
-            vec = 0
-            for (tgt, e) in mono_cols[slot.gid]:
-                idx = row_index.get((tgt, slot.upow + e))
-                if idx is None:
-                    raise AssertionError(
-                        "differential slot (%s,%d) outside enumerated rows"
-                        % (tgt, slot.upow + e)
-                    )
-                vec ^= 1 << idx
+        for s in reversed(blk):
+            vec = cols[s]
+            if vec is None:
+                raise AssertionError("differential of slot %d leaves the expansion" % s)
             lead = space.insert(vec)[0]
-            col_zero[slot] = lead < 0
-            if lead >= 0:
-                if slot in targets:
-                    raise AssertionError("paired target with nonzero column")
-                x = rows[lead]
+            if lead < 0:
+                zero.append(s)
+            else:
+                x = start + lead
                 targets.add(x)
-                events.append(PairEvent(slot, x))
-
-    survivors = [
-        s
-        for s, z in sorted(col_zero.items(), key=lambda kv: _sort_key(kv[0]))
-        if z and s not in targets
-    ]
-    for e in events:
-        if e.jump <= 0:
-            raise AssertionError("nonpositive level jump in pairing")
-    return SpectralData(events, survivors, floor, cx.convention)
+                events.append(PairEvent(s, x, level[gen[x]] - level[gen[s]]))
+    if not targets.isdisjoint(e.y for e in events):
+        raise AssertionError("paired target with nonzero column")
+    if any(e.jump <= 0 for e in events):
+        raise AssertionError("nonpositive level jump in pairing")
+    survivors = [s for s in zero if s not in targets]
+    return SpectralData(exp, level, events, survivors, floor)
 
 
 def pages(data: SpectralData, max_r: int) -> list[SpectralPage]:
@@ -338,81 +283,36 @@ def converge(fc: FilteredComplex, data: SpectralData) -> ConvergenceReport:
     return ConvergenceReport(einf, gr, mismatches)
 
 
-def _diff_grade(grade: Grade, convention: str) -> Grade:
-    """Grade of the differential's target block."""
-    if convention == CONV_KH:
-        return (grade[0] + 1, grade[1])
-    if len(grade) > 1:
-        return (grade[0] - 1, grade[1])
-    return (grade[0] - 1,)
-
-
-def _source_grade(grade: Grade, convention: str) -> Grade:
-    if convention == CONV_KH:
-        return (grade[0] - 1, grade[1])
-    if len(grade) > 1:
-        return (grade[0] + 1, grade[1])
-    return (grade[0] + 1,)
-
-
 def _graded_homology_dims(
     fc: FilteredComplex, floor: int | None
 ) -> dict[tuple[Grade, int], int]:
-    cx = fc.base
-    slices, _ = _enumerate_slices(fc)
-    by_grade: dict[Grade, list[SlotRef]] = {}
-    for _, sl in slices:
-        for s in sl:
-            by_grade.setdefault(s.grade, []).append(s)
-    mono_cols = _mono_cols(cx)
+    """Dimension of the image in homology of the cycles of each level and
+    above, per grade, as the increments from one level to the next.
 
-    def local_boundary(s: SlotRef, index: dict[tuple[str, int], int]) -> int | None:
-        vec = 0
-        for (tgt, e) in mono_cols[s.gid]:
-            idx = index.get((tgt, s.upow + e))
-            if idx is None:
-                return None
-            vec ^= 1 << idx
-        return vec
-
+    The slots of level >= lvl are the last k of their block, so their cycles
+    number k minus the rank of their columns, and the boundaries among them
+    number the boundary basis vectors whose lowest set bit is >= len - k.
+    """
+    exp = fc.expansion()
+    cols, gen, blocks, level = exp.cols, exp.gen, exp.blocks, _levels(fc)
+    source = {tgt: grade for grade, tgt in exp.lands.items()}
     out: dict[tuple[Grade, int], int] = {}
-    for grade in sorted(by_grade):
-        if floor is not None and grade_scalar(grade, cx.convention) < floor:
+    for grade, blk in blocks.items():
+        if floor is not None and grade[exp.axis] < floor:
             continue
-        block = sorted(by_grade[grade], key=_sort_key)
-        index = {(s.gid, s.upow): i for i, s in enumerate(block)}
-        tgt_block = sorted(by_grade.get(_diff_grade(grade, cx.convention), []),
-                           key=_sort_key)
-        tgt_index = {(s.gid, s.upow): i for i, s in enumerate(tgt_block)}
-        block_cols = [local_boundary(s, tgt_index) for s in block]
-        if any(c is None for c in block_cols):
+        if None in cols[blk.start:blk.stop]:
             continue  # bottom window edge; not reported
-        sources = by_grade.get(_source_grade(grade, cx.convention), [])
-        boundaries = []
-        incomplete = False
-        for s in sources:
-            vec = local_boundary(s, index)
-            if vec is None:
-                incomplete = True
-                break
-            if vec:
-                boundaries.append(vec)
-        if incomplete:
-            continue
-        # block is sorted by level, descending, so the columns of level
-        # >= lvl are a prefix of it: one elimination over the block yields
-        # the cycles of every prefix, in block coordinates, as it goes.
-        space = gf2.ColumnSpace()
-        for b in boundaries:
-            space.add(b)
-        cycles = gf2.ColumnSpace()
-        added = 0
+        bounds = gf2.ColumnSpace()
+        if grade in source:
+            for s in blocks[source[grade]]:
+                bounds.insert(cols[s])
+        leads = sorted(bounds.pivots)
+        image = gf2.ColumnSpace()
         dims_by_level: dict[int, int] = {}
-        for s, col in zip(block, block_cols):
-            combo = cycles.add(col)
-            if combo is not None and space.add(combo) is None:
-                added += 1
-            dims_by_level[s.level] = added
+        for k, s in enumerate(reversed(blk), 1):
+            image.insert(cols[s])
+            bound = len(leads) - bisect_left(leads, len(blk) - k)
+            dims_by_level[level[gen[s]]] = k - image.rank - bound
         above = 0
         for lvl, dim in dims_by_level.items():  # levels descending
             if dim > above:

@@ -1,8 +1,14 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skeinseq.cli
 import skeinseq.spectral
@@ -144,6 +150,129 @@ def test_ss_rejects_nonzero_d_squared(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "does not square to zero" in err and "from a to c" in err
+
+
+def test_ss_kh_generator_without_q_exits_2(tmp_path, capsys):
+    doc = {
+        "vars": [],
+        "convention": "kh",
+        "generators": [
+            {"id": "a", "h": 0, "q": 0, "filtration": 0},
+            {"id": "b", "h": 0, "filtration": 0},
+        ],
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "ss", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: kh-convention generator 'b' has no q\n"
+
+
+def test_ss_partial_alex2_exits_2(tmp_path, capsys):
+    doc = {
+        "variables": [{"name": "u", "unit": "1/2"}],
+        "generators": [
+            {"id": "a", "h": 0, "alex2": 0, "filtration": 0},
+            {"id": "b", "h": 0, "filtration": 1},
+        ],
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "ss", "--in", str(path))
+    assert code == 2
+    assert "alex2 is given on some generators but not all" in err
+
+
+def _ss_docs():
+    """Valid ss inputs: a kh minus cube, a variable-free hat cube, a floer
+    complex with an alexander grading, and kh complexes with an isolated
+    generator, whose gradings no differential entry checks."""
+    d = kh.parse_pd(TREFOIL)
+    docs = []
+    for flavor in ("minus", "hat"):
+        cc = kh.ckh(d, flavor)
+        docs.append(serde.dump_complex(cc.complex, cc.levels))
+    docs.append({
+        "variables": [{"name": "u", "unit": "1/2"}],
+        "convention": "floer",
+        "generators": [
+            {"id": "a", "h": 0, "alex2": 0, "filtration": 0},
+            {"id": "b", "h": 0, "alex2": 1, "filtration": 3},
+            {"id": "c", "h": 1, "alex2": 1, "filtration": 1},
+            {"id": "d", "h": 0, "alex2": 1, "filtration": 2},
+        ],
+        "diff": [{"from": "a", "to": "b", "poly": "u"},
+                 {"from": "c", "to": "d", "poly": "1"}],
+    })
+    docs.append({
+        "variables": [{"name": "u", "unit": "1/2"}],
+        "convention": "kh",
+        "generators": [
+            {"id": "a", "h": 0, "q": 0, "filtration": 0},
+            {"id": "b", "h": 1, "q": 2, "filtration": 1},
+            {"id": "c", "h": 0, "q": 0, "filtration": 0},
+        ],
+        "diff": [{"from": "a", "to": "b", "poly": "u"}],
+    })
+    docs.append({
+        "variables": [],
+        "convention": "kh",
+        "generators": [
+            {"id": "a", "h": 0, "q": 0, "filtration": 0},
+            {"id": "b", "h": 0, "q": 2, "filtration": 0},
+        ],
+        "diff": [],
+    })
+    return docs
+
+
+SS_DOCS = _ss_docs()
+JUNK = st.sampled_from([None, "", "x", "1/2", -3, -1, 0, 1, 2, 5, 1.5, True, [], {}, [0]])
+
+
+@st.composite
+def corrupted_ss_docs(draw):
+    """A valid ss document with one to three fields dropped or replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(SS_DOCS)))
+    fields = [(g, key) for g in doc["generators"] for key in ("q", "h", "filtration")]
+    fields += [(doc, "convention")] + [(e, "poly") for e in doc["diff"]]
+    fields += [(v, "unit") for v in doc["variables"]]
+    for _ in range(draw(st.integers(1, 3))):
+        obj, key = draw(st.sampled_from(fields))
+        if draw(st.booleans()):
+            obj.pop(key, None)
+        elif key == "poly":
+            obj[key] = draw(st.sampled_from(
+                ["", "0", "1", "u", "u^2", "u^-1", "u^x", "v", "u*", "^2", "1+1", 7]))
+        elif key in ("convention", "unit"):
+            obj[key] = draw(st.sampled_from(["kh", "floer", "1", "1/2", "2"]) | JUNK)
+        else:
+            obj[key] = draw(JUNK)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(corrupted_ss_docs())
+def test_ss_loader_fuzz_exits_cleanly(doc):
+    """Whatever a corrupted field does, ss answers or exits 2 (bad input) or
+    3 (a failed invariant); no other exception escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(["ss", "--in", path])
+    assert code in (0, 2, 3)
+
+
+def test_ss_fuzz_base_documents_pass(tmp_path, capsys):
+    for doc in SS_DOCS:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ss", "--in", str(path))
+        assert code == 0 and "# converge\tpass" in out
 
 
 GEN = {"id": "a", "h": 0, "filtration": 0}

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+from skeinseq import gf2
 from skeinseq import khovanov as kh
 from skeinseq.complexes import (
     CONV_FLOER,
     CONV_KH,
     ChainComplex,
     ChainMap,
+    Expansion,
     Generator,
     UHomology,
     check_truncation_stability,
@@ -19,7 +21,6 @@ from skeinseq.complexes import (
     induced_on_homology,
     kill_vars,
     phi_action,
-    q_slice_dims,
     slice_dims,
     substitute,
     tensor,
@@ -321,7 +322,7 @@ def test_kh_convention_slice_check():
         hom = homology(cx, "u")  # raises if a slice disagrees
         qs = [g.q for g in cx.gens]
         lo = min(qs) - 4
-        dims = q_slice_dims(cx, lo, max(qs))
+        dims = Expansion(cx, lo).dims()
         # far enough down, a slice meets each free tower once and no torsion
         assert sum(v for (h, q), v in dims.items() if q == lo) == hom.free_rank
         assert sum(dims.values()) > hom.free_rank
@@ -354,3 +355,193 @@ def test_kh_slice_check_rejects_tampered_summands():
     del hom.summands[-1]
     with pytest.raises(ArithmeticError, match="slice dimension mismatch"):
         check_truncation_stability(hom)
+
+
+# -- reference versions of the slice dimensions and the F2 homology ------------
+
+
+def ref_monomials_of_drop(vs, drop):
+    """All exponent vectors whose graded drop equals the given value."""
+    out = []
+
+    def rec(i, left, acc):
+        if i == vs.n:
+            if left == 0:
+                out.append(tuple(acc))
+            return
+        unit = vs.units[i]
+        e = 0
+        while e * unit <= left:
+            rec(i + 1, left - e * unit, acc + [e])
+            e += 1
+
+    if drop >= 0:
+        rec(0, drop, [])
+    return out
+
+
+def ref_slice_dims(cx, h_from, h_to):
+    """Per h-slice: every (gid, monomial) slot of the slice, sorted, one dense
+    rank per pair of neighbouring slices."""
+    lo, hi = min(h_from, h_to), max(h_from, h_to)
+    slots = {}
+    for d in range(lo - 1, hi + 2):
+        lst = []
+        for g in cx.gens:
+            for m in ref_monomials_of_drop(cx.vars, g.h - d):
+                lst.append((g.gid, m))
+        slots[d] = sorted(lst)
+    index = {d: {slot: i for i, slot in enumerate(lst)} for d, lst in slots.items()}
+    by_src = cx.columns()
+    ranks = {}
+    for d in range(lo, hi + 2):
+        cols = []
+        tgt_index = index[d - 1]
+        for gid, m in slots[d]:
+            vec = 0
+            for t, p in by_src[gid].items():
+                for mm in p.terms:
+                    key = (t, tuple(a + b for a, b in zip(m, mm)))
+                    if key in tgt_index:
+                        vec ^= 1 << tgt_index[key]
+            cols.append(vec)
+        ranks[d] = gf2.matrix_rank(cols, len(slots[d - 1]))
+    return {d: len(slots[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+            for d in range(lo, hi + 1)}
+
+
+def ref_q_slice_dims(cx, q_from, q_to):
+    """Per (h, q) of a one-variable kh complex: the generators g with
+    q(g) - k * step = q for some k >= 0, one rank per h."""
+    step = cx.ustep()[1]
+    by_src = cx.columns()
+    dims = {}
+    for q in range(min(q_from, q_to), max(q_from, q_to) + 1):
+        slots = {}
+        for g in cx.gens:
+            if g.q >= q and (g.q - q) % step == 0:
+                index = slots.setdefault(g.h, {})
+                index[g.gid] = len(index)
+        rank_out = {}
+        for h, index in slots.items():
+            tgt_index = slots.get(h + 1, {})
+            cols = [sum(1 << tgt_index[t] for t in by_src[gid]) for gid in index]
+            rank_out[h] = gf2.matrix_rank(cols, len(tgt_index))
+        for h, index in slots.items():
+            dims[(h, q)] = len(index) - rank_out[h] - rank_out.get(h - 1, 0)
+    return dims
+
+
+def ref_homology_f2(cx):
+    """One dense rank per grading of a variable-free complex."""
+    groups = {}
+    for g in cx.gens:
+        groups.setdefault(cx.grade(g.gid), []).append(g.gid)
+    cols = cx.columns()
+    rank_out, rank_into = {}, {}
+    for grade, grp in groups.items():
+        first = next((t for gid in grp for t in cols[gid]), None)
+        if first is None:
+            continue
+        vecs = [sum(1 << cx.order[t] for t in cols[gid]) for gid in grp]
+        rank = rank_out[grade] = gf2.matrix_rank(vecs, cx.n)
+        rank_into[cx.grade(first)] = rank_into.get(cx.grade(first), 0) + rank
+    return dict(sorted(
+        (grade, len(grp) - rank_out.get(grade, 0) - rank_into.get(grade, 0))
+        for grade, grp in groups.items()))
+
+
+def q_dims(cx, lo, hi):
+    """The q-slices lo..hi of a kh complex, read off its expansion."""
+    return {g: d for g, d in Expansion(cx, lo).dims().items() if g[1] <= hi}
+
+
+def one_map_floer(rng):
+    n_src, n_tgt = rng.randrange(1, 4), rng.randrange(1, 4)
+    gens = [Generator("s%d" % i, rng.randrange(2, 4)) for i in range(n_src)]
+    gens += [Generator("t%d" % i, rng.randrange(0, 2)) for i in range(n_tgt)]
+    diff = {}
+    for s in gens[:n_src]:
+        for t in gens[n_src:]:
+            e = t.h - (s.h - 1)
+            if e >= 0 and rng.random() < 0.6:
+                diff[(s.gid, t.gid)] = Poly.var(U1, "u", e)
+    return ChainComplex(U1, gens, diff, CONV_FLOER)
+
+
+def one_map_kh(rng):
+    srcs = [Generator("s%d" % i, 0, 2 * rng.randrange(3)) for i in range(rng.randrange(1, 4))]
+    tgts = [Generator("t%d" % i, 1, 2 * rng.randrange(3)) for i in range(rng.randrange(1, 4))]
+    diff = {}
+    for s in srcs:
+        for t in tgts:
+            e = (t.q - s.q) // 2
+            if e >= 0 and rng.random() < 0.6:
+                diff[(s.gid, t.gid)] = Poly.var(U1, "u", e)
+    return ChainComplex(U1, srcs + tgts, diff, CONV_KH)
+
+
+def alex2_floer(rng):
+    """A sum of u^power pieces whose generators carry a mod-2 Alexander grading."""
+    gens, diff = [], {}
+    for k in range(rng.randrange(1, 5)):
+        power, bit = rng.randrange(0, 4), rng.randrange(2)
+        a = Generator("p%d_a" % k, power + rng.randrange(2), None, bit)
+        b = Generator("p%d_b" % k, a.h - 1 + power, None, (bit + power) % 2)
+        gens += [a, b]
+        if rng.random() < 0.8:
+            diff[(a.gid, b.gid)] = Poly.var(U1, "u", power)
+    rng.shuffle(gens)
+    return ChainComplex(U1, gens, diff, CONV_FLOER)
+
+
+def floer_reference_cases():
+    rng = random.Random(5150)
+    for _ in range(40):
+        yield one_map_floer(rng)
+    for _ in range(30):
+        yield alex2_floer(rng)
+    yield build_model("trefoil_cfl").complex
+    for name in ("k_ori", "l_nonori", "l_ori"):
+        yield collapse_pairs(build_model(name).complex)
+        yield collapse_all(build_model(name).complex)
+
+
+def kh_reference_cases():
+    rng = random.Random(6160)
+    for _ in range(40):
+        yield one_map_kh(rng)
+    for d in (kh.parse_pd(TREFOIL_PD), kh.parse_pd(FIG8_PD), kh.cyclic_knot(5),
+              kh.unlink(2)):
+        yield kh.ckh(d, "minus").complex
+
+
+def test_slice_dims_match_dense_references():
+    nvars = set()
+    for cx in floer_reference_cases():
+        hs = [g.h for g in cx.gens]
+        for lo, hi in ((min(hs) - 3, max(hs)), (min(hs) - 1, max(hs) - 1), (max(hs), max(hs))):
+            assert slice_dims(cx, lo, hi) == ref_slice_dims(cx, lo, hi), (lo, hi)
+        nvars.add(cx.vars.n)
+    assert nvars == {1, 2, 3}
+    for cx in kh_reference_cases():
+        qs = [g.q for g in cx.gens]
+        span = max(qs) - min(qs)
+        for lo, hi in ((min(qs) - span - 8, max(qs)), (min(qs) - 2, max(qs) - 2)):
+            assert q_dims(cx, lo, hi) == ref_q_slice_dims(cx, lo, hi), (lo, hi)
+
+
+def test_homology_f2_matches_dense_reference():
+    rng = random.Random(7)
+    novars = VarSet((), ())
+    for _ in range(60):
+        gens = [Generator("g%d" % i, rng.randrange(3), rng.randrange(2))
+                for i in range(rng.randrange(1, 7))]
+        diff = {(s.gid, t.gid): Poly.one(novars) for s in gens for t in gens
+                if t.h == s.h + 1 and t.q == s.q and rng.random() < 0.5}
+        cx = ChainComplex(novars, gens, diff, CONV_KH)
+        assert homology_f2(cx) == ref_homology_f2(cx)
+    for d in (kh.parse_pd(TREFOIL_PD), kh.parse_pd(FIG8_PD), kh.cyclic_knot(5)):
+        for flavor in ("hat", "reduced"):
+            cx = kh.ckh(d, flavor, basepoint=min(d.arcs)).complex
+            assert homology_f2(cx) == ref_homology_f2(cx)

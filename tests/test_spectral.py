@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,7 +10,6 @@ from skeinseq.complexes import CONV_FLOER, CONV_KH, ChainComplex, Generator, UHo
 from skeinseq.poly import HALF, Poly, VarSet
 from skeinseq.spectral import (
     FilteredComplex,
-    SlotRef,
     SpectralPage,
     analyze,
     check_constraints,
@@ -190,7 +190,53 @@ def test_einf_free_rank_matches_module_decomposition():
     assert converge(fc, data).ok
 
 
-# -- reference versions of the slice enumeration and the graded homology -------
+# -- reference versions of the slot expansion, the pairing and the graded homology
+
+
+@dataclasses.dataclass(frozen=True)
+class SlotRef:
+    gid: str
+    upow: int
+    grade: tuple
+    level: int
+
+
+def ref_scalar(grade, convention):
+    return grade[1] if convention == CONV_KH else grade[0]
+
+
+def ref_slot_grade(cx, gid, j):
+    g = cx.gen(gid)
+    unit = cx.vars.units[0] if cx.vars.n else 0
+    if cx.convention == CONV_KH:
+        return (g.h, g.q - 2 * unit * j)
+    grade = [g.h - unit * j]
+    if g.alex2 is not None:
+        grade.append((g.alex2 + (unit % 2) * j) % 2)
+    return tuple(grade)
+
+
+def ref_sort_key(s):
+    return (-s.level, s.grade, s.gid, s.upow)
+
+
+def ref_mono_cols(cx):
+    return {
+        src: [(tgt, sum(m)) for tgt, p in col.items() for m in p.terms]
+        for src, col in cx.columns().items()
+    }
+
+
+def ref_diff_grade(grade, convention):
+    if convention == CONV_KH:
+        return (grade[0] + 1, grade[1])
+    return (grade[0] - 1,) + grade[1:]
+
+
+def ref_source_grade(grade, convention):
+    if convention == CONV_KH:
+        return (grade[0] - 1, grade[1])
+    return (grade[0] + 1,) + grade[1:]
 
 
 def ref_enumerate_slices(fc):
@@ -198,14 +244,14 @@ def ref_enumerate_slices(fc):
     cx = fc.base
     if cx.vars.n == 0:
         slots = [
-            SlotRef(g.gid, 0, spectral._slot_grade(cx, g.gid, 0), fc.levels[g.gid])
+            SlotRef(g.gid, 0, ref_slot_grade(cx, g.gid, 0), fc.levels[g.gid])
             for g in cx.gens
         ]
         return [(0, slots)], None
     unit = cx.vars.units[0]
     step = unit if cx.convention != CONV_KH else 2 * unit
     scalars = {
-        g.gid: spectral.grade_scalar(spectral._slot_grade(cx, g.gid, 0), cx.convention)
+        g.gid: ref_scalar(ref_slot_grade(cx, g.gid, 0), cx.convention)
         for g in cx.gens
     }
     top, bot = max(scalars.values()), min(scalars.values())
@@ -223,10 +269,43 @@ def ref_enumerate_slices(fc):
             s = scalars[g.gid]
             if (s - v) % step == 0 and s >= v:
                 j = (s - v) // step
-                lst.append(SlotRef(g.gid, j, spectral._slot_grade(cx, g.gid, j),
+                lst.append(SlotRef(g.gid, j, ref_slot_grade(cx, g.gid, j),
                                    fc.levels[g.gid]))
         slices.append((v, lst))
     return slices, floor
+
+
+def ref_analyze(fc):
+    """Pair each slice against the slice its differential lands in.
+
+    Returns the (source, target) slot pairs and the unpaired slots.
+    """
+    cx = fc.base
+    slices, floor = ref_enumerate_slices(fc)
+    by_value = dict(slices)
+    mono_cols = ref_mono_cols(cx)
+    if cx.vars.n == 0:
+        blocks = [(slices[0][1], slices[0][1])]
+    elif cx.convention == CONV_KH:
+        blocks = [(sl, sl) for v, sl in slices if v >= floor]
+    else:
+        blocks = [(sl, by_value.get(v - 1, [])) for v, sl in slices if v >= floor]
+    pairs, zero, targets = [], [], set()
+    for col_slots, row_slots in blocks:
+        rows = sorted(row_slots, key=ref_sort_key, reverse=True)
+        row_index = {(s.gid, s.upow): i for i, s in enumerate(rows)}
+        space = gf2.ColumnSpace()
+        for slot in sorted(col_slots, key=ref_sort_key):
+            vec = 0
+            for (tgt, e) in mono_cols[slot.gid]:
+                vec ^= 1 << row_index[(tgt, slot.upow + e)]
+            lead = space.insert(vec)[0]
+            if lead < 0:
+                zero.append(slot)
+            else:
+                targets.add(rows[lead])
+                pairs.append((slot, rows[lead]))
+    return pairs, [s for s in zero if s not in targets], floor
 
 
 def ref_graded_homology_dims(fc, floor):
@@ -237,7 +316,7 @@ def ref_graded_homology_dims(fc, floor):
     for _, sl in slices:
         for s in sl:
             by_grade.setdefault(s.grade, []).append(s)
-    mono_cols = spectral._mono_cols(cx)
+    mono_cols = ref_mono_cols(cx)
 
     def local_boundary(s, index):
         vec = 0
@@ -250,17 +329,17 @@ def ref_graded_homology_dims(fc, floor):
 
     out = {}
     for grade in sorted(by_grade):
-        if floor is not None and spectral.grade_scalar(grade, cx.convention) < floor:
+        if floor is not None and ref_scalar(grade, cx.convention) < floor:
             continue
-        block = sorted(by_grade[grade], key=spectral._sort_key)
+        block = sorted(by_grade[grade], key=ref_sort_key)
         index = {(s.gid, s.upow): i for i, s in enumerate(block)}
-        tgt_block = sorted(by_grade.get(spectral._diff_grade(grade, cx.convention), []),
-                           key=spectral._sort_key)
+        tgt_block = sorted(by_grade.get(ref_diff_grade(grade, cx.convention), []),
+                           key=ref_sort_key)
         tgt_index = {(s.gid, s.upow): i for i, s in enumerate(tgt_block)}
         block_cols = [local_boundary(s, tgt_index) for s in block]
         if any(c is None for c in block_cols):
             continue
-        sources = by_grade.get(spectral._source_grade(grade, cx.convention), [])
+        sources = by_grade.get(ref_source_grade(grade, cx.convention), [])
         boundaries = [local_boundary(s, index) for s in sources]
         if any(b is None for b in boundaries):
             continue
@@ -326,12 +405,27 @@ def reference_cases():
 def test_slices_and_graded_homology_match_references():
     kinds = set()
     for fc in reference_cases():
-        slices, floor = spectral._enumerate_slices(fc)
-        assert (slices, floor) == ref_enumerate_slices(fc)
+        cx = fc.base
+        exp = fc.expansion()
+        slots = [cx.gens[i].gid for i in exp.gen]
+        ref = lambda s: (s.gid, s.upow, s.grade, s.level)
+        got = sorted((gid, j, grade, fc.levels[gid])
+                     for gid, j, grade in zip(slots, exp.mono, exp.grade))
+        slices, floor = ref_enumerate_slices(fc)
+        assert got == sorted(ref(s) for _, sl in slices for s in sl)
+        assert fc.trusted_floor == floor
         dims = spectral._graded_homology_dims(fc, floor)
         assert dims == ref_graded_homology_dims(fc, floor)
-        kinds.add((fc.base.convention, fc.base.vars.n, fc.extra_depth > 0,
-                   any(g.alex2 is not None for g in fc.base.gens)))
+        # per-grade blocks give the per-slice pairing slot for slot
+        data = analyze(fc)
+        pairs, survivors, _ = ref_analyze(fc)
+        name = lambda s: (slots[s], exp.mono[s])
+        assert sorted((name(e.y), name(e.x), e.jump) for e in data.events) == sorted(
+            ((y.gid, y.upow), (x.gid, x.upow), x.level - y.level) for y, x in pairs)
+        assert sorted(map(name, data.survivors)) == sorted(
+            (s.gid, s.upow) for s in survivors)
+        kinds.add((cx.convention, cx.vars.n, fc.extra_depth > 0,
+                   any(g.alex2 is not None for g in cx.gens)))
     assert kinds == {
         (CONV_FLOER, 1, False, False), (CONV_FLOER, 1, False, True),
         (CONV_FLOER, 1, True, False), (CONV_KH, 1, False, False),
