@@ -14,6 +14,7 @@ Complexes are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from operator import add
 from typing import Mapping, Sequence
 
@@ -31,6 +32,18 @@ from .umod import (
 
 CONV_FLOER = "floer"
 CONV_KH = "kh"
+
+# Input size limits; both are checked before any expensive work.  The largest
+# cube khovanov.ckh builds: a 13-crossing cube (cyclic_knot(13), 16383 minus
+# generators) takes about 1 s to build and 25 s to decompose (UHomology), in
+# under 0.5 GB (2-vCPU VM, Python 3.11); each further crossing doubles the
+# vertices, and a 30-crossing diagram would enumerate 2^30 states.
+MAX_CUBE_VERTICES = 1 << 13
+# The most slots an Expansion holds.  The spectral window of the minus cube of
+# cyclic_knot(9) has 17142 slots, of cyclic_knot(11) 70647 and of
+# cyclic_knot(13) 307191; cyclic_knot(9) with four kinks, 1940922.  A floer
+# document with generators at h = 0 and h = N has about 2N.
+MAX_EXPANSION_SLOTS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -540,6 +553,29 @@ def induced_on_homology(cmap: ChainMap) -> dict[tuple[int, int], int]:
 Grade = tuple[int, ...]
 
 
+def _monomial_count(units: Sequence[int], depth: int) -> int:
+    """The monomials in variables of these units whose h drop is <= depth."""
+    if depth < 0:
+        return 0
+    if len(set(units)) <= 1:
+        m = len(units)
+        return comb(depth // units[0] + m, m) if m else 1
+    head, rest = units[0], units[1:]
+    return sum(_monomial_count(rest, depth - e * head)
+               for e in range(depth // head + 1))
+
+
+def expansion_size(cx: ChainComplex, floor: int | None = None) -> int:
+    """The number of slots of ``Expansion(cx, floor)``, counted without them:
+    per generator, the monomials whose slice drop keeps it >= floor."""
+    if floor is None:
+        return cx.n
+    kh = cx.convention == CONV_KH
+    scale = 2 if kh else 1
+    return sum(_monomial_count(cx.vars.units, ((g.q if kh else g.h) - floor) // scale)
+               for g in cx.gens)
+
+
 class Expansion:
     """The F2 basis {u^m g : slice value >= floor} of a complex over F2[u1..um].
 
@@ -555,7 +591,8 @@ class Expansion:
     the image reaches below the floor.  Monomials are coded as integers in
     radix ``radix``, wide enough that adding an entry's monomial never
     carries.  floor may be None only for a variable-free complex, whose
-    slots are its generators.
+    slots are its generators.  An expansion of more than
+    ``MAX_EXPANSION_SLOTS`` slots raises ValueError before any is built.
     """
 
     def __init__(self, cx: ChainComplex, floor: int | None = None,
@@ -563,6 +600,12 @@ class Expansion:
         vs, gens, n = cx.vars, cx.gens, cx.n
         if floor is None and vs.n:
             raise ValueError("expanding a complex over F2[u...] needs a floor")
+        size = expansion_size(cx, floor)
+        if size > MAX_EXPANSION_SLOTS:
+            raise ValueError(
+                "the F2 expansion down to slice value %d has %d slots, above the"
+                " limit of %d" % (floor, size, MAX_EXPANSION_SLOTS)
+            )
         kh = cx.convention == CONV_KH
         self.cx, self.axis = cx, int(kh)
         scale = 2 if kh else 1  # slice drop per unit of a monomial's h drop
@@ -689,12 +732,25 @@ def _in_tower(s: Summand, top: int, x: int, step: int) -> bool:
     return rem == 0 and k >= 0 and (s.free or k < s.order)
 
 
+def _window_dims(cx: ChainComplex, lo: int) -> dict[Grade, int]:
+    """Brute-force F2 dimensions per grade with slice value >= lo (h in the
+    floer convention, (h, q) in the kh one), from the expansion down to lo - 1."""
+    axis = int(cx.convention == CONV_KH)
+    dims: dict[Grade, int] = {}
+    for grade, dim in Expansion(cx, lo - 1).dims().items():
+        key = grade[:axis + 1]  # floer: forget the mod-2 alexander grade
+        if key[axis] >= lo:
+            dims[key] = dims.get(key, 0) + dim
+    return dims
+
+
 def check_truncation_stability(hom: UHomology) -> None:
     """Compare the exact decomposition with brute-force slice dimensions.
 
-    Dimensions per grade (h in the floer convention, (h, q) in the kh one)
-    are recomputed over two window depths of the slice value; both must
-    match the prediction from the decomposition.
+    Dimensions per grade are recomputed over a window four u-steps below
+    the span of the slice values and must match the prediction from the
+    decomposition.  One window is enough: a closed grade's dimension and
+    its predicted tower count do not depend on how deep the window runs.
     """
     cx = hom.cx
     if not cx.gens:
@@ -702,23 +758,17 @@ def check_truncation_stability(hom: UHomology) -> None:
     axis = int(cx.convention == CONV_KH)
     step = cx.ustep()[axis]
     vals = [cx.ugrade(g.gid)[axis] for g in cx.gens]
-    span = max(vals) - min(vals)
-    for extra in (2, 4):
-        lo = min(vals) - span - extra * step
-        dims: dict[Grade, int] = {}
-        for grade, dim in Expansion(cx, lo - 1).dims().items():
-            key = grade[:axis + 1]  # floer: forget the mod-2 alexander grade
-            if key[axis] >= lo:
-                dims[key] = dims.get(key, 0) + dim
-        predicted: dict[Grade, int] = {}
-        for s in hom.summands:
-            for x in range(lo, max(vals) + 1):
-                if _in_tower(s, s.grades[axis], x, step):
-                    key = s.grades[:axis] + (x,)
-                    predicted[key] = predicted.get(key, 0) + 1
-        for key in sorted(set(dims) | set(predicted)):
-            if dims.get(key, 0) != predicted.get(key, 0):
-                raise ArithmeticError(
-                    "truncated slice dimension mismatch at %r: %d vs %d"
-                    % (key, dims.get(key, 0), predicted.get(key, 0))
-                )
+    lo = min(vals) - (max(vals) - min(vals)) - 4 * step
+    dims = _window_dims(cx, lo)
+    predicted: dict[Grade, int] = {}
+    for s in hom.summands:
+        for x in range(lo, max(vals) + 1):
+            if _in_tower(s, s.grades[axis], x, step):
+                key = s.grades[:axis] + (x,)
+                predicted[key] = predicted.get(key, 0) + 1
+    for key in sorted(set(dims) | set(predicted)):
+        if dims.get(key, 0) != predicted.get(key, 0):
+            raise ArithmeticError(
+                "truncated slice dimension mismatch at %r: %d vs %d"
+                % (key, dims.get(key, 0), predicted.get(key, 0))
+            )

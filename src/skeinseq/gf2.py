@@ -13,8 +13,13 @@ from __future__ import annotations
 class ColumnSpace:
     """Incremental column echelon with combination tracking.
 
-    Vectors are ints; each inserted vector remembers which inserted columns
-    it combines (bit i of a combo stands for the i-th insert).
+    Vectors are ints; each vector inserted by ``insert`` or ``add`` remembers
+    which inserted columns it combines (bit i of a combo stands for the i-th
+    insert), for ``column_kernel`` and ``express``.  Callers that read only
+    leads and ranks (``matrix_rank``, ``spectral.analyze`` and
+    ``spectral._graded_homology_dims``) fill their spaces with
+    ``insert_lead`` instead, which keeps no combos: a space filled that way
+    answers ``contains``, ``rank`` and ``pivots`` but no combination.
     """
 
     def __init__(self) -> None:
@@ -47,6 +52,15 @@ class ColumnSpace:
         self.pivots[lead] = (vec, combo)
         return lead, combo
 
+    def insert_lead(self, vec: int) -> int:
+        """Insert a vector without tracking combos; returns its lead or -1."""
+        vec = self._reduce(vec, 0)[0]
+        if vec == 0:
+            return -1
+        lead = (vec & -vec).bit_length() - 1
+        self.pivots[lead] = (vec, 0)
+        return lead
+
     def add(self, vec: int) -> int | None:
         """Insert a vector; returns a kernel combo if it was dependent."""
         lead, combo = self.insert(vec)
@@ -76,7 +90,7 @@ def matrix_rank(cols: list[int], nbits: int) -> int:
     """
     space = ColumnSpace()
     for v in cols:
-        space.insert(v)
+        space.insert_lead(v)
     return space.rank
 
 

@@ -13,18 +13,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .complexes import CONV_KH, ChainComplex, ChainMap, Generator
+from .complexes import CONV_KH, MAX_CUBE_VERTICES, ChainComplex, ChainMap, Generator
 from .poly import HALF, Poly, VarSet
 
 Crossing = tuple[int, int, int, int]
 
 FLAVORS = ("minus", "hat", "reduced")
-
-# Largest cube ckh builds.  A 13-crossing cube (cyclic_knot(13), 16383 minus
-# generators) takes about 1 s to build and 25 s to decompose (UHomology), in
-# under 0.5 GB (2-vCPU VM, Python 3.11); each further crossing doubles the
-# vertices, and a 30-crossing diagram would enumerate 2^30 states.
-MAX_CUBE_VERTICES = 1 << 13
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from typing import Any
 from .complexes import CONV_FLOER, CONV_KH, ChainComplex, Generator
 from .infer import PageSpec, TargetSpec, Tower
 from .khovanov import LinkDiagram
-from .poly import FULL, HALF, VarSet, parse_poly
+from .poly import FULL, HALF, Poly, VarSet, parse_poly
 
 UNIT_NAMES = {"1": FULL, "1/2": HALF, "0.5": HALF}
 UNIT_TEXT = {FULL: "1", HALF: "1/2"}
@@ -88,11 +88,15 @@ def load_complex(doc: dict[str, Any]):
     if convention is None:
         convention = CONV_KH if any_q else CONV_FLOER
     diff = {}
+    parsed: dict[str, Poly] = {}  # entry text -> its (frozen) polynomial
     for e in _array(doc.get("diff", []), "'diff'"):
         e = _object(e, "a diff entry")
         key = (str(_field(e, "from", "a diff entry")),
                str(_field(e, "to", "a diff entry")))
-        p = parse_poly(vs, str(_field(e, "poly", "a diff entry")))
+        text = str(_field(e, "poly", "a diff entry"))
+        p = parsed.get(text)
+        if p is None:
+            p = parsed[text] = parse_poly(vs, text)
         diff[key] = diff[key] + p if key in diff else p
     pairs = {str(k): tuple(_array(v, "pair %r" % k))
              for k, v in _object(doc.get("pairs", {}), "'pairs'").items()}

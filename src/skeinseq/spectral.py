@@ -8,11 +8,15 @@ the page data exactly: a pair (x, y) with level jump k means the class of y
 kills the class of x on page k, and unpaired slots survive to the limit
 page.  Reported dimensions are windowed at a trusted floor below which the
 slice pattern provably repeats.
+
+Both `analyze` and `converge` visit the blocks source first, each block
+before the block it lands in, and use clearing (the "twist" of Chen and
+Kerber): a slot that is the lowest bit of a boundary has a column that
+reduces to zero, so it is never inserted.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -145,6 +149,19 @@ def _levels(fc: FilteredComplex) -> list[int]:
     return [fc.levels[g.gid] for g in fc.base.gens]
 
 
+def _source_first(exp: Expansion) -> list[Grade]:
+    """The grades of the blocks, each before the block it lands in.
+
+    Every block lands on the same side of itself in the grade order (above
+    it in the kh convention, below it in the floer one), so one of the two
+    sorted orders is source first.
+    """
+    grades = list(exp.blocks)
+    if any(tgt > grade for grade, tgt in exp.lands.items()):
+        return grades
+    return grades[::-1]
+
+
 def analyze(fc: FilteredComplex) -> SpectralData:
     """Run the level-respecting reduction and collect the pairing data.
 
@@ -153,6 +170,12 @@ def analyze(fc: FilteredComplex) -> SpectralData:
     pairings.  Columns are reduced in order (level descending, then gid),
     the reverse of the slot order, so the persistence "low" of a column
     (its last row in that order) is the eliminator's lowest set bit.
+
+    Blocks are visited source first, so a block's targets are known before
+    it is reduced, and a target goes to the zero columns uninserted
+    (clearing).  A target x is the lowest bit of a boundary whose other bits
+    are higher slots of its block; those are reduced before x, and x's
+    column is the sum of theirs, so the pairing is the one without clearing.
     """
     exp = fc.expansion()
     floor, level = fc.trusted_floor, _levels(fc)
@@ -160,17 +183,20 @@ def analyze(fc: FilteredComplex) -> SpectralData:
     events: list[PairEvent] = []
     zero: list[int] = []
     targets: set[int] = set()
-    for grade, blk in blocks.items():
+    for grade in _source_first(exp):
         if floor is not None and grade[exp.axis] < floor:
             continue
         tgt = exp.lands.get(grade)
         start = blocks[tgt].start if tgt is not None else 0
         space = gf2.ColumnSpace()
-        for s in reversed(blk):
+        for s in reversed(blocks[grade]):
+            if s in targets:
+                zero.append(s)
+                continue
             vec = cols[s]
             if vec is None:
                 raise AssertionError("differential of slot %d leaves the expansion" % s)
-            lead = space.insert(vec)[0]
+            lead = space.insert_lead(vec)
             if lead < 0:
                 zero.append(s)
             else:
@@ -292,27 +318,34 @@ def _graded_homology_dims(
     The slots of level >= lvl are the last k of their block, so their cycles
     number k minus the rank of their columns, and the boundaries among them
     number the boundary basis vectors whose lowest set bit is >= len - k.
+    Blocks are visited source first, and each block's image leads are kept
+    as the boundary leads of the block it lands in, so every column is
+    reduced once.  A column at a boundary lead is in the span of the columns
+    before it (the clearing argument of `analyze`), so it is not inserted.
     """
     exp = fc.expansion()
     cols, gen, blocks, level = exp.cols, exp.gen, exp.blocks, _levels(fc)
-    source = {tgt: grade for grade, tgt in exp.lands.items()}
+    bound_leads: dict[Grade, set[int]] = {}  # block -> image leads of its source
     out: dict[tuple[Grade, int], int] = {}
-    for grade, blk in blocks.items():
+    for grade in _source_first(exp):
         if floor is not None and grade[exp.axis] < floor:
             continue
+        blk = blocks[grade]
+        leads = bound_leads.pop(grade, set())
         if None in cols[blk.start:blk.stop]:
             continue  # bottom window edge; not reported
-        bounds = gf2.ColumnSpace()
-        if grade in source:
-            for s in blocks[source[grade]]:
-                bounds.insert(cols[s])
-        leads = sorted(bounds.pivots)
         image = gf2.ColumnSpace()
+        bound = 0  # boundary leads among the last k slots
         dims_by_level: dict[int, int] = {}
         for k, s in enumerate(reversed(blk), 1):
-            image.insert(cols[s])
-            bound = len(leads) - bisect_left(leads, len(blk) - k)
+            if len(blk) - k in leads:
+                bound += 1
+            else:
+                image.insert_lead(cols[s])
             dims_by_level[level[gen[s]]] = k - image.rank - bound
+        tgt = exp.lands.get(grade)
+        if tgt is not None:
+            bound_leads[tgt] = set(image.pivots)
         above = 0
         for lvl, dim in dims_by_level.items():  # levels descending
             if dim > above:

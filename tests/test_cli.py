@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ import skeinseq.spectral
 from skeinseq import khovanov as kh
 from skeinseq import serde
 from skeinseq.cli import main
+from skeinseq.complexes import MAX_EXPANSION_SLOTS
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 
@@ -393,3 +395,19 @@ def test_unknown_basepoint_exits_2_before_resolving(capsys, monkeypatch, flavor)
     assert code == 2
     assert out == ""
     assert "basepoint on unknown arc 99" in err
+
+
+def test_ss_oversized_expansion_exits_2_quickly(tmp_path, capsys):
+    # two isolated generators 10^7 apart: the window would hold 3 * 10^7 slots
+    doc = {"variables": [{"name": "u", "unit": "1/2"}],
+           "generators": [{"id": "a", "h": 0, "filtration": 0},
+                          {"id": "b", "h": 10 ** 7, "filtration": 1}],
+           "diff": []}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "ss", "--in", str(path))
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2
+    assert out == ""
+    assert "has 30000018 slots, above the limit of %d" % MAX_EXPANSION_SLOTS in err

@@ -8,14 +8,17 @@ from skeinseq import khovanov as kh
 from skeinseq.complexes import (
     CONV_FLOER,
     CONV_KH,
+    MAX_EXPANSION_SLOTS,
     ChainComplex,
     ChainMap,
     Expansion,
     Generator,
     UHomology,
+    _window_dims,
     check_truncation_stability,
     collapse_all,
     collapse_pairs,
+    expansion_size,
     homology,
     homology_f2,
     induced_on_homology,
@@ -26,7 +29,9 @@ from skeinseq.complexes import (
     tensor,
 )
 from skeinseq.models import build_model
-from skeinseq.poly import HALF, Poly, VarSet
+from skeinseq.poly import FULL, HALF, Poly, VarSet
+from skeinseq.spectral import FilteredComplex
+from test_spectral_hard import one_map_complexes, planted_sums
 
 U1 = VarSet(("u",), (HALF,))
 
@@ -545,3 +550,62 @@ def test_homology_f2_matches_dense_reference():
         for flavor in ("hat", "reduced"):
             cx = kh.ckh(d, flavor, basepoint=min(d.arcs)).complex
             assert homology_f2(cx) == ref_homology_f2(cx)
+
+
+# -- the size of an expansion and the depth of the truncation window -----------
+
+
+def test_expansion_size_counts_the_slots():
+    rng = random.Random(9091)
+    mixed = VarSet(("u", "v"), (HALF, FULL))
+    cases = []
+    for cx in list(floer_reference_cases()) + list(kh_reference_cases()):
+        axis = int(cx.convention == CONV_KH)
+        vals = [cx.ugrade(g.gid)[axis] for g in cx.gens]
+        for depth in (0, 3, 9):
+            cases.append((cx, min(vals) - depth))
+        cases.append((cx, max(vals) + 1))
+    for d in (kh.parse_pd(TREFOIL_PD), kh.cyclic_knot(5)):
+        for flavor in ("minus", "hat"):
+            cc = kh.ckh(d, flavor)
+            fc = FilteredComplex(cc.complex, cc.levels)
+            cases.append((cc.complex, fc._lo))  # None for the hat cube
+    for _ in range(20):
+        gens = [Generator("g%d" % i, rng.randrange(-3, 4)) for i in range(rng.randrange(1, 4))]
+        cases.append((ChainComplex(mixed, gens, {}, CONV_FLOER), rng.randrange(-9, 0)))
+    for _, fc in one_map_complexes():
+        cases.append((fc.base, fc._lo))
+    for fc, _ in planted_sums():
+        cases.append((fc.base, fc._lo))
+    for cx, floor in cases:
+        assert expansion_size(cx, floor) == len(Expansion(cx, floor).gen), floor
+    assert {cx.vars.n for cx, _ in cases} == {0, 1, 2, 3}
+    assert any(floor is None for _, floor in cases)
+
+
+def test_oversized_expansion_is_rejected_before_enumerating():
+    cx = ChainComplex(U1, [Generator("a", 0), Generator("b", 10 ** 7)], {}, CONV_FLOER)
+    assert expansion_size(cx, -5) == 6 + (10 ** 7 + 6)
+    with pytest.raises(ValueError, match="has 10000012 slots, above the limit of %d"
+                       % MAX_EXPANSION_SLOTS):
+        Expansion(cx, -5)
+    lo = -(MAX_EXPANSION_SLOTS - 1)  # one generator, exactly at the limit
+    assert expansion_size(ChainComplex(U1, [Generator("a", 0)], {}, CONV_FLOER),
+                          lo) == MAX_EXPANSION_SLOTS
+
+
+def test_truncation_window_depth_two_is_inside_depth_four():
+    """The slice dims of the shallower window are the deeper window's dims
+    restricted to it, so check_truncation_stability needs only one."""
+    complexes = [kh.ckh(kh.cyclic_knot(n), "minus").complex for n in (3, 5, 7)]
+    complexes += [kh.ckh(kh.unlink(2), "minus").complex,
+                  build_model("trefoil_cfl").complex]
+    for cx in complexes:
+        axis = int(cx.convention == CONV_KH)
+        step = cx.ustep()[axis]
+        vals = [cx.ugrade(g.gid)[axis] for g in cx.gens]
+        lo2, lo4 = (min(vals) - (max(vals) - min(vals)) - extra * step
+                    for extra in (2, 4))
+        deep = _window_dims(cx, lo4)
+        assert _window_dims(cx, lo2) == {k: v for k, v in deep.items() if k[axis] >= lo2}
+        assert any(k[axis] < lo2 for k in deep)

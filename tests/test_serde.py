@@ -3,8 +3,10 @@ import json
 import pytest
 
 from skeinseq import khovanov as kh
+from skeinseq import serde
 from skeinseq.complexes import UHomology
 from skeinseq.models import build_model
+from skeinseq.poly import parse_poly
 from skeinseq.serde import (
     dump_complex,
     load_complex,
@@ -72,3 +74,26 @@ def test_load_complex_rejects_wrong_exponent():
     entry["poly"] = "u"
     with pytest.raises(ValueError, match="inhomogeneous"):
         load_complex(doc)
+
+
+def test_load_complex_parses_each_entry_text_once(monkeypatch):
+    texts = []
+
+    def counting_parse(vs, text):
+        texts.append(text)
+        return parse_poly(vs, text)
+
+    monkeypatch.setattr(serde, "parse_poly", counting_parse)
+    cc = kh.ckh(kh.cyclic_knot(5), "minus")
+    doc = dump_complex(cc.complex, cc.levels)
+    cx, levels, _ = load_complex(doc)
+    assert cx.diff == cc.complex.diff and levels == cc.levels
+    assert sorted(texts) == sorted({e["poly"] for e in doc["diff"]})
+    assert len(texts) < len(doc["diff"])
+    # an entry given twice still sums, from the one parse
+    doc = {"variables": [{"name": "u", "unit": "1/2"}],
+           "generators": [{"id": "a", "h": 1}, {"id": "b", "h": 0}],
+           "diff": [{"from": "a", "to": "b", "poly": "u"}] * 2}
+    texts.clear()
+    cx, _, _ = load_complex(doc)
+    assert cx.diff == {} and texts == ["u"]

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -16,6 +17,7 @@ from skeinseq.spectral import (
     converge,
     pages,
 )
+from test_acceptance import corpus
 from test_spectral_hard import one_map_complexes, planted_sums
 
 U1 = VarSet(("u",), (HALF,))
@@ -431,3 +433,96 @@ def test_slices_and_graded_homology_match_references():
         (CONV_FLOER, 1, True, False), (CONV_KH, 1, False, False),
         (CONV_KH, 1, True, False), (CONV_KH, 0, False, False),
     }
+
+
+# -- the pairing and the graded homology without clearing ------------------------
+
+
+def ref_pairing_without_clearing(fc):
+    """analyze before clearing: ascending blocks, every column inserted."""
+    exp = fc.expansion()
+    floor, level = fc.trusted_floor, spectral._levels(fc)
+    events, zero, targets = [], [], set()
+    for grade, blk in exp.blocks.items():
+        if floor is not None and grade[exp.axis] < floor:
+            continue
+        tgt = exp.lands.get(grade)
+        start = exp.blocks[tgt].start if tgt is not None else 0
+        space = gf2.ColumnSpace()
+        for s in reversed(blk):
+            lead = space.insert(exp.cols[s])[0]
+            if lead < 0:
+                zero.append(s)
+            else:
+                x = start + lead
+                targets.add(x)
+                events.append(spectral.PairEvent(s, x, level[exp.gen[x]] - level[exp.gen[s]]))
+    return events, [s for s in zero if s not in targets]
+
+
+def ref_graded_homology_rereduced(fc, floor):
+    """_graded_homology_dims before clearing: each block's boundaries are
+    re-reduced from its source block into a fresh space."""
+    exp = fc.expansion()
+    cols, gen, blocks, level = exp.cols, exp.gen, exp.blocks, spectral._levels(fc)
+    source = {tgt: grade for grade, tgt in exp.lands.items()}
+    out = {}
+    for grade, blk in blocks.items():
+        if floor is not None and grade[exp.axis] < floor:
+            continue
+        if None in cols[blk.start:blk.stop]:
+            continue
+        bounds = gf2.ColumnSpace()
+        if grade in source:
+            for s in blocks[source[grade]]:
+                bounds.insert(cols[s])
+        leads = sorted(bounds.pivots)
+        image = gf2.ColumnSpace()
+        dims_by_level = {}
+        for k, s in enumerate(reversed(blk), 1):
+            image.insert(cols[s])
+            bound = len(leads) - bisect_left(leads, len(blk) - k)
+            dims_by_level[level[gen[s]]] = k - image.rank - bound
+        above = 0
+        for lvl, dim in dims_by_level.items():
+            if dim > above:
+                out[(grade, lvl)] = dim - above
+            above = dim
+    return dict(sorted(out.items()))
+
+
+def clearing_cases():
+    for _, fc in one_map_complexes():
+        yield fc
+    for fc, _ in planted_sums():
+        yield fc
+    yield from alex2_planted_sums()
+    for depth in (1, 3):
+        yield FilteredComplex(planted(3, power=2).base, {"a": 0, "b": 3}, depth)
+        cc = kh.ckh(kh.cyclic_knot(5), "minus")
+        yield FilteredComplex(cc.complex, cc.levels, depth)
+    for d in corpus().values():
+        cc = kh.ckh(d, "minus")
+        yield FilteredComplex(cc.complex, cc.levels)
+
+
+def test_clearing_matches_references_without_clearing():
+    kinds = set()
+    for fc in clearing_cases():
+        data = analyze(fc)
+        events, survivors = ref_pairing_without_clearing(fc)
+        assert sorted(data.events) == sorted(events)
+        assert sorted(data.survivors) == sorted(survivors)
+        ref = spectral.SpectralData(data.slots, data.level, events, survivors,
+                                    data.trusted_floor)
+        max_r = data.max_jump() + 1
+        assert pages(data, max_r) == pages(ref, max_r)
+        assert data.einf_by_level() == ref.einf_by_level()
+        rep = converge(fc, data)
+        assert rep.graded_homology == ref_graded_homology_rereduced(fc, data.trusted_floor)
+        assert rep.ok
+        kinds.add((fc.base.convention, fc.extra_depth > 0,
+                   any(g.alex2 is not None for g in fc.base.gens)))
+    assert kinds == {(CONV_FLOER, False, False), (CONV_FLOER, False, True),
+                     (CONV_FLOER, True, False), (CONV_KH, False, False),
+                     (CONV_KH, True, False)}
