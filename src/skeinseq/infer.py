@@ -10,9 +10,17 @@ differential, then compared against the requested limit shape.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .umod import MonoVec, echelonize, module_decompose, reduce_columns, solve_in_echelon
+
+# Budgets of the two exponential loops, each checked before its loop starts:
+# enumerate_patterns tries every subset of the admissible entries of a page,
+# 2^MAX_CANDIDATES at most, and resolve_filtration every assignment of the
+# target basis to the free survivors, MAX_RESOLVE_SURVIVORS! at most.
+MAX_CANDIDATES = 18
+MAX_RESOLVE_SURVIVORS = 8
 
 
 @dataclass(frozen=True)
@@ -56,7 +64,7 @@ class Pattern:
         return tuple(sorted({k for (k, _, _, _) in self.entries}))
 
 
-def _candidates(summands: list[Tower], k: int) -> list[tuple[int, int, int]]:
+def _candidates(summands: Sequence[Tower], k: int) -> list[tuple[int, int, int]]:
     """(src index, tgt index, x power) slots admissible for d_k."""
     out = []
     for i, s in enumerate(summands):
@@ -78,7 +86,7 @@ def _candidates(summands: list[Tower], k: int) -> list[tuple[int, int, int]]:
 
 
 def _well_defined_and_square_zero(
-    summands: list[Tower], entries: list[tuple[int, int, int]]
+    summands: Sequence[Tower], entries: list[tuple[int, int, int]]
 ) -> bool:
     """d must kill relations and compose to zero modulo relations."""
     mat: dict[tuple[int, int], int] = {}
@@ -111,18 +119,18 @@ def _well_defined_and_square_zero(
     return True
 
 
-def _page_homology(
-    summands: list[Tower], entries: list[tuple[int, int, int]]
-) -> list[Tower]:
-    """Homology of the page with the chosen differential, again as towers."""
-    n = len(summands)
+def _piece_homology(
+    grades: list[tuple[int, int, int | None]], entries: list[tuple[int, int, int]]
+) -> list[tuple[int, int, int | None]]:
+    """(h, q, order) of each summand of the homology of one page piece."""
+    n = len(grades)
     dcols: list[MonoVec] = [dict() for _ in range(n)]
     for (i, j, a) in entries:
         dcols[i][j] = a
     rel_cols: list[MonoVec] = []
-    for j, t in enumerate(summands):
-        if t.order is not None:
-            rel_cols.append({j: t.order})
+    for j, (_, _, order) in enumerate(grades):
+        if order is not None:
+            rel_cols.append({j: order})
     # kernel of d on the presented module: v with d v in the relation span,
     # found as the first-block projection of ker[d | D]
     both = [dict(dcols[j]) for j in range(n)] + [dict(c) for c in rel_cols]
@@ -139,25 +147,72 @@ def _page_homology(
             denoms.append(dict(dcols[j]))
     denoms.extend(dict(c) for c in rel_cols)
     coords = [solve_in_echelon(basis, v) for v in denoms]
-    grades = []
+    vgrades = []
     for vec in basis:
         slot = min(vec)
-        e = vec[slot]
-        t = summands[slot]
-        grades.append((t.h, t.q - 2 * e))
-    dec = module_decompose(len(basis), coords, grades, (0, 2))
-    out = []
-    for idx, s in enumerate(dec.summands):
-        h, q = s.grades
-        out.append(Tower("p%d@%d,%d" % (idx, h, q), h, q, s.order))
-    return out
+        h, q, _ = grades[slot]
+        vgrades.append((h, q - 2 * vec[slot]))
+    dec = module_decompose(len(basis), coords, vgrades, (0, 2))
+    return [s.grades + (s.order,) for s in dec.summands]
 
 
-def _window_free_rank(summands: list[Tower]) -> int:
+def _page_homology(
+    summands: Sequence[Tower],
+    entries: list[tuple[int, int, int]],
+    pieces: dict | None = None,
+) -> list[Tower]:
+    """Homology of the page with the chosen differential, again as towers.
+
+    Homology of a direct sum is the sum of the homologies, so the towers are
+    split into the connected pieces of the differential and each piece is
+    computed on its own, once per grade-shifted shape while the same pieces
+    cache is passed; towers no entry touches pass through.  The summands
+    are sorted as module_decompose sorts those of the whole page (ties are
+    identical towers) and named p<index>@h,q.
+    """
+    if pieces is None:
+        pieces = {}
+    root = list(range(len(summands)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for (i, j, _) in entries:
+        root[find(i)] = find(j)
+    members: dict[int, list[int]] = {}
+    for i in range(len(summands)):
+        members.setdefault(find(i), []).append(i)
+    local: dict[int, list[tuple[int, int, int]]] = {}
+    for (i, j, a) in entries:
+        local.setdefault(find(i), []).append((i, j, a))
+    out: list[tuple[int, int, int | None]] = []
+    for r, idxs in members.items():
+        if r not in local:
+            out.extend((summands[i].h, summands[i].q, summands[i].order) for i in idxs)
+            continue
+        h0, q0 = summands[idxs[0]].h, summands[idxs[0]].q
+        pos = {i: p for p, i in enumerate(idxs)}
+        shape = (
+            tuple((summands[i].h - h0, summands[i].q - q0, summands[i].order) for i in idxs),
+            tuple(sorted((pos[i], pos[j], a) for (i, j, a) in local[r])),
+        )
+        hom = pieces.get(shape)
+        if hom is None:
+            hom = pieces[shape] = _piece_homology(list(shape[0]), list(shape[1]))
+        out.extend((h + h0, q + q0, order) for (h, q, order) in hom)
+    out.sort(key=lambda g: (g[0], g[1], g[2] is None, g[2] or 0))
+    return [Tower("p%d@%d,%d" % (idx, h, q), h, q, order)
+            for idx, (h, q, order) in enumerate(out)]
+
+
+def _window_free_rank(summands: Sequence[Tower]) -> int:
     return sum(1 for t in summands if t.free)
 
 
-def _normalized_shape(summands: list[Tower]) -> tuple:
+def _normalized_shape(summands: Sequence[Tower]) -> tuple:
     if not summands:
         return ()
     h0 = min(t.h for t in summands)
@@ -168,7 +223,7 @@ def _normalized_shape(summands: list[Tower]) -> tuple:
     )
 
 
-def _matches_target(summands: list[Tower], target: TargetSpec) -> bool:
+def _matches_target(summands: Sequence[Tower], target: TargetSpec) -> bool:
     free = [t for t in summands if t.free]
     tors = sorted(t.order for t in summands if not t.free)
     if len(free) != target.free_rank or tors != sorted(target.torsion):
@@ -187,29 +242,44 @@ def _matches_target(summands: list[Tower], target: TargetSpec) -> bool:
     return True
 
 
-def enumerate_patterns(e2: PageSpec, target: TargetSpec, max_candidates: int = 18) -> list[Pattern]:
+def enumerate_patterns(
+    e2: PageSpec, target: TargetSpec, max_candidates: int = MAX_CANDIDATES
+) -> list[Pattern]:
     """All admissible differential patterns reaching the target, canonicalized.
 
     Unreachable targets give an empty list.  Patterns are identified up to
-    grading-preserving permutations of equal-bigrading towers.
+    grading-preserving permutations of equal-bigrading towers; of each class
+    the first pattern in search order is kept.
+
+    The search is a depth-first walk over pages, one subset (mask) of the
+    admissible d_k entries at a time.  Each distinct (page, k) is searched
+    once: its list of entry suffixes reaching the target is kept for the
+    call, so a page met again is not searched again.  Page homology is
+    computed per connected piece of the differential and cached per piece
+    shape for the call (see _page_homology).  Pages with no two towers k
+    apart in h carry no d_k and are skipped.
     """
     if len(e2.towers) > 12:
         raise ValueError("start page too large for exhaustive search")
-    start = list(e2.towers)
-    results: list[tuple[tuple, Pattern]] = []
-    span = max((t.h for t in start), default=0) - min((t.h for t in start), default=0)
+    grade_of = {t.name: (t.h, t.q) for t in e2.towers}
+    searched: dict[tuple[tuple[Tower, ...], int | None], list[tuple]] = {}
+    pieces: dict = {}
 
-    def rec(summands: list[Tower], k: int, chosen: list[tuple[int, str, str, int]]):
+    def rec(summands: tuple[Tower, ...], k: int) -> list[tuple]:
+        """Entry suffixes from d_k on that reach the target, in mask order."""
         if _window_free_rank(summands) < target.free_rank:
-            return
-        if k > max(span, 1):
+            return []
+        gaps = {t.h - s.h for s in summands for t in summands}
+        k = min((g for g in gaps if g >= k and g % 2), default=None)
+        key = (summands, k)
+        found = searched.get(key)
+        if found is not None:
+            return found
+        found = searched[key] = []
+        if k is None:
             if _matches_target(summands, target):
-                pat = Pattern(tuple(chosen))
-                results.append((_canonical_key(e2, pat), pat))
-            return
-        if k % 2 == 0:
-            rec(summands, k + 1, chosen)
-            return
+                found.append(())
+            return found
         cands = _candidates(summands, k)
         if len(cands) > max_candidates:
             raise ValueError("too many candidate entries on page %d" % k)
@@ -218,17 +288,18 @@ def enumerate_patterns(e2: PageSpec, target: TargetSpec, max_candidates: int = 1
             if not _well_defined_and_square_zero(summands, entries):
                 continue
             if entries:
-                nxt = _page_homology(summands, entries)
-                recorded = chosen + [
-                    (k, summands[i].name, summands[j].name, a)
-                    for (i, j, a) in entries
-                ]
+                nxt = tuple(_page_homology(summands, entries, pieces))
+                here = tuple((k, summands[i].name, summands[j].name, a)
+                             for (i, j, a) in entries)
+                found.extend(here + rest for rest in rec(nxt, k + 1))
             else:
-                nxt = summands
-                recorded = chosen
-            rec(nxt, k + 1, recorded)
+                found.extend(rec(summands, k + 1))
+        return found
 
-    rec(start, 2, [])
+    results = [
+        (_canonical_key(grade_of, pat), pat)
+        for pat in map(Pattern, rec(tuple(e2.towers), 2))
+    ]
     seen: dict[tuple, Pattern] = {}
     for key, pat in sorted(results, key=lambda kp: kp[0]):
         if key not in seen:
@@ -236,9 +307,12 @@ def enumerate_patterns(e2: PageSpec, target: TargetSpec, max_candidates: int = 1
     return list(seen.values())
 
 
-def _canonical_key(e2: PageSpec, pat: Pattern) -> tuple:
-    """Pattern fingerprint invariant under equal-grade tower permutations."""
-    grade_of = {t.name: (t.h, t.q) for t in e2.towers}
+def _canonical_key(grade_of: dict[str, tuple[int, int]], pat: Pattern) -> tuple:
+    """Pattern fingerprint invariant under equal-grade tower permutations.
+
+    grade_of maps start-page tower names to their (h, q); later-page names
+    stand for themselves.
+    """
     rows = []
     for (k, src, tgt, a) in pat.entries:
         gs = grade_of.get(src, src)
@@ -313,6 +387,11 @@ def resolve_filtration(
     names = list(target.basis)
     if len(names) != len(free):
         return FiltrationReport("no assignment", rows)
+    if len(free) > MAX_RESOLVE_SURVIVORS:
+        raise ValueError(
+            "%d free survivors to assign: resolving takes at most %d"
+            % (len(free), MAX_RESOLVE_SURVIVORS)
+        )
     valid: list[dict[str, str]] = []
     forced_sets = []
     for perm in itertools.permutations(free):

@@ -180,19 +180,28 @@ def load_target_spec(doc: dict[str, Any]) -> TargetSpec:
             anchors.append((_int(a[0], "an anchor h"), _int(a[1], "an anchor q"),
                             None if a[2] is None else _int(a[2], "an anchor order")))
         anchors = tuple(anchors)
+    basis = tuple(str(b) for b in _array(doc.get("basis", []), "'basis'"))
+    for i, b in enumerate(basis):
+        if b in basis[:i]:
+            raise ValueError("basis name %r appears twice in 'basis'" % b)
     actions = {}
     for name, entries in _object(doc.get("actions", {}), "'actions'").items():
         mat = {}
         for e in _array(entries, "action %r" % name):
             if not isinstance(e, (list, tuple)) or len(e) < 2:
                 raise ValueError("an entry of action %r must be a [row, column] pair" % name)
-            mat[(str(e[0]), str(e[1]))] = 1
+            row, col = str(e[0]), str(e[1])
+            for b in (row, col):
+                if b not in basis:
+                    raise ValueError("entry [%r, %r] of action %r names %r, which is not "
+                                     "in 'basis'" % (row, col, name, b))
+            mat[(row, col)] = 1
         actions[str(name)] = mat
     return TargetSpec(
         _int(doc.get("free_rank", 0), "'free_rank'"),
         tuple(_int(k, "a torsion order") for k in _array(doc.get("torsion", []), "'torsion'")),
         anchors,
-        tuple(str(b) for b in _array(doc.get("basis", []), "'basis'")),
+        basis,
         actions,
     )
 

@@ -296,6 +296,9 @@ TARGET = {"free_rank": 1}
     ("e2", {"towers": [{"name": "x", "h": 0}]}, "tower 'x' has no 'q'"),
     ("target", {"anchors": [[0]]}, "an anchor must be a JSON array"),
     ("target", {"actions": {"U": [1]}}, "an entry of action 'U'"),
+    ("target", {"basis": ["b", "c", "b"]}, "basis name 'b' appears twice"),
+    ("target", {"basis": ["b"], "actions": {"U": [["z", "b"]]}},
+     "entry ['z', 'b'] of action 'U' names 'z', which is not in 'basis'"),
     ("kh", {"crossings": [3]}, "a crossing must be a JSON array"),
 ])
 def test_malformed_json_exits_2(tmp_path, capsys, cmd, doc, message):
@@ -342,6 +345,86 @@ def test_infer_resolve_hopf(tmp_path, capsys):
     assert code == 0
     assert "# filtration\tok" in out
     assert "# deeper\tbd\tthan\tb" in out
+
+
+def test_infer_resolve_survivor_budget(tmp_path, capsys):
+    """Eleven free survivors would mean 11! assignments: exit 2 instead."""
+    e2 = {"towers": [{"name": "t%d" % i, "h": 0, "q": 100 * i} for i in range(11)]}
+    names = ["b%d" % i for i in range(11)]
+    target = {"free_rank": 11, "basis": names, "actions": {"U2": [["b1", "b0"]]}}
+    p1, p2 = tmp_path / "e2.json", tmp_path / "t.json"
+    p1.write_text(json.dumps(e2))
+    p2.write_text(json.dumps(target))
+    code, out, err = run(capsys, "infer", "--e2", str(p1), "--target", str(p2), "--resolve")
+    assert code == 2
+    assert "11 free survivors to assign: resolving takes at most 8" in err
+
+
+INFER_PAGES = [
+    {"towers": [{"name": "z", "h": 0, "q": -1}, {"name": "y", "h": 1, "q": 1},
+                {"name": "x", "h": 3, "q": 5}]},
+    {"towers": [{"name": "x", "h": 0, "q": 0}, {"name": "y", "h": 2, "q": 4}]},
+]
+INFER_TARGETS = [
+    {"free_rank": 1, "torsion": [1], "anchors": [[1, 1, None], [3, 5, 1]]},
+    {"free_rank": 2, "basis": ["b", "bd"],
+     "actions": {"U2": [["b", "b"], ["bd", "b"], ["bd", "bd"]]}},
+]
+INFER_JUNK = JUNK | st.sampled_from(["b", ["b", "b"], [1, 1, None], 10**6, -10**6])
+
+
+@st.composite
+def corrupted_infer_docs(draw):
+    """The text of a valid infer page and target, with one to three fields
+    dropped or replaced, and perhaps one document cut short."""
+    page = copy.deepcopy(draw(st.sampled_from(INFER_PAGES)))
+    target = copy.deepcopy(draw(st.sampled_from(INFER_TARGETS)))
+    fields = [(page, "towers")]
+    fields += [(t, key) for t in page["towers"] for key in ("name", "h", "q", "order")]
+    fields += [(target, key) for key in ("free_rank", "torsion", "anchors", "basis", "actions")]
+    lists = [page["towers"]] + [v for v in target.values() if isinstance(v, list)]
+    lists += target.get("anchors", []) + target.get("actions", {}).get("U2", [])
+    fields += [(seq, i) for seq in lists for i in range(len(seq))]
+    for _ in range(draw(st.integers(1, 3))):
+        obj, key = draw(st.sampled_from(fields))
+        if isinstance(obj, dict) and draw(st.booleans()):
+            obj.pop(key, None)
+        elif isinstance(obj, dict) or key < len(obj):
+            obj[key] = draw(INFER_JUNK)
+    texts = [json.dumps(page), json.dumps(target)]
+    cut = draw(st.sampled_from([None, 0, 1]))
+    if cut is not None:
+        texts[cut] = texts[cut][:draw(st.integers(0, len(texts[cut]) - 1))]
+    return texts, cut is not None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(corrupted_infer_docs())
+def test_infer_loader_fuzz_exits_cleanly(docs):
+    """A corrupted page or target is answered (exit 0) or rejected with exit
+    2 and a one-line error; a document cut short is always rejected."""
+    (page, target), cut = docs
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, "e2.json"), os.path.join(tmp, "t.json")]
+        for path, text in zip(paths, (page, target)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["infer", "--e2", paths[0], "--target", paths[1], "--resolve"])
+    assert code == 2 if cut else code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+def test_infer_fuzz_base_documents_pass(tmp_path, capsys):
+    for page in INFER_PAGES:
+        for target in INFER_TARGETS:
+            p1, p2 = tmp_path / "e2.json", tmp_path / "t.json"
+            p1.write_text(json.dumps(page))
+            p2.write_text(json.dumps(target))
+            code, out, err = run(capsys, "infer", "--e2", str(p1), "--target", str(p2),
+                                 "--resolve")
+            assert code == 0 and "# count\t" in out
 
 
 def test_examples_suite(capsys):

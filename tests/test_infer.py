@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from skeinseq import khovanov as kh
 from skeinseq.complexes import UHomology
 from skeinseq.infer import (
@@ -136,6 +138,23 @@ def test_inconsistent_actions_rejected():
     assert rep.status == "no assignment"
 
 
+def test_wide_page_searches_only_pages_with_candidates():
+    """A page 10**6 apart in h is not walked one page at a time."""
+    page = PageSpec((Tower("x", 0, 0), Tower("y", 10**6, 4)))
+    assert enumerate_patterns(page, TargetSpec(free_rank=2)) == [Pattern(())]
+
+
+def test_resolve_survivor_budget():
+    page = PageSpec(tuple(Tower("t%d" % i, i, 100 * i) for i in range(9)))
+    names = tuple("b%d" % i for i in range(9))
+    target = TargetSpec(9, (), None, names, {"U2": {("b1", "b0"): 1}})
+    with pytest.raises(ValueError, match="9 free survivors"):
+        resolve_filtration(page, Pattern(()), target)
+    page = PageSpec(page.towers[:8])
+    target = TargetSpec(8, (), None, names[:8], {"U2": {("b1", "b0"): 1}})
+    assert resolve_filtration(page, Pattern(()), target).status == "underdetermined"
+
+
 def test_anchor_matching():
     target = TargetSpec(free_rank=1, torsion=(1,),
                         anchors=((1, 1, None), (3, 5, 1)))
@@ -196,3 +215,122 @@ def test_page_homology_matches_complex_homology():
             hom = UHomology(cx)
             assert sorted((s.grades, s.order) for s in hom.decomposition.summands) == \
                 sorted((( (t.h, t.q)), t.order) for t in out)
+
+
+# -- piecewise page homology and the memoised search against plain references --
+
+
+def _whole_page_homology(summands, entries):
+    """The page homology as one module calculation over every tower."""
+    from skeinseq.infer import _piece_homology
+
+    grades = [(t.h, t.q, t.order) for t in summands]
+    return [Tower("p%d@%d,%d" % (i, h, q), h, q, order)
+            for i, (h, q, order) in enumerate(_piece_homology(grades, entries))]
+
+
+def test_piecewise_page_homology_matches_whole_page():
+    """Random pages of free and torsion towers, random admissible entries:
+    the piecewise result equals the whole-page one, names included, also
+    when a shared piece cache answers a grade-shifted copy of the page."""
+    from skeinseq.infer import _candidates, _page_homology, _well_defined_and_square_zero
+
+    rng = random.Random(2718)
+    pieces: dict = {}
+    checked = passed_through = split = 0
+    for _ in range(1500):
+        towers = [Tower("t%d" % i, rng.randrange(6), 2 * rng.randrange(8) + 1,
+                        rng.choice((None, None, 1, 2, 3)))
+                  for i in range(rng.randrange(2, 11))]
+        k = rng.choice((1, 3, 5))
+        cands = _candidates(towers, k)
+        picked = [c for c in cands if rng.random() < 0.5]
+        if not picked or not _well_defined_and_square_zero(towers, picked):
+            continue
+        want = _whole_page_homology(towers, picked)
+        assert _page_homology(towers, picked) == want
+        assert _page_homology(towers, picked, pieces) == want
+        dh, dq = rng.randrange(-3, 4), 2 * rng.randrange(-3, 4)
+        shifted = [Tower(t.name, t.h + dh, t.q + dq, t.order) for t in towers]
+        assert _page_homology(shifted, picked, pieces) == [
+            Tower("p%d@%d,%d" % (i, t.h + dh, t.q + dq), t.h + dh, t.q + dq, t.order)
+            for i, t in enumerate(want)
+        ]
+        checked += 1
+        piece = {i: {i} for i in range(len(towers))}
+        for (i, j, _) in picked:
+            joined = piece[i] | piece[j]
+            for x in joined:
+                piece[x] = joined
+        touched = {frozenset(piece[i]) for (i, _, _) in picked}
+        passed_through += len(touched) < len(set(map(frozenset, piece.values())))
+        split += len(touched) > 1
+    assert checked > 200 and passed_through > 100 and split > 50
+
+
+def _reference_patterns(e2, target):
+    """Plain search: every page at every k, whole-page homology, no caches."""
+    from skeinseq.infer import (
+        _candidates,
+        _canonical_key,
+        _matches_target,
+        _well_defined_and_square_zero,
+        _window_free_rank,
+    )
+
+    start = list(e2.towers)
+    span = max(t.h for t in start) - min(t.h for t in start)
+    grade_of = {t.name: (t.h, t.q) for t in start}
+    results = []
+
+    def rec(summands, k, chosen):
+        if _window_free_rank(summands) < target.free_rank:
+            return
+        if k > max(span, 1):
+            if _matches_target(summands, target):
+                pat = Pattern(tuple(chosen))
+                results.append((_canonical_key(grade_of, pat), pat))
+            return
+        cands = _candidates(summands, k) if k % 2 else []
+        for mask in range(1 << len(cands)):
+            entries = [cands[i] for i in range(len(cands)) if (mask >> i) & 1]
+            if not _well_defined_and_square_zero(summands, entries):
+                continue
+            nxt = _whole_page_homology(summands, entries) if entries else summands
+            rec(nxt, k + 1, chosen + [(k, summands[i].name, summands[j].name, a)
+                                      for (i, j, a) in entries])
+
+    rec(start, 2, [])
+    seen = {}
+    for key, pat in sorted(results, key=lambda kp: kp[0]):
+        seen.setdefault(key, pat)
+    return list(seen.values())
+
+
+def _planted_page(rng, n):
+    """n free towers with one to three planted d_3/d_5 pairs, and the limit
+    the planted pairs alone would give."""
+    grades, torsion = [], []
+    pairs = rng.randrange(1, 4)
+    for _ in range(pairs):
+        k, a = rng.choice((3, 3, 5)), rng.choice((0, 1, 1, 2))
+        h, q = rng.randrange(3), 2 * rng.randrange(4) + 1
+        grades += [(h, q), (h + k, q + 2 * k - 2 + 2 * a)]
+        if a:
+            torsion.append(a)
+    while len(grades) < n:
+        grades.append((rng.randrange(6), 2 * rng.randrange(8) + 1))
+    rng.shuffle(grades)
+    page = PageSpec(tuple(Tower("t%d" % i, h, q) for i, (h, q) in enumerate(grades)))
+    return page, TargetSpec(n - 2 * pairs, tuple(sorted(torsion)))
+
+
+def test_memoised_search_matches_plain_reference():
+    rng = random.Random(8)
+    found = 0
+    for n in (8, 9, 10, 11, 12) * 2:
+        page, target = _planted_page(rng, n)
+        want = _reference_patterns(page, target)
+        assert enumerate_patterns(page, target) == want
+        found += len(want)
+    assert found > 20
