@@ -296,10 +296,10 @@ TARGET = {"free_rank": 1}
     ("e2", {"towers": [{"name": "x", "h": 0}]}, "tower 'x' has no 'q'"),
     ("target", {"anchors": [[0]]}, "an anchor must be a JSON array"),
     ("target", {"actions": {"U": [1]}}, "an entry of action 'U'"),
+    ("kh", {"crossings": [3]}, "a crossing must be a JSON array"),
     ("target", {"basis": ["b", "c", "b"]}, "basis name 'b' appears twice"),
     ("target", {"basis": ["b"], "actions": {"U": [["z", "b"]]}},
      "entry ['z', 'b'] of action 'U' names 'z', which is not in 'basis'"),
-    ("kh", {"crossings": [3]}, "a crossing must be a JSON array"),
 ])
 def test_malformed_json_exits_2(tmp_path, capsys, cmd, doc, message):
     bad, e2, target = tmp_path / "bad.json", tmp_path / "e2.json", tmp_path / "t.json"
