@@ -35,9 +35,11 @@ CONV_KH = "kh"
 
 # Input size limits; both are checked before any expensive work.  The largest
 # cube khovanov.ckh builds: a 13-crossing cube (cyclic_knot(13), 16383 minus
-# generators) takes about 1 s to build and 25 s to decompose (UHomology), in
-# under 0.5 GB (2-vCPU VM, Python 3.11); each further crossing doubles the
-# vertices, and a 30-crossing diagram would enumerate 2^30 states.
+# generators) takes about 1 s to build, 0.6 s to cancel down to its 431 free
+# summands (cancel_units) and 0.3 s to check mod u; `kh --flavor minus` runs
+# in about 2.2 s end to end, in under 100 MB (2-vCPU VM, Python 3.11).  Each
+# further crossing doubles the vertices, and a 30-crossing diagram would
+# enumerate 2^30 states.
 MAX_CUBE_VERTICES = 1 << 13
 # The most slots an Expansion holds.  The spectral window of the minus cube of
 # cyclic_knot(9) has 17142 slots, of cyclic_knot(11) 70647 and of
@@ -398,17 +400,15 @@ def collapse_all(cx: ChainComplex, name: str = "u") -> ChainComplex:
 
 
 def kill_vars(cx: ChainComplex) -> ChainComplex:
-    """Quotient by every variable: keep only constant monomial terms."""
-    target = VarSet((), ())
-    zero_mono = ()
-    diff: dict[tuple[str, str], Poly] = {}
-    for key, p in cx.diff.items():
-        keep = frozenset(
-            zero_mono for m in p.terms if all(e == 0 for e in m)
-        )
-        if keep:
-            diff[key] = Poly(target, keep)
-    return ChainComplex(target, cx.gens, diff, cx.convention, {})
+    """Quotient by every variable: keep only constant monomial terms.
+
+    A constant term has the grading of its entry, so the quotient of a
+    homogeneous complex is homogeneous and is not checked again.
+    """
+    one = Poly.one(VarSet((), ()))
+    zero = (0,) * cx.vars.n
+    diff = {key: one for key, p in cx.diff.items() if zero in p.terms}
+    return ChainComplex(one.vars, cx.gens, diff, cx.convention, check=False)
 
 
 def phi_action(cx: ChainComplex, pair: str, side: str = "z") -> ChainMap:
@@ -529,6 +529,117 @@ class UHomology:
             for pos2, e in self.class_coords(img).items():
                 out[(pos, pos2)] = e
         return out
+
+
+def cancel_units(cx: ChainComplex) -> ChainComplex:
+    """A homotopy-equivalent one-variable complex with no u^0 entry left.
+
+    Gaussian elimination (Bar-Natan, "Fast Khovanov homology computations",
+    JKTR 2007): a unit entry x -> y is cancelled by deleting x and y and
+    adding the zig-zag d(s,y) d(x,t) to d(s,t) for every other source s of y
+    and target t of x.  Each step is a graded homotopy equivalence over
+    F2[u], so the decomposition of the homology is unchanged.  Sources are
+    walked once in generator order, each cancelling its unit target with the
+    fewest incoming entries (the least fill-in).  One pass is enough: a
+    zig-zag gives s a unit entry only if d(s,y) is one, so a source with no
+    unit at its turn never gains one.  The survivors keep their original order.
+    """
+    if cx.vars.n != 1:
+        raise ValueError("cancelling units needs a one-variable complex")
+    order, by_src = cx.order, cx.columns()
+    exps: dict[frozenset, int] = {}  # an entry's terms -> its exponent
+    cols: dict[int, MonoVec] = {}  # the live generators' columns, in order
+    rows: list[set[int]] = [set() for _ in cx.gens]  # target -> its sources
+    for i, g in enumerate(cx.gens):
+        col = cols[i] = {}
+        for t, p in by_src[g.gid].items():
+            e = exps.get(p.terms)
+            if e is None:
+                if len(p.terms) != 1:
+                    raise ValueError("inhomogeneous entry %s -> %s" % (g.gid, t))
+                e = exps[p.terms] = next(iter(p.terms))[0]
+            j = order[t]
+            col[j] = e
+            rows[j].add(i)
+    for x in range(cx.n):
+        xcol = cols.get(x)
+        if xcol is None:
+            continue
+        y, fewest = -1, cx.n
+        for t, e in xcol.items():
+            if not e and len(rows[t]) < fewest:
+                y, fewest = t, len(rows[t])
+        if y < 0:
+            continue
+        del cols[x], xcol[y]
+        for t in xcol:
+            rows[t].discard(x)
+        for s in rows[x]:
+            del cols[s][x]
+        for t in cols.pop(y):
+            rows[t].discard(y)
+        srcs = rows[y]
+        srcs.discard(x)
+        for s in srcs:
+            scol = cols[s]
+            base = scol.pop(y)
+            for t, e in xcol.items():
+                ee = base + e
+                old = scol.pop(t, None)
+                if old is None:
+                    scol[t] = ee
+                    rows[t].add(s)
+                elif old != ee:
+                    raise ArithmeticError(
+                        "inhomogeneous collision at %s -> %s: u^%d vs u^%d"
+                        % (cx.gens[s].gid, cx.gens[t].gid, old, ee)
+                    )
+                else:
+                    rows[t].discard(s)
+    gids = [g.gid for g in cx.gens]
+    name = cx.vars.names[0]
+    polys: dict[int, Poly] = {}  # one shared entry per exponent
+    diff: dict[tuple[str, str], Poly] = {}
+    for i, col in cols.items():
+        for t, e in col.items():
+            p = polys.get(e)
+            if p is None:
+                p = polys[e] = Poly.var(cx.vars, name, e)
+            diff[(gids[i], gids[t])] = p
+    return ChainComplex(cx.vars, [cx.gens[i] for i in cols], diff, cx.convention,
+                        cx.pairs, check=False)
+
+
+def check_mod_u(cx: ChainComplex, summands: Sequence[Summand]) -> None:
+    """Compare a decomposition of H(cx) with the F2 homology of cx/u.
+
+    By the universal coefficient theorem a free summand at grade g gives one
+    dimension of H(cx/u) at g, and a u^k torsion summand one at g and one at
+    the grade of the chain it bounds: g lowered by k u-steps and moved back
+    one differential step.  The dimensions of H(cx/u) come from kill_vars
+    and homology_f2 alone, so the check shares no work with the
+    decomposition.
+    """
+    step = cx.ustep()  # raises unless cx has one variable
+    back = (1, 0) if cx.convention == CONV_KH else (-1,)  # a differential step
+    dims: dict[Grade, int] = {}
+    for grade, dim in homology_f2(kill_vars(cx)).items():
+        key = grade[:len(step)]  # floer: forget the mod-2 alexander grade
+        dims[key] = dims.get(key, 0) + dim
+    predicted: dict[Grade, int] = {}
+    for s in summands:
+        keys = [s.grades]
+        if not s.free:
+            keys.append(tuple(x - s.order * u - b
+                              for x, u, b in zip(s.grades, step, back)))
+        for key in keys:
+            predicted[key] = predicted.get(key, 0) + 1
+    for key in sorted(set(dims) | set(predicted)):
+        if dims.get(key, 0) != predicted.get(key, 0):
+            raise ArithmeticError(
+                "mod-u dimension mismatch at %r: %d vs %d predicted"
+                % (key, dims.get(key, 0), predicted.get(key, 0))
+            )
 
 
 def homology(cx: ChainComplex, ring: str):

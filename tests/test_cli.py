@@ -16,7 +16,7 @@ import skeinseq.spectral
 from skeinseq import khovanov as kh
 from skeinseq import serde
 from skeinseq.cli import main
-from skeinseq.complexes import MAX_EXPANSION_SLOTS
+from skeinseq.complexes import MAX_EXPANSION_SLOTS, ChainComplex
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 
@@ -34,6 +34,33 @@ def test_kh_minus_table(capsys):
     assert code == 0
     assert "# free_rank\t3" in out
     assert "# rank_over_U\t6" in out
+
+
+def test_kh_minus_table_is_the_unreduced_one(capsys, monkeypatch):
+    """Cancelling units first changes no byte of the minus table."""
+    diagrams = [kh.parse_pd(TREFOIL), kh.add_kink(kh.parse_pd(TREFOIL), 2),
+                kh.cyclic_knot(5), kh.connect_sum(kh.parse_pd(TREFOIL), kh.parse_pd(TREFOIL)),
+                kh.unlink(3)]
+    for d in diagrams:
+        pd = "PD[%s]" % ",".join(["X(%d,%d,%d,%d)" % c for c in d.crossings]
+                                 + ["U"] * d.free_loops)
+        outs = []
+        for cancel in (skeinseq.cli.cancel_units, lambda cx: cx):
+            monkeypatch.setattr(skeinseq.cli, "cancel_units", cancel)
+            for fmt in ("tsv", "json"):
+                code, out, err = run(capsys, "kh", "--pd", pd, "--out", fmt)
+                assert code == 0
+                outs.append(out)
+        assert outs[:2] == outs[2:]
+
+
+def test_kh_minus_checks_the_unreduced_cube_mod_u(capsys, monkeypatch):
+    # a cancellation that lost the whole complex fails the mod-u check of the cube
+    monkeypatch.setattr(skeinseq.cli, "cancel_units",
+                        lambda cx: ChainComplex(cx.vars, [], {}, cx.convention))
+    code, out, err = run(capsys, "kh", "--pd", TREFOIL, "--flavor", "minus")
+    assert code == 3 and out == ""
+    assert err.startswith("internal invariant failure: mod-u dimension mismatch")
 
 
 def test_kh_reduced_requires_basepoint(capsys):
@@ -425,6 +452,135 @@ def test_infer_fuzz_base_documents_pass(tmp_path, capsys):
             code, out, err = run(capsys, "infer", "--e2", str(p1), "--target", str(p2),
                                  "--resolve")
             assert code == 0 and "# count\t" in out
+
+
+KH_BASES = [
+    TREFOIL,
+    "PD[X(1,3,2,4),X(3,1,4,2)]",
+    "PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]",
+    "PD[X(1,2,2,1)]",
+    "PD[X(1,2,2,3),X(3,4,4,1),U]",
+    "U",
+]
+KH_STRAY = ["U", "", ",", "]", "PD[", "X(1,2,3)", "X(1,2,3,4,5)", "Y(1,2,3,4)",
+            "X(a,b,c,d)", "X(-1,2,2,-1)", "X( 5 , 6 , 6 , 5 )", "X(1,2,2,1)"]
+KH_LABELS = st.sampled_from([0, -1, -2, 7, 99, 10**9]) | st.integers(1, 8)
+
+
+def _kh_crossings(draw):
+    """The crossings of a base diagram of at most 4 crossings, with up to
+    three crossings dropped or repeated over another, labels swapped (which
+    keeps every arc twice but may make the diagram nonplanar), or an arc
+    relabelled."""
+    crossings = [list(c) for c in kh.parse_pd(draw(st.sampled_from(KH_BASES))).crossings]
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("drop", "repeat", "swap", "swap", "arc", "label")))
+        if not crossings:
+            break
+        i = draw(st.integers(0, len(crossings) - 1))
+        if op == "swap":
+            j, a, b = draw(st.integers(0, len(crossings) - 1)), *draw(
+                st.tuples(st.integers(0, 3), st.integers(0, 3)))
+            crossings[i][a], crossings[j][b] = crossings[j][b], crossings[i][a]
+        elif op == "drop":
+            crossings.pop(i)
+        elif op == "repeat":
+            crossings[i] = list(draw(st.sampled_from(crossings)))
+        elif op == "arc":  # an arc label that another slot already uses
+            crossings[i][draw(st.integers(0, 3))] = draw(
+                st.sampled_from([a for c in crossings for a in c]))
+        else:
+            crossings[i][draw(st.integers(0, 3))] = draw(KH_LABELS)
+    return crossings
+
+
+def _kh_flags(draw):
+    flags = ["--flavor", draw(st.sampled_from(kh.FLAVORS))]
+    basepoint = draw(st.none() | KH_LABELS)
+    if basepoint is not None:
+        flags += ["--basepoint", str(basepoint)]
+    return flags + draw(st.sampled_from([[], ["--mirror"], ["--swap-resolutions"]]))
+
+
+def _cut(draw, text):
+    """The text, or one time in four a proper prefix of it."""
+    if draw(st.integers(0, 3)):
+        return text, False
+    return text[:draw(st.integers(0, len(text) - 1))], True
+
+
+@st.composite
+def corrupted_pd_texts(draw):
+    """PD text of a small diagram with crossings dropped, repeated or
+    relabelled, stray tokens added, and perhaps cut short."""
+    tokens = ["X(%s)" % ",".join(map(str, c)) for c in _kh_crossings(draw)]
+    for _ in range(draw(st.integers(0, 2))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(KH_STRAY)))
+    text, cut = _cut(draw, "PD[%s]" % ",".join(tokens))
+    return ["kh", "--pd", text] + _kh_flags(draw), cut
+
+
+@st.composite
+def corrupted_diagram_docs(draw):
+    """The JSON text of a small diagram with crossings dropped, repeated or
+    relabelled, fields dropped or replaced, and perhaps cut short."""
+    doc = {"crossings": _kh_crossings(draw),
+           "free_loops": draw(st.integers(0, 2)),
+           "basepoints": {"p": draw(KH_LABELS)}}
+    fields = [(doc, key) for key in ("crossings", "free_loops", "basepoints")]
+    fields += [(doc["basepoints"], "p")] + [(doc["crossings"], i)
+                                            for i in range(len(doc["crossings"]))]
+    for _ in range(draw(st.integers(0, 2))):
+        obj, key = draw(st.sampled_from(fields))
+        if isinstance(obj, dict) and draw(st.booleans()):
+            obj.pop(key, None)
+        elif isinstance(obj, dict) or key < len(obj):
+            obj[key] = draw(JUNK)
+    text, cut = _cut(draw, json.dumps(doc))
+    return text, _kh_flags(draw), cut
+
+
+def _exits_cleanly(argv, cut):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2 if cut else code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(corrupted_pd_texts())
+def test_kh_pd_fuzz_exits_cleanly(case):
+    """Corrupted PD text is answered (exit 0) or rejected with exit 2 and a
+    one-line error, never an internal failure; text cut short is rejected."""
+    _exits_cleanly(*case)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(corrupted_diagram_docs())
+def test_kh_diagram_loader_fuzz_exits_cleanly(case):
+    """The same for a corrupted kh --in diagram document."""
+    text, flags, cut = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _exits_cleanly(["kh", "--in", path] + flags, cut)
+
+
+def test_kh_fuzz_base_diagrams_pass(tmp_path, capsys):
+    for text in KH_BASES:
+        for flavor in kh.FLAVORS:
+            code, out, err = run(capsys, "kh", "--pd", text, "--flavor", flavor,
+                                 "--basepoint", "1" if text != "U" else "-1")
+            assert code == 0 and out.startswith("h_rel\tq_rel\t")
+            d = kh.parse_pd(text)
+            path = tmp_path / "d.json"
+            path.write_text(json.dumps({"crossings": [list(c) for c in d.crossings],
+                                        "free_loops": d.free_loops}))
+            code, out2, err = run(capsys, "kh", "--in", str(path), "--flavor", flavor,
+                                  "--basepoint", "1" if text != "U" else "-1")
+            assert code == 0 and out2 == out
 
 
 def test_examples_suite(capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given
 
 from skeinseq import gf2
 from skeinseq import khovanov as kh
@@ -15,6 +16,8 @@ from skeinseq.complexes import (
     Generator,
     UHomology,
     _window_dims,
+    cancel_units,
+    check_mod_u,
     check_truncation_stability,
     collapse_all,
     collapse_pairs,
@@ -31,6 +34,7 @@ from skeinseq.complexes import (
 from skeinseq.models import build_model
 from skeinseq.poly import FULL, HALF, Poly, VarSet
 from skeinseq.spectral import FilteredComplex
+from test_properties import SUITE, knots
 from test_spectral_hard import one_map_complexes, planted_sums
 
 U1 = VarSet(("u",), (HALF,))
@@ -609,3 +613,110 @@ def test_truncation_window_depth_two_is_inside_depth_four():
         deep = _window_dims(cx, lo4)
         assert _window_dims(cx, lo2) == {k: v for k, v in deep.items() if k[axis] >= lo2}
         assert any(k[axis] < lo2 for k in deep)
+
+
+# -- cancelling the unit entries, and the mod-u check --------------------------
+
+
+def cancelled(cx):
+    """cancel_units(cx) with its contract checked: the same decomposition as
+    the unreduced complex, surviving generators in their original order,
+    homogeneous, no u^0 entry, d^2 = 0, and the mod-u check of cx passes."""
+    red = cancel_units(cx)
+    hom = UHomology(red)
+    assert hom.by_grading() == UHomology(cx).by_grading()
+    kept = {g.gid for g in red.gens}
+    assert list(red.gens) == [g for g in cx.gens if g.gid in kept]
+    assert not any((0,) in p.terms for p in red.diff.values())
+    assert red.verify_d2() == []
+    ChainComplex(red.vars, red.gens, red.diff, red.convention)  # homogeneous
+    check_mod_u(cx, hom.summands)
+    return red, hom
+
+
+def test_cancel_units_keeps_the_homology_of_minus_cubes():
+    for d in (kh.parse_pd("U"), kh.parse_pd(TREFOIL_PD), kh.parse_pd(FIG8_PD),
+              kh.add_kink(kh.parse_pd(TREFOIL_PD), 1),
+              kh.connect_sum(kh.parse_pd(FIG8_PD), kh.parse_pd(FIG8_PD)),
+              kh.cyclic_knot(5), kh.cyclic_knot(7), kh.unlink(3)):
+        cx = kh.ckh(d, "minus").complex
+        red, hom = cancelled(cx)
+        # a minus cube is free: every unit cancels and no entry is left
+        assert red.n == hom.free_rank and not red.diff
+
+
+@SUITE
+@given(knots())
+def test_cancel_units_on_generated_knots(d):
+    cancelled(kh.ckh(d, "minus").complex)
+
+
+def test_cancel_units_keeps_torsion():
+    """One-map kh complexes (the seed of test_kh_convention_slice_check),
+    random floer complexes, and tensor products of two or three of them,
+    which have more layers, fill-in and torsion."""
+    rng = random.Random(4411)
+    cases = []
+    for _ in range(60):
+        cases.append(one_map_kh(rng))
+    for _ in range(30):
+        cases.append(one_map_floer(rng))
+        cases.append(alex2_floer(rng))
+    for _ in range(30):
+        cases.append(tensor(one_map_kh(rng), one_map_kh(rng)))
+        cases.append(tensor(one_map_floer(rng), one_map_floer(rng)))
+        cases.append(tensor(alex2_floer(rng), alex2_floer(rng)))
+    for _ in range(10):
+        cases.append(tensor(tensor(one_map_kh(rng), one_map_kh(rng)), one_map_kh(rng)))
+    cases += [build_model("trefoil_cfl").complex, collapse_all(build_model("l_ori").complex)]
+    torsion = fill_in = 0
+    for cx in cases:
+        red, hom = cancelled(cx)
+        torsion += len(hom.torsion)
+        fill_in += any(key not in cx.diff for key in red.diff)
+    assert {cx.convention for cx in cases} == {CONV_KH, CONV_FLOER}
+    assert torsion > 300 and fill_in > 0
+
+
+def test_cancel_units_picks_the_target_with_fewest_sources():
+    # x -> y1 and x -> y2 are units; y1 has a second source, s (through u),
+    # so cancelling x -> y2 adds no zig-zag and keeps s -> y1
+    gens = [Generator("x", 0, 0), Generator("s", 0, -2),
+            Generator("y1", 1, 0), Generator("y2", 1, 0)]
+    one, u = Poly.one(U1), Poly.var(U1, "u")
+    cx = ChainComplex(U1, gens, {("x", "y1"): one, ("x", "y2"): one, ("s", "y1"): u},
+                      CONV_KH)
+    red, hom = cancelled(cx)
+    assert [g.gid for g in red.gens] == ["s", "y1"]
+    assert red.diff == {("s", "y1"): u}
+    assert hom.torsion == [1]
+
+
+def test_cancel_units_rejects_bad_input():
+    with pytest.raises(ValueError, match="one-variable"):
+        cancel_units(kh.ckh(kh.parse_pd(TREFOIL_PD), "hat").complex)
+    gens = [Generator("x", 0, 0), Generator("s", 0, 0),
+            Generator("y", 1, 0), Generator("t", 1, 0)]
+    one, u = Poly.one(U1), Poly.var(U1, "u")
+    with pytest.raises(ValueError, match="inhomogeneous entry x -> y"):
+        cancel_units(ChainComplex(U1, gens, {("x", "y"): one + u}, CONV_KH, check=False))
+    # the zig-zag s -> y -> x -> t is u, but s -> t is 1
+    diff = {("x", "y"): one, ("s", "y"): one, ("x", "t"): u, ("s", "t"): one}
+    with pytest.raises(ArithmeticError, match="inhomogeneous collision at s -> t"):
+        cancel_units(ChainComplex(U1, gens, diff, CONV_KH, check=False))
+
+
+def test_mod_u_check_rejects_tampered_summands():
+    rng = random.Random(4411)
+    torsion_cx = next(cx for cx in (one_map_kh(rng) for _ in range(60))
+                      if UHomology(cx).torsion)
+    for cx in (kh.ckh(kh.cyclic_knot(5), "minus").complex, torsion_cx):
+        summands = UHomology(cancel_units(cx)).summands
+        check_mod_u(cx, summands)
+        for i, s in enumerate(summands):
+            order = 1 if s.free else (None if i % 2 else s.order + 1)
+            tampered = summands[:i] + [dataclasses.replace(s, order=order)] + summands[i + 1:]
+            with pytest.raises(ArithmeticError, match="mod-u dimension mismatch"):
+                check_mod_u(cx, tampered)
+            with pytest.raises(ArithmeticError, match="mod-u dimension mismatch"):
+                check_mod_u(cx, summands[:i] + summands[i + 1:])
