@@ -96,7 +96,7 @@ def cmd_ss(args) -> int:
             "the differential does not square to zero: d^2 has %d nonzero"
             " entries, the first is %s from %s to %s" % (len(bad), p, src, tgt)
         )
-    fc = FilteredComplex(cx, levels, extra_depth=args.truncation)
+    fc = FilteredComplex(cx, levels, extra_depth=args.truncation).cancel_units()
     data = analyze(fc)
     max_r = args.max_r if args.max_r else max(data.max_jump() + 1, 2)
     page_list = pages(data, max_r)
@@ -230,7 +230,7 @@ def _khovanov_golden_rows():
         for arc in mh.component_arcs()
     ]
     note("mirror hopf component actions equal", acts[0] == acts[1], repr(acts[0]))
-    fc = FilteredComplex(cc.complex, cc.levels)
+    fc = FilteredComplex(cc.complex, cc.levels).cancel_units()
     note("mirror hopf cube converges", converge(fc, analyze(fc)).ok)
     for n in (1, 2, 3, 4):
         hom = UHomology(kh.ckh(kh.unlink(n), "minus").complex)

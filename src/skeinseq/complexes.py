@@ -39,12 +39,17 @@ CONV_KH = "kh"
 # summands (cancel_units) and 0.3 s to check mod u; `kh --flavor minus` runs
 # in about 2.2 s end to end, in under 100 MB (2-vCPU VM, Python 3.11).  Each
 # further crossing doubles the vertices, and a 30-crossing diagram would
-# enumerate 2^30 states.
+# enumerate 2^30 states.  A free loop doubles the generators of every vertex,
+# so ckh counts crossings plus free loops against it.
 MAX_CUBE_VERTICES = 1 << 13
 # The most slots an Expansion holds.  The spectral window of the minus cube of
 # cyclic_knot(9) has 17142 slots, of cyclic_knot(11) 70647 and of
 # cyclic_knot(13) 307191; cyclic_knot(9) with four kinks, 1940922.  A floer
-# document with generators at h = 0 and h = N has about 2N.
+# document with generators at h = 0 and h = N has about 2N.  `ss` holds the
+# unreduced window to it before cancelling the jump-1 units (which leaves
+# 356 slots of the cyclic_knot(9) window), so the cancellation admits and
+# refuses the same inputs, and the add-back of the cancelled pairs stays
+# bounded by it too.
 MAX_EXPANSION_SLOTS = 1 << 21
 
 
@@ -531,7 +536,8 @@ class UHomology:
         return out
 
 
-def cancel_units(cx: ChainComplex) -> ChainComplex:
+def cancel_units(cx: ChainComplex, levels: Mapping[str, int] | None = None,
+                 cancelled: list[tuple[str, str]] | None = None) -> ChainComplex:
     """A homotopy-equivalent one-variable complex with no u^0 entry left.
 
     Gaussian elimination (Bar-Natan, "Fast Khovanov homology computations",
@@ -543,6 +549,25 @@ def cancel_units(cx: ChainComplex) -> ChainComplex:
     fewest incoming entries (the least fill-in).  One pass is enough: a
     zig-zag gives s a unit entry only if d(s,y) is one, so a source with no
     unit at its turn never gains one.  The survivors keep their original order.
+
+    Given filtration levels (every entry raises the level), only the units
+    x -> y with levels[y] - levels[x] == 1 are cancelled, and the result is
+    a filtered complex with the same spectral sequence from E_2 on:
+
+    * Jump 1 makes the basis change filtered.  Every other source s of y has
+      level <= level(x), and every other target t of x has level >=
+      level(y), so C is isomorphic to C' + (x -> y) as a filtered
+      F2[u]-complex, and a zig-zag s -> t still raises the level.
+    * The isomorphism is graded, so it survives a window: the slots u^j g
+      below a slice floor form a subcomplex, and the window is the quotient
+      by it.  Pages E_r and differentials d_r for r >= 2 and E_inf by level
+      are unchanged on every grade whose differentials stay in the window;
+      the pair x -> y and its u-translates add only jump-1 pairs to E_1.
+    * One pass still suffices: the jump of s -> t is the jump of s -> y
+      plus that of x -> t minus 1, and both are at least 1, so a zig-zag
+      makes a jump-1 unit s -> t only if d(s,y) was already one.
+
+    The cancelled (x, y) pairs are appended to ``cancelled`` when it is given.
     """
     if cx.vars.n != 1:
         raise ValueError("cancelling units needs a one-variable complex")
@@ -561,16 +586,25 @@ def cancel_units(cx: ChainComplex) -> ChainComplex:
             j = order[t]
             col[j] = e
             rows[j].add(i)
+    level = None if levels is None else [levels[g.gid] for g in cx.gens]
     for x in range(cx.n):
         xcol = cols.get(x)
         if xcol is None:
             continue
         y, fewest = -1, cx.n
-        for t, e in xcol.items():
-            if not e and len(rows[t]) < fewest:
-                y, fewest = t, len(rows[t])
+        if level is None:
+            for t, e in xcol.items():
+                if not e and len(rows[t]) < fewest:
+                    y, fewest = t, len(rows[t])
+        else:
+            above = level[x] + 1
+            for t, e in xcol.items():
+                if not e and level[t] == above and len(rows[t]) < fewest:
+                    y, fewest = t, len(rows[t])
         if y < 0:
             continue
+        if cancelled is not None:
+            cancelled.append((cx.gens[x].gid, cx.gens[y].gid))
         del cols[x], xcol[y]
         for t in xcol:
             rows[t].discard(x)
@@ -687,6 +721,17 @@ def expansion_size(cx: ChainComplex, floor: int | None = None) -> int:
                for g in cx.gens)
 
 
+def check_expansion_size(cx: ChainComplex, floor: int | None) -> None:
+    """Raise ValueError if ``Expansion(cx, floor)`` would hold more than
+    ``MAX_EXPANSION_SLOTS`` slots; no slot is built."""
+    size = expansion_size(cx, floor)
+    if size > MAX_EXPANSION_SLOTS:
+        raise ValueError(
+            "the F2 expansion down to slice value %d has %d slots, above the"
+            " limit of %d" % (floor, size, MAX_EXPANSION_SLOTS)
+        )
+
+
 class Expansion:
     """The F2 basis {u^m g : slice value >= floor} of a complex over F2[u1..um].
 
@@ -711,12 +756,7 @@ class Expansion:
         vs, gens, n = cx.vars, cx.gens, cx.n
         if floor is None and vs.n:
             raise ValueError("expanding a complex over F2[u...] needs a floor")
-        size = expansion_size(cx, floor)
-        if size > MAX_EXPANSION_SLOTS:
-            raise ValueError(
-                "the F2 expansion down to slice value %d has %d slots, above the"
-                " limit of %d" % (floor, size, MAX_EXPANSION_SLOTS)
-            )
+        check_expansion_size(cx, floor)
         kh = cx.convention == CONV_KH
         self.cx, self.axis = cx, int(kh)
         scale = 2 if kh else 1  # slice drop per unit of a monomial's h drop

@@ -451,6 +451,20 @@ def ckh(
     """
     if flavor not in FLAVORS:
         raise ValueError("flavor must be one of %r" % (FLAVORS,))
+    n = len(d.crossings)
+    if 1 << n > MAX_CUBE_VERTICES:
+        raise ValueError(
+            "the cube of a %d-crossing diagram has 2^%d = %d vertices, above the"
+            " limit of %d" % (n, n, 1 << n, MAX_CUBE_VERTICES)
+        )
+    # a free loop doubles the generators of every vertex, as a crossing
+    # doubles the vertices; compare exponents, 2^free_loops may be huge
+    if n + d.free_loops > MAX_CUBE_VERTICES.bit_length() - 1:
+        raise ValueError(
+            "the cube of a %d-crossing diagram with %d free loops counts as 2^%d"
+            " vertices, above the limit of %d"
+            % (n, d.free_loops, n + d.free_loops, MAX_CUBE_VERTICES)
+        )
     arcs = d.arcs
     if flavor == "reduced" and basepoint is None:
         raise ValueError("reduced flavor requires a basepoint")
@@ -461,12 +475,6 @@ def ckh(
     elif flavor == "hat":
         basepoint = None
 
-    n = len(d.crossings)
-    if 1 << n > MAX_CUBE_VERTICES:
-        raise ValueError(
-            "the cube of a %d-crossing diagram has 2^%d = %d vertices, above the"
-            " limit of %d" % (n, n, 1 << n, MAX_CUBE_VERTICES)
-        )
     resolve_at = _resolver(d, swap)
     states = [
         resolve_at(tuple((i >> j) & 1 for j in range(n))) for i in range(1 << n)

@@ -13,15 +13,27 @@ Both `analyze` and `converge` visit the blocks source first, each block
 before the block it lands in, and use clearing (the "twist" of Chen and
 Kerber): a slot that is the lowest bit of a boundary has a column that
 reduces to zero, so it is never inserted.
+
+`FilteredComplex.cancel_units` first cancels the unit entries that raise
+the level by exactly one (Gaussian elimination, which keeps every page from
+E_2 on); the cancelled pairs come back into E_1 and d_1 as counts per grade.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import gf2
-from .complexes import CONV_KH, ChainComplex, Expansion, Grade
+from .complexes import (
+    CONV_KH,
+    ChainComplex,
+    Expansion,
+    Grade,
+    cancel_units,
+    check_expansion_size,
+)
 
 
 class PairEvent(NamedTuple):
@@ -63,6 +75,9 @@ class FilteredComplex:
             self.trusted_floor = bot - (top - bot) - 4 * step - 2 - self.extra_depth
             self._lo = self.trusted_floor - 2 * step
         self._expansion: Expansion | None = None
+        # jump-1 pairs of slots taken out by cancel_units(), per
+        # (source grade, target grade), trusted sources only
+        self.cancelled: dict[tuple[Grade, Grade], int] = {}
 
     @property
     def span(self) -> int:
@@ -70,6 +85,33 @@ class FilteredComplex:
             return 0
         vals = [self.levels[g.gid] for g in self.base.gens]
         return max(vals) - min(vals)
+
+    def cancel_units(self) -> FilteredComplex:
+        """The same filtered complex with its jump-1 unit pairs cancelled.
+
+        ``complexes.cancel_units`` with the levels keeps E_r for r >= 2 and
+        E_inf by level on the trusted grades (its docstring has the
+        argument).  The result keeps this complex's trusted floor and
+        window, which come from the span of the unreduced generators, and
+        counts the cancelled pairs' u-translates with a trusted source in
+        ``cancelled``, which `analyze` passes on to E_1 and d_1.  The
+        unreduced window is held to ``MAX_EXPANSION_SLOTS`` first, so the
+        reduction admits and refuses the same inputs as the expansion.  A
+        complex without variables, or with no jump-1 unit, is returned as
+        it is.
+        """
+        base = self.base
+        if not base.vars.n:
+            return self
+        check_expansion_size(base, self._lo)
+        pairs: list[tuple[str, str]] = []
+        core = cancel_units(base, self.levels, pairs)
+        if not pairs:
+            return self
+        out = FilteredComplex(core, self.levels, self.extra_depth)
+        out.trusted_floor, out._lo = self.trusted_floor, self._lo
+        out.cancelled = _translates(base, pairs, self.trusted_floor)
+        return out
 
     def expansion(self) -> Expansion:
         """The slots `analyze` and `converge` read, built on first use and kept.
@@ -87,6 +129,28 @@ class FilteredComplex:
         return self._expansion
 
 
+def _translates(cx: ChainComplex, pairs: list[tuple[str, str]],
+                floor: int) -> dict[tuple[Grade, Grade], int]:
+    """The slot pairs u^j x -> u^j y of the generator pairs (x, y) whose
+    source slice value is at least floor, counted per (source grade, target
+    grade); one walk down the window per distinct pair of grades."""
+    axis = int(cx.convention == CONV_KH)
+    step = cx.ustep()
+    flip = cx.vars.units[0] % 2  # alex2 weight of one power of u
+    counts = Counter((cx.grade(x), cx.grade(y)) for x, y in pairs)
+
+    def shift(grade: Grade, j: int) -> Grade:
+        head = tuple(g - j * s for g, s in zip(grade, step))
+        return head + tuple((a + j * flip) % 2 for a in grade[len(step):])
+
+    out: dict[tuple[Grade, Grade], int] = {}
+    for (src, tgt), count in counts.items():
+        for j in range((src[axis] - floor) // step[axis] + 1):
+            key = (shift(src, j), shift(tgt, j))
+            out[key] = out.get(key, 0) + count
+    return out
+
+
 @dataclass
 class SpectralData:
     slots: Expansion
@@ -94,6 +158,9 @@ class SpectralData:
     events: list[PairEvent]
     survivors: list[int]  # unpaired slots
     trusted_floor: int | None  # minimal trusted slice value (None = everything)
+    # jump-1 pairs cancelled before the expansion, per (source grade, target
+    # grade) with a trusted source (FilteredComplex.cancel_units)
+    cancelled: dict[tuple[Grade, Grade], int] = field(default_factory=dict)
 
     def _trusted(self, grade: Grade) -> bool:
         if self.trusted_floor is None:
@@ -101,7 +168,7 @@ class SpectralData:
         return grade[self.slots.axis] >= self.trusted_floor
 
     def max_jump(self) -> int:
-        return max((e.jump for e in self.events), default=0)
+        return max((e.jump for e in self.events), default=int(bool(self.cancelled)))
 
     def page_dims(self, r: int) -> dict[Grade, int]:
         grade = self.slots.grade
@@ -117,6 +184,11 @@ class SpectralData:
             if e.jump >= r:
                 bump(grade[e.x])
                 bump(grade[e.y])
+        if r == 1:
+            for pair, count in self.cancelled.items():
+                for g in pair:
+                    if self._trusted(g):
+                        dims[g] = dims.get(g, 0) + count
         return dict(sorted(dims.items()))
 
     def d_ranks(self, r: int) -> dict[tuple[Grade, Grade], int]:
@@ -126,6 +198,9 @@ class SpectralData:
             y, x = grade[e.y], grade[e.x]
             if e.jump == r and (self._trusted(y) or self._trusted(x)):
                 out[(y, x)] = out.get((y, x), 0) + 1
+        if r == 1:
+            for pair, count in self.cancelled.items():
+                out[pair] = out.get(pair, 0) + count
         return dict(sorted(out.items()))
 
     def einf_by_level(self) -> dict[tuple[Grade, int], int]:
@@ -176,6 +251,8 @@ def analyze(fc: FilteredComplex) -> SpectralData:
     (clearing).  A target x is the lowest bit of a boundary whose other bits
     are higher slots of its block; those are reduced before x, and x's
     column is the sum of theirs, so the pairing is the one without clearing.
+    The jump-1 pairs that ``fc.cancel_units()`` took out ride along in
+    ``cancelled``.
     """
     exp = fc.expansion()
     floor, level = fc.trusted_floor, _levels(fc)
@@ -208,7 +285,7 @@ def analyze(fc: FilteredComplex) -> SpectralData:
     if any(e.jump <= 0 for e in events):
         raise AssertionError("nonpositive level jump in pairing")
     survivors = [s for s in zero if s not in targets]
-    return SpectralData(exp, level, events, survivors, floor)
+    return SpectralData(exp, level, events, survivors, floor, fc.cancelled)
 
 
 def pages(data: SpectralData, max_r: int) -> list[SpectralPage]:

@@ -613,6 +613,33 @@ def test_oversized_cube_exits_2_before_resolving(capsys, monkeypatch):
     assert "limit of %d" % kh.MAX_CUBE_VERTICES in err
 
 
+@pytest.mark.parametrize("crossings, loops", [(0, 40), (0, 10 ** 12), (9, 5)])
+def test_free_loops_count_against_the_cube_limit(capsys, monkeypatch, tmp_path,
+                                                  crossings, loops):
+    def no_states(*args, **kwargs):
+        raise AssertionError("resolve called on an oversized cube")
+
+    monkeypatch.setattr(kh, "resolve", no_states)
+    monkeypatch.setattr(kh, "_resolver", no_states)
+    arcs = [list(c) for c in kh.cyclic_knot(crossings).crossings] if crossings else []
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps({"crossings": arcs, "free_loops": loops}))
+    for flavor in ("minus", "hat"):
+        code, out, err = run(capsys, "kh", "--in", str(path), "--flavor", flavor)
+        assert code == 2
+        assert out == ""
+        assert "%d free loops counts as 2^%d vertices" % (loops, crossings + loops) in err
+        assert "limit of %d" % kh.MAX_CUBE_VERTICES in err
+
+
+def test_free_loops_up_to_the_cube_limit_are_admitted(capsys, tmp_path):
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps({"crossings": [], "free_loops": 13}))
+    code, out, err = run(capsys, "kh", "--in", str(path), "--flavor", "hat")
+    assert code == 0
+    assert out.endswith("# total\t8192\n")
+
+
 @pytest.mark.parametrize("flavor", ["minus", "hat", "reduced"])
 def test_nonplanar_edge_exits_2(capsys, flavor):
     # X(1,2,1,2) resolves to one circle both ways: no merge or split

@@ -706,6 +706,65 @@ def test_cancel_units_rejects_bad_input():
         cancel_units(ChainComplex(U1, gens, diff, CONV_KH, check=False))
 
 
+def test_cancel_units_with_levels_keeps_jump_two_units():
+    one, u = Poly.one(U1), Poly.var(U1, "u")
+    gens = [Generator("x", 0, 0), Generator("y", 1, 0)]
+    cx = ChainComplex(U1, gens, {("x", "y"): one}, CONV_KH)
+    pairs = []
+    assert cancel_units(cx, {"x": 0, "y": 2}, pairs).diff == cx.diff and pairs == []
+    assert cancel_units(cx, {"x": 0, "y": 1}, pairs).n == 0 and pairs == [("x", "y")]
+    # x -> y jumps by 2 and has the fewest sources, so only the level test
+    # makes x -> z (jump 1) the one cancelled; s -> y is the zig-zag s -> z -> x -> y
+    gens = [Generator("x", 0, 0), Generator("s", 0, -2),
+            Generator("y", 1, 0), Generator("z", 1, 0)]
+    cx = ChainComplex(U1, gens, {("x", "y"): one, ("x", "z"): one, ("s", "z"): u},
+                      CONV_KH)
+    pairs = []
+    red = cancel_units(cx, {"x": 0, "s": 0, "y": 2, "z": 1}, pairs)
+    assert pairs == [("x", "z")]
+    assert [g.gid for g in red.gens] == ["s", "y"] and red.diff == {("s", "y"): u}
+    assert [g.gid for g in cancel_units(cx).gens] == ["s", "z"]
+
+
+def test_cancel_units_with_levels_on_minus_cubes():
+    """Levels 2h + a random bit: only the jump-1 units cancel, the reported
+    pairs are the deleted generators, and the result is a filtered complex
+    with the same homology, no jump-1 unit and d^2 = 0.  With levels h every
+    unit has jump 1, and the result is the one without levels."""
+    rng = random.Random(2024)
+    left = 0
+    for d in (kh.parse_pd(TREFOIL_PD), kh.parse_pd(FIG8_PD), kh.cyclic_knot(5),
+              kh.add_kink(kh.parse_pd(TREFOIL_PD), 1), kh.unlink(2),
+              kh.connect_sum(kh.parse_pd(TREFOIL_PD), kh.parse_pd(FIG8_PD))):
+        cx = kh.ckh(d, "minus").complex
+        plain = cancel_units(cx)
+        pairs = []
+        by_h = cancel_units(cx, {g.gid: g.h for g in cx.gens}, pairs)
+        assert (by_h.gens, by_h.diff) == (plain.gens, plain.diff)
+        assert len(pairs) == (cx.n - plain.n) // 2
+        for _ in range(3):
+            levels = {g.gid: 2 * g.h + rng.randrange(2) for g in cx.gens}
+            pairs = []
+            red = cancel_units(cx, levels, pairs)
+            kept = {g.gid for g in red.gens}
+            assert list(red.gens) == [g for g in cx.gens if g.gid in kept]
+            deleted = sorted(g.gid for g in cx.gens if g.gid not in kept)
+            assert sorted(gid for pair in pairs for gid in pair) == deleted
+            for x, y in pairs:
+                assert levels[y] - levels[x] == 1
+                assert cx.grade(y) == (cx.grade(x)[0] + 1, cx.grade(x)[1])
+            for (src, tgt), p in red.diff.items():
+                assert levels[tgt] > levels[src]
+                if (0,) in p.terms:
+                    assert levels[tgt] - levels[src] > 1
+                    left += 1
+            assert red.verify_d2() == []
+            FilteredComplex(red, levels)  # checks the filtration again
+            ChainComplex(red.vars, red.gens, red.diff, red.convention)  # homogeneous
+            assert UHomology(red).by_grading() == UHomology(cx).by_grading()
+    assert left > 0
+
+
 def test_mod_u_check_rejects_tampered_summands():
     rng = random.Random(4411)
     torsion_cx = next(cx for cx in (one_map_kh(rng) for _ in range(60))

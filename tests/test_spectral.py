@@ -1,13 +1,22 @@
 import dataclasses
+import json
 import random
 from bisect import bisect_left
 
 import pytest
 
-from skeinseq import gf2
+from skeinseq import cli, gf2, serde
 from skeinseq import khovanov as kh
 from skeinseq import spectral
-from skeinseq.complexes import CONV_FLOER, CONV_KH, ChainComplex, Generator, UHomology, homology_f2
+from skeinseq.complexes import (
+    CONV_FLOER,
+    CONV_KH,
+    ChainComplex,
+    Generator,
+    UHomology,
+    homology_f2,
+    tensor,
+)
 from skeinseq.poly import HALF, Poly, VarSet
 from skeinseq.spectral import (
     FilteredComplex,
@@ -526,3 +535,131 @@ def test_clearing_matches_references_without_clearing():
     assert kinds == {(CONV_FLOER, False, False), (CONV_FLOER, False, True),
                      (CONV_FLOER, True, False), (CONV_KH, False, False),
                      (CONV_KH, True, False)}
+
+
+# -- cancelling the jump-1 unit pairs before the pairing -------------------------
+
+
+def random_bit_levels(cx, rng):
+    """Levels 2h + a random bit: cube entries jump by 1, 2 or 3, so only some
+    of the units cancel and the pages run past E_2."""
+    return {g.gid: 2 * g.h + rng.randrange(2) for g in cx.gens}
+
+
+def alex2_unit_sums(rng):
+    """Floer sums of u^0..u^2 pieces a -> b with a mod-2 Alexander grading
+    and level jumps 1 or 2, and tensor products of two of them (levels
+    add): jump-1 units whose u-translates flip alex2."""
+
+    def pieces(tag):
+        gens, diff, levels = [], {}, {}
+        for k in range(rng.randrange(1, 4)):
+            power, bit = rng.randrange(3), rng.randrange(2)
+            a = Generator("%s%d_a" % (tag, k), power + rng.randrange(2), None, bit)
+            b = Generator("%s%d_b" % (tag, k), a.h - 1 + power, None, (bit + power) % 2)
+            gens += [a, b]
+            diff[(a.gid, b.gid)] = Poly.var(U1, "u", power)
+            levels[a.gid] = rng.randrange(3)
+            levels[b.gid] = levels[a.gid] + rng.choice((1, 1, 2))
+        return ChainComplex(U1, gens, diff, CONV_FLOER), levels
+
+    for _ in range(10):
+        yield FilteredComplex(*pieces("p"))
+        (c1, l1), (c2, l2) = pieces("p"), pieces("q")
+        cx = tensor(c1, c2)
+        levels = {a + "*" + b: l1[a] + l2[b] for a in l1 for b in l2}
+        yield FilteredComplex(cx, levels, rng.choice((0, 2)))
+
+
+def cancel_cases():
+    """Unreduced filtered complexes: the corpus minus cubes (cyclic 5 and 7
+    among them) and cyclic_knot(3); the hard families and the planted sums,
+    where nothing cancels; floer sums with units and an alex2 grading;
+    corpus minus cubes with levels 2h + random bit at extra depth 0 and 2."""
+    cubes = [kh.ckh(d, "minus").complex
+             for d in list(corpus().values()) + [kh.cyclic_knot(3)]]
+    for cx in cubes:
+        yield FilteredComplex(cx, {g.gid: g.h for g in cx.gens})
+    for _, fc in one_map_complexes():
+        yield fc
+    for fc, _ in planted_sums():
+        yield fc
+    yield from alex2_planted_sums()
+    rng = random.Random(2024)
+    yield from alex2_unit_sums(rng)
+    for cx in cubes:
+        levels = random_bit_levels(cx, rng)
+        for depth in (0, 2):
+            yield FilteredComplex(cx, levels, depth)
+
+
+def test_cancelled_units_keep_pages_and_einf():
+    """The reduced path gives the unreduced analyze's pages, E_inf and a
+    passing converge, from the same window."""
+    kinds = set()
+    for fc in cancel_cases():
+        red = fc.cancel_units()
+        data, ref = analyze(red), analyze(fc)
+        assert (red.trusted_floor, red._lo) == (fc.trusted_floor, fc._lo)
+        assert data.max_jump() == ref.max_jump()
+        max_r = max(ref.max_jump() + 1, 2)
+        assert pages(data, max_r) == pages(ref, max_r)
+        assert data.einf_by_level() == ref.einf_by_level()
+        assert converge(red, data).ok
+        left = any((0,) in p.terms for p in red.base.diff.values())
+        alex2 = any(g.alex2 is not None for g in fc.base.gens)
+        kinds.add((fc.base.convention, alex2, red is fc, left, ref.max_jump() > 1,
+                   fc.extra_depth > 0))
+    assert kinds >= {
+        (CONV_FLOER, True, True, False, True, False),  # planted sums: no unit
+        (CONV_FLOER, True, False, True, True, False),  # units flipping alex2
+        (CONV_FLOER, True, False, False, False, True),
+        (CONV_KH, False, False, False, False, False),  # levels h: every unit cancels
+        (CONV_KH, False, False, True, True, False),  # levels 2h + bit: some cancel
+        (CONV_KH, False, False, True, True, True),
+    }
+
+
+def test_cancelled_pairs_are_counted_per_translate():
+    """A unit x -> y of jump 1 becomes one jump-1 pair per u-translate with a
+    trusted source, in E_1 and d_1 only."""
+    gens = [Generator("x", 1, 0), Generator("y", 2, 0)]
+    cx = ChainComplex(U1, gens, {("x", "y"): Poly.one(U1)}, CONV_KH)
+    fc = FilteredComplex(cx, {"x": 0, "y": 1})
+    red = fc.cancel_units()
+    assert red.base.n == 0 and red.trusted_floor == fc.trusted_floor
+    translates = {((1, -2 * j), (2, -2 * j)): 1
+                  for j in range((0 - fc.trusted_floor) // 2 + 1)}
+    assert red.cancelled == translates
+    data, ref = analyze(red), analyze(fc)
+    assert data.events == [] and data.survivors == []
+    assert data.d_ranks(1) == ref.d_ranks(1) == translates
+    assert data.page_dims(1) == ref.page_dims(1)
+    assert data.page_dims(2) == ref.page_dims(2) == {}
+    assert data.max_jump() == 1
+
+
+def test_ss_output_is_the_unreduced_one(capsys, monkeypatch, tmp_path):
+    """cmd_ss prints the same bytes with and without the cancellation."""
+    rng = random.Random(7)
+    docs = []
+    for i, fc in enumerate(cancel_cases()):
+        if fc.base.n > 300 or fc.base.convention == CONV_FLOER and rng.random() < 0.8:
+            continue  # the small cubes and a sample of the floer families
+        path = tmp_path / ("doc%d.json" % i)
+        path.write_text(json.dumps(serde.dump_complex(fc.base, fc.levels)))
+        docs.append((str(path), ["--truncation", str(fc.extra_depth)]))
+    modes = ([], ["--truncation", "2"], ["--max-r", "4"], ["--out", "json"])
+    outs = {}
+    for reduce in (True, False):
+        if not reduce:
+            monkeypatch.setattr(FilteredComplex, "cancel_units", lambda self: self)
+        for path, depth in docs:
+            for mode in modes:
+                code = cli.main(["ss", "--in", path] + depth + mode)
+                outs.setdefault((path, tuple(depth + mode)), []).append(
+                    (code, capsys.readouterr()))
+    assert len(outs) == 4 * len(docs) and len(docs) > 30
+    for key, (a, b) in outs.items():
+        assert a == b, key
+        assert a[0] == 0, key
