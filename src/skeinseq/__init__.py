@@ -12,7 +12,6 @@ from .complexes import (
     collapse_pairs,
     homology,
     homology_f2,
-    induced_on_homology,
     kill_vars,
     phi_action,
     slice_dims,

@@ -8,7 +8,7 @@ import sys
 
 from . import khovanov as kh
 from . import models, serde
-from .complexes import UHomology, cancel_units, check_mod_u, homology_f2
+from .complexes import UHomology, cancel_units, check_mod_u, homology, homology_f2
 from .infer import enumerate_patterns, resolve_filtration
 from .spectral import FilteredComplex, analyze, check_constraints, converge, pages
 
@@ -204,7 +204,7 @@ def _khovanov_golden_rows():
     cc = kh.ckh(kh.parse_pd("U"), "hat")
     note("unknot hat dim 2", sum(homology_f2(cc.complex).values()) == 2)
     mt = kh.mirror(kh.parse_pd(TREFOIL_PD))
-    hom = UHomology(kh.ckh(mt, "minus").complex)
+    hom = homology(kh.ckh(mt, "minus").complex, "u")
     note("mirror trefoil minus free rank 3", hom.free_rank == 3 and not hom.torsion)
     note(
         "mirror trefoil hat dim 6",
@@ -223,7 +223,7 @@ def _khovanov_golden_rows():
     )
     mh = kh.mirror(kh.parse_pd(HOPF_PD))
     cc = kh.ckh(mh, "minus")
-    hom = UHomology(cc.complex)
+    hom = homology(cc.complex, "u")
     note("mirror hopf minus free rank 2", hom.free_rank == 2 and not hom.torsion)
     acts = [
         hom.induced_matrix(kh.basepoint_action(cc, arc))
@@ -233,7 +233,7 @@ def _khovanov_golden_rows():
     fc = FilteredComplex(cc.complex, cc.levels).cancel_units()
     note("mirror hopf cube converges", converge(fc, analyze(fc)).ok)
     for n in (1, 2, 3, 4):
-        hom = UHomology(kh.ckh(kh.unlink(n), "minus").complex)
+        hom = homology(kh.ckh(kh.unlink(n), "minus").complex, "u")
         note(
             "unlink %d minus rank 2^%d over F[U]" % (n, n),
             hom.free_rank == 2 ** (n - 1) and not hom.torsion,

@@ -19,14 +19,12 @@ from operator import add
 from typing import Mapping, Sequence
 
 from . import gf2
-from .poly import Poly, VarSet
+from .poly import Monomial, Poly, VarSet
 from .umod import (
     MonoVec,
     Summand,
-    echelonize,
+    homology_presentation,
     module_decompose,
-    reduce_columns,
-    solve_in_echelon,
     vec_add_shifted,
 )
 
@@ -189,33 +187,33 @@ class ChainComplex:
                     "inhomogeneous differential entry %s -> %s: %s" % (src, tgt, p)
                 )
 
-    def verify_d2(self) -> list[tuple[str, str, Poly]]:
-        """Nonzero entries of the squared differential (empty means pass).
+    def exponent_columns(self, entries: MatrixEntries | None = None) -> list[MonoVec]:
+        """One-variable entries (default: the differential) as columns by
+        source position, {target position: u exponent}.
 
-        Works on monomial exponent tuples: a product of two monomials adds
-        exponents, and a sum over F2 toggles the product's presence.
+        Raises ValueError naming an entry that is not a single monomial.
         """
-        terms = {
-            src: [(tgt, m) for tgt, p in col.items() for m in p.terms]
-            for src, col in self.columns().items()
-        }
-        bad: list[tuple[str, str, Poly]] = []
-        for src in (g.gid for g in self.gens):
-            acc: dict[str, set[tuple[int, ...]]] = {}
-            for mid, m1 in terms[src]:
-                for tgt, m2 in terms[mid]:
-                    prods = acc.get(tgt)
-                    if prods is None:
-                        prods = acc[tgt] = set()
-                    m = tuple(map(add, m1, m2))
-                    if m in prods:
-                        prods.remove(m)
-                    else:
-                        prods.add(m)
-            for tgt, prods in sorted(acc.items()):
-                if prods:
-                    bad.append((src, tgt, Poly(self.vars, frozenset(prods))))
-        return bad
+        if self.vars.n != 1:
+            raise ValueError("exponent columns need a one-variable complex")
+        order = self.order
+        cols: list[MonoVec] = [{} for _ in self.gens]
+        exps: dict[frozenset, int] = {}  # an entry's terms -> its exponent
+        for (src, tgt), p in (self.diff if entries is None else entries).items():
+            e = exps.get(p.terms)
+            if e is None:
+                if len(p.terms) != 1:
+                    raise ValueError("inhomogeneous entry %s -> %s: %s" % (src, tgt, p))
+                e = exps[p.terms] = next(iter(p.terms))[0]
+            cols[order[src]][order[tgt]] = e
+        return cols
+
+    def verify_d2(self) -> list[tuple[str, str, Poly]]:
+        """Nonzero entries of the squared differential (empty means pass), by
+        source in generator order, then by target."""
+        order = self.order
+        return [(src, tgt, p) for (src, tgt), p in sorted(
+            mat_compose(self.diff, self.diff).items(),
+            key=lambda kv: (order[kv[0][0]], kv[0][1]))]
 
     # -- rebuilding helpers -----------------------------------------------------
 
@@ -233,27 +231,46 @@ class ChainComplex:
 def mat_compose(
     second: MatrixEntries, first: MatrixEntries
 ) -> dict[tuple[str, str], Poly]:
-    """Matrix of (second after first); entries map src -> sum coeff * tgt."""
-    by_src: dict[str, dict[str, Poly]] = {}
-    for (src, mid), p in first.items():
-        by_src.setdefault(src, {})[mid] = p
-    by_mid: dict[str, dict[str, Poly]] = {}
-    for (mid, tgt), p in second.items():
-        by_mid.setdefault(mid, {})[tgt] = p
+    """Matrix of (second after first); entries map src -> sum coeff * tgt.
+
+    Works on monomial exponent tuples: a product of two monomials adds
+    exponents, and a sum over F2 toggles the product's presence.  Each
+    operand is grouped by source once, and once in all when both are the
+    same dict.
+    """
+    if not first or not second:
+        return {}
+    vs = next(iter(first.values())).vars
+    if next(iter(second.values())).vars != vs:
+        raise ValueError("polynomials over different variable universes")
+
+    def by_src(entries: MatrixEntries) -> dict[str, list[tuple[str, Monomial]]]:
+        out: dict[str, list[tuple[str, Monomial]]] = {}
+        for (src, tgt), p in entries.items():
+            terms = out.get(src)
+            if terms is None:
+                terms = out[src] = []
+            terms += [(tgt, m) for m in p.terms]
+        return out
+
+    firsts = by_src(first)
+    seconds = firsts if second is first else by_src(second)
     out: dict[tuple[str, str], Poly] = {}
-    for src, mids in by_src.items():
-        for mid, p1 in mids.items():
-            for tgt, p2 in by_mid.get(mid, {}).items():
-                prod = p1 * p2
-                if not prod:
-                    continue
-                key = (src, tgt)
-                cur = out.get(key)
-                acc = prod if cur is None else cur + prod
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
+    for src, mids in firsts.items():
+        acc: dict[str, set[Monomial]] = {}
+        for mid, m1 in mids:
+            for tgt, m2 in seconds.get(mid, ()):
+                prods = acc.get(tgt)
+                if prods is None:
+                    prods = acc[tgt] = set()
+                m = tuple(map(add, m1, m2))
+                if m in prods:
+                    prods.remove(m)
+                else:
+                    prods.add(m)
+        for tgt, prods in acc.items():
+            if prods:
+                out[(src, tgt)] = Poly(vs, frozenset(prods))
     return out
 
 
@@ -452,33 +469,15 @@ class UHomology:
         if cx.vars.n != 1:
             raise ValueError("u-homology needs a one-variable complex")
         self.cx = cx
-        cols: list[MonoVec] = []
-        by_src = cx.columns()
-        for g in cx.gens:
-            col: MonoVec = {}
-            for t, p in by_src[g.gid].items():
-                if not p.is_monomial():
-                    raise ValueError("inhomogeneous entry %s -> %s" % (g.gid, t))
-                col[cx.order[t]] = p.single_exponent()
-            cols.append(col)
-        pivots, kernel_logs = reduce_columns(cols)
-        self.kernel = echelonize(kernel_logs)
-        image = [dict(vec) for _, (vec, _) in sorted(pivots.items())]
-        rel_cols = [solve_in_echelon(self.kernel, v) for v in image]
         step = cx.ustep()
-        grades = [self._vec_grade(k) for k in self.kernel]
+        self.kernel, rel_cols, grades = homology_presentation(
+            cx.exponent_columns(), [], [cx.ugrade(g.gid) for g in cx.gens], step)
         self.decomposition = module_decompose(
             len(self.kernel), rel_cols, grades, step
         )
         self._positions = {
             s.index: i for i, s in enumerate(self.decomposition.summands)
         }
-
-    def _vec_grade(self, vec: MonoVec) -> tuple[int, ...]:
-        slot = min(vec)
-        e = vec[slot]
-        base = self.cx.ugrade(self.cx.gens[slot].gid)
-        return tuple(x - e * s for x, s in zip(base, self.cx.ustep()))
 
     @property
     def summands(self):
@@ -506,7 +505,7 @@ class UHomology:
 
     def class_coords(self, vec: MonoVec) -> dict[int, int]:
         """Coordinates of a cycle over the summand positions."""
-        kcoords = solve_in_echelon(self.kernel, vec)
+        kcoords = self.kernel.solve(vec)
         raw = self.decomposition.coords_of(kcoords)
         return {self._positions[idx]: e for idx, e in raw.items()}
 
@@ -516,19 +515,12 @@ class UHomology:
             raise ValueError("map is not an endomorphism of this complex")
         if not cmap.is_chain_map():
             raise ValueError("not a chain map")
-        cols: dict[str, MonoVec] = {}
-        for (s, t), p in cmap.entries.items():
-            if not p.is_monomial():
-                raise ValueError("inhomogeneous map entry")
-            cols.setdefault(s, {})[self.cx.order[t]] = p.single_exponent()
+        cols = self.cx.exponent_columns(cmap.entries)
         out: dict[tuple[int, int], int] = {}
         for pos in range(len(self.summands)):
-            rep = self.cycle_rep(pos)
             img: MonoVec = {}
-            for slot, e in rep.items():
-                gid = self.cx.gens[slot].gid
-                for tgt, ee in cols.get(gid, {}).items():
-                    vec_add_shifted(img, {tgt: ee + e}, 0)
+            for slot, e in self.cycle_rep(pos).items():
+                vec_add_shifted(img, cols[slot], e)
             if not img:
                 continue
             for pos2, e in self.class_coords(img).items():
@@ -571,20 +563,11 @@ def cancel_units(cx: ChainComplex, levels: Mapping[str, int] | None = None,
     """
     if cx.vars.n != 1:
         raise ValueError("cancelling units needs a one-variable complex")
-    order, by_src = cx.order, cx.columns()
-    exps: dict[frozenset, int] = {}  # an entry's terms -> its exponent
-    cols: dict[int, MonoVec] = {}  # the live generators' columns, in order
-    rows: list[set[int]] = [set() for _ in cx.gens]  # target -> its sources
-    for i, g in enumerate(cx.gens):
-        col = cols[i] = {}
-        for t, p in by_src[g.gid].items():
-            e = exps.get(p.terms)
-            if e is None:
-                if len(p.terms) != 1:
-                    raise ValueError("inhomogeneous entry %s -> %s" % (g.gid, t))
-                e = exps[p.terms] = next(iter(p.terms))[0]
-            j = order[t]
-            col[j] = e
+    # the live generators' columns, in order, and target -> its sources
+    cols: dict[int, MonoVec] = dict(enumerate(cx.exponent_columns()))
+    rows: list[set[int]] = [set() for _ in cx.gens]
+    for i, col in cols.items():
+        for j in col:
             rows[j].add(i)
     level = None if levels is None else [levels[g.gid] for g in cx.gens]
     for x in range(cx.n):
@@ -685,12 +668,6 @@ def homology(cx: ChainComplex, ring: str):
         check_truncation_stability(hom)
         return hom
     raise ValueError("ring must be 'f2' or 'u'")
-
-
-def induced_on_homology(cmap: ChainMap) -> dict[tuple[int, int], int]:
-    """Matrix of a chain map on u-homology summands (rejects non-chain maps)."""
-    hom = UHomology(cmap.source)
-    return hom.induced_matrix(cmap)
 
 
 # -- the F2 expansion of a complex over F2[u1..um] ------------------------------

@@ -13,7 +13,7 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .umod import MonoVec, echelonize, module_decompose, reduce_columns, solve_in_echelon
+from .umod import MonoVec, homology_presentation, module_decompose
 
 # Budgets of the two exponential loops, each checked before its loop starts:
 # enumerate_patterns tries every subset of the admissible entries of a page,
@@ -59,9 +59,6 @@ class TargetSpec:
 @dataclass(frozen=True)
 class Pattern:
     entries: tuple[tuple[int, str, str, int], ...]  # (k, src, tgt, x power)
-
-    def nonzero_pages(self) -> tuple[int, ...]:
-        return tuple(sorted({k for (k, _, _, _) in self.entries}))
 
 
 def _candidates(summands: Sequence[Tower], k: int) -> list[tuple[int, int, int]]:
@@ -123,35 +120,12 @@ def _piece_homology(
     grades: list[tuple[int, int, int | None]], entries: list[tuple[int, int, int]]
 ) -> list[tuple[int, int, int | None]]:
     """(h, q, order) of each summand of the homology of one page piece."""
-    n = len(grades)
-    dcols: list[MonoVec] = [dict() for _ in range(n)]
+    dcols: list[MonoVec] = [dict() for _ in grades]
     for (i, j, a) in entries:
         dcols[i][j] = a
-    rel_cols: list[MonoVec] = []
-    for j, (_, _, order) in enumerate(grades):
-        if order is not None:
-            rel_cols.append({j: order})
-    # kernel of d on the presented module: v with d v in the relation span,
-    # found as the first-block projection of ker[d | D]
-    both = [dict(dcols[j]) for j in range(n)] + [dict(c) for c in rel_cols]
-    _, logs = reduce_columns(both)
-    xgens: list[MonoVec] = []
-    for log in logs:
-        proj = {slot: e for slot, e in log.items() if slot < n}
-        if proj:
-            xgens.append(proj)
-    basis = echelonize(xgens)
-    denoms: list[MonoVec] = []
-    for j in range(n):
-        if dcols[j]:
-            denoms.append(dict(dcols[j]))
-    denoms.extend(dict(c) for c in rel_cols)
-    coords = [solve_in_echelon(basis, v) for v in denoms]
-    vgrades = []
-    for vec in basis:
-        slot = min(vec)
-        h, q, _ = grades[slot]
-        vgrades.append((h, q - 2 * vec[slot]))
+    rel_cols = [{j: order} for j, (_, _, order) in enumerate(grades) if order is not None]
+    basis, coords, vgrades = homology_presentation(
+        dcols, rel_cols, [(h, q) for h, q, _ in grades], (0, 2))
     dec = module_decompose(len(basis), coords, vgrades, (0, 2))
     return [s.grades + (s.order,) for s in dec.summands]
 

@@ -148,15 +148,6 @@ class Poly:
 
     # -- inspection ----------------------------------------------------------
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def single_exponent(self) -> int:
-        """Exponent of the unique variable for one-variable monomials."""
-        if self.vars.n != 1 or len(self.terms) != 1:
-            raise ValueError("not a one-variable monomial")
-        return next(iter(self.terms))[0]
-
     def sorted_terms(self) -> list[Monomial]:
         return sorted(self.terms)
 

@@ -79,13 +79,6 @@ class FilteredComplex:
         # (source grade, target grade), trusted sources only
         self.cancelled: dict[tuple[Grade, Grade], int] = {}
 
-    @property
-    def span(self) -> int:
-        if not self.base.gens:
-            return 0
-        vals = [self.levels[g.gid] for g in self.base.gens]
-        return max(vals) - min(vals)
-
     def cancel_units(self) -> FilteredComplex:
         """The same filtered complex with its jump-1 unit pairs cancelled.
 

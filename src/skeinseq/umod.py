@@ -92,6 +92,10 @@ class EchelonBasis:
     def __iter__(self):
         return iter(self.vecs)
 
+    def solve(self, target: MonoVec) -> MonoVec:
+        """Coordinates of target in this basis (raises if unsolvable)."""
+        return solve_in_echelon(self, target)
+
 
 def echelonize(cols: list[MonoVec]) -> EchelonBasis:
     """Reduce a list of homogeneous vectors to echelon form (distinct leads)."""
@@ -121,6 +125,32 @@ def solve_in_echelon(basis: EchelonBasis, target: MonoVec) -> MonoVec:
             raise ArithmeticError("echelon solve revisited column %d" % i)
         coords[i] = shift
     return coords
+
+
+def homology_presentation(
+    cols: list[MonoVec],
+    relations: list[MonoVec],
+    grades: list[tuple[int, ...]],
+    step: tuple[int, ...],
+) -> tuple[EchelonBasis, list[MonoVec], list[tuple[int, ...]]]:
+    """Homology of d on coker(relations), presented over its cycles.
+
+    cols are the columns of d over generators of the given grades, and
+    relations are columns over the same generators that d preserves.  The
+    cycles, the v with d v in the span of the relations, are the
+    projections onto the d-columns of ker[d | relations], put in echelon
+    form.  The boundaries are the nonzero columns of d followed by the
+    relations.  Returns the cycle basis, each boundary's coordinates in it,
+    and each cycle's grade: that of its lead slot, lowered by u^e.  The
+    homology is module_decompose(len(basis), coords, grades, step).
+    """
+    n = len(cols)
+    _, logs = reduce_columns(cols + relations)
+    projections = ({slot: e for slot, e in log.items() if slot < n} for log in logs)
+    basis = echelonize([p for p in projections if p])
+    coords = [solve_in_echelon(basis, v) for v in [c for c in cols if c] + relations]
+    return basis, coords, [_shift_grade(grades[slot], basis[i][slot], step)
+                           for slot, i in basis.lead.items()]
 
 
 @dataclass(frozen=True)
@@ -170,12 +200,6 @@ class ModuleDecomposition:
                 tors = tors + [s.order]
             out[s.grades] = (free, sorted(tors))
         return dict(sorted(out.items()))
-
-    def window_dim(self, length: int) -> int:
-        """Total F2-dimension in a u-power window of the given length."""
-        return sum(
-            length if s.free else min(s.order, length) for s in self.summands
-        )
 
     def reduce_coords(self, coords: MonoVec) -> MonoVec:
         """Normal form of transformed coordinates modulo the relations."""

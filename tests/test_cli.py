@@ -583,10 +583,75 @@ def test_kh_fuzz_base_diagrams_pass(tmp_path, capsys):
             assert code == 0 and out2 == out
 
 
+# The whole `examples` table.  The mirror-hopf row prints the induced matrix,
+# which depends on the basis the F2[u] decomposition picks.
+EXAMPLES_TSV = (
+    "check\tresult\tdetail\n"
+    "k_nonori d2=0\tpass\t\n"
+    "k_nonori d2=0 collapsed\tpass\t\n"
+    "k_ori d2=0\tpass\t\n"
+    "k_ori d2=0 collapsed\tpass\t\n"
+    "l_nonori d2=0\tpass\t\n"
+    "l_nonori d2=0 collapsed\tpass\t\n"
+    "l_ori d2=0\tpass\t\n"
+    "l_ori d2=0 collapsed\tpass\t\n"
+    "trefoil_cfl d2=0\tpass\t\n"
+    "trefoil_cfl d2=0 collapsed\tpass\t\n"
+    "z11_2 d2=0\tpass\t\n"
+    "z11_2 d2=0 collapsed\tpass\t\n"
+    "k_nonori homology free rank 2\tpass\t\n"
+    "k_nonori theta=g\tpass\t\n"
+    "k_nonori top pattern\tpass\t\n"
+    "k_ori top rank 2\tpass\t\n"
+    "k_ori f=ay+bx g=ax+by theta=f\tpass\t\n"
+    "k_ori u injective on top\tpass\t\n"
+    "l_nonori top rank 4\tpass\t\n"
+    "l_nonori golden pattern\tpass\t\n"
+    "l_ori top rank 4\tpass\t\n"
+    "l_ori golden pattern\tpass\t\n"
+    "l_ori collapsed torsion-free\tpass\t\n"
+    "l_ori A23 = B23 + phi2 + phi3\tpass\t\n"
+    "l_ori A13 = A12 + A23\tpass\t\n"
+    "trefoil_cfl homology F[u] + F[u]/u\tpass\t\n"
+    "z11_2 A_kappa loop anticommutator\tpass\t\n"
+    "z11_2 A_kappa square vanishes\tpass\t\n"
+    "z11_2 A_kappa path anticommutator (collapsed) A_kappa\tpass\t\n"
+    "z11_2 A_kappa path anticommutator (collapsed) A_lambda\tpass\t\n"
+    "z11_2 A_kappa C0 rank 2\tpass\trank 2\n"
+    "z11_2 A_kappa ker A_kappa on C0 rank 1\tpass\trank 1\n"
+    "z11_2 A_kappa ker A_lambda on C0 rank 1\tpass\trank 1\n"
+    "z11_2 A_kappa ker A_kappa+A_lambda on C0 rank 1\tpass\trank 1\n"
+    "z11_2 A_kappa kernel independent of the loop\tpass\t[('A_kappa', [6]), ('A_lambda', [6]), ('A_kappa+A_lambda', [6])]\n"
+    "z11_2 A_lambda loop anticommutator\tpass\t\n"
+    "z11_2 A_lambda square vanishes\tpass\t\n"
+    "z11_2 A_lambda path anticommutator (collapsed) A_kappa\tpass\t\n"
+    "z11_2 A_lambda path anticommutator (collapsed) A_lambda\tpass\t\n"
+    "z11_2 A_lambda C0 rank 2\tpass\trank 2\n"
+    "z11_2 A_lambda ker A_kappa on C0 rank 1\tpass\trank 1\n"
+    "z11_2 A_lambda ker A_lambda on C0 rank 1\tpass\trank 1\n"
+    "z11_2 A_lambda ker A_kappa+A_lambda on C0 rank 1\tpass\trank 1\n"
+    "z11_2 A_lambda kernel independent of the loop\tpass\t[('A_kappa', [6]), ('A_lambda', [6]), ('A_kappa+A_lambda', [6])]\n"
+    "unknot hat dim 2\tpass\t\n"
+    "mirror trefoil minus free rank 3\tpass\t\n"
+    "mirror trefoil hat dim 6\tpass\t\n"
+    "mirror trefoil reduced dim 3 in one delta class\tpass\t\n"
+    "mirror hopf minus free rank 2\tpass\t\n"
+    "mirror hopf component actions equal\tpass\t{(0, 0): 1, (1, 1): 1}\n"
+    "mirror hopf cube converges\tpass\t\n"
+    "unlink 1 minus rank 2^1 over F[U]\tpass\t\n"
+    "unlink 2 minus rank 2^2 over F[U]\tpass\t\n"
+    "unlink 3 minus rank 2^3 over F[U]\tpass\t\n"
+    "unlink 4 minus rank 2^4 over F[U]\tpass\t\n"
+    "# checks\t55\n"
+    "# failures\t0\n"
+)
+
+
 def test_examples_suite(capsys):
     code, out, err = run(capsys, "examples")
     assert code == 0
     assert "# failures\t0" in out
+    assert out == EXAMPLES_TSV
 
 
 def test_diagram_json_input(tmp_path, capsys):

@@ -24,8 +24,8 @@ from skeinseq.complexes import (
     expansion_size,
     homology,
     homology_f2,
-    induced_on_homology,
     kill_vars,
+    mat_compose,
     phi_action,
     slice_dims,
     substitute,
@@ -56,6 +56,98 @@ def test_verify_d2_violation():
 def test_verify_d2_zero_diff():
     cx = ChainComplex(U1, [Generator("a", 0)], {}, CONV_FLOER)
     assert cx.verify_d2() == []
+
+
+def poly_product_compose(second, first):
+    """The reference: (second after first) by Poly multiplication and addition."""
+    by_src, by_mid = {}, {}
+    for (src, mid), p in first.items():
+        by_src.setdefault(src, {})[mid] = p
+    for (mid, tgt), p in second.items():
+        by_mid.setdefault(mid, {})[tgt] = p
+    out = {}
+    for src, mids in by_src.items():
+        for mid, p1 in mids.items():
+            for tgt, p2 in by_mid.get(mid, {}).items():
+                acc = out.get((src, tgt), Poly.zero(p1.vars)) + p1 * p2
+                if acc:
+                    out[(src, tgt)] = acc
+                else:
+                    out.pop((src, tgt), None)
+    return out
+
+
+def reference_d2(cx):
+    order = cx.order
+    return sorted(((s, t, p) for (s, t), p in poly_product_compose(cx.diff, cx.diff).items()),
+                  key=lambda row: (order[row[0]], row[1]))
+
+
+def random_entries(rng, vs, gids, density=0.35):
+    """A random sparse matrix over gids with entries of one to three terms."""
+    out = {}
+    for s in gids:
+        for t in gids:
+            if rng.random() < density:
+                terms = {tuple(rng.randrange(3) for _ in range(vs.n))
+                         for _ in range(rng.randrange(1, 4))}
+                out[(s, t)] = Poly(vs, frozenset(terms))
+    return out
+
+
+def test_mat_compose_and_verify_d2_match_poly_product_reference():
+    rng = random.Random(41)
+    cancelled = 0
+    for trial in range(300):
+        nv = rng.randrange(4)
+        vs = VarSet(tuple("xyz"[:nv]), tuple(rng.choice((HALF, FULL)) for _ in range(nv)))
+        gids = ["g%d" % i for i in range(rng.randrange(1, 7))]
+        a, b = random_entries(rng, vs, gids), random_entries(rng, vs, gids)
+        for second, first in ((a, b), (a, a), (a, {}), ({}, b)):
+            want = poly_product_compose(second, first)
+            assert mat_compose(second, first) == want
+            reached = {(s, t) for (s, m) in first for (m2, t) in second if m == m2}
+            cancelled += len(reached) - len(want)
+        gens = [Generator(g, 0) for g in rng.sample(gids, len(gids))]  # not sorted by id
+        cx = ChainComplex(vs, gens, a, CONV_FLOER, check=False)
+        assert cx.verify_d2() == reference_d2(cx)
+    assert cancelled > 100  # products that cancel to zero are exercised
+    # two paths with equal products cancel exactly
+    xy = VarSet(("x", "y"), (HALF, HALF))
+    x, y = Poly.var(xy, "x"), Poly.var(xy, "y")
+    first = {("s", "m1"): x, ("s", "m2"): y}
+    assert mat_compose({("m1", "t"): y, ("m2", "t"): x}, first) == {}
+    assert mat_compose({("m1", "t"): y, ("m2", "t"): x + y}, first) == {("s", "t"): y * y}
+    with pytest.raises(ValueError, match="different variable universes"):
+        mat_compose({("m1", "t"): Poly.one(U1)}, first)
+    # one-variable cubes: d squared, the basepoint actions and their squares
+    for d in (kh.parse_pd(TREFOIL_PD), kh.cyclic_knot(5)):
+        cc = kh.ckh(d, "minus")
+        diff = cc.complex.diff
+        assert mat_compose(diff, diff) == poly_product_compose(diff, diff) == {}
+        x = kh.basepoint_action(cc, min(d.arcs)).entries
+        for second, first in ((x, diff), (diff, x), (x, x)):
+            assert mat_compose(second, first) == poly_product_compose(second, first)
+        bad = dict(diff)
+        key = next(iter(bad))
+        bad[key] = bad[key] * Poly.var(cc.complex.vars, "u")
+        tampered = ChainComplex(cc.complex.vars, cc.complex.gens, bad, CONV_KH, check=False)
+        assert tampered.verify_d2() == reference_d2(tampered) != []
+
+
+def test_exponent_columns_reject_two_term_entries():
+    one, u = Poly.one(U1), Poly.var(U1, "u")
+    gens = [Generator("a", 0), Generator("b", -1)]
+    cx = ChainComplex(U1, gens, {("a", "b"): one + u * u}, CONV_FLOER, check=False)
+    with pytest.raises(ValueError, match="inhomogeneous entry a -> b"):
+        UHomology(cx)
+    with pytest.raises(ValueError, match="inhomogeneous entry a -> b"):
+        cancel_units(cx)
+    flat = ChainComplex(U1, [Generator("a", 0), Generator("b", 0)], {}, CONV_FLOER)
+    cmap = ChainMap(flat, flat, {("a", "b"): one + u * u}, check=False)
+    assert cmap.is_chain_map()
+    with pytest.raises(ValueError, match="inhomogeneous entry a -> b"):
+        UHomology(flat).induced_matrix(cmap)
 
 
 def test_homogeneity_rejected():
@@ -217,7 +309,7 @@ def test_induced_rejects_non_chain_map():
     cx = m.complex
     bad = ChainMap(cx, cx, {("a", "c"): Poly.one(cx.vars)}, dh=1, check=False)
     with pytest.raises(ValueError):
-        induced_on_homology(bad)
+        UHomology(bad.source).induced_matrix(bad)
 
 
 def test_kunneth_over_f2():

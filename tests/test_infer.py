@@ -94,7 +94,7 @@ def test_replay_follows_later_page_names():
                      Tower("t3", 6, 14)))
     target = TargetSpec(free_rank=2)
     pats = enumerate_patterns(page, target)
-    assert pats[0].nonzero_pages() == (3, 5)
+    assert sorted({k for (k, _, _, _) in pats[0].entries}) == [3, 5]
     assert any(src.startswith("p") for (k, src, _, _) in pats[0].entries if k == 5)
     for pat in pats:
         out = replay(page, pat)

@@ -86,7 +86,9 @@ def test_window_dims_against_bruteforce():
     for n, rels, _, _ in equal_grade_family():
         dec = module_decompose(n, rels, grades(n), STEP)
         for window in (1, 2, 5, 8):
-            assert dec.window_dim(window) == brute_window_dims(n, rels, grades(n), window)
+            window_dim = sum(window if s.free else min(s.order, window)
+                             for s in dec.summands)
+            assert window_dim == brute_window_dims(n, rels, grades(n), window)
 
 
 def test_row_column_order_invariance():
