@@ -13,10 +13,6 @@ from .infer import enumerate_patterns, resolve_filtration
 from .spectral import FilteredComplex, analyze, check_constraints, converge, pages
 
 
-class InputError(Exception):
-    pass
-
-
 def _normalize(keys):
     hs = [k[0] for k in keys]
     qs = [k[1] for k in keys if len(k) > 1]
@@ -27,13 +23,13 @@ def _normalize(keys):
 
 def _diagram_from_args(args) -> kh.LinkDiagram:
     if args.pd and args.infile:
-        raise InputError("give either --pd or --in, not both")
+        raise ValueError("give either --pd or --in, not both")
     if args.pd:
         d = kh.parse_pd(args.pd)
     elif args.infile:
         d = serde.load_diagram(serde.read_json(args.infile))
     else:
-        raise InputError("a diagram is required (--pd or --in)")
+        raise ValueError("a diagram is required (--pd or --in)")
     if args.mirror:
         d = kh.mirror(d)
     return d
@@ -42,7 +38,7 @@ def _diagram_from_args(args) -> kh.LinkDiagram:
 def cmd_kh(args) -> int:
     d = _diagram_from_args(args)
     if args.flavor == "reduced" and args.basepoint is None:
-        raise InputError("reduced flavor requires --basepoint")
+        raise ValueError("reduced flavor requires --basepoint")
     cc = kh.ckh(d, args.flavor, args.basepoint, args.swap_resolutions)
     lines: list[str] = []
     payload: dict = {"flavor": args.flavor}
@@ -88,11 +84,11 @@ def cmd_kh(args) -> int:
 def cmd_ss(args) -> int:
     cx, levels, _ = serde.load_complex(serde.read_json(args.infile))
     if levels is None:
-        raise InputError("the ss input needs filtration levels")
+        raise ValueError("the ss input needs filtration levels")
     bad = cx.verify_d2()
     if bad:
         src, tgt, p = bad[0]
-        raise InputError(
+        raise ValueError(
             "the differential does not square to zero: d^2 has %d nonzero"
             " entries, the first is %s from %s to %s" % (len(bad), p, src, tgt)
         )
@@ -292,9 +288,6 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

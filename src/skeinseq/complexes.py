@@ -90,7 +90,6 @@ class ChainComplex:
         elif len({g.alex2 is None for g in self.gens}) > 1:
             raise ValueError("alex2 is given on some generators but not all")
         self.diff = {k: p for k, p in diff.items() if p}
-        self._columns: dict[str, dict[str, Poly]] | None = None
         self.pairs = dict(pairs or {})
         for pid, names in self.pairs.items():
             for n in names:
@@ -128,20 +127,6 @@ class ChainComplex:
         if self.convention == CONV_KH:
             return (0, 2 * unit)
         return (unit,)
-
-    def columns(self) -> dict[str, dict[str, Poly]]:
-        """The differential by columns: source gid -> {target gid: entry}.
-
-        This is the one index of the differential.  It is built on first use
-        and kept, since a complex is immutable; callers share it and must
-        only read it.
-        """
-        if self._columns is None:
-            out: dict[str, dict[str, Poly]] = {g.gid: {} for g in self.gens}
-            for (src, tgt), p in self.diff.items():
-                out[src][tgt] = p
-            self._columns = out
-        return self._columns
 
     # -- validation -----------------------------------------------------------
 
@@ -745,18 +730,20 @@ class Expansion:
             monos = [(m + (e,), d + e * unit) for m, d in monos
                      for e in range((depth - d) // unit + 1)]
         monos.sort(key=lambda md: (md[1], md[0]))
-        by_src = cx.columns()
         entry_monos = set().union(*[p.terms for p in cx.diff.values()])
         self.radix = 2 + max((e for m, _ in monos for e in m), default=0) + max(
             (e for m in entry_monos for e in m), default=0)
         # a slot's key is code * n + generator, and so is a term's offset:
-        # the image of the slot with key k under the term is key k - g + offset
+        # the image of the slot with key k under the term is key k - g + offset;
+        # offs[g] lists them by target in the insertion order of cx.diff
+        pos, offs = cx.order, [[] for _ in gens]
         if vs.n:
             code = {m: self.code(m) * n for m in entry_monos}
-            offs = [[code[m] + cx.order[t] for t, p in by_src[g.gid].items()
-                     for m in p.terms] for g in gens]
+            for (src, tgt), p in cx.diff.items():
+                offs[pos[src]] += [code[m] + pos[tgt] for m in p.terms]
         else:  # every entry is the constant 1
-            offs = [[cx.order[t] for t in by_src[g.gid]] for g in gens]
+            for src, tgt in cx.diff:
+                offs[pos[src]].append(pos[tgt])
         slots = [(self.code(m), d, vs.alex2(m)) for m, d in monos]
         buckets: dict[Grade, list[int]] = {}
         for i in range(n) if order is None else order:

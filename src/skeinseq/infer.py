@@ -82,23 +82,18 @@ def _candidates(summands: Sequence[Tower], k: int) -> list[tuple[int, int, int]]
     return out
 
 
-def _well_defined_and_square_zero(
+def _square_zero(
     summands: Sequence[Tower], entries: list[tuple[int, int, int]]
 ) -> bool:
-    """d must kill relations and compose to zero modulo relations."""
-    mat: dict[tuple[int, int], int] = {}
-    for (i, j, a) in entries:
-        if (i, j) in mat:
-            return False
-        mat[(i, j)] = a
-    for (i, j), a in mat.items():
-        oi = summands[i].order
-        oj = summands[j].order
-        if oi is not None and (oj is None or oi + a < oj):
-            return False
+    """d composes to zero modulo the relations.
+
+    The entries are a subset of _candidates, which gives each (src, tgt)
+    pair one power and keeps only entries that kill the relations, so d is
+    already well defined.
+    """
     comp: dict[tuple[int, int], set[int]] = {}
-    for (i, j), a in mat.items():
-        for (j2, l), b in mat.items():
+    for (i, j, a) in entries:
+        for (j2, l, b) in entries:
             if j2 != j:
                 continue
             key = (i, l)
@@ -216,9 +211,7 @@ def _matches_target(summands: Sequence[Tower], target: TargetSpec) -> bool:
     return True
 
 
-def enumerate_patterns(
-    e2: PageSpec, target: TargetSpec, max_candidates: int = MAX_CANDIDATES
-) -> list[Pattern]:
+def enumerate_patterns(e2: PageSpec, target: TargetSpec) -> list[Pattern]:
     """All admissible differential patterns reaching the target, canonicalized.
 
     Unreachable targets give an empty list.  Patterns are identified up to
@@ -255,11 +248,11 @@ def enumerate_patterns(
                 found.append(())
             return found
         cands = _candidates(summands, k)
-        if len(cands) > max_candidates:
+        if len(cands) > MAX_CANDIDATES:
             raise ValueError("too many candidate entries on page %d" % k)
         for mask in range(1 << len(cands)):
             entries = [cands[i] for i in range(len(cands)) if (mask >> i) & 1]
-            if not _well_defined_and_square_zero(summands, entries):
+            if not _square_zero(summands, entries):
                 continue
             if entries:
                 nxt = tuple(_page_homology(summands, entries, pieces))

@@ -184,8 +184,6 @@ class TopTable:
     basis: list[frozenset[str]]  # cycle supports are multi-generator sums
     vectors: list[int]  # masks over the top generators
     top_gens: list[str]
-    phi: dict[str, list[list[int]]]  # pair -> matrix on the cycle basis
-    alex: list[int]
     canonical: dict[str, int] | None  # pattern name -> basis position
 
 
@@ -261,7 +259,8 @@ L_ORI_TOP_ACTIONS = {
 
 
 def top_homology_table(m: ModelComplex) -> TopTable:
-    """Top-grading homology basis with its derivative-action matrices.
+    """Top-grading homology basis, checked to be stable under the
+    derivative actions.
 
     The canonical labelling is found by searching alexander-homogeneous
     bases realizing the golden arrow pattern exactly; a model whose
@@ -277,22 +276,10 @@ def top_homology_table(m: ModelComplex) -> TopTable:
     space = gf2.ColumnSpace()
     for v in cycles:
         space.add(v)
-
-    def induce(pid: str, mask: int) -> int:
-        img = _apply_mask(phi_mats[pid], mask, nt)
-        if space.express(img) is None:
-            raise AssertionError("action image left the cycle space")
-        return img
-
-    matrices: dict[str, list[list[int]]] = {}
     for pid in pair_ids:
-        mat = []
         for v in cycles:
-            img = induce(pid, v)
-            combo = space.express(img)
-            row = [(combo >> i) & 1 for i in range(len(cycles))] if combo else [0] * len(cycles)
-            mat.append(row)
-        matrices[pid] = mat
+            if not space.contains(_apply_mask(phi_mats[pid], v, nt)):
+                raise AssertionError("action image left the cycle space")
 
     alex_of_gen = {g.gid: cx.gen(g.gid).alex2 for g in cx.gens}
 
@@ -300,13 +287,11 @@ def top_homology_table(m: ModelComplex) -> TopTable:
         vals = {alex_of_gen[tops[i]] for i in range(nt) if (mask >> i) & 1}
         return vals.pop() if len(vals) == 1 else None
 
-    alex = [vec_alex(v) if vec_alex(v) is not None else -1 for v in cycles]
-
     canonical = None
     pattern = GOLDEN_PATTERNS.get(m.name)
     if pattern is not None:
         canonical = _match_pattern(
-            pattern, pair_ids, cycles, phi_mats, vec_alex, space, nt
+            pattern, pair_ids, cycles, phi_mats, vec_alex, nt
         )
         if canonical is None:
             raise AssertionError("no basis realizes the golden action pattern")
@@ -314,13 +299,11 @@ def top_homology_table(m: ModelComplex) -> TopTable:
         [frozenset(tops[i] for i in range(nt) if (v >> i) & 1) for v in cycles],
         cycles,
         tops,
-        matrices,
-        alex,
         canonical,
     )
 
 
-def _match_pattern(pattern, pair_ids, cycles, phi_mats, vec_alex, space, nt):
+def _match_pattern(pattern, pair_ids, cycles, phi_mats, vec_alex, nt):
     """Search for homogeneous vectors realizing the golden arrows exactly."""
     import itertools
     names = pattern["names"]
@@ -544,11 +527,7 @@ def _l_ori_action_checks(m: ModelComplex) -> list[tuple[str, bool, str]]:
     names = sorted(table.canonical)
     vec_of = {nm: table.canonical[nm] for nm in names}
     nt = len(table.top_gens)
-    space = gf2.ColumnSpace()
-    order = []
-    for nm in ("a", "b", "c", "d"):
-        space.add(vec_of[nm])
-        order.append(nm)
+    order = ("a", "b", "c", "d")
 
     def as_matrix(golden: dict[str, tuple[str, ...]]) -> dict[str, int]:
         out = {}

@@ -308,12 +308,8 @@ class ConstraintReport:
         return not self.violations
 
 
-def check_constraints(
-    pages_list: list[SpectralPage], grading_mode: str = "khovanov"
-) -> ConstraintReport:
+def check_constraints(pages_list: list[SpectralPage]) -> ConstraintReport:
     """Check d_k bidegrees (2k-2, k), vanishing of even pages, q/2 parity."""
-    if grading_mode != "khovanov":
-        raise ValueError("only the khovanov grading mode is defined")
     violations: list[ConstraintViolation] = []
     for page in pages_list:
         k = page.r

@@ -9,6 +9,7 @@ guarantees colliding exponents agree (asserted).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
@@ -149,8 +150,10 @@ def homology_presentation(
     projections = ({slot: e for slot, e in log.items() if slot < n} for log in logs)
     basis = echelonize([p for p in projections if p])
     coords = [solve_in_echelon(basis, v) for v in [c for c in cols if c] + relations]
-    return basis, coords, [_shift_grade(grades[slot], basis[i][slot], step)
-                           for slot, i in basis.lead.items()]
+    return basis, coords, [
+        tuple(x - basis[i][slot] * s for x, s in zip(grades[slot], step))
+        for slot, i in basis.lead.items()
+    ]
 
 
 @dataclass(frozen=True)
@@ -168,18 +171,20 @@ class Summand:
 
 @dataclass
 class ModuleDecomposition:
-    """Cokernel of a homogeneous presentation over F2[u]."""
+    """Cokernel of a homogeneous presentation over F2[u].
+
+    ops logs the row operations of the elimination in order: (r2, r, s)
+    added u^s times row r to row r2, a left product with the elementary
+    E = 1 + u^s e_r2 e_r^T.  The change of basis is P = E_k ... E_1, and as
+    E is its own inverse over F2, P^-1 = E_1 ... E_k.  pivots maps each
+    pivot row to its exponent: 0 kills the generator, k > 0 leaves u^k
+    torsion.  coords_of and summand_rep replay the log on demand; the
+    summands and the tables read off them never touch it.
+    """
 
     summands: list[Summand]
-    transform: list[MonoVec] = field(repr=False, default_factory=list)
-    inverse: list[MonoVec] = field(repr=False, default_factory=list)
-    killed: set[int] = field(repr=False, default_factory=set)
-    torsion_caps: dict[int, int] = field(repr=False, default_factory=dict)
-    # transform by columns: old generator -> [(row, exponent)], rows ascending;
-    # built on the first coords_of call
-    _transform_cols: dict[int, list[tuple[int, int]]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    ops: list[tuple[int, int, int]] = field(repr=False, default_factory=list)
+    pivots: dict[int, int] = field(repr=False, default_factory=dict)
 
     @property
     def free_rank(self) -> int:
@@ -205,33 +210,30 @@ class ModuleDecomposition:
         """Normal form of transformed coordinates modulo the relations."""
         out: MonoVec = {}
         for idx, e in coords.items():
-            if idx in self.killed:
-                continue
-            cap = self.torsion_caps.get(idx)
-            if cap is not None and e >= cap:
-                continue
-            out[idx] = e
+            cap = self.pivots.get(idx)
+            if cap is None or e < cap:
+                out[idx] = e
         return out
 
     def coords_of(self, vec: MonoVec) -> MonoVec:
-        """Class of a generator-space vector in the decomposed coordinates."""
-        if self._transform_cols is None:
-            cols: dict[int, list[tuple[int, int]]] = {}
-            for row, transform_row in enumerate(self.transform):
-                for col, te in transform_row.items():
-                    cols.setdefault(col, []).append((row, te))
-            self._transform_cols = cols
-        moved: MonoVec = {}
-        for col, e in vec.items():
-            for row, te in self._transform_cols.get(col, ()):
-                vec_add_shifted(moved, {row: e + te}, 0)
-        return self.reduce_coords(dict(sorted(moved.items())))
+        """Class of a generator-space vector in the decomposed coordinates:
+        P vec, reduced modulo the relations."""
+        return self.reduce_coords(_replay(self.ops, vec))
 
     def summand_rep(self, s: Summand) -> MonoVec:
-        """A vector in the original generator space representing the summand."""
-        return {
-            j: row[s.index] for j, row in enumerate(self.inverse) if s.index in row
-        }
+        """A vector in the original generator space representing the summand:
+        column s.index of P^-1, that is E_1 ... E_k applied to e_index."""
+        return _replay(reversed(self.ops), {s.index: 0})
+
+
+def _replay(ops: Iterable[tuple[int, int, int]], vec: MonoVec) -> MonoVec:
+    """The elementary row operations ops, applied in turn to vec."""
+    out = dict(vec)
+    for r2, r, shift in ops:
+        e = out.get(r)
+        if e is not None:
+            vec_add_shifted(out, {r2: e + shift}, 0)
+    return dict(sorted(out.items()))
 
 
 def _add_tracked(
@@ -261,13 +263,13 @@ def module_decompose(
     n_gens: int,
     relations: list[MonoVec],
     grades: list[tuple[int, ...]],
-    u_grade_step: tuple[int, ...] | None = None,
+    u_grade_step: tuple[int, ...],
 ) -> ModuleDecomposition:
     """Smith-style decomposition of coker(relations) over F2[u].
 
     relations are columns {generator: exponent}; grades are per-generator
-    grading tuples.  When u_grade_step is given, homogeneity of every
-    relation column is checked against it (u lowers the grade by the step).
+    grading tuples, and u lowers a grade by u_grade_step.  Every relation
+    column is checked to be homogeneous.
 
     The pivot is always the live entry u^e at (row r, column c) with the
     least (e, r, c).  Row operations clear the rest of its column; then row
@@ -275,17 +277,19 @@ def module_decompose(
     operations would touch nothing else, and row r and column c simply leave
     the matrix.  Pivots come from a lazy min-heap of entries, and each column
     keeps the set of its rows, so a pivot costs the rows it clears, not a
-    scan of the matrix.
+    scan of the matrix.  The row operations are only logged.  Each adds
+    u^s times row r to a row r2 of the same homogeneous column, where
+    grades[r2] lowered by s steps is grades[r], so generator r keeps its
+    grade and the summand of pivot row r is anchored at grades[r].
     """
-    if u_grade_step is not None:
-        for col in relations:
-            seen = None
-            for row, e in col.items():
-                g = tuple(x - e * s for x, s in zip(grades[row], u_grade_step))
-                if seen is None:
-                    seen = g
-                elif seen != g:
-                    raise ValueError("non-homogeneous presentation column: %r" % (col,))
+    for col in relations:
+        seen = None
+        for row, e in col.items():
+            g = tuple(x - e * s for x, s in zip(grades[row], u_grade_step))
+            if seen is None:
+                seen = g
+            elif seen != g:
+                raise ValueError("non-homogeneous presentation column: %r" % (col,))
 
     # mat holds only live entries: a row and a column leave together
     mat: list[MonoVec] = [dict() for _ in range(n_gens)]
@@ -297,58 +301,28 @@ def module_decompose(
             mat_cols[j].add(row)
             heap.append((e, row, j))
     heapify(heap)
-    transform: list[MonoVec] = [{i: 0} for i in range(n_gens)]
-    inverse: list[MonoVec] = [{i: 0} for i in range(n_gens)]
-    inverse_cols: list[set[int]] = [{i} for i in range(n_gens)]
-
-    killed: set[int] = set()
-    torsion_caps: dict[int, int] = {}
+    ops: list[tuple[int, int, int]] = []
+    pivots: dict[int, int] = {}
 
     while heap:
         e, r, c = heappop(heap)
         prow = mat[r]
         if prow.get(c) != e:
             continue  # stale: the entry cancelled, or its row already died
-        # clear the pivot column with row operations (tracked in transforms)
+        # clear the pivot column with row operations (logged in ops)
         for r2 in sorted(mat_cols[c]):
             if r2 == r:
                 continue
             shift = mat[r2][c] - e
             for c2, ee in _add_tracked(mat, mat_cols, r2, prow, shift):
                 heappush(heap, (ee, r2, c2))
-            vec_add_shifted(transform[r2], transform[r], shift)
-            # column r of the inverse += u^shift * column r2
-            for j in inverse_cols[r2]:
-                _add_tracked(inverse, inverse_cols, j, {r: inverse[j][r2] + shift}, 0)
-        if e == 0:
-            killed.add(r)
-        else:
-            torsion_caps[r] = e
+            ops.append((r2, r, shift))
+        pivots[r] = e
         for c2 in prow:
             mat_cols[c2].discard(r)
         mat[r] = {}
 
-    # the new generator r is the class of column r of P^-1 in the old basis
-    grade_of_row: dict[int, tuple[int, ...]] = {}
-    for r in range(n_gens):
-        if not inverse_cols[r]:
-            raise ArithmeticError("degenerate transform column %d" % r)
-        j = min(inverse_cols[r])
-        grade_of_row[r] = _shift_grade(grades[j], inverse[j][r], u_grade_step)
-
-    summands: list[Summand] = []
-    for r in range(n_gens):
-        if r in killed:
-            continue
-        order = torsion_caps.get(r)
-        summands.append(Summand(order, grade_of_row[r], r))
+    summands = [Summand(pivots.get(r), grades[r], r)
+                for r in range(n_gens) if pivots.get(r) != 0]
     summands.sort(key=lambda s: (s.grades, s.order is None, s.order or 0, s.index))
-    return ModuleDecomposition(summands, transform, inverse, killed, torsion_caps)
-
-
-def _shift_grade(
-    grade: tuple[int, ...], exp: int, step: tuple[int, ...] | None
-) -> tuple[int, ...]:
-    if step is None or exp == 0:
-        return grade
-    return tuple(x - exp * s for x, s in zip(grade, step))
+    return ModuleDecomposition(summands, ops, pivots)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skeinseq.cli
+import skeinseq.infer
 import skeinseq.spectral
 from skeinseq import khovanov as kh
 from skeinseq import serde
@@ -385,6 +386,34 @@ def test_infer_resolve_survivor_budget(tmp_path, capsys):
     code, out, err = run(capsys, "infer", "--e2", str(p1), "--target", str(p2), "--resolve")
     assert code == 2
     assert "11 free survivors to assign: resolving takes at most 8" in err
+
+
+def test_infer_start_page_budget(tmp_path, capsys):
+    """Thirteen towers are more than the exhaustive search takes: exit 2."""
+    e2 = {"towers": [{"name": "t%d" % i, "h": i, "q": 2 * i} for i in range(13)]}
+    p1, p2 = tmp_path / "e2.json", tmp_path / "t.json"
+    p1.write_text(json.dumps(e2))
+    p2.write_text(json.dumps({"free_rank": 13}))
+    code, out, err = run(capsys, "infer", "--e2", str(p1), "--target", str(p2))
+    assert code == 2
+    assert "start page too large for exhaustive search" in err
+
+
+def test_infer_candidate_budget_before_any_mask(tmp_path, capsys, monkeypatch):
+    """Six towers at (0, 0) and six at (3, 4) give 36 candidate entries for
+    d_3, above the budget of 18: exit 2 before any mask is tried."""
+    def no_mask(summands, entries):
+        raise AssertionError("a mask was tried")
+
+    monkeypatch.setattr(skeinseq.infer, "_square_zero", no_mask)
+    towers = [{"name": "a%d" % i, "h": 0, "q": 0} for i in range(6)]
+    towers += [{"name": "b%d" % i, "h": 3, "q": 4} for i in range(6)]
+    p1, p2 = tmp_path / "e2.json", tmp_path / "t.json"
+    p1.write_text(json.dumps({"towers": towers}))
+    p2.write_text(json.dumps({"free_rank": 0}))
+    code, out, err = run(capsys, "infer", "--e2", str(p1), "--target", str(p2))
+    assert code == 2
+    assert "too many candidate entries on page 3" in err
 
 
 INFER_PAGES = [

@@ -481,6 +481,15 @@ def ref_monomials_of_drop(vs, drop):
     return out
 
 
+def ref_diff_by_source(cx):
+    """The differential by source: gid -> {target gid: entry}, in the
+    insertion order of cx.diff."""
+    out = {g.gid: {} for g in cx.gens}
+    for (src, tgt), p in cx.diff.items():
+        out[src][tgt] = p
+    return out
+
+
 def ref_slice_dims(cx, h_from, h_to):
     """Per h-slice: every (gid, monomial) slot of the slice, sorted, one dense
     rank per pair of neighbouring slices."""
@@ -493,7 +502,7 @@ def ref_slice_dims(cx, h_from, h_to):
                 lst.append((g.gid, m))
         slots[d] = sorted(lst)
     index = {d: {slot: i for i, slot in enumerate(lst)} for d, lst in slots.items()}
-    by_src = cx.columns()
+    by_src = ref_diff_by_source(cx)
     ranks = {}
     for d in range(lo, hi + 2):
         cols = []
@@ -515,7 +524,7 @@ def ref_q_slice_dims(cx, q_from, q_to):
     """Per (h, q) of a one-variable kh complex: the generators g with
     q(g) - k * step = q for some k >= 0, one rank per h."""
     step = cx.ustep()[1]
-    by_src = cx.columns()
+    by_src = ref_diff_by_source(cx)
     dims = {}
     for q in range(min(q_from, q_to), max(q_from, q_to) + 1):
         slots = {}
@@ -538,7 +547,7 @@ def ref_homology_f2(cx):
     groups = {}
     for g in cx.gens:
         groups.setdefault(cx.grade(g.gid), []).append(g.gid)
-    cols = cx.columns()
+    cols = ref_diff_by_source(cx)
     rank_out, rank_into = {}, {}
     for grade, grp in groups.items():
         first = next((t for gid in grp for t in cols[gid]), None)

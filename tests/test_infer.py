@@ -164,6 +164,30 @@ def test_anchor_matching():
     assert enumerate_patterns(TREFOIL_PAGE, bad) == []
 
 
+def test_candidates_define_a_map():
+    """On pages with torsion towers, _candidates gives each (src, tgt) pair
+    at most once and only entries that kill the source's relation: an entry
+    from a u^o-torsion tower lands on zero, u^(o + a) t = 0 in its target."""
+    from skeinseq.infer import _candidates
+
+    rng = random.Random(4242)
+    seen_torsion_source = 0
+    for _ in range(400):
+        towers = [Tower("t%d" % i, rng.randrange(6), rng.randrange(-4, 12),
+                        rng.choice((None, 1, 2, 3)))
+                  for i in range(rng.randrange(2, 9))]
+        for k in (1, 3, 5):
+            cands = _candidates(towers, k)
+            pairs = [(i, j) for (i, j, _) in cands]
+            assert len(pairs) == len(set(pairs))
+            for (i, j, a) in cands:
+                s, t = towers[i], towers[j]
+                if s.order is not None:
+                    seen_torsion_source += 1
+                    assert t.order is not None and s.order + a >= t.order
+    assert seen_torsion_source > 50
+
+
 def test_page_homology_with_torsion_cross_checked():
     """One differential into a torsion tower, checked against a hand value."""
     from skeinseq.infer import _page_homology
@@ -184,7 +208,7 @@ def test_page_homology_matches_complex_homology():
     import random as _random
 
     from skeinseq.complexes import CONV_KH, ChainComplex, Generator, UHomology
-    from skeinseq.infer import _candidates, _page_homology, _well_defined_and_square_zero
+    from skeinseq.infer import _candidates, _page_homology, _square_zero
     from skeinseq.poly import HALF, Poly, VarSet
 
     rng = _random.Random(1729)
@@ -198,7 +222,7 @@ def test_page_homology_matches_complex_homology():
         if not cands:
             continue
         picked = [c for c in cands if rng.random() < 0.5]
-        if not _well_defined_and_square_zero(towers, picked):
+        if not _square_zero(towers, picked):
             continue
         out = _page_homology(towers, picked)
         # same data as a chain complex over u with the kh convention
@@ -233,7 +257,7 @@ def test_piecewise_page_homology_matches_whole_page():
     """Random pages of free and torsion towers, random admissible entries:
     the piecewise result equals the whole-page one, names included, also
     when a shared piece cache answers a grade-shifted copy of the page."""
-    from skeinseq.infer import _candidates, _page_homology, _well_defined_and_square_zero
+    from skeinseq.infer import _candidates, _page_homology, _square_zero
 
     rng = random.Random(2718)
     pieces: dict = {}
@@ -245,7 +269,7 @@ def test_piecewise_page_homology_matches_whole_page():
         k = rng.choice((1, 3, 5))
         cands = _candidates(towers, k)
         picked = [c for c in cands if rng.random() < 0.5]
-        if not picked or not _well_defined_and_square_zero(towers, picked):
+        if not picked or not _square_zero(towers, picked):
             continue
         want = _whole_page_homology(towers, picked)
         assert _page_homology(towers, picked) == want
@@ -274,7 +298,7 @@ def _reference_patterns(e2, target):
         _candidates,
         _canonical_key,
         _matches_target,
-        _well_defined_and_square_zero,
+        _square_zero,
         _window_free_rank,
     )
 
@@ -294,7 +318,7 @@ def _reference_patterns(e2, target):
         cands = _candidates(summands, k) if k % 2 else []
         for mask in range(1 << len(cands)):
             entries = [cands[i] for i in range(len(cands)) if (mask >> i) & 1]
-            if not _well_defined_and_square_zero(summands, entries):
+            if not _square_zero(summands, entries):
                 continue
             nxt = _whole_page_homology(summands, entries) if entries else summands
             rec(nxt, k + 1, chosen + [(k, summands[i].name, summands[j].name, a)

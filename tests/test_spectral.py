@@ -232,10 +232,10 @@ def ref_sort_key(s):
 
 
 def ref_mono_cols(cx):
-    return {
-        src: [(tgt, sum(m)) for tgt, p in col.items() for m in p.terms]
-        for src, col in cx.columns().items()
-    }
+    out = {g.gid: [] for g in cx.gens}
+    for (src, tgt), p in cx.diff.items():
+        out[src] += [(tgt, sum(m)) for m in p.terms]
+    return out
 
 
 def ref_diff_grade(grade, convention):

@@ -6,7 +6,6 @@ from skeinseq import complexes, infer
 from skeinseq import khovanov as kh
 from skeinseq.gf2 import matrix_rank
 from skeinseq.umod import (
-    ModuleDecomposition,
     Summand,
     echelonize,
     module_decompose,
@@ -211,11 +210,14 @@ def test_mixed_grade_homogeneous_random():
         assert brute_total == want, (rels, row_grades, dec.summands)
 
 
-def dense_decompose(n_gens, relations, grades_list, u_grade_step=None):
+def dense_decompose(n_gens, relations, grades_list, u_grade_step):
     """Reference module_decompose: a full scan of every live row per pivot.
 
     The pivot is the least (e, r, c) over live entries; its column is cleared
     by row operations and its row by column operations over every live row.
+    The change of basis P (transform) and its inverse are kept as dense
+    matrices, and each summand's grade is read off its column of P^-1.
+    Returns (summands, transform, inverse, pivots).
     """
     mat = [dict() for _ in range(n_gens)]
     for j, col in enumerate(relations):
@@ -225,8 +227,7 @@ def dense_decompose(n_gens, relations, grades_list, u_grade_step=None):
     inverse = [{i: 0} for i in range(n_gens)]
     live_rows = set(range(n_gens))
     live_cols = set(range(len(relations)))
-    killed = set()
-    torsion_caps = {}
+    pivots = {}
 
     def col_op(m, dst, src, shift):
         for row in m:
@@ -254,43 +255,46 @@ def dense_decompose(n_gens, relations, grades_list, u_grade_step=None):
             if c2 == c or e2 is None:
                 continue
             col_op([mat[row] for row in sorted(live_rows)], c2, c, e2 - e)
-        if e == 0:
-            killed.add(r)
-        else:
-            torsion_caps[r] = e
+        pivots[r] = e
         live_rows.discard(r)
         live_cols.discard(c)
 
     summands = []
     for r in range(n_gens):
         j = next(j for j in range(n_gens) if r in inverse[j])
-        grade = grades_list[j]
-        if u_grade_step is not None:
-            grade = tuple(x - inverse[j][r] * s for x, s in zip(grade, u_grade_step))
-        if r not in killed:
-            summands.append(Summand(torsion_caps.get(r), grade, r))
+        grade = tuple(x - inverse[j][r] * s for x, s in zip(grades_list[j], u_grade_step))
+        if pivots.get(r) != 0:
+            summands.append(Summand(pivots.get(r), grade, r))
     summands.sort(key=lambda s: (s.grades, s.order is None, s.order or 0, s.index))
-    return ModuleDecomposition(summands, transform, inverse, killed, torsion_caps)
+    return summands, transform, inverse, pivots
 
 
-def dense_coords_of(dec, vec):
+def dense_coords_of(transform, pivots, vec):
     """Reference coords_of: walk every transform row for the vector."""
     moved = {}
-    for row, transform_row in enumerate(dec.transform):
+    for row, transform_row in enumerate(transform):
         acc = {}
         for col, te in transform_row.items():
             if col in vec:
                 vec_add_shifted(acc, {0: vec[col] + te}, 0)
-        if acc:
+        if acc and (row not in pivots or acc[0] < pivots[row]):
             moved[row] = acc[0]
-    return dec.reduce_coords(moved)
+    return moved
+
+
+def dense_summand_rep(inverse, s):
+    """Reference summand_rep: column s.index of the dense inverse."""
+    return {j: row[s.index] for j, row in enumerate(inverse) if s.index in row}
 
 
 def assert_same_decomposition(args, rng=None):
     got = module_decompose(*args)
-    want = dense_decompose(*args)
-    for name in ("summands", "transform", "inverse", "killed", "torsion_caps"):
-        assert getattr(got, name) == getattr(want, name), (name, args)
+    summands, transform, inverse, pivots = dense_decompose(*args)
+    assert got.summands == summands, args
+    assert got.pivots == pivots, args
+    for s in got.summands:
+        rep = got.summand_rep(s)
+        assert list(rep.items()) == list(dense_summand_rep(inverse, s).items()), args
     if rng is None:
         return
     # homogeneous vectors: every entry u^e at row r lands in one grade
@@ -302,7 +306,8 @@ def assert_same_decomposition(args, rng=None):
             e, rem = divmod(g[-1] - top[-1], step[-1])
             if g[:-1] == top[:-1] and rem == 0 and e >= 0 and rng.random() < 0.5:
                 vec[r] = e
-        assert list(got.coords_of(vec).items()) == list(dense_coords_of(want, vec).items())
+        want = dense_coords_of(transform, pivots, vec)
+        assert list(got.coords_of(vec).items()) == list(want.items())
 
 
 def recorded_presentations(monkeypatch, module, run):
@@ -319,23 +324,15 @@ def recorded_presentations(monkeypatch, module, run):
     return calls
 
 
-def test_sparse_decompose_matches_dense_reference(monkeypatch):
-    """Every field of the result, not only the invariants, equals the dense scan;
-    coords_of gives the same classes in the same order."""
-    rng = random.Random(5)
+@pytest.fixture(scope="module")
+def presentations():
+    """The random families, then every presentation that UHomology of five
+    minus cubes and four infer searches hand to module_decompose."""
     families = [equal_grade_family(), mixed_grade_family()]
     families += [mixed_grade_family(seed=2718, count=300, max_gens=7, max_rels=6)]
-    for family in families:
-        for args in family:
-            assert_same_decomposition(args, rng)
     diagrams = [kh.cyclic_knot(n) for n in (3, 5, 7)]
     diagrams += [kh.parse_pd("PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]")]
     diagrams += [kh.unlink(3)]
-    cube_calls = recorded_presentations(
-        monkeypatch, complexes,
-        lambda: [complexes.UHomology(kh.ckh(d, "minus").complex) for d in diagrams],
-    )
-    assert len(cube_calls) == len(diagrams)
     towers = [infer.Tower(n, h, q) for n, h, q in (
         ("t0", 1, 4), ("t1", 1, 6), ("t2", 3, 2), ("t3", 6, 14),
         ("z", 0, -1), ("y", 1, 1), ("x", 3, 5))]
@@ -345,14 +342,35 @@ def test_sparse_decompose_matches_dense_reference(monkeypatch):
         (towers, infer.TargetSpec(free_rank=3)),
         (towers, infer.TargetSpec(free_rank=1, torsion=(1, 1, 1))),
     ]
-    page_calls = recorded_presentations(
-        monkeypatch, infer,
-        lambda: [infer.enumerate_patterns(infer.PageSpec(tuple(page)), target)
-                 for page, target in searches],
-    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        cube_calls = recorded_presentations(
+            monkeypatch, complexes,
+            lambda: [complexes.UHomology(kh.ckh(d, "minus").complex) for d in diagrams],
+        )
+        page_calls = recorded_presentations(
+            monkeypatch, infer,
+            lambda: [infer.enumerate_patterns(infer.PageSpec(tuple(page)), target)
+                     for page, target in searches],
+        )
+    assert len(cube_calls) == len(diagrams)
     assert sum(len(args[1]) > 1 for args in page_calls) > 10
-    for args in cube_calls + page_calls:
+    return [args for family in families for args in family] + cube_calls + page_calls
+
+
+def test_sparse_decompose_matches_dense_reference(presentations):
+    """Summands and pivot exponents equal the dense scan's; summand_rep is its
+    column of P^-1 and coords_of gives the same classes in the same order."""
+    rng = random.Random(5)
+    for args in presentations:
         assert_same_decomposition(args, rng)
+
+
+def test_summand_rep_round_trips(presentations):
+    """coords_of reads each summand's representative back as that summand."""
+    for args in presentations:
+        dec = module_decompose(*args)
+        for s in dec.summands:
+            assert dec.coords_of(dec.summand_rep(s)) == {s.index: 0}, (args, s)
 
 
 def test_echelon_basis_lead_index():
