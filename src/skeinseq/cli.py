@@ -32,6 +32,9 @@ def _diagram_from_args(args) -> kh.LinkDiagram:
         raise ValueError("a diagram is required (--pd or --in)")
     if args.mirror:
         d = kh.mirror(d)
+    # exchanging the two smoothings of every crossing is mirroring
+    if args.swap_resolutions:
+        d = kh.mirror(d)
     return d
 
 
@@ -39,7 +42,7 @@ def cmd_kh(args) -> int:
     d = _diagram_from_args(args)
     if args.flavor == "reduced" and args.basepoint is None:
         raise ValueError("reduced flavor requires --basepoint")
-    cc = kh.ckh(d, args.flavor, args.basepoint, args.swap_resolutions)
+    cc = kh.ckh(d, args.flavor, args.basepoint)
     lines: list[str] = []
     payload: dict = {"flavor": args.flavor}
     if args.flavor == "minus":
@@ -225,7 +228,10 @@ def _khovanov_golden_rows():
         hom.induced_matrix(kh.basepoint_action(cc, arc))
         for arc in mh.component_arcs()
     ]
-    note("mirror hopf component actions equal", acts[0] == acts[1], repr(acts[0]))
+    # each basepoint acts as u on both free summands, whatever their basis
+    u_on_both = {(0, 0): 1, (1, 1): 1}
+    note("mirror hopf component actions equal", acts[0] == acts[1] == u_on_both,
+         repr(acts[0]))
     fc = FilteredComplex(cc.complex, cc.levels).cancel_units()
     note("mirror hopf cube converges", converge(fc, analyze(fc)).ok)
     for n in (1, 2, 3, 4):

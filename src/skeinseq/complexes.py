@@ -282,7 +282,6 @@ class ChainMap:
         dh: int = 0,
         dq: int | None = None,
         dalex: int = 0,
-        name: str = "",
         check: bool = True,
     ) -> None:
         if source.vars != target.vars:
@@ -293,7 +292,6 @@ class ChainMap:
         self.dh = dh
         self.dq = dq
         self.dalex = dalex
-        self.name = name
         if check:
             drops: dict = {}
             for (src, tgt), p in self.entries.items():
@@ -434,7 +432,7 @@ def phi_action(cx: ChainComplex, pair: str, side: str = "z") -> ChainMap:
         d = p.derivative(var)
         if d:
             entries[key] = d
-    return ChainMap(cx, cx, entries, dh=0, dalex=1, name="phi_%s_%s" % (pair, side))
+    return ChainMap(cx, cx, entries, dh=0, dalex=1)
 
 
 # -- homology -------------------------------------------------------------------

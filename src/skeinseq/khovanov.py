@@ -33,6 +33,10 @@ class LinkDiagram:
             if len(cr) != 4:
                 raise ValueError("crossing needs 4 arcs: %r" % (cr,))
             for a in cr:
+                if a < 0:
+                    raise ValueError(
+                        "crossing arc %r is negative; negative ids name free loops" % a
+                    )
                 counts[a] = counts.get(a, 0) + 1
         bad = {a: c for a, c in counts.items() if c != 2}
         if bad:
@@ -258,7 +262,7 @@ class ResolutionState:
         raise KeyError("arc %r not on any circle" % arc)
 
 
-def _resolver(d: LinkDiagram, swap: bool = False):
+def _resolver(d: LinkDiagram):
     """The state of each vertex of d's cube, by union-find on arc indices.
 
     The joins of both smoothings of every crossing are turned into index
@@ -269,8 +273,7 @@ def _resolver(d: LinkDiagram, swap: bool = False):
     joins = []
     for (a, b, c, dd) in d.crossings:
         a, b, c, dd = index[a], index[b], index[c], index[dd]
-        zero, one = ((a, dd), (b, c)), ((a, b), (c, dd))
-        joins.append((one, zero) if swap else (zero, one))
+        joins.append((((a, dd), (b, c)), ((a, b), (c, dd))))
 
     def resolve_at(vertex: tuple[int, ...]) -> ResolutionState:
         if len(vertex) != len(joins):
@@ -294,9 +297,9 @@ def _resolver(d: LinkDiagram, swap: bool = False):
     return resolve_at
 
 
-def resolve(d: LinkDiagram, vertex: tuple[int, ...], swap: bool = False) -> ResolutionState:
+def resolve(d: LinkDiagram, vertex: tuple[int, ...]) -> ResolutionState:
     """Circles of the complete resolution given one 0/1 choice per crossing."""
-    return _resolver(d, swap)(vertex)
+    return _resolver(d)(vertex)
 
 
 # -- edge maps -------------------------------------------------------------------
@@ -427,7 +430,6 @@ class CubeComplex:
     diagram: LinkDiagram
     flavor: str
     basepoint_arc: int | None
-    swap: bool
     complex: ChainComplex
     levels: dict[str, int]
     states: list[ResolutionState]
@@ -438,12 +440,7 @@ class CubeComplex:
         return self.states[vertex_index].circle_of(self.basepoint_arc)
 
 
-def ckh(
-    d: LinkDiagram,
-    flavor: str,
-    basepoint: int | None = None,
-    swap: bool = False,
-) -> CubeComplex:
+def ckh(d: LinkDiagram, flavor: str, basepoint: int | None = None) -> CubeComplex:
     """Cube-of-resolutions complex in the requested flavor.
 
     h is the number of 1-resolutions, q the label grading, and the
@@ -475,7 +472,7 @@ def ckh(
     elif flavor == "hat":
         basepoint = None
 
-    resolve_at = _resolver(d, swap)
+    resolve_at = _resolver(d)
     states = [
         resolve_at(tuple((i >> j) & 1 for j in range(n))) for i in range(1 << n)
     ]
@@ -534,7 +531,7 @@ def ckh(
                     diff[(src, vids2[carry[m] | mask])] = p
 
     cx = ChainComplex(vs, gens, diff, CONV_KH)
-    return CubeComplex(d, flavor, basepoint, swap, cx, levels, states, info)
+    return CubeComplex(d, flavor, basepoint, cx, levels, states, info)
 
 
 def basepoint_action(cc: CubeComplex, arc: int) -> ChainMap:
@@ -554,4 +551,4 @@ def basepoint_action(cc: CubeComplex, arc: int) -> ChainMap:
             entries[(gid, gid_of[(vi, labels - {circle})])] = Poly.var(vs, "u", 2)
         else:
             entries[(gid, gid_of[(vi, labels | {circle})])] = Poly.one(vs)
-    return ChainMap(cc.complex, cc.complex, entries, dh=0, dq=-2, name="X@%s" % arc)
+    return ChainMap(cc.complex, cc.complex, entries, dh=0, dq=-2)

@@ -8,6 +8,7 @@ top-grading action patterns) so a transcription error cannot pass.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import gf2
@@ -56,7 +57,7 @@ class ModelComplex:
                 p = _transport(self.complex, cx, p)
             key = (src, tgt)
             entries[key] = entries.get(key, Poly.zero(cx.vars)) + p
-        return ChainMap(cx, cx, entries, dh=spec.dh, name=name, check=False)
+        return ChainMap(cx, cx, entries, dh=spec.dh, check=False)
 
 
 def _transport(src_cx: ChainComplex, dst_cx: ChainComplex, p: Poly) -> Poly:
@@ -195,28 +196,50 @@ def _top_cycles(cx: ChainComplex) -> tuple[list[str], list[int]]:
     return [cx.gens[i].gid for i in tops], sorted(gf2.column_kernel(cols))
 
 
-def _phi_matrix_on_tops(model_cx: ChainComplex, pair: str,
-                        tops: list[str]) -> dict[tuple[int, int], int]:
-    """F2 matrix of the derivative action restricted to the top slice."""
-    pm = phi_action(model_cx, pair)
+def _top_map(entries, tops: list[str], keep) -> list[int]:
+    """F2 map on the top generators as bitset columns: column i is the image
+    of top generator i, each entry counting the parity of its terms that
+    keep accepts."""
     pos = {g: i for i, g in enumerate(tops)}
-    out: dict[tuple[int, int], int] = {}
-    for (src, tgt), p in pm.entries.items():
-        if src in pos and tgt in pos:
-            const = sum(1 for m in p.terms if all(e == 0 for e in m)) % 2
-            if const:
-                out[(pos[src], pos[tgt])] = 1
-    return out
+    cols = [0] * len(tops)
+    for (src, tgt), p in entries.items():
+        if src in pos and tgt in pos and sum(map(keep, p.terms)) % 2:
+            cols[pos[src]] ^= 1 << pos[tgt]
+    return cols
 
 
-def _apply_mask(matrix: dict[tuple[int, int], int], mask: int, n: int) -> int:
+def _combine(vecs: list[int], combo: int) -> int:
+    """The sum of the vectors that combo selects: applied to a list of
+    bitset columns, the image of the vector combo under that map."""
     out = 0
-    for i in range(n):
-        if (mask >> i) & 1:
-            for (a, b), v in matrix.items():
-                if a == i and v:
-                    out ^= 1 << b
+    for i, v in enumerate(vecs):
+        if (combo >> i) & 1:
+            out ^= v
     return out
+
+
+def _support(tops: list[str], vec: int) -> frozenset[str]:
+    return frozenset(g for i, g in enumerate(tops) if (vec >> i) & 1)
+
+
+def _alex(cx: ChainComplex, tops: list[str], vec: int) -> int | None:
+    """The alexander grading of a homogeneous top vector, else None."""
+    vals = {cx.gen(g).alex2 for g in _support(tops, vec)}
+    return vals.pop() if len(vals) == 1 else None
+
+
+def _top_frame(
+    m: ModelComplex,
+) -> tuple[ChainComplex, list[str], list[int], dict[str, list[int]]]:
+    """The pair-collapsed complex, its top generators and top cycle basis,
+    and each pair's derivative action on the top slice."""
+    cx = collapse_pairs(m.complex)
+    tops, cycles = _top_cycles(cx)
+    phis = {
+        pid: _top_map(phi_action(m.complex, pid).entries, tops, lambda mono: not any(mono))
+        for pid in sorted(m.complex.pairs)
+    }
+    return cx, tops, cycles, phis
 
 
 GOLDEN_PATTERNS = {
@@ -266,62 +289,34 @@ def top_homology_table(m: ModelComplex) -> TopTable:
     bases realizing the golden arrow pattern exactly; a model whose
     actions cannot be put in that shape raises.
     """
-    cx = collapse_pairs(m.complex)
-    tops, cycles = _top_cycles(cx)
-    nt = len(tops)
-    pair_ids = sorted(m.complex.pairs)
-    phi_mats = {
-        pid: _phi_matrix_on_tops(m.complex, pid, tops) for pid in pair_ids
-    }
+    cx, tops, cycles, phis = _top_frame(m)
     space = gf2.ColumnSpace()
     for v in cycles:
         space.add(v)
-    for pid in pair_ids:
+    for cols in phis.values():
         for v in cycles:
-            if not space.contains(_apply_mask(phi_mats[pid], v, nt)):
+            if not space.contains(_combine(cols, v)):
                 raise AssertionError("action image left the cycle space")
-
-    alex_of_gen = {g.gid: cx.gen(g.gid).alex2 for g in cx.gens}
-
-    def vec_alex(mask: int) -> int | None:
-        vals = {alex_of_gen[tops[i]] for i in range(nt) if (mask >> i) & 1}
-        return vals.pop() if len(vals) == 1 else None
 
     canonical = None
     pattern = GOLDEN_PATTERNS.get(m.name)
     if pattern is not None:
-        canonical = _match_pattern(
-            pattern, pair_ids, cycles, phi_mats, vec_alex, nt
-        )
+        canonical = _match_pattern(pattern, cycles, phis, lambda v: _alex(cx, tops, v))
         if canonical is None:
             raise AssertionError("no basis realizes the golden action pattern")
-    return TopTable(
-        [frozenset(tops[i] for i in range(nt) if (v >> i) & 1) for v in cycles],
-        cycles,
-        tops,
-        canonical,
-    )
+    return TopTable([_support(tops, v) for v in cycles], cycles, tops, canonical)
 
 
-def _match_pattern(pattern, pair_ids, cycles, phi_mats, vec_alex, nt):
+def _match_pattern(pattern, cycles, phis, alex):
     """Search for homogeneous vectors realizing the golden arrows exactly."""
-    import itertools
     names = pattern["names"]
     groups = pattern["groups"]
     dim = len(cycles)
     if dim != len(names):
         return None
-    all_vecs = []
-    for mask in range(1, 1 << dim):
-        vec = 0
-        for i in range(dim):
-            if (mask >> i) & 1:
-                vec ^= cycles[i]
-        all_vecs.append(vec)
-    all_vecs = sorted(set(all_vecs))
     by_alex: dict[int, list[int]] = {}
-    for v in all_vecs:
-        a = vec_alex(v)
+    for v in sorted({_combine(cycles, mask) for mask in range(1, 1 << dim)}):
+        a = alex(v)
         if a is not None:
             by_alex.setdefault(a, []).append(v)
     alex_vals = sorted(by_alex)
@@ -329,10 +324,10 @@ def _match_pattern(pattern, pair_ids, cycles, phi_mats, vec_alex, nt):
         return None
 
     def ok(assign: dict[str, int]) -> bool:
-        for pid in pair_ids:
+        for pid, cols in phis.items():
             targets_by_name = pattern["phi"].get(pid, {})
             for nm, vec in assign.items():
-                img = _apply_mask(phi_mats[pid], vec, nt)
+                img = _combine(cols, vec)
                 want = 0
                 for t in targets_by_name.get(nm, ()):
                     want ^= assign[t]
@@ -354,10 +349,7 @@ def _match_pattern(pattern, pair_ids, cycles, phi_mats, vec_alex, nt):
             if any(base.add(v) is not None for v in assign.values()):
                 continue
             if len(assign) == dim and ok(assign):
-                out = {}
-                for nm, vec in sorted(assign.items()):
-                    out[nm] = vec
-                return out
+                return dict(sorted(assign.items()))
     return None
 
 
@@ -375,34 +367,17 @@ def canonical_fg(m: ModelComplex) -> CanonicalPair:
     """The unique homogeneous top classes with g killed by every action."""
     if m.kind not in ("nonori", "ori"):
         raise ValueError("canonical pair defined for the two-generator tops")
-    cx = collapse_pairs(m.complex)
-    tops, cycles = _top_cycles(cx)
-    nt = len(tops)
+    cx, tops, cycles, phis = _top_frame(m)
     if len(cycles) != 2:
         raise ArithmeticError("characterization not satisfiable: top rank != 2")
-    pair_ids = sorted(m.complex.pairs)
-    phi_mats = {pid: _phi_matrix_on_tops(m.complex, pid, tops) for pid in pair_ids}
-    alex_of_gen = {g.gid: cx.gen(g.gid).alex2 for g in cx.gens}
     vecs = sorted({cycles[0], cycles[1], cycles[0] ^ cycles[1]})
-    homog = []
-    for v in vecs:
-        vals = {alex_of_gen[tops[i]] for i in range(nt) if (v >> i) & 1}
-        if len(vals) == 1:
-            homog.append(v)
-    gs = [
-        v
-        for v in homog
-        if all(_apply_mask(phi_mats[p], v, nt) == 0 for p in pair_ids)
-    ]
-    fs = [
-        v
-        for v in homog
-        if any(_apply_mask(phi_mats[p], v, nt) != 0 for p in pair_ids)
-    ]
+    homog = [v for v in vecs if _alex(cx, tops, v) is not None]
+    gs = [v for v in homog if not any(_combine(cols, v) for cols in phis.values())]
+    fs = [v for v in homog if any(_combine(cols, v) for cols in phis.values())]
     if len(gs) != 1 or len(fs) != 1:
         raise ArithmeticError("characterization not satisfiable")
-    to_set = lambda v: frozenset(tops[i] for i in range(nt) if (v >> i) & 1)
-    return CanonicalPair(to_set(fs[0]), to_set(gs[0]), "g" if m.kind == "nonori" else "f")
+    theta = "g" if m.kind == "nonori" else "f"
+    return CanonicalPair(_support(tops, fs[0]), _support(tops, gs[0]), theta)
 
 
 # -- action verification -----------------------------------------------------------------
@@ -475,34 +450,17 @@ def _z11_checks(m: ModelComplex) -> list[tuple[str, bool, str]]:
             ("path anticommutator (collapsed) " + label, not anti, _describe(anti))
         )
     tops, cycles = _top_cycles(cxc)
-    nt = len(tops)
-    alex_of = {g.gid: cxc.gen(g.gid).alex2 for g in cxc.gens}
-    c0 = [
-        v
-        for v in cycles
-        if {alex_of[tops[i]] for i in range(nt) if (v >> i) & 1} == {1}
-    ]
     space0 = gf2.ColumnSpace()
-    for v in c0:
-        space0.add(v)
+    for v in cycles:
+        if _alex(cxc, tops, v) == 1:
+            space0.add(v)
     checks.append(("C0 rank 2", space0.rank == 2, "rank %d" % space0.rank))
+    vecs = space0.vectors()
     kernels = []
     for label, amap in (("A_kappa", kappa), ("A_lambda", lam), ("A_kappa+A_lambda", both)):
-        mat: dict[tuple[int, int], int] = {}
-        pos = {g: i for i, g in enumerate(tops)}
-        for (src, tgt), p in amap.entries.items():
-            for mono in p.terms:
-                if sum(mono) == 1 and src in pos and tgt in pos:
-                    key = (pos[src], pos[tgt])
-                    mat[key] = mat.get(key, 0) ^ 1
-        cols = []
-        vecs = space0.vectors()
-        for v in vecs:
-            cols.append(_apply_mask(mat, v, nt))
-        kern = gf2.column_kernel(cols)
-        kvecs = sorted(
-            _combine(vecs, combo) for combo in kern
-        )
+        cols = _top_map(amap.entries, tops, lambda mono: sum(mono) == 1)
+        kern = gf2.column_kernel([_combine(cols, v) for v in vecs])
+        kvecs = sorted(_combine(vecs, combo) for combo in kern)
         kernels.append((label, kvecs))
         checks.append(
             ("ker %s on C0 rank 1" % label, len(kvecs) == 1, "rank %d" % len(kvecs))
@@ -512,21 +470,11 @@ def _z11_checks(m: ModelComplex) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _combine(vecs: list[int], combo: int) -> int:
-    out = 0
-    for i, v in enumerate(vecs):
-        if (combo >> i) & 1:
-            out ^= v
-    return out
-
-
 def _l_ori_action_checks(m: ModelComplex) -> list[tuple[str, bool, str]]:
     """Additivity identities tying the golden degree -1 tables together."""
     table = top_homology_table(m)
-    assert table.canonical is not None
-    names = sorted(table.canonical)
-    vec_of = {nm: table.canonical[nm] for nm in names}
-    nt = len(table.top_gens)
+    vec_of = table.canonical
+    assert vec_of is not None
     order = ("a", "b", "c", "d")
 
     def as_matrix(golden: dict[str, tuple[str, ...]]) -> dict[str, int]:
@@ -539,8 +487,9 @@ def _l_ori_action_checks(m: ModelComplex) -> list[tuple[str, bool, str]]:
         return out
 
     def phi_as_matrix(pid: str) -> dict[str, int]:
-        mats = _phi_matrix_on_tops(m.complex, pid, table.top_gens)
-        return {nm: _apply_mask(mats, vec_of[nm], nt) for nm in order}
+        cols = _top_map(phi_action(m.complex, pid).entries, table.top_gens,
+                        lambda mono: not any(mono))
+        return {nm: _combine(cols, vec_of[nm]) for nm in order}
 
     a12 = as_matrix(L_ORI_TOP_ACTIONS["A12"])
     b23 = as_matrix(L_ORI_TOP_ACTIONS["B23"])
@@ -622,8 +571,7 @@ def run_model_suite() -> list[tuple[str, bool, str]]:
 
 def _u_injective_on_top(m: ModelComplex) -> bool:
     """No top class dies under multiplication by one u variable."""
-    cx = collapse_pairs(m.complex)
-    tops, cycles = _top_cycles(cx)
+    cx, tops, cycles, _ = _top_frame(m)
     top = max(g.h for g in cx.gens)
     exp = Expansion(cx, top - 1)
     space = gf2.ColumnSpace()

@@ -10,7 +10,7 @@ difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 HALF = 1
 FULL = 2
@@ -33,11 +33,6 @@ class VarSet:
         for u in self.units:
             if u not in (HALF, FULL):
                 raise ValueError("unit must be HALF (U^1/2) or FULL (U): %r" % (u,))
-
-    @staticmethod
-    def make(pairs: Iterable[tuple[str, int]]) -> "VarSet":
-        pairs = list(pairs)
-        return VarSet(tuple(n for n, _ in pairs), tuple(u for _, u in pairs))
 
     @property
     def n(self) -> int:

@@ -100,6 +100,11 @@ def test_swap_and_mirror_flags(capsys):
     )
     assert code1 == code2 == 0
     assert "# total\t6" in out1 and "# total\t6" in out2
+    # swapping the smoothings is mirroring, and the two flags cancel
+    _, out3, _ = run(capsys, "kh", "--pd", TREFOIL, "--flavor", "hat", "--mirror")
+    _, out4, _ = run(capsys, "kh", "--pd", TREFOIL, "--flavor", "hat", "--mirror",
+                     "--swap-resolutions")
+    assert out2 == out3 != out1 == out4
 
 
 def test_ss_roundtrip(tmp_path, capsys):
@@ -732,6 +737,19 @@ def test_free_loops_up_to_the_cube_limit_are_admitted(capsys, tmp_path):
     code, out, err = run(capsys, "kh", "--in", str(path), "--flavor", "hat")
     assert code == 0
     assert out.endswith("# total\t8192\n")
+
+
+def test_negative_crossing_arc_exits_2(capsys, tmp_path):
+    # arc -1 is also the free loop's id: it used to merge the two, total 2 not 4
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps({"crossings": [[-1, 2, 2, -1]], "free_loops": 1}))
+    code, out, err = run(capsys, "kh", "--in", str(path), "--flavor", "hat")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: crossing arc -1 is negative")
+    path.write_text(json.dumps({"crossings": [[1, 2, 2, 1]], "free_loops": 1}))
+    code, out, err = run(capsys, "kh", "--in", str(path), "--flavor", "hat")
+    assert code == 0 and out.endswith("# total\t4\n")
 
 
 @pytest.mark.parametrize("flavor", ["minus", "hat", "reduced"])

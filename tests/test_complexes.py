@@ -206,22 +206,12 @@ def test_phi_examples():
 
 def _top_phi(m, pid, side):
     """F2 matrix of the pair action on the top cycle basis (pair-collapsed)."""
-    from skeinseq.models import _apply_mask, _top_cycles
+    from skeinseq.models import _combine, _top_cycles, _top_map
 
-    cx = collapse_pairs(m.complex)
-    tops, cycles = _top_cycles(cx)
+    tops, cycles = _top_cycles(collapse_pairs(m.complex))
     pm = phi_action(m.complex, pid, side)
-    pos = {g: i for i, g in enumerate(tops)}
-    raw = {}
-    for (src, tgt), p in pm.entries.items():
-        if src in pos and tgt in pos:
-            const = sum(1 for mm in p.terms if all(e == 0 for e in mm)) % 2
-            if const:
-                raw[(pos[src], pos[tgt])] = raw.get((pos[src], pos[tgt]), 0) ^ 1
-    out = []
-    for v in cycles:
-        out.append(_apply_mask(raw, v, len(tops)))
-    return cycles, out
+    cols = _top_map(pm.entries, tops, lambda mm: not any(mm))
+    return cycles, [_combine(cols, v) for v in cycles]
 
 
 def test_phi_z_equals_phi_w_on_homology():

@@ -47,9 +47,14 @@ def hat_table(d):
     return {k: v for k, v in homology_f2(kh.ckh(d, "hat").complex).items() if v}
 
 
-def reduced_dim(d, arc=None):
+def reduced_table(d, arc=None):
     arc = min(d.arcs) if arc is None else arc
-    return sum(homology_f2(kh.ckh(d, "reduced", basepoint=arc).complex).values())
+    cx = kh.ckh(d, "reduced", basepoint=arc).complex
+    return {k: v for k, v in homology_f2(cx).items() if v}
+
+
+def reduced_dim(d, arc=None):
+    return sum(reduced_table(d, arc).values())
 
 
 def normalized(table):
@@ -61,11 +66,25 @@ def normalized(table):
 
 @SUITE
 @given(knots(), st.booleans())
-def test_d_squared_zero_in_every_flavor(d, swap):
-    assert kh.ckh(d, "minus", swap=swap).complex.verify_d2() == []
-    assert kh.ckh(d, "hat", swap=swap).complex.verify_d2() == []
+def test_d_squared_zero_in_every_flavor(d, mirror):
+    if mirror:
+        d = kh.mirror(d)
+    assert kh.ckh(d, "minus").complex.verify_d2() == []
+    assert kh.ckh(d, "hat").complex.verify_d2() == []
     arc = max(d.arcs)
-    assert kh.ckh(d, "reduced", basepoint=arc, swap=swap).complex.verify_d2() == []
+    assert kh.ckh(d, "reduced", basepoint=arc).complex.verify_d2() == []
+
+
+@SUITE
+@given(knots())
+def test_mirror_negates_both_gradings(d):
+    # over a field the mirror's homology is the dual complex's: (h, q) -> (-h, -q)
+    def flipped(table):
+        return {(-h, -q): v for (h, q), v in table.items()}
+
+    m = kh.mirror(d)
+    assert normalized(hat_table(m)) == normalized(flipped(hat_table(d)))
+    assert normalized(reduced_table(m)) == normalized(flipped(reduced_table(d)))
 
 
 @SUITE
