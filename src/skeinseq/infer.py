@@ -10,6 +10,7 @@ differential, then compared against the requested limit shape.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -21,6 +22,12 @@ from .umod import MonoVec, homology_presentation, module_decompose
 # target basis to the free survivors, MAX_RESOLVE_SURVIVORS! at most.
 MAX_CANDIDATES = 18
 MAX_RESOLVE_SURVIVORS = 8
+
+# Inside the search a tower is its (h, q, order) grade, and a free tower has
+# infinite order: sorted grades put it after the torsion towers of its
+# bidegree, and "order + a < target order" needs no case for it.
+FREE = math.inf
+Grade = tuple[int, int, float]
 
 
 @dataclass(frozen=True)
@@ -61,154 +68,208 @@ class Pattern:
     entries: tuple[tuple[int, str, str, int], ...]  # (k, src, tgt, x power)
 
 
-def _candidates(summands: Sequence[Tower], k: int) -> list[tuple[int, int, int]]:
+def _candidates(page: Sequence[Grade], k: int) -> list[tuple[int, int, int]]:
     """(src index, tgt index, x power) slots admissible for d_k."""
     out = []
-    for i, s in enumerate(summands):
-        for j, t in enumerate(summands):
-            if t.h - s.h != k:
+    for i, (hs, qs, order_s) in enumerate(page):
+        for j, (ht, qt, order_t) in enumerate(page):
+            if ht - hs != k:
                 continue
-            num = t.q - s.q - (2 * k - 2)
-            if num % 2 != 0:
+            num = qt - qs - (2 * k - 2)
+            if num % 2 != 0 or num < 0:
                 continue
             a = num // 2
-            if a < 0:
-                continue
-            # u^{order_src} src = 0 must land on zero
-            if s.order is not None and (t.order is None or s.order + a < t.order):
+            # u^{order_src} src = 0 must land on zero (always so from a free src)
+            if order_s + a < order_t:
                 continue
             out.append((i, j, a))
     out.sort(key=lambda c: (c[2], c[0], c[1]))
     return out
 
 
-def _square_zero(
-    summands: Sequence[Tower], entries: list[tuple[int, int, int]]
-) -> bool:
-    """d composes to zero modulo the relations.
+def _conflicts(page: Sequence[Grade], cands: list[tuple[int, int, int]]) -> list[list[int]]:
+    """Bitmasks of the composable candidate pairs whose composite survives.
 
-    The entries are a subset of _candidates, which gives each (src, tgt)
-    pair one power and keeps only entries that kill the relations, so d is
-    already well defined.
+    A pair (i -> j at u^a, j -> l at u^b) adds u^(a+b) to the (i, l) entry of
+    d^2, which is zero in the target unless l is free or a+b is below its
+    order.  The entries of _candidates give each (src, tgt) pair one power
+    and kill the relations, so d is already well defined, and a mask squares
+    to zero iff each (i, l, a+b) group has an even number of pairs inside it.
     """
-    comp: dict[tuple[int, int], set[int]] = {}
-    for (i, j, a) in entries:
-        for (j2, l, b) in entries:
-            if j2 != j:
-                continue
-            key = (i, l)
-            power = a + b
-            acc = comp.setdefault(key, set())
-            if power in acc:
-                acc.discard(power)
-            else:
-                acc.add(power)
-    for (i, l), powers in comp.items():
-        ol = summands[l].order
-        for p in powers:
-            if ol is None or p < ol:
-                return False
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for e, (i, j, a) in enumerate(cands):
+        for f, (j2, l, b) in enumerate(cands):
+            if j2 == j and a + b < page[l][2]:
+                groups.setdefault((i, l, a + b), []).append(1 << e | 1 << f)
+    return list(groups.values())
+
+
+def _square_zero(mask: int, conflicts: list[list[int]]) -> bool:
+    for group in conflicts:
+        odd = False
+        for pair in group:
+            if mask & pair == pair:
+                odd = not odd
+        if odd:
+            return False
     return True
 
 
 def _piece_homology(
-    grades: list[tuple[int, int, int | None]], entries: list[tuple[int, int, int]]
-) -> list[tuple[int, int, int | None]]:
+    grades: list[Grade], entries: list[tuple[int, int, int]]
+) -> list[Grade]:
     """(h, q, order) of each summand of the homology of one page piece."""
     dcols: list[MonoVec] = [dict() for _ in grades]
     for (i, j, a) in entries:
         dcols[i][j] = a
-    rel_cols = [{j: order} for j, (_, _, order) in enumerate(grades) if order is not None]
+    rel_cols = [{j: order} for j, (_, _, order) in enumerate(grades) if order != FREE]
     basis, coords, vgrades = homology_presentation(
         dcols, rel_cols, [(h, q) for h, q, _ in grades], (0, 2))
     dec = module_decompose(len(basis), coords, vgrades, (0, 2))
-    return [s.grades + (s.order,) for s in dec.summands]
+    return [s.grades + (FREE if s.order is None else s.order,) for s in dec.summands]
 
 
 def _page_homology(
-    summands: Sequence[Tower],
+    page: Sequence[Grade],
     entries: list[tuple[int, int, int]],
-    pieces: dict | None = None,
-) -> list[Tower]:
-    """Homology of the page with the chosen differential, again as towers.
+    mask: int,
+    pieces: dict[int, list[Grade]],
+    shapes: dict[tuple, list[Grade]],
+) -> tuple[Grade, ...]:
+    """Homology of the page under the entries picked by mask, as grades.
 
     Homology of a direct sum is the sum of the homologies, so the towers are
-    split into the connected pieces of the differential and each piece is
-    computed on its own, once per grade-shifted shape while the same pieces
-    cache is passed; towers no entry touches pass through.  The summands
+    split into the connected pieces of the differential by OR-merging the
+    tower bitmasks (1 << src | 1 << tgt) of the picked entries; towers no
+    entry touches pass through.  pieces caches a piece's grades by its entry
+    bits, which fix its towers, for one page and entry list; shapes caches
+    them per grade-shifted shape, which module_decompose sees.  The grades
     are sorted as module_decompose sorts those of the whole page (ties are
-    identical towers) and named p<index>@h,q.
+    identical towers).
     """
-    if pieces is None:
-        pieces = {}
-    root = list(range(len(summands)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for (i, j, _) in entries:
-        root[find(i)] = find(j)
-    members: dict[int, list[int]] = {}
-    for i in range(len(summands)):
-        members.setdefault(find(i), []).append(i)
-    local: dict[int, list[tuple[int, int, int]]] = {}
-    for (i, j, a) in entries:
-        local.setdefault(find(i), []).append((i, j, a))
-    out: list[tuple[int, int, int | None]] = []
-    for r, idxs in members.items():
-        if r not in local:
-            out.extend((summands[i].h, summands[i].q, summands[i].order) for i in idxs)
-            continue
-        h0, q0 = summands[idxs[0]].h, summands[idxs[0]].q
-        pos = {i: p for p, i in enumerate(idxs)}
-        shape = (
-            tuple((summands[i].h - h0, summands[i].q - q0, summands[i].order) for i in idxs),
-            tuple(sorted((pos[i], pos[j], a) for (i, j, a) in local[r])),
-        )
-        hom = pieces.get(shape)
+    merged: list[tuple[int, int]] = []  # (tower bits, entry bits) per piece
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i, j, _ = entries[low.bit_length() - 1]
+        towers, bits = 1 << i | 1 << j, low
+        apart = []
+        for piece in merged:
+            if piece[0] & towers:
+                towers |= piece[0]
+                bits |= piece[1]
+            else:
+                apart.append(piece)
+        apart.append((towers, bits))
+        merged = apart
+    out: list[Grade] = []
+    alone = (1 << len(page)) - 1
+    for towers, bits in merged:
+        alone ^= towers
+        hom = pieces.get(bits)
         if hom is None:
-            hom = pieces[shape] = _piece_homology(list(shape[0]), list(shape[1]))
-        out.extend((h + h0, q + q0, order) for (h, q, order) in hom)
-    out.sort(key=lambda g: (g[0], g[1], g[2] is None, g[2] or 0))
-    return [Tower("p%d@%d,%d" % (idx, h, q), h, q, order)
-            for idx, (h, q, order) in enumerate(out)]
+            idxs = [i for i in range(len(page)) if towers >> i & 1]
+            h0, q0, _ = page[idxs[0]]
+            pos = {i: p for p, i in enumerate(idxs)}
+            local = sorted((pos[i], pos[j], a) for e, (i, j, a) in enumerate(entries)
+                           if bits >> e & 1)
+            grades = [(page[i][0] - h0, page[i][1] - q0, page[i][2]) for i in idxs]
+            # flat, so that a cached shape holds no tuple per tower or entry
+            shape = (len(grades), *itertools.chain(*grades, *local))
+            rel = shapes.get(shape)
+            if rel is None:
+                rel = shapes[shape] = _piece_homology(grades, local)
+            hom = pieces[bits] = [(h + h0, q + q0, order) for (h, q, order) in rel]
+        out += hom
+    while alone:
+        low = alone & -alone
+        alone ^= low
+        out.append(page[low.bit_length() - 1])
+    out.sort()
+    return tuple(out)
 
 
-def _window_free_rank(summands: Sequence[Tower]) -> int:
-    return sum(1 for t in summands if t.free)
+def _page_names(page: Sequence[Grade]) -> list[str]:
+    return ["p%d@%d,%d" % (idx, h, q) for idx, (h, q, _) in enumerate(page)]
 
 
-def _normalized_shape(summands: Sequence[Tower]) -> tuple:
-    if not summands:
+def _normalized_shape(page: Sequence[Grade]) -> tuple:
+    if not page:
         return ()
-    h0 = min(t.h for t in summands)
-    q0 = min(t.q for t in summands)
-    return tuple(
-        sorted((t.h - h0, t.q - q0, t.order if t.order is not None else -1)
-               for t in summands)
-    )
+    h0 = min(h for h, _, _ in page)
+    q0 = min(q for _, q, _ in page)
+    return tuple(sorted((h - h0, q - q0, -1 if o == FREE else o) for h, q, o in page))
 
 
-def _matches_target(summands: Sequence[Tower], target: TargetSpec) -> bool:
-    free = [t for t in summands if t.free]
-    tors = sorted(t.order for t in summands if not t.free)
-    if len(free) != target.free_rank or tors != sorted(target.torsion):
+def _matches_target(page: Sequence[Grade], target: TargetSpec) -> bool:
+    tors = sorted(o for _, _, o in page if o != FREE)
+    if len(page) - len(tors) != target.free_rank or tors != sorted(target.torsion):
         return False
-    if target.anchors is not None:
-        want = tuple(
-            sorted(
-                (h - min(a[0] for a in target.anchors),
-                 q - min(a[1] for a in target.anchors),
-                 o if o is not None else -1)
-                for (h, q, o) in target.anchors
-            )
-        )
-        if _normalized_shape(summands) != want:
-            return False
-    return True
+    return target.anchors is None or _normalized_shape(page) == _normalized_shape(
+        [(h, q, FREE if o is None else o) for h, q, o in target.anchors])
+
+
+class _Search:
+    """The caches of one enumerate_patterns call.
+
+    Nothing here refers back to the search, so the caches go with the last
+    reference to it when the call returns, without the cycle collector.
+    """
+
+    def __init__(self, target: TargetSpec) -> None:
+        self.target = target
+        # (page, k) -> entry suffixes; an E2 page (all free, input order) is
+        # never equal to a later page, which has fewer free towers
+        self.searched: dict[tuple[tuple[Grade, ...], int | None], list[tuple]] = {}
+        self.shapes: dict[tuple, list[Grade]] = {}
+
+    def suffixes(self, page: tuple[Grade, ...], k: int,
+                 names: list[str] | None = None) -> list[tuple]:
+        """Entry suffixes from d_k on that reach the target, in mask order.
+
+        names are the page's tower names, None for the p<i>@h,q names of a
+        later page, built only once a suffix list is not empty.
+        """
+        searched, key = self.searched, (page, k)
+        found = searched.get(key)
+        if found is not None:
+            return found
+        if sum(o == FREE for _, _, o in page) < self.target.free_rank:
+            found = searched[key] = []
+            return found
+        hs = {h for h, _, _ in page}
+        k = min((g for g in (t - s for s in hs for t in hs) if g >= k and g % 2), default=None)
+        # the first k that carries a d_k: one search serves every k up to it
+        found = searched.get((page, k))
+        if found is not None:
+            searched[key] = found
+            return found
+        found = searched[key] = searched[(page, k)] = []
+        if k is None:
+            if _matches_target(page, self.target):
+                found.append(())
+            return found
+        cands = _candidates(page, k)
+        if len(cands) > MAX_CANDIDATES:
+            raise ValueError("too many candidate entries on page %d" % k)
+        conflicts = _conflicts(page, cands)
+        pieces: dict[int, list[Grade]] = {}
+        here: list[tuple] | None = None
+        found.extend(self.suffixes(page, k + 1, names))
+        for mask in range(1, 1 << len(cands)):
+            if not _square_zero(mask, conflicts):
+                continue
+            rests = self.suffixes(_page_homology(page, cands, mask, pieces, self.shapes), k + 1)
+            if not rests:
+                continue
+            if here is None:
+                if names is None:
+                    names = _page_names(page)
+                here = [(k, names[i], names[j], a) for (i, j, a) in cands]
+            entries = tuple(here[e] for e in range(len(cands)) if mask >> e & 1)
+            found.extend(entries + rest for rest in rests)
+        return found
 
 
 def enumerate_patterns(e2: PageSpec, target: TargetSpec) -> list[Pattern]:
@@ -219,54 +280,24 @@ def enumerate_patterns(e2: PageSpec, target: TargetSpec) -> list[Pattern]:
     the first pattern in search order is kept.
 
     The search is a depth-first walk over pages, one subset (mask) of the
-    admissible d_k entries at a time.  Each distinct (page, k) is searched
-    once: its list of entry suffixes reaching the target is kept for the
-    call, so a page met again is not searched again.  Page homology is
-    computed per connected piece of the differential and cached per piece
-    shape for the call (see _page_homology).  Pages with no two towers k
-    apart in h carry no d_k and are skipped.
+    admissible d_k entries at a time, as integer bits.  Inside it a page is a
+    tuple of (h, q, order) grades; names are built for the E2 page and for
+    the entries of a suffix list that is not empty.  Each distinct (page, k)
+    is searched once, and its list of entry suffixes reaching the target is
+    kept for the call.  A mask squares to zero iff each group of composable
+    candidate pairs with the same surviving composite has an even number of
+    pairs inside it (_conflicts).  Its page homology is the sum over the
+    connected pieces found by OR-merging the entries' tower bitmasks, each
+    cached by entry bits for the page and by grade-shifted shape for the
+    call (_page_homology).  Pages with no two towers k apart in h carry no
+    d_k and are skipped.  No cache outlives the call.
     """
     if len(e2.towers) > 12:
         raise ValueError("start page too large for exhaustive search")
     grade_of = {t.name: (t.h, t.q) for t in e2.towers}
-    searched: dict[tuple[tuple[Tower, ...], int | None], list[tuple]] = {}
-    pieces: dict = {}
-
-    def rec(summands: tuple[Tower, ...], k: int) -> list[tuple]:
-        """Entry suffixes from d_k on that reach the target, in mask order."""
-        if _window_free_rank(summands) < target.free_rank:
-            return []
-        gaps = {t.h - s.h for s in summands for t in summands}
-        k = min((g for g in gaps if g >= k and g % 2), default=None)
-        key = (summands, k)
-        found = searched.get(key)
-        if found is not None:
-            return found
-        found = searched[key] = []
-        if k is None:
-            if _matches_target(summands, target):
-                found.append(())
-            return found
-        cands = _candidates(summands, k)
-        if len(cands) > MAX_CANDIDATES:
-            raise ValueError("too many candidate entries on page %d" % k)
-        for mask in range(1 << len(cands)):
-            entries = [cands[i] for i in range(len(cands)) if (mask >> i) & 1]
-            if not _square_zero(summands, entries):
-                continue
-            if entries:
-                nxt = tuple(_page_homology(summands, entries, pieces))
-                here = tuple((k, summands[i].name, summands[j].name, a)
-                             for (i, j, a) in entries)
-                found.extend(here + rest for rest in rec(nxt, k + 1))
-            else:
-                found.extend(rec(summands, k + 1))
-        return found
-
-    results = [
-        (_canonical_key(grade_of, pat), pat)
-        for pat in map(Pattern, rec(tuple(e2.towers), 2))
-    ]
+    start = tuple((t.h, t.q, FREE) for t in e2.towers)
+    suffixes = _Search(target).suffixes(start, 2, [t.name for t in e2.towers])
+    results = [(_canonical_key(grade_of, pat), pat) for pat in map(Pattern, suffixes)]
     seen: dict[tuple, Pattern] = {}
     for key, pat in sorted(results, key=lambda kp: kp[0]):
         if key not in seen:
@@ -311,24 +342,20 @@ def replay(e2: PageSpec, pattern: Pattern) -> list[Tower]:
     for k in sorted(by_page):
         index = {nm: i for i, nm in enumerate(names)}
         entries = [(index[src], index[tgt], a) for (src, tgt, a) in by_page[k]]
-        summands2 = _page_homology(summands, entries)
-        names = [t.name for t in summands2]
+        grades = [(t.h, t.q, FREE if t.free else t.order) for t in summands]
+        page = _page_homology(grades, entries, (1 << len(entries)) - 1, {}, {})
+        names = _page_names(page)
         # keep original names where a summand survives at the same grade
         used = set()
         renamed = []
-        for t in summands2:
-            match = None
+        for name, (h, q, order) in zip(names, page):
+            order = None if order == FREE else order
             for old in summands:
-                if old.name in used:
-                    continue
-                if (old.h, old.q) == (t.h, t.q) and (old.order == t.order or old.free and t.free):
-                    match = old.name
+                if old.name not in used and (old.h, old.q, old.order) == (h, q, order):
+                    name = old.name
+                    used.add(name)
                     break
-            if match is not None:
-                used.add(match)
-                renamed.append(Tower(match, t.h, t.q, t.order))
-            else:
-                renamed.append(t)
+            renamed.append(Tower(name, h, q, order))
         summands = renamed
     return summands
 

@@ -227,14 +227,14 @@ def smooth(d: LinkDiagram, crossing: int, choice: int) -> LinkDiagram:
             occur[find(x)] = occur.get(find(x), 0) + 1
     new_loops = d.free_loops
     relabel: dict[int, int] = {}
-    for x in sorted({find(a2) for a2 in d.arcs if a2 > 0}):
+    for x in sorted({find(a2) for a2 in d.arcs if a2 >= 0}):
         cnt = occur.get(x, 0)
         if cnt == 0:
             new_loops += 1
         elif cnt == 2:
             relabel[x] = x
         else:
-            raise AssertionError("smoothing left arc with %d ends" % cnt)
+            raise ValueError("smoothing left arc with %d ends" % cnt)
     new_crossings = tuple(
         tuple(relabel[find(x)] for x in cr) for cr in rest  # type: ignore
     )

@@ -407,10 +407,13 @@ def test_infer_start_page_budget(tmp_path, capsys):
 def test_infer_candidate_budget_before_any_mask(tmp_path, capsys, monkeypatch):
     """Six towers at (0, 0) and six at (3, 4) give 36 candidate entries for
     d_3, above the budget of 18: exit 2 before any mask is tried."""
-    def no_mask(summands, entries):
+    def no_mask(*args):
         raise AssertionError("a mask was tried")
 
+    # every nonzero mask is tested for square-zero, and this page has no
+    # composable entries, so each one also gets its page homology
     monkeypatch.setattr(skeinseq.infer, "_square_zero", no_mask)
+    monkeypatch.setattr(skeinseq.infer, "_page_homology", no_mask)
     towers = [{"name": "a%d" % i, "h": 0, "q": 0} for i in range(6)]
     towers += [{"name": "b%d" % i, "h": 3, "q": 4} for i in range(6)]
     p1, p2 = tmp_path / "e2.json", tmp_path / "t.json"

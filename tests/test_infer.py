@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -5,10 +6,17 @@ import pytest
 from skeinseq import khovanov as kh
 from skeinseq.complexes import UHomology
 from skeinseq.infer import (
+    FREE,
     PageSpec,
     Pattern,
     TargetSpec,
     Tower,
+    _candidates,
+    _canonical_key,
+    _conflicts,
+    _page_homology,
+    _piece_homology,
+    _square_zero,
     enumerate_patterns,
     replay,
     resolve_filtration,
@@ -168,8 +176,6 @@ def test_candidates_define_a_map():
     """On pages with torsion towers, _candidates gives each (src, tgt) pair
     at most once and only entries that kill the source's relation: an entry
     from a u^o-torsion tower lands on zero, u^(o + a) t = 0 in its target."""
-    from skeinseq.infer import _candidates
-
     rng = random.Random(4242)
     seen_torsion_source = 0
     for _ in range(400):
@@ -177,7 +183,8 @@ def test_candidates_define_a_map():
                         rng.choice((None, 1, 2, 3)))
                   for i in range(rng.randrange(2, 9))]
         for k in (1, 3, 5):
-            cands = _candidates(towers, k)
+            cands = _candidates(_grades(towers), k)
+            assert cands == _ref_candidates(towers, k)
             pairs = [(i, j) for (i, j, _) in cands]
             assert len(pairs) == len(set(pairs))
             for (i, j, a) in cands:
@@ -190,41 +197,32 @@ def test_candidates_define_a_map():
 
 def test_page_homology_with_torsion_cross_checked():
     """One differential into a torsion tower, checked against a hand value."""
-    from skeinseq.infer import _page_homology
-
-    summands = [Tower("z", 0, 0), Tower("x", 3, 7, 2)]
     # d3: z -> u x has bidegree (2k-2, k) = (4, 3): power (7 - 0 - 4)/2 > 0
-    entries = [(0, 1, 1)]
-    out = _page_homology(summands, entries)
-    frees = [t for t in out if t.free]
-    tors = [t for t in out if not t.free]
+    out = _page_homology([(0, 0, FREE), (3, 7, 2)], [(0, 1, 1)], 1, {}, {})
     # kernel of z -> u x modulo u^2 x is u*z; the x part becomes order one
-    assert len(frees) == 1 and (frees[0].h, frees[0].q) == (0, -2)
-    assert len(tors) == 1 and tors[0].order == 1 and (tors[0].h, tors[0].q) == (3, 7)
+    assert out == ((0, -2, FREE), (3, 7, 1))
 
 
 def test_page_homology_matches_complex_homology():
     """The infer page calculus agrees with the chain-level machinery."""
-    import random as _random
-
     from skeinseq.complexes import CONV_KH, ChainComplex, Generator, UHomology
-    from skeinseq.infer import _candidates, _page_homology, _square_zero
     from skeinseq.poly import HALF, Poly, VarSet
 
-    rng = _random.Random(1729)
+    rng = random.Random(1729)
     vs = VarSet(("u",), (HALF,))
     for _ in range(40):
         towers = []
         for i in range(rng.randrange(2, 5)):
             towers.append(Tower("t%d" % i, rng.randrange(4), rng.randrange(-2, 8)))
         k = rng.choice((1, 3))
-        cands = _candidates(towers, k)
+        cands = _ref_candidates(towers, k)
         if not cands:
             continue
-        picked = [c for c in cands if rng.random() < 0.5]
-        if not _square_zero(towers, picked):
+        mask = rng.getrandbits(len(cands))
+        picked = _picked(cands, mask)
+        if not _ref_square_zero(towers, picked):
             continue
-        out = _page_homology(towers, picked)
+        out = _page_homology(_grades(towers), cands, mask, {}, {})
         # same data as a chain complex over u with the kh convention
         gens = [Generator(t.name, t.h, t.q) for t in towers]
         diff = {}
@@ -238,87 +236,194 @@ def test_page_homology_matches_complex_homology():
             cx = ChainComplex(vs, gens, diff, CONV_KH, check=True)
             hom = UHomology(cx)
             assert sorted((s.grades, s.order) for s in hom.decomposition.summands) == \
-                sorted((( (t.h, t.q)), t.order) for t in out)
+                sorted(((t.h, t.q), t.order) for t in _named(out))
 
 
-# -- piecewise page homology and the memoised search against plain references --
+# -- page homology and the memoised search against plain references ------------
+#
+# The references work on Tower lists and share nothing with the search but
+# _piece_homology, the module calculation of one page.
+
+
+def _grades(towers):
+    return [(t.h, t.q, FREE if t.free else t.order) for t in towers]
+
+
+def _named(grades):
+    """Search grades as the towers of a later page, p<i>@h,q."""
+    return [Tower("p%d@%d,%d" % (i, h, q), h, q, None if o == FREE else o)
+            for i, (h, q, o) in enumerate(grades)]
+
+
+def _picked(cands, mask):
+    return [c for e, c in enumerate(cands) if mask >> e & 1]
 
 
 def _whole_page_homology(summands, entries):
     """The page homology as one module calculation over every tower."""
-    from skeinseq.infer import _piece_homology
+    return _named(_piece_homology(_grades(summands), entries))
 
-    grades = [(t.h, t.q, t.order) for t in summands]
-    return [Tower("p%d@%d,%d" % (i, h, q), h, q, order)
-            for i, (h, q, order) in enumerate(_piece_homology(grades, entries))]
+
+def _ref_candidates(summands, k):
+    out = []
+    for i, s in enumerate(summands):
+        for j, t in enumerate(summands):
+            num = t.q - s.q - (2 * k - 2)
+            if t.h - s.h != k or num % 2 or num < 0:
+                continue
+            if s.order is not None and (t.order is None or s.order + num // 2 < t.order):
+                continue
+            out.append((i, j, num // 2))
+    return sorted(out, key=lambda c: (c[2], c[0], c[1]))
+
+
+def _ref_square_zero(summands, entries):
+    """d^2 = 0: every power of every composite (i, l) entry sums to zero, or
+    is killed by the torsion of l."""
+    comp = {}
+    for (i, j, a) in entries:
+        for (j2, l, b) in entries:
+            if j2 == j:
+                comp.setdefault((i, l), set()).symmetric_difference_update({a + b})
+    return all(summands[l].order is not None and p >= summands[l].order
+               for (i, l), powers in comp.items() for p in powers)
+
+
+def _ref_matches_target(summands, target):
+    tors = sorted(t.order for t in summands if not t.free)
+    if len(summands) - len(tors) != target.free_rank or tors != sorted(target.torsion):
+        return False
+    if target.anchors is None:
+        return True
+
+    def shape(grades):
+        h0 = min((g[0] for g in grades), default=0)
+        q0 = min((g[1] for g in grades), default=0)
+        return sorted((h - h0, q - q0, -1 if o is None else o) for h, q, o in grades)
+
+    return shape([(t.h, t.q, t.order) for t in summands]) == shape(target.anchors)
+
+
+def _pieces(n, entries):
+    """The tower sets of the connected pieces of the entries."""
+    piece = {i: {i} for i in range(n)}
+    for (i, j, _) in entries:
+        joined = piece[i] | piece[j]
+        for x in joined:
+            piece[x] = joined
+    return {frozenset(piece[i]) for (i, _, _) in entries}
+
+
+def test_square_zero_matches_reference():
+    """Every mask of random pages with torsion towers: the conflict pairs
+    give the reference's square-zero test, also where a composite dies in
+    the torsion of its target."""
+    rng = random.Random(99)
+    killed = 0
+    for _ in range(300):
+        towers = [Tower("t%d" % i, rng.randrange(4), 2 * rng.randrange(4),
+                        rng.choice((None, 1, 2, 3)))
+                  for i in range(rng.randrange(3, 8))]
+        cands = _ref_candidates(towers, 1)[:10]
+        conflicts = _conflicts(_grades(towers), cands)
+        for mask in range(1 << len(cands)):
+            picked = _picked(cands, mask)
+            want = _ref_square_zero(towers, picked)
+            assert _square_zero(mask, conflicts) == want
+            killed += want and any(
+                j == j2 and towers[l].order is not None and a + b >= towers[l].order
+                for (_, j, a) in picked for (j2, l, b) in picked)
+    assert killed > 100
 
 
 def test_piecewise_page_homology_matches_whole_page():
     """Random pages of free and torsion towers, random admissible entries:
-    the piecewise result equals the whole-page one, names included, also
-    when a shared piece cache answers a grade-shifted copy of the page."""
-    from skeinseq.infer import _candidates, _page_homology, _square_zero
-
+    the piecewise result equals the whole-page one, also when the piece
+    cache of the page answers and when the shape cache answers a
+    grade-shifted copy of the page."""
     rng = random.Random(2718)
-    pieces: dict = {}
+    shapes: dict = {}
     checked = passed_through = split = 0
     for _ in range(1500):
         towers = [Tower("t%d" % i, rng.randrange(6), 2 * rng.randrange(8) + 1,
                         rng.choice((None, None, 1, 2, 3)))
                   for i in range(rng.randrange(2, 11))]
         k = rng.choice((1, 3, 5))
-        cands = _candidates(towers, k)
-        picked = [c for c in cands if rng.random() < 0.5]
-        if not picked or not _square_zero(towers, picked):
+        cands = _ref_candidates(towers, k)
+        mask = rng.getrandbits(len(cands))
+        picked = _picked(cands, mask)
+        if not picked or not _ref_square_zero(towers, picked):
             continue
         want = _whole_page_homology(towers, picked)
-        assert _page_homology(towers, picked) == want
-        assert _page_homology(towers, picked, pieces) == want
+        page, pieces = _grades(towers), {}
+        assert _named(_page_homology(page, cands, mask, {}, {})) == want
+        assert _named(_page_homology(page, cands, mask, pieces, shapes)) == want
+        assert _named(_page_homology(page, cands, mask, pieces, {})) == want
         dh, dq = rng.randrange(-3, 4), 2 * rng.randrange(-3, 4)
-        shifted = [Tower(t.name, t.h + dh, t.q + dq, t.order) for t in towers]
-        assert _page_homology(shifted, picked, pieces) == [
+        shifted = [(h + dh, q + dq, o) for h, q, o in page]
+        assert _named(_page_homology(shifted, cands, mask, {}, shapes)) == [
             Tower("p%d@%d,%d" % (i, t.h + dh, t.q + dq), t.h + dh, t.q + dq, t.order)
             for i, t in enumerate(want)
         ]
         checked += 1
-        piece = {i: {i} for i in range(len(towers))}
-        for (i, j, _) in picked:
-            joined = piece[i] | piece[j]
-            for x in joined:
-                piece[x] = joined
-        touched = {frozenset(piece[i]) for (i, _, _) in picked}
-        passed_through += len(touched) < len(set(map(frozenset, piece.values())))
+        touched = _pieces(len(towers), picked)
+        passed_through += sum(map(len, touched)) < len(towers)
         split += len(touched) > 1
     assert checked > 200 and passed_through > 100 and split > 50
 
 
+def test_page_homology_on_pages_of_repeated_grades():
+    """8-12 towers on a few repeated grades, many masks of one page sharing
+    its piece cache: masks of three or more pieces equal the whole page."""
+    rng = random.Random(31)
+    checked = three_pieces = 0
+    for _ in range(100):
+        spots = [(rng.randrange(5), 2 * rng.randrange(5) + 1, rng.choice((None, None, 1, 2)))
+                 for _ in range(rng.randrange(3, 6))]
+        towers = [Tower("t%d" % i, *rng.choice(spots)) for i in range(rng.randrange(8, 13))]
+        k = rng.choice((1, 3))
+        cands = _ref_candidates(towers, k)
+        if len(cands) < 3:
+            continue
+        page, pieces, shapes = _grades(towers), {}, {}
+        for _ in range(40):
+            # mostly entries on towers no earlier entry touched, so that the
+            # mask splits into several pieces
+            mask = touched = 0
+            for e in rng.sample(range(len(cands)), len(cands)):
+                bits = 1 << cands[e][0] | 1 << cands[e][1]
+                if rng.random() < (0.8 if bits & touched == 0 else 0.1):
+                    mask |= 1 << e
+                    touched |= bits
+            picked = _picked(cands, mask)
+            if not _ref_square_zero(towers, picked):
+                continue
+            got = _page_homology(page, cands, mask, pieces, shapes)
+            assert _named(got) == _whole_page_homology(towers, picked)
+            checked += 1
+            three_pieces += len(_pieces(len(towers), picked)) >= 3
+    assert checked > 800 and three_pieces > 120
+
+
 def _reference_patterns(e2, target):
     """Plain search: every page at every k, whole-page homology, no caches."""
-    from skeinseq.infer import (
-        _candidates,
-        _canonical_key,
-        _matches_target,
-        _square_zero,
-        _window_free_rank,
-    )
-
     start = list(e2.towers)
     span = max(t.h for t in start) - min(t.h for t in start)
     grade_of = {t.name: (t.h, t.q) for t in start}
     results = []
 
     def rec(summands, k, chosen):
-        if _window_free_rank(summands) < target.free_rank:
+        if sum(1 for t in summands if t.free) < target.free_rank:
             return
         if k > max(span, 1):
-            if _matches_target(summands, target):
+            if _ref_matches_target(summands, target):
                 pat = Pattern(tuple(chosen))
                 results.append((_canonical_key(grade_of, pat), pat))
             return
-        cands = _candidates(summands, k) if k % 2 else []
+        cands = _ref_candidates(summands, k) if k % 2 else []
         for mask in range(1 << len(cands)):
-            entries = [cands[i] for i in range(len(cands)) if (mask >> i) & 1]
-            if not _square_zero(summands, entries):
+            entries = _picked(cands, mask)
+            if not _ref_square_zero(summands, entries):
                 continue
             nxt = _whole_page_homology(summands, entries) if entries else summands
             rec(nxt, k + 1, chosen + [(k, summands[i].name, summands[j].name, a)
@@ -358,3 +463,16 @@ def test_memoised_search_matches_plain_reference():
         assert enumerate_patterns(page, target) == want
         found += len(want)
     assert found > 20
+
+
+def test_search_leaves_no_cycle():
+    """The search's caches are freed when the call returns, without the
+    cycle collector."""
+    page, target = _planted_page(random.Random(8), 10)
+    gc.collect()
+    gc.disable()
+    try:
+        assert enumerate_patterns(page, target)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

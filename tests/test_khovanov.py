@@ -308,6 +308,29 @@ def test_smooth_creates_free_loops():
     assert {d0.free_loops, d1.free_loops} == {1, 2}
 
 
+def test_smooth_with_arc_zero():
+    """Arc ids may start at 0: the smoothings are those of the diagram with
+    every arc id one higher, shifted back (arc 0 used to be left out of the
+    relabelling, a KeyError)."""
+    d1 = kh.parse_pd(TREFOIL)
+    d0 = kh.LinkDiagram(tuple(tuple(a - 1 for a in cr) for cr in d1.crossings))
+    for c in range(3):
+        for choice in (0, 1):
+            s1, s0 = kh.smooth(d1, c, choice), kh.smooth(d0, c, choice)
+            assert s0.free_loops == s1.free_loops
+            assert s0.crossings == tuple(tuple(a - 1 for a in cr) for cr in s1.crossings)
+
+
+def test_smooth_rejects_an_arc_left_with_one_end():
+    """An arc that a smoothing leaves with one end is bad input (ValueError),
+    not an internal invariant failure.  LinkDiagram rejects such crossings,
+    so they are set after its check."""
+    d = kh.parse_pd("PD[X(1,2,2,1)]")
+    object.__setattr__(d, "crossings", ((1, 2, 3, 4), (1, 2, 3, 5)))
+    with pytest.raises(ValueError, match="arc with 1 ends"):
+        kh.smooth(d, 0, 0)
+
+
 def test_induced_action_basis_independent():
     import random as _random
 
