@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -250,6 +251,7 @@ def _emit(args, lines, payload) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
+@functools.cache  # built once per process: parse_args leaves it as it is
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="skeinseq",
@@ -290,9 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write("error: %s\n" % exc)

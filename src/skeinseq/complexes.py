@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import add
-from typing import Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from . import gf2
-from .poly import Monomial, Poly, VarSet
+from .poly import Poly, VarSet
 from .umod import (
     MonoVec,
     Summand,
@@ -63,7 +62,10 @@ MatrixEntries = Mapping[tuple[str, str], Poly]
 
 
 class ChainComplex:
-    """Finitely generated complex with polynomial differential entries."""
+    """Finitely generated complex with polynomial differential entries.
+
+    check=False keeps diff as given: no zero entry, none off degree or on
+    an unknown generator is looked for."""
 
     def __init__(
         self,
@@ -89,13 +91,12 @@ class ChainComplex:
                 raise ValueError("kh-convention generator %r has no q" % bare)
         elif len({g.alex2 is None for g in self.gens}) > 1:
             raise ValueError("alex2 is given on some generators but not all")
-        self.diff = {k: p for k, p in diff.items() if p}
         self.pairs = dict(pairs or {})
         for pid, names in self.pairs.items():
             for n in names:
                 vars.index(n)
-        if check:
-            self._check_homogeneous()
+        self.diff = diff if not check else _checked_entries(
+            self, self, diff, -1 if convention == CONV_FLOER else 1, 0, 0, False)
 
     # -- basic access ---------------------------------------------------------
 
@@ -128,50 +129,6 @@ class ChainComplex:
             return (0, 2 * unit)
         return (unit,)
 
-    # -- validation -----------------------------------------------------------
-
-    def _entry_ok(self, src: Generator, tgt: Generator, p: Poly, dh: int,
-                  dq: int | None, dalex: int, drops: dict) -> bool:
-        """Whether every monomial of p sends src's grading to tgt's.
-
-        drops caches (h_drop, q_drop, alex2) per monomial; callers pass one
-        dict to a run of calls so each distinct monomial is weighed once.
-        """
-        floer = self.convention == CONV_FLOER
-        for m in p.terms:
-            drop = drops.get(m)
-            if drop is None:
-                vs = self.vars
-                drop = drops[m] = (vs.h_drop(m), vs.q_drop(m), vs.alex2(m))
-            if floer:
-                if tgt.h - drop[0] != src.h + dh:
-                    return False
-                if src.alex2 is not None and tgt.alex2 is not None:
-                    if (tgt.alex2 + drop[2]) % 2 != (src.alex2 + dalex) % 2:
-                        return False
-            else:
-                if tgt.h != src.h + dh:
-                    return False
-                if src.q is None or tgt.q is None:
-                    return False
-                want = src.q if dq is None else src.q + dq
-                if tgt.q - drop[1] != want:
-                    return False
-        return True
-
-    def _check_homogeneous(self) -> None:
-        dh = -1 if self.convention == CONV_FLOER else 1
-        order, gens, entry_ok = self.order, self.gens, self._entry_ok
-        drops: dict = {}
-        for (src, tgt), p in self.diff.items():
-            i, j = order.get(src), order.get(tgt)
-            if i is None or j is None:
-                raise ValueError("entry on unknown generator (%s,%s)" % (src, tgt))
-            if not entry_ok(gens[i], gens[j], p, dh, 0, 0, drops):
-                raise ValueError(
-                    "inhomogeneous differential entry %s -> %s: %s" % (src, tgt, p)
-                )
-
     def exponent_columns(self, entries: MatrixEntries | None = None) -> list[MonoVec]:
         """One-variable entries (default: the differential) as columns by
         source position, {target position: u exponent}.
@@ -197,7 +154,7 @@ class ChainComplex:
         source in generator order, then by target."""
         order = self.order
         return [(src, tgt, p) for (src, tgt), p in sorted(
-            mat_compose(self.diff, self.diff).items(),
+            mat_compose(self.diff, self.diff, self.grade).items(),
             key=lambda kv: (order[kv[0][0]], kv[0][1]))]
 
     # -- rebuilding helpers -----------------------------------------------------
@@ -214,48 +171,74 @@ class ChainComplex:
 
 
 def mat_compose(
-    second: MatrixEntries, first: MatrixEntries
+    second: MatrixEntries, first: MatrixEntries,
+    grade: Callable[[str], Hashable] | None = None,
 ) -> dict[tuple[str, str], Poly]:
     """Matrix of (second after first); entries map src -> sum coeff * tgt.
 
-    Works on monomial exponent tuples: a product of two monomials adds
-    exponents, and a sum over F2 toggles the product's presence.  Each
-    operand is grouped by source once, and once in all when both are the
-    same dict.
+    Each row of second (the entries out of one generator) is a bitset of
+    targets per (entry terms, target grade), bit i for the i-th target of
+    that grade (all targets share one grade when grade is None), so a
+    bitset is no wider than a grade.  A source of first XORs the rows of
+    its middle generators, one accumulator per entry terms of first, so
+    paths cancel in pairs without a product; only what is left is
+    multiplied out, once per pair of entry terms.  Exact for any input,
+    homogeneous or not.
     """
     if not first or not second:
         return {}
     vs = next(iter(first.values())).vars
     if next(iter(second.values())).vars != vs:
         raise ValueError("polynomials over different variable universes")
-
-    def by_src(entries: MatrixEntries) -> dict[str, list[tuple[str, Monomial]]]:
-        out: dict[str, list[tuple[str, Monomial]]] = {}
-        for (src, tgt), p in entries.items():
-            terms = out.get(src)
-            if terms is None:
-                terms = out[src] = []
-            terms += [(tgt, m) for m in p.terms]
-        return out
-
-    firsts = by_src(first)
-    seconds = firsts if second is first else by_src(second)
+    place: dict[str, tuple[int, int]] = {}  # target -> (its block, its bit)
+    blocks: dict[Hashable, int] = {}  # grade -> block
+    names: list[list[str]] = []  # block -> its targets by bit
+    rows: dict[str, dict[tuple, int]] = {}  # mid -> (entry terms, block) -> bits
+    keys: dict[tuple, tuple] = {}  # one key object per (entry terms, block)
+    for (mid, tgt), p in second.items():
+        at = place.get(tgt)
+        if at is None:
+            b = blocks.setdefault(grade(tgt) if grade else None, len(names))
+            if b == len(names):
+                names.append([])
+            at = place[tgt] = b, 1 << len(names[b])
+            names[b].append(tgt)
+        b, bit = at
+        row = rows.get(mid)
+        if row is None:
+            row = rows[mid] = {}
+        k = keys.setdefault((p.terms, b), (p.terms, b))
+        row[k] = row.get(k, 0) | bit
+    firsts: dict[str, dict[frozenset, list[str]]] = {}  # src -> terms -> mids
+    for (src, mid), p in first.items():
+        if mid in rows:
+            firsts.setdefault(src, {}).setdefault(p.terms, []).append(mid)
+    products: dict[tuple[frozenset, frozenset], frozenset] = {}
     out: dict[tuple[str, str], Poly] = {}
-    for src, mids in firsts.items():
-        acc: dict[str, set[Monomial]] = {}
-        for mid, m1 in mids:
-            for tgt, m2 in seconds.get(mid, ()):
-                prods = acc.get(tgt)
-                if prods is None:
-                    prods = acc[tgt] = set()
-                m = tuple(map(add, m1, m2))
-                if m in prods:
-                    prods.remove(m)
-                else:
-                    prods.add(m)
-        for tgt, prods in acc.items():
-            if prods:
-                out[(src, tgt)] = Poly(vs, frozenset(prods))
+    for src, by_terms in firsts.items():
+        prods: dict[tuple, int] = {}  # (product terms, block) -> bits
+        for t1, mids in by_terms.items():
+            acc: dict[tuple, int] = {}
+            for mid in mids:
+                for k, bits in rows[mid].items():
+                    acc[k] = acc.get(k, 0) ^ bits
+            for (t2, b), bits in acc.items():
+                if bits:
+                    prod = products.get((t1, t2))
+                    if prod is None:
+                        prod = products[t1, t2] = (Poly(vs, t1) * Poly(vs, t2)).terms
+                    prods[prod, b] = prods.get((prod, b), 0) ^ bits
+        terms: dict[str, frozenset] = {}
+        for (prod, b), bits in prods.items():
+            block = names[b]
+            while bits:
+                low = bits & -bits
+                tgt = block[low.bit_length() - 1]
+                terms[tgt] = terms.get(tgt, frozenset()) ^ prod
+                bits ^= low
+        for tgt, ms in terms.items():
+            if ms:
+                out[src, tgt] = Poly(vs, ms)
     return out
 
 
@@ -269,6 +252,58 @@ def mat_add(a: MatrixEntries, b: MatrixEntries) -> dict[tuple[str, str], Poly]:
         elif key in out:
             del out[key]
     return out
+
+
+def _checked_entries(source: ChainComplex, target: ChainComplex,
+                     entries: MatrixEntries, dh: int, dq: int, dalex: int,
+                     is_map: bool) -> MatrixEntries:
+    """entries without zero entries (entries itself when it has none), once
+    each is checked to move h by dh and q by dq (kh) or alex2 by dalex mod 2
+    (floer, where both ends have one) after the drop of its terms.
+
+    Its terms must all drop h alike (q drops twice that and alex2 by its
+    parity), so the drop is found once per distinct set of terms and an
+    entry costs a few integer comparisons.  An entry off degree raises
+    ValueError; one on an unknown generator, KeyError in a map.
+    """
+    kh = source.convention == CONV_KH
+    h_drop = source.vars.h_drop
+    s_order, t_order = source.order, target.order
+    # (h, q) in kh, (h, alex2) in floer, by generator position
+    s_grades = [(g.h, g.q if kh else g.alex2) for g in source.gens]
+    t_grades = s_grades if target is source else [
+        (g.h, g.q if kh else g.alex2) for g in target.gens]
+    drops: dict[frozenset, int | None] = {}  # an entry's terms -> their one h drop
+    zero = False
+    for key, p in entries.items():
+        terms = p.terms
+        if not terms:
+            zero = True
+            continue
+        src, tgt = key
+        i, j = s_order.get(src), t_order.get(tgt)
+        if i is None or j is None:
+            if is_map:
+                raise KeyError(src if i is None else tgt)
+            raise ValueError("entry on unknown generator (%s,%s)" % key)
+        d = drops.get(terms, -1)
+        if d == -1:
+            ds = {h_drop(m) for m in terms}
+            d = drops[terms] = ds.pop() if len(ds) == 1 else None
+        (h1, v1), (h2, v2) = s_grades[i], t_grades[j]
+        if d is None:
+            ok = False
+        elif kh:
+            ok = (h2 == h1 + dh and v1 is not None and v2 is not None
+                  and v2 - 2 * d == v1 + dq)
+        else:
+            ok = h2 - d == h1 + dh and (
+                v1 is None or v2 is None or (v2 + d - v1 - dalex) % 2 == 0)
+        if not ok:
+            raise ValueError(("map entry %s -> %s off degree (%s)" if is_map else
+                              "inhomogeneous differential entry %s -> %s: %s")
+                             % (src, tgt, p))
+    return {k: p for k, p in entries.items() if p} if zero else entries
 
 
 class ChainMap:
@@ -288,39 +323,18 @@ class ChainMap:
             raise ValueError("chain map across different variable universes")
         self.source = source
         self.target = target
-        self.entries = {k: p for k, p in entries.items() if p}
-        self.dh = dh
-        self.dq = dq
-        self.dalex = dalex
-        if check:
-            drops: dict = {}
-            for (src, tgt), p in self.entries.items():
-                ok = source._entry_ok(
-                    source.gen(src), target.gen(tgt), p, dh,
-                    dq if source.convention == CONV_KH else 0,
-                    dalex, drops,
-                )
-                if not ok:
-                    raise ValueError(
-                        "map entry %s -> %s off degree (%s)" % (src, tgt, p)
-                    )
+        self.entries = entries if not check else _checked_entries(
+            source, target, entries, dh, dq or 0, dalex, True)
 
     def anticommutator(self) -> dict[tuple[str, str], Poly]:
         """M d + d M for an endomap-shaped pair of complexes."""
-        md = mat_compose(self.entries, self.source.diff)
-        dm = mat_compose(self.target.diff, self.entries)
+        grade = self.target.grade
+        md = mat_compose(self.entries, self.source.diff, grade)
+        dm = mat_compose(self.target.diff, self.entries, grade)
         return mat_add(md, dm)
 
     def is_chain_map(self) -> bool:
         return not self.anticommutator()
-
-    def __add__(self, other: "ChainMap") -> "ChainMap":
-        if (self.source, self.target, self.dh) != (other.source, other.target, other.dh):
-            raise ValueError("incompatible chain map sum")
-        return ChainMap(
-            self.source, self.target, mat_add(self.entries, other.entries),
-            self.dh, self.dq, self.dalex, check=False,
-        )
 
 
 # -- constructions --------------------------------------------------------------
@@ -350,7 +364,11 @@ def tensor(c1: ChainComplex, c2: ChainComplex, sep: str = "*") -> ChainComplex:
         for g1 in c1.gens:
             key = (g1.gid + sep + src, g1.gid + sep + tgt)
             cur = diff.get(key)
-            diff[key] = p if cur is None else cur + p
+            acc = p if cur is None else cur + p
+            if acc:
+                diff[key] = acc
+            else:  # two loops that cancel
+                del diff[key]
     pairs = dict(c1.pairs)
     pairs.update(c2.pairs)
     return ChainComplex(c1.vars, gens, diff, c1.convention, pairs, check=False)
@@ -360,28 +378,15 @@ def substitute(
     cx: ChainComplex, assignment: Mapping[str, str]
 ) -> ChainComplex:
     """Entrywise variable-for-variable substitution."""
-    new_names: list[str] = []
-    new_units: list[int] = []
+    units: dict[str, int] = {}  # the new variables in order of first image
     for name, unit in zip(cx.vars.names, cx.vars.units):
         new = assignment.get(name, name)
-        if new not in new_names:
-            new_names.append(new)
-            new_units.append(unit)
-        else:
-            if new_units[new_names.index(new)] != unit:
-                raise ValueError("unit mismatch for substitution target %r" % new)
-    target = VarSet(tuple(new_names), tuple(new_units))
-    diff = {
-        key: p.map_vars(target, dict(assignment)) for key, p in cx.diff.items()
-    }
-    pairs: dict[str, tuple[str, ...]] = {}
-    for pid, names in cx.pairs.items():
-        mapped: list[str] = []
-        for n in names:
-            nn = assignment.get(n, n)
-            if nn not in mapped:
-                mapped.append(nn)
-        pairs[pid] = tuple(mapped)
+        if units.setdefault(new, unit) != unit:
+            raise ValueError("unit mismatch for substitution target %r" % new)
+    target = VarSet(tuple(units), tuple(units.values()))
+    diff = {key: p.map_vars(target, assignment) for key, p in cx.diff.items()}
+    pairs = {pid: tuple(dict.fromkeys(assignment.get(n, n) for n in names))
+             for pid, names in cx.pairs.items()}
     return ChainComplex(target, cx.gens, diff, cx.convention, pairs)
 
 
@@ -839,12 +844,6 @@ def slice_dims(cx: ChainComplex, h_from: int, h_to: int) -> dict[int, int]:
     return dims
 
 
-def _in_tower(s: Summand, top: int, x: int, step: int) -> bool:
-    """Whether the u-tower of summand s, anchored at top, has an element at x."""
-    k, rem = divmod(top - x, step)
-    return rem == 0 and k >= 0 and (s.free or k < s.order)
-
-
 def _window_dims(cx: ChainComplex, lo: int) -> dict[Grade, int]:
     """Brute-force F2 dimensions per grade with slice value >= lo (h in the
     floer convention, (h, q) in the kh one), from the expansion down to lo - 1."""
@@ -876,7 +875,8 @@ def check_truncation_stability(hom: UHomology) -> None:
     predicted: dict[Grade, int] = {}
     for s in hom.summands:
         for x in range(lo, max(vals) + 1):
-            if _in_tower(s, s.grades[axis], x, step):
+            k, rem = divmod(s.grades[axis] - x, step)  # u^k of s sits at x
+            if rem == 0 and k >= 0 and (s.free or k < s.order):
                 key = s.grades[:axis] + (x,)
                 predicted[key] = predicted.get(key, 0) + 1
     for key in sorted(set(dims) | set(predicted)):

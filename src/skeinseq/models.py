@@ -57,6 +57,7 @@ class ModelComplex:
                 p = _transport(self.complex, cx, p)
             key = (src, tgt)
             entries[key] = entries.get(key, Poly.zero(cx.vars)) + p
+        entries = {k: p for k, p in entries.items() if p}  # repeats may cancel
         return ChainMap(cx, cx, entries, dh=spec.dh, check=False)
 
 
@@ -441,7 +442,6 @@ def _z11_checks(m: ModelComplex) -> list[tuple[str, bool, str]]:
     cxc = collapse_all(m.complex, "u")
     kappa = m.action_map("A_kappa", cxc)
     lam = m.action_map("A_lambda", cxc)
-    both = kappa + lam
     # with one u the two path endpoints carry the same square, so the path
     # right-hand side vanishes; the anticommutator must vanish entrywise too
     for label, amap in (("A_kappa", kappa), ("A_lambda", lam)):
@@ -457,8 +457,10 @@ def _z11_checks(m: ModelComplex) -> list[tuple[str, bool, str]]:
     checks.append(("C0 rank 2", space0.rank == 2, "rank %d" % space0.rank))
     vecs = space0.vectors()
     kernels = []
-    for label, amap in (("A_kappa", kappa), ("A_lambda", lam), ("A_kappa+A_lambda", both)):
-        cols = _top_map(amap.entries, tops, lambda mono: sum(mono) == 1)
+    both = mat_add(kappa.entries, lam.entries)
+    for label, entries in (("A_kappa", kappa.entries), ("A_lambda", lam.entries),
+                           ("A_kappa+A_lambda", both)):
+        cols = _top_map(entries, tops, lambda mono: sum(mono) == 1)
         kern = gf2.column_kernel([_combine(cols, v) for v in vecs])
         kvecs = sorted(_combine(vecs, combo) for combo in kern)
         kernels.append((label, kvecs))

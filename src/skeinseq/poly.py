@@ -141,18 +141,13 @@ class Poly:
             acc.symmetric_difference_update({tuple(mm)})
         return Poly(target, frozenset(acc))
 
-    # -- inspection ----------------------------------------------------------
-
-    def sorted_terms(self) -> list[Monomial]:
-        return sorted(self.terms)
-
     # -- text form -----------------------------------------------------------
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for m in self.sorted_terms():
+        for m in sorted(self.terms):
             factors = [
                 self.vars.names[i] + ("^%d" % e if e > 1 else "")
                 for i, e in enumerate(m)

@@ -107,6 +107,33 @@ def test_swap_and_mirror_flags(capsys):
     assert out2 == out3 != out1 == out4
 
 
+def test_parser_reused_across_calls(capsys):
+    """main builds its parser once; each call still reads only its own argv."""
+    calls = [
+        ("kh", "--pd", TREFOIL, "--flavor", "hat", "--mirror"),
+        ("kh", "--pd", TREFOIL, "--flavor", "hat"),
+        ("kh", "--pd", TREFOIL, "--flavor", "hat", "--out", "json"),
+        ("kh", "--pd", TREFOIL, "--flavor", "hat"),
+        ("kh", "--pd", TREFOIL, "--flavor", "minus", "--swap-resolutions"),
+        ("kh", "--pd", TREFOIL, "--flavor", "minus"),
+    ]
+    together = [run(capsys, *argv) for argv in calls]
+    parser = skeinseq.cli.build_parser()
+    with pytest.raises(SystemExit):  # an argparse error leaves the parser usable
+        main(["kh", "--flavor", "nonsense"])
+    assert "invalid choice" in capsys.readouterr().err
+    together += [run(capsys, *argv) for argv in calls]
+    assert skeinseq.cli.build_parser() is parser
+    separate = []
+    for argv in calls:
+        skeinseq.cli.build_parser.cache_clear()  # as in a new process
+        separate.append(run(capsys, *argv))
+    assert skeinseq.cli.build_parser() is not parser
+    assert together == separate + separate
+    assert len({out for _, out, _ in separate}) == 5  # the plain hat call repeats
+    assert all(code == 0 for code, _, _ in separate)
+
+
 def test_ss_roundtrip(tmp_path, capsys):
     doc = {
         "variables": [{"name": "u", "unit": "1/2"}],

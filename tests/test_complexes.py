@@ -1,10 +1,12 @@
+import collections
 import dataclasses
+import itertools
 import random
 
 import pytest
 from hypothesis import given
 
-from skeinseq import gf2
+from skeinseq import gf2, serde
 from skeinseq import khovanov as kh
 from skeinseq.complexes import (
     CONV_FLOER,
@@ -31,7 +33,7 @@ from skeinseq.complexes import (
     substitute,
     tensor,
 )
-from skeinseq.models import build_model
+from skeinseq.models import ActionSpec, ModelComplex, build_model
 from skeinseq.poly import FULL, HALF, Poly, VarSet
 from skeinseq.spectral import FilteredComplex
 from test_properties import SUITE, knots
@@ -135,6 +137,39 @@ def test_mat_compose_and_verify_d2_match_poly_product_reference():
         assert tampered.verify_d2() == reference_d2(tampered) != []
 
 
+def test_mat_compose_matches_reference_on_wide_multi_block_cubes():
+    """Bitsets wider than a machine word, numbered per grade block or over
+    all targets at once, give the products of the Poly reference."""
+    for flavor in ("minus", "hat"):
+        cc = kh.ckh(kh.cyclic_knot(7), flavor)
+        cx = cc.complex
+        widths = collections.Counter(cx.grade(g.gid) for g in cx.gens)
+        assert cx.n > 64 and len(widths) > 10
+        diff = cx.diff
+        for grade in (cx.grade, None):
+            assert mat_compose(diff, diff, grade) == poly_product_compose(diff, diff) == {}
+        if flavor == "hat":
+            assert max(widths.values()) > 64
+            continue
+        for arc in sorted(cc.diagram.arcs)[:2]:
+            x = kh.basepoint_action(cc, arc).entries
+            for second, first in ((x, diff), (diff, x), (x, x)):
+                want = poly_product_compose(second, first)
+                for grade in (cx.grade, None):
+                    assert mat_compose(second, first, grade) == want
+        # every entry out of one middle generator gains a u, so the paths
+        # through it meet the others at one (s, t) with u^(e+1) against u^e
+        u = Poly.var(cx.vars, "u")
+        mid = next(t for (s, t) in diff if sum(1 for (a, _) in diff if a == t) > 2)
+        bad = {(s, t): p * u if s == mid else p for (s, t), p in diff.items()}
+        tampered = ChainComplex(cx.vars, cx.gens, bad, CONV_KH, check=False)
+        got = tampered.verify_d2()
+        assert got == reference_d2(tampered)
+        assert any(len(p.terms) == 2 for _, _, p in got)
+        for grade in (tampered.grade, None):
+            assert mat_compose(bad, bad, grade) == poly_product_compose(bad, bad)
+
+
 def test_exponent_columns_reject_two_term_entries():
     one, u = Poly.one(U1), Poly.var(U1, "u")
     gens = [Generator("a", 0), Generator("b", -1)]
@@ -148,6 +183,167 @@ def test_exponent_columns_reject_two_term_entries():
     assert cmap.is_chain_map()
     with pytest.raises(ValueError, match="inhomogeneous entry a -> b"):
         UHomology(flat).induced_matrix(cmap)
+
+
+def _reference_entry_ok(cx, src, tgt, p, dh, dq, dalex, drops):
+    """The reference degree check: every monomial of p, weighed one by one,
+    sends src's grading to tgt's."""
+    floer = cx.convention == CONV_FLOER
+    for m in p.terms:
+        drop = drops.get(m)
+        if drop is None:
+            vs = cx.vars
+            drop = drops[m] = (vs.h_drop(m), vs.q_drop(m), vs.alex2(m))
+        if floer:
+            if tgt.h - drop[0] != src.h + dh:
+                return False
+            if src.alex2 is not None and tgt.alex2 is not None:
+                if (tgt.alex2 + drop[2]) % 2 != (src.alex2 + dalex) % 2:
+                    return False
+        else:
+            if tgt.h != src.h + dh:
+                return False
+            if src.q is None or tgt.q is None:
+                return False
+            want = src.q if dq is None else src.q + dq
+            if tgt.q - drop[1] != want:
+                return False
+    return True
+
+
+def _reference_checked(source, target, entries, dh, dq, dalex, is_map):
+    """What the per-monomial check accepts (the entries without zeros) or
+    raises (exception type and message), checking entries in order."""
+    entries = {k: p for k, p in entries.items() if p}
+    drops = {}
+    try:
+        for (s, t), p in entries.items():
+            if is_map:
+                ok = _reference_entry_ok(source, source.gen(s), target.gen(t), p, dh,
+                                         dq if source.convention == CONV_KH else 0, dalex,
+                                         drops)
+                if not ok:
+                    raise ValueError("map entry %s -> %s off degree (%s)" % (s, t, p))
+                continue
+            i, j = source.order.get(s), source.order.get(t)
+            if i is None or j is None:
+                raise ValueError("entry on unknown generator (%s,%s)" % (s, t))
+            if not _reference_entry_ok(source, source.gens[i], source.gens[j], p, dh, 0, 0, drops):
+                raise ValueError("inhomogeneous differential entry %s -> %s: %s" % (s, t, p))
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+    return entries
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_degree_check_matches_the_per_monomial_reference():
+    """The one check per distinct entry accepts and rejects what the
+    per-monomial check did, with the same error."""
+    rng = random.Random(7)
+    seen = collections.Counter()
+    for trial in range(3000):
+        nv = rng.choice((0, 1, 2, 2, 3, 3))
+        vs = VarSet(tuple("xyz"[:nv]), tuple(rng.choice((HALF, FULL)) for _ in range(nv)))
+        convention = rng.choice((CONV_FLOER, CONV_KH))
+        alex = convention == CONV_FLOER and rng.random() < 0.5
+
+        def gens(prefix):
+            return [Generator(prefix + str(i), rng.randrange(2),
+                              rng.randrange(-1, 2) * 2 if convention == CONV_KH else None,
+                              rng.randrange(2) if alex else None)
+                    for i in range(rng.randrange(1, 5))]
+
+        def poly():
+            monos = [tuple(rng.randrange(2) for _ in range(nv))
+                     for _ in range(rng.choice((0, 1, 1, 2, 3)))]
+            if monos and rng.random() < 0.5:  # terms of the first one's drop only
+                drop = vs.h_drop(monos[0])
+                alike = [m for m in itertools.product(range(3), repeat=nv)
+                         if vs.h_drop(m) == drop]
+                monos = rng.sample(alike, rng.randrange(1, len(alike) + 1))
+            return Poly(vs, frozenset(monos))
+
+        src_gens = gens("s")
+        map_case = rng.random() < 0.5
+        tgt_gens = gens("t") if map_case else src_gens
+        ids = [g.gid for g in src_gens], [g.gid for g in tgt_gens]
+        entries = {}
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            key = (rng.choice(ids[0]), rng.choice(ids[1]))
+            if rng.random() < 0.05:
+                key = (key[0], "nowhere") if rng.random() < 0.5 else ("nowhere", key[1])
+            entries[key] = poly()
+        if not map_case:
+            dh, dq, dalex = -1 if convention == CONV_FLOER else 1, 0, 0
+            got = _outcome(lambda: ChainComplex(vs, src_gens, entries, convention).diff)
+            ref = ChainComplex(vs, src_gens, {}, convention)
+            want = _reference_checked(ref, ref, entries, dh, 0, 0, False)
+        else:
+            dh, dq, dalex = rng.randrange(-1, 2), rng.choice((None, -2, 0, 2)), rng.randrange(2)
+            source = ChainComplex(vs, src_gens, {}, convention)
+            target = ChainComplex(vs, tgt_gens, {}, convention)
+            got = _outcome(lambda: ChainMap(source, target, entries, dh, dq, dalex).entries)
+            want = _reference_checked(source, target, entries, dh, dq, dalex, True)
+        assert got == want, (entries, got, want)
+        verdict = "rejected" if isinstance(want, tuple) else "accepted"
+        kind = convention + (" alex2" if alex else "") + (" map" if map_case else "")
+        seen[kind, verdict] += 1
+        if len(set(vs.units)) > 1:
+            seen["mixed units", verdict] += 1
+        if map_case:
+            seen["dq=%s dalex=%d" % (dq, dalex), verdict] += 1
+        for (src, tgt), p in entries.items():
+            if "nowhere" in (src, tgt):
+                seen["unknown generator", verdict] += 1
+            if not p:
+                seen["zero entry", verdict] += 1
+            elif len(p.terms) > 1:
+                alike = len({vs.h_drop(m) for m in p.terms}) == 1
+                seen["equal drops" if alike else "unequal drops", verdict] += 1
+    assert seen["unequal drops", "accepted"] == 0
+    for tag in ["floer", "floer alex2", "kh", "mixed units", "equal drops", "zero entry"] + [
+            "%s map" % k for k in ("floer", "floer alex2", "kh")] + [
+            "dq=%s dalex=%d" % (dq, dalex) for dq in (None, 0) for dalex in (0, 1)]:
+        assert seen[tag, "accepted"] >= 10 and seen[tag, "rejected"] >= 10, (tag, seen)
+    assert seen["unequal drops", "rejected"] >= 10 and seen["unknown generator", "rejected"]
+
+
+def test_no_zero_entry_reaches_the_differential():
+    xy = VarSet(("x", "y"), (HALF, HALF))
+    x, y, zero = Poly.var(xy, "x"), Poly.var(xy, "y"), Poly.zero(xy)
+    gens = [Generator("a", 0), Generator("b", 0)]
+    # zero entries are dropped before any check, even off degree or on no generator
+    diff = {("a", "b"): x + y, ("b", "a"): zero, ("a", "nowhere"): zero}
+    cx = ChainComplex(xy, gens, diff, CONV_FLOER, {"1": ("x", "y")})
+    assert cx.diff == {("a", "b"): x + y}
+    clean = {("a", "b"): x + y}
+    assert ChainComplex(xy, gens, clean, CONV_FLOER).diff is clean  # not copied
+    assert ChainComplex(xy, gens, clean, CONV_FLOER, check=False).diff is clean
+    assert ChainMap(cx, cx, {("a", "b"): zero, ("b", "b"): x}, dh=-1).entries == {
+        ("b", "b"): x}
+    # x + y becomes u + u under the collapse
+    assert collapse_pairs(cx).diff == {} and collapse_all(cx).diff == {}
+    # the loop x on a meets itself twice on a*a in the tensor square
+    loop = ChainComplex(xy, [Generator("a", 0)], {("a", "a"): x}, CONV_FLOER)
+    assert tensor(loop, loop).diff == {}
+    # a repeated entry that cancels in a document
+    doc = {"variables": [{"name": "u"}], "generators": [{"id": "a", "h": 0}, {"id": "b", "h": -1}],
+           "diff": [{"from": "a", "to": "b", "poly": "1"}, {"from": "a", "to": "b", "poly": "1"}]}
+    assert serde.load_complex(doc)[0].diff == {}
+    # an action whose repeated entries cancel
+    spec = ActionSpec("twice", "loop", (("a", "b", "x"), ("a", "b", "x"), ("b", "b", "y")))
+    model = ModelComplex("m", cx, {"twice": spec})
+    assert model.action_map("twice").entries == {("b", "b"): y}
+    minus = kh.ckh(kh.cyclic_knot(5), "minus").complex
+    for c in (minus, kh.ckh(kh.cyclic_knot(5), "hat").complex, build_model("l_ori").complex,
+              cancel_units(minus), kill_vars(minus)):
+        assert all(c.diff.values())
 
 
 def test_homogeneity_rejected():
