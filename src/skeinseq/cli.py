@@ -9,7 +9,7 @@ import sys
 
 from . import khovanov as kh
 from . import models, serde
-from .complexes import UHomology, cancel_units, check_mod_u, homology, homology_f2
+from .complexes import UHomology, check_mod_u, homology, homology_f2
 from .infer import enumerate_patterns, resolve_filtration
 from .spectral import FilteredComplex, analyze, check_constraints, converge, pages
 
@@ -47,7 +47,7 @@ def cmd_kh(args) -> int:
     lines: list[str] = []
     payload: dict = {"flavor": args.flavor}
     if args.flavor == "minus":
-        hom = UHomology(cancel_units(cc.complex))
+        hom = UHomology(cc.complex)
         check_mod_u(cc.complex, hom.summands)
         table = hom.by_grading()
         h0, q0 = _normalize(list(table))

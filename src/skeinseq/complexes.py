@@ -15,17 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from . import gf2
 from .poly import Poly, VarSet
-from .umod import (
-    MonoVec,
-    Summand,
-    homology_presentation,
-    module_decompose,
-    vec_add_shifted,
-)
+from .umod import MonoVec, ModuleDecomposition, Summand, _replay, vec_add_shifted
 
 CONV_FLOER = "floer"
 CONV_KH = "kh"
@@ -450,52 +444,60 @@ def homology_f2(cx: ChainComplex) -> dict[tuple[int, ...], int]:
     return Expansion(cx).dims()
 
 
-class UHomology:
-    """Homology of a one-variable complex as a decomposed F2[u]-module."""
+class UHomology(ModuleDecomposition):
+    """Homology of a one-variable complex as a decomposed F2[u]-module.
+
+    It is read off cancel_units run to the end: each survivor is a free
+    summand at its grade, and each pair x --u^k--> y with k >= 1 a u^k
+    torsion summand at y's grade; a summand's index is that generator's
+    position.  The maps replay the elimination's basis changes, which a
+    second run records on the first call that needs them.
+    """
 
     def __init__(self, cx: ChainComplex) -> None:
         if cx.vars.n != 1:
             raise ValueError("u-homology needs a one-variable complex")
         self.cx = cx
-        step = cx.ustep()
-        self.kernel, rel_cols, grades = homology_presentation(
-            cx.exponent_columns(), [], [cx.ugrade(g.gid) for g in cx.gens], step)
-        self.decomposition = module_decompose(
-            len(self.kernel), rel_cols, grades, step
-        )
-        self._positions = {
-            s.index: i for i, s in enumerate(self.decomposition.summands)
-        }
+        pairs: list[tuple[int, int, int]] = []
+        free = cancel_units(cx, cancelled=pairs)
+        order, ugrade = cx.order, cx.ugrade
+        super().__init__(
+            [Summand(None, ugrade(g.gid), order[g.gid]) for g in free.gens]
+            + [Summand(k, ugrade(cx.gens[y].gid), y) for _, y, k in pairs if k])
+        self._positions = {s.index: i for i, s in enumerate(self.summands)}
+        self._targets = {y for _, y, _ in pairs}
+        self._log: list[tuple[int, int, int]] | None = None
 
-    @property
-    def summands(self):
-        return self.decomposition.summands
-
-    def by_grading(self):
-        return self.decomposition.by_grading()
-
-    @property
-    def free_rank(self) -> int:
-        return self.decomposition.free_rank
-
-    @property
-    def torsion(self) -> list[int]:
-        return self.decomposition.torsion
+    def _ops(self) -> list[tuple[int, int, int]]:
+        if self._log is None:
+            self._log = []
+            cancel_units(self.cx, log=self._log)
+        return self._log
 
     def cycle_rep(self, position: int) -> MonoVec:
-        """Representative cycle (generator-space vector) of a summand."""
-        s = self.decomposition.summands[position]
-        kvec = self.decomposition.summand_rep(s)
-        out: MonoVec = {}
-        for kidx, e in kvec.items():
-            vec_add_shifted(out, self.kernel[kidx], e)
-        return out
+        """Representative cycle (generator-space vector) of a summand: its
+        generator in the final basis, taken back through the log."""
+        return _replay(reversed(self._ops()), [{self.summands[position].index: 0}])[0]
 
     def class_coords(self, vec: MonoVec) -> dict[int, int]:
-        """Coordinates of a cycle over the summand positions."""
-        kcoords = self.kernel.solve(vec)
-        raw = self.decomposition.coords_of(kcoords)
-        return {self._positions[idx]: e for idx, e in raw.items()}
+        """Coordinates of a cycle over the summand positions (ArithmeticError
+        if vec is not a cycle)."""
+        return next(self._classes([vec]))
+
+    def _classes(self, vecs: list[MonoVec]) -> Iterator[dict[int, int]]:
+        """Each of vecs in the final basis, over the summand positions, with
+        u^k times a torsion generator and every boundary dropped."""
+        for coords in _replay(self._ops(), vecs):
+            row: dict[int, int] = {}
+            for g, e in coords.items():
+                i = self._positions.get(g)
+                if i is not None:
+                    if self.summands[i].free or e < self.summands[i].order:
+                        row[i] = e
+                elif g not in self._targets:
+                    raise ArithmeticError("not a cycle: u^%d %s has a boundary"
+                                          % (e, self.cx.gens[g].gid))
+            yield row
 
     def induced_matrix(self, cmap: ChainMap) -> dict[tuple[int, int], int]:
         """Matrix u^e entries of an endomorphism on the summand basis."""
@@ -504,35 +506,40 @@ class UHomology:
         if not cmap.is_chain_map():
             raise ValueError("not a chain map")
         cols = self.cx.exponent_columns(cmap.entries)
-        out: dict[tuple[int, int], int] = {}
-        for pos in range(len(self.summands)):
-            img: MonoVec = {}
-            for slot, e in self.cycle_rep(pos).items():
+        reps = _replay(reversed(self._ops()), [{s.index: 0} for s in self.summands])
+        images: list[MonoVec] = [{} for _ in reps]
+        for img, rep in zip(images, reps):
+            for slot, e in rep.items():
                 vec_add_shifted(img, cols[slot], e)
-            if not img:
-                continue
-            for pos2, e in self.class_coords(img).items():
-                out[(pos, pos2)] = e
-        return out
+        return {(pos, pos2): e for pos, row in enumerate(self._classes(images))
+                for pos2, e in row.items()}
 
 
 def cancel_units(cx: ChainComplex, levels: Mapping[str, int] | None = None,
-                 cancelled: list[tuple[str, str]] | None = None) -> ChainComplex:
-    """A homotopy-equivalent one-variable complex with no u^0 entry left.
+                 cancelled: list[tuple[int, int, int]] | None = None,
+                 log: list[tuple[int, int, int]] | None = None) -> ChainComplex:
+    """Gaussian elimination of a one-variable complex (Bar-Natan, "Fast
+    Khovanov homology computations", JKTR 2007).
 
-    Gaussian elimination (Bar-Natan, "Fast Khovanov homology computations",
-    JKTR 2007): a unit entry x -> y is cancelled by deleting x and y and
-    adding the zig-zag d(s,y) d(x,t) to d(s,t) for every other source s of y
-    and target t of x.  Each step is a graded homotopy equivalence over
-    F2[u], so the decomposition of the homology is unchanged.  Sources are
-    walked once in generator order, each cancelling its unit target with the
-    fewest incoming entries (the least fill-in).  One pass is enough: a
-    zig-zag gives s a unit entry only if d(s,y) is one, so a source with no
-    unit at its turn never gains one.  The survivors keep their original order.
+    An entry x --u^k--> y, where every other entry into y and out of x is
+    u^k or deeper, splits off as a summand x --u^k--> y.  The basis changes
+    s <- s + u^(e-k) x, for each other source s of y with d(s,y) = u^e, and
+    y <- y + u^(e-k) t, for each other target t of x with d(x,t) = u^e,
+    delete x and y and add the zig-zag u^(e_s + e_t - k) to d(s,t).  Each
+    pass walks the sources in generator order, each cancelling its u^k
+    target with the fewest incoming entries (the least fill-in).  The
+    survivors keep their original order.
 
-    Given filtration levels (every entry raises the level), only the units
-    x -> y with levels[y] - levels[x] == 1 are cancelled, and the result is
-    a filtered complex with the same spectral sequence from E_2 on:
+    Without levels the run goes on to the end, one pass per exponent k that
+    is still the least one left: a zig-zag through a u^k pivot is u^k only
+    if both legs are, so a source with no u^k entry at its turn never gains
+    one, the pass clears that exponent, and no entry is left at the end
+    (ArithmeticError if one is).  The complex returned is the survivors, one
+    free summand each, and each pair with k >= 1 is u^k torsion at y.
+
+    Given filtration levels (every entry raises the level), one pass
+    cancels only the units x -> y with levels[y] - levels[x] == 1, and the
+    result is a filtered complex with the same spectral sequence from E_2 on:
 
     * Jump 1 makes the basis change filtered.  Every other source s of y has
       level <= level(x), and every other target t of x has level >=
@@ -543,11 +550,13 @@ def cancel_units(cx: ChainComplex, levels: Mapping[str, int] | None = None,
       by it.  Pages E_r and differentials d_r for r >= 2 and E_inf by level
       are unchanged on every grade whose differentials stay in the window;
       the pair x -> y and its u-translates add only jump-1 pairs to E_1.
-    * One pass still suffices: the jump of s -> t is the jump of s -> y
-      plus that of x -> t minus 1, and both are at least 1, so a zig-zag
-      makes a jump-1 unit s -> t only if d(s,y) was already one.
+    * One pass suffices: the jump of s -> t is the jump of s -> y plus that
+      of x -> t minus 1, and both are at least 1, so a zig-zag makes a
+      jump-1 unit s -> t only if d(s,y) was already one.
 
-    The cancelled (x, y) pairs are appended to ``cancelled`` when it is given.
+    Each pair is appended to ``cancelled`` as generator positions (x, y, k)
+    when it is given.  ``log``, when given, receives the basis changes in
+    order as umod._replay operations: b <- b + u^m c is (c, b, m).
     """
     if cx.vars.n != 1:
         raise ValueError("cancelling units needs a one-variable complex")
@@ -558,49 +567,62 @@ def cancel_units(cx: ChainComplex, levels: Mapping[str, int] | None = None,
         for j in col:
             rows[j].add(i)
     level = None if levels is None else [levels[g.gid] for g in cx.gens]
-    for x in range(cx.n):
-        xcol = cols.get(x)
-        if xcol is None:
-            continue
-        y, fewest = -1, cx.n
-        if level is None:
-            for t, e in xcol.items():
-                if not e and len(rows[t]) < fewest:
-                    y, fewest = t, len(rows[t])
-        else:
-            above = level[x] + 1
-            for t, e in xcol.items():
-                if not e and level[t] == above and len(rows[t]) < fewest:
-                    y, fewest = t, len(rows[t])
-        if y < 0:
-            continue
-        if cancelled is not None:
-            cancelled.append((cx.gens[x].gid, cx.gens[y].gid))
-        del cols[x], xcol[y]
-        for t in xcol:
-            rows[t].discard(x)
-        for s in rows[x]:
-            del cols[s][x]
-        for t in cols.pop(y):
-            rows[t].discard(y)
-        srcs = rows[y]
-        srcs.discard(x)
-        for s in srcs:
-            scol = cols[s]
-            base = scol.pop(y)
-            for t, e in xcol.items():
-                ee = base + e
-                old = scol.pop(t, None)
-                if old is None:
-                    scol[t] = ee
-                    rows[t].add(s)
-                elif old != ee:
-                    raise ArithmeticError(
-                        "inhomogeneous collision at %s -> %s: u^%d vs u^%d"
-                        % (cx.gens[s].gid, cx.gens[t].gid, old, ee)
-                    )
-                else:
-                    rows[t].discard(s)
+    k = 0
+    while True:
+        for x in range(cx.n):
+            xcol = cols.get(x)
+            if xcol is None:
+                continue
+            y, fewest = -1, cx.n
+            if level is None:
+                for t, e in xcol.items():
+                    if e == k and len(rows[t]) < fewest:
+                        y, fewest = t, len(rows[t])
+            else:
+                above = level[x] + 1
+                for t, e in xcol.items():
+                    if not e and level[t] == above and len(rows[t]) < fewest:
+                        y, fewest = t, len(rows[t])
+            if y < 0:
+                continue
+            if cancelled is not None:
+                cancelled.append((x, y, k))
+            del cols[x], xcol[y]
+            for t in xcol:
+                rows[t].discard(x)
+            for s in rows[x]:
+                del cols[s][x]
+            for t in cols.pop(y):
+                rows[t].discard(y)
+            srcs = rows[y]
+            srcs.discard(x)
+            if log is not None:
+                log += [(t, y, e - k) for t, e in xcol.items()]
+                log += [(x, s, cols[s][y] - k) for s in srcs]
+            for s in srcs:
+                scol = cols[s]
+                base = scol.pop(y) - k
+                for t, e in xcol.items():
+                    ee = base + e
+                    old = scol.pop(t, None)
+                    if old is None:
+                        scol[t] = ee
+                        rows[t].add(s)
+                    elif old != ee:
+                        raise ArithmeticError(
+                            "inhomogeneous collision at %s -> %s: u^%d vs u^%d"
+                            % (cx.gens[s].gid, cx.gens[t].gid, old, ee)
+                        )
+                    else:
+                        rows[t].discard(s)
+        if level is not None:
+            break
+        left = min((e for col in cols.values() for e in col.values()), default=None)
+        if left is None:
+            break
+        if left <= k:
+            raise ArithmeticError("a u^%d entry is left after its pass" % left)
+        k = left
     gids = [g.gid for g in cx.gens]
     name = cx.vars.names[0]
     polys: dict[int, Poly] = {}  # one shared entry per exponent

@@ -137,10 +137,12 @@ def unlink(n: int) -> LinkDiagram:
 
 
 def cyclic_knot(n: int) -> LinkDiagram:
-    """An n-crossing one-component diagram from a cyclic PD pattern (n odd).
+    """An n-crossing one-component PD code from a cyclic pattern (n odd).
 
-    n = 3 is the standard trefoil code; larger odd n give valid knot
-    diagrams (not in general torus knots) useful as corpus entries.
+    n = 3 is the standard trefoil code.  For n >= 5 the code is not a
+    planar diagram: its rotation system has 3 faces (5 at n = 9) where a
+    planar n-crossing diagram has n + 2.  Its cube is still a chain complex,
+    so the family serves as a non-planar stress corpus, not as knots in S^3.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("cyclic_knot needs an odd n >= 3")

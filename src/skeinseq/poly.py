@@ -48,10 +48,6 @@ class VarSet:
         """Homological drop of a monomial: unit weight per power."""
         return sum(e * u for e, u in zip(mono, self.units))
 
-    def q_drop(self, mono: Monomial) -> int:
-        """Quantum drop of a monomial (2 per half-power, 4 per full power)."""
-        return 2 * self.h_drop(mono)
-
     def alex2(self, mono: Monomial) -> int:
         """Mod-2 Alexander weight (half-unit powers count, full ones do not)."""
         return sum(e * (u % 2) for e, u in zip(mono, self.units)) % 2

@@ -97,7 +97,7 @@ class FilteredComplex:
         if not base.vars.n:
             return self
         check_expansion_size(base, self._lo)
-        pairs: list[tuple[str, str]] = []
+        pairs: list[tuple[int, int, int]] = []
         core = cancel_units(base, self.levels, pairs)
         if not pairs:
             return self
@@ -122,15 +122,17 @@ class FilteredComplex:
         return self._expansion
 
 
-def _translates(cx: ChainComplex, pairs: list[tuple[str, str]],
+def _translates(cx: ChainComplex, pairs: list[tuple[int, int, int]],
                 floor: int) -> dict[tuple[Grade, Grade], int]:
-    """The slot pairs u^j x -> u^j y of the generator pairs (x, y) whose
-    source slice value is at least floor, counted per (source grade, target
-    grade); one walk down the window per distinct pair of grades."""
+    """The slot pairs u^j x -> u^j y of the generator pairs (x, y, 0), by
+    position, whose source slice value is at least floor, counted per
+    (source grade, target grade); one walk down the window per distinct pair
+    of grades."""
     axis = int(cx.convention == CONV_KH)
     step = cx.ustep()
     flip = cx.vars.units[0] % 2  # alex2 weight of one power of u
-    counts = Counter((cx.grade(x), cx.grade(y)) for x, y in pairs)
+    gids = [g.gid for g in cx.gens]
+    counts = Counter((cx.grade(gids[x]), cx.grade(gids[y])) for x, y, _ in pairs)
 
     def shift(grade: Grade, j: int) -> Grade:
         head = tuple(g - j * s for g, s in zip(grade, step))

@@ -10,7 +10,7 @@ guarantees colliding exponents agree (asserted).
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 MonoVec = dict[int, int]
@@ -90,13 +90,6 @@ class EchelonBasis:
     def __getitem__(self, i: int) -> MonoVec:
         return self.vecs[i]
 
-    def __iter__(self):
-        return iter(self.vecs)
-
-    def solve(self, target: MonoVec) -> MonoVec:
-        """Coordinates of target in this basis (raises if unsolvable)."""
-        return solve_in_echelon(self, target)
-
 
 def echelonize(cols: list[MonoVec]) -> EchelonBasis:
     """Reduce a list of homogeneous vectors to echelon form (distinct leads)."""
@@ -162,7 +155,7 @@ class Summand:
 
     order: int | None  # None = free, k >= 1 = F2[u]/(u^k)
     grades: tuple[int, ...]
-    index: int  # row index in the transformed generator basis
+    index: int  # the generator (row of the presentation) that spans it
 
     @property
     def free(self) -> bool:
@@ -171,20 +164,14 @@ class Summand:
 
 @dataclass
 class ModuleDecomposition:
-    """Cokernel of a homogeneous presentation over F2[u].
-
-    ops logs the row operations of the elimination in order: (r2, r, s)
-    added u^s times row r to row r2, a left product with the elementary
-    E = 1 + u^s e_r2 e_r^T.  The change of basis is P = E_k ... E_1, and as
-    E is its own inverse over F2, P^-1 = E_1 ... E_k.  pivots maps each
-    pivot row to its exponent: 0 kills the generator, k > 0 leaves u^k
-    torsion.  coords_of and summand_rep replay the log on demand; the
-    summands and the tables read off them never touch it.
-    """
+    """A graded F2[u]-module as a direct sum of free and u^k torsion summands,
+    sorted by grade, torsion (by order) before free, then by generator."""
 
     summands: list[Summand]
-    ops: list[tuple[int, int, int]] = field(repr=False, default_factory=list)
-    pivots: dict[int, int] = field(repr=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.summands.sort(key=lambda s: (s.grades, s.order is None, s.order or 0,
+                                          s.index))
 
     @property
     def free_rank(self) -> int:
@@ -206,34 +193,25 @@ class ModuleDecomposition:
             out[s.grades] = (free, sorted(tors))
         return dict(sorted(out.items()))
 
-    def reduce_coords(self, coords: MonoVec) -> MonoVec:
-        """Normal form of transformed coordinates modulo the relations."""
-        out: MonoVec = {}
-        for idx, e in coords.items():
-            cap = self.pivots.get(idx)
-            if cap is None or e < cap:
-                out[idx] = e
-        return out
 
-    def coords_of(self, vec: MonoVec) -> MonoVec:
-        """Class of a generator-space vector in the decomposed coordinates:
-        P vec, reduced modulo the relations."""
-        return self.reduce_coords(_replay(self.ops, vec))
-
-    def summand_rep(self, s: Summand) -> MonoVec:
-        """A vector in the original generator space representing the summand:
-        column s.index of P^-1, that is E_1 ... E_k applied to e_index."""
-        return _replay(reversed(self.ops), {s.index: 0})
-
-
-def _replay(ops: Iterable[tuple[int, int, int]], vec: MonoVec) -> MonoVec:
-    """The elementary row operations ops, applied in turn to vec."""
-    out = dict(vec)
-    for r2, r, shift in ops:
-        e = out.get(r)
-        if e is not None:
-            vec_add_shifted(out, {r2: e + shift}, 0)
-    return dict(sorted(out.items()))
+def _replay(ops: Iterable[tuple[int, int, int]], vecs: list[MonoVec]) -> list[MonoVec]:
+    """The elementary operations ops, applied in turn to each of vecs: (dst,
+    src, s) adds u^s times the src coordinate to the dst one.  The vectors
+    are held by coordinate, so an operation costs one lookup plus the
+    vectors it touches, however many vectors there are."""
+    at: dict[int, MonoVec] = {}  # coordinate -> {vector: exponent}
+    for j, vec in enumerate(vecs):
+        for slot, e in vec.items():
+            at.setdefault(slot, {})[j] = e
+    for dst, src, shift in ops:
+        col = at.get(src)
+        if col:
+            vec_add_shifted(at.setdefault(dst, {}), col, shift)
+    out: list[MonoVec] = [{} for _ in vecs]
+    for slot in sorted(at):
+        for j, e in at[slot].items():
+            out[j][slot] = e
+    return out
 
 
 def _add_tracked(
@@ -277,10 +255,10 @@ def module_decompose(
     operations would touch nothing else, and row r and column c simply leave
     the matrix.  Pivots come from a lazy min-heap of entries, and each column
     keeps the set of its rows, so a pivot costs the rows it clears, not a
-    scan of the matrix.  The row operations are only logged.  Each adds
-    u^s times row r to a row r2 of the same homogeneous column, where
-    grades[r2] lowered by s steps is grades[r], so generator r keeps its
-    grade and the summand of pivot row r is anchored at grades[r].
+    scan of the matrix.  Each row operation adds u^s times row r to a row r2
+    of the same homogeneous column, where grades[r2] lowered by s steps is
+    grades[r], so generator r keeps its grade and the summand of pivot row r
+    is anchored at grades[r].
     """
     for col in relations:
         seen = None
@@ -301,7 +279,6 @@ def module_decompose(
             mat_cols[j].add(row)
             heap.append((e, row, j))
     heapify(heap)
-    ops: list[tuple[int, int, int]] = []
     pivots: dict[int, int] = {}
 
     while heap:
@@ -309,20 +286,15 @@ def module_decompose(
         prow = mat[r]
         if prow.get(c) != e:
             continue  # stale: the entry cancelled, or its row already died
-        # clear the pivot column with row operations (logged in ops)
+        # clear the pivot column with row operations
         for r2 in sorted(mat_cols[c]):
-            if r2 == r:
-                continue
-            shift = mat[r2][c] - e
-            for c2, ee in _add_tracked(mat, mat_cols, r2, prow, shift):
-                heappush(heap, (ee, r2, c2))
-            ops.append((r2, r, shift))
+            if r2 != r:
+                for c2, ee in _add_tracked(mat, mat_cols, r2, prow, mat[r2][c] - e):
+                    heappush(heap, (ee, r2, c2))
         pivots[r] = e
         for c2 in prow:
             mat_cols[c2].discard(r)
         mat[r] = {}
 
-    summands = [Summand(pivots.get(r), grades[r], r)
-                for r in range(n_gens) if pivots.get(r) != 0]
-    summands.sort(key=lambda s: (s.grades, s.order is None, s.order or 0, s.index))
-    return ModuleDecomposition(summands, ops, pivots)
+    return ModuleDecomposition([Summand(pivots.get(r), grades[r], r)
+                                for r in range(n_gens) if pivots.get(r) != 0])

@@ -17,7 +17,9 @@ import skeinseq.spectral
 from skeinseq import khovanov as kh
 from skeinseq import serde
 from skeinseq.cli import main
-from skeinseq.complexes import MAX_EXPANSION_SLOTS, ChainComplex
+from skeinseq.complexes import MAX_EXPANSION_SLOTS
+from skeinseq.umod import ModuleDecomposition
+from test_complexes import reference_decomposition
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 
@@ -38,7 +40,8 @@ def test_kh_minus_table(capsys):
 
 
 def test_kh_minus_table_is_the_unreduced_one(capsys, monkeypatch):
-    """Cancelling units first changes no byte of the minus table."""
+    """The minus table equals the one read off a presentation of the whole
+    unreduced cube, byte for byte."""
     diagrams = [kh.parse_pd(TREFOIL), kh.add_kink(kh.parse_pd(TREFOIL), 2),
                 kh.cyclic_knot(5), kh.connect_sum(kh.parse_pd(TREFOIL), kh.parse_pd(TREFOIL)),
                 kh.unlink(3)]
@@ -46,8 +49,8 @@ def test_kh_minus_table_is_the_unreduced_one(capsys, monkeypatch):
         pd = "PD[%s]" % ",".join(["X(%d,%d,%d,%d)" % c for c in d.crossings]
                                  + ["U"] * d.free_loops)
         outs = []
-        for cancel in (skeinseq.cli.cancel_units, lambda cx: cx):
-            monkeypatch.setattr(skeinseq.cli, "cancel_units", cancel)
+        for homology in (skeinseq.cli.UHomology, reference_decomposition):
+            monkeypatch.setattr(skeinseq.cli, "UHomology", homology)
             for fmt in ("tsv", "json"):
                 code, out, err = run(capsys, "kh", "--pd", pd, "--out", fmt)
                 assert code == 0
@@ -56,9 +59,8 @@ def test_kh_minus_table_is_the_unreduced_one(capsys, monkeypatch):
 
 
 def test_kh_minus_checks_the_unreduced_cube_mod_u(capsys, monkeypatch):
-    # a cancellation that lost the whole complex fails the mod-u check of the cube
-    monkeypatch.setattr(skeinseq.cli, "cancel_units",
-                        lambda cx: ChainComplex(cx.vars, [], {}, cx.convention))
+    # a homology that lost every summand fails the mod-u check of the cube
+    monkeypatch.setattr(skeinseq.cli, "UHomology", lambda cx: ModuleDecomposition([]))
     code, out, err = run(capsys, "kh", "--pd", TREFOIL, "--flavor", "minus")
     assert code == 3 and out == ""
     assert err.startswith("internal invariant failure: mod-u dimension mismatch")

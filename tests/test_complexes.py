@@ -33,11 +33,13 @@ from skeinseq.complexes import (
     substitute,
     tensor,
 )
-from skeinseq.models import ActionSpec, ModelComplex, build_model
+from skeinseq.models import MODEL_NAMES, ActionSpec, ModelComplex, build_model
 from skeinseq.poly import FULL, HALF, Poly, VarSet
 from skeinseq.spectral import FilteredComplex
+from skeinseq.umod import module_decompose, vec_add_shifted
 from test_properties import SUITE, knots
 from test_spectral_hard import one_map_complexes, planted_sums
+from test_umod import cube_presentation
 
 U1 = VarSet(("u",), (HALF,))
 
@@ -193,7 +195,7 @@ def _reference_entry_ok(cx, src, tgt, p, dh, dq, dalex, drops):
         drop = drops.get(m)
         if drop is None:
             vs = cx.vars
-            drop = drops[m] = (vs.h_drop(m), vs.q_drop(m), vs.alex2(m))
+            drop = drops[m] = (vs.h_drop(m), 2 * vs.h_drop(m), vs.alex2(m))
         if floer:
             if tgt.h - drop[0] != src.h + dh:
                 return False
@@ -496,6 +498,11 @@ def test_induced_rejects_non_chain_map():
     bad = ChainMap(cx, cx, {("a", "c"): Poly.one(cx.vars)}, dh=1, check=False)
     with pytest.raises(ValueError):
         UHomology(bad.source).induced_matrix(bad)
+    # a generator with a boundary is no cycle, whatever its class would be
+    hom = UHomology(cx)
+    for src in {src for src, _ in cx.diff}:
+        with pytest.raises(ArithmeticError, match="not a cycle"):
+            hom.class_coords({cx.order[src]: 0})
 
 
 def test_kunneth_over_f2():
@@ -905,20 +912,47 @@ def test_truncation_window_depth_two_is_inside_depth_four():
 # -- cancelling the unit entries, and the mod-u check --------------------------
 
 
+def reference_decomposition(cx):
+    """The homology of a one-variable complex by presentation: every cycle
+    and boundary of the whole complex, then module_decompose."""
+    return module_decompose(*cube_presentation(cx))
+
+
+def check_maps(hom):
+    """Each summand's cycle_rep is a cycle of its grade that class_coords
+    reads back as that summand, and every boundary d g reads 0."""
+    cx = hom.cx
+    cols, step = cx.exponent_columns(), cx.ustep()
+    for i, s in enumerate(hom.summands):
+        rep = hom.cycle_rep(i)
+        boundary = {}
+        for g, e in rep.items():
+            assert tuple(x - e * u for x, u in zip(cx.ugrade(cx.gens[g].gid), step)) == s.grades
+            vec_add_shifted(boundary, cols[g], e)
+        assert boundary == {}
+        assert hom.class_coords(rep) == {i: 0}
+    for col in cols:
+        if col:
+            assert hom.class_coords(col) == {}
+
+
 def cancelled(cx):
-    """cancel_units(cx) with its contract checked: the same decomposition as
-    the unreduced complex, surviving generators in their original order,
-    homogeneous, no u^0 entry, d^2 = 0, and the mod-u check of cx passes."""
-    red = cancel_units(cx)
-    hom = UHomology(red)
-    assert hom.by_grading() == UHomology(cx).by_grading()
-    kept = {g.gid for g in red.gens}
-    assert list(red.gens) == [g for g in cx.gens if g.gid in kept]
-    assert not any((0,) in p.terms for p in red.diff.values())
-    assert red.verify_d2() == []
-    ChainComplex(red.vars, red.gens, red.diff, red.convention)  # homogeneous
+    """UHomology(cx) checked against the presentation reference, its maps
+    checked, and the mod-u check of cx passed; cancel_units without levels
+    leaves the survivors in their original order, with no entry, and every
+    other generator in exactly one pair."""
+    pairs = []
+    free = cancel_units(cx, cancelled=pairs)
+    hom = UHomology(cx)
+    assert [(s.grades, s.order) for s in hom.summands] == [
+        (s.grades, s.order) for s in reference_decomposition(cx).summands]
+    kept = {g.gid for g in free.gens}
+    assert list(free.gens) == [g for g in cx.gens if g.gid in kept] and not free.diff
+    paired = sorted(i for x, y, _ in pairs for i in (x, y))
+    assert paired == sorted(i for i, g in enumerate(cx.gens) if g.gid not in kept)
+    check_maps(hom)
     check_mod_u(cx, hom.summands)
-    return red, hom
+    return pairs, hom
 
 
 def test_cancel_units_keeps_the_homology_of_minus_cubes():
@@ -927,9 +961,10 @@ def test_cancel_units_keeps_the_homology_of_minus_cubes():
               kh.connect_sum(kh.parse_pd(FIG8_PD), kh.parse_pd(FIG8_PD)),
               kh.cyclic_knot(5), kh.cyclic_knot(7), kh.unlink(3)):
         cx = kh.ckh(d, "minus").complex
-        red, hom = cancelled(cx)
-        # a minus cube is free: every unit cancels and no entry is left
-        assert red.n == hom.free_rank and not red.diff
+        pairs, hom = cancelled(cx)
+        # a minus cube is free: every pair is a unit, and only free summands are left
+        assert all(k == 0 for _, _, k in pairs)
+        assert cx.n - 2 * len(pairs) == hom.free_rank and not hom.torsion
 
 
 @SUITE
@@ -940,8 +975,8 @@ def test_cancel_units_on_generated_knots(d):
 
 def test_cancel_units_keeps_torsion():
     """One-map kh complexes (the seed of test_kh_convention_slice_check),
-    random floer complexes, and tensor products of two or three of them,
-    which have more layers, fill-in and torsion."""
+    random floer complexes, tensor products of two or three of them, which
+    have more layers, fill-in and torsion, and the one-variable models."""
     rng = random.Random(4411)
     cases = []
     for _ in range(60):
@@ -955,12 +990,16 @@ def test_cancel_units_keeps_torsion():
         cases.append(tensor(alex2_floer(rng), alex2_floer(rng)))
     for _ in range(10):
         cases.append(tensor(tensor(one_map_kh(rng), one_map_kh(rng)), one_map_kh(rng)))
-    cases += [build_model("trefoil_cfl").complex, collapse_all(build_model("l_ori").complex)]
+    for name in MODEL_NAMES:
+        model = build_model(name).complex
+        cases += [c for c in (model, collapse_pairs(model), collapse_all(model))
+                  if c.vars.n == 1]
     torsion = fill_in = 0
     for cx in cases:
-        red, hom = cancelled(cx)
+        pairs, hom = cancelled(cx)
         torsion += len(hom.torsion)
-        fill_in += any(key not in cx.diff for key in red.diff)
+        gids = [g.gid for g in cx.gens]
+        fill_in += any((gids[x], gids[y]) not in cx.diff for x, y, _ in pairs)
     assert {cx.convention for cx in cases} == {CONV_KH, CONV_FLOER}
     assert torsion > 300 and fill_in > 0
 
@@ -973,10 +1012,12 @@ def test_cancel_units_picks_the_target_with_fewest_sources():
     one, u = Poly.one(U1), Poly.var(U1, "u")
     cx = ChainComplex(U1, gens, {("x", "y1"): one, ("x", "y2"): one, ("s", "y1"): u},
                       CONV_KH)
-    red, hom = cancelled(cx)
+    pairs, hom = cancelled(cx)
+    assert pairs == [(0, 3, 0), (1, 2, 1)]
+    assert hom.torsion == [1]
+    red = cancel_units(cx, {g.gid: g.h for g in gens})
     assert [g.gid for g in red.gens] == ["s", "y1"]
     assert red.diff == {("s", "y1"): u}
-    assert hom.torsion == [1]
 
 
 def test_cancel_units_rejects_bad_input():
@@ -999,7 +1040,7 @@ def test_cancel_units_with_levels_keeps_jump_two_units():
     cx = ChainComplex(U1, gens, {("x", "y"): one}, CONV_KH)
     pairs = []
     assert cancel_units(cx, {"x": 0, "y": 2}, pairs).diff == cx.diff and pairs == []
-    assert cancel_units(cx, {"x": 0, "y": 1}, pairs).n == 0 and pairs == [("x", "y")]
+    assert cancel_units(cx, {"x": 0, "y": 1}, pairs).n == 0 and pairs == [(0, 1, 0)]
     # x -> y jumps by 2 and has the fewest sources, so only the level test
     # makes x -> z (jump 1) the one cancelled; s -> y is the zig-zag s -> z -> x -> y
     gens = [Generator("x", 0, 0), Generator("s", 0, -2),
@@ -1008,9 +1049,11 @@ def test_cancel_units_with_levels_keeps_jump_two_units():
                       CONV_KH)
     pairs = []
     red = cancel_units(cx, {"x": 0, "s": 0, "y": 2, "z": 1}, pairs)
-    assert pairs == [("x", "z")]
+    assert pairs == [(0, 3, 0)]
     assert [g.gid for g in red.gens] == ["s", "y"] and red.diff == {("s", "y"): u}
-    assert [g.gid for g in cancel_units(cx).gens] == ["s", "z"]
+    # without levels x -> y, with the fewest sources, goes first, then s -> z
+    pairs = []
+    assert cancel_units(cx, cancelled=pairs).n == 0 and pairs == [(0, 2, 0), (1, 3, 1)]
 
 
 def test_cancel_units_with_levels_on_minus_cubes():
@@ -1035,11 +1078,12 @@ def test_cancel_units_with_levels_on_minus_cubes():
             red = cancel_units(cx, levels, pairs)
             kept = {g.gid for g in red.gens}
             assert list(red.gens) == [g for g in cx.gens if g.gid in kept]
-            deleted = sorted(g.gid for g in cx.gens if g.gid not in kept)
-            assert sorted(gid for pair in pairs for gid in pair) == deleted
-            for x, y in pairs:
-                assert levels[y] - levels[x] == 1
-                assert cx.grade(y) == (cx.grade(x)[0] + 1, cx.grade(x)[1])
+            deleted = sorted(i for i, g in enumerate(cx.gens) if g.gid not in kept)
+            assert sorted(i for x, y, _ in pairs for i in (x, y)) == deleted
+            for x, y, k in pairs:
+                x, y = cx.gens[x], cx.gens[y]
+                assert k == 0 and levels[y.gid] - levels[x.gid] == 1
+                assert (y.h, y.q) == (x.h + 1, x.q)
             for (src, tgt), p in red.diff.items():
                 assert levels[tgt] > levels[src]
                 if (0,) in p.terms:
@@ -1048,7 +1092,7 @@ def test_cancel_units_with_levels_on_minus_cubes():
             assert red.verify_d2() == []
             FilteredComplex(red, levels)  # checks the filtration again
             ChainComplex(red.vars, red.gens, red.diff, red.convention)  # homogeneous
-            assert UHomology(red).by_grading() == UHomology(cx).by_grading()
+            assert UHomology(red).by_grading() == reference_decomposition(cx).by_grading()
     assert left > 0
 
 
@@ -1057,7 +1101,7 @@ def test_mod_u_check_rejects_tampered_summands():
     torsion_cx = next(cx for cx in (one_map_kh(rng) for _ in range(60))
                       if UHomology(cx).torsion)
     for cx in (kh.ckh(kh.cyclic_knot(5), "minus").complex, torsion_cx):
-        summands = UHomology(cancel_units(cx)).summands
+        summands = UHomology(cx).summands
         check_mod_u(cx, summands)
         for i, s in enumerate(summands):
             order = 1 if s.free else (None if i % 2 else s.order + 1)

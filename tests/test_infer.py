@@ -235,7 +235,7 @@ def test_page_homology_matches_complex_homology():
         ):
             cx = ChainComplex(vs, gens, diff, CONV_KH, check=True)
             hom = UHomology(cx)
-            assert sorted((s.grades, s.order) for s in hom.decomposition.summands) == \
+            assert sorted((s.grades, s.order) for s in hom.summands) == \
                 sorted(((t.h, t.q), t.order) for t in _named(out))
 
 

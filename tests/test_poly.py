@@ -65,9 +65,7 @@ def test_substitution_units():
 def test_grading_weights():
     m_half = (1, 0)
     assert VS.h_drop(m_half) == 1
-    assert VS.q_drop(m_half) == 2
     assert VS.alex2(m_half) == 1
     vs_full = VarSet(("U",), (FULL,))
     assert vs_full.h_drop((1,)) == 2
-    assert vs_full.q_drop((1,)) == 4
     assert vs_full.alex2((1,)) == 0

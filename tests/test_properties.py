@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeinseq import khovanov as kh
-from skeinseq.complexes import homology_f2
+from skeinseq.complexes import UHomology, homology_f2
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 FIG8 = "PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]"
+HOPF = "PD[X(1,3,2,4),X(3,1,4,2)]"
 
 MAX_CROSSINGS = 7
 
@@ -27,9 +28,9 @@ SUITE = settings(max_examples=30, deadline=None, derandomize=True, database=None
 
 
 @st.composite
-def knots(draw, max_crossings=MAX_CROSSINGS):
-    """A one-component diagram: a prime, then up to three moves."""
-    d = draw(st.sampled_from([p for p in PRIMES if len(p.crossings) <= max_crossings]))
+def knots(draw, max_crossings=MAX_CROSSINGS, primes=PRIMES):
+    """A prime, then up to three moves: one component unless a prime has more."""
+    d = draw(st.sampled_from([p for p in primes if len(p.crossings) <= max_crossings]))
     for _ in range(draw(st.integers(0, 3))):
         move = draw(st.sampled_from(("mirror", "kink", "sum")))
         if move == "mirror":
@@ -37,7 +38,7 @@ def knots(draw, max_crossings=MAX_CROSSINGS):
         elif move == "kink" and len(d.crossings) < max_crossings:
             d = kh.add_kink(d, draw(st.sampled_from(d.arcs)))
         elif move == "sum":
-            other = draw(st.sampled_from(PRIMES))
+            other = draw(st.sampled_from(primes))
             if len(d.crossings) + len(other.crossings) <= max_crossings:
                 d = kh.connect_sum(d, other, draw(st.sampled_from(d.arcs)))
     return d
@@ -107,3 +108,52 @@ def test_reduced_multiplicative_under_connect_sum(d1, d2):
 def test_hat_invariant_under_kink_up_to_shift(d, data):
     kinked = kh.add_kink(d, data.draw(st.sampled_from(d.arcs)))
     assert normalized(hat_table(kinked)) == normalized(hat_table(d))
+
+
+@SUITE
+@given(knots(), st.data())
+def test_basepoint_action_is_u_on_homology(d, data):
+    # the label x of the marked circle acts as u on every free tower (so it
+    # squares to U), whichever arc carries the basepoint
+    cc = kh.ckh(d, "minus")
+    hom = UHomology(cc.complex)
+    act = hom.induced_matrix(kh.basepoint_action(cc, data.draw(st.sampled_from(d.arcs))))
+    assert not hom.torsion and act == {(i, i): 1 for i in range(hom.free_rank)}
+
+
+def faces(d):
+    """The faces of a diagram's PD rotation system: each crossing lists its
+    four arc ends counterclockwise, and a face turns to the next end at
+    each crossing it reaches along an arc."""
+    ends = {}
+    for c, crossing in enumerate(d.crossings):
+        for i, arc in enumerate(crossing):
+            ends.setdefault(arc, []).append((c, i))
+    other = {}
+    for a, b in ends.values():
+        other[a], other[b] = b, a
+    seen, count = set(), 0
+    for start in other:
+        count += start not in seen
+        end = start
+        while end not in seen:
+            seen.add(end)
+            c, i = other[end]
+            end = (c, (i + 1) % 4)
+    return count
+
+
+PLANAR_PRIMES = (kh.parse_pd(TREFOIL), kh.parse_pd(FIG8), kh.parse_pd(HOPF))
+
+
+@SUITE
+@given(knots(primes=PLANAR_PRIMES))
+def test_planar_diagrams_have_n_plus_2_faces(d):
+    # Euler: n crossings and 2n arcs of a connected diagram on the sphere
+    assert faces(d) == len(d.crossings) + 2
+
+
+def test_cyclic_knots_past_the_trefoil_are_not_planar():
+    assert faces(kh.cyclic_knot(3)) == 5
+    assert {n: faces(kh.cyclic_knot(n)) for n in (5, 7, 9, 11, 13)} == {
+        5: 3, 7: 3, 9: 5, 11: 3, 13: 3}

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from skeinseq import complexes, infer
+from skeinseq import infer
 from skeinseq import khovanov as kh
 from skeinseq.gf2 import matrix_rank
 from skeinseq.umod import (
     Summand,
     echelonize,
+    homology_presentation,
     module_decompose,
     reduce_columns,
     solve_in_echelon,
@@ -215,15 +216,13 @@ def dense_decompose(n_gens, relations, grades_list, u_grade_step):
 
     The pivot is the least (e, r, c) over live entries; its column is cleared
     by row operations and its row by column operations over every live row.
-    The change of basis P (transform) and its inverse are kept as dense
-    matrices, and each summand's grade is read off its column of P^-1.
-    Returns (summands, transform, inverse, pivots).
+    The inverse of the change of basis is kept as a dense matrix, and each
+    summand's grade is read off its column of it.
     """
     mat = [dict() for _ in range(n_gens)]
     for j, col in enumerate(relations):
         for row, e in col.items():
             mat[row][j] = e
-    transform = [{i: 0} for i in range(n_gens)]
     inverse = [{i: 0} for i in range(n_gens)]
     live_rows = set(range(n_gens))
     live_cols = set(range(len(relations)))
@@ -248,7 +247,6 @@ def dense_decompose(n_gens, relations, grades_list, u_grade_step):
             if r2 == r or e2 is None:
                 continue
             vec_add_shifted(mat[r2], mat[r], e2 - e)
-            vec_add_shifted(transform[r2], transform[r], e2 - e)
             col_op(inverse, r, r2, e2 - e)
         for c2 in sorted(live_cols):
             e2 = mat[r].get(c2)
@@ -266,48 +264,7 @@ def dense_decompose(n_gens, relations, grades_list, u_grade_step):
         if pivots.get(r) != 0:
             summands.append(Summand(pivots.get(r), grade, r))
     summands.sort(key=lambda s: (s.grades, s.order is None, s.order or 0, s.index))
-    return summands, transform, inverse, pivots
-
-
-def dense_coords_of(transform, pivots, vec):
-    """Reference coords_of: walk every transform row for the vector."""
-    moved = {}
-    for row, transform_row in enumerate(transform):
-        acc = {}
-        for col, te in transform_row.items():
-            if col in vec:
-                vec_add_shifted(acc, {0: vec[col] + te}, 0)
-        if acc and (row not in pivots or acc[0] < pivots[row]):
-            moved[row] = acc[0]
-    return moved
-
-
-def dense_summand_rep(inverse, s):
-    """Reference summand_rep: column s.index of the dense inverse."""
-    return {j: row[s.index] for j, row in enumerate(inverse) if s.index in row}
-
-
-def assert_same_decomposition(args, rng=None):
-    got = module_decompose(*args)
-    summands, transform, inverse, pivots = dense_decompose(*args)
-    assert got.summands == summands, args
-    assert got.pivots == pivots, args
-    for s in got.summands:
-        rep = got.summand_rep(s)
-        assert list(rep.items()) == list(dense_summand_rep(inverse, s).items()), args
-    if rng is None:
-        return
-    # homogeneous vectors: every entry u^e at row r lands in one grade
-    n_gens, _, grades_list, step = args
-    for _ in range(3):
-        top = rng.choice(grades_list)
-        vec = {}
-        for r, g in enumerate(grades_list):
-            e, rem = divmod(g[-1] - top[-1], step[-1])
-            if g[:-1] == top[:-1] and rem == 0 and e >= 0 and rng.random() < 0.5:
-                vec[r] = e
-        want = dense_coords_of(transform, pivots, vec)
-        assert list(got.coords_of(vec).items()) == list(want.items())
+    return summands
 
 
 def recorded_presentations(monkeypatch, module, run):
@@ -324,10 +281,19 @@ def recorded_presentations(monkeypatch, module, run):
     return calls
 
 
+def cube_presentation(cx):
+    """module_decompose's arguments for the homology of a whole one-variable
+    complex: its cycles, and every boundary in them."""
+    step = cx.ustep()
+    basis, coords, grades = homology_presentation(
+        cx.exponent_columns(), [], [cx.ugrade(g.gid) for g in cx.gens], step)
+    return len(basis), coords, grades, step
+
+
 @pytest.fixture(scope="module")
 def presentations():
-    """The random families, then every presentation that UHomology of five
-    minus cubes and four infer searches hand to module_decompose."""
+    """The random families, the presentations of five minus cubes, and every
+    presentation that four infer searches hand to module_decompose."""
     families = [equal_grade_family(), mixed_grade_family()]
     families += [mixed_grade_family(seed=2718, count=300, max_gens=7, max_rels=6)]
     diagrams = [kh.cyclic_knot(n) for n in (3, 5, 7)]
@@ -342,39 +308,25 @@ def presentations():
         (towers, infer.TargetSpec(free_rank=3)),
         (towers, infer.TargetSpec(free_rank=1, torsion=(1, 1, 1))),
     ]
+    cube_calls = [cube_presentation(kh.ckh(d, "minus").complex) for d in diagrams]
     with pytest.MonkeyPatch.context() as monkeypatch:
-        cube_calls = recorded_presentations(
-            monkeypatch, complexes,
-            lambda: [complexes.UHomology(kh.ckh(d, "minus").complex) for d in diagrams],
-        )
         page_calls = recorded_presentations(
             monkeypatch, infer,
             lambda: [infer.enumerate_patterns(infer.PageSpec(tuple(page)), target)
                      for page, target in searches],
         )
-    assert len(cube_calls) == len(diagrams)
     assert sum(len(args[1]) > 1 for args in page_calls) > 10
     return [args for family in families for args in family] + cube_calls + page_calls
 
 
 def test_sparse_decompose_matches_dense_reference(presentations):
-    """Summands and pivot exponents equal the dense scan's; summand_rep is its
-    column of P^-1 and coords_of gives the same classes in the same order."""
-    rng = random.Random(5)
+    """Summands, with their grades and orders, equal the dense scan's."""
     for args in presentations:
-        assert_same_decomposition(args, rng)
-
-
-def test_summand_rep_round_trips(presentations):
-    """coords_of reads each summand's representative back as that summand."""
-    for args in presentations:
-        dec = module_decompose(*args)
-        for s in dec.summands:
-            assert dec.coords_of(dec.summand_rep(s)) == {s.index: 0}, (args, s)
+        assert module_decompose(*args).summands == dense_decompose(*args), args
 
 
 def test_echelon_basis_lead_index():
     basis = echelonize([{2: 1, 3: 0}, {0: 0, 1: 1}, {1: 0}])
-    assert [min(v) for v in basis] == [0, 1, 2]
+    assert [min(v) for v in basis.vecs] == [0, 1, 2]
     assert basis.lead == {0: 0, 1: 1, 2: 2}
     assert len(echelonize([])) == 0
