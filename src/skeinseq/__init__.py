@@ -19,7 +19,7 @@ from .complexes import (
     tensor,
 )
 from .infer import PageSpec, Pattern, TargetSpec, Tower, enumerate_patterns, resolve_filtration
-from .khovanov import LinkDiagram, basepoint_action, ckh, edge_map, mirror, parse_pd, resolve, smooth, cyclic_knot, unlink
+from .khovanov import LinkDiagram, basepoint_action, ckh, mirror, parse_pd, resolve, smooth, cyclic_knot, unlink
 from .models import MODEL_NAMES, build_model, canonical_fg, run_model_suite, top_homology_table, verify_action
 from .poly import FULL, HALF, Poly, VarSet, parse_poly
 from .spectral import FilteredComplex, SpectralPage, analyze, check_constraints, converge, pages

@@ -42,6 +42,10 @@ MAX_CUBE_VERTICES = 1 << 13
 # refuses the same inputs, and the add-back of the cancelled pairs stays
 # bounded by it too.
 MAX_EXPANSION_SLOTS = 1 << 21
+# The most generators a cube holds, counted from its resolved states first:
+# T(2,11) has 88575 minus generators, T(2,13) 797163 (its reduced table took
+# 66 s and 3.2 GB).
+MAX_CUBE_GENERATORS = 1 << 18
 
 
 @dataclass(frozen=True)

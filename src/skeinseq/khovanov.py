@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 
-from .complexes import CONV_KH, MAX_CUBE_VERTICES, ChainComplex, ChainMap, Generator
+from .complexes import CONV_KH, MAX_CUBE_GENERATORS, MAX_CUBE_VERTICES, ChainComplex, ChainMap, Generator
 from .poly import HALF, Poly, VarSet
 
 Crossing = tuple[int, int, int, int]
@@ -253,22 +255,14 @@ class ResolutionState:
     vertex: tuple[int, ...]
     circles: tuple[frozenset[int], ...]
 
-    @property
-    def weight(self) -> int:
-        return sum(self.vertex)
-
-    def circle_of(self, arc: int) -> frozenset[int]:
-        for c in self.circles:
-            if arc in c:
-                return c
-        raise KeyError("arc %r not on any circle" % arc)
-
 
 def _resolver(d: LinkDiagram):
-    """The state of each vertex of d's cube, by union-find on arc indices.
+    """The circles of each vertex of d's cube, by union-find on arc indices.
 
     The joins of both smoothings of every crossing are turned into index
-    pairs once; each call then resolves one vertex on a list.
+    pairs once; each call then resolves one vertex on a list and returns
+    (lab, count): lab[k] is the circle of the k-th arc of d.arcs, and the
+    count circles are numbered by their least arc.
     """
     arcs = d.arcs
     index = {a: k for k, a in enumerate(arcs)}
@@ -277,7 +271,7 @@ def _resolver(d: LinkDiagram):
         a, b, c, dd = index[a], index[b], index[c], index[dd]
         joins.append((((a, dd), (b, c)), ((a, b), (c, dd))))
 
-    def resolve_at(vertex: tuple[int, ...]) -> ResolutionState:
+    def resolve_at(vertex: tuple[int, ...]) -> tuple[list[int], int]:
         if len(vertex) != len(joins):
             raise ValueError("vertex length mismatch")
         parent = list(range(len(arcs)))
@@ -288,113 +282,71 @@ def _resolver(d: LinkDiagram):
                 while parent[y] != y:
                     parent[y] = y = parent[parent[y]]
                 parent[x] = y
-        groups: dict[int, list[int]] = {}
-        for k, a in enumerate(arcs):
+        # arcs ascend, so numbering roots as first seen orders circles by least arc
+        num: dict[int, int] = {}
+        lab = []
+        for k in range(len(arcs)):
             while parent[k] != k:
                 k = parent[k]
-            groups.setdefault(k, []).append(a)
-        # arcs ascend, so the groups come out ordered by their least arc
-        return ResolutionState(tuple(vertex), tuple(map(frozenset, groups.values())))
+            lab.append(num.setdefault(k, len(num)))
+        return lab, len(num)
 
     return resolve_at
 
 
+def _state(arcs: tuple[int, ...], vertex: tuple[int, ...], lab: list[int], count: int):
+    circles: list[list[int]] = [[] for _ in range(count)]
+    for a, x in zip(arcs, lab):
+        circles[x].append(a)
+    return ResolutionState(vertex, tuple(map(frozenset, circles)))
+
+
 def resolve(d: LinkDiagram, vertex: tuple[int, ...]) -> ResolutionState:
     """Circles of the complete resolution given one 0/1 choice per crossing."""
-    return _resolver(d)(vertex)
-
-
-# -- edge maps -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EdgeMap:
-    """Band map between adjacent resolutions on x-label subsets.
-
-    apply() sends a set of x-labelled circles to terms (U-power, new set).
-    """
-
-    kind: str
-    sources: tuple[frozenset[int], ...]
-    targets: tuple[frozenset[int], ...]
-
-    def apply(
-        self, labels: frozenset[frozenset[int]]
-    ) -> list[tuple[int, frozenset[frozenset[int]]]]:
-        if self.kind == "merge":
-            c1, c2 = self.sources
-            (dst,) = self.targets
-            eps = (c1 in labels) + (c2 in labels)
-            rest = labels - {c1, c2}
-            if eps == 2:
-                return [(1, rest)]
-            if eps == 1:
-                return [(0, rest | {dst})]
-            return [(0, rest)]
-        (src,) = self.sources
-        d1, d2 = self.targets
-        if src in labels:
-            rest = labels - {src}
-            return [(0, rest | {d1, d2}), (1, rest)]
-        return [(0, labels | {d1}), (0, labels | {d2})]
-
-
-def edge_map(st0: ResolutionState, st1: ResolutionState) -> EdgeMap:
-    """Merge or split block between two resolutions differing at one crossing."""
-    set0, set1 = set(st0.circles), set(st1.circles)
-    changed0 = tuple([c for c in st0.circles if c not in set1])
-    changed1 = tuple([c for c in st1.circles if c not in set0])
-    if len(changed0) == 2 and len(changed1) == 1:
-        return EdgeMap("merge", changed0, changed1)
-    if len(changed0) == 1 and len(changed1) == 2:
-        return EdgeMap("split", changed0, changed1)
-    raise ValueError(
-        "circle counts differ by %d, not 1"
-        % abs(len(st1.circles) - len(st0.circles))
-    )
+    return _state(d.arcs, tuple(vertex), *_resolver(d)(vertex))
 
 
 # -- the cube --------------------------------------------------------------------
 #
-# Inside ckh the labels of a generator are a bitmask over the free circles of
-# its state: the circles other than the basepoint circle, in the state's
-# order (by least arc), bit b for the b-th.  Generator m of a vertex is the
-# one with mask m, so a vertex's generators are listed by ascending mask and
-# its ids are spelled once into a mask -> id table.  An edge is a rule on
-# masks (_edge_rule): a carry table moves the circles it leaves alone to their
-# target bits, and EdgeMap.apply, run on each labelling of the changed
-# circles, gives the target bits and u-power of every term.  The rule depends
-# only on the edge's kind, source size and bit positions, so ckh builds it
-# once per distinct such key and every edge of that shape reuses it.
+# Inside ckh a state is its lab, and the labels of a generator are a bitmask
+# over the free circles of its state: the circles other than the basepoint
+# circle b, in order, so circle x has bit 1 << (x - (x > b)).  Generator m of
+# a vertex is the one with mask m, so a vertex's generators are listed by
+# ascending mask and its ids are spelled once into a mask -> id table.  The
+# edge that turns crossing (a, b, c, d) from its 0- to its 1-smoothing merges
+# the circles of a and b when they differ, and otherwise splits theirs into
+# the target circles of a and c: four lookups in the two labs.  An edge is a
+# rule on masks (_edge_rule), built once per kind, source size and bits.
 
 
-def _vertex_ids(vertex: tuple[int, ...], free: list[frozenset[int]]) -> list[str]:
-    """Generator ids of one vertex indexed by label mask over its free circles.
+def _vertex_ids(vertex: tuple[int, ...], free: list[int]) -> list[str]:
+    """Generator ids of one vertex indexed by label mask over its free circles,
+    given by their least arcs.
 
     An id is "v<vertex bits>|<least arc of each x-labelled circle, by bit>".
     """
     ids = ["v%s|" % "".join(map(str, vertex))]
-    for c in free:
-        least = str(min(c))
+    for a in free:
+        least = str(a)
         ids += [ids[0] + least] + [t + "," + least for t in ids[1:]]
     return ids
 
 
 def _edge_rule(
-    em: EdgeMap, size: int, src_bits: list[int], tgt_bits: list[int],
+    split: bool, size: int, src_bits: tuple[int, ...], tgt_bits: tuple[int, ...],
     flavor: str, upoly: list[Poly],
-) -> tuple[int, dict[int, list[tuple[int, Poly]]], list[int]]:
-    """The edge map em on label masks, as (sel, terms, carry).
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[Poly, ...]]:
+    """A merge or split on label masks: entry e sends mask sources[e] to
+    mask targets[e] with the entry polys[e], by source mask.
 
     size is the number of free circles at the source; src_bits and tgt_bits
-    hold the bit of each of em's sources and targets, 0 for the basepoint
-    circle.  That circle carries no label, so an x on it in the image is one
-    more power of u.  sel is the source bits of the changed circles; terms
-    maps each value of mask & sel to the (target bits, entry) terms that the
-    flavor keeps; carry maps each mask to the target bits of the circles the
-    edge leaves alone.  Those keep their order by least arc, so the k-th of
-    them at the source is the k-th at the target, and the rule depends on
-    nothing but em's kind, size and the bits.
+    hold the bit of each changed circle at the source and the target (the
+    split's in order), 0 for the basepoint circle.  That circle carries no
+    label, so an x on it in the image is one more power of u.  A merge sends
+    x x to U, x 1 and 1 x to x, 1 1 to 1; a split sends 1 to 1 x + x 1 and x
+    to x x + U; the flavor keeps some terms.  A carry table moves the
+    circles the edge leaves alone, which keep their order, to their target
+    bits.
     """
     sel = sum(src_bits)
     changed = sum(tgt_bits)
@@ -405,41 +357,66 @@ def _edge_rule(
         tb = 0 if sel >> b & 1 else next(kept)
         carry += [m | tb for m in carry]
     terms: dict[int, list[tuple[int, Poly]]] = {}
-    free = [(c, b) for c, b in zip(em.sources, src_bits) if b]
+    free = [b for b in src_bits if b]
     for sub in range(1 << len(free)):
-        picked = [(c, b) for k, (c, b) in enumerate(free) if sub >> k & 1]
-        out_terms = []
-        for (ucount, out) in em.apply(frozenset(c for c, _ in picked)):
-            t = 2 * ucount
-            mask = 0
-            for c, b in zip(em.targets, tgt_bits):
-                if c in out:
-                    if b:
-                        mask |= b
-                    else:
-                        t += 1
-            if (flavor == "hat" and ucount) or (flavor == "reduced" and t):
-                continue
-            out_terms.append((mask, upoly[t]))
-        terms[sum(b for _, b in picked)] = out_terms
-    return sel, terms, carry
+        picked = [b for k, b in enumerate(free) if sub >> k & 1]
+        # (U-power, bits of the x-labelled target circles) of each term
+        if not split:
+            outs = [(len(picked) // 2, tgt_bits if len(picked) == 1 else ())]
+        elif picked:
+            outs = [(0, tgt_bits), (1, ())]
+        else:
+            outs = [(0, tgt_bits[:1]), (0, tgt_bits[1:])]
+        terms[sum(picked)] = out = []
+        for ucount, xs in outs:
+            t = 2 * ucount + xs.count(0)
+            if not ((flavor == "hat" and ucount) or (flavor == "reduced" and t)):
+                out.append((sum(xs), upoly[t]))
+    sources, targets, polys = zip(*[
+        (m, carry[m] | mask, p) for m in range(1 << size) for mask, p in terms[m & sel]])
+    return sources, targets, polys
 
 
 @dataclass
 class CubeComplex:
-    """Assembled cube complex plus the data needed to interpret generators."""
+    """Assembled cube complex plus the (lab, count) of each vertex, from
+    which the views states and info are built on first use."""
 
     diagram: LinkDiagram
     flavor: str
     basepoint_arc: int | None
     complex: ChainComplex
     levels: dict[str, int]
-    states: list[ResolutionState]
-    info: dict[str, tuple[int, frozenset[frozenset[int]]]] = field(repr=False, default_factory=dict)
+    labs: list[tuple[list[int], int]] = field(repr=False)
 
-    def base_circle(self, vertex_index: int) -> frozenset[int]:
-        assert self.basepoint_arc is not None
-        return self.states[vertex_index].circle_of(self.basepoint_arc)
+    def _vertices(self):
+        """(index, vertex, lab, count, basepoint circle or None, position of
+        the first generator) of every vertex."""
+        n = len(self.diagram.crossings)
+        bp = None if self.basepoint_arc is None else self.diagram.arcs.index(self.basepoint_arc)
+        pos = 0
+        for i, (lab, count) in enumerate(self.labs):
+            base = None if bp is None else lab[bp]
+            yield i, tuple((i >> j) & 1 for j in range(n)), lab, count, base, pos
+            pos += 1 << (count - (base is not None))
+
+    @cached_property
+    def states(self) -> list[ResolutionState]:
+        arcs = self.diagram.arcs
+        return [_state(arcs, v, lab, count) for _, v, lab, count, _, _ in self._vertices()]
+
+    @cached_property
+    def info(self) -> dict[str, tuple[int, frozenset[frozenset[int]]]]:
+        gens = self.complex.gens
+        info: dict[str, tuple[int, frozenset[frozenset[int]]]] = {}
+        for (i, _, _, _, base, pos), st in zip(self._vertices(), self.states):
+            labels: list[frozenset[frozenset[int]]] = [frozenset()]
+            for x, c in enumerate(st.circles):
+                if x != base:
+                    labels += [s | {c} for s in labels]
+            for g, lab in zip(gens[pos:pos + len(labels)], labels):
+                info[g.gid] = (i, lab)
+        return info
 
 
 def ckh(d: LinkDiagram, flavor: str, basepoint: int | None = None) -> CubeComplex:
@@ -475,9 +452,15 @@ def ckh(d: LinkDiagram, flavor: str, basepoint: int | None = None) -> CubeComple
         basepoint = None
 
     resolve_at = _resolver(d)
-    states = [
-        resolve_at(tuple((i >> j) & 1 for j in range(n))) for i in range(1 << n)
-    ]
+    vertices = [tuple((i >> j) & 1 for j in range(n)) for i in range(1 << n)]
+    labs = [resolve_at(v) for v in vertices]
+    marked = basepoint is not None
+    total = sum(1 << (count - marked) for _, count in labs)
+    if total > MAX_CUBE_GENERATORS:
+        raise ValueError(
+            "the cube of this %d-crossing diagram has %d generators, above the"
+            " limit of %d" % (n, total, MAX_CUBE_GENERATORS)
+        )
     if flavor == "minus":
         vs = VarSet(("u",), (HALF,))
         # one shared entry per u exponent: 2 per U-power, 1 per basepoint label
@@ -486,54 +469,55 @@ def ckh(d: LinkDiagram, flavor: str, basepoint: int | None = None) -> CubeComple
         vs = VarSet((), ())
         upoly = [Poly.one(vs)]
 
+    # the basepoint circle (count, no circle, in hat) and the circle bits by vertex
+    bp = arcs.index(basepoint) if marked else None
+    bases = [lab[bp] if marked else count for lab, count in labs]
+    bits = [[0 if x == b else 1 << (x - (x > b)) for x in range(count)]
+            for (_, count), b in zip(labs, bases)]
     gens: list[Generator] = []
-    info: dict[str, tuple[int, frozenset[frozenset[int]]]] = {}
     levels: dict[str, int] = {}
     ids: list[list[str]] = []
-    bits: list[dict[frozenset[int], int]] = []
-    for i, st in enumerate(states):
-        base = st.circle_of(basepoint) if basepoint is not None else None
-        free = [c for c in st.circles if c != base]
-        h = st.weight
-        labels: list[frozenset[frozenset[int]]] = [frozenset()]
-        qs = [len(st.circles) + h]
-        for c in free:
-            one = frozenset((c,))
-            labels += [s | one for s in labels]
+    for vertex, (lab, count), base in zip(vertices, labs, bases):
+        h = sum(vertex)
+        free = [arcs[lab.index(x)] for x in range(count) if x != base]
+        qs = [count + h]
+        for _ in free:
             qs += [q - 2 for q in qs]
-        vids = _vertex_ids(st.vertex, free)
-        for gid, lab, q in zip(vids, labels, qs):
-            gens.append(Generator(gid, h, q))
-            info[gid] = (i, lab)
-            levels[gid] = h
+        vids = _vertex_ids(vertex, free)
+        gens += map(Generator, vids, repeat(h), qs)
+        levels.update(dict.fromkeys(vids, h))
         ids.append(vids)
-        bits.append({c: 1 << b for b, c in enumerate(free)})
 
+    index = {a: k for k, a in enumerate(arcs)}
+    crossings = [(index[a], index[b], index[c]) for (a, b, c, _) in d.crossings]
     diff: dict[tuple[str, str], Poly] = {}
-    rules: dict[tuple, tuple[int, dict[int, list[tuple[int, Poly]]], list[int]]] = {}
-    for i, st in enumerate(states):
-        vids, bit = ids[i], bits[i]
-        for j in range(n):
+    rules: dict[tuple, tuple[tuple[int, ...], tuple[int, ...], tuple[Poly, ...]]] = {}
+    for i, (lab, _) in enumerate(labs):
+        bit = bits[i]
+        size = len(bit) - marked
+        get = ids[i].__getitem__
+        for j, (a, b, c) in enumerate(crossings):
             if (i >> j) & 1:
                 continue
             i2 = i | (1 << j)
-            em = edge_map(st, states[i2])
-            src_bits = [bit.get(c, 0) for c in em.sources]
-            tgt_bits = [bits[i2].get(c, 0) for c in em.targets]
-            key = (em.kind, len(bit), *src_bits, *tgt_bits)
+            lab2, bit2 = labs[i2][0], bits[i2]
+            x, y = lab[a], lab[b]
+            split = x == y
+            if not split:  # merge the circles of a and b
+                key = (split, size, (bit[x], bit[y]), (bit2[lab2[a]],))
+            else:  # split the circle of a and b into those of a and c
+                p, q = sorted((lab2[a], lab2[c]))
+                if p == q:
+                    raise ValueError("circle counts differ by 0, not 1")
+                key = (split, size, (bit[x],), (bit2[p], bit2[q]))
             rule = rules.get(key)
             if rule is None:
-                rule = rules[key] = _edge_rule(
-                    em, len(bit), src_bits, tgt_bits, flavor, upoly
-                )
-            sel, terms, carry = rule
-            vids2 = ids[i2]
-            for m, src in enumerate(vids):
-                for mask, p in terms[m & sel]:
-                    diff[(src, vids2[carry[m] | mask])] = p
+                rule = rules[key] = _edge_rule(*key, flavor, upoly)
+            sources, targets, polys = rule
+            diff.update(zip(zip(map(get, sources), map(ids[i2].__getitem__, targets)), polys))
 
     cx = ChainComplex(vs, gens, diff, CONV_KH)
-    return CubeComplex(d, flavor, basepoint, cx, levels, states, info)
+    return CubeComplex(d, flavor, basepoint, cx, levels, labs)
 
 
 def basepoint_action(cc: CubeComplex, arc: int) -> ChainMap:
@@ -543,14 +527,20 @@ def basepoint_action(cc: CubeComplex, arc: int) -> ChainMap:
     if arc not in cc.diagram.arcs:
         raise ValueError("unknown point %r" % arc)
     vs = cc.complex.vars
-    gid_of = {key: gid for gid, key in cc.info.items()}
+    u, uu, one = Poly.var(vs, "u", 1), Poly.var(vs, "u", 2), Poly.one(vs)
+    gids = [g.gid for g in cc.complex.gens]
+    k = cc.diagram.arcs.index(arc)
     entries: dict[tuple[str, str], Poly] = {}
-    for gid, (vi, labels) in cc.info.items():
-        circle = cc.states[vi].circle_of(arc)
-        if circle == cc.base_circle(vi):
-            entries[(gid, gid)] = Poly.var(vs, "u", 1)
-        elif circle in labels:
-            entries[(gid, gid_of[(vi, labels - {circle})])] = Poly.var(vs, "u", 2)
-        else:
-            entries[(gid, gid_of[(vi, labels | {circle})])] = Poly.one(vs)
+    for _, _, lab, count, base, pos in cc._vertices():
+        x = lab[k]
+        vids = gids[pos:pos + (1 << (count - 1))]
+        if x == base:
+            entries.update(((g, g), u) for g in vids)
+            continue
+        bit = 1 << (x - (x > base))
+        for m, g in enumerate(vids):
+            if m & bit:
+                entries[(g, vids[m ^ bit])] = uu
+            else:
+                entries[(g, vids[m | bit])] = one
     return ChainMap(cc.complex, cc.complex, entries, dh=0, dq=-2)

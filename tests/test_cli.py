@@ -20,6 +20,7 @@ from skeinseq.cli import main
 from skeinseq.complexes import MAX_EXPANSION_SLOTS
 from skeinseq.umod import ModuleDecomposition
 from test_complexes import reference_decomposition
+from test_khovanov import torus_2
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 
@@ -792,6 +793,21 @@ def test_nonplanar_edge_exits_2(capsys, flavor):
     assert code == 2
     assert out == ""
     assert "circle counts differ by 0, not 1" in err
+
+
+def test_generator_budget_exits_2_before_any_generator(capsys, monkeypatch):
+    def no_generators(*args, **kwargs):
+        raise AssertionError("generator built on an oversized cube")
+
+    monkeypatch.setattr(kh, "_vertex_ids", no_generators)
+    monkeypatch.setattr(kh, "Generator", no_generators)
+    pd = "PD[%s]" % ",".join("X(%d,%d,%d,%d)" % c for c in torus_2(13).crossings)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "kh", "--pd", pd, "--flavor", "minus")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2
+    assert out == ""
+    assert "has 797163 generators, above the limit of %d" % kh.MAX_CUBE_GENERATORS in err
 
 
 @pytest.mark.parametrize("flavor", ["minus", "hat", "reduced"])

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -76,37 +77,36 @@ def test_resolve_swap():
 
 
 def test_edge_map_merge_split_rules():
-    d = kh.parse_pd(HOPF)
-    st0 = kh.resolve(d, (0, 0))
-    st1 = kh.resolve(d, (1, 0))
-    em = kh.edge_map(st0, st1)
-    if em.kind == "split":
-        st0, st1, em = st1, st0, kh.edge_map(st1, st0)
-    assert em.kind == "merge"
-    c1, c2 = em.sources
-    (dst,) = em.targets
-    # x (x) x -> U 1
-    assert em.apply(frozenset({c1, c2})) == [(1, frozenset())]
-    # 1 (x) y -> y
-    assert em.apply(frozenset({c2})) == [(0, frozenset({dst}))]
-    assert em.apply(frozenset({c1})) == [(0, frozenset({dst}))]
-    # split: 1 -> 1 (x) x + x (x) 1,  x -> x (x) x + U 1
-    em2 = kh.edge_map(st1, st0)
-    assert em2.kind == "split"
-    (src,) = em2.sources
-    d1, d2 = em2.targets
-    out = em2.apply(frozenset())
-    assert sorted(out) == sorted([(0, frozenset({d1})), (0, frozenset({d2}))])
-    out = em2.apply(frozenset({src}))
-    assert sorted(out) == sorted([(0, frozenset({d1, d2})), (1, frozenset())])
+    # entries of _edge_rule as (source mask, target mask, u exponent)
+    def rule(split, size, src, tgt, flavor="minus"):
+        vs = kh.VarSet(("u",), (kh.HALF,))
+        upoly = [Poly.var(vs, "u", t) for t in range(4)]
+        if flavor != "minus":
+            upoly = [Poly.one(kh.VarSet((), ()))]
+        sources, targets, polys = kh._edge_rule(split, size, src, tgt, flavor, upoly)
+        exps = [next(iter(p.terms))[0] if flavor == "minus" else 0 for p in polys]
+        return list(zip(sources, targets, exps))
+
+    # merge: 1 1 -> 1, x 1 and 1 x -> x, x x -> U 1
+    assert rule(False, 2, (1, 2), (1,)) == [(0, 0, 0), (1, 1, 0), (2, 1, 0), (3, 0, 2)]
+    # split: 1 -> 1 x + x 1, x -> x x + U 1 (the first target circle first)
+    assert rule(True, 1, (1,), (1, 2)) == [(0, 1, 0), (0, 2, 0), (1, 3, 0), (1, 0, 2)]
+    # a circle the edge leaves alone rides along: bit 1 at the source, bit 2 after a split
+    assert rule(True, 2, (1,), (1, 4))[4:] == [(2, 3, 0), (2, 6, 0), (3, 7, 0), (3, 2, 2)]
+    # an x on the basepoint circle (bit 0) is one power of u
+    assert rule(False, 1, (0, 1), (0,)) == [(0, 0, 0), (1, 0, 1)]
+    assert rule(True, 0, (0,), (0, 1)) == [(0, 0, 1), (0, 1, 0)]
+    assert rule(True, 1, (1,), (0, 1)) == [(0, 0, 1), (0, 1, 0), (1, 1, 1), (1, 0, 2)]
+    # hat drops the U terms, reduced every term with a u
+    assert rule(False, 2, (1, 2), (1,), "hat") == [(0, 0, 0), (1, 1, 0), (2, 1, 0)]
+    assert rule(True, 1, (1,), (0, 1), "reduced") == [(0, 1, 0)]
 
 
 def test_edge_map_rejects_bad_pair():
-    d = kh.parse_pd(TREFOIL)
-    st0 = kh.resolve(d, (0, 0, 0))
-    st0b = kh.resolve(d, (0, 0, 0))
-    with pytest.raises(ValueError):
-        kh.edge_map(st0, st0b)
+    # X(1,2,1,2) resolves to one circle both ways: neither a merge nor a split
+    for flavor in kh.FLAVORS:
+        with pytest.raises(ValueError, match="circle counts differ by 0, not 1"):
+            kh.ckh(kh.parse_pd("PD[X(1,2,1,2)]"), flavor, basepoint=1)
 
 
 def test_unknot_flavors():
@@ -374,8 +374,9 @@ def test_minus_determines_hat_bigraded():
 # -- reference cube ---------------------------------------------------------------
 #
 # reference_ckh is the string-based cube builder that ckh replaced: a dict
-# union-find per state, one EdgeMap.apply per generator and edge, and ids
-# spelled from label sets.  ckh must reproduce every field, in order.
+# union-find per state, an edge map found by comparing the circles of its two
+# states and applied to the label set of each generator, and ids spelled from
+# label sets.  ckh must reproduce every field, in order.
 
 
 def _reference_resolve(d, vertex, swap=False):
@@ -399,16 +400,48 @@ def _reference_resolve(d, vertex, swap=False):
     return kh.ResolutionState(tuple(vertex), circles)
 
 
+@dataclass(frozen=True)
+class _ReferenceEdgeMap:
+    """Band map between adjacent resolutions on x-label subsets: apply()
+    sends a set of x-labelled circles to terms (U-power, new set)."""
+
+    kind: str
+    sources: tuple
+    targets: tuple
+
+    def apply(self, labels):
+        if self.kind == "merge":
+            c1, c2 = self.sources
+            (dst,) = self.targets
+            eps = (c1 in labels) + (c2 in labels)
+            rest = labels - {c1, c2}
+            if eps == 2:
+                return [(1, rest)]
+            if eps == 1:
+                return [(0, rest | {dst})]
+            return [(0, rest)]
+        (src,) = self.sources
+        d1, d2 = self.targets
+        if src in labels:
+            rest = labels - {src}
+            return [(0, rest | {d1, d2}), (1, rest)]
+        return [(0, labels | {d1}), (0, labels | {d2})]
+
+
 def _reference_edge_map(st0, st1):
     set0, set1 = set(st0.circles), set(st1.circles)
     changed0 = tuple(sorted(set0 - set1, key=min))
     changed1 = tuple(sorted(set1 - set0, key=min))
     if len(changed0) == 2 and len(changed1) == 1:
-        return kh.EdgeMap("merge", changed0, changed1)
+        return _ReferenceEdgeMap("merge", changed0, changed1)
     if len(changed0) == 1 and len(changed1) == 2:
-        return kh.EdgeMap("split", changed0, changed1)
+        return _ReferenceEdgeMap("split", changed0, changed1)
     raise ValueError("circle counts differ by %d, not 1"
                      % abs(len(st1.circles) - len(st0.circles)))
+
+
+def _circle_of(st, arc):
+    return next(c for c in st.circles if arc in c)
 
 
 def _reference_gid(vertex, labels):
@@ -443,11 +476,11 @@ def reference_ckh(d, flavor, basepoint=None, swap=False):
     for i, st in enumerate(states):
         circles = list(st.circles)
         if basepoint is not None:
-            base = st.circle_of(basepoint)
+            base = _circle_of(st, basepoint)
             circles = [c for c in circles if c != base]
         for labels in _reference_subsets(circles):
             gid = _reference_gid(st.vertex, labels)
-            h = st.weight
+            h = sum(st.vertex)
             gens.append(kh.Generator(gid, h, len(st.circles) - 2 * len(labels) + h))
             info[gid] = (i, labels)
             levels[gid] = h
@@ -459,7 +492,7 @@ def reference_ckh(d, flavor, basepoint=None, swap=False):
                 continue
             i2 = i | (1 << j)
             em = _reference_edge_map(st, states[i2])
-            base2 = states[i2].circle_of(basepoint) if basepoint is not None else None
+            base2 = _circle_of(states[i2], basepoint) if basepoint is not None else None
             for gid in by_vertex[i]:
                 for (ucount, out) in em.apply(info[gid][1]):
                     t = 2 * ucount
@@ -536,6 +569,49 @@ def test_ckh_matches_reference(name):
         for arc in arcs:
             _assert_same_cube(d, "minus", basepoint=arc, swap=swap)
             _assert_same_cube(d, "reduced", basepoint=arc, swap=swap)
+
+
+def torus_2(n):
+    """T(2, n), the closure of the 2-braid sigma_1^n."""
+    def w(x):
+        return (x - 1) % (2 * n) + 1
+
+    return kh.LinkDiagram(tuple((2 * k - 1, w(2 * k + n - 1), 2 * k, w(2 * k + n))
+                                for k in range(1, n + 1)))
+
+
+def test_torus_2_has_reduced_rank_n():
+    for n in (3, 5, 7):
+        cx = kh.ckh(torus_2(n), "reduced", basepoint=1).complex
+        assert sum(homology_f2(cx).values()) == n
+
+
+def test_generator_budget_counts_the_cube(monkeypatch):
+    # the count read off the resolved states is the size of the cube: a
+    # limit equal to it admits the cube, one less refuses it
+    for d in _reference_family().values():
+        for flavor in kh.FLAVORS:
+            count = len(kh.ckh(d, flavor, max(d.arcs)).complex.gens)
+            monkeypatch.setattr(kh, "MAX_CUBE_GENERATORS", count)
+            assert kh.ckh(d, flavor, max(d.arcs)).complex.n == count
+            monkeypatch.setattr(kh, "MAX_CUBE_GENERATORS", count - 1)
+            with pytest.raises(ValueError, match=" has %d generators, above the limit"
+                               " of %d$" % (count, count - 1)):
+                kh.ckh(d, flavor, max(d.arcs))
+            monkeypatch.undo()
+
+
+def test_generator_budget_admits_t2_11(monkeypatch):
+    # counted under a zero limit, so no cube is built
+    def count(flavor):
+        with monkeypatch.context() as m:
+            m.setattr(kh, "MAX_CUBE_GENERATORS", 0)
+            with pytest.raises(ValueError) as err:
+                kh.ckh(torus_2(11), flavor)
+        return int(str(err.value).split(" has ")[1].split()[0])
+
+    assert (count("minus"), count("hat")) == (88575, 177150)
+    assert 177150 <= kh.MAX_CUBE_GENERATORS
 
 
 def test_cube_entry_with_wrong_exponent_rejected():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from skeinseq import khovanov as kh
 from skeinseq.complexes import UHomology, homology_f2
+from test_khovanov import _assert_same_cube
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 FIG8 = "PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]"
@@ -119,6 +120,21 @@ def test_basepoint_action_is_u_on_homology(d, data):
     hom = UHomology(cc.complex)
     act = hom.induced_matrix(kh.basepoint_action(cc, data.draw(st.sampled_from(d.arcs))))
     assert not hom.torsion and act == {(i, i): 1 for i in range(hom.free_rank)}
+
+
+@SUITE
+@given(knots(max_crossings=5, primes=PRIMES + (kh.parse_pd(HOPF),)),
+       st.integers(0, 4), st.booleans(), st.data())
+def test_ckh_matches_reference_on_generated_links(d, smoothings, swap, data):
+    # smoothing crossings away leaves links with more components and free loops
+    for _ in range(smoothings):
+        if d.crossings:
+            d = kh.smooth(d, data.draw(st.integers(0, len(d.crossings) - 1)),
+                          data.draw(st.integers(0, 1)))
+    _assert_same_cube(d, "hat", swap=swap)
+    _assert_same_cube(d, "minus", swap=swap)
+    for flavor in ("minus", "reduced"):
+        _assert_same_cube(d, flavor, data.draw(st.sampled_from(d.arcs)), swap)
 
 
 def faces(d):
