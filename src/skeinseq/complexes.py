@@ -14,8 +14,9 @@ Complexes are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
-from typing import Callable, Hashable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
 
 from . import gf2
 from .poly import Poly, VarSet
@@ -26,9 +27,9 @@ CONV_KH = "kh"
 
 # Input size limits; both are checked before any expensive work.  The largest
 # cube khovanov.ckh builds: a 13-crossing cube (cyclic_knot(13), 16383 minus
-# generators) takes about 1 s to build, 0.6 s to cancel down to its 431 free
-# summands (cancel_units) and 0.3 s to check mod u; `kh --flavor minus` runs
-# in about 2.2 s end to end, in under 100 MB (2-vCPU VM, Python 3.11).  Each
+# generators) takes about 0.3 s to build, 0.6 s to cancel down to its 431 free
+# summands (cancel_units) and 0.2 s to check mod u; `kh --flavor minus` runs
+# in about 1.5 s end to end, in about 70 MB (2-vCPU VM, Python 3.11).  Each
 # further crossing doubles the vertices, and a 30-crossing diagram would
 # enumerate 2^30 states.  A free loop doubles the generators of every vertex,
 # so ckh counts crossings plus free loops against it.
@@ -57,13 +58,24 @@ class Generator:
 
 
 MatrixEntries = Mapping[tuple[str, str], Poly]
+# A differential by source position: cols[i] maps the position of each target
+# of generator i to the entry, its u exponent over at most one variable (0
+# over none) and its Poly over several.
+Columns = list[dict[int, Any]]
 
 
 class ChainComplex:
-    """Finitely generated complex with polynomial differential entries.
+    """Finitely generated complex over F2[vars], its differential stored by
+    position in ``cols``; each source keeps its entries in the order they
+    were first given.  ``diff`` is the same differential keyed by ids,
+    spelled on first use.
 
-    check=False keeps diff as given: no zero entry, none off degree or on
-    an unknown generator is looked for."""
+    The constructor takes the differential keyed by (source id, target id)
+    and drops its zero entries.  check=True raises ValueError on the first
+    entry, in order, that is off degree or on an unknown generator; without
+    it an unknown generator or a one-variable entry that is not a single
+    monomial still raises, and no entry off degree is looked for.
+    """
 
     def __init__(
         self,
@@ -74,6 +86,42 @@ class ChainComplex:
         pairs: Mapping[str, tuple[str, ...]] | None = None,
         check: bool = True,
     ) -> None:
+        self._set_gens(vars, gens, convention, pairs)
+        self.cols = _columns(self, self, _by_position(self, self, diff),
+                             self._degree_codes() if check else None)
+
+    @classmethod
+    def from_columns(
+        cls,
+        vars: VarSet,
+        gens: Sequence[Generator],
+        cols: Columns,
+        convention: str = CONV_FLOER,
+        pairs: Mapping[str, tuple[str, ...]] | None = None,
+        check: bool = True,
+    ) -> "ChainComplex":
+        """The complex over at most one variable of exponent columns laid out
+        as the ``cols`` attribute (and kept, not copied); check=True raises
+        ValueError on the first entry off degree, by source position, with
+        the message of the id-keyed constructor."""
+        if vars.n > 1:
+            raise ValueError("exponent columns need at most one variable")
+        cx = cls.__new__(cls)
+        cx._set_gens(vars, gens, convention, pairs)
+        if check:
+            val, want, step = cx._degree_codes()
+            step *= vars.units[0] if vars.n else 0
+            for i, col in enumerate(cols):
+                w = want[i]
+                for j, e in col.items():
+                    if val[j] != w + e * step:
+                        raise ValueError("inhomogeneous differential entry %s -> %s: %s"
+                                         % (cx.gens[i].gid, cx.gens[j].gid, cx._poly(e)))
+        cx.cols = cols
+        return cx
+
+    def _set_gens(self, vars: VarSet, gens: Sequence[Generator], convention: str,
+                  pairs: Mapping[str, tuple[str, ...]] | None) -> None:
         if convention not in (CONV_FLOER, CONV_KH):
             raise ValueError("unknown convention %r" % convention)
         self.vars = vars
@@ -93,8 +141,33 @@ class ChainComplex:
         for pid, names in self.pairs.items():
             for n in names:
                 vars.index(n)
-        self.diff = diff if not check else _checked_entries(
-            self, self, diff, -1 if convention == CONV_FLOER else 1, 0, 0, False)
+
+    def _degree_codes(self) -> tuple[list, list[int], int]:
+        return _grade_codes(self, self, -1 if self.convention == CONV_FLOER else 1, 0, 0)
+
+    def _poly(self, e: int) -> Poly:
+        """The entry u^e as a Poly (1 over no variable)."""
+        if self.vars.n:
+            return Poly.var(self.vars, self.vars.names[0], e)
+        return Poly.one(self.vars)
+
+    @cached_property
+    def diff(self) -> dict[tuple[str, str], Poly]:
+        """The differential keyed by (source id, target id), source by
+        source, for output, the models and products with maps."""
+        gids = [g.gid for g in self.gens]
+        if self.vars.n > 1:
+            return {(gids[i], gids[j]): p for i, col in enumerate(self.cols)
+                    for j, p in col.items()}
+        polys: dict[int, Poly] = {}  # one shared entry per exponent
+        out: dict[tuple[str, str], Poly] = {}
+        for src, col in zip(gids, self.cols):
+            for j, e in col.items():
+                p = polys.get(e)
+                if p is None:
+                    p = polys[e] = self._poly(e)
+                out[src, gids[j]] = p
+        return out
 
     # -- basic access ---------------------------------------------------------
 
@@ -128,32 +201,37 @@ class ChainComplex:
         return (unit,)
 
     def exponent_columns(self, entries: MatrixEntries | None = None) -> list[MonoVec]:
-        """One-variable entries (default: the differential) as columns by
-        source position, {target position: u exponent}.
+        """A copy of the differential's columns, or one-variable id-keyed
+        entries (a map's) as columns by source position, {target position:
+        u exponent}.
 
         Raises ValueError naming an entry that is not a single monomial.
         """
         if self.vars.n != 1:
             raise ValueError("exponent columns need a one-variable complex")
-        order = self.order
-        cols: list[MonoVec] = [{} for _ in self.gens]
-        exps: dict[frozenset, int] = {}  # an entry's terms -> its exponent
-        for (src, tgt), p in (self.diff if entries is None else entries).items():
-            e = exps.get(p.terms)
-            if e is None:
-                if len(p.terms) != 1:
-                    raise ValueError("inhomogeneous entry %s -> %s: %s" % (src, tgt, p))
-                e = exps[p.terms] = next(iter(p.terms))[0]
-            cols[order[src]][order[tgt]] = e
-        return cols
+        if entries is None:
+            return [dict(col) for col in self.cols]
+        return _columns(self, self, _by_position(self, self, entries), None, True)
 
     def verify_d2(self) -> list[tuple[str, str, Poly]]:
         """Nonzero entries of the squared differential (empty means pass), by
-        source in generator order, then by target."""
-        order = self.order
-        return [(src, tgt, p) for (src, tgt), p in sorted(
-            mat_compose(self.diff, self.diff, self.grade).items(),
-            key=lambda kv: (order[kv[0][0]], kv[0][1]))]
+        source in generator order, then by target id."""
+        if self.vars.n > 1:
+            order = self.order
+            return [(src, tgt, p) for (src, tgt), p in sorted(
+                mat_compose(self.diff, self.diff, self.grade).items(),
+                key=lambda kv: (order[kv[0][0]], kv[0][1]))]
+        gids = [g.gid for g in self.gens]
+        cols, out, nv = self.cols, [], self.vars.n
+        for src, col in zip(gids, cols):
+            acc: dict[int, int] = {}  # target -> bit e for each u^e reached an odd number of times
+            for mid, e in col.items():
+                for t, f in cols[mid].items():
+                    acc[t] = acc.get(t, 0) ^ 1 << (e + f)
+            for tgt, bits in sorted((gids[t], bits) for t, bits in acc.items() if bits):
+                terms = frozenset((k,) * nv for k in range(bits.bit_length()) if bits >> k & 1)
+                out.append((src, tgt, Poly(self.vars, terms)))
+        return out
 
     # -- rebuilding helpers -----------------------------------------------------
 
@@ -252,56 +330,84 @@ def mat_add(a: MatrixEntries, b: MatrixEntries) -> dict[tuple[str, str], Poly]:
     return out
 
 
-def _checked_entries(source: ChainComplex, target: ChainComplex,
-                     entries: MatrixEntries, dh: int, dq: int, dalex: int,
-                     is_map: bool) -> MatrixEntries:
-    """entries without zero entries (entries itself when it has none), once
-    each is checked to move h by dh and q by dq (kh) or alex2 by dalex mod 2
-    (floer, where both ends have one) after the drop of its terms.
-
-    Its terms must all drop h alike (q drops twice that and alex2 by its
-    parity), so the drop is found once per distinct set of terms and an
-    entry costs a few integer comparisons.  An entry off degree raises
-    ValueError; one on an unknown generator, KeyError in a map.
-    """
-    kh = source.convention == CONV_KH
-    h_drop = source.vars.h_drop
+def _by_position(source: ChainComplex, target: ChainComplex, entries: MatrixEntries):
+    """entries as ((source position, target position), Poly), in order; an
+    id that names no generator is kept as it is."""
     s_order, t_order = source.order, target.order
-    # (h, q) in kh, (h, alex2) in floer, by generator position
-    s_grades = [(g.h, g.q if kh else g.alex2) for g in source.gens]
-    t_grades = s_grades if target is source else [
-        (g.h, g.q if kh else g.alex2) for g in target.gens]
-    drops: dict[frozenset, int | None] = {}  # an entry's terms -> their one h drop
-    zero = False
-    for key, p in entries.items():
+    return (((s_order.get(src, src), t_order.get(tgt, tgt)), p)
+            for (src, tgt), p in entries.items())
+
+
+def _grade_codes(source: ChainComplex, target: ChainComplex,
+                 dh: int, dq: int, dalex: int) -> tuple[list, list[int], int]:
+    """(val, want, step): an entry i -> j whose terms all drop h by d moves h
+    by dh and q by dq (kh), or alex2 by dalex mod 2 (floer, where every
+    generator of both has one), after the drop of its terms, iff val[j] ==
+    want[i] + d * step.
+
+    kh packs (q, h) as q * k + h, with k wider than any h gap the test can
+    meet, so the sum matches only if both parts do.  floer packs (h, alex2 -
+    h mod 2) as 2h + bit: h moves by dh + d and alex2 by dalex - d, so the
+    bit flips by dalex - dh whatever d is.
+    """
+    s, t = source.gens, target.gens
+    if source.convention == CONV_KH:
+        hs = [g.h for g in s] + [g.h for g in t]
+        k = max(hs, default=0) - min(hs, default=0) + abs(dh) + 1
+        return ([None if g.q is None else g.q * k + g.h for g in t],
+                [(g.q + dq) * k + g.h + dh for g in s], 2 * k)
+    alex = all(g.alex2 is not None for g in (*s, *t))
+    bit = (lambda g: (g.alex2 - g.h) % 2) if alex else (lambda g: 0)
+    flip = (dalex - dh) % 2 if alex else 0
+    return ([2 * g.h + bit(g) for g in t],
+            [2 * (g.h + dh) + (bit(g) + flip) % 2 for g in s], 2)
+
+
+def _columns(source: ChainComplex, target: ChainComplex, entries, codes=None,
+             is_map: bool = False) -> Columns:
+    """Columns by source position of entries ((i, j), Poly) from
+    ``_by_position``, zero entries dropped: the u exponent over at most one
+    variable, the Poly over several.
+
+    Given ``_grade_codes``, each entry is checked in order to sit on degree:
+    its terms must all drop h alike, so the drop is found once per distinct
+    set of terms and an entry costs one integer comparison.  An entry off
+    degree raises ValueError; one on an unknown generator, ValueError in a
+    complex and KeyError in a map.  Without codes, a one-variable entry that
+    is not a single monomial raises ValueError.
+    """
+    vs = source.vars
+    cols: Columns = [{} for _ in source.gens]
+    known: dict[frozenset, tuple] = {}  # an entry's terms -> (column entry, h drop)
+    val, want, step = codes or (None, None, 0)
+    for (i, j), p in entries:
         terms = p.terms
         if not terms:
-            zero = True
             continue
-        src, tgt = key
-        i, j = s_order.get(src), t_order.get(tgt)
-        if i is None or j is None:
+        if type(i) is not int or type(j) is not int:
             if is_map:
-                raise KeyError(src if i is None else tgt)
-            raise ValueError("entry on unknown generator (%s,%s)" % key)
-        d = drops.get(terms, -1)
-        if d == -1:
-            ds = {h_drop(m) for m in terms}
-            d = drops[terms] = ds.pop() if len(ds) == 1 else None
-        (h1, v1), (h2, v2) = s_grades[i], t_grades[j]
-        if d is None:
-            ok = False
-        elif kh:
-            ok = (h2 == h1 + dh and v1 is not None and v2 is not None
-                  and v2 - 2 * d == v1 + dq)
-        else:
-            ok = h2 - d == h1 + dh and (
-                v1 is None or v2 is None or (v2 + d - v1 - dalex) % 2 == 0)
-        if not ok:
+                raise KeyError(i if type(i) is not int else j)
+            raise ValueError("entry on unknown generator (%s,%s)" % (
+                i if type(i) is not int else source.gens[i].gid,
+                j if type(j) is not int else target.gens[j].gid))
+        k = known.get(terms)
+        if k is None:
+            ds = {vs.h_drop(m) for m in terms}
+            d = ds.pop() if len(ds) == 1 else None
+            if vs.n > 1:
+                k = known[terms] = (p, d)
+            else:  # () or (e,): the exponent of a single monomial
+                k = known[terms] = (sum(next(iter(terms))) if d is not None else None, d)
+        entry, d = k
+        if codes is not None and (d is None or val[j] != want[i] + d * step):
             raise ValueError(("map entry %s -> %s off degree (%s)" if is_map else
                               "inhomogeneous differential entry %s -> %s: %s")
-                             % (src, tgt, p))
-    return {k: p for k, p in entries.items() if p} if zero else entries
+                             % (source.gens[i].gid, target.gens[j].gid, p))
+        if entry is None:
+            raise ValueError("inhomogeneous entry %s -> %s: %s"
+                             % (source.gens[i].gid, target.gens[j].gid, p))
+        cols[i][j] = entry
+    return cols
 
 
 class ChainMap:
@@ -321,8 +427,12 @@ class ChainMap:
             raise ValueError("chain map across different variable universes")
         self.source = source
         self.target = target
-        self.entries = entries if not check else _checked_entries(
-            source, target, entries, dh, dq or 0, dalex, True)
+        if check:
+            _columns(source, target, _by_position(source, target, entries),
+                     _grade_codes(source, target, dh, dq or 0, dalex), True)
+            if not all(entries.values()):
+                entries = {k: p for k, p in entries.items() if p}
+        self.entries = entries
 
     def anticommutator(self) -> dict[tuple[str, str], Poly]:
         """M d + d M for an endomap-shaped pair of complexes."""
@@ -413,10 +523,12 @@ def kill_vars(cx: ChainComplex) -> ChainComplex:
     A constant term has the grading of its entry, so the quotient of a
     homogeneous complex is homogeneous and is not checked again.
     """
-    one = Poly.one(VarSet((), ()))
-    zero = (0,) * cx.vars.n
-    diff = {key: one for key, p in cx.diff.items() if zero in p.terms}
-    return ChainComplex(one.vars, cx.gens, diff, cx.convention, check=False)
+    if cx.vars.n > 1:
+        zero = (0,) * cx.vars.n
+        cols = [{j: 0 for j, p in col.items() if zero in p.terms} for col in cx.cols]
+    else:
+        cols = [{j: 0 for j, e in col.items() if not e} for col in cx.cols]
+    return ChainComplex.from_columns(VarSet((), ()), cx.gens, cols, cx.convention, check=False)
 
 
 def phi_action(cx: ChainComplex, pair: str, side: str = "z") -> ChainMap:
@@ -627,18 +739,11 @@ def cancel_units(cx: ChainComplex, levels: Mapping[str, int] | None = None,
         if left <= k:
             raise ArithmeticError("a u^%d entry is left after its pass" % left)
         k = left
-    gids = [g.gid for g in cx.gens]
-    name = cx.vars.names[0]
-    polys: dict[int, Poly] = {}  # one shared entry per exponent
-    diff: dict[tuple[str, str], Poly] = {}
-    for i, col in cols.items():
-        for t, e in col.items():
-            p = polys.get(e)
-            if p is None:
-                p = polys[e] = Poly.var(cx.vars, name, e)
-            diff[(gids[i], gids[t])] = p
-    return ChainComplex(cx.vars, [cx.gens[i] for i in cols], diff, cx.convention,
-                        cx.pairs, check=False)
+    new = {i: k for k, i in enumerate(cols)}  # a survivor's position among them
+    return ChainComplex.from_columns(
+        cx.vars, [cx.gens[i] for i in cols],
+        [{new[t]: e for t, e in col.items()} for col in cols.values()],
+        cx.convention, cx.pairs, check=False)
 
 
 def check_mod_u(cx: ChainComplex, summands: Sequence[Summand]) -> None:
@@ -759,20 +864,22 @@ class Expansion:
             monos = [(m + (e,), d + e * unit) for m, d in monos
                      for e in range((depth - d) // unit + 1)]
         monos.sort(key=lambda md: (md[1], md[0]))
-        entry_monos = set().union(*[p.terms for p in cx.diff.values()])
-        self.radix = 2 + max((e for m, _ in monos for e in m), default=0) + max(
-            (e for m in entry_monos for e in m), default=0)
+        if vs.n > 1:
+            entry_monos = set().union(*[p.terms for col in cx.cols for p in col.values()])
+            top = max((e for m in entry_monos for e in m), default=0)
+        else:
+            top = max((max(col.values()) for col in cx.cols if col), default=0)
+        self.radix = 2 + max((e for m, _ in monos for e in m), default=0) + top
         # a slot's key is code * n + generator, and so is a term's offset:
         # the image of the slot with key k under the term is key k - g + offset;
-        # offs[g] lists them by target in the insertion order of cx.diff
-        pos, offs = cx.order, [[] for _ in gens]
-        if vs.n:
+        # offs[g] lists them in the order of g's column (over at most one
+        # variable an entry's code is its exponent)
+        if vs.n > 1:
             code = {m: self.code(m) * n for m in entry_monos}
-            for (src, tgt), p in cx.diff.items():
-                offs[pos[src]] += [code[m] + pos[tgt] for m in p.terms]
-        else:  # every entry is the constant 1
-            for src, tgt in cx.diff:
-                offs[pos[src]].append(pos[tgt])
+            offs = [[code[m] + j for j, p in col.items() for m in p.terms]
+                    for col in cx.cols]
+        else:
+            offs = [[e * n + j for j, e in col.items()] for col in cx.cols]
         slots = [(self.code(m), d, vs.alex2(m)) for m, d in monos]
         buckets: dict[Grade, list[int]] = {}
         for i in range(n) if order is None else order:

@@ -86,6 +86,30 @@ class LinkDiagram:
         """Number of link components."""
         return len(self.component_arcs())
 
+    def faces(self) -> int:
+        """The faces of the PD rotation system: each crossing lists its four
+        arc ends counterclockwise, and a face turns to the next end at each
+        crossing it reaches along an arc.  A connected diagram on the sphere
+        has n + 2 (Euler); free loops add none.
+        """
+        ends: dict[int, list[tuple[int, int]]] = {}
+        for c, crossing in enumerate(self.crossings):
+            for i, arc in enumerate(crossing):
+                ends.setdefault(arc, []).append((c, i))
+        other = {}
+        for a, b in ends.values():
+            other[a], other[b] = b, a
+        seen: set[tuple[int, int]] = set()
+        count = 0
+        for start in other:
+            count += start not in seen
+            end = start
+            while end not in seen:
+                seen.add(end)
+                c, i = other[end]
+                end = (c, (i + 1) % 4)
+        return count
+
 
 _PD_TOKEN = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)|U")
 
@@ -334,10 +358,10 @@ def _vertex_ids(vertex: tuple[int, ...], free: list[int]) -> list[str]:
 
 def _edge_rule(
     split: bool, size: int, src_bits: tuple[int, ...], tgt_bits: tuple[int, ...],
-    flavor: str, upoly: list[Poly],
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[Poly, ...]]:
-    """A merge or split on label masks: entry e sends mask sources[e] to
-    mask targets[e] with the entry polys[e], by source mask.
+    flavor: str,
+) -> list[tuple[int, int, int]]:
+    """A merge or split on label masks: the entries (source mask, target
+    mask, u exponent), by source mask.
 
     size is the number of free circles at the source; src_bits and tgt_bits
     hold the bit of each changed circle at the source and the target (the
@@ -356,7 +380,7 @@ def _edge_rule(
     for b in range(size):
         tb = 0 if sel >> b & 1 else next(kept)
         carry += [m | tb for m in carry]
-    terms: dict[int, list[tuple[int, Poly]]] = {}
+    terms: dict[int, list[tuple[int, int]]] = {}
     free = [b for b in src_bits if b]
     for sub in range(1 << len(free)):
         picked = [b for k, b in enumerate(free) if sub >> k & 1]
@@ -371,22 +395,19 @@ def _edge_rule(
         for ucount, xs in outs:
             t = 2 * ucount + xs.count(0)
             if not ((flavor == "hat" and ucount) or (flavor == "reduced" and t)):
-                out.append((sum(xs), upoly[t]))
-    sources, targets, polys = zip(*[
-        (m, carry[m] | mask, p) for m in range(1 << size) for mask, p in terms[m & sel]])
-    return sources, targets, polys
+                out.append((sum(xs), t))
+    return [(m, carry[m] | mask, t) for m in range(1 << size) for mask, t in terms[m & sel]]
 
 
 @dataclass
 class CubeComplex:
     """Assembled cube complex plus the (lab, count) of each vertex, from
-    which the views states and info are built on first use."""
+    which the views levels, states and info are built on first use."""
 
     diagram: LinkDiagram
     flavor: str
     basepoint_arc: int | None
     complex: ChainComplex
-    levels: dict[str, int]
     labs: list[tuple[list[int], int]] = field(repr=False)
 
     def _vertices(self):
@@ -399,6 +420,11 @@ class CubeComplex:
             base = None if bp is None else lab[bp]
             yield i, tuple((i >> j) & 1 for j in range(n)), lab, count, base, pos
             pos += 1 << (count - (base is not None))
+
+    @cached_property
+    def levels(self) -> dict[str, int]:
+        """The filtration level of each generator, its h."""
+        return {g.gid: g.h for g in self.complex.gens}
 
     @cached_property
     def states(self) -> list[ResolutionState]:
@@ -461,13 +487,7 @@ def ckh(d: LinkDiagram, flavor: str, basepoint: int | None = None) -> CubeComple
             "the cube of this %d-crossing diagram has %d generators, above the"
             " limit of %d" % (n, total, MAX_CUBE_GENERATORS)
         )
-    if flavor == "minus":
-        vs = VarSet(("u",), (HALF,))
-        # one shared entry per u exponent: 2 per U-power, 1 per basepoint label
-        upoly = [Poly.var(vs, "u", t) for t in range(4)]
-    else:  # hat and reduced keep only the terms without u
-        vs = VarSet((), ())
-        upoly = [Poly.one(vs)]
+    vs = VarSet(("u",), (HALF,)) if flavor == "minus" else VarSet((), ())
 
     # the basepoint circle (count, no circle, in hat) and the circle bits by vertex
     bp = arcs.index(basepoint) if marked else None
@@ -475,27 +495,25 @@ def ckh(d: LinkDiagram, flavor: str, basepoint: int | None = None) -> CubeComple
     bits = [[0 if x == b else 1 << (x - (x > b)) for x in range(count)]
             for (_, count), b in zip(labs, bases)]
     gens: list[Generator] = []
-    levels: dict[str, int] = {}
-    ids: list[list[str]] = []
+    starts: list[int] = []  # the position of each vertex's first generator
     for vertex, (lab, count), base in zip(vertices, labs, bases):
         h = sum(vertex)
         free = [arcs[lab.index(x)] for x in range(count) if x != base]
         qs = [count + h]
         for _ in free:
             qs += [q - 2 for q in qs]
-        vids = _vertex_ids(vertex, free)
-        gens += map(Generator, vids, repeat(h), qs)
-        levels.update(dict.fromkeys(vids, h))
-        ids.append(vids)
+        starts.append(len(gens))
+        gens += map(Generator, _vertex_ids(vertex, free), repeat(h), qs)
 
     index = {a: k for k, a in enumerate(arcs)}
     crossings = [(index[a], index[b], index[c]) for (a, b, c, _) in d.crossings]
-    diff: dict[tuple[str, str], Poly] = {}
-    rules: dict[tuple, tuple[tuple[int, ...], tuple[int, ...], tuple[Poly, ...]]] = {}
+    cols: list[dict[int, int]] = [{} for _ in gens]
+    pos = list(range(len(gens)))  # one int object per position, shared by every entry
+    rules: dict[tuple, list[tuple[int, int, int]]] = {}
     for i, (lab, _) in enumerate(labs):
         bit = bits[i]
         size = len(bit) - marked
-        get = ids[i].__getitem__
+        at = starts[i]
         for j, (a, b, c) in enumerate(crossings):
             if (i >> j) & 1:
                 continue
@@ -512,12 +530,13 @@ def ckh(d: LinkDiagram, flavor: str, basepoint: int | None = None) -> CubeComple
                 key = (split, size, (bit[x],), (bit2[p], bit2[q]))
             rule = rules.get(key)
             if rule is None:
-                rule = rules[key] = _edge_rule(*key, flavor, upoly)
-            sources, targets, polys = rule
-            diff.update(zip(zip(map(get, sources), map(ids[i2].__getitem__, targets)), polys))
+                rule = rules[key] = _edge_rule(*key, flavor)
+            at2 = starts[i2]
+            for m, t, e in rule:
+                cols[at + m][pos[at2 + t]] = e
 
-    cx = ChainComplex(vs, gens, diff, CONV_KH)
-    return CubeComplex(d, flavor, basepoint, cx, levels, labs)
+    cx = ChainComplex.from_columns(vs, gens, cols, CONV_KH)
+    return CubeComplex(d, flavor, basepoint, cx, labs)
 
 
 def basepoint_action(cc: CubeComplex, arc: int) -> ChainMap:

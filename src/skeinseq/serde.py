@@ -87,30 +87,90 @@ def load_complex(doc: dict[str, Any]):
     convention = doc.get("convention")
     if convention is None:
         convention = CONV_KH if any_q else CONV_FLOER
-    diff = {}
+    entries = _array(doc.get("diff", []), "'diff'")
     parsed: dict[str, Poly] = {}  # entry text -> its (frozen) polynomial
-    for e in _array(doc.get("diff", []), "'diff'"):
-        e = _object(e, "a diff entry")
-        key = (str(_field(e, "from", "a diff entry")),
-               str(_field(e, "to", "a diff entry")))
-        text = str(_field(e, "poly", "a diff entry"))
-        p = parsed.get(text)
-        if p is None:
-            p = parsed[text] = parse_poly(vs, text)
-        diff[key] = diff[key] + p if key in diff else p
+    cols = _diff_columns(entries, vs, gens, parsed)
+    diff = None if cols is not None else _diff_by_ids(entries, vs, parsed)
     pairs = {str(k): tuple(_array(v, "pair %r" % k))
              for k, v in _object(doc.get("pairs", {}), "'pairs'").items()}
-    cx = ChainComplex(vs, gens, diff, convention, pairs)
+    cx = None
+    if cols is not None:
+        try:
+            cx = ChainComplex.from_columns(vs, gens, cols, convention, pairs)
+        except ValueError:  # raised again below, naming the document's first bad entry
+            diff = _diff_by_ids(entries, vs, parsed)
+    if cx is None:
+        cx = ChainComplex(vs, gens, diff, convention, pairs)
     lv = None
     if any_level:
         if len(levels) != len(gens):
             raise ValueError("filtration present on only some generators")
         lv = levels
-        if all(
-            lv[t] < lv[s] for (s, t), p in cx.diff.items() if p
-        ) and cx.diff:
+        level = [lv[g.gid] for g in cx.gens]
+        if any(cx.cols) and all(level[j] < level[i] for i, col in enumerate(cx.cols)
+                                for j in col):
             lv = {g: -x for g, x in lv.items()}  # re-index decreasing inputs
     return cx, lv, doc.get("actions", [])
+
+
+def _diff_entries(entries: list | tuple, vs: VarSet, parsed: dict[str, Poly]):
+    """(source id, target id, Poly) of each entry of a 'diff' array, in
+    order, once its shape is checked; each distinct text is parsed once."""
+    for e in entries:
+        if type(e) is not dict:
+            _object(e, "a diff entry")
+        try:
+            src, tgt, text = e["from"], e["to"], e["poly"]
+        except KeyError:
+            for key in ("from", "to", "poly"):
+                _field(e, key, "a diff entry")
+        if type(text) is not str:
+            text = str(text)
+        p = parsed.get(text)
+        if p is None:
+            p = parsed[text] = parse_poly(vs, text)
+        yield (src if type(src) is str else str(src),
+               tgt if type(tgt) is str else str(tgt), p)
+
+
+def _diff_columns(entries: list | tuple, vs: VarSet, gens: list[Generator],
+                  parsed: dict[str, Poly]) -> list[dict[int, int]] | None:
+    """The 'diff' array over at most one variable read in one pass into
+    exponent columns, as ``ChainComplex.from_columns`` takes them, or None
+    from the first entry that names no generator, repeats an earlier one,
+    or is not a single monomial (zero included): those are summed, dropped
+    or refused as the id-keyed constructor does, and so is every entry over
+    several variables."""
+    if vs.n > 1:
+        return None
+    order = {g.gid: i for i, g in enumerate(gens)}
+    cols: list[dict[int, int]] = [{} for _ in gens]
+    exps: dict[frozenset, int] = {}  # an entry's terms -> its exponent
+    for src, tgt, p in _diff_entries(entries, vs, parsed):
+        i, j = order.get(src), order.get(tgt)
+        if i is None or j is None:
+            return None
+        col = cols[i]
+        if j in col:
+            return None
+        terms = p.terms
+        e = exps.get(terms)
+        if e is None:
+            if len(terms) != 1:
+                return None
+            e = exps[terms] = sum(next(iter(terms)))
+        col[j] = e
+    return cols
+
+
+def _diff_by_ids(entries: list | tuple, vs: VarSet,
+                 parsed: dict[str, Poly]) -> dict[tuple[str, str], Poly]:
+    """The 'diff' array keyed by ids, repeated entries summed."""
+    diff: dict[tuple[str, str], Poly] = {}
+    for src, tgt, p in _diff_entries(entries, vs, parsed):
+        key = (src, tgt)
+        diff[key] = diff[key] + p if key in diff else p
+    return diff
 
 
 def dump_complex(cx: ChainComplex, levels: dict[str, int] | None = None) -> dict:

@@ -57,12 +57,13 @@ class FilteredComplex:
         for g in base.gens:
             if g.gid not in self.levels:
                 raise ValueError("missing filtration level for %r" % g.gid)
-        for (src, tgt), p in base.diff.items():
-            if p and self.levels[tgt] <= self.levels[src]:
-                raise ValueError(
-                    "filtration violation: %s (level %d) -> %s (level %d)"
-                    % (src, self.levels[src], tgt, self.levels[tgt])
-                )
+        level = _levels(self)
+        for i, col in enumerate(base.cols):
+            for j in col:
+                if level[j] <= level[i]:
+                    src, tgt = base.gens[i].gid, base.gens[j].gid
+                    raise ValueError("filtration violation: %s (level %d) -> %s (level %d)"
+                                     % (src, level[i], tgt, level[j]))
         self.trusted_floor: int | None = None  # minimal trusted slice value
         self._lo: int | None = None  # floor of the expansion
         if base.vars.n > 1:

@@ -17,7 +17,7 @@ import skeinseq.spectral
 from skeinseq import khovanov as kh
 from skeinseq import serde
 from skeinseq.cli import main
-from skeinseq.complexes import MAX_EXPANSION_SLOTS
+from skeinseq.complexes import MAX_EXPANSION_SLOTS, ChainComplex
 from skeinseq.umod import ModuleDecomposition
 from test_complexes import reference_decomposition
 from test_khovanov import torus_2
@@ -135,6 +135,29 @@ def test_parser_reused_across_calls(capsys):
     assert together == separate + separate
     assert len({out for _, out, _ in separate}) == 5  # the plain hat call repeats
     assert all(code == 0 for code, _, _ in separate)
+
+
+def test_kh_and_ss_read_the_columns_only(tmp_path, capsys, monkeypatch):
+    """kh in every flavour and ss on a dumped cube print the same with the
+    id-keyed diff view patched to raise: no step of theirs spells it."""
+    d = kh.add_kink(kh.cyclic_knot(5), 1)
+    pd = "PD[%s]" % ",".join("X(%d,%d,%d,%d)" % c for c in d.crossings)
+    cc = kh.ckh(d, "minus")
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(serde.dump_complex(cc.complex, cc.levels)))
+    runs = [["kh", "--pd", pd, "--flavor", flavor, "--basepoint", "1", "--out", fmt]
+            for flavor in kh.FLAVORS for fmt in ("tsv", "json")]
+    runs += [["ss", "--in", str(path), "--out", fmt] for fmt in ("tsv", "json")]
+    want = [run(capsys, *argv) for argv in runs]
+    assert all(code == 0 for code, _, _ in want)
+
+    def spelled(cx):
+        raise AssertionError("the diff view was spelled")
+
+    monkeypatch.setattr(ChainComplex, "diff", property(spelled))
+    with pytest.raises(AssertionError, match="the diff view was spelled"):
+        cc.complex.diff
+    assert [run(capsys, *argv) for argv in runs] == want
 
 
 def test_ss_roundtrip(tmp_path, capsys):

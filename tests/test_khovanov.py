@@ -79,13 +79,7 @@ def test_resolve_swap():
 def test_edge_map_merge_split_rules():
     # entries of _edge_rule as (source mask, target mask, u exponent)
     def rule(split, size, src, tgt, flavor="minus"):
-        vs = kh.VarSet(("u",), (kh.HALF,))
-        upoly = [Poly.var(vs, "u", t) for t in range(4)]
-        if flavor != "minus":
-            upoly = [Poly.one(kh.VarSet((), ()))]
-        sources, targets, polys = kh._edge_rule(split, size, src, tgt, flavor, upoly)
-        exps = [next(iter(p.terms))[0] if flavor == "minus" else 0 for p in polys]
-        return list(zip(sources, targets, exps))
+        return kh._edge_rule(split, size, src, tgt, flavor)
 
     # merge: 1 1 -> 1, x 1 and 1 x -> x, x x -> U 1
     assert rule(False, 2, (1, 2), (1,)) == [(0, 0, 0), (1, 1, 0), (2, 1, 0), (3, 0, 2)]
@@ -515,8 +509,19 @@ def reference_ckh(d, flavor, basepoint=None, swap=False):
     return gens, list(diff.items()), levels, info, states, basepoint
 
 
+def _by_source(items):
+    """Entries grouped by source, each source's in their order."""
+    out = {}
+    for (src, tgt), p in items:
+        out.setdefault(src, []).append((tgt, p))
+    return out
+
+
 def _cube_fields(cc):
-    return (list(cc.complex.gens), list(cc.complex.diff.items()), cc.levels,
+    """The fields of a cube: the differential as a dict and by source in
+    order (its global order is source order, not the reference's edge order)."""
+    diff = cc.complex.diff
+    return (list(cc.complex.gens), (diff, _by_source(diff.items())), cc.levels,
             cc.info, cc.states, cc.basepoint_arc)
 
 
@@ -524,7 +529,8 @@ def _assert_same_cube(d, flavor, basepoint=None, swap=False):
     """ckh of d, or of its mirror when swap is set, against the reference
     cube of d, resolved with its smoothings exchanged when swap is set."""
     got = _cube_fields(kh.ckh(kh.mirror(d) if swap else d, flavor, basepoint=basepoint))
-    want = reference_ckh(d, flavor, basepoint=basepoint, swap=swap)
+    want = list(reference_ckh(d, flavor, basepoint=basepoint, swap=swap))
+    want[1] = (dict(want[1]), _by_source(want[1]))
     for name, g, w in zip(("gens", "diff", "levels", "info", "states", "basepoint"),
                           got, want):
         assert g == w, (flavor, basepoint, swap, name)
@@ -621,5 +627,38 @@ def test_cube_entry_with_wrong_exponent_rejected():
     for key, p in cx.diff.items():
         diff = dict(cx.diff)
         diff[key] = Poly.var(vs, "u", next(iter(p.terms))[0] + 1)
-        with pytest.raises(ValueError, match="inhomogeneous"):
+        with pytest.raises(ValueError, match="inhomogeneous") as by_id:
             kh.ChainComplex(vs, cx.gens, diff, kh.CONV_KH)
+        # the same exponent written by position gets the same message
+        i, j = cx.order[key[0]], cx.order[key[1]]
+        cols = cx.exponent_columns()
+        cols[i][j] += 1
+        with pytest.raises(ValueError) as by_position:
+            kh.ChainComplex.from_columns(vs, cx.gens, cols, kh.CONV_KH)
+        assert str(by_position.value) == str(by_id.value)
+        kh.ChainComplex.from_columns(vs, cx.gens, cols, kh.CONV_KH, check=False)
+
+
+def test_face_count():
+    # the standard trefoil: the inner triangle, the three lobes and the outside
+    assert kh.parse_pd(TREFOIL).faces() == 5
+    # the Hopf link: the lens between its circles, two crescents and the outside
+    assert kh.parse_pd(HOPF).faces() == 4
+    # a kink, a figure-eight curve: its two lobes and the outside
+    assert kh.parse_pd("PD[X(1,2,2,1)]").faces() == 3
+    # 3 faces where a planar 5-crossing diagram has 7
+    assert kh.cyclic_knot(5).faces() == 3
+
+
+def _assert_rebuilds(cx):
+    """The id-keyed constructor, given the complex's own diff view, writes
+    the same columns in the same order."""
+    again = kh.ChainComplex(cx.vars, cx.gens, cx.diff, cx.convention, cx.pairs)
+    assert [list(c.items()) for c in again.cols] == [list(c.items()) for c in cx.cols]
+
+
+@pytest.mark.parametrize("name", sorted(_reference_family()))
+def test_diff_view_rebuilds_the_columns(name):
+    d = _reference_family()[name]
+    for flavor in kh.FLAVORS:
+        _assert_rebuilds(kh.ckh(d, flavor, max(d.arcs)).complex)

@@ -12,6 +12,7 @@ from skeinseq.models import (
     verify_action,
 )
 from skeinseq.poly import HALF, VarSet, parse_poly
+from test_khovanov import _assert_rebuilds
 
 
 def test_unknown_model():
@@ -32,6 +33,11 @@ def test_k_nonori_arrow():
     m = build_model("k_nonori")
     assert list(m.complex.diff) == [("f", "g")]
     assert str(m.complex.diff[("f", "g")]) == "w+z"
+
+
+def test_diff_view_rebuilds_the_columns_of_every_model():
+    for name in MODEL_NAMES:
+        _assert_rebuilds(build_model(name).complex)
 
 
 def test_every_model_d2_before_and_after_collapse():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from skeinseq import khovanov as kh
 from skeinseq.complexes import UHomology, homology_f2
-from test_khovanov import _assert_same_cube
+from test_khovanov import _assert_rebuilds, _assert_same_cube
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 FIG8 = "PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]"
@@ -137,26 +137,11 @@ def test_ckh_matches_reference_on_generated_links(d, smoothings, swap, data):
         _assert_same_cube(d, flavor, data.draw(st.sampled_from(d.arcs)), swap)
 
 
-def faces(d):
-    """The faces of a diagram's PD rotation system: each crossing lists its
-    four arc ends counterclockwise, and a face turns to the next end at
-    each crossing it reaches along an arc."""
-    ends = {}
-    for c, crossing in enumerate(d.crossings):
-        for i, arc in enumerate(crossing):
-            ends.setdefault(arc, []).append((c, i))
-    other = {}
-    for a, b in ends.values():
-        other[a], other[b] = b, a
-    seen, count = set(), 0
-    for start in other:
-        count += start not in seen
-        end = start
-        while end not in seen:
-            seen.add(end)
-            c, i = other[end]
-            end = (c, (i + 1) % 4)
-    return count
+@SUITE
+@given(knots(), st.data())
+def test_diff_view_rebuilds_the_columns_on_generated_knots(d, data):
+    for flavor in kh.FLAVORS:
+        _assert_rebuilds(kh.ckh(d, flavor, data.draw(st.sampled_from(d.arcs))).complex)
 
 
 PLANAR_PRIMES = (kh.parse_pd(TREFOIL), kh.parse_pd(FIG8), kh.parse_pd(HOPF))
@@ -166,10 +151,10 @@ PLANAR_PRIMES = (kh.parse_pd(TREFOIL), kh.parse_pd(FIG8), kh.parse_pd(HOPF))
 @given(knots(primes=PLANAR_PRIMES))
 def test_planar_diagrams_have_n_plus_2_faces(d):
     # Euler: n crossings and 2n arcs of a connected diagram on the sphere
-    assert faces(d) == len(d.crossings) + 2
+    assert d.faces() == len(d.crossings) + 2
 
 
 def test_cyclic_knots_past_the_trefoil_are_not_planar():
-    assert faces(kh.cyclic_knot(3)) == 5
-    assert {n: faces(kh.cyclic_knot(n)) for n in (5, 7, 9, 11, 13)} == {
+    assert kh.cyclic_knot(3).faces() == 5
+    assert {n: kh.cyclic_knot(n).faces() for n in (5, 7, 9, 11, 13)} == {
         5: 3, 7: 3, 9: 5, 11: 3, 13: 3}
