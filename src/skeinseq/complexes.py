@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from math import comb
 from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
 
@@ -65,10 +66,11 @@ Columns = list[dict[int, Any]]
 
 
 class ChainComplex:
-    """Finitely generated complex over F2[vars], its differential stored by
-    position in ``cols``; each source keeps its entries in the order they
-    were first given.  ``diff`` is the same differential keyed by ids,
-    spelled on first use.
+    """Finitely generated complex over F2[vars] held by position: grade arrays
+    ``h`` and ``q`` (kh) or ``alex2`` (floer, or None), and the differential
+    in ``cols``, each source's entries in the order first given.  ``ids``
+    (a given list, or spelled by a given function), ``gens``, ``order`` and
+    ``diff`` (keyed by ids) are views spelled on first use.
 
     The constructor takes the differential keyed by (source id, target id)
     and drops its zero entries.  check=True raises ValueError on the first
@@ -77,37 +79,30 @@ class ChainComplex:
     monomial still raises, and no entry off degree is looked for.
     """
 
-    def __init__(
-        self,
-        vars: VarSet,
-        gens: Sequence[Generator],
-        diff: MatrixEntries,
-        convention: str = CONV_FLOER,
-        pairs: Mapping[str, tuple[str, ...]] | None = None,
-        check: bool = True,
-    ) -> None:
-        self._set_gens(vars, gens, convention, pairs)
+    def __init__(self, vars: VarSet, gens: Sequence[Generator], diff: MatrixEntries,
+                 convention: str = CONV_FLOER,
+                 pairs: Mapping[str, tuple[str, ...]] | None = None,
+                 check: bool = True) -> None:
+        self.gens = gens = tuple(gens)
+        self._set_gens(vars, [g.gid for g in gens], [g.h for g in gens], [g.q for g in gens],
+                       [g.alex2 for g in gens], convention, pairs)
         self.cols = _columns(self, self, _by_position(self, self, diff),
                              self._degree_codes() if check else None)
 
     @classmethod
-    def from_columns(
-        cls,
-        vars: VarSet,
-        gens: Sequence[Generator],
-        cols: Columns,
-        convention: str = CONV_FLOER,
-        pairs: Mapping[str, tuple[str, ...]] | None = None,
-        check: bool = True,
-    ) -> "ChainComplex":
-        """The complex over at most one variable of exponent columns laid out
-        as the ``cols`` attribute (and kept, not copied); check=True raises
-        ValueError on the first entry off degree, by source position, with
-        the message of the id-keyed constructor."""
+    def from_columns(cls, vars: VarSet, ids: list[str] | Callable[[], list[str]],
+                     h: list[int], q: list | None, alex2: list | None, cols: Columns,
+                     convention: str = CONV_FLOER,
+                     pairs: Mapping[str, tuple[str, ...]] | None = None,
+                     check: bool = True) -> "ChainComplex":
+        """The complex over at most one variable of its ids (a list, or a
+        function that spells one), grade arrays and exponent columns, kept;
+        check=True raises the id-keyed constructor's ValueError on the first
+        entry off degree, by source position."""
         if vars.n > 1:
             raise ValueError("exponent columns need at most one variable")
         cx = cls.__new__(cls)
-        cx._set_gens(vars, gens, convention, pairs)
+        cx._set_gens(vars, ids, h, q, alex2, convention, pairs)
         if check:
             val, want, step = cx._degree_codes()
             step *= vars.units[0] if vars.n else 0
@@ -116,27 +111,30 @@ class ChainComplex:
                 for j, e in col.items():
                     if val[j] != w + e * step:
                         raise ValueError("inhomogeneous differential entry %s -> %s: %s"
-                                         % (cx.gens[i].gid, cx.gens[j].gid, cx._poly(e)))
+                                         % (cx.ids[i], cx.ids[j], cx._poly(e)))
         cx.cols = cols
         return cx
 
-    def _set_gens(self, vars: VarSet, gens: Sequence[Generator], convention: str,
-                  pairs: Mapping[str, tuple[str, ...]] | None) -> None:
+    def _set_gens(self, vars: VarSet, ids, h: list[int], q: list | None, alex2: list | None,
+                  convention: str, pairs: Mapping[str, tuple[str, ...]] | None) -> None:
+        # a grade no generator has is None; a speller's ids are unique by construction
         if convention not in (CONV_FLOER, CONV_KH):
             raise ValueError("unknown convention %r" % convention)
-        self.vars = vars
-        self.gens = tuple(gens)
-        self.convention = convention
-        self.order = {g.gid: i for i, g in enumerate(self.gens)}
-        if len(self.order) != len(self.gens):
-            raise ValueError("duplicate generator ids")
+        self.vars, self.convention, self.h = vars, convention, h
+        if callable(ids):
+            self._spell = ids
+        else:
+            self.ids, self.order = ids, {g: i for i, g in enumerate(ids)}
+            if len(self.order) != len(ids):
+                raise ValueError("duplicate generator ids")
+        q, alex2 = (None if x is None or x.count(None) == len(x) else x for x in (q, alex2))
         # one grade tuple shape per complex, so a grade names one block
         if convention == CONV_KH:
-            bare = next((g.gid for g in self.gens if g.q is None), None)
-            if bare is not None:
-                raise ValueError("kh-convention generator %r has no q" % bare)
-        elif len({g.alex2 is None for g in self.gens}) > 1:
+            if None in (q := q or [None] * len(h)):
+                raise ValueError("kh-convention generator %r has no q" % self.ids[q.index(None)])
+        elif alex2 is not None and None in alex2:
             raise ValueError("alex2 is given on some generators but not all")
+        self.q, self.alex2 = q, alex2
         self.pairs = dict(pairs or {})
         for pid, names in self.pairs.items():
             for n in names:
@@ -151,11 +149,19 @@ class ChainComplex:
             return Poly.var(self.vars, self.vars.names[0], e)
         return Poly.one(self.vars)
 
+    ids = cached_property(lambda self: self._spell())  # unless given as a list
+    order = cached_property(lambda self: {g: i for i, g in enumerate(self.ids)})
+
+    @cached_property
+    def gens(self) -> tuple[Generator, ...]:
+        none = repeat(None)
+        return tuple(map(Generator, self.ids, self.h, self.q or none, self.alex2 or none))
+
     @cached_property
     def diff(self) -> dict[tuple[str, str], Poly]:
         """The differential keyed by (source id, target id), source by
         source, for output, the models and products with maps."""
-        gids = [g.gid for g in self.gens]
+        gids = self.ids
         if self.vars.n > 1:
             return {(gids[i], gids[j]): p for i, col in enumerate(self.cols)
                     for j, p in col.items()}
@@ -176,20 +182,20 @@ class ChainComplex:
 
     @property
     def n(self) -> int:
-        return len(self.gens)
+        return len(self.h)
+
+    def grade_at(self, i: int, u: bool = False) -> tuple[int, ...]:
+        """The grade of the generator at position i; with u, the integer
+        grading tuple that u shifts linearly (no mod-2 part)."""
+        if self.convention == CONV_KH:
+            return (self.h[i], self.q[i])
+        return (self.h[i],) if u or self.alex2 is None else (self.h[i], self.alex2[i])
 
     def grade(self, gid: str) -> tuple[int, ...]:
-        g = self.gen(gid)
-        if self.convention == CONV_KH:
-            return (g.h, g.q)
-        return (g.h,) if g.alex2 is None else (g.h, g.alex2)
+        return self.grade_at(self.order[gid])
 
     def ugrade(self, gid: str) -> tuple[int, ...]:
-        """Integer grading tuple that u shifts linearly (no mod-2 part)."""
-        g = self.gen(gid)
-        if self.convention == CONV_KH:
-            return (g.h, g.q)
-        return (g.h,)
+        return self.grade_at(self.order[gid], True)
 
     def ustep(self) -> tuple[int, ...]:
         """Per-power grade drop of the unique variable."""
@@ -221,16 +227,15 @@ class ChainComplex:
             return [(src, tgt, p) for (src, tgt), p in sorted(
                 mat_compose(self.diff, self.diff, self.grade).items(),
                 key=lambda kv: (order[kv[0][0]], kv[0][1]))]
-        gids = [g.gid for g in self.gens]
         cols, out, nv = self.cols, [], self.vars.n
-        for src, col in zip(gids, cols):
+        for i, col in enumerate(cols):
             acc: dict[int, int] = {}  # target -> bit e for each u^e reached an odd number of times
             for mid, e in col.items():
                 for t, f in cols[mid].items():
                     acc[t] = acc.get(t, 0) ^ 1 << (e + f)
-            for tgt, bits in sorted((gids[t], bits) for t, bits in acc.items() if bits):
+            for tgt, bits in sorted((self.ids[t], bits) for t, bits in acc.items() if bits):
                 terms = frozenset((k,) * nv for k in range(bits.bit_length()) if bits >> k & 1)
-                out.append((src, tgt, Poly(self.vars, terms)))
+                out.append((self.ids[i], tgt, Poly(self.vars, terms)))
         return out
 
     # -- rebuilding helpers -----------------------------------------------------
@@ -350,17 +355,16 @@ def _grade_codes(source: ChainComplex, target: ChainComplex,
     h mod 2) as 2h + bit: h moves by dh + d and alex2 by dalex - d, so the
     bit flips by dalex - dh whatever d is.
     """
-    s, t = source.gens, target.gens
     if source.convention == CONV_KH:
-        hs = [g.h for g in s] + [g.h for g in t]
+        hs = source.h + target.h
         k = max(hs, default=0) - min(hs, default=0) + abs(dh) + 1
-        return ([None if g.q is None else g.q * k + g.h for g in t],
-                [(g.q + dq) * k + g.h + dh for g in s], 2 * k)
-    alex = all(g.alex2 is not None for g in (*s, *t))
-    bit = (lambda g: (g.alex2 - g.h) % 2) if alex else (lambda g: 0)
-    flip = (dalex - dh) % 2 if alex else 0
-    return ([2 * g.h + bit(g) for g in t],
-            [2 * (g.h + dh) + (bit(g) + flip) % 2 for g in s], 2)
+        return ([q * k + h for q, h in zip(target.q, target.h)],
+                [(q + dq) * k + h + dh for q, h in zip(source.q, source.h)], 2 * k)
+    if source.alex2 is None or target.alex2 is None:
+        return [2 * h for h in target.h], [2 * (h + dh) for h in source.h], 2
+    flip = (dalex - dh) % 2
+    return ([2 * h + (a - h) % 2 for h, a in zip(target.h, target.alex2)],
+            [2 * (h + dh) + (a - h + flip) % 2 for h, a in zip(source.h, source.alex2)], 2)
 
 
 def _columns(source: ChainComplex, target: ChainComplex, entries, codes=None,
@@ -377,7 +381,7 @@ def _columns(source: ChainComplex, target: ChainComplex, entries, codes=None,
     is not a single monomial raises ValueError.
     """
     vs = source.vars
-    cols: Columns = [{} for _ in source.gens]
+    cols: Columns = [{} for _ in source.h]
     known: dict[frozenset, tuple] = {}  # an entry's terms -> (column entry, h drop)
     val, want, step = codes or (None, None, 0)
     for (i, j), p in entries:
@@ -388,8 +392,8 @@ def _columns(source: ChainComplex, target: ChainComplex, entries, codes=None,
             if is_map:
                 raise KeyError(i if type(i) is not int else j)
             raise ValueError("entry on unknown generator (%s,%s)" % (
-                i if type(i) is not int else source.gens[i].gid,
-                j if type(j) is not int else target.gens[j].gid))
+                i if type(i) is not int else source.ids[i],
+                j if type(j) is not int else target.ids[j]))
         k = known.get(terms)
         if k is None:
             ds = {vs.h_drop(m) for m in terms}
@@ -402,10 +406,10 @@ def _columns(source: ChainComplex, target: ChainComplex, entries, codes=None,
         if codes is not None and (d is None or val[j] != want[i] + d * step):
             raise ValueError(("map entry %s -> %s off degree (%s)" if is_map else
                               "inhomogeneous differential entry %s -> %s: %s")
-                             % (source.gens[i].gid, target.gens[j].gid, p))
+                             % (source.ids[i], target.ids[j], p))
         if entry is None:
             raise ValueError("inhomogeneous entry %s -> %s: %s"
-                             % (source.gens[i].gid, target.gens[j].gid, p))
+                             % (source.ids[i], target.ids[j], p))
         cols[i][j] = entry
     return cols
 
@@ -528,7 +532,8 @@ def kill_vars(cx: ChainComplex) -> ChainComplex:
         cols = [{j: 0 for j, p in col.items() if zero in p.terms} for col in cx.cols]
     else:
         cols = [{j: 0 for j, e in col.items() if not e} for col in cx.cols]
-    return ChainComplex.from_columns(VarSet((), ()), cx.gens, cols, cx.convention, check=False)
+    return ChainComplex.from_columns(VarSet((), ()), lambda: cx.ids, cx.h, cx.q, cx.alex2, cols,
+                                     cx.convention, check=False)
 
 
 def phi_action(cx: ChainComplex, pair: str, side: str = "z") -> ChainMap:
@@ -575,11 +580,11 @@ class UHomology(ModuleDecomposition):
             raise ValueError("u-homology needs a one-variable complex")
         self.cx = cx
         pairs: list[tuple[int, int, int]] = []
-        free = cancel_units(cx, cancelled=pairs)
-        order, ugrade = cx.order, cx.ugrade
+        cancel_units(cx, cancelled=pairs)
+        paired = {i for x, y, _ in pairs for i in (x, y)}
         super().__init__(
-            [Summand(None, ugrade(g.gid), order[g.gid]) for g in free.gens]
-            + [Summand(k, ugrade(cx.gens[y].gid), y) for _, y, k in pairs if k])
+            [Summand(None, cx.grade_at(i, True), i) for i in range(cx.n) if i not in paired]
+            + [Summand(k, cx.grade_at(y, True), y) for _, y, k in pairs if k])
         self._positions = {s.index: i for i, s in enumerate(self.summands)}
         self._targets = {y for _, y, _ in pairs}
         self._log: list[tuple[int, int, int]] | None = None
@@ -612,7 +617,7 @@ class UHomology(ModuleDecomposition):
                         row[i] = e
                 elif g not in self._targets:
                     raise ArithmeticError("not a cycle: u^%d %s has a boundary"
-                                          % (e, self.cx.gens[g].gid))
+                                          % (e, self.cx.ids[g]))
             yield row
 
     def induced_matrix(self, cmap: ChainMap) -> dict[tuple[int, int], int]:
@@ -678,11 +683,11 @@ def cancel_units(cx: ChainComplex, levels: Mapping[str, int] | None = None,
         raise ValueError("cancelling units needs a one-variable complex")
     # the live generators' columns, in order, and target -> its sources
     cols: dict[int, MonoVec] = dict(enumerate(cx.exponent_columns()))
-    rows: list[set[int]] = [set() for _ in cx.gens]
+    rows: list[set[int]] = [set() for _ in cx.h]
     for i, col in cols.items():
         for j in col:
             rows[j].add(i)
-    level = None if levels is None else [levels[g.gid] for g in cx.gens]
+    level = None if levels is None else [levels[g] for g in cx.ids]
     k = 0
     while True:
         for x in range(cx.n):
@@ -727,7 +732,7 @@ def cancel_units(cx: ChainComplex, levels: Mapping[str, int] | None = None,
                     elif old != ee:
                         raise ArithmeticError(
                             "inhomogeneous collision at %s -> %s: u^%d vs u^%d"
-                            % (cx.gens[s].gid, cx.gens[t].gid, old, ee)
+                            % (cx.ids[s], cx.ids[t], old, ee)
                         )
                     else:
                         rows[t].discard(s)
@@ -740,8 +745,11 @@ def cancel_units(cx: ChainComplex, levels: Mapping[str, int] | None = None,
             raise ArithmeticError("a u^%d entry is left after its pass" % left)
         k = left
     new = {i: k for k, i in enumerate(cols)}  # a survivor's position among them
+
+    def pick(grades: list | None) -> list | None:  # a survivors' array
+        return None if grades is None else [grades[i] for i in new]
     return ChainComplex.from_columns(
-        cx.vars, [cx.gens[i] for i in cols],
+        cx.vars, lambda: pick(cx.ids), pick(cx.h), pick(cx.q), pick(cx.alex2),
         [{new[t]: e for t, e in col.items()} for col in cols.values()],
         cx.convention, cx.pairs, check=False)
 
@@ -813,8 +821,8 @@ def expansion_size(cx: ChainComplex, floor: int | None = None) -> int:
         return cx.n
     kh = cx.convention == CONV_KH
     scale = 2 if kh else 1
-    return sum(_monomial_count(cx.vars.units, ((g.q if kh else g.h) - floor) // scale)
-               for g in cx.gens)
+    return sum(_monomial_count(cx.vars.units, (v - floor) // scale)
+               for v in (cx.q if kh else cx.h))
 
 
 def check_expansion_size(cx: ChainComplex, floor: int | None) -> None:
@@ -849,55 +857,58 @@ class Expansion:
 
     def __init__(self, cx: ChainComplex, floor: int | None = None,
                  order: Sequence[int] | None = None) -> None:
-        vs, gens, n = cx.vars, cx.gens, cx.n
+        vs, n, hs, alex = cx.vars, cx.n, cx.h, cx.alex2
         if floor is None and vs.n:
             raise ValueError("expanding a complex over F2[u...] needs a floor")
         check_expansion_size(cx, floor)
         kh = cx.convention == CONV_KH
         self.cx, self.axis = cx, int(kh)
-        scale = 2 if kh else 1  # slice drop per unit of a monomial's h drop
-        vals = [g.q if kh else g.h for g in gens]
-        depth = 0 if floor is None else max(
-            [(v - floor) // scale for v in vals], default=0)
-        monos = [((), 0)]  # every monomial with h drop <= depth
-        for unit in vs.units:
-            monos = [(m + (e,), d + e * unit) for m, d in monos
-                     for e in range((depth - d) // unit + 1)]
-        monos.sort(key=lambda md: (md[1], md[0]))
-        if vs.n > 1:
-            entry_monos = set().union(*[p.terms for col in cx.cols for p in col.values()])
-            top = max((e for m in entry_monos for e in m), default=0)
-        else:
-            top = max((max(col.values()) for col in cx.cols if col), default=0)
-        self.radix = 2 + max((e for m, _ in monos for e in m), default=0) + top
-        # a slot's key is code * n + generator, and so is a term's offset:
-        # the image of the slot with key k under the term is key k - g + offset;
-        # offs[g] lists them in the order of g's column (over at most one
-        # variable an entry's code is its exponent)
-        if vs.n > 1:
-            code = {m: self.code(m) * n for m in entry_monos}
-            offs = [[code[m] + j for j, p in col.items() for m in p.terms]
-                    for col in cx.cols]
-        else:
-            offs = [[e * n + j for j, e in col.items()] for col in cx.cols]
-        slots = [(self.code(m), d, vs.alex2(m)) for m, d in monos]
         buckets: dict[Grade, list[int]] = {}
-        for i in range(n) if order is None else order:
-            g = gens[i]
-            room = 0 if floor is None else vals[i] - floor
-            for c, d, a in slots:
-                if scale * d > room:
-                    break
-                if kh:
-                    grade: Grade = (g.h, g.q - 2 * d)
-                elif g.alex2 is None:
-                    grade = (g.h - d,)
-                else:
-                    grade = (g.h - d, (g.alex2 + a) % 2)
-                blk = buckets.get(grade)
-                if blk is None:
-                    blk = buckets[grade] = []
-                blk.append(c * n + i)
+        if floor is None:  # a slot per generator, keyed by its position
+            self.radix = 2
+            grades = list(zip(hs, cx.q) if kh else zip(hs, [a % 2 for a in alex]) if alex
+                          else zip(hs))
+            for i in range(n) if order is None else order:
+                buckets.setdefault(grades[i], []).append(i)
+        else:
+            scale = 2 if kh else 1  # slice drop per unit of a monomial's h drop
+            vals = cx.q if kh else hs
+            depth = max([(v - floor) // scale for v in vals], default=0)
+            monos = [((), 0)]  # every monomial with h drop <= depth
+            for unit in vs.units:
+                monos = [(m + (e,), d + e * unit) for m, d in monos
+                         for e in range((depth - d) // unit + 1)]
+            monos.sort(key=lambda md: (md[1], md[0]))
+            if vs.n > 1:
+                entry_monos = set().union(*[p.terms for col in cx.cols for p in col.values()])
+                top = max((e for m in entry_monos for e in m), default=0)
+            else:
+                top = max((max(col.values()) for col in cx.cols if col), default=0)
+            self.radix = 2 + max((e for m, _ in monos for e in m), default=0) + top
+            # a slot's key is code * n + generator, and so is a term's offset:
+            # the image of the slot with key k under the term is key k - g + offset;
+            # offs[g] lists them in the order of g's column (over at most one
+            # variable an entry's code is its exponent)
+            if vs.n > 1:
+                code = {m: self.code(m) * n for m in entry_monos}
+                offs = [[code[m] + j for j, p in col.items() for m in p.terms]
+                        for col in cx.cols]
+            else:
+                offs = [[e * n + j for j, e in col.items()] for col in cx.cols]
+            slots = [(self.code(m), d, vs.alex2(m)) for m, d in monos]
+            for i in range(n) if order is None else order:
+                h, v = hs[i], vals[i]
+                for c, d, a in slots:
+                    if scale * d > v - floor:
+                        break
+                    if kh:
+                        grade: Grade = (h, v - 2 * d)
+                    else:
+                        grade = (h - d,) if alex is None else (h - d, (alex[i] + a) % 2)
+                    blk = buckets.get(grade)
+                    if blk is None:
+                        blk = buckets[grade] = []
+                    blk.append(c * n + i)
         keys: list[int] = []
         self.grade: list[Grade] = []
         self.blocks: dict[Grade, range] = {}
@@ -909,8 +920,18 @@ class Expansion:
         self.index = index = dict(zip(keys, range(len(keys))))  # key -> slot
         self.gen = [k % n for k in keys]
         self.mono = [k // n for k in keys]
-        self.cols: list[int | None] = []
         self.lands: dict[Grade, Grade] = {}
+        if floor is None:  # a target's bit is its place in its block
+            bit = [0] * n
+            for grade, blk in buckets.items():
+                for p, i in enumerate(blk):
+                    bit[i] = 1 << p
+                j = next((j for i in blk for j in cx.cols[i]), None)
+                if j is not None:
+                    self.lands[grade] = grades[j]
+            self.cols: list[int | None] = [sum(map(bit.__getitem__, cx.cols[i])) for i in keys]
+            return
+        self.cols = []
         append = self.cols.append
         for grade, blk in self.blocks.items():
             start = None
@@ -998,11 +1019,11 @@ def check_truncation_stability(hom: UHomology) -> None:
     its predicted tower count do not depend on how deep the window runs.
     """
     cx = hom.cx
-    if not cx.gens:
+    if not cx.n:
         return
     axis = int(cx.convention == CONV_KH)
     step = cx.ustep()[axis]
-    vals = [cx.ugrade(g.gid)[axis] for g in cx.gens]
+    vals = cx.q if axis else cx.h
     lo = min(vals) - (max(vals) - min(vals)) - 4 * step
     dims = _window_dims(cx, lo)
     predicted: dict[Grade, int] = {}

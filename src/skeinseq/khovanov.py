@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 
 from .complexes import CONV_KH, MAX_CUBE_GENERATORS, MAX_CUBE_VERTICES, ChainComplex, ChainMap, Generator
 from .poly import HALF, Poly, VarSet
@@ -281,41 +280,51 @@ class ResolutionState:
 
 
 def _resolver(d: LinkDiagram):
-    """The circles of each vertex of d's cube, by union-find on arc indices.
-
-    The joins of both smoothings of every crossing are turned into index
-    pairs once; each call then resolves one vertex on a list and returns
-    (lab, count): lab[k] is the circle of the k-th arc of d.arcs, and the
-    count circles are numbered by their least arc.
-    """
+    """(lab, count) of the all-0 vertex of d's cube, and flip(lab, count, j,
+    v), that of vertex v from that of v with crossing j at 0: lab[k] is the
+    circle of the k-th arc of d.arcs, circles numbered by least arc.  A split
+    walks the circle of a and b in v (off the plane it can meet c: no split)."""
     arcs = d.arcs
     index = {a: k for k, a in enumerate(arcs)}
-    joins = []
-    for (a, b, c, dd) in d.crossings:
-        a, b, c, dd = index[a], index[b], index[c], index[dd]
-        joins.append((((a, dd), (b, c)), ((a, b), (c, dd))))
+    # an arc end is 4 * crossing + slot; far[e] is the other end of e's arc
+    at = [index[a] for cr in d.crossings for a in cr]
+    ends: dict[int, list[int]] = {}  # arc -> its two ends
+    for e, k in enumerate(at):
+        ends.setdefault(k, []).append(e)
+    far = [ends[k][ends[k][0] == e] for e, k in enumerate(at)]
 
-    def resolve_at(vertex: tuple[int, ...]) -> tuple[list[int], int]:
-        if len(vertex) != len(joins):
-            raise ValueError("vertex length mismatch")
-        parent = list(range(len(arcs)))
-        for pair, v in zip(joins, vertex):
-            for (x, y) in pair[1 if v else 0]:
-                while parent[x] != x:
-                    parent[x] = x = parent[parent[x]]
-                while parent[y] != y:
-                    parent[y] = y = parent[parent[y]]
-                parent[x] = y
-        # arcs ascend, so numbering roots as first seen orders circles by least arc
-        num: dict[int, int] = {}
-        lab = []
-        for k in range(len(arcs)):
-            while parent[k] != k:
-                k = parent[k]
-            lab.append(num.setdefault(k, len(num)))
-        return lab, len(num)
+    def walk(e0: int, v: int) -> list[int]:  # smoothing 0 joins slots 0-3, 1-2; 1 joins 0-1, 2-3
+        out, e = [], e0
+        while True:
+            out.append(at[e])
+            e = far[e]
+            e ^= 1 if v >> (e >> 2) & 1 else 3
+            if e == e0:
+                return out
 
-    return resolve_at
+    lab, count = [-1] * len(arcs), 0
+    for k in range(len(arcs)):  # arcs ascend, so circles are numbered by least arc
+        if lab[k] < 0:
+            for x in walk(ends[k][0], 0) if k in ends else (k,):
+                lab[x] = count
+            count += 1
+
+    def flip(lab: list[int], count: int, j: int, v: int) -> tuple[list[int], int]:
+        x, y = lab[at[4 * j]], lab[at[4 * j + 1]]
+        if x != y:  # merge the circles of a and b into the lower number
+            lo, hi = min(x, y), max(x, y)
+            return [lo if z == hi else z - (z > hi) for z in lab], count - 1
+        side = walk(4 * j, v)
+        if at[4 * j + 2] in side:
+            return lab, count
+        side = max(side, walk(4 * j + 2, v), key=min)  # the half without the least arc
+        t = max(lab[:min(side)]) + 1  # the circles whose least arcs come first
+        new = [z + (z >= t) for z in lab]
+        for k in side:
+            new[k] = t
+        return new, count + 1
+
+    return (lab, count), flip
 
 
 def _state(arcs: tuple[int, ...], vertex: tuple[int, ...], lab: list[int], count: int):
@@ -327,7 +336,12 @@ def _state(arcs: tuple[int, ...], vertex: tuple[int, ...], lab: list[int], count
 
 def resolve(d: LinkDiagram, vertex: tuple[int, ...]) -> ResolutionState:
     """Circles of the complete resolution given one 0/1 choice per crossing."""
-    return _state(d.arcs, tuple(vertex), *_resolver(d)(vertex))
+    if len(vertex) != len(d.crossings):
+        raise ValueError("vertex length mismatch")
+    (lab, count), flip = _resolver(d)
+    for j in (j for j, bit in enumerate(vertex) if bit):  # from the all-0 vertex up
+        lab, count = flip(lab, count, j, sum(1 << k for k, b in enumerate(vertex[:j + 1]) if b))
+    return _state(d.arcs, tuple(vertex), lab, count)
 
 
 # -- the cube --------------------------------------------------------------------
@@ -336,11 +350,12 @@ def resolve(d: LinkDiagram, vertex: tuple[int, ...]) -> ResolutionState:
 # over the free circles of its state: the circles other than the basepoint
 # circle b, in order, so circle x has bit 1 << (x - (x > b)).  Generator m of
 # a vertex is the one with mask m, so a vertex's generators are listed by
-# ascending mask and its ids are spelled once into a mask -> id table.  The
-# edge that turns crossing (a, b, c, d) from its 0- to its 1-smoothing merges
-# the circles of a and b when they differ, and otherwise splits theirs into
-# the target circles of a and c: four lookups in the two labs.  An edge is a
-# rule on masks (_edge_rule), built once per kind, source size and bits.
+# ascending mask, and its h and q follow from the vertex and the mask; ids are
+# spelled only when read (_cube_ids).  The edge that turns crossing
+# (a, b, c, d) from its 0- to its 1-smoothing merges the circles of a and b
+# when they differ, and otherwise splits theirs into the target circles of a
+# and c: four lookups in the two labs.  An edge is a rule on masks
+# (_edge_rule), built once per kind, source size and bits.
 
 
 def _vertex_ids(vertex: tuple[int, ...], free: list[int]) -> list[str]:
@@ -399,6 +414,25 @@ def _edge_rule(
     return [(m, carry[m] | mask, t) for m in range(1 << size) for mask, t in terms[m & sel]]
 
 
+def _vertices(d: LinkDiagram, basepoint_arc: int | None, labs: list[tuple[list[int], int]]):
+    """(index, vertex, lab, count, basepoint circle or None, position of
+    the first generator) of every vertex of d's cube."""
+    n = len(d.crossings)
+    bp = None if basepoint_arc is None else d.arcs.index(basepoint_arc)
+    pos = 0
+    for i, (lab, count) in enumerate(labs):
+        base = None if bp is None else lab[bp]
+        yield i, tuple((i >> j) & 1 for j in range(n)), lab, count, base, pos
+        pos += 1 << (count - (base is not None))
+
+
+def _cube_ids(d: LinkDiagram, basepoint_arc: int | None, labs: list[tuple[list[int], int]]):
+    """The generator ids of d's cube, vertex by vertex and by label mask."""
+    arcs = d.arcs
+    return [g for _, v, lab, count, base, _ in _vertices(d, basepoint_arc, labs)
+            for g in _vertex_ids(v, [arcs[lab.index(x)] for x in range(count) if x != base])]
+
+
 @dataclass
 class CubeComplex:
     """Assembled cube complex plus the (lab, count) of each vertex, from
@@ -410,38 +444,29 @@ class CubeComplex:
     complex: ChainComplex
     labs: list[tuple[list[int], int]] = field(repr=False)
 
-    def _vertices(self):
-        """(index, vertex, lab, count, basepoint circle or None, position of
-        the first generator) of every vertex."""
-        n = len(self.diagram.crossings)
-        bp = None if self.basepoint_arc is None else self.diagram.arcs.index(self.basepoint_arc)
-        pos = 0
-        for i, (lab, count) in enumerate(self.labs):
-            base = None if bp is None else lab[bp]
-            yield i, tuple((i >> j) & 1 for j in range(n)), lab, count, base, pos
-            pos += 1 << (count - (base is not None))
-
     @cached_property
     def levels(self) -> dict[str, int]:
         """The filtration level of each generator, its h."""
-        return {g.gid: g.h for g in self.complex.gens}
+        return dict(zip(self.complex.ids, self.complex.h))
 
     @cached_property
     def states(self) -> list[ResolutionState]:
         arcs = self.diagram.arcs
-        return [_state(arcs, v, lab, count) for _, v, lab, count, _, _ in self._vertices()]
+        return [_state(arcs, v, lab, count)
+                for _, v, lab, count, _, _ in _vertices(self.diagram, self.basepoint_arc, self.labs)]
 
     @cached_property
     def info(self) -> dict[str, tuple[int, frozenset[frozenset[int]]]]:
-        gens = self.complex.gens
+        ids = self.complex.ids
         info: dict[str, tuple[int, frozenset[frozenset[int]]]] = {}
-        for (i, _, _, _, base, pos), st in zip(self._vertices(), self.states):
+        vertices = _vertices(self.diagram, self.basepoint_arc, self.labs)
+        for (i, _, _, _, base, pos), st in zip(vertices, self.states):
             labels: list[frozenset[frozenset[int]]] = [frozenset()]
             for x, c in enumerate(st.circles):
                 if x != base:
                     labels += [s | {c} for s in labels]
-            for g, lab in zip(gens[pos:pos + len(labels)], labels):
-                info[g.gid] = (i, lab)
+            for g, lab in zip(ids[pos:pos + len(labels)], labels):
+                info[g] = (i, lab)
         return info
 
 
@@ -477,9 +502,11 @@ def ckh(d: LinkDiagram, flavor: str, basepoint: int | None = None) -> CubeComple
     elif flavor == "hat":
         basepoint = None
 
-    resolve_at = _resolver(d)
-    vertices = [tuple((i >> j) & 1 for j in range(n)) for i in range(1 << n)]
-    labs = [resolve_at(v) for v in vertices]
+    start, flip = _resolver(d)
+    labs = [start]  # vertex i from i without its top bit
+    for i in range(1, 1 << n):
+        j = i.bit_length() - 1
+        labs.append(flip(*labs[i ^ 1 << j], j, i))
     marked = basepoint is not None
     total = sum(1 << (count - marked) for _, count in labs)
     if total > MAX_CUBE_GENERATORS:
@@ -494,21 +521,19 @@ def ckh(d: LinkDiagram, flavor: str, basepoint: int | None = None) -> CubeComple
     bases = [lab[bp] if marked else count for lab, count in labs]
     bits = [[0 if x == b else 1 << (x - (x > b)) for x in range(count)]
             for (_, count), b in zip(labs, bases)]
-    gens: list[Generator] = []
-    starts: list[int] = []  # the position of each vertex's first generator
-    for vertex, (lab, count), base in zip(vertices, labs, bases):
-        h = sum(vertex)
-        free = [arcs[lab.index(x)] for x in range(count) if x != base]
-        qs = [count + h]
-        for _ in free:
-            qs += [q - 2 for q in qs]
-        starts.append(len(gens))
-        gens += map(Generator, _vertex_ids(vertex, free), repeat(h), qs)
+    # by position, h is the vertex's 1-smoothings and q = count + h - 2 * (x labels)
+    hs, qs, starts = [], [], []  # and the position of each vertex's first generator
+    drops = [-2 * bin(m).count("1") for m in range(1 << max(count for _, count in labs))]
+    for i, (_, count) in enumerate(labs):
+        h, size = bin(i).count("1"), count - marked
+        starts.append(len(hs))
+        hs += [h] * (1 << size)
+        qs += map((count + h).__add__, drops[:1 << size])
 
     index = {a: k for k, a in enumerate(arcs)}
     crossings = [(index[a], index[b], index[c]) for (a, b, c, _) in d.crossings]
-    cols: list[dict[int, int]] = [{} for _ in gens]
-    pos = list(range(len(gens)))  # one int object per position, shared by every entry
+    cols: list[dict[int, int]] = [{} for _ in hs]
+    pos = list(range(len(hs)))  # one int object per position, shared by every entry
     rules: dict[tuple, list[tuple[int, int, int]]] = {}
     for i, (lab, _) in enumerate(labs):
         bit = bits[i]
@@ -535,7 +560,8 @@ def ckh(d: LinkDiagram, flavor: str, basepoint: int | None = None) -> CubeComple
             for m, t, e in rule:
                 cols[at + m][pos[at2 + t]] = e
 
-    cx = ChainComplex.from_columns(vs, gens, cols, CONV_KH)
+    # a speller that refers to no cube, so no cube is freed only by the cyclic GC
+    cx = ChainComplex.from_columns(vs, lambda: _cube_ids(d, basepoint, labs), hs, qs, None, cols, CONV_KH)
     return CubeComplex(d, flavor, basepoint, cx, labs)
 
 
@@ -547,10 +573,10 @@ def basepoint_action(cc: CubeComplex, arc: int) -> ChainMap:
         raise ValueError("unknown point %r" % arc)
     vs = cc.complex.vars
     u, uu, one = Poly.var(vs, "u", 1), Poly.var(vs, "u", 2), Poly.one(vs)
-    gids = [g.gid for g in cc.complex.gens]
+    gids = cc.complex.ids
     k = cc.diagram.arcs.index(arc)
     entries: dict[tuple[str, str], Poly] = {}
-    for _, _, lab, count, base, pos in cc._vertices():
+    for _, _, lab, count, base, pos in _vertices(cc.diagram, cc.basepoint_arc, cc.labs):
         x = lab[k]
         vids = gids[pos:pos + (1 << (count - 1))]
         if x == base:

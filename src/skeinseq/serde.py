@@ -64,49 +64,48 @@ def load_complex(doc: dict[str, Any]):
         names.append(name)
         units.append(UNIT_NAMES[unit])
     vs = VarSet(tuple(names), tuple(units))
-    gens = []
-    levels: dict[str, int] = {}
-    any_level = False
-    any_q = False
+    ids, hs, qs, alexes, levels = [], [], [], [], {}  # by position; levels by id
     for g in _array(doc.get("generators", []), "'generators'"):
-        g = _object(g, "a generator")
-        gid = str(_field(g, "id", "a generator"))
-        what = "generator %r" % gid
-        q = g.get("q")
-        alex2 = g.get("alex2")
-        if q is not None:
-            any_q = True
-        gens.append(Generator(
-            gid, _int(_field(g, "h", what), what + " h"),
-            q if q is None else _int(q, what + " q"),
-            alex2 if alex2 is None else _int(alex2, what + " alex2"),
-        ))
+        if type(g) is not dict:
+            _object(g, "a generator")
+        try:
+            gid, h = g["id"], g["h"]
+        except KeyError:
+            _field(g, "h", "generator %r" % str(_field(g, "id", "a generator")))
+        gid = gid if type(gid) is str else str(gid)
+        q, alex2 = g.get("q"), g.get("alex2")
+        # a message is spelled only when its check fails
+        ids.append(gid)
+        hs.append(h if type(h) is int else _int(h, "generator %r h" % gid))
+        qs.append(q if q is None or type(q) is int else _int(q, "generator %r q" % gid))
+        alexes.append(alex2 if alex2 is None or type(alex2) is int
+                      else _int(alex2, "generator %r alex2" % gid))
         if "filtration" in g:
-            any_level = True
-            levels[gid] = _int(g["filtration"], what + " filtration")
+            level = g["filtration"]
+            levels[gid] = level if type(level) is int else _int(level, "generator %r filtration" % gid)
     convention = doc.get("convention")
     if convention is None:
-        convention = CONV_KH if any_q else CONV_FLOER
+        convention = CONV_FLOER if qs.count(None) == len(qs) else CONV_KH
     entries = _array(doc.get("diff", []), "'diff'")
     parsed: dict[str, Poly] = {}  # entry text -> its (frozen) polynomial
-    cols = _diff_columns(entries, vs, gens, parsed)
+    cols = _diff_columns(entries, vs, ids, parsed)
     diff = None if cols is not None else _diff_by_ids(entries, vs, parsed)
     pairs = {str(k): tuple(_array(v, "pair %r" % k))
              for k, v in _object(doc.get("pairs", {}), "'pairs'").items()}
     cx = None
     if cols is not None:
         try:
-            cx = ChainComplex.from_columns(vs, gens, cols, convention, pairs)
+            cx = ChainComplex.from_columns(vs, ids, hs, qs, alexes, cols, convention, pairs)
         except ValueError:  # raised again below, naming the document's first bad entry
             diff = _diff_by_ids(entries, vs, parsed)
     if cx is None:
-        cx = ChainComplex(vs, gens, diff, convention, pairs)
+        cx = ChainComplex(vs, list(map(Generator, ids, hs, qs, alexes)), diff, convention, pairs)
     lv = None
-    if any_level:
-        if len(levels) != len(gens):
+    if levels:
+        if len(levels) != len(ids):
             raise ValueError("filtration present on only some generators")
         lv = levels
-        level = [lv[g.gid] for g in cx.gens]
+        level = [lv[g] for g in ids]
         if any(cx.cols) and all(level[j] < level[i] for i, col in enumerate(cx.cols)
                                 for j in col):
             lv = {g: -x for g, x in lv.items()}  # re-index decreasing inputs
@@ -133,7 +132,7 @@ def _diff_entries(entries: list | tuple, vs: VarSet, parsed: dict[str, Poly]):
                tgt if type(tgt) is str else str(tgt), p)
 
 
-def _diff_columns(entries: list | tuple, vs: VarSet, gens: list[Generator],
+def _diff_columns(entries: list | tuple, vs: VarSet, ids: list[str],
                   parsed: dict[str, Poly]) -> list[dict[int, int]] | None:
     """The 'diff' array over at most one variable read in one pass into
     exponent columns, as ``ChainComplex.from_columns`` takes them, or None
@@ -143,8 +142,8 @@ def _diff_columns(entries: list | tuple, vs: VarSet, gens: list[Generator],
     several variables."""
     if vs.n > 1:
         return None
-    order = {g.gid: i for i, g in enumerate(gens)}
-    cols: list[dict[int, int]] = [{} for _ in gens]
+    order = {g: i for i, g in enumerate(ids)}
+    cols: list[dict[int, int]] = [{} for _ in ids]
     exps: dict[frozenset, int] = {}  # an entry's terms -> its exponent
     for src, tgt, p in _diff_entries(entries, vs, parsed):
         i, j = order.get(src), order.get(tgt)

@@ -43,7 +43,8 @@ class PairEvent(NamedTuple):
 
 
 class FilteredComplex:
-    """A chain complex with a level per generator; entries raise the level.
+    """A chain complex with a level per generator (``levels`` by id, ``level``
+    by position); entries raise the level.
 
     extra_depth widens the reported grading window (the engine itself is
     exact; the override only deepens how far the tables run).
@@ -54,16 +55,15 @@ class FilteredComplex:
         self.base = base
         self.extra_depth = max(0, extra_depth)
         self.levels = dict(levels)
-        for g in base.gens:
-            if g.gid not in self.levels:
-                raise ValueError("missing filtration level for %r" % g.gid)
-        level = _levels(self)
+        try:
+            self.level = level = [self.levels[g] for g in base.ids]  # by position
+        except KeyError as missing:
+            raise ValueError("missing filtration level for %r" % missing.args[0]) from None
         for i, col in enumerate(base.cols):
             for j in col:
                 if level[j] <= level[i]:
-                    src, tgt = base.gens[i].gid, base.gens[j].gid
                     raise ValueError("filtration violation: %s (level %d) -> %s (level %d)"
-                                     % (src, level[i], tgt, level[j]))
+                                     % (base.ids[i], level[i], base.ids[j], level[j]))
         self.trusted_floor: int | None = None  # minimal trusted slice value
         self._lo: int | None = None  # floor of the expansion
         if base.vars.n > 1:
@@ -71,7 +71,7 @@ class FilteredComplex:
         if base.vars.n:
             axis = int(base.convention == CONV_KH)
             step = base.ustep()[axis]
-            vals = [g.q if axis else g.h for g in base.gens]
+            vals = base.q if axis else base.h
             top, bot = max(vals, default=0), min(vals, default=0)
             self.trusted_floor = bot - (top - bot) - 4 * step - 2 - self.extra_depth
             self._lo = self.trusted_floor - 2 * step
@@ -116,9 +116,8 @@ class FilteredComplex:
         column's bit p stands for the row p-th from the end of that order.
         """
         if self._expansion is None:
-            gens, levels = self.base.gens, self.levels
-            order = sorted(range(len(gens)), reverse=True,
-                           key=lambda i: (-levels[gens[i].gid], gens[i].gid))
+            ids, level = self.base.ids, self.level
+            order = sorted(range(len(ids)), reverse=True, key=lambda i: (-level[i], ids[i]))
             self._expansion = Expansion(self.base, self._lo, order)
         return self._expansion
 
@@ -132,8 +131,7 @@ def _translates(cx: ChainComplex, pairs: list[tuple[int, int, int]],
     axis = int(cx.convention == CONV_KH)
     step = cx.ustep()
     flip = cx.vars.units[0] % 2  # alex2 weight of one power of u
-    gids = [g.gid for g in cx.gens]
-    counts = Counter((cx.grade(gids[x]), cx.grade(gids[y])) for x, y, _ in pairs)
+    counts = Counter((cx.grade_at(x), cx.grade_at(y)) for x, y, _ in pairs)
 
     def shift(grade: Grade, j: int) -> Grade:
         head = tuple(g - j * s for g, s in zip(grade, step))
@@ -216,10 +214,6 @@ class SpectralPage:
     d_ranks: dict[tuple[Grade, Grade], int]
 
 
-def _levels(fc: FilteredComplex) -> list[int]:
-    return [fc.levels[g.gid] for g in fc.base.gens]
-
-
 def _source_first(exp: Expansion) -> list[Grade]:
     """The grades of the blocks, each before the block it lands in.
 
@@ -251,7 +245,7 @@ def analyze(fc: FilteredComplex) -> SpectralData:
     ``cancelled``.
     """
     exp = fc.expansion()
-    floor, level = fc.trusted_floor, _levels(fc)
+    floor, level = fc.trusted_floor, fc.level
     cols, gen, blocks = exp.cols, exp.gen, exp.blocks
     events: list[PairEvent] = []
     zero: list[int] = []
@@ -393,7 +387,7 @@ def _graded_homology_dims(
     before it (the clearing argument of `analyze`), so it is not inserted.
     """
     exp = fc.expansion()
-    cols, gen, blocks, level = exp.cols, exp.gen, exp.blocks, _levels(fc)
+    cols, gen, blocks, level = exp.cols, exp.gen, exp.blocks, fc.level
     bound_leads: dict[Grade, set[int]] = {}  # block -> image leads of its source
     out: dict[tuple[Grade, int], int] = {}
     for grade in _source_first(exp):

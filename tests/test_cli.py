@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skeinseq.cli
+import skeinseq.complexes
 import skeinseq.infer
 import skeinseq.spectral
 from skeinseq import khovanov as kh
@@ -139,7 +140,8 @@ def test_parser_reused_across_calls(capsys):
 
 def test_kh_and_ss_read_the_columns_only(tmp_path, capsys, monkeypatch):
     """kh in every flavour and ss on a dumped cube print the same with the
-    id-keyed diff view patched to raise: no step of theirs spells it."""
+    id-keyed diff view, Generator and the cube's id speller patched to raise:
+    no step of theirs spells the view, builds a Generator or a cube id."""
     d = kh.add_kink(kh.cyclic_knot(5), 1)
     pd = "PD[%s]" % ",".join("X(%d,%d,%d,%d)" % c for c in d.crossings)
     cc = kh.ckh(d, "minus")
@@ -151,12 +153,17 @@ def test_kh_and_ss_read_the_columns_only(tmp_path, capsys, monkeypatch):
     want = [run(capsys, *argv) for argv in runs]
     assert all(code == 0 for code, _, _ in want)
 
-    def spelled(cx):
-        raise AssertionError("the diff view was spelled")
+    def spelled(*args):
+        raise AssertionError("spelled")
 
     monkeypatch.setattr(ChainComplex, "diff", property(spelled))
-    with pytest.raises(AssertionError, match="the diff view was spelled"):
-        cc.complex.diff
+    for module in (kh, skeinseq.complexes):
+        monkeypatch.setattr(module, "Generator", spelled)
+    monkeypatch.setattr(kh, "_vertex_ids", spelled)
+    fresh = kh.ckh(d, "hat").complex
+    for view in ("diff", "gens", "ids"):
+        with pytest.raises(AssertionError, match="spelled"):
+            getattr(fresh, view)
     assert [run(capsys, *argv) for argv in runs] == want
 
 

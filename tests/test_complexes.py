@@ -858,6 +858,26 @@ def test_homology_f2_matches_dense_reference():
             assert homology_f2(cx) == ref_homology_f2(cx)
 
 
+def test_homology_f2_matches_dense_reference_on_floer_complexes_and_models():
+    # floer blocks are (h, alex2 mod 2): alex2 values beyond 0 and 1 share them
+    rng = random.Random(11)
+    novars = VarSet((), ())
+    for alex in (False, True):
+        for _ in range(60):
+            gens = [Generator("g%d" % i, rng.randrange(3), None,
+                              rng.randrange(-2, 3) if alex else None)
+                    for i in range(rng.randrange(1, 7))]
+            diff = {(s.gid, t.gid): Poly.one(novars) for s in gens for t in gens
+                    if t.h == s.h - 1 and (not alex or (t.alex2 - s.alex2) % 2 == 0)
+                    and rng.random() < 0.5}
+            cx = ChainComplex(novars, gens, diff, CONV_FLOER)
+            mod2 = [dataclasses.replace(g, alex2=g.alex2 % 2) if alex else g for g in gens]
+            assert homology_f2(cx) == ref_homology_f2(ChainComplex(novars, mod2, diff, CONV_FLOER))
+    for name in MODEL_NAMES:
+        cx = kill_vars(build_model(name).complex)
+        assert homology_f2(cx) == ref_homology_f2(cx), name
+
+
 # -- the size of an expansion and the depth of the truncation window -----------
 
 

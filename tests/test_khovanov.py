@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 from skeinseq import khovanov as kh
+from skeinseq import serde
 from skeinseq.complexes import UHomology, homology_f2
 from skeinseq.poly import Poly
 
@@ -634,9 +635,9 @@ def test_cube_entry_with_wrong_exponent_rejected():
         cols = cx.exponent_columns()
         cols[i][j] += 1
         with pytest.raises(ValueError) as by_position:
-            kh.ChainComplex.from_columns(vs, cx.gens, cols, kh.CONV_KH)
+            kh.ChainComplex.from_columns(vs, cx.ids, cx.h, cx.q, None, cols, kh.CONV_KH)
         assert str(by_position.value) == str(by_id.value)
-        kh.ChainComplex.from_columns(vs, cx.gens, cols, kh.CONV_KH, check=False)
+        kh.ChainComplex.from_columns(vs, cx.ids, cx.h, cx.q, None, cols, kh.CONV_KH, check=False)
 
 
 def test_face_count():
@@ -662,3 +663,89 @@ def test_diff_view_rebuilds_the_columns(name):
     d = _reference_family()[name]
     for flavor in kh.FLAVORS:
         _assert_rebuilds(kh.ckh(d, flavor, max(d.arcs)).complex)
+
+
+def union_find_labs(d):
+    """Every vertex's (lab, count) from a fresh union-find over the arcs, as
+    _resolver found them before it derived each vertex from a neighbour."""
+    index = {a: k for k, a in enumerate(d.arcs)}
+    out = []
+    for i in range(1 << len(d.crossings)):
+        parent = list(range(len(index)))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for j, cr in enumerate(d.crossings):
+            a, b, c, dd = (index[x] for x in cr)
+            for x, y in ((a, b), (c, dd)) if i >> j & 1 else ((a, dd), (b, c)):
+                parent[find(x)] = find(y)
+        num = {}
+        lab = [num.setdefault(find(k), len(num)) for k in range(len(index))]
+        out.append((lab, len(num)))
+    return out
+
+
+def resolver_labs(d):
+    """Every vertex's (lab, count) as ckh derives them: vertex i from i
+    without its top bit."""
+    start, flip = kh._resolver(d)
+    labs = [start]
+    for i in range(1, 1 << len(d.crossings)):
+        j = i.bit_length() - 1
+        labs.append(flip(*labs[i ^ 1 << j], j, i))
+    return labs
+
+
+@pytest.mark.parametrize("name", sorted(_reference_family()) + ["c11", "x1212"])
+def test_resolver_matches_union_find(name):
+    # c11 is non-planar, and X(1,2,1,2) has an edge that neither merges nor splits
+    extra = {"c11": kh.cyclic_knot(11), "x1212": kh.parse_pd("PD[X(1,2,1,2)]")}
+    d = extra.get(name) or _reference_family()[name]
+    want = union_find_labs(d)
+    assert resolver_labs(d) == want
+    n = len(d.crossings)
+    for i in range(0, 1 << n, max(1, (1 << n) // 16)):
+        vertex = tuple(i >> j & 1 for j in range(n))
+        lab, count = want[i]
+        assert kh.resolve(d, vertex) == kh._state(d.arcs, vertex, lab, count)
+    if name != "x1212":
+        assert kh.ckh(d, "hat").labs == want
+
+
+def spelled_generators(cc):
+    """The cube's generators spelled eagerly with _vertex_ids from the
+    reference states: vertex by vertex and by label mask, h the vertex's
+    1-smoothings and q its circles + h - 2 (x labels)."""
+    d, arc = cc.diagram, cc.basepoint_arc
+    n = len(d.crossings)
+    gens = []
+    for i in range(1 << n):
+        vertex = tuple(i >> j & 1 for j in range(n))
+        circles = _reference_resolve(d, vertex).circles
+        free = [min(c) for c in circles if arc not in c]
+        h = sum(vertex)
+        for m, gid in enumerate(kh._vertex_ids(vertex, free)):
+            gens.append(kh.Generator(gid, h, len(circles) + h - 2 * bin(m).count("1")))
+    return gens
+
+
+def assert_views_spell_the_reference(d, flavor, basepoint):
+    cc = kh.ckh(d, flavor, basepoint)
+    cx = cc.complex
+    assert not {"ids", "gens", "order", "diff"} & set(vars(cx))  # nothing spelled yet
+    gens = spelled_generators(cc)
+    assert list(cx.gens) == gens
+    assert list(cx.order.items()) == [(g.gid, i) for i, g in enumerate(gens)]
+    eager = kh.ChainComplex(cx.vars, gens, cx.diff, kh.CONV_KH)
+    assert (serde.dump_complex(cx, cc.levels)
+            == serde.dump_complex(eager, {g.gid: g.h for g in gens}))
+
+
+@pytest.mark.parametrize("name", sorted(_reference_family()))
+def test_views_spell_the_reference_generators(name):
+    d = _reference_family()[name]
+    for flavor in kh.FLAVORS:
+        assert_views_spell_the_reference(d, flavor, max(d.arcs))

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from skeinseq import khovanov as kh
 from skeinseq.complexes import UHomology, homology_f2
-from test_khovanov import _assert_rebuilds, _assert_same_cube
+from test_khovanov import (
+    _assert_rebuilds,
+    _assert_same_cube,
+    assert_views_spell_the_reference,
+    resolver_labs,
+    union_find_labs,
+)
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 FIG8 = "PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]"
@@ -142,6 +148,24 @@ def test_ckh_matches_reference_on_generated_links(d, smoothings, swap, data):
 def test_diff_view_rebuilds_the_columns_on_generated_knots(d, data):
     for flavor in kh.FLAVORS:
         _assert_rebuilds(kh.ckh(d, flavor, data.draw(st.sampled_from(d.arcs))).complex)
+
+
+@SUITE
+@given(knots(max_crossings=6, primes=PRIMES + (kh.parse_pd(HOPF),)), st.integers(0, 3),
+       st.data())
+def test_resolver_matches_union_find_on_generated_links(d, smoothings, data):
+    for _ in range(smoothings):
+        if d.crossings:
+            d = kh.smooth(d, data.draw(st.integers(0, len(d.crossings) - 1)),
+                          data.draw(st.integers(0, 1)))
+    assert resolver_labs(d) == union_find_labs(d)
+
+
+@SUITE
+@given(knots(), st.data())
+def test_views_spell_the_reference_generators_on_generated_knots(d, data):
+    for flavor in kh.FLAVORS:
+        assert_views_spell_the_reference(d, flavor, data.draw(st.sampled_from(d.arcs)))
 
 
 PLANAR_PRIMES = (kh.parse_pd(TREFOIL), kh.parse_pd(FIG8), kh.parse_pd(HOPF))

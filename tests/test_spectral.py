@@ -450,7 +450,7 @@ def test_slices_and_graded_homology_match_references():
 def ref_pairing_without_clearing(fc):
     """analyze before clearing: ascending blocks, every column inserted."""
     exp = fc.expansion()
-    floor, level = fc.trusted_floor, spectral._levels(fc)
+    floor, level = fc.trusted_floor, fc.level
     events, zero, targets = [], [], set()
     for grade, blk in exp.blocks.items():
         if floor is not None and grade[exp.axis] < floor:
@@ -473,7 +473,7 @@ def ref_graded_homology_rereduced(fc, floor):
     """_graded_homology_dims before clearing: each block's boundaries are
     re-reduced from its source block into a fresh space."""
     exp = fc.expansion()
-    cols, gen, blocks, level = exp.cols, exp.gen, exp.blocks, spectral._levels(fc)
+    cols, gen, blocks, level = exp.cols, exp.gen, exp.blocks, fc.level
     source = {tgt: grade for grade, tgt in exp.lands.items()}
     out = {}
     for grade, blk in blocks.items():
