@@ -13,6 +13,7 @@ Complexes are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -38,11 +39,13 @@ MAX_CUBE_VERTICES = 1 << 13
 # The most slots an Expansion holds.  The spectral window of the minus cube of
 # cyclic_knot(9) has 17142 slots, of cyclic_knot(11) 70647 and of
 # cyclic_knot(13) 307191; cyclic_knot(9) with four kinks, 1940922.  A floer
-# document with generators at h = 0 and h = N has about 2N.  `ss` holds the
+# document with generators at h = 0 and h = N has about 3N.  `ss` holds the
 # unreduced window to it before cancelling the jump-1 units (which leaves
 # 356 slots of the cyclic_knot(9) window), so the cancellation admits and
 # refuses the same inputs, and the add-back of the cancelled pairs stays
-# bounded by it too.
+# bounded by it too.  `ss` counts the whole window but builds only its top,
+# down to the first u-periodic block of each grade class
+# (spectral.FilteredComplex.expansion).
 MAX_EXPANSION_SLOTS = 1 << 21
 # The most generators a cube holds, counted from its resolved states first:
 # T(2,11) has 88575 minus generators, T(2,13) 797163 (its reduced table took
@@ -636,7 +639,7 @@ class UHomology(ModuleDecomposition):
                 for pos2, e in row.items()}
 
 
-def cancel_units(cx: ChainComplex, levels: Mapping[str, int] | None = None,
+def cancel_units(cx: ChainComplex, level: Sequence[int] | None = None,
                  cancelled: list[tuple[int, int, int]] | None = None,
                  log: list[tuple[int, int, int]] | None = None) -> ChainComplex:
     """Gaussian elimination of a one-variable complex (Bar-Natan, "Fast
@@ -658,8 +661,8 @@ def cancel_units(cx: ChainComplex, levels: Mapping[str, int] | None = None,
     (ArithmeticError if one is).  The complex returned is the survivors, one
     free summand each, and each pair with k >= 1 is u^k torsion at y.
 
-    Given filtration levels (every entry raises the level), one pass
-    cancels only the units x -> y with levels[y] - levels[x] == 1, and the
+    Given filtration levels by position (every entry raises the level), one
+    pass cancels only the units x -> y with level[y] - level[x] == 1, and the
     result is a filtered complex with the same spectral sequence from E_2 on:
 
     * Jump 1 makes the basis change filtered.  Every other source s of y has
@@ -687,7 +690,6 @@ def cancel_units(cx: ChainComplex, levels: Mapping[str, int] | None = None,
     for i, col in cols.items():
         for j in col:
             rows[j].add(i)
-    level = None if levels is None else [levels[g] for g in cx.ids]
     k = 0
     while True:
         for x in range(cx.n):
@@ -816,13 +818,14 @@ def _monomial_count(units: Sequence[int], depth: int) -> int:
 
 def expansion_size(cx: ChainComplex, floor: int | None = None) -> int:
     """The number of slots of ``Expansion(cx, floor)``, counted without them:
-    per generator, the monomials whose slice drop keeps it >= floor."""
+    per generator, the monomials whose slice drop keeps it >= floor, counted
+    once per distinct slice value."""
     if floor is None:
         return cx.n
     kh = cx.convention == CONV_KH
     scale = 2 if kh else 1
-    return sum(_monomial_count(cx.vars.units, (v - floor) // scale)
-               for v in (cx.q if kh else cx.h))
+    return sum(count * _monomial_count(cx.vars.units, (v - floor) // scale)
+               for v, count in Counter(cx.q if kh else cx.h).items())
 
 
 def check_expansion_size(cx: ChainComplex, floor: int | None) -> None:

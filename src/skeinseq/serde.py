@@ -88,14 +88,18 @@ def load_complex(doc: dict[str, Any]):
         convention = CONV_FLOER if qs.count(None) == len(qs) else CONV_KH
     entries = _array(doc.get("diff", []), "'diff'")
     parsed: dict[str, Poly] = {}  # entry text -> its (frozen) polynomial
-    cols = _diff_columns(entries, vs, ids, parsed)
+    order = {g: i for i, g in enumerate(ids)}  # the one id -> position dict
+    cols = _diff_columns(entries, vs, order, len(ids), parsed)
     diff = None if cols is not None else _diff_by_ids(entries, vs, parsed)
     pairs = {str(k): tuple(_array(v, "pair %r" % k))
              for k, v in _object(doc.get("pairs", {}), "'pairs'").items()}
     cx = None
     if cols is not None:
-        try:
-            cx = ChainComplex.from_columns(vs, ids, hs, qs, alexes, cols, convention, pairs)
+        if len(order) != len(ids):  # the check from_columns makes on a list of ids
+            raise ValueError("duplicate generator ids")
+        try:  # handed over as a speller, the unique ids are not indexed again
+            cx = ChainComplex.from_columns(vs, lambda: ids, hs, qs, alexes, cols,
+                                           convention, pairs)
         except ValueError:  # raised again below, naming the document's first bad entry
             diff = _diff_by_ids(entries, vs, parsed)
     if cx is None:
@@ -132,7 +136,7 @@ def _diff_entries(entries: list | tuple, vs: VarSet, parsed: dict[str, Poly]):
                tgt if type(tgt) is str else str(tgt), p)
 
 
-def _diff_columns(entries: list | tuple, vs: VarSet, ids: list[str],
+def _diff_columns(entries: list | tuple, vs: VarSet, order: dict[str, int], n: int,
                   parsed: dict[str, Poly]) -> list[dict[int, int]] | None:
     """The 'diff' array over at most one variable read in one pass into
     exponent columns, as ``ChainComplex.from_columns`` takes them, or None
@@ -142,8 +146,7 @@ def _diff_columns(entries: list | tuple, vs: VarSet, ids: list[str],
     several variables."""
     if vs.n > 1:
         return None
-    order = {g: i for i, g in enumerate(ids)}
-    cols: list[dict[int, int]] = [{} for _ in ids]
+    cols: list[dict[int, int]] = [{} for _ in range(n)]
     exps: dict[frozenset, int] = {}  # an entry's terms -> its exponent
     for src, tgt, p in _diff_entries(entries, vs, parsed):
         i, j = order.get(src), order.get(tgt)

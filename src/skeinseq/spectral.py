@@ -1,13 +1,25 @@
 """Spectral sequences of filtered complexes over F2 and F2[u].
 
 The engine reads the complex through its F2 expansion
-(``complexes.Expansion``): the slots u^j g down to a window floor, one
-block per grading.  The differential maps each block into one other block,
-so a deterministic persistence-style column reduction per block computes
-the page data exactly: a pair (x, y) with level jump k means the class of y
-kills the class of x on page k, and unpaired slots survive to the limit
-page.  Reported dimensions are windowed at a trusted floor below which the
-slice pattern provably repeats.
+(``complexes.Expansion``): the slots u^j g, one block per grading.  The
+differential maps each block into one other block, so a deterministic
+persistence-style column reduction per block computes the page data exactly:
+a pair (x, y) with level jump k means the class of y kills the class of x on
+page k, and unpaired slots survive to the limit page.  Reported dimensions are
+windowed at a trusted floor.
+
+Only the top of the window is built.  A block whose slice value lies below
+every generator's holds every generator of its class (the grades one u-step
+apart), in the same order as the block one u-step above it, with the same
+levels.  Once a block, the block its differential leaves from and the block
+it lands in all lie below every generator, the blocks of that class one, two,
+... u-steps lower have the same columns and the same clearing, so the same
+pairs, jumps, survivors and ranks, at grades shifted by u (h or q down one
+step, alex2 flipped by the weight of u).  The expansion stops under the first
+such block of each class (``FilteredComplex.period_floor``), and each result
+of those blocks is counted again for every u-translate down to the trusted
+floor (`_unroll`).  The tallies per grade are what the pages, d_r ranks and
+E_inf read.
 
 Both `analyze` and `converge` visit the blocks source first, each block
 before the block it lands in, and use clearing (the "twist" of Chen and
@@ -22,7 +34,8 @@ E_2 on); the cancelled pairs come back into E_1 and d_1 as counts per grade.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import inf
 from typing import NamedTuple
 
 from . import gf2
@@ -65,7 +78,12 @@ class FilteredComplex:
                     raise ValueError("filtration violation: %s (level %d) -> %s (level %d)"
                                      % (base.ids[i], level[i], base.ids[j], level[j]))
         self.trusted_floor: int | None = None  # minimal trusted slice value
-        self._lo: int | None = None  # floor of the expansion
+        self._lo: int | None = None  # floor of the whole window, counted but not built
+        # the lowest slice value analysed, and the highest of a periodic block:
+        # the blocks between them are the first periodic block of each class
+        self.period_floor: int | None = None
+        self._periodic: int | None = None
+        self._cut: int | None = None  # floor of the built window
         if base.vars.n > 1:
             raise ValueError("the spectral engine works over F2 or a single F2[u]")
         if base.vars.n:
@@ -75,6 +93,13 @@ class FilteredComplex:
             top, bot = max(vals, default=0), min(vals, default=0)
             self.trusted_floor = bot - (top - bot) - 4 * step - 2 - self.extra_depth
             self._lo = self.trusted_floor - 2 * step
+            # A block at slice value v leaves from and lands in the blocks at
+            # v + 1 and v - 1 (floer) or at v itself (kh); all three lie below
+            # every generator once v <= bot - 2 + axis.  The built window runs
+            # down to where the lowest analysed blocks land.
+            self._periodic = bot - 2 + axis
+            self.period_floor = self._periodic - step + 1
+            self._cut = self.period_floor - 1 + axis
         self._expansion: Expansion | None = None
         # jump-1 pairs of slots taken out by cancel_units(), per
         # (source grade, target grade), trusted sources only
@@ -99,62 +124,91 @@ class FilteredComplex:
             return self
         check_expansion_size(base, self._lo)
         pairs: list[tuple[int, int, int]] = []
-        core = cancel_units(base, self.levels, pairs)
+        core = cancel_units(base, self.level, pairs)
         if not pairs:
             return self
         out = FilteredComplex(core, self.levels, self.extra_depth)
         out.trusted_floor, out._lo = self.trusted_floor, self._lo
-        out.cancelled = _translates(base, pairs, self.trusted_floor)
+        # every generator pair repeats at each u-step below it
+        grades = Counter((base.grade_at(x), base.grade_at(y)) for x, y, _ in pairs)
+        out.cancelled = _unroll(base, grades, self.trusted_floor, inf)
         return out
 
     def expansion(self) -> Expansion:
-        """The slots `analyze` and `converge` read, built on first use and kept.
+        """The top of the slot window that `analyze` and `converge` read,
+        built on first use and kept.
 
-        They reach two u-steps below the trusted floor, so every trusted
-        slot's differential stays inside.  Within a block, slots run in
-        reverse of the reduction order (level descending, then gid), so a
-        column's bit p stands for the row p-th from the end of that order.
+        It runs down to the lowest analysed blocks, at ``period_floor``, and
+        the blocks they land in.  The whole window, which reaches two u-steps
+        below the trusted floor so that every trusted slot's differential
+        stays inside, is held to ``MAX_EXPANSION_SLOTS`` but never built.
+        The blocks from ``period_floor`` up one u-step, and their source and
+        target blocks, lie strictly below every generator's slice value, so
+        they hold every generator of their class, and so does every block of
+        the class below them: those repeat their columns and levels exactly,
+        one u-step down each, and `analyze` and `converge` count the results
+        of the first periodic blocks again at each translate (`unroll`)
+        instead of building them.  Within a block, slots run in reverse of
+        the reduction order (level descending, then gid), so a column's bit
+        p stands for the row p-th from the end of that order.
         """
         if self._expansion is None:
             ids, level = self.base.ids, self.level
             order = sorted(range(len(ids)), reverse=True, key=lambda i: (-level[i], ids[i]))
-            self._expansion = Expansion(self.base, self._lo, order)
+            if self._lo is not None:
+                check_expansion_size(self.base, self._lo)
+            self._expansion = Expansion(self.base, self._cut, order)
         return self._expansion
 
+    def unroll(self, counts: Counter) -> Counter:
+        """Counts keyed by (grade, ...) on the built window, over the whole
+        trusted window: each key of a first periodic block (slice value from
+        ``period_floor`` up one u-step) counted again at every u-translate
+        down to the trusted floor."""
+        if self._periodic is None:
+            return counts
+        return _unroll(self.base, counts, self.trusted_floor, self._periodic)
 
-def _translates(cx: ChainComplex, pairs: list[tuple[int, int, int]],
-                floor: int) -> dict[tuple[Grade, Grade], int]:
-    """The slot pairs u^j x -> u^j y of the generator pairs (x, y, 0), by
-    position, whose source slice value is at least floor, counted per
-    (source grade, target grade); one walk down the window per distinct pair
-    of grades."""
+
+def _unroll(cx: ChainComplex, counts: Counter, floor: int, top: float) -> Counter:
+    """counts keyed by tuples led by a grade, with each key whose grade has
+    slice value at most top counted again at its u-translates u^j, j >= 1,
+    that keep the slice value at least floor.  Every grade in a key shifts
+    (h or q down j steps, alex2 flipped j times by the weight of u); its
+    other entries, jumps and levels, stay."""
     axis = int(cx.convention == CONV_KH)
     step = cx.ustep()
-    flip = cx.vars.units[0] % 2  # alex2 weight of one power of u
-    counts = Counter((cx.grade_at(x), cx.grade_at(y)) for x, y, _ in pairs)
+    flip = cx.vars.units[0] % 2
+    width = len(step)
 
     def shift(grade: Grade, j: int) -> Grade:
         head = tuple(g - j * s for g, s in zip(grade, step))
-        return head + tuple((a + j * flip) % 2 for a in grade[len(step):])
+        return head + tuple((a + j * flip) % 2 for a in grade[width:])
 
-    out: dict[tuple[Grade, Grade], int] = {}
-    for (src, tgt), count in counts.items():
-        for j in range((src[axis] - floor) // step[axis] + 1):
-            key = (shift(src, j), shift(tgt, j))
-            out[key] = out.get(key, 0) + count
+    out = Counter(counts)
+    for key, count in counts.items():
+        v = key[0][axis]
+        if v <= top:
+            for j in range(1, (v - floor) // step[axis] + 1):
+                out[tuple(shift(g, j) if type(g) is tuple else g for g in key)] += count
     return out
 
 
 @dataclass
 class SpectralData:
+    """The pairing of a filtered complex: ``events`` and ``survivors`` are
+    the slots of the built window ``slots``; ``pairs`` counts the pairs of
+    the whole trusted window per (source grade, target grade, jump), the
+    jump-1 pairs that cancel_units took out among them, and ``einf`` its
+    survivors per (grade, level).  Every source and survivor is trusted."""
+
     slots: Expansion
     level: list[int]  # filtration level per generator position
     events: list[PairEvent]
     survivors: list[int]  # unpaired slots
     trusted_floor: int | None  # minimal trusted slice value (None = everything)
-    # jump-1 pairs cancelled before the expansion, per (source grade, target
-    # grade) with a trusted source (FilteredComplex.cancel_units)
-    cancelled: dict[tuple[Grade, Grade], int] = field(default_factory=dict)
+    pairs: dict[tuple[Grade, Grade, int], int]
+    einf: dict[tuple[Grade, int], int]
 
     def _trusted(self, grade: Grade) -> bool:
         if self.trusted_floor is None:
@@ -162,49 +216,28 @@ class SpectralData:
         return grade[self.slots.axis] >= self.trusted_floor
 
     def max_jump(self) -> int:
-        return max((e.jump for e in self.events), default=int(bool(self.cancelled)))
+        return max((jump for _, _, jump in self.pairs), default=0)
 
     def page_dims(self, r: int) -> dict[Grade, int]:
-        grade = self.slots.grade
-        dims: dict[Grade, int] = {}
-
-        def bump(g: Grade) -> None:
-            if self._trusted(g):
-                dims[g] = dims.get(g, 0) + 1
-
-        for s in self.survivors:
-            bump(grade[s])
-        for e in self.events:
-            if e.jump >= r:
-                bump(grade[e.x])
-                bump(grade[e.y])
-        if r == 1:
-            for pair, count in self.cancelled.items():
-                for g in pair:
-                    if self._trusted(g):
-                        dims[g] = dims.get(g, 0) + count
+        dims: Counter = Counter()
+        for (grade, _), count in self.einf.items():
+            dims[grade] += count
+        for (y, x, jump), count in self.pairs.items():
+            if jump >= r:
+                dims[y] += count
+                if self._trusted(x):
+                    dims[x] += count
         return dict(sorted(dims.items()))
 
     def d_ranks(self, r: int) -> dict[tuple[Grade, Grade], int]:
-        grade = self.slots.grade
-        out: dict[tuple[Grade, Grade], int] = {}
-        for e in self.events:
-            y, x = grade[e.y], grade[e.x]
-            if e.jump == r and (self._trusted(y) or self._trusted(x)):
-                out[(y, x)] = out.get((y, x), 0) + 1
-        if r == 1:
-            for pair, count in self.cancelled.items():
-                out[pair] = out.get(pair, 0) + count
+        out: Counter = Counter()
+        for (y, x, jump), count in self.pairs.items():
+            if jump == r:
+                out[(y, x)] += count
         return dict(sorted(out.items()))
 
     def einf_by_level(self) -> dict[tuple[Grade, int], int]:
-        grade, gen = self.slots.grade, self.slots.gen
-        out: dict[tuple[Grade, int], int] = {}
-        for s in self.survivors:
-            if self._trusted(grade[s]):
-                key = (grade[s], self.level[gen[s]])
-                out[key] = out.get(key, 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(self.einf.items()))
 
 
 @dataclass(frozen=True)
@@ -230,28 +263,30 @@ def _source_first(exp: Expansion) -> list[Grade]:
 def analyze(fc: FilteredComplex) -> SpectralData:
     """Run the level-respecting reduction and collect the pairing data.
 
-    Each trusted block is paired against the block its differential lands
-    in; the pairing of a block-diagonal matrix is the union of the block
-    pairings.  Columns are reduced in order (level descending, then gid),
-    the reverse of the slot order, so the persistence "low" of a column
-    (its last row in that order) is the eliminator's lowest set bit.
+    Each block from ``fc.period_floor`` up is paired against the block its
+    differential lands in; the pairing of a block-diagonal matrix is the
+    union of the block pairings, and the blocks below are u-translates of
+    the lowest ones (``fc.unroll``).  Columns are reduced in order (level
+    descending, then gid), the reverse of the slot order, so the persistence
+    "low" of a column (its last row in that order) is the eliminator's
+    lowest set bit.
 
     Blocks are visited source first, so a block's targets are known before
     it is reduced, and a target goes to the zero columns uninserted
     (clearing).  A target x is the lowest bit of a boundary whose other bits
     are higher slots of its block; those are reduced before x, and x's
     column is the sum of theirs, so the pairing is the one without clearing.
-    The jump-1 pairs that ``fc.cancel_units()`` took out ride along in
-    ``cancelled``.
+    The jump-1 pairs that ``fc.cancel_units()`` took out are counted with
+    the other jump-1 pairs.
     """
     exp = fc.expansion()
-    floor, level = fc.trusted_floor, fc.level
+    low, level = fc.period_floor, fc.level
     cols, gen, blocks = exp.cols, exp.gen, exp.blocks
     events: list[PairEvent] = []
     zero: list[int] = []
     targets: set[int] = set()
     for grade in _source_first(exp):
-        if floor is not None and grade[exp.axis] < floor:
+        if low is not None and grade[exp.axis] < low:
             continue
         tgt = exp.lands.get(grade)
         start = blocks[tgt].start if tgt is not None else 0
@@ -275,7 +310,12 @@ def analyze(fc: FilteredComplex) -> SpectralData:
     if any(e.jump <= 0 for e in events):
         raise AssertionError("nonpositive level jump in pairing")
     survivors = [s for s in zero if s not in targets]
-    return SpectralData(exp, level, events, survivors, floor, fc.cancelled)
+    at = exp.grade
+    pairs = fc.unroll(Counter((at[e.y], at[e.x], e.jump) for e in events))
+    for (y, x), count in fc.cancelled.items():
+        pairs[(y, x, 1)] += count
+    einf = fc.unroll(Counter((at[s], level[gen[s]]) for s in survivors))
+    return SpectralData(exp, level, events, survivors, fc.trusted_floor, pairs, einf)
 
 
 def pages(data: SpectralData, max_r: int) -> list[SpectralPage]:
@@ -363,7 +403,7 @@ def converge(fc: FilteredComplex, data: SpectralData) -> ConvergenceReport:
     state with `analyze`, so agreement genuinely cross-checks the pairing.
     """
     einf = data.einf_by_level()
-    gr = _graded_homology_dims(fc, data.trusted_floor)
+    gr = _graded_homology_dims(fc)
     mismatches = []
     for key in sorted(set(einf) | set(gr)):
         a, b = einf.get(key, 0), gr.get(key, 0)
@@ -372,11 +412,9 @@ def converge(fc: FilteredComplex, data: SpectralData) -> ConvergenceReport:
     return ConvergenceReport(einf, gr, mismatches)
 
 
-def _graded_homology_dims(
-    fc: FilteredComplex, floor: int | None
-) -> dict[tuple[Grade, int], int]:
+def _graded_homology_dims(fc: FilteredComplex) -> dict[tuple[Grade, int], int]:
     """Dimension of the image in homology of the cycles of each level and
-    above, per grade, as the increments from one level to the next.
+    above, per trusted grade, as the increments from one level to the next.
 
     The slots of level >= lvl are the last k of their block, so their cycles
     number k minus the rank of their columns, and the boundaries among them
@@ -385,13 +423,16 @@ def _graded_homology_dims(
     as the boundary leads of the block it lands in, so every column is
     reduced once.  A column at a boundary lead is in the span of the columns
     before it (the clearing argument of `analyze`), so it is not inserted.
+    As in `analyze`, the blocks below ``fc.period_floor`` are u-translates
+    of the lowest ones, and their increments are counted from those.
     """
     exp = fc.expansion()
     cols, gen, blocks, level = exp.cols, exp.gen, exp.blocks, fc.level
+    low = fc.period_floor
     bound_leads: dict[Grade, set[int]] = {}  # block -> image leads of its source
-    out: dict[tuple[Grade, int], int] = {}
+    out: Counter = Counter()
     for grade in _source_first(exp):
-        if floor is not None and grade[exp.axis] < floor:
+        if low is not None and grade[exp.axis] < low:
             continue
         blk = blocks[grade]
         leads = bound_leads.pop(grade, set())
@@ -414,4 +455,4 @@ def _graded_homology_dims(
             if dim > above:
                 out[(grade, lvl)] = dim - above
             above = dim
-    return dict(sorted(out.items()))
+    return dict(sorted(fc.unroll(out).items()))

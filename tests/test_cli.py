@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import tempfile
 import time
 
@@ -867,3 +868,74 @@ def test_ss_oversized_expansion_exits_2_quickly(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "has 30000018 slots, above the limit of %d" % MAX_EXPANSION_SLOTS in err
+
+
+def _isolated_doc(top, tail):
+    """2075 isolated generators at h = 0 and two at h = top and h = tail:
+    the ss window of each generator at h runs from h down to -top - 8."""
+    gens = [{"id": "g%d" % i, "h": 0, "filtration": 0} for i in range(2075)]
+    gens += [{"id": "top", "h": top, "filtration": 1}, {"id": "tail", "h": tail, "filtration": 2}]
+    return {"variables": [{"name": "u", "unit": "1/2"}], "generators": gens, "diff": []}
+
+
+def test_ss_budget_counts_the_whole_window(tmp_path, capsys):
+    """The budget counts the whole window although only its top is built:
+    one slot above the limit exits 2 with the message of the count, and a
+    window exactly at the limit runs, building a few thousand slots."""
+    for tail, slots in ((460, MAX_EXPANSION_SLOTS + 1), (459, MAX_EXPANSION_SLOTS)):
+        doc = _isolated_doc(1000, tail)
+        cx, levels, _ = serde.load_complex(doc)
+        fc = skeinseq.spectral.FilteredComplex(cx, levels)
+        assert skeinseq.complexes.expansion_size(cx, fc._lo) == slots
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ss", "--in", str(path))
+        if slots > MAX_EXPANSION_SLOTS:
+            assert (code, out) == (2, "")
+            assert err == ("error: the F2 expansion down to slice value -1008 has %d slots,"
+                           " above the limit of %d\n" % (slots, MAX_EXPANSION_SLOTS))
+        else:
+            assert (code, err) == (0, "")
+            assert out.endswith("# converge\tpass\n")
+            assert len(fc.cancel_units().expansion().gen) < 12000
+
+
+def _ss_rows(out):
+    """The page and E_inf rows of an ss table, with h and q counted from the
+    top of page 1 (the bottom moves with --truncation), and its # lines."""
+    rows = [line.split("\t") for line in out.splitlines() if not line.startswith(("#", "r\t"))]
+    page1 = [row for row in rows if row[0] == "1"]
+    q_top, h_top = (max(int(row[i]) for row in page1) for i in (1, 2))
+    table = {(row[0], int(row[1]) - q_top, int(row[2]) - h_top, row[4]): row[3] for row in rows}
+    return table, [line for line in out.splitlines() if line.startswith("#")]
+
+
+def test_ss_truncation_only_extends_the_tables(tmp_path, capsys):
+    """ss --truncation 5 reports the --truncation 0 tables on every grade
+    that both report, and more grades below them."""
+    rng = random.Random(404)
+    gens, diff = [], []
+    for k in range(30):  # planted floer pieces with an alex2 grading, as in the benchmark
+        jump, shift, a2 = rng.randrange(1, 5), rng.randrange(3), rng.randrange(2)
+        power = rng.randrange(1, min(jump + 1, 4))
+        gens.append({"id": "p%d_a" % k, "h": 0, "alex2": a2, "filtration": shift})
+        gens.append({"id": "p%d_b" % k, "h": power - 1, "alex2": (a2 + power) % 2,
+                     "filtration": shift + jump})
+        diff.append({"from": "p%d_a" % k, "to": "p%d_b" % k, "poly": "u^%d" % power})
+    gens.append({"id": "iso", "h": 1, "alex2": 0, "filtration": 0})
+    floer = {"variables": [{"name": "u", "unit": "1/2"}], "convention": "floer",
+             "generators": gens, "diff": diff}
+    cc = kh.ckh(kh.mirror(kh.parse_pd(TREFOIL)), "minus")
+    levels = {g.gid: 2 * g.h + rng.randrange(2) for g in cc.complex.gens}
+    for i, doc in enumerate((floer, serde.dump_complex(cc.complex, cc.levels),
+                             serde.dump_complex(cc.complex, levels))):
+        path = tmp_path / ("c%d.json" % i)
+        path.write_text(json.dumps(doc))
+        (code0, out0, _), (code5, out5, _) = (
+            run(capsys, "ss", "--in", str(path), "--truncation", t) for t in ("0", "5"))
+        assert code0 == code5 == 0
+        (rows0, notes0), (rows5, notes5) = _ss_rows(out0), _ss_rows(out5)
+        assert notes0 == notes5
+        grades0 = {key[1:3] for key in rows0}
+        assert {k: v for k, v in rows5.items() if k[1:3] in grades0} == rows0
+        assert len(rows5) > len(rows0)

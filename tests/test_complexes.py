@@ -1043,7 +1043,7 @@ def test_cancel_units_picks_the_target_with_fewest_sources():
     pairs, hom = cancelled(cx)
     assert pairs == [(0, 3, 0), (1, 2, 1)]
     assert hom.torsion == [1]
-    red = cancel_units(cx, {g.gid: g.h for g in gens})
+    red = cancel_units(cx, [g.h for g in gens])
     assert [g.gid for g in red.gens] == ["s", "y1"]
     assert red.diff == {("s", "y1"): u}
 
@@ -1068,8 +1068,8 @@ def test_cancel_units_with_levels_keeps_jump_two_units():
     gens = [Generator("x", 0, 0), Generator("y", 1, 0)]
     cx = ChainComplex(U1, gens, {("x", "y"): one}, CONV_KH)
     pairs = []
-    assert cancel_units(cx, {"x": 0, "y": 2}, pairs).diff == cx.diff and pairs == []
-    assert cancel_units(cx, {"x": 0, "y": 1}, pairs).n == 0 and pairs == [(0, 1, 0)]
+    assert cancel_units(cx, [0, 2], pairs).diff == cx.diff and pairs == []
+    assert cancel_units(cx, [0, 1], pairs).n == 0 and pairs == [(0, 1, 0)]
     # x -> y jumps by 2 and has the fewest sources, so only the level test
     # makes x -> z (jump 1) the one cancelled; s -> y is the zig-zag s -> z -> x -> y
     gens = [Generator("x", 0, 0), Generator("s", 0, -2),
@@ -1077,7 +1077,7 @@ def test_cancel_units_with_levels_keeps_jump_two_units():
     cx = ChainComplex(U1, gens, {("x", "y"): one, ("x", "z"): one, ("s", "z"): u},
                       CONV_KH)
     pairs = []
-    red = cancel_units(cx, {"x": 0, "s": 0, "y": 2, "z": 1}, pairs)
+    red = cancel_units(cx, [0, 0, 2, 1], pairs)  # x, s, y, z
     assert pairs == [(0, 3, 0)]
     assert [g.gid for g in red.gens] == ["s", "y"] and red.diff == {("s", "y"): u}
     # without levels x -> y, with the fewest sources, goes first, then s -> z
@@ -1098,13 +1098,13 @@ def test_cancel_units_with_levels_on_minus_cubes():
         cx = kh.ckh(d, "minus").complex
         plain = cancel_units(cx)
         pairs = []
-        by_h = cancel_units(cx, {g.gid: g.h for g in cx.gens}, pairs)
+        by_h = cancel_units(cx, cx.h, pairs)
         assert (by_h.gens, by_h.diff) == (plain.gens, plain.diff)
         assert len(pairs) == (cx.n - plain.n) // 2
         for _ in range(3):
             levels = {g.gid: 2 * g.h + rng.randrange(2) for g in cx.gens}
             pairs = []
-            red = cancel_units(cx, levels, pairs)
+            red = cancel_units(cx, [levels[g] for g in cx.ids], pairs)
             kept = {g.gid for g in red.gens}
             assert list(red.gens) == [g for g in cx.gens if g.gid in kept]
             deleted = sorted(i for i, g in enumerate(cx.gens) if g.gid not in kept)

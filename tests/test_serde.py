@@ -97,3 +97,29 @@ def test_load_complex_parses_each_entry_text_once(monkeypatch):
     texts.clear()
     cx, _, _ = load_complex(doc)
     assert cx.diff == {} and texts == ["u"]
+
+
+def test_load_complex_refuses_repeated_ids_once():
+    """A repeated id is refused with one message on every route: the column
+    route (one variable), the id-keyed one (several variables, or an entry
+    naming no generator) and an entry off degree; a malformed entry is still
+    named first.  On the column route the one id -> position dict is the one
+    the loader builds: the complex is handed a speller and indexes nothing."""
+    u = [{"name": "u", "unit": "1/2"}]
+    twice = [{"id": "a", "h": 1}, {"id": "b", "h": 0}, {"id": "a", "h": 1}]
+    for variables, diff in (
+        (u, [{"from": "a", "to": "b", "poly": "1"}]),
+        (u, [{"from": "b", "to": "a", "poly": "u"}]),
+        (u + [{"name": "v", "unit": "1"}], []),
+        (u, [{"from": "a", "to": "z", "poly": "1"}]),
+        (u, [{"from": "b", "to": "a", "poly": "1"}]),
+    ):
+        doc = {"variables": variables, "generators": twice, "diff": diff}
+        with pytest.raises(ValueError, match="^duplicate generator ids$"):
+            load_complex(doc)
+    doc = {"variables": u, "generators": twice, "diff": [{"from": "a", "to": "b", "poly": "w"}]}
+    with pytest.raises(KeyError, match="unknown variable 'w'"):
+        load_complex(doc)
+    cx, _, _ = load_complex({"variables": u, "generators": twice[:2],
+                             "diff": [{"from": "a", "to": "b", "poly": "1"}]})
+    assert "order" not in vars(cx) and cx.ids == ["a", "b"] and cx.order == {"a": 0, "b": 1}

@@ -12,12 +12,13 @@ from skeinseq.complexes import (
     CONV_FLOER,
     CONV_KH,
     ChainComplex,
+    Expansion,
     Generator,
     UHomology,
     homology_f2,
     tensor,
 )
-from skeinseq.poly import HALF, Poly, VarSet
+from skeinseq.poly import FULL, HALF, Poly, VarSet
 from skeinseq.spectral import (
     FilteredComplex,
     SpectralPage,
@@ -413,28 +414,53 @@ def reference_cases():
     yield FilteredComplex(cc.complex, cc.levels)
 
 
+def full_expansion(fc):
+    """The whole window of fc, down to fc._lo, in the slot order of
+    fc.expansion(), which builds only its top."""
+    ids, level = fc.base.ids, fc.level
+    order = sorted(range(len(ids)), reverse=True, key=lambda i: (-level[i], ids[i]))
+    return Expansion(fc.base, fc._lo, order)
+
+
+def slot_names(fc, exp):
+    """(gid, u power, grade) of every slot of an expansion of fc."""
+    ids = fc.base.ids
+    return [(ids[i], j, grade) for i, j, grade in zip(exp.gen, exp.mono, exp.grade)]
+
+
+def analysed(fc, grade):
+    """Whether analyze reduces the block of this grade itself (the blocks
+    below fc.period_floor are counted as u-translates)."""
+    return fc.period_floor is None or ref_scalar(grade, fc.base.convention) >= fc.period_floor
+
+
 def test_slices_and_graded_homology_match_references():
     kinds = set()
     for fc in reference_cases():
         cx = fc.base
-        exp = fc.expansion()
-        slots = [cx.gens[i].gid for i in exp.gen]
-        ref = lambda s: (s.gid, s.upow, s.grade, s.level)
-        got = sorted((gid, j, grade, fc.levels[gid])
-                     for gid, j, grade in zip(slots, exp.mono, exp.grade))
+        full = full_expansion(fc)
+        got = sorted((gid, j, grade, fc.levels[gid]) for gid, j, grade in slot_names(fc, full))
         slices, floor = ref_enumerate_slices(fc)
+        ref = lambda s: (s.gid, s.upow, s.grade, s.level)
         assert got == sorted(ref(s) for _, sl in slices for s in sl)
         assert fc.trusted_floor == floor
-        dims = spectral._graded_homology_dims(fc, floor)
+        # the built window is the top of the whole one
+        exp = fc.expansion()
+        top = [s for s in slot_names(fc, full)
+               if fc._cut is None or ref_scalar(s[2], cx.convention) >= fc._cut]
+        assert sorted(slot_names(fc, exp)) == sorted(top)
+        dims = spectral._graded_homology_dims(fc)
         assert dims == ref_graded_homology_dims(fc, floor)
         # per-grade blocks give the per-slice pairing slot for slot
         data = analyze(fc)
         pairs, survivors, _ = ref_analyze(fc)
-        name = lambda s: (slots[s], exp.mono[s])
-        assert sorted((name(e.y), name(e.x), e.jump) for e in data.events) == sorted(
-            ((y.gid, y.upow), (x.gid, x.upow), x.level - y.level) for y, x in pairs)
-        assert sorted(map(name, data.survivors)) == sorted(
-            (s.gid, s.upow) for s in survivors)
+        names = [(gid, j) for gid, j, _ in slot_names(fc, exp)]
+        assert sorted((names[e.y], names[e.x], e.jump) for e in data.events) == sorted(
+            ((y.gid, y.upow), (x.gid, x.upow), x.level - y.level)
+            for y, x in pairs if analysed(fc, y.grade))
+        assert sorted(names[s] for s in data.survivors) == sorted(
+            (s.gid, s.upow) for s in survivors if analysed(fc, s.grade))
+        assert data.einf_by_level() == ref_tables(fc, full).einf_by_level()
         kinds.add((cx.convention, cx.vars.n, fc.extra_depth > 0,
                    any(g.alex2 is not None for g in cx.gens)))
     assert kinds == {
@@ -447,13 +473,13 @@ def test_slices_and_graded_homology_match_references():
 # -- the pairing and the graded homology without clearing ------------------------
 
 
-def ref_pairing_without_clearing(fc):
-    """analyze before clearing: ascending blocks, every column inserted."""
-    exp = fc.expansion()
-    floor, level = fc.trusted_floor, fc.level
+def ref_pairing_without_clearing(fc, exp, low):
+    """analyze before clearing: ascending blocks from slice value low up,
+    every column inserted."""
+    level = fc.level
     events, zero, targets = [], [], set()
     for grade, blk in exp.blocks.items():
-        if floor is not None and grade[exp.axis] < floor:
+        if low is not None and grade[exp.axis] < low:
             continue
         tgt = exp.lands.get(grade)
         start = exp.blocks[tgt].start if tgt is not None else 0
@@ -469,10 +495,79 @@ def ref_pairing_without_clearing(fc):
     return events, [s for s in zero if s not in targets]
 
 
-def ref_graded_homology_rereduced(fc, floor):
-    """_graded_homology_dims before clearing: each block's boundaries are
-    re-reduced from its source block into a fresh space."""
-    exp = fc.expansion()
+@dataclasses.dataclass
+class RefTables:
+    """The page tables read slot by slot off a pairing of the whole window:
+    the reference for SpectralData, which reads them off tallies that count
+    the periodic blocks once per u-translate."""
+    slots: Expansion
+    level: list
+    events: list
+    survivors: list
+    trusted_floor: object
+    cancelled: dict
+
+    def _trusted(self, grade):
+        return self.trusted_floor is None or grade[self.slots.axis] >= self.trusted_floor
+
+    def max_jump(self):
+        return max((e.jump for e in self.events), default=int(bool(self.cancelled)))
+
+    def page_dims(self, r):
+        grade = self.slots.grade
+        dims = {}
+
+        def bump(g, count=1):
+            if self._trusted(g):
+                dims[g] = dims.get(g, 0) + count
+
+        for s in self.survivors:
+            bump(grade[s])
+        for e in self.events:
+            if e.jump >= r:
+                bump(grade[e.x])
+                bump(grade[e.y])
+        if r == 1:
+            for pair, count in self.cancelled.items():
+                for g in pair:
+                    bump(g, count)
+        return dict(sorted(dims.items()))
+
+    def d_ranks(self, r):
+        grade = self.slots.grade
+        out = {}
+        for e in self.events:
+            y, x = grade[e.y], grade[e.x]
+            if e.jump == r and (self._trusted(y) or self._trusted(x)):
+                out[(y, x)] = out.get((y, x), 0) + 1
+        if r == 1:
+            for pair, count in self.cancelled.items():
+                out[pair] = out.get(pair, 0) + count
+        return dict(sorted(out.items()))
+
+    def einf_by_level(self):
+        grade, gen = self.slots.grade, self.slots.gen
+        out = {}
+        for s in self.survivors:
+            if self._trusted(grade[s]):
+                key = (grade[s], self.level[gen[s]])
+                out[key] = out.get(key, 0) + 1
+        return dict(sorted(out.items()))
+
+
+def ref_tables(fc, full=None):
+    """RefTables of fc's whole window, paired without clearing and without
+    translation (fc's own cancelled pairs included)."""
+    if full is None:
+        full = full_expansion(fc)
+    events, survivors = ref_pairing_without_clearing(fc, full, fc.trusted_floor)
+    return RefTables(full, fc.level, events, survivors, fc.trusted_floor, fc.cancelled)
+
+
+def ref_graded_homology_rereduced(fc, exp, floor):
+    """_graded_homology_dims before clearing, on a whole window: each
+    block's boundaries are re-reduced from its source block into a fresh
+    space."""
     cols, gen, blocks, level = exp.cols, exp.gen, exp.blocks, fc.level
     source = {tgt: grade for grade, tgt in exp.lands.items()}
     out = {}
@@ -519,16 +614,18 @@ def test_clearing_matches_references_without_clearing():
     kinds = set()
     for fc in clearing_cases():
         data = analyze(fc)
-        events, survivors = ref_pairing_without_clearing(fc)
+        events, survivors = ref_pairing_without_clearing(fc, fc.expansion(), fc.period_floor)
         assert sorted(data.events) == sorted(events)
         assert sorted(data.survivors) == sorted(survivors)
-        ref = spectral.SpectralData(data.slots, data.level, events, survivors,
-                                    data.trusted_floor)
-        max_r = data.max_jump() + 1
-        assert pages(data, max_r) == pages(ref, max_r)
+        full = full_expansion(fc)
+        ref = ref_tables(fc, full)
+        max_r = ref.max_jump() + 1
+        assert data.max_jump() == ref.max_jump()
+        assert pages(data, max_r) == [SpectralPage(r, ref.page_dims(r), ref.d_ranks(r))
+                                      for r in range(1, max_r + 1)]
         assert data.einf_by_level() == ref.einf_by_level()
         rep = converge(fc, data)
-        assert rep.graded_homology == ref_graded_homology_rereduced(fc, data.trusted_floor)
+        assert rep.graded_homology == ref_graded_homology_rereduced(fc, full, fc.trusted_floor)
         assert rep.ok
         kinds.add((fc.base.convention, fc.extra_depth > 0,
                    any(g.alex2 is not None for g in fc.base.gens)))
@@ -663,3 +760,116 @@ def test_ss_output_is_the_unreduced_one(capsys, monkeypatch, tmp_path):
     for key, (a, b) in outs.items():
         assert a == b, key
         assert a[0] == 0, key
+
+
+# -- the periodic engine against the whole window ---------------------------------
+
+
+def random_piece_sums(rng, convention, unit, alex2):
+    """A tensor product of two direct sums of pieces a -> b (u^0..u^2, level
+    jumps 1 to 3) and isolated generators over one variable of this unit,
+    with levels that add, at extra depth 0 or 2.  In the floer convention
+    the generators carry an alex2 grading when asked; u flips it when the
+    unit is odd."""
+    vs = VarSet(("u",), (unit,))
+
+    def pieces(tag):
+        gens, diff, levels = [], {}, {}
+        for k in range(rng.randrange(1, 4)):
+            power, h, bit = rng.randrange(3), rng.randrange(-1, 2), rng.randrange(2)
+            if convention == CONV_KH:
+                q = 2 * rng.randrange(-1, 2)
+                a = Generator("%s%d_a" % (tag, k), h, q)
+                b = Generator("%s%d_b" % (tag, k), h + 1, q + 2 * unit * power)
+            else:
+                a = Generator("%s%d_a" % (tag, k), h, None, bit if alex2 else None)
+                b = Generator("%s%d_b" % (tag, k), h - 1 + unit * power, None,
+                              (bit + unit * power) % 2 if alex2 else None)
+            gens += [a, b]
+            diff[(a.gid, b.gid)] = Poly.var(vs, "u", power)
+            levels[a.gid] = rng.randrange(3)
+            levels[b.gid] = levels[a.gid] + rng.choice((1, 1, 2, 3))
+        if rng.random() < 0.5:
+            g = Generator("%siso" % tag, rng.randrange(-2, 3),
+                          2 * rng.randrange(-2, 3) if convention == CONV_KH else None,
+                          rng.randrange(2) if alex2 else None)
+            gens.append(g)
+            levels[g.gid] = rng.randrange(4)
+        return ChainComplex(vs, gens, diff, convention), levels
+
+    (c1, l1), (c2, l2) = pieces("p"), pieces("q")
+    levels = {a + "*" + b: l1[a] + l2[b] for a in l1 for b in l2}
+    return FilteredComplex(tensor(c1, c2), levels, rng.choice((0, 0, 2)))
+
+
+def periodic_cases():
+    """Generated floer complexes with and without alex2, over odd and even
+    units; generated kh complexes over both units; minus cubes with levels
+    h (every unit cancels) and 2h + a random bit at depths 0 and 2; and two
+    complexes with no periodic block: a hat cube and the empty complex."""
+    rng = random.Random(5150)
+    for unit in (HALF, FULL):
+        for alex2 in (True, False):
+            for _ in range(8):
+                yield random_piece_sums(rng, CONV_FLOER, unit, alex2)
+        for _ in range(6):
+            yield random_piece_sums(rng, CONV_KH, unit, False)
+    for d in (kh.parse_pd(TREFOIL), kh.parse_pd(FIG8), kh.cyclic_knot(5)):
+        cx = kh.ckh(d, "minus").complex
+        yield FilteredComplex(cx, {g.gid: g.h for g in cx.gens})
+        levels = random_bit_levels(cx, rng)
+        for depth in (0, 2):
+            yield FilteredComplex(cx, levels, depth)
+    cc = kh.ckh(kh.parse_pd(FIG8), "hat")
+    yield FilteredComplex(cc.complex, cc.levels)
+    yield FilteredComplex(ChainComplex(U1, [], {}, CONV_FLOER), {})
+
+
+def test_periodic_tables_match_the_whole_window():
+    """analyze and converge, which build the window only down to the first
+    periodic block of each class and count the blocks below as its
+    u-translates, give the tables of a slot-by-slot pairing of the whole
+    window, with and without the jump-1 cancellation."""
+    kinds = set()
+    for fc in periodic_cases():
+        full = full_expansion(fc)
+        ref = ref_tables(fc, full)
+        graded = ref_graded_homology_rereduced(fc, full, fc.trusted_floor)
+        max_r = ref.max_jump() + 1
+        for engine in (fc, fc.cancel_units()):
+            data = analyze(engine)
+            assert data.max_jump() == ref.max_jump()
+            for r in range(1, max_r + 1):
+                assert data.page_dims(r) == ref.page_dims(r), r
+                assert data.d_ranks(r) == ref.d_ranks(r), r
+            assert data.einf_by_level() == ref.einf_by_level()
+            rep = converge(engine, data)
+            assert rep.einf == ref.einf_by_level()
+            assert rep.graded_homology == graded
+            assert rep.ok
+        cx = fc.base
+        kinds.add((cx.convention, cx.vars.units, cx.alex2 is not None,
+                   bool(fc.cancel_units().cancelled), fc.extra_depth > 0,
+                   fc.period_floor is not None and len(full.gen) > len(fc.expansion().gen)))
+    odd, even = (HALF,), (FULL,)
+    for unit in (odd, even):
+        for alex2 in (True, False):
+            assert any(k[:3] == (CONV_FLOER, unit, alex2) and k[5] for k in kinds)
+        assert any(k[:2] == (CONV_KH, unit) and k[5] for k in kinds)
+    assert any(k[3] for k in kinds if k[0] == CONV_FLOER)  # jump-1 units cancelled
+    assert any(k[3] for k in kinds if k[0] == CONV_KH)
+    assert any(k[4] and k[5] for k in kinds)  # extra depth
+    assert any(k[1] == () for k in kinds)  # no variable: no periodic block
+    assert any(not k[5] and k[1] == odd for k in kinds)  # the empty complex
+
+
+def test_truncation_builds_no_more_slots():
+    """The extra depth of --truncation only deepens the translates: the
+    built window is the same, while the whole window grows."""
+    rng = random.Random(77)
+    for unit in (HALF, FULL):
+        fc = random_piece_sums(rng, CONV_FLOER, unit, True)
+        deep = FilteredComplex(fc.base, fc.levels, fc.extra_depth + 400)
+        assert len(deep.expansion().gen) == len(fc.expansion().gen)
+        assert len(full_expansion(deep).gen) > len(full_expansion(fc).gen)
+        assert analyze(deep).page_dims(1) != analyze(fc).page_dims(1)
