@@ -97,15 +97,17 @@ class ChainComplex:
                      h: list[int], q: list | None, alex2: list | None, cols: Columns,
                      convention: str = CONV_FLOER,
                      pairs: Mapping[str, tuple[str, ...]] | None = None,
-                     check: bool = True) -> "ChainComplex":
+                     check: bool = True,
+                     order: dict[str, int] | None = None) -> "ChainComplex":
         """The complex over at most one variable of its ids (a list, or a
         function that spells one), grade arrays and exponent columns, kept;
         check=True raises the id-keyed constructor's ValueError on the first
-        entry off degree, by source position."""
+        entry off degree, by source position.  order, when given, is the
+        list's id -> position dict, already built by the caller."""
         if vars.n > 1:
             raise ValueError("exponent columns need at most one variable")
         cx = cls.__new__(cls)
-        cx._set_gens(vars, ids, h, q, alex2, convention, pairs)
+        cx._set_gens(vars, ids, h, q, alex2, convention, pairs, order)
         if check:
             val, want, step = cx._degree_codes()
             step *= vars.units[0] if vars.n else 0
@@ -119,7 +121,8 @@ class ChainComplex:
         return cx
 
     def _set_gens(self, vars: VarSet, ids, h: list[int], q: list | None, alex2: list | None,
-                  convention: str, pairs: Mapping[str, tuple[str, ...]] | None) -> None:
+                  convention: str, pairs: Mapping[str, tuple[str, ...]] | None,
+                  order: dict[str, int] | None = None) -> None:
         # a grade no generator has is None; a speller's ids are unique by construction
         if convention not in (CONV_FLOER, CONV_KH):
             raise ValueError("unknown convention %r" % convention)
@@ -127,7 +130,9 @@ class ChainComplex:
         if callable(ids):
             self._spell = ids
         else:
-            self.ids, self.order = ids, {g: i for i, g in enumerate(ids)}
+            if order is None:
+                order = {g: i for i, g in enumerate(ids)}
+            self.ids, self.order = ids, order
             if len(self.order) != len(ids):
                 raise ValueError("duplicate generator ids")
         q, alex2 = (None if x is None or x.count(None) == len(x) else x for x in (q, alex2))

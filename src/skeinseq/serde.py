@@ -95,11 +95,9 @@ def load_complex(doc: dict[str, Any]):
              for k, v in _object(doc.get("pairs", {}), "'pairs'").items()}
     cx = None
     if cols is not None:
-        if len(order) != len(ids):  # the check from_columns makes on a list of ids
-            raise ValueError("duplicate generator ids")
-        try:  # handed over as a speller, the unique ids are not indexed again
-            cx = ChainComplex.from_columns(vs, lambda: ids, hs, qs, alexes, cols,
-                                           convention, pairs)
+        try:  # handed the id -> position dict, the complex does not index the ids again
+            cx = ChainComplex.from_columns(vs, ids, hs, qs, alexes, cols,
+                                           convention, pairs, order=order)
         except ValueError:  # raised again below, naming the document's first bad entry
             diff = _diff_by_ids(entries, vs, parsed)
     if cx is None:

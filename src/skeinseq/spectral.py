@@ -28,7 +28,8 @@ reduces to zero, so it is never inserted.
 
 `FilteredComplex.cancel_units` first cancels the unit entries that raise
 the level by exactly one (Gaussian elimination, which keeps every page from
-E_2 on); the cancelled pairs come back into E_1 and d_1 as counts per grade.
+E_2 on); the cancelled pairs come back into E_1 and d_1 as counts per grade,
+at the grades of the expansion's blocks (alex2 taken mod 2).
 """
 
 from __future__ import annotations
@@ -79,11 +80,9 @@ class FilteredComplex:
                                      % (base.ids[i], level[i], base.ids[j], level[j]))
         self.trusted_floor: int | None = None  # minimal trusted slice value
         self._lo: int | None = None  # floor of the whole window, counted but not built
-        # the lowest slice value analysed, and the highest of a periodic block:
-        # the blocks between them are the first periodic block of each class
+        # the lowest slice value analysed: the blocks from it up one u-step
+        # are the first periodic block of each class
         self.period_floor: int | None = None
-        self._periodic: int | None = None
-        self._cut: int | None = None  # floor of the built window
         if base.vars.n > 1:
             raise ValueError("the spectral engine works over F2 or a single F2[u]")
         if base.vars.n:
@@ -95,11 +94,9 @@ class FilteredComplex:
             self._lo = self.trusted_floor - 2 * step
             # A block at slice value v leaves from and lands in the blocks at
             # v + 1 and v - 1 (floer) or at v itself (kh); all three lie below
-            # every generator once v <= bot - 2 + axis.  The built window runs
-            # down to where the lowest analysed blocks land.
-            self._periodic = bot - 2 + axis
-            self.period_floor = self._periodic - step + 1
-            self._cut = self.period_floor - 1 + axis
+            # every generator once v <= bot - 2 + axis: the one u-step of
+            # slice values up to it holds the first periodic blocks.
+            self.period_floor = bot - 1 + axis - step
         self._expansion: Expansion | None = None
         # jump-1 pairs of slots taken out by cancel_units(), per
         # (source grade, target grade), trusted sources only
@@ -131,7 +128,7 @@ class FilteredComplex:
         out.trusted_floor, out._lo = self.trusted_floor, self._lo
         # every generator pair repeats at each u-step below it
         grades = Counter((base.grade_at(x), base.grade_at(y)) for x, y, _ in pairs)
-        out.cancelled = _unroll(base, grades, self.trusted_floor, inf)
+        out.cancelled = _unroll(self, grades, inf)
         return out
 
     def expansion(self) -> Expansion:
@@ -139,15 +136,16 @@ class FilteredComplex:
         built on first use and kept.
 
         It runs down to the lowest analysed blocks, at ``period_floor``, and
-        the blocks they land in.  The whole window, which reaches two u-steps
-        below the trusted floor so that every trusted slot's differential
-        stays inside, is held to ``MAX_EXPANSION_SLOTS`` but never built.
+        the blocks they land in (one slice value lower in floer).  The whole
+        window, which reaches two u-steps below the trusted floor so that
+        every trusted slot's differential stays inside, is held to
+        ``MAX_EXPANSION_SLOTS`` but never built.
         The blocks from ``period_floor`` up one u-step, and their source and
         target blocks, lie strictly below every generator's slice value, so
         they hold every generator of their class, and so does every block of
         the class below them: those repeat their columns and levels exactly,
         one u-step down each, and `analyze` and `converge` count the results
-        of the first periodic blocks again at each translate (`unroll`)
+        of the first periodic blocks again at each translate (`_unroll`)
         instead of building them.  Within a block, slots run in reverse of
         the reduction order (level descending, then gid), so a column's bit
         p stands for the row p-th from the end of that order.
@@ -155,29 +153,31 @@ class FilteredComplex:
         if self._expansion is None:
             ids, level = self.base.ids, self.level
             order = sorted(range(len(ids)), reverse=True, key=lambda i: (-level[i], ids[i]))
-            if self._lo is not None:
-                check_expansion_size(self.base, self._lo)
-            self._expansion = Expansion(self.base, self._cut, order)
+            floor = self._lo
+            if floor is not None:
+                check_expansion_size(self.base, floor)
+                floor = self.period_floor - 1 + int(self.base.convention == CONV_KH)
+            self._expansion = Expansion(self.base, floor, order)
         return self._expansion
 
-    def unroll(self, counts: Counter) -> Counter:
-        """Counts keyed by (grade, ...) on the built window, over the whole
-        trusted window: each key of a first periodic block (slice value from
-        ``period_floor`` up one u-step) counted again at every u-translate
-        down to the trusted floor."""
-        if self._periodic is None:
-            return counts
-        return _unroll(self.base, counts, self.trusted_floor, self._periodic)
 
-
-def _unroll(cx: ChainComplex, counts: Counter, floor: int, top: float) -> Counter:
-    """counts keyed by tuples led by a grade, with each key whose grade has
-    slice value at most top counted again at its u-translates u^j, j >= 1,
-    that keep the slice value at least floor.  Every grade in a key shifts
-    (h or q down j steps, alex2 flipped j times by the weight of u); its
-    other entries, jumps and levels, stay."""
+def _unroll(fc: FilteredComplex, counts: Counter, top: float | None = None) -> Counter:
+    """counts keyed by tuples led by a grade of ``fc.base``, over the whole
+    trusted window: each key whose grade has slice value at most top (by
+    default the highest of a first periodic block, one u-step less one above
+    ``fc.period_floor``) counted at its u-translates u^j, j >= 0, that keep
+    the slice value at least the trusted floor, and every other key once.
+    Every grade in a key shifts (h or q down j steps, alex2 flipped j times
+    by the weight of u and taken mod 2, as the expansion's blocks hold it);
+    its other entries, jumps and levels, stay.  Without a variable there is
+    nothing to translate."""
+    cx, floor = fc.base, fc.trusted_floor
+    if floor is None:
+        return counts
     axis = int(cx.convention == CONV_KH)
     step = cx.ustep()
+    if top is None:
+        top = fc.period_floor + step[axis] - 1
     flip = cx.vars.units[0] % 2
     width = len(step)
 
@@ -185,12 +185,11 @@ def _unroll(cx: ChainComplex, counts: Counter, floor: int, top: float) -> Counte
         head = tuple(g - j * s for g, s in zip(grade, step))
         return head + tuple((a + j * flip) % 2 for a in grade[width:])
 
-    out = Counter(counts)
+    out: Counter = Counter()
     for key, count in counts.items():
         v = key[0][axis]
-        if v <= top:
-            for j in range(1, (v - floor) // step[axis] + 1):
-                out[tuple(shift(g, j) if type(g) is tuple else g for g in key)] += count
+        for j in range((v - floor) // step[axis] + 1 if v <= top else 1):
+            out[tuple(shift(g, j) if type(g) is tuple else g for g in key)] += count
     return out
 
 
@@ -266,7 +265,7 @@ def analyze(fc: FilteredComplex) -> SpectralData:
     Each block from ``fc.period_floor`` up is paired against the block its
     differential lands in; the pairing of a block-diagonal matrix is the
     union of the block pairings, and the blocks below are u-translates of
-    the lowest ones (``fc.unroll``).  Columns are reduced in order (level
+    the lowest ones (`_unroll`).  Columns are reduced in order (level
     descending, then gid), the reverse of the slot order, so the persistence
     "low" of a column (its last row in that order) is the eliminator's
     lowest set bit.
@@ -311,10 +310,10 @@ def analyze(fc: FilteredComplex) -> SpectralData:
         raise AssertionError("nonpositive level jump in pairing")
     survivors = [s for s in zero if s not in targets]
     at = exp.grade
-    pairs = fc.unroll(Counter((at[e.y], at[e.x], e.jump) for e in events))
+    pairs = _unroll(fc, Counter((at[e.y], at[e.x], e.jump) for e in events))
     for (y, x), count in fc.cancelled.items():
         pairs[(y, x, 1)] += count
-    einf = fc.unroll(Counter((at[s], level[gen[s]]) for s in survivors))
+    einf = _unroll(fc, Counter((at[s], level[gen[s]]) for s in survivors))
     return SpectralData(exp, level, events, survivors, fc.trusted_floor, pairs, einf)
 
 
@@ -455,4 +454,4 @@ def _graded_homology_dims(fc: FilteredComplex) -> dict[tuple[Grade, int], int]:
             if dim > above:
                 out[(grade, lvl)] = dim - above
             above = dim
-    return dict(sorted(fc.unroll(out).items()))
+    return dict(sorted(_unroll(fc, out).items()))

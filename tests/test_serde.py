@@ -99,12 +99,12 @@ def test_load_complex_parses_each_entry_text_once(monkeypatch):
     assert cx.diff == {} and texts == ["u"]
 
 
-def test_load_complex_refuses_repeated_ids_once():
+def test_load_complex_refuses_repeated_ids_once(monkeypatch):
     """A repeated id is refused with one message on every route: the column
     route (one variable), the id-keyed one (several variables, or an entry
-    naming no generator) and an entry off degree; a malformed entry is still
-    named first.  On the column route the one id -> position dict is the one
-    the loader builds: the complex is handed a speller and indexes nothing."""
+    naming no generator) and an entry off degree; a malformed entry or an
+    unknown convention is still named first.  On the column route the one
+    id -> position dict is the one the loader builds for the columns."""
     u = [{"name": "u", "unit": "1/2"}]
     twice = [{"id": "a", "h": 1}, {"id": "b", "h": 0}, {"id": "a", "h": 1}]
     for variables, diff in (
@@ -120,6 +120,16 @@ def test_load_complex_refuses_repeated_ids_once():
     doc = {"variables": u, "generators": twice, "diff": [{"from": "a", "to": "b", "poly": "w"}]}
     with pytest.raises(KeyError, match="unknown variable 'w'"):
         load_complex(doc)
+    for variables in (u, u + [{"name": "v", "unit": "1"}]):
+        doc = {"variables": variables, "generators": twice, "convention": "x",
+               "diff": [{"from": "a", "to": "b", "poly": "1"}]}
+        with pytest.raises(ValueError, match="^unknown convention 'x'$"):
+            load_complex(doc)
+    built = []
+    columns = serde._diff_columns
+    monkeypatch.setattr(serde, "_diff_columns",
+                        lambda entries, vs, order, *rest: built.append(order)
+                        or columns(entries, vs, order, *rest))
     cx, _, _ = load_complex({"variables": u, "generators": twice[:2],
                              "diff": [{"from": "a", "to": "b", "poly": "1"}]})
-    assert "order" not in vars(cx) and cx.ids == ["a", "b"] and cx.order == {"a": 0, "b": 1}
+    assert cx.ids == ["a", "b"] and cx.order == {"a": 0, "b": 1} and cx.order is built[0]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 from bisect import bisect_left
+from itertools import islice
 
 import pytest
 
@@ -446,8 +447,9 @@ def test_slices_and_graded_homology_match_references():
         assert fc.trusted_floor == floor
         # the built window is the top of the whole one
         exp = fc.expansion()
+        cut = None if fc.period_floor is None else fc.period_floor - (cx.convention != CONV_KH)
         top = [s for s in slot_names(fc, full)
-               if fc._cut is None or ref_scalar(s[2], cx.convention) >= fc._cut]
+               if cut is None or ref_scalar(s[2], cx.convention) >= cut]
         assert sorted(slot_names(fc, exp)) == sorted(top)
         dims = spectral._graded_homology_dims(fc)
         assert dims == ref_graded_homology_dims(fc, floor)
@@ -668,11 +670,26 @@ def alex2_unit_sums(rng):
         yield FilteredComplex(cx, levels, rng.choice((0, 2)))
 
 
+def wide_alex2(fc, rng):
+    """The same filtered complex with each alex2 moved by -2, 0 or 2: a
+    document may give any integer, and only its class mod 2 grades."""
+    cx = fc.base
+    alex2 = [a + 2 * rng.randrange(-1, 2) for a in cx.alex2]
+    wide = ChainComplex.from_columns(cx.vars, list(cx.ids), cx.h, None, alex2, cx.cols,
+                                     CONV_FLOER)
+    return FilteredComplex(wide, fc.levels, fc.extra_depth)
+
+
+def is_wide(cx):
+    return cx.alex2 is not None and any(a not in (0, 1) for a in cx.alex2)
+
+
 def cancel_cases():
     """Unreduced filtered complexes: the corpus minus cubes (cyclic 5 and 7
     among them) and cyclic_knot(3); the hard families and the planted sums,
     where nothing cancels; floer sums with units and an alex2 grading;
-    corpus minus cubes with levels 2h + random bit at extra depth 0 and 2."""
+    corpus minus cubes with levels 2h + random bit at extra depth 0 and 2;
+    floer sums with units and alex2 values beyond 0 and 1."""
     cubes = [kh.ckh(d, "minus").complex
              for d in list(corpus().values()) + [kh.cyclic_knot(3)]]
     for cx in cubes:
@@ -688,6 +705,9 @@ def cancel_cases():
         levels = random_bit_levels(cx, rng)
         for depth in (0, 2):
             yield FilteredComplex(cx, levels, depth)
+    rng = random.Random(4096)
+    for fc in islice(alex2_unit_sums(rng), 8):
+        yield wide_alex2(fc, rng)
 
 
 def test_cancelled_units_keep_pages_and_einf():
@@ -739,12 +759,14 @@ def test_cancelled_pairs_are_counted_per_translate():
 def test_ss_output_is_the_unreduced_one(capsys, monkeypatch, tmp_path):
     """cmd_ss prints the same bytes with and without the cancellation."""
     rng = random.Random(7)
-    docs = []
+    docs, bases = [], []
     for i, fc in enumerate(cancel_cases()):
-        if fc.base.n > 300 or fc.base.convention == CONV_FLOER and rng.random() < 0.8:
-            continue  # the small cubes and a sample of the floer families
+        if fc.base.n > 300 or (fc.base.convention == CONV_FLOER and not is_wide(fc.base)
+                               and rng.random() < 0.8):
+            continue  # the small cubes, a sample of the floer families and the wide alex2
         path = tmp_path / ("doc%d.json" % i)
         path.write_text(json.dumps(serde.dump_complex(fc.base, fc.levels)))
+        bases.append(fc.base)
         docs.append((str(path), ["--truncation", str(fc.extra_depth)]))
     modes = ([], ["--truncation", "2"], ["--max-r", "4"], ["--out", "json"])
     outs = {}
@@ -757,6 +779,7 @@ def test_ss_output_is_the_unreduced_one(capsys, monkeypatch, tmp_path):
                 outs.setdefault((path, tuple(depth + mode)), []).append(
                     (code, capsys.readouterr()))
     assert len(outs) == 4 * len(docs) and len(docs) > 30
+    assert sum(map(is_wide, bases)) == 8
     for key, (a, b) in outs.items():
         assert a == b, key
         assert a[0] == 0, key
@@ -806,12 +829,17 @@ def periodic_cases():
     """Generated floer complexes with and without alex2, over odd and even
     units; generated kh complexes over both units; minus cubes with levels
     h (every unit cancels) and 2h + a random bit at depths 0 and 2; and two
-    complexes with no periodic block: a hat cube and the empty complex."""
-    rng = random.Random(5150)
+    complexes with no periodic block: a hat cube and the empty complex.
+    The floer complexes with alex2 come again with alex2 values beyond 0
+    and 1, and so do floer sums with jump-1 units."""
+    rng, wide = random.Random(5150), random.Random(6)
     for unit in (HALF, FULL):
         for alex2 in (True, False):
             for _ in range(8):
-                yield random_piece_sums(rng, CONV_FLOER, unit, alex2)
+                fc = random_piece_sums(rng, CONV_FLOER, unit, alex2)
+                yield fc
+                if alex2:
+                    yield wide_alex2(fc, wide)
         for _ in range(6):
             yield random_piece_sums(rng, CONV_KH, unit, False)
     for d in (kh.parse_pd(TREFOIL), kh.parse_pd(FIG8), kh.cyclic_knot(5)):
@@ -823,6 +851,8 @@ def periodic_cases():
     cc = kh.ckh(kh.parse_pd(FIG8), "hat")
     yield FilteredComplex(cc.complex, cc.levels)
     yield FilteredComplex(ChainComplex(U1, [], {}, CONV_FLOER), {})
+    for fc in islice(alex2_unit_sums(wide), 8):
+        yield wide_alex2(fc, wide)
 
 
 def test_periodic_tables_match_the_whole_window():
@@ -850,13 +880,16 @@ def test_periodic_tables_match_the_whole_window():
         cx = fc.base
         kinds.add((cx.convention, cx.vars.units, cx.alex2 is not None,
                    bool(fc.cancel_units().cancelled), fc.extra_depth > 0,
-                   fc.period_floor is not None and len(full.gen) > len(fc.expansion().gen)))
+                   fc.period_floor is not None and len(full.gen) > len(fc.expansion().gen),
+                   is_wide(cx)))
     odd, even = (HALF,), (FULL,)
     for unit in (odd, even):
         for alex2 in (True, False):
             assert any(k[:3] == (CONV_FLOER, unit, alex2) and k[5] for k in kinds)
+        assert any(k[:3] == (CONV_FLOER, unit, True) and k[5] and k[6] for k in kinds)
         assert any(k[:2] == (CONV_KH, unit) and k[5] for k in kinds)
     assert any(k[3] for k in kinds if k[0] == CONV_FLOER)  # jump-1 units cancelled
+    assert any(k[3] and k[6] for k in kinds)  # ... at alex2 values beyond 0 and 1
     assert any(k[3] for k in kinds if k[0] == CONV_KH)
     assert any(k[4] and k[5] for k in kinds)  # extra depth
     assert any(k[1] == () for k in kinds)  # no variable: no periodic block
