@@ -9,7 +9,7 @@ import sys
 
 from . import khovanov as kh
 from . import models, serde
-from .complexes import UHomology, check_mod_u, homology, homology_f2
+from .complexes import ChainComplex, UHomology, check_mod_u, homology, homology_f2, kill_vars, mod_u_dims
 from .infer import enumerate_patterns, resolve_filtration
 from .spectral import FilteredComplex, analyze, check_constraints, converge, pages
 
@@ -39,16 +39,31 @@ def _diagram_from_args(args) -> kh.LinkDiagram:
     return d
 
 
+FLAVORS = ("minus", "hat", "reduced")
+
+
+def flavor_dims(cx: ChainComplex, flavor: str) -> dict[tuple[int, ...], int]:
+    """The nonzero hat or reduced dimensions of a minus cube by grade: hat
+    is cx/U = cx/u^2, read off the minus summands checked mod u; reduced cx/u."""
+    if flavor == "hat":
+        hom = UHomology(cx)
+        check_mod_u(cx, hom.summands)
+        dims = mod_u_dims(hom.summands, cx.ustep(), (1, 0), 2)  # kh: d raises h by 1
+    else:
+        dims = homology_f2(kill_vars(cx))
+    return {k: v for k, v in dims.items() if v}
+
+
 def cmd_kh(args) -> int:
     d = _diagram_from_args(args)
     if args.flavor == "reduced" and args.basepoint is None:
         raise ValueError("reduced flavor requires --basepoint")
-    cc = kh.ckh(d, args.flavor, args.basepoint)
+    cx = kh.ckh(d, args.basepoint).complex
     lines: list[str] = []
     payload: dict = {"flavor": args.flavor}
     if args.flavor == "minus":
-        hom = UHomology(cc.complex)
-        check_mod_u(cc.complex, hom.summands)
+        hom = UHomology(cx)
+        check_mod_u(cx, hom.summands)
         table = hom.by_grading()
         h0, q0 = _normalize(list(table))
         lines.append("h_rel\tq_rel\tfree\ttorsion")
@@ -71,7 +86,7 @@ def cmd_kh(args) -> int:
             }
         )
     else:
-        dims = {k: v for k, v in homology_f2(cc.complex).items() if v}
+        dims = flavor_dims(cx, args.flavor)
         h0, q0 = _normalize(list(dims))
         lines.append("h_rel\tq_rel\tdim")
         rows = []
@@ -201,28 +216,20 @@ def _khovanov_golden_rows():
     def note(label, passed, detail=""):
         rows.append((label, passed, detail))
 
-    cc = kh.ckh(kh.parse_pd("U"), "hat")
-    note("unknot hat dim 2", sum(homology_f2(cc.complex).values()) == 2)
+    unknot = kh.ckh(kh.parse_pd("U")).complex
+    note("unknot hat dim 2", sum(flavor_dims(unknot, "hat").values()) == 2)
     mt = kh.mirror(kh.parse_pd(TREFOIL_PD))
-    hom = homology(kh.ckh(mt, "minus").complex, "u")
+    cx = kh.ckh(mt).complex
+    hom = homology(cx, "u")
     note("mirror trefoil minus free rank 3", hom.free_rank == 3 and not hom.torsion)
-    note(
-        "mirror trefoil hat dim 6",
-        sum(homology_f2(kh.ckh(mt, "hat").complex).values()) == 6,
-    )
-    dims = {
-        k: v
-        for k, v in homology_f2(
-            kh.ckh(mt, "reduced", basepoint=min(mt.arcs)).complex
-        ).items()
-        if v
-    }
+    note("mirror trefoil hat dim 6", sum(flavor_dims(cx, "hat").values()) == 6)
+    dims = flavor_dims(cx, "reduced")
     note(
         "mirror trefoil reduced dim 3 in one delta class",
         sum(dims.values()) == 3 and len({q - 2 * h for (h, q) in dims}) == 1,
     )
     mh = kh.mirror(kh.parse_pd(HOPF_PD))
-    cc = kh.ckh(mh, "minus")
+    cc = kh.ckh(mh)
     hom = homology(cc.complex, "u")
     note("mirror hopf minus free rank 2", hom.free_rank == 2 and not hom.torsion)
     acts = [
@@ -236,7 +243,7 @@ def _khovanov_golden_rows():
     fc = FilteredComplex(cc.complex, cc.levels).cancel_units()
     note("mirror hopf cube converges", converge(fc, analyze(fc)).ok)
     for n in (1, 2, 3, 4):
-        hom = homology(kh.ckh(kh.unlink(n), "minus").complex, "u")
+        hom = homology(kh.ckh(kh.unlink(n)).complex, "u")
         note(
             "unlink %d minus rank 2^%d over F[U]" % (n, n),
             hom.free_rank == 2 ** (n - 1) and not hom.torsion,
@@ -263,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kh", help="homology of a planar diagram")
     p.add_argument("--pd", help="PD text, e.g. PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]")
     p.add_argument("--in", dest="infile", help="diagram JSON file")
-    p.add_argument("--flavor", choices=kh.FLAVORS, default="minus")
+    p.add_argument("--flavor", choices=FLAVORS, default="minus")
     p.add_argument("--basepoint", type=int)
     p.add_argument("--mirror", action="store_true")
     p.add_argument("--swap-resolutions", action="store_true")

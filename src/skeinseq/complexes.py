@@ -761,35 +761,42 @@ def cancel_units(cx: ChainComplex, level: Sequence[int] | None = None,
         cx.convention, cx.pairs, check=False)
 
 
-def check_mod_u(cx: ChainComplex, summands: Sequence[Summand]) -> None:
-    """Compare a decomposition of H(cx) with the F2 homology of cx/u.
+def mod_u_dims(summands: Sequence[Summand], step: Grade, back: Grade, m: int) -> Counter:
+    """The F2 dimensions of H(C tensor F2[u]/u^m) by grade, from a decomposition
+    of H(C) over F2[u] (universal coefficients; step is the grade drop of u,
+    back the grade change of d).  A free summand at g gives one at each
+    g - j step, j < m.  A u^k summand at g, the class of y where x --u^k--> y,
+    gives one at each g - j step for j < min(k, m) (the cokernel of u^k) and
+    one at each g_x - j step for m - min(k, m) <= j < m (its kernel), where
+    x sits at g_x = g - k step - back."""
+    dims: Counter = Counter()
 
-    By the universal coefficient theorem a free summand at grade g gives one
-    dimension of H(cx/u) at g, and a u^k torsion summand one at g and one at
-    the grade of the chain it bounds: g lowered by k u-steps and moved back
-    one differential step.  The dimensions of H(cx/u) come from kill_vars
-    and homology_f2 alone, so the check shares no work with the
-    decomposition.
-    """
+    def add(grades: Grade, js: range) -> None:
+        dims.update(tuple(g - j * u for g, u in zip(grades, step)) for j in js)
+    for s in summands:
+        k = m if s.free else min(s.order, m)
+        add(s.grades, range(k))
+        if not s.free:
+            x = tuple(g - s.order * u - b for g, u, b in zip(s.grades, step, back))
+            add(x, range(m - k, m))
+    return dims
+
+
+def check_mod_u(cx: ChainComplex, summands: Sequence[Summand]) -> None:
+    """Compare a decomposition of H(cx) with the F2 homology of cx/u, which
+    mod_u_dims predicts at m = 1.  H(cx/u) comes from kill_vars and
+    homology_f2 alone, so the check shares no work with the decomposition."""
     step = cx.ustep()  # raises unless cx has one variable
     back = (1, 0) if cx.convention == CONV_KH else (-1,)  # a differential step
-    dims: dict[Grade, int] = {}
+    dims: Counter = Counter()
     for grade, dim in homology_f2(kill_vars(cx)).items():
-        key = grade[:len(step)]  # floer: forget the mod-2 alexander grade
-        dims[key] = dims.get(key, 0) + dim
-    predicted: dict[Grade, int] = {}
-    for s in summands:
-        keys = [s.grades]
-        if not s.free:
-            keys.append(tuple(x - s.order * u - b
-                              for x, u, b in zip(s.grades, step, back)))
-        for key in keys:
-            predicted[key] = predicted.get(key, 0) + 1
+        dims[grade[:len(step)]] += dim  # floer: forget the mod-2 alexander grade
+    predicted = mod_u_dims(summands, step, back, 1)
     for key in sorted(set(dims) | set(predicted)):
-        if dims.get(key, 0) != predicted.get(key, 0):
+        if dims[key] != predicted[key]:
             raise ArithmeticError(
                 "mod-u dimension mismatch at %r: %d vs %d predicted"
-                % (key, dims.get(key, 0), predicted.get(key, 0))
+                % (key, dims[key], predicted[key])
             )
 
 

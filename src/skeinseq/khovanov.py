@@ -3,9 +3,10 @@
 PD crossings are 4-tuples of arc ids read cyclically; the 0-smoothing of
 X(a,b,c,d) joins (a,d) and (b,c), the 1-smoothing joins (a,b) and (c,d).
 The coefficient algebra assigns each resolved circle the rank-2 module
-with labels 1, x and relation x^2 = U; the minus flavor is presented as a
-free module over F2[u] with u the label action of the marked point (so
-U = u^2), the hat flavor quotients by U, the reduced one by u.
+with labels 1, x and relation x^2 = U.  ckh builds one cube, the minus
+complex C: a free module over F2[u] with u the label action of the marked
+point, so U = u^2.  The other flavours are its quotients, hat C/U = C/u^2
+and reduced C/u, and are read off C (cli.flavor_dims).
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .complexes import CONV_KH, MAX_CUBE_GENERATORS, MAX_CUBE_VERTICES, ChainCom
 from .poly import HALF, Poly, VarSet
 
 Crossing = tuple[int, int, int, int]
-
-FLAVORS = ("minus", "hat", "reduced")
 
 
 @dataclass(frozen=True)
@@ -373,7 +372,6 @@ def _vertex_ids(vertex: tuple[int, ...], free: list[int]) -> list[str]:
 
 def _edge_rule(
     split: bool, size: int, src_bits: tuple[int, ...], tgt_bits: tuple[int, ...],
-    flavor: str,
 ) -> list[tuple[int, int, int]]:
     """A merge or split on label masks: the entries (source mask, target
     mask, u exponent), by source mask.
@@ -383,9 +381,8 @@ def _edge_rule(
     split's in order), 0 for the basepoint circle.  That circle carries no
     label, so an x on it in the image is one more power of u.  A merge sends
     x x to U, x 1 and 1 x to x, 1 1 to 1; a split sends 1 to 1 x + x 1 and x
-    to x x + U; the flavor keeps some terms.  A carry table moves the
-    circles the edge leaves alone, which keep their order, to their target
-    bits.
+    to x x + U.  A carry table moves the circles the edge leaves alone,
+    which keep their order, to their target bits.
     """
     sel = sum(src_bits)
     changed = sum(tgt_bits)
@@ -406,27 +403,22 @@ def _edge_rule(
             outs = [(0, tgt_bits), (1, ())]
         else:
             outs = [(0, tgt_bits[:1]), (0, tgt_bits[1:])]
-        terms[sum(picked)] = out = []
-        for ucount, xs in outs:
-            t = 2 * ucount + xs.count(0)
-            if not ((flavor == "hat" and ucount) or (flavor == "reduced" and t)):
-                out.append((sum(xs), t))
+        terms[sum(picked)] = [(sum(xs), 2 * ucount + xs.count(0)) for ucount, xs in outs]
     return [(m, carry[m] | mask, t) for m in range(1 << size) for mask, t in terms[m & sel]]
 
 
-def _vertices(d: LinkDiagram, basepoint_arc: int | None, labs: list[tuple[list[int], int]]):
-    """(index, vertex, lab, count, basepoint circle or None, position of
-    the first generator) of every vertex of d's cube."""
+def _vertices(d: LinkDiagram, basepoint_arc: int, labs: list[tuple[list[int], int]]):
+    """(index, vertex, lab, count, basepoint circle, position of the first
+    generator) of every vertex of d's cube."""
     n = len(d.crossings)
-    bp = None if basepoint_arc is None else d.arcs.index(basepoint_arc)
+    bp = d.arcs.index(basepoint_arc)
     pos = 0
     for i, (lab, count) in enumerate(labs):
-        base = None if bp is None else lab[bp]
-        yield i, tuple((i >> j) & 1 for j in range(n)), lab, count, base, pos
-        pos += 1 << (count - (base is not None))
+        yield i, tuple((i >> j) & 1 for j in range(n)), lab, count, lab[bp], pos
+        pos += 1 << (count - 1)
 
 
-def _cube_ids(d: LinkDiagram, basepoint_arc: int | None, labs: list[tuple[list[int], int]]):
+def _cube_ids(d: LinkDiagram, basepoint_arc: int, labs: list[tuple[list[int], int]]):
     """The generator ids of d's cube, vertex by vertex and by label mask."""
     arcs = d.arcs
     return [g for _, v, lab, count, base, _ in _vertices(d, basepoint_arc, labs)
@@ -439,8 +431,7 @@ class CubeComplex:
     which the views levels, states and info are built on first use."""
 
     diagram: LinkDiagram
-    flavor: str
-    basepoint_arc: int | None
+    basepoint_arc: int
     complex: ChainComplex
     labs: list[tuple[list[int], int]] = field(repr=False)
 
@@ -470,14 +461,14 @@ class CubeComplex:
         return info
 
 
-def ckh(d: LinkDiagram, flavor: str, basepoint: int | None = None) -> CubeComplex:
-    """Cube-of-resolutions complex in the requested flavor.
+def ckh(d: LinkDiagram, basepoint: int | None = None) -> CubeComplex:
+    """The minus cube-of-resolutions complex, marked at the basepoint arc
+    (the least arc by default).
 
     h is the number of 1-resolutions, q the label grading, and the
     filtration level equals h.  Gradings are relative; reports normalize.
+    Hat and reduced are its quotients by u^2 and u (cli.flavor_dims).
     """
-    if flavor not in FLAVORS:
-        raise ValueError("flavor must be one of %r" % (FLAVORS,))
     n = len(d.crossings)
     if 1 << n > MAX_CUBE_VERTICES:
         raise ValueError(
@@ -493,39 +484,33 @@ def ckh(d: LinkDiagram, flavor: str, basepoint: int | None = None) -> CubeComple
             % (n, d.free_loops, n + d.free_loops, MAX_CUBE_VERTICES)
         )
     arcs = d.arcs
-    if flavor == "reduced" and basepoint is None:
-        raise ValueError("reduced flavor requires a basepoint")
-    if basepoint is not None and basepoint not in arcs:
-        raise ValueError("basepoint on unknown arc %r" % basepoint)
-    if flavor == "minus" and basepoint is None:
+    if basepoint is None:
         basepoint = min(arcs)
-    elif flavor == "hat":
-        basepoint = None
+    elif basepoint not in arcs:
+        raise ValueError("basepoint on unknown arc %r" % (basepoint,))
 
     start, flip = _resolver(d)
     labs = [start]  # vertex i from i without its top bit
     for i in range(1, 1 << n):
         j = i.bit_length() - 1
         labs.append(flip(*labs[i ^ 1 << j], j, i))
-    marked = basepoint is not None
-    total = sum(1 << (count - marked) for _, count in labs)
+    total = sum(1 << (count - 1) for _, count in labs)
     if total > MAX_CUBE_GENERATORS:
         raise ValueError(
             "the cube of this %d-crossing diagram has %d generators, above the"
             " limit of %d" % (n, total, MAX_CUBE_GENERATORS)
         )
-    vs = VarSet(("u",), (HALF,)) if flavor == "minus" else VarSet((), ())
 
-    # the basepoint circle (count, no circle, in hat) and the circle bits by vertex
-    bp = arcs.index(basepoint) if marked else None
-    bases = [lab[bp] if marked else count for lab, count in labs]
+    # the basepoint circle and the circle bits by vertex
+    bp = arcs.index(basepoint)
+    bases = [lab[bp] for lab, _ in labs]
     bits = [[0 if x == b else 1 << (x - (x > b)) for x in range(count)]
             for (_, count), b in zip(labs, bases)]
     # by position, h is the vertex's 1-smoothings and q = count + h - 2 * (x labels)
     hs, qs, starts = [], [], []  # and the position of each vertex's first generator
     drops = [-2 * bin(m).count("1") for m in range(1 << max(count for _, count in labs))]
     for i, (_, count) in enumerate(labs):
-        h, size = bin(i).count("1"), count - marked
+        h, size = bin(i).count("1"), count - 1
         starts.append(len(hs))
         hs += [h] * (1 << size)
         qs += map((count + h).__add__, drops[:1 << size])
@@ -537,7 +522,7 @@ def ckh(d: LinkDiagram, flavor: str, basepoint: int | None = None) -> CubeComple
     rules: dict[tuple, list[tuple[int, int, int]]] = {}
     for i, (lab, _) in enumerate(labs):
         bit = bits[i]
-        size = len(bit) - marked
+        size = len(bit) - 1
         at = starts[i]
         for j, (a, b, c) in enumerate(crossings):
             if (i >> j) & 1:
@@ -555,20 +540,19 @@ def ckh(d: LinkDiagram, flavor: str, basepoint: int | None = None) -> CubeComple
                 key = (split, size, (bit[x],), (bit2[p], bit2[q]))
             rule = rules.get(key)
             if rule is None:
-                rule = rules[key] = _edge_rule(*key, flavor)
+                rule = rules[key] = _edge_rule(*key)
             at2 = starts[i2]
             for m, t, e in rule:
                 cols[at + m][pos[at2 + t]] = e
 
     # a speller that refers to no cube, so no cube is freed only by the cyclic GC
-    cx = ChainComplex.from_columns(vs, lambda: _cube_ids(d, basepoint, labs), hs, qs, None, cols, CONV_KH)
-    return CubeComplex(d, flavor, basepoint, cx, labs)
+    cx = ChainComplex.from_columns(VarSet(("u",), (HALF,)), lambda: _cube_ids(d, basepoint, labs),
+                                   hs, qs, None, cols, CONV_KH)
+    return CubeComplex(d, basepoint, cx, labs)
 
 
 def basepoint_action(cc: CubeComplex, arc: int) -> ChainMap:
     """Multiplication by the label of the circle through a marked arc."""
-    if cc.flavor != "minus":
-        raise ValueError("basepoint actions live on the minus flavor")
     if arc not in cc.diagram.arcs:
         raise ValueError("unknown point %r" % arc)
     vs = cc.complex.vars

@@ -4,10 +4,12 @@ import random
 import time
 
 from skeinseq import khovanov as kh
+from skeinseq.cli import flavor_dims
 from skeinseq.complexes import UHomology, collapse_all, homology_f2
 from skeinseq.infer import PageSpec, Pattern, TargetSpec, Tower, enumerate_patterns, resolve_filtration
 from skeinseq.models import build_model, canonical_fg, run_model_suite, top_homology_table, verify_action
 from skeinseq.spectral import FilteredComplex, SpectralPage, analyze, check_constraints, converge, pages
+from test_khovanov import reference_cube
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 HOPF = "PD[X(1,3,2,4),X(3,1,4,2)]"
@@ -46,18 +48,18 @@ def report(criterion, ok):
 
 
 def hat_dim(d):
-    return sum(homology_f2(kh.ckh(d, "hat").complex).values())
+    return sum(flavor_dims(kh.ckh(d).complex, "hat").values())
 
 
 def test_criterion_1_khovanov_flavors():
     t0 = time.time()
     ok = hat_dim(kh.parse_pd("U")) == 2
     mt = kh.mirror(kh.parse_pd(TREFOIL))
-    hom = UHomology(kh.ckh(mt, "minus").complex)
+    hom = UHomology(kh.ckh(mt).complex)
     ok = ok and hom.free_rank == 3 and hom.torsion == []
     ok = ok and hat_dim(mt) == 6
     mh = kh.mirror(kh.parse_pd(HOPF))
-    cc = kh.ckh(mh, "minus")
+    cc = kh.ckh(mh)
     hom2 = UHomology(cc.complex)
     ok = ok and hom2.free_rank == 2 and hom2.torsion == []
     acts = [
@@ -65,13 +67,7 @@ def test_criterion_1_khovanov_flavors():
         for arc in mh.component_arcs()
     ]
     ok = ok and acts[0] == acts[1]
-    dims = {
-        k: v
-        for k, v in homology_f2(
-            kh.ckh(mt, "reduced", basepoint=min(mt.arcs)).complex
-        ).items()
-        if v
-    }
+    dims = flavor_dims(kh.ckh(mt).complex, "reduced")
     ok = ok and sum(dims.values()) == 3
     ok = ok and len({q - 2 * h for (h, q) in dims}) == 1
     elapsed = time.time() - t0
@@ -82,7 +78,7 @@ def test_criterion_1_khovanov_flavors():
 def test_criterion_2_unlinks():
     ok = True
     for n in range(1, 5):
-        hom = UHomology(kh.ckh(kh.unlink(n), "minus").complex)
+        hom = UHomology(kh.ckh(kh.unlink(n)).complex)
         # free of rank 2^(n-1) over F2[X] = rank 2^n over F2[U], no torsion
         ok = ok and hom.free_rank == 2 ** (n - 1) and hom.torsion == []
         ok = ok and hat_dim(kh.unlink(n)) == 2 ** n
@@ -138,17 +134,17 @@ def test_criterion_5_spectral_engine():
     ok = True
     for name, d in corpus().items():
         t0 = time.time()
-        for flavor in ("minus", "hat"):
-            cc = kh.ckh(d, flavor)
+        minus = kh.ckh(d)
+        for cc in (minus, reference_cube(d, "hat")):
             fc = FilteredComplex(cc.complex, cc.levels)
             data = analyze(fc)
             ok = ok and all(e.jump == 1 for e in data.events)
             p2 = data.page_dims(2)
             pinf = data.page_dims(10 ** 6)
             ok = ok and p2 == pinf  # E2 = Einf
-            if flavor == "hat":
+            if cc is not minus:
                 want = {k: v for k, v in homology_f2(cc.complex).items() if v}
-                ok = ok and p2 == want  # Einf = Kh
+                ok = ok and p2 == want == flavor_dims(minus.complex, "hat")  # Einf = Kh
             else:
                 hom = UHomology(cc.complex)
                 ok = ok and _windowed(hom, data.trusted_floor) == p2
@@ -194,7 +190,7 @@ def _windowed(hom, floor):
 def test_criterion_6_constraints():
     ok = True
     for name, d in corpus().items():
-        cc = kh.ckh(d, "minus")
+        cc = kh.ckh(d)
         fc = FilteredComplex(cc.complex, cc.levels)
         data = analyze(fc)
         page_list = pages(data, max(data.max_jump() + 1, 2))
@@ -242,21 +238,19 @@ def test_criterion_8_property_suites():
         d = base[rng.randrange(len(base))]
         while len(d.crossings) > 0 and rng.random() < 0.5:
             d = kh.smooth(d, rng.randrange(len(d.crossings)), rng.randrange(2))
-        ok = ok and kh.ckh(d, "minus").complex.verify_d2() == []
+        ok = ok and kh.ckh(d).complex.verify_d2() == []
     # hat/reduced/minus dimension relations on the knot corpus
     diagrams = corpus()
     for name in KNOT_NAMES:
         d = diagrams[name]
         hat = hat_dim(d)
-        red = sum(
-            homology_f2(kh.ckh(d, "reduced", basepoint=min(d.arcs)).complex).values()
-        )
-        hom = UHomology(kh.ckh(d, "minus").complex)
+        red = sum(flavor_dims(kh.ckh(d).complex, "reduced").values())
+        hom = UHomology(kh.ckh(d).complex)
         ok = ok and hat <= 2 * red
         ok = ok and hat == 2 * hom.free_rank
     # permutation invariance of homology and pages
     d = diagrams["trefoil"]
-    cc = kh.ckh(d, "minus")
+    cc = kh.ckh(d)
     fc = FilteredComplex(cc.complex, cc.levels)
     base_pages = analyze(fc)
     base_hom = UHomology(cc.complex).by_grading()

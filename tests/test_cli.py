@@ -22,7 +22,7 @@ from skeinseq.cli import main
 from skeinseq.complexes import MAX_EXPANSION_SLOTS, ChainComplex
 from skeinseq.umod import ModuleDecomposition
 from test_complexes import reference_decomposition
-from test_khovanov import torus_2
+from test_khovanov import reference_cube, torus_2
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 
@@ -145,11 +145,11 @@ def test_kh_and_ss_read_the_columns_only(tmp_path, capsys, monkeypatch):
     no step of theirs spells the view, builds a Generator or a cube id."""
     d = kh.add_kink(kh.cyclic_knot(5), 1)
     pd = "PD[%s]" % ",".join("X(%d,%d,%d,%d)" % c for c in d.crossings)
-    cc = kh.ckh(d, "minus")
+    cc = kh.ckh(d)
     path = tmp_path / "cube.json"
     path.write_text(json.dumps(serde.dump_complex(cc.complex, cc.levels)))
     runs = [["kh", "--pd", pd, "--flavor", flavor, "--basepoint", "1", "--out", fmt]
-            for flavor in kh.FLAVORS for fmt in ("tsv", "json")]
+            for flavor in skeinseq.cli.FLAVORS for fmt in ("tsv", "json")]
     runs += [["ss", "--in", str(path), "--out", fmt] for fmt in ("tsv", "json")]
     want = [run(capsys, *argv) for argv in runs]
     assert all(code == 0 for code, _, _ in want)
@@ -161,7 +161,7 @@ def test_kh_and_ss_read_the_columns_only(tmp_path, capsys, monkeypatch):
     for module in (kh, skeinseq.complexes):
         monkeypatch.setattr(module, "Generator", spelled)
     monkeypatch.setattr(kh, "_vertex_ids", spelled)
-    fresh = kh.ckh(d, "hat").complex
+    fresh = kh.ckh(d).complex
     for view in ("diff", "gens", "ids"):
         with pytest.raises(AssertionError, match="spelled"):
             getattr(fresh, view)
@@ -205,7 +205,7 @@ def test_ss_decreasing_filtration_reindexed(tmp_path, capsys):
 
 
 def test_ss_pairs_once(tmp_path, capsys, monkeypatch):
-    cc = kh.ckh(kh.mirror(kh.parse_pd("PD[X(1,3,2,4),X(3,1,4,2)]")), "minus")
+    cc = kh.ckh(kh.mirror(kh.parse_pd("PD[X(1,3,2,4),X(3,1,4,2)]")))
     path = tmp_path / "c.json"
     path.write_text(json.dumps(serde.dump_complex(cc.complex, cc.levels)))
     calls = []
@@ -281,13 +281,12 @@ def test_ss_partial_alex2_exits_2(tmp_path, capsys):
 
 
 def _ss_docs():
-    """Valid ss inputs: a kh minus cube, a variable-free hat cube, a floer
-    complex with an alexander grading, and kh complexes with an isolated
-    generator, whose gradings no differential entry checks."""
+    """Valid ss inputs: a kh minus cube, the variable-free reference hat
+    cube, a floer complex with an alexander grading, and kh complexes with an
+    isolated generator, whose gradings no differential entry checks."""
     d = kh.parse_pd(TREFOIL)
     docs = []
-    for flavor in ("minus", "hat"):
-        cc = kh.ckh(d, flavor)
+    for cc in (kh.ckh(d), reference_cube(d, "hat")):
         docs.append(serde.dump_complex(cc.complex, cc.levels))
     docs.append({
         "variables": [{"name": "u", "unit": "1/2"}],
@@ -593,7 +592,7 @@ def _kh_crossings(draw):
 
 
 def _kh_flags(draw):
-    flags = ["--flavor", draw(st.sampled_from(kh.FLAVORS))]
+    flags = ["--flavor", draw(st.sampled_from(skeinseq.cli.FLAVORS))]
     basepoint = draw(st.none() | KH_LABELS)
     if basepoint is not None:
         flags += ["--basepoint", str(basepoint)]
@@ -668,7 +667,7 @@ def test_kh_diagram_loader_fuzz_exits_cleanly(case):
 
 def test_kh_fuzz_base_diagrams_pass(tmp_path, capsys):
     for text in KH_BASES:
-        for flavor in kh.FLAVORS:
+        for flavor in skeinseq.cli.FLAVORS:
             code, out, err = run(capsys, "kh", "--pd", text, "--flavor", flavor,
                                  "--basepoint", "1" if text != "U" else "-1")
             assert code == 0 and out.startswith("h_rel\tq_rel\t")
@@ -925,7 +924,7 @@ def test_ss_truncation_only_extends_the_tables(tmp_path, capsys):
     gens.append({"id": "iso", "h": 1, "alex2": 0, "filtration": 0})
     floer = {"variables": [{"name": "u", "unit": "1/2"}], "convention": "floer",
              "generators": gens, "diff": diff}
-    cc = kh.ckh(kh.mirror(kh.parse_pd(TREFOIL)), "minus")
+    cc = kh.ckh(kh.mirror(kh.parse_pd(TREFOIL)))
     levels = {g.gid: 2 * g.h + rng.randrange(2) for g in cc.complex.gens}
     for i, doc in enumerate((floer, serde.dump_complex(cc.complex, cc.levels),
                              serde.dump_complex(cc.complex, levels))):

@@ -28,6 +28,7 @@ from skeinseq.complexes import (
     homology_f2,
     kill_vars,
     mat_compose,
+    mod_u_dims,
     phi_action,
     slice_dims,
     substitute,
@@ -37,6 +38,7 @@ from skeinseq.models import MODEL_NAMES, ActionSpec, ModelComplex, build_model
 from skeinseq.poly import FULL, HALF, Poly, VarSet
 from skeinseq.spectral import FilteredComplex
 from skeinseq.umod import module_decompose, vec_add_shifted
+from test_khovanov import reference_cube
 from test_properties import SUITE, knots
 from test_spectral_hard import one_map_complexes, planted_sums
 from test_umod import cube_presentation
@@ -131,7 +133,7 @@ def test_mat_compose_and_verify_d2_match_poly_product_reference():
         mat_compose({("m1", "t"): Poly.one(U1)}, first)
     # one-variable cubes: d squared, the basepoint actions and their squares
     for d in (kh.parse_pd(TREFOIL_PD), kh.cyclic_knot(5)):
-        cc = kh.ckh(d, "minus")
+        cc = kh.ckh(d)
         diff = cc.complex.diff
         assert mat_compose(diff, diff) == poly_product_compose(diff, diff) == {}
         x = kh.basepoint_action(cc, min(d.arcs)).entries
@@ -147,15 +149,15 @@ def test_mat_compose_and_verify_d2_match_poly_product_reference():
 def test_mat_compose_matches_reference_on_wide_multi_block_cubes():
     """Bitsets wider than a machine word, numbered per grade block or over
     all targets at once, give the products of the Poly reference."""
-    for flavor in ("minus", "hat"):
-        cc = kh.ckh(kh.cyclic_knot(7), flavor)
+    d = kh.cyclic_knot(7)
+    for cc in (kh.ckh(d), reference_cube(d, "hat")):
         cx = cc.complex
         widths = collections.Counter(cx.grade(g.gid) for g in cx.gens)
         assert cx.n > 64 and len(widths) > 10
         diff = cx.diff
         for grade in (cx.grade, None):
             assert mat_compose(diff, diff, grade) == poly_product_compose(diff, diff) == {}
-        if flavor == "hat":
+        if not cx.vars.n:
             assert max(widths.values()) > 64
             continue
         for arc in sorted(cc.diagram.arcs)[:2]:
@@ -350,8 +352,8 @@ def test_no_zero_entry_reaches_the_differential():
     spec = ActionSpec("twice", "loop", (("a", "b", "x"), ("a", "b", "x"), ("b", "b", "y")))
     model = ModelComplex("m", cx, {"twice": spec})
     assert model.action_map("twice").entries == {("b", "b"): y}
-    minus = kh.ckh(kh.cyclic_knot(5), "minus").complex
-    for c in (minus, kh.ckh(kh.cyclic_knot(5), "hat").complex, build_model("l_ori").complex,
+    minus = kh.ckh(kh.cyclic_knot(5)).complex
+    for c in (minus, reference_cube(kh.cyclic_knot(5), "hat").complex, build_model("l_ori").complex,
               cancel_units(minus), kill_vars(minus)):
         assert all(c.diff.values())
 
@@ -620,7 +622,7 @@ def test_kh_convention_slice_check():
     """homology(cx, 'u') on minus cubes checks the q-slices of the decomposition."""
     diagrams = [kh.parse_pd(TREFOIL_PD), kh.parse_pd(FIG8_PD), kh.cyclic_knot(5)]
     for d in diagrams:
-        cx = kh.ckh(d, "minus").complex
+        cx = kh.ckh(d).complex
         hom = homology(cx, "u")  # raises if a slice disagrees
         qs = [g.q for g in cx.gens]
         lo = min(qs) - 4
@@ -646,7 +648,7 @@ def test_kh_convention_slice_check():
 
 
 def test_kh_slice_check_rejects_tampered_summands():
-    cx = kh.ckh(kh.cyclic_knot(5), "minus").complex
+    cx = kh.ckh(kh.cyclic_knot(5)).complex
     hom = UHomology(cx)
     check_truncation_stability(hom)
     s = hom.summands[0]
@@ -824,7 +826,7 @@ def kh_reference_cases():
         yield one_map_kh(rng)
     for d in (kh.parse_pd(TREFOIL_PD), kh.parse_pd(FIG8_PD), kh.cyclic_knot(5),
               kh.unlink(2)):
-        yield kh.ckh(d, "minus").complex
+        yield kh.ckh(d).complex
 
 
 def test_slice_dims_match_dense_references():
@@ -853,8 +855,7 @@ def test_homology_f2_matches_dense_reference():
         cx = ChainComplex(novars, gens, diff, CONV_KH)
         assert homology_f2(cx) == ref_homology_f2(cx)
     for d in (kh.parse_pd(TREFOIL_PD), kh.parse_pd(FIG8_PD), kh.cyclic_knot(5)):
-        for flavor in ("hat", "reduced"):
-            cx = kh.ckh(d, flavor, basepoint=min(d.arcs)).complex
+        for cx in (reference_cube(d, "hat").complex, kill_vars(kh.ckh(d).complex)):
             assert homology_f2(cx) == ref_homology_f2(cx)
 
 
@@ -892,8 +893,7 @@ def test_expansion_size_counts_the_slots():
             cases.append((cx, min(vals) - depth))
         cases.append((cx, max(vals) + 1))
     for d in (kh.parse_pd(TREFOIL_PD), kh.cyclic_knot(5)):
-        for flavor in ("minus", "hat"):
-            cc = kh.ckh(d, flavor)
+        for cc in (kh.ckh(d), reference_cube(d, "hat")):
             fc = FilteredComplex(cc.complex, cc.levels)
             cases.append((cc.complex, fc._lo))  # None for the hat cube
     for _ in range(20):
@@ -923,8 +923,8 @@ def test_oversized_expansion_is_rejected_before_enumerating():
 def test_truncation_window_depth_two_is_inside_depth_four():
     """The slice dims of the shallower window are the deeper window's dims
     restricted to it, so check_truncation_stability needs only one."""
-    complexes = [kh.ckh(kh.cyclic_knot(n), "minus").complex for n in (3, 5, 7)]
-    complexes += [kh.ckh(kh.unlink(2), "minus").complex,
+    complexes = [kh.ckh(kh.cyclic_knot(n)).complex for n in (3, 5, 7)]
+    complexes += [kh.ckh(kh.unlink(2)).complex,
                   build_model("trefoil_cfl").complex]
     for cx in complexes:
         axis = int(cx.convention == CONV_KH)
@@ -988,7 +988,7 @@ def test_cancel_units_keeps_the_homology_of_minus_cubes():
               kh.add_kink(kh.parse_pd(TREFOIL_PD), 1),
               kh.connect_sum(kh.parse_pd(FIG8_PD), kh.parse_pd(FIG8_PD)),
               kh.cyclic_knot(5), kh.cyclic_knot(7), kh.unlink(3)):
-        cx = kh.ckh(d, "minus").complex
+        cx = kh.ckh(d).complex
         pairs, hom = cancelled(cx)
         # a minus cube is free: every pair is a unit, and only free summands are left
         assert all(k == 0 for _, _, k in pairs)
@@ -998,7 +998,7 @@ def test_cancel_units_keeps_the_homology_of_minus_cubes():
 @SUITE
 @given(knots())
 def test_cancel_units_on_generated_knots(d):
-    cancelled(kh.ckh(d, "minus").complex)
+    cancelled(kh.ckh(d).complex)
 
 
 def test_cancel_units_keeps_torsion():
@@ -1050,7 +1050,7 @@ def test_cancel_units_picks_the_target_with_fewest_sources():
 
 def test_cancel_units_rejects_bad_input():
     with pytest.raises(ValueError, match="one-variable"):
-        cancel_units(kh.ckh(kh.parse_pd(TREFOIL_PD), "hat").complex)
+        cancel_units(kill_vars(kh.ckh(kh.parse_pd(TREFOIL_PD)).complex))
     gens = [Generator("x", 0, 0), Generator("s", 0, 0),
             Generator("y", 1, 0), Generator("t", 1, 0)]
     one, u = Poly.one(U1), Poly.var(U1, "u")
@@ -1095,7 +1095,7 @@ def test_cancel_units_with_levels_on_minus_cubes():
     for d in (kh.parse_pd(TREFOIL_PD), kh.parse_pd(FIG8_PD), kh.cyclic_knot(5),
               kh.add_kink(kh.parse_pd(TREFOIL_PD), 1), kh.unlink(2),
               kh.connect_sum(kh.parse_pd(TREFOIL_PD), kh.parse_pd(FIG8_PD))):
-        cx = kh.ckh(d, "minus").complex
+        cx = kh.ckh(d).complex
         plain = cancel_units(cx)
         pairs = []
         by_h = cancel_units(cx, cx.h, pairs)
@@ -1129,7 +1129,7 @@ def test_mod_u_check_rejects_tampered_summands():
     rng = random.Random(4411)
     torsion_cx = next(cx for cx in (one_map_kh(rng) for _ in range(60))
                       if UHomology(cx).torsion)
-    for cx in (kh.ckh(kh.cyclic_knot(5), "minus").complex, torsion_cx):
+    for cx in (kh.ckh(kh.cyclic_knot(5)).complex, torsion_cx):
         summands = UHomology(cx).summands
         check_mod_u(cx, summands)
         for i, s in enumerate(summands):
@@ -1139,3 +1139,50 @@ def test_mod_u_check_rejects_tampered_summands():
                 check_mod_u(cx, tampered)
             with pytest.raises(ArithmeticError, match="mod-u dimension mismatch"):
                 check_mod_u(cx, summands[:i] + summands[i + 1:])
+
+
+def torsion_towers():
+    """A kh complex with free towers at f and g, u^1, u^2 and u^3 torsion at
+    y1, y2 and y3, and a unit pair a -> b whose cancellation moves b by u y2.
+    Some torsion summands and partners share grades with the free ones."""
+    grades = {"f": (0, 0), "g": (1, 2), "x1": (0, 0), "y1": (1, 2), "x2": (0, 2),
+              "y2": (1, 6), "x3": (-1, 0), "y3": (0, 6), "a": (0, 4), "b": (1, 4)}
+    gens = [Generator(gid, h, q) for gid, (h, q) in grades.items()]
+    entries = {("x1", "y1"): 1, ("x2", "y2"): 2, ("x3", "y3"): 3, ("a", "b"): 0, ("a", "y2"): 1}
+    return ChainComplex(U1, gens, {k: Poly.var(U1, "u", e) for k, e in entries.items()}, CONV_KH)
+
+
+def quotient_mod_u_power(cx, m):
+    """cx tensor F2[u]/u^m as a variable-free complex: a slot u^j g for each
+    generator g and j < m, and u^j g -> u^(j+e) t for each entry g -u^e-> t
+    with j + e < m."""
+    gens = [Generator("%s^%d" % (g.gid, j), g.h, g.q - 2 * j) for g in cx.gens for j in range(m)]
+    novars = VarSet((), ())
+    diff = {("%s^%d" % (s, j), "%s^%d" % (t, j + e)): Poly.one(novars)
+            for (s, t), p in cx.diff.items() for ((e,),) in [tuple(p.terms)]
+            for j in range(m - e)}
+    return ChainComplex(novars, gens, diff, CONV_KH)
+
+
+def test_mod_u_dims_on_torsion_towers():
+    """The universal coefficient prediction for every m, torsion included,
+    equals the F2 homology of the explicit quotient by u^m."""
+    cx = torsion_towers()
+    summands = UHomology(cx).summands
+    assert sorted((s.order or 0, s.grades) for s in summands) == [
+        (0, (0, 0)), (0, (1, 2)), (1, (1, 2)), (2, (1, 6)), (3, (0, 6))]
+    for m in (1, 2, 3, 4):
+        want = {k: v for k, v in homology_f2(quotient_mod_u_power(cx, m)).items() if v}
+        assert mod_u_dims(summands, cx.ustep(), (1, 0), m) == want, m
+    assert mod_u_dims(summands, cx.ustep(), (1, 0), 1) == {
+        k: v for k, v in homology_f2(kill_vars(cx)).items() if v}
+    check_mod_u(cx, summands)
+    for i, s in enumerate(summands):
+        rest = summands[:i] + summands[i + 1:]
+        changed = [dataclasses.replace(s, order=1 if s.free else None),
+                   dataclasses.replace(s, grades=(s.grades[0], s.grades[1] + 2))]
+        if not s.free:
+            changed.append(dataclasses.replace(s, order=s.order + 1))
+        for tampered in [rest] + [rest[:i] + [t] + rest[i:] for t in changed]:
+            with pytest.raises(ArithmeticError, match="mod-u dimension mismatch"):
+                check_mod_u(cx, tampered)

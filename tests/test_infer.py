@@ -32,7 +32,7 @@ HOPF_PAGE = PageSpec((Tower("x", 0, 0), Tower("y", 2, 4)))
 def test_trefoil_page_matches_computed_kh():
     """The frozen tower placements agree with a fresh cube computation."""
     d = kh.mirror(kh.parse_pd("PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"))
-    hom = UHomology(kh.ckh(d, "minus").complex)
+    hom = UHomology(kh.ckh(d).complex)
     got = sorted((h, q) for (h, q), (free, tors) in hom.by_grading() .items()
                  for _ in range(free))
     assert got == sorted((t.h, t.q) for t in TREFOIL_PAGE.towers)

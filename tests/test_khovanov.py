@@ -6,8 +6,9 @@ import pytest
 
 from skeinseq import khovanov as kh
 from skeinseq import serde
-from skeinseq.complexes import UHomology, homology_f2
-from skeinseq.poly import Poly
+from skeinseq.cli import flavor_dims, main
+from skeinseq.complexes import CONV_KH, ChainComplex, UHomology, homology_f2, kill_vars, mod_u_dims
+from skeinseq.poly import HALF, Poly, VarSet
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 HOPF = "PD[X(1,3,2,4),X(3,1,4,2)]"
@@ -23,7 +24,11 @@ KNOTS = {
 
 
 def hat_dim(d):
-    return sum(homology_f2(kh.ckh(d, "hat").complex).values())
+    return sum(flavor_dims(kh.ckh(d).complex, "hat").values())
+
+
+def reduced_dim(d, arc=None):
+    return sum(flavor_dims(kh.ckh(d, arc).complex, "reduced").values())
 
 
 def test_parse_trefoil():
@@ -79,8 +84,7 @@ def test_resolve_swap():
 
 def test_edge_map_merge_split_rules():
     # entries of _edge_rule as (source mask, target mask, u exponent)
-    def rule(split, size, src, tgt, flavor="minus"):
-        return kh._edge_rule(split, size, src, tgt, flavor)
+    rule = kh._edge_rule
 
     # merge: 1 1 -> 1, x 1 and 1 x -> x, x x -> U 1
     assert rule(False, 2, (1, 2), (1,)) == [(0, 0, 0), (1, 1, 0), (2, 1, 0), (3, 0, 2)]
@@ -92,28 +96,25 @@ def test_edge_map_merge_split_rules():
     assert rule(False, 1, (0, 1), (0,)) == [(0, 0, 0), (1, 0, 1)]
     assert rule(True, 0, (0,), (0, 1)) == [(0, 0, 1), (0, 1, 0)]
     assert rule(True, 1, (1,), (0, 1)) == [(0, 0, 1), (0, 1, 0), (1, 1, 1), (1, 0, 2)]
-    # hat drops the U terms, reduced every term with a u
-    assert rule(False, 2, (1, 2), (1,), "hat") == [(0, 0, 0), (1, 1, 0), (2, 1, 0)]
-    assert rule(True, 1, (1,), (0, 1), "reduced") == [(0, 1, 0)]
 
 
 def test_edge_map_rejects_bad_pair():
     # X(1,2,1,2) resolves to one circle both ways: neither a merge nor a split
-    for flavor in kh.FLAVORS:
+    for basepoint in (None, 2):
         with pytest.raises(ValueError, match="circle counts differ by 0, not 1"):
-            kh.ckh(kh.parse_pd("PD[X(1,2,1,2)]"), flavor, basepoint=1)
+            kh.ckh(kh.parse_pd("PD[X(1,2,1,2)]"), basepoint)
 
 
 def test_unknot_flavors():
     u = kh.parse_pd("U")
     assert hat_dim(u) == 2
-    hom = UHomology(kh.ckh(u, "minus").complex)
+    hom = UHomology(kh.ckh(u).complex)
     assert hom.free_rank == 1 and not hom.torsion
 
 
 def test_trefoil_minus_and_hat():
     d = kh.mirror(kh.parse_pd(TREFOIL))
-    hom = UHomology(kh.ckh(d, "minus").complex)
+    hom = UHomology(kh.ckh(d).complex)
     assert hom.free_rank == 3
     assert hom.torsion == []
     assert hat_dim(d) == 6
@@ -121,7 +122,7 @@ def test_trefoil_minus_and_hat():
 
 def test_hopf_minus_and_component_actions():
     d = kh.mirror(kh.parse_pd(HOPF))
-    cc = kh.ckh(d, "minus")
+    cc = kh.ckh(d)
     hom = UHomology(cc.complex)
     assert hom.free_rank == 2 and not hom.torsion
     mats = [
@@ -135,7 +136,7 @@ def test_hopf_minus_and_component_actions():
 
 def test_basepoint_action_squares_to_U():
     d = kh.parse_pd(TREFOIL)
-    cc = kh.ckh(d, "minus")
+    cc = kh.ckh(d)
     for arc in (1, 4):
         x = kh.basepoint_action(cc, arc)
         assert x.is_chain_map()
@@ -148,7 +149,7 @@ def test_basepoint_action_squares_to_U():
 
 
 def test_basepoint_action_unknown_point():
-    cc = kh.ckh(kh.parse_pd(TREFOIL), "minus")
+    cc = kh.ckh(kh.parse_pd(TREFOIL))
     with pytest.raises(ValueError):
         kh.basepoint_action(cc, 77)
 
@@ -168,7 +169,7 @@ def test_mirror_preserves_hat_dims():
 
 def test_unlink_structure():
     for n in range(1, 5):
-        cc = kh.ckh(kh.unlink(n), "minus")
+        cc = kh.ckh(kh.unlink(n))
         hom = UHomology(cc.complex)
         assert hom.free_rank == 2 ** (n - 1)
         assert not hom.torsion
@@ -246,7 +247,7 @@ def test_d2_on_random_subdiagrams():
         d = base[rng.randrange(len(base))]
         while len(d.crossings) > 0 and rng.random() < 0.5:
             d = kh.smooth(d, rng.randrange(len(d.crossings)), rng.randrange(2))
-        cc = kh.ckh(d, "minus")
+        cc = kh.ckh(d)
         assert cc.complex.verify_d2() == []
         count += 1
 
@@ -255,10 +256,8 @@ def test_hat_versus_reduced_and_minus():
     for name, make in KNOTS.items():
         d = make()
         hat = hat_dim(d)
-        red = sum(
-            homology_f2(kh.ckh(d, "reduced", basepoint=min(d.arcs)).complex).values()
-        )
-        hom = UHomology(kh.ckh(d, "minus").complex)
+        red = reduced_dim(d)
+        hom = UHomology(kh.ckh(d).complex)
         assert hat <= 2 * red, name
         assert hat == 2 * hom.free_rank, name
 
@@ -266,10 +265,7 @@ def test_hat_versus_reduced_and_minus():
 def test_reduced_dim_bound_on_links():
     for d in (kh.parse_pd(HOPF), kh.unlink(2), kh.unlink(3)):
         for arc in d.component_arcs():
-            red = sum(
-                homology_f2(kh.ckh(d, "reduced", basepoint=arc).complex).values()
-            )
-            assert hat_dim(d) <= 2 * red
+            assert hat_dim(d) <= 2 * reduced_dim(d, arc)
 
 
 def test_reidemeister_spot_checks():
@@ -282,16 +278,16 @@ def test_reidemeister_spot_checks():
     ]
     for d1, d2 in pairs:
         assert hat_dim(d1) == hat_dim(d2)
-        h1 = UHomology(kh.ckh(d1, "minus").complex)
-        h2 = UHomology(kh.ckh(d2, "minus").complex)
+        h1 = UHomology(kh.ckh(d1).complex)
+        h2 = UHomology(kh.ckh(d2).complex)
         assert h1.free_rank == h2.free_rank
         assert h1.torsion == h2.torsion
 
 
 def test_cube_homogeneous_and_deterministic():
     d = kh.parse_pd(TREFOIL)
-    a = kh.ckh(d, "minus")
-    b = kh.ckh(d, "minus")
+    a = kh.ckh(d)
+    b = kh.ckh(d)
     assert [g.gid for g in a.complex.gens] == [g.gid for g in b.complex.gens]
     assert a.complex.diff == b.complex.diff
 
@@ -330,7 +326,7 @@ def test_induced_action_basis_independent():
     import random as _random
 
     d = kh.mirror(kh.parse_pd(HOPF))
-    cc = kh.ckh(d, "minus")
+    cc = kh.ckh(d)
     base_mats = None
     order = [g.gid for g in cc.complex.gens]
     rng = _random.Random(31)
@@ -351,19 +347,16 @@ def test_induced_action_basis_independent():
 
 
 def test_minus_determines_hat_bigraded():
-    """hat homology = minus anchors doubled at q and q-2 (knots, free case)."""
+    """hat homology = the minus summands mod u^2, at the grades of the
+    reference hat cube (u-torsion included: test_complexes builds some)."""
     for name, make in KNOTS.items():
         d = make()
-        hom = UHomology(kh.ckh(d, "minus").complex)
-        if hom.torsion:
-            continue
-        want = {}
-        for s in hom.summands:
-            h, q = s.grades
-            for dq in (0, -2):
-                want[(h, q + dq)] = want.get((h, q + dq), 0) + 1
-        got = {k: v for k, v in homology_f2(kh.ckh(d, "hat").complex).items() if v}
-        assert got == dict(sorted(want.items())), name
+        cx = kh.ckh(d).complex
+        hom = UHomology(cx)
+        want = mod_u_dims(hom.summands, cx.ustep(), (1, 0), 2)
+        got = homology_f2(reference_cube(d, "hat").complex)
+        assert {k: v for k, v in got.items() if v} == want, name
+        assert flavor_dims(cx, "hat") == want, name
 
 
 # -- reference cube ---------------------------------------------------------------
@@ -510,6 +503,20 @@ def reference_ckh(d, flavor, basepoint=None, swap=False):
     return gens, list(diff.items()), levels, info, states, basepoint
 
 
+@dataclass(frozen=True)
+class ReferenceCube:
+    complex: ChainComplex
+    levels: dict
+
+
+def reference_cube(d, flavor, basepoint=None):
+    """The reference cube of one flavour as a complex with its levels: the
+    test-side hat and reduced cubes, which ckh no longer builds."""
+    gens, items, levels, *_ = reference_ckh(d, flavor, basepoint)
+    vs = VarSet(("u",), (HALF,)) if flavor == "minus" else VarSet((), ())
+    return ReferenceCube(ChainComplex(vs, gens, dict(items), CONV_KH), levels)
+
+
 def _by_source(items):
     """Entries grouped by source, each source's in their order."""
     out = {}
@@ -526,16 +533,31 @@ def _cube_fields(cc):
             cc.info, cc.states, cc.basepoint_arc)
 
 
-def _assert_same_cube(d, flavor, basepoint=None, swap=False):
-    """ckh of d, or of its mirror when swap is set, against the reference
-    cube of d, resolved with its smoothings exchanged when swap is set."""
-    got = _cube_fields(kh.ckh(kh.mirror(d) if swap else d, flavor, basepoint=basepoint))
-    want = list(reference_ckh(d, flavor, basepoint=basepoint, swap=swap))
+def _assert_same_cube(d, basepoint=None, swap=False):
+    """The minus cube ckh builds of d, or of its mirror when swap is set,
+    against the reference cube of d, resolved with its smoothings exchanged
+    when swap is set.  Its quotient by u is the reference reduced cube."""
+    cc = kh.ckh(kh.mirror(d) if swap else d, basepoint)
+    got = _cube_fields(cc)
+    want = list(reference_ckh(d, "minus", basepoint=basepoint, swap=swap))
     want[1] = (dict(want[1]), _by_source(want[1]))
     for name, g, w in zip(("gens", "diff", "levels", "info", "states", "basepoint"),
                           got, want):
-        assert g == w, (flavor, basepoint, swap, name)
+        assert g == w, (basepoint, swap, name)
     assert list(got[2]) == list(want[2]) and list(got[3]) == list(want[3])
+    reduced = kill_vars(cc.complex)
+    gens, items = reference_ckh(d, "reduced", basepoint=basepoint, swap=swap)[:2]
+    assert list(reduced.gens) == gens
+    assert (reduced.diff, _by_source(reduced.diff.items())) == (dict(items), _by_source(items))
+
+
+def assert_tables_match_the_reference(d, basepoint=None):
+    """The kh hat and reduced tables of d, read off its minus cube, equal the
+    F2 homology of the reference hat and reduced cubes, grade by grade."""
+    cx = kh.ckh(d, basepoint).complex
+    for flavor in ("hat", "reduced"):
+        want = homology_f2(reference_cube(d, flavor, basepoint).complex)
+        assert flavor_dims(cx, flavor) == {k: v for k, v in want.items() if v}, flavor
 
 
 def _reference_family():
@@ -571,11 +593,11 @@ def test_ckh_matches_reference(name):
     n = len(d.crossings)
     arcs = d.arcs if n <= 4 else (min(d.arcs), max(d.arcs)) if n <= 7 else (max(d.arcs),)
     for swap in (False, True) if n <= 7 else (False,):
-        _assert_same_cube(d, "hat", swap=swap)
-        _assert_same_cube(d, "minus", swap=swap)
+        _assert_same_cube(d, swap=swap)
         for arc in arcs:
-            _assert_same_cube(d, "minus", basepoint=arc, swap=swap)
-            _assert_same_cube(d, "reduced", basepoint=arc, swap=swap)
+            _assert_same_cube(d, basepoint=arc, swap=swap)
+    for arc in arcs:
+        assert_tables_match_the_reference(d, arc)
 
 
 def torus_2(n):
@@ -589,40 +611,47 @@ def torus_2(n):
 
 def test_torus_2_has_reduced_rank_n():
     for n in (3, 5, 7):
-        cx = kh.ckh(torus_2(n), "reduced", basepoint=1).complex
-        assert sum(homology_f2(cx).values()) == n
+        assert reduced_dim(torus_2(n), 1) == n
 
 
-def test_generator_budget_counts_the_cube(monkeypatch):
-    # the count read off the resolved states is the size of the cube: a
-    # limit equal to it admits the cube, one less refuses it
+def test_generator_budget_counts_the_cube(monkeypatch, capsys):
+    # the count read off the resolved states is the size of the one cube: a
+    # limit equal to it admits the cube, one less refuses it, and every
+    # flavour's kh run with it
     for d in _reference_family().values():
-        for flavor in kh.FLAVORS:
-            count = len(kh.ckh(d, flavor, max(d.arcs)).complex.gens)
-            monkeypatch.setattr(kh, "MAX_CUBE_GENERATORS", count)
-            assert kh.ckh(d, flavor, max(d.arcs)).complex.n == count
-            monkeypatch.setattr(kh, "MAX_CUBE_GENERATORS", count - 1)
-            with pytest.raises(ValueError, match=" has %d generators, above the limit"
-                               " of %d$" % (count, count - 1)):
-                kh.ckh(d, flavor, max(d.arcs))
-            monkeypatch.undo()
+        count = kh.ckh(d, max(d.arcs)).complex.n
+        assert count == len(kh.ckh(d).complex.gens)
+        monkeypatch.setattr(kh, "MAX_CUBE_GENERATORS", count)
+        assert kh.ckh(d, max(d.arcs)).complex.n == count
+        monkeypatch.setattr(kh, "MAX_CUBE_GENERATORS", count - 1)
+        message = " has %d generators, above the limit of %d" % (count, count - 1)
+        with pytest.raises(ValueError, match=message + "$"):
+            kh.ckh(d, max(d.arcs))
+        pd = "PD[%s]" % ",".join(["X(%d,%d,%d,%d)" % c for c in d.crossings]
+                                 + ["U"] * d.free_loops)
+        for flavor in ("minus", "hat", "reduced"):
+            assert main(["kh", "--pd", pd, "--flavor", flavor, "--basepoint",
+                         str(max(d.arcs))]) == 2
+            assert message in capsys.readouterr().err
+        monkeypatch.undo()
 
 
-def test_generator_budget_admits_t2_11(monkeypatch):
-    # counted under a zero limit, so no cube is built
-    def count(flavor):
-        with monkeypatch.context() as m:
-            m.setattr(kh, "MAX_CUBE_GENERATORS", 0)
-            with pytest.raises(ValueError) as err:
-                kh.ckh(torus_2(11), flavor)
-        return int(str(err.value).split(" has ")[1].split()[0])
-
-    assert (count("minus"), count("hat")) == (88575, 177150)
-    assert 177150 <= kh.MAX_CUBE_GENERATORS
+def test_generator_budget_admits_t2_11(monkeypatch, capsys):
+    # counted under a zero limit, so no cube is built: hat is admitted or
+    # refused by the minus cube's count, half the hat cube's 177150
+    with monkeypatch.context() as m:
+        m.setattr(kh, "MAX_CUBE_GENERATORS", 0)
+        with pytest.raises(ValueError) as err:
+            kh.ckh(torus_2(11))
+        pd = "PD[%s]" % ",".join("X(%d,%d,%d,%d)" % c for c in torus_2(11).crossings)
+        assert main(["kh", "--pd", pd, "--flavor", "hat"]) == 2
+    assert "has 88575 generators, above the limit of 0" in str(err.value)
+    assert "has 88575 generators, above" in capsys.readouterr().err
+    assert 88575 <= kh.MAX_CUBE_GENERATORS
 
 
 def test_cube_entry_with_wrong_exponent_rejected():
-    cc = kh.ckh(kh.parse_pd(TREFOIL), "minus")
+    cc = kh.ckh(kh.parse_pd(TREFOIL))
     cx = cc.complex
     vs = cx.vars
     for key, p in cx.diff.items():
@@ -661,8 +690,10 @@ def _assert_rebuilds(cx):
 @pytest.mark.parametrize("name", sorted(_reference_family()))
 def test_diff_view_rebuilds_the_columns(name):
     d = _reference_family()[name]
-    for flavor in kh.FLAVORS:
-        _assert_rebuilds(kh.ckh(d, flavor, max(d.arcs)).complex)
+    for basepoint in (None, max(d.arcs)):
+        cx = kh.ckh(d, basepoint).complex
+        _assert_rebuilds(cx)
+        _assert_rebuilds(kill_vars(cx))
 
 
 def union_find_labs(d):
@@ -712,7 +743,7 @@ def test_resolver_matches_union_find(name):
         lab, count = want[i]
         assert kh.resolve(d, vertex) == kh._state(d.arcs, vertex, lab, count)
     if name != "x1212":
-        assert kh.ckh(d, "hat").labs == want
+        assert kh.ckh(d).labs == want
 
 
 def spelled_generators(cc):
@@ -732,8 +763,8 @@ def spelled_generators(cc):
     return gens
 
 
-def assert_views_spell_the_reference(d, flavor, basepoint):
-    cc = kh.ckh(d, flavor, basepoint)
+def assert_views_spell_the_reference(d, basepoint):
+    cc = kh.ckh(d, basepoint)
     cx = cc.complex
     assert not {"ids", "gens", "order", "diff"} & set(vars(cx))  # nothing spelled yet
     gens = spelled_generators(cc)
@@ -747,5 +778,5 @@ def assert_views_spell_the_reference(d, flavor, basepoint):
 @pytest.mark.parametrize("name", sorted(_reference_family()))
 def test_views_spell_the_reference_generators(name):
     d = _reference_family()[name]
-    for flavor in kh.FLAVORS:
-        assert_views_spell_the_reference(d, flavor, max(d.arcs))
+    for basepoint in (None, max(d.arcs)):
+        assert_views_spell_the_reference(d, basepoint)

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeinseq import khovanov as kh
-from skeinseq.complexes import UHomology, homology_f2
+from skeinseq.cli import flavor_dims
+from skeinseq.complexes import UHomology, kill_vars
 from test_khovanov import (
     _assert_rebuilds,
     _assert_same_cube,
+    assert_tables_match_the_reference,
     assert_views_spell_the_reference,
     resolver_labs,
     union_find_labs,
@@ -52,13 +54,11 @@ def knots(draw, max_crossings=MAX_CROSSINGS, primes=PRIMES):
 
 
 def hat_table(d):
-    return {k: v for k, v in homology_f2(kh.ckh(d, "hat").complex).items() if v}
+    return flavor_dims(kh.ckh(d).complex, "hat")
 
 
 def reduced_table(d, arc=None):
-    arc = min(d.arcs) if arc is None else arc
-    cx = kh.ckh(d, "reduced", basepoint=arc).complex
-    return {k: v for k, v in homology_f2(cx).items() if v}
+    return flavor_dims(kh.ckh(d, arc).complex, "reduced")
 
 
 def reduced_dim(d, arc=None):
@@ -77,10 +77,9 @@ def normalized(table):
 def test_d_squared_zero_in_every_flavor(d, mirror):
     if mirror:
         d = kh.mirror(d)
-    assert kh.ckh(d, "minus").complex.verify_d2() == []
-    assert kh.ckh(d, "hat").complex.verify_d2() == []
-    arc = max(d.arcs)
-    assert kh.ckh(d, "reduced", basepoint=arc).complex.verify_d2() == []
+    assert kh.ckh(d).complex.verify_d2() == []
+    cx = kh.ckh(d, max(d.arcs)).complex
+    assert cx.verify_d2() == [] and kill_vars(cx).verify_d2() == []
 
 
 @SUITE
@@ -122,7 +121,7 @@ def test_hat_invariant_under_kink_up_to_shift(d, data):
 def test_basepoint_action_is_u_on_homology(d, data):
     # the label x of the marked circle acts as u on every free tower (so it
     # squares to U), whichever arc carries the basepoint
-    cc = kh.ckh(d, "minus")
+    cc = kh.ckh(d)
     hom = UHomology(cc.complex)
     act = hom.induced_matrix(kh.basepoint_action(cc, data.draw(st.sampled_from(d.arcs))))
     assert not hom.torsion and act == {(i, i): 1 for i in range(hom.free_rank)}
@@ -137,17 +136,31 @@ def test_ckh_matches_reference_on_generated_links(d, smoothings, swap, data):
         if d.crossings:
             d = kh.smooth(d, data.draw(st.integers(0, len(d.crossings) - 1)),
                           data.draw(st.integers(0, 1)))
-    _assert_same_cube(d, "hat", swap=swap)
-    _assert_same_cube(d, "minus", swap=swap)
-    for flavor in ("minus", "reduced"):
-        _assert_same_cube(d, flavor, data.draw(st.sampled_from(d.arcs)), swap)
+    _assert_same_cube(d, swap=swap)
+    _assert_same_cube(d, data.draw(st.sampled_from(d.arcs)), swap)
+
+
+@SUITE
+@given(knots(max_crossings=5, primes=PRIMES + (kh.parse_pd(HOPF),)),
+       st.integers(0, 4), st.integers(0, 2), st.data())
+def test_hat_and_reduced_tables_match_the_reference_cubes(d, smoothings, loops, data):
+    # knots, links left by smoothing and free loops; reduced at every arc
+    for _ in range(smoothings):
+        if d.crossings:
+            d = kh.smooth(d, data.draw(st.integers(0, len(d.crossings) - 1)),
+                          data.draw(st.integers(0, 1)))
+    if len(d.crossings) + d.free_loops + loops <= MAX_CROSSINGS:
+        d = kh.LinkDiagram(d.crossings, d.free_loops + loops)
+    for arc in d.arcs:
+        assert_tables_match_the_reference(d, arc)
 
 
 @SUITE
 @given(knots(), st.data())
 def test_diff_view_rebuilds_the_columns_on_generated_knots(d, data):
-    for flavor in kh.FLAVORS:
-        _assert_rebuilds(kh.ckh(d, flavor, data.draw(st.sampled_from(d.arcs))).complex)
+    cx = kh.ckh(d, data.draw(st.sampled_from(d.arcs))).complex
+    _assert_rebuilds(cx)
+    _assert_rebuilds(kill_vars(cx))
 
 
 @SUITE
@@ -164,8 +177,7 @@ def test_resolver_matches_union_find_on_generated_links(d, smoothings, data):
 @SUITE
 @given(knots(), st.data())
 def test_views_spell_the_reference_generators_on_generated_knots(d, data):
-    for flavor in kh.FLAVORS:
-        assert_views_spell_the_reference(d, flavor, data.draw(st.sampled_from(d.arcs)))
+    assert_views_spell_the_reference(d, data.draw(st.sampled_from(d.arcs)))
 
 
 PLANAR_PRIMES = (kh.parse_pd(TREFOIL), kh.parse_pd(FIG8), kh.parse_pd(HOPF))

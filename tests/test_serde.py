@@ -26,7 +26,7 @@ def test_complex_roundtrip():
 
 
 def test_complex_roundtrip_with_levels():
-    cc = kh.ckh(kh.parse_pd("PD[X(1,3,2,4),X(3,1,4,2)]"), "minus")
+    cc = kh.ckh(kh.parse_pd("PD[X(1,3,2,4),X(3,1,4,2)]"))
     doc = dump_complex(cc.complex, cc.levels)
     cx, levels, _ = load_complex(doc)
     assert levels == cc.levels
@@ -68,7 +68,7 @@ def test_spec_loaders():
 
 
 def test_load_complex_rejects_wrong_exponent():
-    cc = kh.ckh(kh.parse_pd("PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"), "minus")
+    cc = kh.ckh(kh.parse_pd("PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"))
     doc = dump_complex(cc.complex, cc.levels)
     entry = next(e for e in doc["diff"] if e["poly"] == "1")
     entry["poly"] = "u"
@@ -84,7 +84,7 @@ def test_load_complex_parses_each_entry_text_once(monkeypatch):
         return parse_poly(vs, text)
 
     monkeypatch.setattr(serde, "parse_poly", counting_parse)
-    cc = kh.ckh(kh.cyclic_knot(5), "minus")
+    cc = kh.ckh(kh.cyclic_knot(5))
     doc = dump_complex(cc.complex, cc.levels)
     cx, levels, _ = load_complex(doc)
     assert cx.diff == cc.complex.diff and levels == cc.levels

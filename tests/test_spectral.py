@@ -29,6 +29,7 @@ from skeinseq.spectral import (
     pages,
 )
 from test_acceptance import corpus
+from test_khovanov import reference_cube
 from test_spectral_hard import one_map_complexes, planted_sums
 
 U1 = VarSet(("u",), (HALF,))
@@ -101,8 +102,7 @@ def test_filtration_violation():
 def test_cube_pages_collapse_at_e2():
     for text in (TREFOIL, "PD[X(1,3,2,4),X(3,1,4,2)]"):
         d = kh.parse_pd(text)
-        for flavor in ("minus", "hat"):
-            cc = kh.ckh(d, flavor)
+        for cc in (kh.ckh(d), reference_cube(d, "hat")):
             fc = FilteredComplex(cc.complex, cc.levels)
             data = analyze(fc)
             assert all(e.jump == 1 for e in data.events)
@@ -116,7 +116,7 @@ def test_cube_pages_collapse_at_e2():
 
 def test_e2_equals_kh_minus():
     d = kh.mirror(kh.parse_pd(TREFOIL))
-    cc = kh.ckh(d, "minus")
+    cc = kh.ckh(d)
     fc = FilteredComplex(cc.complex, cc.levels)
     data = analyze(fc)
     hom = UHomology(cc.complex)
@@ -139,11 +139,11 @@ def test_e2_equals_kh_minus():
 
 def test_e2_equals_kh_hat():
     d = kh.parse_pd(TREFOIL)
-    cc = kh.ckh(d, "hat")
+    cc = reference_cube(d, "hat")
     fc = FilteredComplex(cc.complex, cc.levels)
     data = analyze(fc)
     want = {k: v for k, v in homology_f2(cc.complex).items() if v}
-    assert data.page_dims(2) == want
+    assert data.page_dims(2) == want == cli.flavor_dims(kh.ckh(d).complex, "hat")
 
 
 def test_monotone_dims_and_equality_iff_zero_d():
@@ -161,7 +161,7 @@ def test_monotone_dims_and_equality_iff_zero_d():
 
 def test_page_output_invariant_under_permutation():
     d = kh.parse_pd(TREFOIL)
-    cc = kh.ckh(d, "minus")
+    cc = kh.ckh(d)
     order = [g.gid for g in cc.complex.gens]
     rng = random.Random(12)
     fc = FilteredComplex(cc.complex, cc.levels)
@@ -406,12 +406,12 @@ def reference_cases():
     yield from alex2_planted_sums()
     for depth in (1, 3):
         yield FilteredComplex(planted(3, power=2).base, {"a": 0, "b": 3}, depth)
-        cc = kh.ckh(kh.parse_pd(TREFOIL), "minus")
+        cc = kh.ckh(kh.parse_pd(TREFOIL))
         yield FilteredComplex(cc.complex, cc.levels, depth)
     for d in (kh.cyclic_knot(3), kh.cyclic_knot(5), kh.parse_pd(FIG8)):
-        cc = kh.ckh(d, "minus")
+        cc = kh.ckh(d)
         yield FilteredComplex(cc.complex, cc.levels)
-    cc = kh.ckh(kh.parse_pd(TREFOIL), "hat")
+    cc = reference_cube(kh.parse_pd(TREFOIL), "hat")
     yield FilteredComplex(cc.complex, cc.levels)
 
 
@@ -605,10 +605,10 @@ def clearing_cases():
     yield from alex2_planted_sums()
     for depth in (1, 3):
         yield FilteredComplex(planted(3, power=2).base, {"a": 0, "b": 3}, depth)
-        cc = kh.ckh(kh.cyclic_knot(5), "minus")
+        cc = kh.ckh(kh.cyclic_knot(5))
         yield FilteredComplex(cc.complex, cc.levels, depth)
     for d in corpus().values():
-        cc = kh.ckh(d, "minus")
+        cc = kh.ckh(d)
         yield FilteredComplex(cc.complex, cc.levels)
 
 
@@ -690,7 +690,7 @@ def cancel_cases():
     where nothing cancels; floer sums with units and an alex2 grading;
     corpus minus cubes with levels 2h + random bit at extra depth 0 and 2;
     floer sums with units and alex2 values beyond 0 and 1."""
-    cubes = [kh.ckh(d, "minus").complex
+    cubes = [kh.ckh(d).complex
              for d in list(corpus().values()) + [kh.cyclic_knot(3)]]
     for cx in cubes:
         yield FilteredComplex(cx, {g.gid: g.h for g in cx.gens})
@@ -843,12 +843,12 @@ def periodic_cases():
         for _ in range(6):
             yield random_piece_sums(rng, CONV_KH, unit, False)
     for d in (kh.parse_pd(TREFOIL), kh.parse_pd(FIG8), kh.cyclic_knot(5)):
-        cx = kh.ckh(d, "minus").complex
+        cx = kh.ckh(d).complex
         yield FilteredComplex(cx, {g.gid: g.h for g in cx.gens})
         levels = random_bit_levels(cx, rng)
         for depth in (0, 2):
             yield FilteredComplex(cx, levels, depth)
-    cc = kh.ckh(kh.parse_pd(FIG8), "hat")
+    cc = reference_cube(kh.parse_pd(FIG8), "hat")
     yield FilteredComplex(cc.complex, cc.levels)
     yield FilteredComplex(ChainComplex(U1, [], {}, CONV_FLOER), {})
     for fc in islice(alex2_unit_sums(wide), 8):

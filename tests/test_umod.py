@@ -308,7 +308,7 @@ def presentations():
         (towers, infer.TargetSpec(free_rank=3)),
         (towers, infer.TargetSpec(free_rank=1, torsion=(1, 1, 1))),
     ]
-    cube_calls = [cube_presentation(kh.ckh(d, "minus").complex) for d in diagrams]
+    cube_calls = [cube_presentation(kh.ckh(d).complex) for d in diagrams]
     with pytest.MonkeyPatch.context() as monkeypatch:
         page_calls = recorded_presentations(
             monkeypatch, infer,
