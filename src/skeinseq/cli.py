@@ -9,7 +9,7 @@ import sys
 
 from . import khovanov as kh
 from . import models, serde
-from .complexes import ChainComplex, UHomology, check_mod_u, homology, homology_f2, kill_vars, mod_u_dims
+from .complexes import ChainComplex, UHomology, check_mod_u, homology, homology_f2, mod_u_dims
 from .infer import enumerate_patterns, resolve_filtration
 from .spectral import FilteredComplex, analyze, check_constraints, converge, pages
 
@@ -44,13 +44,14 @@ FLAVORS = ("minus", "hat", "reduced")
 
 def flavor_dims(cx: ChainComplex, flavor: str) -> dict[tuple[int, ...], int]:
     """The nonzero hat or reduced dimensions of a minus cube by grade: hat
-    is cx/U = cx/u^2, read off the minus summands checked mod u; reduced cx/u."""
+    is cx/U = cx/u^2, read off the minus summands checked mod u; reduced
+    cx/u, the F2 homology of the cube's u^0 entries."""
     if flavor == "hat":
         hom = UHomology(cx)
         check_mod_u(cx, hom.summands)
         dims = mod_u_dims(hom.summands, cx.ustep(), (1, 0), 2)  # kh: d raises h by 1
     else:
-        dims = homology_f2(kill_vars(cx))
+        dims = homology_f2(cx)
     return {k: v for k, v in dims.items() if v}
 
 

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
 from math import comb
+from operator import xor
 from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
 
 from . import gf2
@@ -108,16 +109,11 @@ class ChainComplex:
             raise ValueError("exponent columns need at most one variable")
         cx = cls.__new__(cls)
         cx._set_gens(vars, ids, h, q, alex2, convention, pairs, order)
-        if check:
-            val, want, step = cx._degree_codes()
-            step *= vars.units[0] if vars.n else 0
-            for i, col in enumerate(cols):
-                w = want[i]
-                for j, e in col.items():
-                    if val[j] != w + e * step:
-                        raise ValueError("inhomogeneous differential entry %s -> %s: %s"
-                                         % (cx.ids[i], cx.ids[j], cx._poly(e)))
         cx.cols = cols
+        if check and (bad := cx._off_degree()) is not None:
+            i, j = bad
+            raise ValueError("inhomogeneous differential entry %s -> %s: %s"
+                             % (cx.ids[i], cx.ids[j], cx._poly(cols[i][j])))
         return cx
 
     def _set_gens(self, vars: VarSet, ids, h: list[int], q: list | None, alex2: list | None,
@@ -150,6 +146,18 @@ class ChainComplex:
 
     def _degree_codes(self) -> tuple[list, list[int], int]:
         return _grade_codes(self, self, -1 if self.convention == CONV_FLOER else 1, 0, 0)
+
+    def _off_degree(self) -> tuple[int, int] | None:
+        """(source, target) position of the first exponent-column entry, by
+        source position, that is off degree; None if every entry is on it."""
+        val, want, step = self._degree_codes()
+        step *= self.vars.units[0] if self.vars.n else 0
+        for i, col in enumerate(self.cols):
+            w = want[i]
+            for j, e in col.items():
+                if val[j] != w + e * step:
+                    return i, j
+        return None
 
     def _poly(self, e: int) -> Poly:
         """The entry u^e as a Poly (1 over no variable)."""
@@ -229,12 +237,28 @@ class ChainComplex:
 
     def verify_d2(self) -> list[tuple[str, str, Poly]]:
         """Nonzero entries of the squared differential (empty means pass), by
-        source in generator order, then by target id."""
+        source in generator order, then by target id.
+
+        Over at most one variable, when every entry is on degree, the power
+        of u on a 2-path s -> m -> t is fixed by the grades of s and t: the
+        slice value (q in kh, h in floer) moves by the unit times the
+        exponent, and the unit is at least 1.  So d^2(s, t) is that power
+        times the parity of the 2-paths from s to t.  Each column is a
+        bitset over its targets' h-level (one level in kh, where every
+        target sits at h + 1; one bitset per target level in floer), and a
+        source XORs the columns of its middle generators: the cost is the
+        entries times the machine words of a level, not the 2-paths.  A
+        complex with an entry off degree (only check=False builds one) is
+        squared by walking every 2-path.  Over several variables it is
+        mat_compose of the id-keyed differential.
+        """
         if self.vars.n > 1:
             order = self.order
             return [(src, tgt, p) for (src, tgt), p in sorted(
                 mat_compose(self.diff, self.diff, self.grade).items(),
                 key=lambda kv: (order[kv[0][0]], kv[0][1]))]
+        if self._off_degree() is None:
+            return self._d2_by_parity()
         cols, out, nv = self.cols, [], self.vars.n
         for i, col in enumerate(cols):
             acc: dict[int, int] = {}  # target -> bit e for each u^e reached an odd number of times
@@ -244,6 +268,56 @@ class ChainComplex:
             for tgt, bits in sorted((self.ids[t], bits) for t, bits in acc.items() if bits):
                 terms = frozenset((k,) * nv for k in range(bits.bit_length()) if bits >> k & 1)
                 out.append((self.ids[i], tgt, Poly(self.vars, terms)))
+        return out
+
+    def _d2_by_parity(self) -> list[tuple[str, str, Poly]]:
+        """verify_d2 of a complex over at most one variable whose entries are
+        all on degree."""
+        hs, cols, kh = self.h, self.cols, self.convention == CONV_KH
+        place, levels = [], {}  # a generator's bit number in its h-level; level -> its generators
+        for i, h in enumerate(hs):
+            lv = levels.setdefault(h, [])
+            place.append(len(lv))
+            lv.append(i)
+        odd = []  # (source, level, bitset of its targets there with an odd count), by source
+        if kh:  # every target sits at h + 1: a column is one int
+            rows = [sum([1 << place[j] for j in col]) for col in cols]
+            for i, col in enumerate(cols):
+                if col and (bits := reduce(xor, map(rows.__getitem__, col))):
+                    odd.append((i, hs[i] + 2, bits))
+        else:  # one int per target level
+            by_level: list[dict[int, int]] = []
+            for col in cols:
+                row: dict[int, int] = {}
+                for j in col:
+                    row[hs[j]] = row.get(hs[j], 0) | 1 << place[j]
+                by_level.append(row)
+            for i, col in enumerate(cols):
+                acc: dict[int, int] = {}
+                for m in col:
+                    for h, bits in by_level[m].items():
+                        acc[h] = acc.get(h, 0) ^ bits
+                odd += [(i, h, bits) for h, bits in acc.items() if bits]
+        # the exponent of u from s to t: in kh q rises by 2 unit per power and d
+        # keeps it; in floer h rises by unit per power and each step of d drops it by 1
+        unit = self.vars.units[0] if self.vars.n else 1
+        vals, back, scale = (self.q, 0, 2 * unit) if kh else (hs, 2, unit)
+        ids, by_src = self.ids, {}
+        for i, h, bits in odd:
+            lv, tgts = levels[h], by_src.setdefault(i, [])
+            while bits:
+                low = bits & -bits
+                t = lv[low.bit_length() - 1]
+                tgts.append((ids[t], (vals[t] - vals[i] + back) // scale))
+                bits ^= low
+        out: list[tuple[str, str, Poly]] = []
+        polys: dict[int, Poly] = {}  # one shared entry per exponent
+        for i, tgts in by_src.items():
+            for tgt, e in sorted(tgts):
+                p = polys.get(e)
+                if p is None:
+                    p = polys[e] = self._poly(e)
+                out.append((ids[i], tgt, p))
         return out
 
     # -- rebuilding helpers -----------------------------------------------------
@@ -533,15 +607,18 @@ def kill_vars(cx: ChainComplex) -> ChainComplex:
     """Quotient by every variable: keep only constant monomial terms.
 
     A constant term has the grading of its entry, so the quotient of a
-    homogeneous complex is homogeneous and is not checked again.
+    homogeneous complex is homogeneous and is not checked again.  The
+    quotient shares cx's id list, or its speller, and not cx itself.
     """
     if cx.vars.n > 1:
         zero = (0,) * cx.vars.n
         cols = [{j: 0 for j, p in col.items() if zero in p.terms} for col in cx.cols]
     else:
         cols = [{j: 0 for j, e in col.items() if not e} for col in cx.cols]
-    return ChainComplex.from_columns(VarSet((), ()), lambda: cx.ids, cx.h, cx.q, cx.alex2, cols,
-                                     cx.convention, check=False)
+    spelled = cx.__dict__  # a given or spelled id list, and its order if built
+    ids = spelled["ids"] if "ids" in spelled else cx._spell
+    return ChainComplex.from_columns(VarSet((), ()), ids, cx.h, cx.q, cx.alex2, cols,
+                                     cx.convention, check=False, order=spelled.get("order"))
 
 
 def phi_action(cx: ChainComplex, pair: str, side: str = "z") -> ChainMap:
@@ -567,9 +644,10 @@ def phi_action(cx: ChainComplex, pair: str, side: str = "z") -> ChainMap:
 
 
 def homology_f2(cx: ChainComplex) -> dict[tuple[int, ...], int]:
-    """Dimension of homology per grading for variable-free complexes."""
-    if cx.vars.n != 0:
-        raise ValueError("plain F2 homology needs a variable-free complex")
+    """Dimension of homology per grading of a variable-free complex, or of
+    C/u for a one-variable complex C (its u^0 entries), without a copy."""
+    if cx.vars.n > 1:
+        raise ValueError("plain F2 homology needs at most one variable")
     return Expansion(cx).dims()
 
 
@@ -784,12 +862,13 @@ def mod_u_dims(summands: Sequence[Summand], step: Grade, back: Grade, m: int) ->
 
 def check_mod_u(cx: ChainComplex, summands: Sequence[Summand]) -> None:
     """Compare a decomposition of H(cx) with the F2 homology of cx/u, which
-    mod_u_dims predicts at m = 1.  H(cx/u) comes from kill_vars and
-    homology_f2 alone, so the check shares no work with the decomposition."""
+    mod_u_dims predicts at m = 1.  H(cx/u) comes from homology_f2 alone (F2
+    ranks, not cancellation), so the check shares no work with the
+    decomposition."""
     step = cx.ustep()  # raises unless cx has one variable
     back = (1, 0) if cx.convention == CONV_KH else (-1,)  # a differential step
     dims: Counter = Counter()
-    for grade, dim in homology_f2(kill_vars(cx)).items():
+    for grade, dim in homology_f2(cx).items():
         dims[grade[:len(step)]] += dim  # floer: forget the mod-2 alexander grade
     predicted = mod_u_dims(summands, step, back, 1)
     for key in sorted(set(dims) | set(predicted)):
@@ -865,16 +944,19 @@ class Expansion:
     s as a bitset over that block, bit p for its p-th slot, or None where
     the image reaches below the floor.  Monomials are coded as integers in
     radix ``radix``, wide enough that adding an entry's monomial never
-    carries.  floor may be None only for a variable-free complex, whose
-    slots are its generators.  An expansion of more than
-    ``MAX_EXPANSION_SLOTS`` slots raises ValueError before any is built.
+    carries.  floor may be None only over at most one variable: the slots
+    are then the generators, and the differential is read mod u (a column
+    holds its u^0 targets only), so the expansion is that of C/u.  ``index``
+    (slot key -> slot) and ``mono`` are built when first read.  An expansion
+    of more than ``MAX_EXPANSION_SLOTS`` slots raises ValueError before any
+    is built.
     """
 
     def __init__(self, cx: ChainComplex, floor: int | None = None,
                  order: Sequence[int] | None = None) -> None:
         vs, n, hs, alex = cx.vars, cx.n, cx.h, cx.alex2
-        if floor is None and vs.n:
-            raise ValueError("expanding a complex over F2[u...] needs a floor")
+        if floor is None and vs.n > 1:
+            raise ValueError("expanding a complex over several variables needs a floor")
         check_expansion_size(cx, floor)
         kh = cx.convention == CONV_KH
         self.cx, self.axis = cx, int(kh)
@@ -932,20 +1014,22 @@ class Expansion:
             self.blocks[grade] = range(len(keys), len(keys) + len(blk))
             keys += blk
             self.grade += [grade] * len(blk)
-        self.index = index = dict(zip(keys, range(len(keys))))  # key -> slot
-        self.gen = [k % n for k in keys]
-        self.mono = [k // n for k in keys]
+        self._keys = keys  # code * n + generator, per slot
         self.lands: dict[Grade, Grade] = {}
-        if floor is None:  # a target's bit is its place in its block
-            bit = [0] * n
+        if floor is None:  # a target's bit is its place in its block, u^0 targets only
+            self.gen = keys
+            place = [0] * n
             for grade, blk in buckets.items():
                 for p, i in enumerate(blk):
-                    bit[i] = 1 << p
-                j = next((j for i in blk for j in cx.cols[i]), None)
+                    place[i] = p
+                j = next((j for i in blk for j, e in cx.cols[i].items() if not e), None)
                 if j is not None:
                     self.lands[grade] = grades[j]
-            self.cols: list[int | None] = [sum(map(bit.__getitem__, cx.cols[i])) for i in keys]
+            self.cols: list[int | None] = [sum([1 << place[j] for j, e in cx.cols[i].items() if not e])
+                                           for i in keys]
             return
+        index = dict(zip(keys, range(len(keys))))  # key -> slot, while the columns are built
+        self.gen = [k % n for k in keys]
         self.cols = []
         append = self.cols.append
         for grade, blk in self.blocks.items():
@@ -959,6 +1043,16 @@ class Expansion:
                     append(sum(1 << (index[base + o] - start) for o in out))
                 except KeyError:
                     append(None)
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """The slot of every slot key, code * n + generator."""
+        return dict(zip(self._keys, range(len(self._keys))))
+
+    @cached_property
+    def mono(self) -> list[int]:
+        """The monomial code of every slot (0 without a floor)."""
+        return [k // self.cx.n for k in self._keys]
 
     def code(self, exps: Sequence[int]) -> int:
         """Integer code of the monomial with exponents exps."""

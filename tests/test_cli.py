@@ -248,6 +248,33 @@ def test_ss_rejects_nonzero_d_squared(tmp_path, capsys):
     assert "does not square to zero" in err and "from a to c" in err
 
 
+def dense_floer_doc(n):
+    """Three levels g0_* -> g1_* -> g2_* of n generators each, every entry 1,
+    so d^2(s, t) is n mod 2 for every s and t."""
+    gens = [{"id": "g%d_%d" % (lv, i), "h": -lv, "filtration": lv}
+            for lv in range(3) for i in range(n)]
+    diff = [{"from": "g%d_%d" % (lv, i), "to": "g%d_%d" % (lv + 1, j), "poly": "1"}
+            for lv in range(2) for i in range(n) for j in range(n)]
+    return {"variables": [{"name": "u", "unit": "1/2"}], "convention": "floer",
+            "generators": gens, "diff": diff}
+
+
+def test_ss_dense_three_level_documents(tmp_path, capsys):
+    """Every entry of d^2 is nonzero at 31 generators per level, and d^2 is
+    zero at 30; the check costs the entries, not the 2-paths."""
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(dense_floer_doc(31)))
+    code, out, err = run(capsys, "ss", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.endswith("d^2 has 961 nonzero entries, the first is 1 from g0_0 to g2_0\n")
+    path.write_text(json.dumps(dense_floer_doc(30)))
+    code, out, err = run(capsys, "ss", "--in", str(path))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[:2] == ["r\tq_rel\th_rel\tdim\ttorsion-profile", "1\t0\t0\t90\t-"]
+    assert "2\t0\t0\t86\t-" in lines and lines[-1] == "# converge\tpass"
+
+
 def test_ss_kh_generator_without_q_exits_2(tmp_path, capsys):
     doc = {
         "vars": [],

@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -177,6 +179,136 @@ def test_mat_compose_matches_reference_on_wide_multi_block_cubes():
         assert any(len(p.terms) == 2 for _, _, p in got)
         for grade in (tampered.grade, None):
             assert mat_compose(bad, bad, grade) == poly_product_compose(bad, bad)
+
+
+def on_degree(convention, unit, src, tgt, e):
+    """The reference degree rule for u^e from src to tgt, one grade at a time
+    (unit 0: no variable, and e is 0)."""
+    if convention == CONV_KH:
+        return tgt.h == src.h + 1 and tgt.q == src.q + 2 * unit * e
+    return tgt.h == src.h - 1 + unit * e and (
+        src.alex2 is None or (tgt.alex2 - src.alex2 - unit * e) % 2 == 0)
+
+
+def random_square_zero(rng, convention, unit, alex):
+    """(vars, gens, diff, planted): a random complex over F2[u] of this unit
+    (over F2 when unit is 0) with every entry on degree and d^2 = 0.  It is
+    built greedily: each on-degree candidate entry, in random order, is kept
+    if the Poly reference still squares to zero, and planted otherwise, so
+    each planted entry alone makes d^2 nonzero."""
+    vs = VarSet(("u",), (unit,)) if unit else VarSet((), ())
+    kh_q = convention == CONV_KH
+    gens = [Generator("g%d" % i, rng.randrange(-1, 2), 2 * rng.randrange(-1, 2) if kh_q else None,
+                      rng.randrange(2) if alex else None) for i in range(rng.randrange(1, 14))]
+    candidates = [(s.gid, t.gid, e) for s in gens for t in gens for e in range(4 if unit else 1)
+                  if on_degree(convention, unit, s, t, e)]
+    rng.shuffle(candidates)
+    diff, planted = {}, {}
+    for s, t, e in candidates:
+        if (s, t) in diff or (s, t) in planted:
+            continue
+        p = Poly.var(vs, "u", e) if unit else Poly.one(vs)
+        trial = {**diff, (s, t): p}
+        if poly_product_compose(trial, trial):
+            planted[s, t] = p
+        else:
+            diff = trial
+    return vs, gens, diff, planted
+
+
+SQUARE_ZERO_KINDS = [(CONV_KH, unit, False) for unit in (0, HALF, FULL)] + [
+    (CONV_FLOER, unit, alex) for unit in (0, HALF, FULL) for alex in (False, True)]
+
+
+def dense_d2(n, drop=None):
+    """The expected verify_d2 of the all-ones complex g0_* -> g1_* -> g2_*
+    with n generators per level, without the entry drop: d^2(s, t) is the
+    parity of the middle generators joining them."""
+    out = []
+    for i in range(n):
+        for t in sorted("g2_%d" % j for j in range(n)):
+            paths = n - (drop is not None and drop[0] == "g0_%d" % i)
+            if paths % 2:
+                out.append(("g0_%d" % i, t))
+    return out
+
+
+def test_verify_d2_by_parity_matches_the_reference():
+    """On-degree complexes, square-zero or with planted violations (entries
+    the greedy build refused, or an entry dropped), give the Poly reference's
+    d^2: kh and floer, HALF and FULL units, floer with and without alex2,
+    and variable-free complexes; one dense complex has levels of many words."""
+    rng = random.Random(2207)
+    seen = collections.Counter()
+    for trial in range(270):
+        kind = SQUARE_ZERO_KINDS[trial % len(SQUARE_ZERO_KINDS)]
+        vs, gens, diff, planted = random_square_zero(rng, *kind)
+        cases = [diff]
+        if planted:
+            extra = rng.sample(sorted(planted), min(len(planted), rng.randrange(1, 4)))
+            cases.append({**diff, **{key: planted[key] for key in extra}})
+        if diff:
+            cases.append({key: p for key, p in diff.items() if key != rng.choice(sorted(diff))})
+        for entries in cases:
+            cx = ChainComplex(vs, gens, entries, kind[0])  # checked: every entry on degree
+            assert cx._off_degree() is None
+            got = cx.verify_d2()
+            assert got == reference_d2(cx)
+            assert (entries is diff) <= (got == [])
+            reached = {(s, t) for (s, m) in entries for (m2, t) in entries if m == m2}
+            seen[kind, "zero" if not got else "nonzero"] += 1
+            seen["cancelled"] += len(reached) - len(got)
+            seen["u power"] += sum(1 for _, _, p in got if p != Poly.one(vs))
+            seen["levels"] += kind[0] == CONV_FLOER and len(
+                {(s, cx.gen(t).h) for s, t, _ in got}) > len({s for s, _, _ in got})
+    for kind in SQUARE_ZERO_KINDS:
+        assert seen[kind, "zero"] and seen[kind, "nonzero"], kind
+    assert seen["cancelled"] > 100 and seen["u power"] > 20 and seen["levels"] > 5, seen
+    # a dense all-ones complex, 70 or 71 generators per level: bitsets wider
+    # than a machine word, and ids whose order is not the positions' order
+    one = Poly.one(U1)
+    for n, drop in ((70, None), (70, ("g0_3", "g1_5")), (71, None)):
+        gens = [Generator("g%d_%d" % (lv, i), -lv, None, 1) for lv in range(3) for i in range(n)]
+        diff = {("g%d_%d" % (lv, i), "g%d_%d" % (lv + 1, j)): one
+                for lv in range(2) for i in range(n) for j in range(n)}
+        diff.pop(drop, None)
+        got = ChainComplex(U1, gens, diff, CONV_FLOER).verify_d2()
+        assert [(s, t) for s, t, _ in got] == dense_d2(n, drop)
+        assert all(p == one for _, _, p in got)
+
+
+def test_homology_f2_reads_one_variable_complexes_mod_u():
+    """homology_f2 of a one-variable complex is that of its quotient by u,
+    and both equal the dense reference: generated kh and floer complexes,
+    planted floer sums, minus cubes and a complex with u-torsion."""
+    rng = random.Random(2208)
+    cases = [torsion_towers()]
+    for trial in range(60):
+        kind = [k for k in SQUARE_ZERO_KINDS if k[1]][trial % 6]
+        vs, gens, diff, _ = random_square_zero(rng, *kind)
+        cases.append(ChainComplex(vs, gens, diff, kind[0]))
+    cases += [fc.base for fc, _ in itertools.islice(planted_sums(), 10)]
+    cases += [kh.ckh(d).complex for d in (kh.parse_pd(TREFOIL_PD), kh.cyclic_knot(5))]
+    for cx in cases:
+        assert cx.vars.n == 1
+        quotient = kill_vars(cx)
+        assert homology_f2(cx) == homology_f2(quotient) == ref_homology_f2(quotient)
+    assert any(e for cx in cases for col in cx.cols for e in col.values())
+    with pytest.raises(ValueError, match="at most one variable"):
+        homology_f2(build_model(MODEL_NAMES[0]).complex)
+
+
+def test_kill_vars_keeps_no_reference_to_its_source():
+    """The quotient shares its source's id list or speller, not the source."""
+    for make in (lambda: kh.ckh(kh.cyclic_knot(5)).complex, torsion_towers):
+        want = make().ids
+        source = make()
+        quotient = kill_vars(source)
+        ref = weakref.ref(source)
+        del source
+        gc.collect()
+        assert ref() is None
+        assert quotient.ids == want and quotient.order == {g: i for i, g in enumerate(want)}
 
 
 def test_exponent_columns_reject_two_term_entries():
