@@ -247,28 +247,16 @@ class ChainComplex:
         bitset over its targets' h-level (one level in kh, where every
         target sits at h + 1; one bitset per target level in floer), and a
         source XORs the columns of its middle generators: the cost is the
-        entries times the machine words of a level, not the 2-paths.  A
-        complex with an entry off degree (only check=False builds one) is
-        squared by walking every 2-path.  Over several variables it is
-        mat_compose of the id-keyed differential.
+        entries times the machine words of a level, not the 2-paths.  Over
+        several variables, or with an entry off degree (only check=False
+        builds one), it is mat_compose of the id-keyed differential.
         """
-        if self.vars.n > 1:
-            order = self.order
-            return [(src, tgt, p) for (src, tgt), p in sorted(
-                mat_compose(self.diff, self.diff, self.grade).items(),
-                key=lambda kv: (order[kv[0][0]], kv[0][1]))]
-        if self._off_degree() is None:
+        if self.vars.n <= 1 and self._off_degree() is None:
             return self._d2_by_parity()
-        cols, out, nv = self.cols, [], self.vars.n
-        for i, col in enumerate(cols):
-            acc: dict[int, int] = {}  # target -> bit e for each u^e reached an odd number of times
-            for mid, e in col.items():
-                for t, f in cols[mid].items():
-                    acc[t] = acc.get(t, 0) ^ 1 << (e + f)
-            for tgt, bits in sorted((self.ids[t], bits) for t, bits in acc.items() if bits):
-                terms = frozenset((k,) * nv for k in range(bits.bit_length()) if bits >> k & 1)
-                out.append((self.ids[i], tgt, Poly(self.vars, terms)))
-        return out
+        order = self.order
+        return [(src, tgt, p) for (src, tgt), p in sorted(
+            mat_compose(self.diff, self.diff, self.grade).items(),
+            key=lambda kv: (order[kv[0][0]], kv[0][1]))]
 
     def _d2_by_parity(self) -> list[tuple[str, str, Poly]]:
         """verify_d2 of a complex over at most one variable whose entries are
@@ -607,18 +595,15 @@ def kill_vars(cx: ChainComplex) -> ChainComplex:
     """Quotient by every variable: keep only constant monomial terms.
 
     A constant term has the grading of its entry, so the quotient of a
-    homogeneous complex is homogeneous and is not checked again.  The
-    quotient shares cx's id list, or its speller, and not cx itself.
+    homogeneous complex is homogeneous and is not checked again.
     """
     if cx.vars.n > 1:
         zero = (0,) * cx.vars.n
         cols = [{j: 0 for j, p in col.items() if zero in p.terms} for col in cx.cols]
     else:
         cols = [{j: 0 for j, e in col.items() if not e} for col in cx.cols]
-    spelled = cx.__dict__  # a given or spelled id list, and its order if built
-    ids = spelled["ids"] if "ids" in spelled else cx._spell
-    return ChainComplex.from_columns(VarSet((), ()), ids, cx.h, cx.q, cx.alex2, cols,
-                                     cx.convention, check=False, order=spelled.get("order"))
+    return ChainComplex.from_columns(VarSet((), ()), cx.ids, cx.h, cx.q, cx.alex2, cols,
+                                     cx.convention, check=False, order=cx.order)
 
 
 def phi_action(cx: ChainComplex, pair: str, side: str = "z") -> ChainMap:
@@ -644,8 +629,9 @@ def phi_action(cx: ChainComplex, pair: str, side: str = "z") -> ChainMap:
 
 
 def homology_f2(cx: ChainComplex) -> dict[tuple[int, ...], int]:
-    """Dimension of homology per grading of a variable-free complex, or of
-    C/u for a one-variable complex C (its u^0 entries), without a copy."""
+    """Dimension of homology per grading of a variable-free complex.  A
+    one-variable complex C is read mod u: the result is H(C/u), from its
+    u^0 entries, without a copy."""
     if cx.vars.n > 1:
         raise ValueError("plain F2 homology needs at most one variable")
     return Expansion(cx).dims()
@@ -880,7 +866,8 @@ def check_mod_u(cx: ChainComplex, summands: Sequence[Summand]) -> None:
 
 
 def homology(cx: ChainComplex, ring: str):
-    """Spec-level homology dispatcher: ring is 'f2' or 'u'."""
+    """Spec-level homology dispatcher: ring is 'f2' or 'u'.  With 'f2' a
+    one-variable complex is read mod u (see homology_f2)."""
     if ring == "f2":
         return homology_f2(cx)
     if ring == "u":
@@ -947,7 +934,7 @@ class Expansion:
     carries.  floor may be None only over at most one variable: the slots
     are then the generators, and the differential is read mod u (a column
     holds its u^0 targets only), so the expansion is that of C/u.  ``index``
-    (slot key -> slot) and ``mono`` are built when first read.  An expansion
+    (slot key -> slot) is built when first read.  An expansion
     of more than ``MAX_EXPANSION_SLOTS`` slots raises ValueError before any
     is built.
     """
@@ -1048,11 +1035,6 @@ class Expansion:
     def index(self) -> dict[int, int]:
         """The slot of every slot key, code * n + generator."""
         return dict(zip(self._keys, range(len(self._keys))))
-
-    @cached_property
-    def mono(self) -> list[int]:
-        """The monomial code of every slot (0 without a floor)."""
-        return [k // self.cx.n for k in self._keys]
 
     def code(self, exps: Sequence[int]) -> int:
         """Integer code of the monomial with exponents exps."""

@@ -293,13 +293,14 @@ def test_homology_f2_reads_one_variable_complexes_mod_u():
         assert cx.vars.n == 1
         quotient = kill_vars(cx)
         assert homology_f2(cx) == homology_f2(quotient) == ref_homology_f2(quotient)
+        assert homology(cx, "f2") == homology_f2(quotient)
     assert any(e for cx in cases for col in cx.cols for e in col.values())
     with pytest.raises(ValueError, match="at most one variable"):
         homology_f2(build_model(MODEL_NAMES[0]).complex)
 
 
 def test_kill_vars_keeps_no_reference_to_its_source():
-    """The quotient shares its source's id list or speller, not the source."""
+    """The quotient keeps its own id list, not the source."""
     for make in (lambda: kh.ckh(kh.cyclic_knot(5)).complex, torsion_towers):
         want = make().ids
         source = make()

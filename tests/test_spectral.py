@@ -425,8 +425,8 @@ def full_expansion(fc):
 
 def slot_names(fc, exp):
     """(gid, u power, grade) of every slot of an expansion of fc."""
-    ids = fc.base.ids
-    return [(ids[i], j, grade) for i, j, grade in zip(exp.gen, exp.mono, exp.grade)]
+    ids, n = fc.base.ids, fc.base.n
+    return [(ids[i], k // n, grade) for i, k, grade in zip(exp.gen, exp._keys, exp.grade)]
 
 
 def analysed(fc, grade):
