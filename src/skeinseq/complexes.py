@@ -19,7 +19,7 @@ from functools import cached_property, reduce
 from itertools import repeat
 from math import comb
 from operator import xor
-from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Container, Hashable, Iterator, Mapping, Sequence
 
 from . import gf2
 from .poly import Poly, VarSet
@@ -30,9 +30,9 @@ CONV_KH = "kh"
 
 # Input size limits; both are checked before any expensive work.  The largest
 # cube khovanov.ckh builds: a 13-crossing cube (cyclic_knot(13), 16383 minus
-# generators) takes about 0.3 s to build, 0.6 s to cancel down to its 431 free
-# summands (cancel_units) and 0.2 s to check mod u; `kh --flavor minus` runs
-# in about 1.5 s end to end, in about 70 MB (2-vCPU VM, Python 3.11).  Each
+# generators) takes about 0.25 s to build, 0.6 s to cancel down to its 431 free
+# summands (cancel_units) and 0.06 s to check mod u; `kh --flavor minus` runs
+# in about 1.1 s end to end, in about 66 MB (2-vCPU VM, Python 3.11).  Each
 # further crossing doubles the vertices, and a 30-crossing diagram would
 # enumerate 2^30 states.  A free loop doubles the generators of every vertex,
 # so ckh counts crossings plus free loops against it.
@@ -631,7 +631,11 @@ def phi_action(cx: ChainComplex, pair: str, side: str = "z") -> ChainMap:
 def homology_f2(cx: ChainComplex) -> dict[tuple[int, ...], int]:
     """Dimension of homology per grading of a variable-free complex.  A
     one-variable complex C is read mod u: the result is H(C/u), from its
-    u^0 entries, without a copy."""
+    u^0 entries, without a copy.
+
+    cx must square to zero (``Expansion.dims`` clears by it).  Every shipped
+    caller reads a khovanov cube, square-zero by construction and checked by
+    the tests; ``ss`` never calls it and runs ``verify_d2`` on its input."""
     if cx.vars.n > 1:
         raise ValueError("plain F2 homology needs at most one variable")
     return Expansion(cx).dims()
@@ -819,8 +823,11 @@ def cancel_units(cx: ChainComplex, level: Sequence[int] | None = None,
 
     def pick(grades: list | None) -> list | None:  # a survivors' array
         return None if grades is None else [grades[i] for i in new]
+    # the source's id list if it is spelled, else its speller: never the source itself
+    ids = cx.__dict__.get("ids")
+    spell = cx._spell if ids is None else lambda: ids
     return ChainComplex.from_columns(
-        cx.vars, lambda: pick(cx.ids), pick(cx.h), pick(cx.q), pick(cx.alex2),
+        cx.vars, lambda: pick(spell()), pick(cx.h), pick(cx.q), pick(cx.alex2),
         [{new[t]: e for t, e in col.items()} for col in cols.values()],
         cx.convention, cx.pairs, check=False)
 
@@ -850,7 +857,7 @@ def check_mod_u(cx: ChainComplex, summands: Sequence[Summand]) -> None:
     """Compare a decomposition of H(cx) with the F2 homology of cx/u, which
     mod_u_dims predicts at m = 1.  H(cx/u) comes from homology_f2 alone (F2
     ranks, not cancellation), so the check shares no work with the
-    decomposition."""
+    decomposition.  cx must square to zero (see homology_f2)."""
     step = cx.ustep()  # raises unless cx has one variable
     back = (1, 0) if cx.convention == CONV_KH else (-1,)  # a differential step
     dims: Counter = Counter()
@@ -867,7 +874,8 @@ def check_mod_u(cx: ChainComplex, summands: Sequence[Summand]) -> None:
 
 def homology(cx: ChainComplex, ring: str):
     """Spec-level homology dispatcher: ring is 'f2' or 'u'.  With 'f2' a
-    one-variable complex is read mod u (see homology_f2)."""
+    one-variable complex is read mod u, and cx must square to zero (see
+    homology_f2)."""
     if ring == "f2":
         return homology_f2(cx)
     if ring == "u":
@@ -933,10 +941,11 @@ class Expansion:
     radix ``radix``, wide enough that adding an entry's monomial never
     carries.  floor may be None only over at most one variable: the slots
     are then the generators, and the differential is read mod u (a column
-    holds its u^0 targets only), so the expansion is that of C/u.  ``index``
-    (slot key -> slot) is built when first read.  An expansion
-    of more than ``MAX_EXPANSION_SLOTS`` slots raises ValueError before any
-    is built.
+    holds its u^0 targets only), so the expansion is that of C/u; ``cols``
+    is then built when first read, and ``dims`` builds only the columns it
+    inserts.  ``index`` (slot key -> slot) is built when first read.  An
+    expansion of more than ``MAX_EXPANSION_SLOTS`` slots raises ValueError
+    before any is built.
     """
 
     def __init__(self, cx: ChainComplex, floor: int | None = None,
@@ -952,9 +961,13 @@ class Expansion:
             self.radix = 2
             grades = list(zip(hs, cx.q) if kh else zip(hs, [a % 2 for a in alex]) if alex
                           else zip(hs))
+            self._place = place = [0] * n  # a generator's place in its block
             for i in range(n) if order is None else order:
-                buckets.setdefault(grades[i], []).append(i)
+                blk = buckets.setdefault(grades[i], [])
+                place[i] = len(blk)
+                blk.append(i)
         else:
+            self._place = None
             scale = 2 if kh else 1  # slice drop per unit of a monomial's h drop
             vals = cx.q if kh else hs
             depth = max([(v - floor) // scale for v in vals], default=0)
@@ -1005,15 +1018,10 @@ class Expansion:
         self.lands: dict[Grade, Grade] = {}
         if floor is None:  # a target's bit is its place in its block, u^0 targets only
             self.gen = keys
-            place = [0] * n
             for grade, blk in buckets.items():
-                for p, i in enumerate(blk):
-                    place[i] = p
                 j = next((j for i in blk for j, e in cx.cols[i].items() if not e), None)
                 if j is not None:
                     self.lands[grade] = grades[j]
-            self.cols: list[int | None] = [sum([1 << place[j] for j, e in cx.cols[i].items() if not e])
-                                           for i in keys]
             return
         index = dict(zip(keys, range(len(keys))))  # key -> slot, while the columns are built
         self.gen = [k % n for k in keys]
@@ -1030,6 +1038,23 @@ class Expansion:
                     append(sum(1 << (index[base + o] - start) for o in out))
                 except KeyError:
                     append(None)
+
+    @cached_property
+    def cols(self) -> list[int | None]:
+        """Every column, built on first read where there is no floor."""
+        return self._block_columns(range(len(self._keys)), ())
+
+    def _block_columns(self, slots: range, skip: Container[int]) -> list[int | None]:
+        """cols[s] for each slot s of the range whose place in it is not in
+        skip; without a floor they are built here from ``cx.cols``, so a
+        slot skipped is never built."""
+        place, start = self._place, slots.start
+        if place is None:
+            cols = self.cols
+            return [cols[s] for s in slots if s - start not in skip]
+        ccols = self.cx.cols
+        return [sum([1 << place[j] for j, e in ccols[i].items() if not e])
+                for p, i in enumerate(self._keys[start:slots.stop]) if p not in skip]
 
     @cached_property
     def index(self) -> dict[int, int]:
@@ -1054,31 +1079,55 @@ class Expansion:
         grade = self.lands.get(self.grade[s])
         return 0 if grade is None else self.cols[s] << self.blocks[grade].start
 
+    def source_first(self) -> list[Grade]:
+        """The grades of the blocks, each before the block it lands in.
+
+        Every block lands on the same side of itself in the grade order
+        (above it in the kh convention, below it in the floer one), so one
+        of the two sorted orders is source first.
+        """
+        grades = list(self.blocks)
+        if any(tgt > grade for grade, tgt in self.lands.items()):
+            return grades
+        return grades[::-1]
+
     def dims(self) -> dict[Grade, int]:
         """F2 homology dimension of every block whose differential stays
-        inside the expansion, with zeros, in ascending grade order."""
-        cols, blocks = self.cols, self.blocks
+        inside the expansion, with zeros, in ascending grade order.
+
+        The complex must square to zero: its callers read khovanov cubes and
+        the models, square-zero by construction and checked by the tests
+        (``ss`` runs ``verify_d2`` before it clears in ``spectral.analyze``).
+        Blocks are visited source first, and the columns at the leads of the
+        reduced image of the block before are skipped (clearing): that image
+        is a set of cycles in echelon form by lowest bit, so from the highest
+        lead down each skipped column is a sum of kept ones, and reaches
+        below the floor only if one of them does.  Without a floor a skipped
+        column is never built.
+        """
+        blocks = self.blocks
         rank_out: dict[Grade, int] = {}
         rank_into: dict[Grade, int] = {}
-        closed = []
-        for grade, blk in blocks.items():
-            block_cols = cols[blk.start:blk.stop]
-            if None in block_cols:
+        cleared: dict[Grade, Container[int]] = {}  # a block -> the leads of its source's image
+        for grade in self.source_first():
+            vecs = self._block_columns(blocks[grade], cleared.pop(grade, ()))
+            if None in vecs:
                 continue  # the bottom edge of the window
-            closed.append(grade)
+            space = gf2.ColumnSpace()
+            for vec in vecs:
+                space.insert_lead(vec)
+            rank_out[grade] = space.rank
             tgt = self.lands.get(grade)
             if tgt is not None:
-                rank = gf2.matrix_rank(block_cols, len(blocks[tgt]))
-                rank_out[grade] = rank
-                rank_into[tgt] = rank_into.get(tgt, 0) + rank
-        return {
-            grade: len(blocks[grade]) - rank_out.get(grade, 0) - rank_into.get(grade, 0)
-            for grade in closed
-        }
+                rank_into[tgt] = space.rank
+                cleared[tgt] = space.pivots
+        return {grade: len(blk) - rank_out[grade] - rank_into.get(grade, 0)
+                for grade, blk in blocks.items() if grade in rank_out}
 
 
 def slice_dims(cx: ChainComplex, h_from: int, h_to: int) -> dict[int, int]:
-    """F2 dimensions of homology per h-slice for floer-convention complexes."""
+    """F2 dimensions of homology per h-slice for floer-convention complexes;
+    cx must square to zero (see Expansion.dims)."""
     if cx.convention != CONV_FLOER:
         raise ValueError("slice_dims expects the floer convention")
     lo, hi = min(h_from, h_to), max(h_from, h_to)

@@ -16,10 +16,11 @@ class ColumnSpace:
     Vectors are ints; each vector inserted by ``insert`` or ``add`` remembers
     which inserted columns it combines (bit i of a combo stands for the i-th
     insert), for ``column_kernel`` and ``express``.  Callers that read only
-    leads and ranks (``matrix_rank``, ``spectral.analyze`` and
-    ``spectral._graded_homology_dims``) fill their spaces with
-    ``insert_lead`` instead, which keeps no combos: a space filled that way
-    answers ``contains``, ``rank`` and ``pivots`` but no combination.
+    leads and ranks (``matrix_rank``, ``complexes.Expansion.dims``,
+    ``spectral.analyze`` and ``spectral._graded_homology_dims``) fill their
+    spaces with ``insert_lead`` instead, which keeps no combos: a space
+    filled that way answers ``contains``, ``rank`` and ``pivots`` but no
+    combination.
     """
 
     def __init__(self) -> None:

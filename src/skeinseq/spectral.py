@@ -246,19 +246,6 @@ class SpectralPage:
     d_ranks: dict[tuple[Grade, Grade], int]
 
 
-def _source_first(exp: Expansion) -> list[Grade]:
-    """The grades of the blocks, each before the block it lands in.
-
-    Every block lands on the same side of itself in the grade order (above
-    it in the kh convention, below it in the floer one), so one of the two
-    sorted orders is source first.
-    """
-    grades = list(exp.blocks)
-    if any(tgt > grade for grade, tgt in exp.lands.items()):
-        return grades
-    return grades[::-1]
-
-
 def analyze(fc: FilteredComplex) -> SpectralData:
     """Run the level-respecting reduction and collect the pairing data.
 
@@ -284,7 +271,7 @@ def analyze(fc: FilteredComplex) -> SpectralData:
     events: list[PairEvent] = []
     zero: list[int] = []
     targets: set[int] = set()
-    for grade in _source_first(exp):
+    for grade in exp.source_first():
         if low is not None and grade[exp.axis] < low:
             continue
         tgt = exp.lands.get(grade)
@@ -430,7 +417,7 @@ def _graded_homology_dims(fc: FilteredComplex) -> dict[tuple[Grade, int], int]:
     low = fc.period_floor
     bound_leads: dict[Grade, set[int]] = {}  # block -> image leads of its source
     out: Counter = Counter()
-    for grade in _source_first(exp):
+    for grade in exp.source_first():
         if low is not None and grade[exp.axis] < low:
             continue
         blk = blocks[grade]

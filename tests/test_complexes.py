@@ -2,6 +2,8 @@ import collections
 import dataclasses
 import gc
 import itertools
+import json
+import os
 import random
 import weakref
 
@@ -40,7 +42,7 @@ from skeinseq.models import MODEL_NAMES, ActionSpec, ModelComplex, build_model
 from skeinseq.poly import FULL, HALF, Poly, VarSet
 from skeinseq.spectral import FilteredComplex
 from skeinseq.umod import module_decompose, vec_add_shifted
-from test_khovanov import reference_cube
+from test_khovanov import reference_cube, torus_2
 from test_properties import SUITE, knots
 from test_spectral_hard import one_map_complexes, planted_sums
 from test_umod import cube_presentation
@@ -310,6 +312,29 @@ def test_kill_vars_keeps_no_reference_to_its_source():
         gc.collect()
         assert ref() is None
         assert quotient.ids == want and quotient.order == {g: i for i, g in enumerate(want)}
+
+
+def test_cancel_units_keeps_no_reference_to_its_source():
+    """The survivors spell their ids from the source's id list, or from its
+    speller while the source's ids are unspelled, never from the source, with
+    levels (h: every entry jumps by one) and without; the ids are the source's
+    unpaired ones, in order."""
+    makes = (lambda: kh.ckh(kh.cyclic_knot(5)).complex, torsion_towers)
+    for make, spelled, levels in itertools.product(makes, (False, True), (False, True)):
+        source = make()
+        if spelled:
+            assert source.ids  # spelled: the list is in the instance dict
+        speller = "ids" not in source.__dict__
+        assert speller == (make is makes[0] and not spelled)
+        pairs = []
+        survivors = cancel_units(source, list(source.h) if levels else None, pairs)
+        ref = weakref.ref(source)
+        del source
+        gc.collect()
+        assert ref() is None, (make, spelled, levels)
+        paired = {i for x, y, _ in pairs for i in (x, y)}
+        assert paired
+        assert survivors.ids == [g for i, g in enumerate(make().ids) if i not in paired]
 
 
 def test_exponent_columns_reject_two_term_entries():
@@ -977,15 +1002,31 @@ def test_slice_dims_match_dense_references():
             assert q_dims(cx, lo, hi) == ref_q_slice_dims(cx, lo, hi), (lo, hi)
 
 
+def square_zero_draws(draw, count):
+    """count complexes from draw(), each drawn again until it squares to
+    zero: homology_f2 reads only complexes, and on a random matrix with
+    d^2 != 0 n - rank - rank is no homology dimension."""
+    out = []
+    while len(out) < count:
+        cx = draw()
+        if cx.verify_d2() == []:
+            out.append(cx)
+    return out
+
+
 def test_homology_f2_matches_dense_reference():
     rng = random.Random(7)
     novars = VarSet((), ())
-    for _ in range(60):
+
+    def draw():
         gens = [Generator("g%d" % i, rng.randrange(3), rng.randrange(2))
                 for i in range(rng.randrange(1, 7))]
         diff = {(s.gid, t.gid): Poly.one(novars) for s in gens for t in gens
                 if t.h == s.h + 1 and t.q == s.q and rng.random() < 0.5}
-        cx = ChainComplex(novars, gens, diff, CONV_KH)
+        return ChainComplex(novars, gens, diff, CONV_KH)
+    cases = square_zero_draws(draw, 60)
+    assert len(cases) == 60
+    for cx in cases:
         assert homology_f2(cx) == ref_homology_f2(cx)
     for d in (kh.parse_pd(TREFOIL_PD), kh.parse_pd(FIG8_PD), kh.cyclic_knot(5)):
         for cx in (reference_cube(d, "hat").complex, kill_vars(kh.ckh(d).complex)):
@@ -997,19 +1038,97 @@ def test_homology_f2_matches_dense_reference_on_floer_complexes_and_models():
     rng = random.Random(11)
     novars = VarSet((), ())
     for alex in (False, True):
-        for _ in range(60):
+        def draw():
             gens = [Generator("g%d" % i, rng.randrange(3), None,
                               rng.randrange(-2, 3) if alex else None)
                     for i in range(rng.randrange(1, 7))]
             diff = {(s.gid, t.gid): Poly.one(novars) for s in gens for t in gens
                     if t.h == s.h - 1 and (not alex or (t.alex2 - s.alex2) % 2 == 0)
                     and rng.random() < 0.5}
-            cx = ChainComplex(novars, gens, diff, CONV_FLOER)
-            mod2 = [dataclasses.replace(g, alex2=g.alex2 % 2) if alex else g for g in gens]
-            assert homology_f2(cx) == ref_homology_f2(ChainComplex(novars, mod2, diff, CONV_FLOER))
+            return ChainComplex(novars, gens, diff, CONV_FLOER)
+        cases = square_zero_draws(draw, 60)
+        assert len(cases) == 60
+        for cx in cases:
+            mod2 = [dataclasses.replace(g, alex2=g.alex2 % 2) if alex else g for g in cx.gens]
+            assert homology_f2(cx) == ref_homology_f2(ChainComplex(novars, mod2, cx.diff, CONV_FLOER))
     for name in MODEL_NAMES:
         cx = kill_vars(build_model(name).complex)
         assert homology_f2(cx) == ref_homology_f2(cx), name
+
+
+def ref_block_dims(exp):
+    """Expansion.dims without clearing: every closed block ranked from
+    scratch with gf2.matrix_rank, one rank per block."""
+    cols, blocks = exp.cols, exp.blocks
+    rank_out, rank_into, closed = {}, {}, []
+    for grade, blk in blocks.items():
+        block_cols = cols[blk.start:blk.stop]
+        if None in block_cols:
+            continue
+        closed.append(grade)
+        tgt = exp.lands.get(grade)
+        if tgt is not None:
+            rank = rank_out[grade] = gf2.matrix_rank(block_cols, len(blocks[tgt]))
+            rank_into[tgt] = rank_into.get(tgt, 0) + rank
+    return {grade: len(blocks[grade]) - rank_out.get(grade, 0) - rank_into.get(grade, 0)
+            for grade in closed}
+
+
+class CountingExpansion(Expansion):
+    """An Expansion that counts the columns its dims() reads."""
+    read = 0
+
+    def _block_columns(self, slots, skip):
+        vecs = super()._block_columns(slots, skip)
+        self.read += len(vecs)
+        return vecs
+
+
+def kh_cube_diagrams():
+    """The diagrams of the kh-cube benchmark: its fixed ones and its pool."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "frozen.json")
+    with open(path, encoding="utf-8") as fh:
+        frozen = json.load(fh)
+    return [kh.parse_pd(d["pd"]) for d in list(frozen["diagrams"].values()) + frozen["pools"]["kh"]]
+
+
+def test_expansion_dims_by_clearing_match_the_rank_loop():
+    """dims() skips the columns at the leads of the image of the block
+    before; with and without a floor it gives the per-block rank loop's
+    dimensions, and homology_f2 is the floorless one."""
+    rng = random.Random(2311)
+    cases = []
+    for convention, unit, alex in SQUARE_ZERO_KINDS:
+        for _ in range(40):
+            vs, gens, diff, _ = random_square_zero(rng, convention, unit, alex)
+            if alex:  # alex2 widened to -2..3; blocks read it mod 2
+                gens = [dataclasses.replace(g, alex2=g.alex2 + 2 * rng.randrange(-1, 2))
+                        for g in gens]
+            cases.append(ChainComplex(vs, gens, diff, convention))
+    assert {g.alex2 for cx in cases if cx.alex2 for g in cx.gens} == set(range(-2, 4))
+    cases += list(floer_reference_cases())
+    diagrams = kh_cube_diagrams()
+    assert len(diagrams) == 39
+    cubes = [kh.ckh(d).complex for d in diagrams + [torus_2(7), kh.cyclic_knot(7)]]
+    cases += cubes + [torsion_towers()]
+    skipped = collections.Counter()
+    for cx in cases:
+        floors = []
+        if cx.vars.n:
+            axis = int(cx.convention == CONV_KH)
+            vals = [cx.ugrade(g.gid)[axis] for g in cx.gens]
+            step = cx.vars.units[0] * (2 if axis else 1)
+            floors = [min(vals) - (max(vals) - min(vals)) - 4 * step, min(vals) - 1, max(vals)]
+        if cx.vars.n <= 1:
+            floors.append(None)
+            want = ref_block_dims(Expansion(cx))
+            assert homology_f2(cx) == want
+        for floor in floors:
+            exp = CountingExpansion(cx, floor)
+            assert exp.dims() == ref_block_dims(Expansion(cx, floor)), floor
+            skipped[cx in cubes, floor is None] += len(exp.gen) - exp.read
+    # every kind of case really skips columns
+    assert all(skipped[key] > 0 for key in itertools.product((False, True), repeat=2)), skipped
 
 
 # -- the size of an expansion and the depth of the truncation window -----------
