@@ -16,14 +16,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb
 from operator import xor
 from typing import Any, Callable, Container, Hashable, Iterator, Mapping, Sequence
 
 from . import gf2
 from .poly import Poly, VarSet
-from .umod import MonoVec, ModuleDecomposition, Summand, _replay, vec_add_shifted
+from .umod import MonoVec, ModuleDecomposition, Summand, _replay, eliminate, vec_add_shifted
 
 CONV_FLOER = "floer"
 CONV_KH = "kh"
@@ -715,110 +715,17 @@ class UHomology(ModuleDecomposition):
 def cancel_units(cx: ChainComplex, level: Sequence[int] | None = None,
                  cancelled: list[tuple[int, int, int]] | None = None,
                  log: list[tuple[int, int, int]] | None = None) -> ChainComplex:
-    """Gaussian elimination of a one-variable complex (Bar-Natan, "Fast
-    Khovanov homology computations", JKTR 2007).
-
-    An entry x --u^k--> y, where every other entry into y and out of x is
-    u^k or deeper, splits off as a summand x --u^k--> y.  The basis changes
-    s <- s + u^(e-k) x, for each other source s of y with d(s,y) = u^e, and
-    y <- y + u^(e-k) t, for each other target t of x with d(x,t) = u^e,
-    delete x and y and add the zig-zag u^(e_s + e_t - k) to d(s,t).  Each
-    pass walks the sources in generator order, each cancelling its u^k
-    target with the fewest incoming entries (the least fill-in).  The
-    survivors keep their original order.
-
-    Without levels the run goes on to the end, one pass per exponent k that
-    is still the least one left: a zig-zag through a u^k pivot is u^k only
-    if both legs are, so a source with no u^k entry at its turn never gains
-    one, the pass clears that exponent, and no entry is left at the end
-    (ArithmeticError if one is).  The complex returned is the survivors, one
-    free summand each, and each pair with k >= 1 is u^k torsion at y.
-
-    Given filtration levels by position (every entry raises the level), one
-    pass cancels only the units x -> y with level[y] - level[x] == 1, and the
-    result is a filtered complex with the same spectral sequence from E_2 on:
-
-    * Jump 1 makes the basis change filtered.  Every other source s of y has
-      level <= level(x), and every other target t of x has level >=
-      level(y), so C is isomorphic to C' + (x -> y) as a filtered
-      F2[u]-complex, and a zig-zag s -> t still raises the level.
-    * The isomorphism is graded, so it survives a window: the slots u^j g
-      below a slice floor form a subcomplex, and the window is the quotient
-      by it.  Pages E_r and differentials d_r for r >= 2 and E_inf by level
-      are unchanged on every grade whose differentials stay in the window;
-      the pair x -> y and its u-translates add only jump-1 pairs to E_1.
-    * One pass suffices: the jump of s -> t is the jump of s -> y plus that
-      of x -> t minus 1, and both are at least 1, so a zig-zag makes a
-      jump-1 unit s -> t only if d(s,y) was already one.
-
-    Each pair is appended to ``cancelled`` as generator positions (x, y, k)
-    when it is given.  ``log``, when given, receives the basis changes in
-    order as umod._replay operations: b <- b + u^m c is (c, b, m).
-    """
+    """umod.eliminate on a copy of the columns of a one-variable complex: to
+    the end without levels, one filtered pass with them.  Returns the
+    survivors in their original order; no id is spelled unless it raises."""
     if cx.vars.n != 1:
         raise ValueError("cancelling units needs a one-variable complex")
-    # the live generators' columns, in order, and target -> its sources
     cols: dict[int, MonoVec] = dict(enumerate(cx.exponent_columns()))
-    rows: list[set[int]] = [set() for _ in cx.h]
+    rows: list[set[int]] = [set() for _ in cols]  # target -> its sources
     for i, col in cols.items():
         for j in col:
             rows[j].add(i)
-    k = 0
-    while True:
-        for x in range(cx.n):
-            xcol = cols.get(x)
-            if xcol is None:
-                continue
-            y, fewest = -1, cx.n
-            if level is None:
-                for t, e in xcol.items():
-                    if e == k and len(rows[t]) < fewest:
-                        y, fewest = t, len(rows[t])
-            else:
-                above = level[x] + 1
-                for t, e in xcol.items():
-                    if not e and level[t] == above and len(rows[t]) < fewest:
-                        y, fewest = t, len(rows[t])
-            if y < 0:
-                continue
-            if cancelled is not None:
-                cancelled.append((x, y, k))
-            del cols[x], xcol[y]
-            for t in xcol:
-                rows[t].discard(x)
-            for s in rows[x]:
-                del cols[s][x]
-            for t in cols.pop(y):
-                rows[t].discard(y)
-            srcs = rows[y]
-            srcs.discard(x)
-            if log is not None:
-                log += [(t, y, e - k) for t, e in xcol.items()]
-                log += [(x, s, cols[s][y] - k) for s in srcs]
-            for s in srcs:
-                scol = cols[s]
-                base = scol.pop(y) - k
-                for t, e in xcol.items():
-                    ee = base + e
-                    old = scol.pop(t, None)
-                    if old is None:
-                        scol[t] = ee
-                        rows[t].add(s)
-                    elif old != ee:
-                        raise ArithmeticError(
-                            "inhomogeneous collision at %s -> %s: u^%d vs u^%d"
-                            % (cx.ids[s], cx.ids[t], old, ee)
-                        )
-                    else:
-                        rows[t].discard(s)
-        if level is not None:
-            break
-        left = min((e for col in cols.values() for e in col.values()), default=None)
-        if left is None:
-            break
-        if left <= k:
-            raise ArithmeticError("a u^%d entry is left after its pass" % left)
-        k = left
+    eliminate(cols, rows, level, cancelled, log, lambda i: cx.ids[i])
     new = {i: k for k, i in enumerate(cols)}  # a survivor's position among them
 
     def pick(grades: list | None) -> list | None:  # a survivors' array
@@ -943,9 +850,9 @@ class Expansion:
     are then the generators, and the differential is read mod u (a column
     holds its u^0 targets only), so the expansion is that of C/u; ``cols``
     is then built when first read, and ``dims`` builds only the columns it
-    inserts.  ``index`` (slot key -> slot) is built when first read.  An
-    expansion of more than ``MAX_EXPANSION_SLOTS`` slots raises ValueError
-    before any is built.
+    inserts.  ``index`` (slot key -> slot) and ``grade`` (slot -> grade)
+    are built when first read.  An expansion of more than
+    ``MAX_EXPANSION_SLOTS`` slots raises ValueError before any is built.
     """
 
     def __init__(self, cx: ChainComplex, floor: int | None = None,
@@ -1007,13 +914,11 @@ class Expansion:
                         blk = buckets[grade] = []
                     blk.append(c * n + i)
         keys: list[int] = []
-        self.grade: list[Grade] = []
         self.blocks: dict[Grade, range] = {}
         for grade in sorted(buckets):
             blk = buckets[grade]
             self.blocks[grade] = range(len(keys), len(keys) + len(blk))
             keys += blk
-            self.grade += [grade] * len(blk)
         self._keys = keys  # code * n + generator, per slot
         self.lands: dict[Grade, Grade] = {}
         if floor is None:  # a target's bit is its place in its block, u^0 targets only
@@ -1055,6 +960,11 @@ class Expansion:
         ccols = self.cx.cols
         return [sum([1 << place[j] for j, e in ccols[i].items() if not e])
                 for p, i in enumerate(self._keys[start:slots.stop]) if p not in skip]
+
+    @cached_property
+    def grade(self) -> list[Grade]:
+        """The grade of every slot, built on first read."""
+        return list(chain.from_iterable(repeat(g, len(b)) for g, b in self.blocks.items()))
 
     @cached_property
     def index(self) -> dict[int, int]:

@@ -106,7 +106,7 @@ class FilteredComplex:
         """The same filtered complex with its jump-1 unit pairs cancelled.
 
         ``complexes.cancel_units`` with the levels keeps E_r for r >= 2 and
-        E_inf by level on the trusted grades (its docstring has the
+        E_inf by level on the trusted grades (``umod.eliminate`` has the
         argument).  The result keeps this complex's trusted floor and
         window, which come from the span of the unreduced generators, and
         counts the cancelled pairs' u-translates with a trusted source in

@@ -4,14 +4,14 @@ Everything here assumes homogeneous data: the grading gives u a nonzero
 degree, so a homogeneous entry of a matrix over F2[u] is a single monomial
 u^e.  A vector is stored as {slot: exponent}; adding u^s times another
 vector either creates entries or cancels equal ones, and homogeneity
-guarantees colliding exponents agree (asserted).
+guarantees colliding exponents agree (asserted).  ``eliminate`` is the one
+F2[u] elimination, of chain complexes and of presentations alike.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 
 MonoVec = dict[int, int]
 
@@ -214,87 +214,137 @@ def _replay(ops: Iterable[tuple[int, int, int]], vecs: list[MonoVec]) -> list[Mo
     return out
 
 
-def _add_tracked(
-    rows: list[MonoVec], cols: list[set[int]], dst: int, src: MonoVec, shift: int
-) -> list[tuple[int, int]]:
-    """rows[dst] += u^shift * src, keeping the column index cols in step.
+def eliminate(cols: dict[int, MonoVec], rows: list[set[int]], level: Sequence[int] | None = None,
+              cancelled: list[tuple[int, int, int]] | None = None,
+              log: list[tuple[int, int, int]] | None = None,
+              name: Callable[[int], object] = str) -> None:
+    """Gaussian elimination of a free complex over F2[u] (Bar-Natan, "Fast
+    Khovanov homology computations", JKTR 2007), in place.
 
-    Returns the (column, exponent) entries the addition created.
+    cols maps positions 0..n-1, in order, to their columns {target: u
+    exponent}, leaving out any that is never a source, and rows[t] holds
+    the sources of t (an empty collection where t is never a target).  An
+    entry x --u^k--> y, where every other entry into y and out of x is u^k
+    or deeper, splits off as a summand: the basis changes s <- s + u^(e-k)
+    x, for each other source s of y with d(s,y) = u^e, and y <- y +
+    u^(e-k) t, for each other target t of x with d(x,t) = u^e, delete x and
+    y and add the zig-zag u^(e_s + e_t - k) to d(s,t).  Each pass walks the
+    sources in position order, each cancelling its u^k target with the
+    fewest incoming entries (the least fill-in).  cols is left with the
+    survivors that have columns, in order.
+
+    Without levels the run goes on to the end, one pass per exponent k that
+    is still the least one left: a zig-zag through a u^k pivot is u^k only
+    if both legs are, so a source with no u^k entry at its turn never gains
+    one, the pass clears that exponent, and no entry is left at the end
+    (ArithmeticError if one is).  Each survivor is then a free summand, and
+    each pair with k >= 1 is u^k torsion at y, which keeps its grade.
+
+    Given filtration levels by position (every entry raises the level), one
+    pass cancels only the units x -> y with level[y] - level[x] == 1, and the
+    result is a filtered complex with the same spectral sequence from E_2 on:
+
+    * Jump 1 makes the basis change filtered.  Every other source s of y has
+      level <= level(x), and every other target t of x has level >=
+      level(y), so C is isomorphic to C' + (x -> y) as a filtered
+      F2[u]-complex, and a zig-zag s -> t still raises the level.
+    * The isomorphism is graded, so it survives a window: the slots u^j g
+      below a slice floor form a subcomplex, and the window is the quotient
+      by it.  Pages E_r and differentials d_r for r >= 2 and E_inf by level
+      are unchanged on every grade whose differentials stay in the window;
+      the pair x -> y and its u-translates add only jump-1 pairs to E_1.
+    * One pass suffices: the jump of s -> t is the jump of s -> y plus that
+      of x -> t minus 1, and both are at least 1, so a zig-zag makes a
+      jump-1 unit s -> t only if d(s,y) was already one.
+
+    ``cancelled`` gets each pair as (x, y, k), and ``log`` the basis changes
+    in order as _replay operations (b <- b + u^m c is (c, b, m)); name(i)
+    spells position i in the message of a collision.
     """
-    row = rows[dst]
-    created: list[tuple[int, int]] = []
-    for c, e in src.items():
-        ee = e + shift
-        old = row.pop(c, None)
-        if old is None:
-            row[c] = ee
-            cols[c].add(dst)
-            created.append((c, ee))
-        elif old != ee:
-            raise ArithmeticError("inhomogeneous collision at column %d" % c)
-        else:
-            cols[c].discard(dst)
-    return created
+    n = len(rows)
+    k = 0
+    while True:
+        for x in list(cols):
+            xcol = cols.get(x)
+            if not xcol:
+                continue
+            y, fewest = -1, n
+            if level is None:
+                for t, e in xcol.items():
+                    if e == k and len(rows[t]) < fewest:
+                        y, fewest = t, len(rows[t])
+            else:
+                above = level[x] + 1
+                for t, e in xcol.items():
+                    if not e and level[t] == above and len(rows[t]) < fewest:
+                        y, fewest = t, len(rows[t])
+            if y < 0:
+                continue
+            if cancelled is not None:
+                cancelled.append((x, y, k))
+            del cols[x], xcol[y]
+            for t in xcol:
+                rows[t].discard(x)
+            for s in rows[x]:
+                del cols[s][x]
+            for t in cols.pop(y, ()):
+                rows[t].discard(y)
+            srcs = rows[y]
+            srcs.discard(x)
+            if log is not None:
+                log += [(t, y, e - k) for t, e in xcol.items()]
+                log += [(x, s, cols[s][y] - k) for s in srcs]
+            for s in srcs:
+                scol = cols[s]
+                base = scol.pop(y) - k
+                for t, e in xcol.items():
+                    ee = base + e
+                    old = scol.pop(t, None)
+                    if old is None:
+                        scol[t] = ee
+                        rows[t].add(s)
+                    elif old != ee:
+                        raise ArithmeticError("inhomogeneous collision at %s -> %s: u^%d vs u^%d"
+                                              % (name(s), name(t), old, ee))
+                    else:
+                        rows[t].discard(s)
+        if level is not None or not any(cols.values()):
+            break
+        left = min(e for col in cols.values() for e in col.values())
+        if left <= k:
+            raise ArithmeticError("a u^%d entry is left after its pass" % left)
+        k = left
 
 
-def module_decompose(
-    n_gens: int,
-    relations: list[MonoVec],
-    grades: list[tuple[int, ...]],
-    u_grade_step: tuple[int, ...],
-) -> ModuleDecomposition:
+def module_decompose(n_gens: int, relations: list[MonoVec], grades: list[tuple[int, ...]],
+                     u_grade_step: tuple[int, ...]) -> ModuleDecomposition:
     """Smith-style decomposition of coker(relations) over F2[u].
 
     relations are columns {generator: exponent}; grades are per-generator
     grading tuples, and u lowers a grade by u_grade_step.  Every relation
-    column is checked to be homogeneous.
-
-    The pivot is always the live entry u^e at (row r, column c) with the
-    least (e, r, c).  Row operations clear the rest of its column; then row
-    r is the only row left in column c, so clearing row r by column
-    operations would touch nothing else, and row r and column c simply leave
-    the matrix.  Pivots come from a lazy min-heap of entries, and each column
-    keeps the set of its rows, so a pivot costs the rows it clears, not a
-    scan of the matrix.  Each row operation adds u^s times row r to a row r2
-    of the same homogeneous column, where grades[r2] lowered by s steps is
-    grades[r], so generator r keeps its grade and the summand of pivot row r
-    is anchored at grades[r].
+    column is checked to be homogeneous.  eliminate runs the two-term free
+    complex relations -> generators to the end: a generator left spans a
+    free summand, and a pair relation --u^k--> generator spans u^k torsion
+    at that generator's grade, or kills the generator if k = 0.
     """
-    for col in relations:
+    cols: dict[int, MonoVec] = {}
+    rows: list[set[int]] = [set() for _ in range(n_gens)]
+    for j, col in enumerate(relations, n_gens):
         seen = None
         for row, e in col.items():
-            g = tuple(x - e * s for x, s in zip(grades[row], u_grade_step))
-            if seen is None:
-                seen = g
-            elif seen != g:
-                raise ValueError("non-homogeneous presentation column: %r" % (col,))
-
-    # mat holds only live entries: a row and a column leave together
-    mat: list[MonoVec] = [dict() for _ in range(n_gens)]
-    mat_cols: list[set[int]] = [set() for _ in relations]
-    heap: list[tuple[int, int, int]] = []
-    for j, col in enumerate(relations):
-        for row, e in col.items():
-            mat[row][j] = e
-            mat_cols[j].add(row)
-            heap.append((e, row, j))
-    heapify(heap)
+            rows[row].add(j)
+            if len(col) > 1:  # one entry is homogeneous on its own
+                g = [x - e * s for x, s in zip(grades[row], u_grade_step)]
+                if seen is None:
+                    seen = g
+                elif seen != g:
+                    raise ValueError("non-homogeneous presentation column: %r" % (col,))
+        cols[j] = dict(col)
+    rows += [frozenset()] * len(relations)  # a relation is never a target
+    pairs: list[tuple[int, int, int]] = []
+    eliminate(cols, rows, cancelled=pairs)
     pivots: dict[int, int] = {}
-
-    while heap:
-        e, r, c = heappop(heap)
-        prow = mat[r]
-        if prow.get(c) != e:
-            continue  # stale: the entry cancelled, or its row already died
-        # clear the pivot column with row operations
-        for r2 in sorted(mat_cols[c]):
-            if r2 != r:
-                for c2, ee in _add_tracked(mat, mat_cols, r2, prow, mat[r2][c] - e):
-                    heappush(heap, (ee, r2, c2))
-        pivots[r] = e
-        for c2 in prow:
-            mat_cols[c2].discard(r)
-        mat[r] = {}
-
-    return ModuleDecomposition([Summand(pivots.get(r), grades[r], r)
-                                for r in range(n_gens) if pivots.get(r) != 0])
+    for _, y, k in pairs:
+        pivots[y] = k
+    return ModuleDecomposition([Summand(pivots.get(g), grades[g], g)
+                                for g in range(n_gens) if pivots.get(g) != 0])

@@ -320,9 +320,19 @@ def presentations():
 
 
 def test_sparse_decompose_matches_dense_reference(presentations):
-    """Summands, with their grades and orders, equal the dense scan's."""
+    """The (grades, order) of the summands equal the dense scan's, and each
+    summand is anchored at its own generator row, of its grade.  The rows
+    themselves may differ: the dense scan pivots on the least (e, r, c),
+    the elimination on the target with the fewest incoming entries, and
+    either row spans an isomorphic summand."""
     for args in presentations:
-        assert module_decompose(*args).summands == dense_decompose(*args), args
+        n_gens, _, grades_list, _ = args
+        got = module_decompose(*args).summands
+        assert [(s.grades, s.order) for s in got] == [
+            (s.grades, s.order) for s in dense_decompose(*args)], args
+        anchors = [s.index for s in got]
+        assert len(set(anchors)) == len(anchors) and set(anchors) <= set(range(n_gens))
+        assert all(grades_list[s.index] == s.grades for s in got), args
 
 
 def test_echelon_basis_lead_index():
