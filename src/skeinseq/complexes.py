@@ -30,9 +30,9 @@ CONV_KH = "kh"
 
 # Input size limits; both are checked before any expensive work.  The largest
 # cube khovanov.ckh builds: a 13-crossing cube (cyclic_knot(13), 16383 minus
-# generators) takes about 0.25 s to build, 0.6 s to cancel down to its 431 free
-# summands (cancel_units) and 0.06 s to check mod u; `kh --flavor minus` runs
-# in about 1.1 s end to end, in about 66 MB (2-vCPU VM, Python 3.11).  Each
+# generators) takes about 0.25 s to build, 0.15-0.2 s to cancel down to its 431
+# free summands (cancel_units) and 0.06 s to check mod u; `kh --flavor minus`
+# runs in about 0.7 s end to end, in about 49 MB (2-vCPU VM, Python 3.11).  Each
 # further crossing doubles the vertices, and a 30-crossing diagram would
 # enumerate 2^30 states.  A free loop doubles the generators of every vertex,
 # so ckh counts crossings plus free loops against it.
@@ -700,9 +700,9 @@ class UHomology(ModuleDecomposition):
         """Matrix u^e entries of an endomorphism on the summand basis."""
         if cmap.source is not self.cx or cmap.target is not self.cx:
             raise ValueError("map is not an endomorphism of this complex")
-        if not cmap.is_chain_map():
-            raise ValueError("not a chain map")
         cols = self.cx.exponent_columns(cmap.entries)
+        if not _anticommutes(self.cx.cols, cols):
+            raise ValueError("not a chain map")
         reps = _replay(reversed(self._ops()), [{s.index: 0} for s in self.summands])
         images: list[MonoVec] = [{} for _ in reps]
         for img, rep in zip(images, reps):
@@ -712,21 +712,41 @@ class UHomology(ModuleDecomposition):
                 for pos2, e in row.items()}
 
 
+def _anticommutes(d: list[MonoVec], m: list[MonoVec]) -> bool:
+    """Whether d m + m d = 0 for exponent columns d and m by position: the
+    terms u^e t of each column of the sum cancel in pairs."""
+    for dcol, mcol in zip(d, m):
+        odd: set[tuple[int, int]] = set()
+        for col, by in ((dcol, m), (mcol, d)):
+            for j, e in col.items():
+                for t, f in by[j].items():
+                    odd ^= {(t, e + f)}
+        if odd:
+            return False
+    return True
+
+
 def cancel_units(cx: ChainComplex, level: Sequence[int] | None = None,
                  cancelled: list[tuple[int, int, int]] | None = None,
                  log: list[tuple[int, int, int]] | None = None) -> ChainComplex:
     """umod.eliminate on a copy of the columns of a one-variable complex: to
-    the end without levels, one filtered pass with them.  Returns the
-    survivors in their original order; no id is spelled unless it raises."""
+    the end without levels, one filtered pass with them.  The sources are
+    walked against the direction of d (descending h in kh, ascending h in
+    floer, in position order inside a level), so a pair cancelled at the
+    top deletes its source from the columns one level down before they are
+    walked, and they gain no fill-in through it.  Returns the survivors in
+    their original order; no id is spelled unless it raises."""
     if cx.vars.n != 1:
         raise ValueError("cancelling units needs a one-variable complex")
-    cols: dict[int, MonoVec] = dict(enumerate(cx.exponent_columns()))
-    rows: list[set[int]] = [set() for _ in cols]  # target -> its sources
-    for i, col in cols.items():
+    ecols = cx.exponent_columns()
+    rows: list[set[int]] = [set() for _ in ecols]  # target -> its sources
+    for i, col in enumerate(ecols):
         for j in col:
             rows[j].add(i)
+    cols = {i: ecols[i] for i in sorted(range(cx.n), key=cx.h.__getitem__,
+                                          reverse=cx.convention == CONV_KH)}
     eliminate(cols, rows, level, cancelled, log, lambda i: cx.ids[i])
-    new = {i: k for k, i in enumerate(cols)}  # a survivor's position among them
+    new = {i: k for k, i in enumerate(sorted(cols))}  # a survivor's position among them
 
     def pick(grades: list | None) -> list | None:  # a survivors' array
         return None if grades is None else [grades[i] for i in new]
@@ -735,7 +755,7 @@ def cancel_units(cx: ChainComplex, level: Sequence[int] | None = None,
     spell = cx._spell if ids is None else lambda: ids
     return ChainComplex.from_columns(
         cx.vars, lambda: pick(spell()), pick(cx.h), pick(cx.q), pick(cx.alex2),
-        [{new[t]: e for t, e in col.items()} for col in cols.values()],
+        [{new[t]: e for t, e in cols[i].items()} for i in new],
         cx.convention, cx.pairs, check=False)
 
 

@@ -221,17 +221,19 @@ def eliminate(cols: dict[int, MonoVec], rows: list[set[int]], level: Sequence[in
     """Gaussian elimination of a free complex over F2[u] (Bar-Natan, "Fast
     Khovanov homology computations", JKTR 2007), in place.
 
-    cols maps positions 0..n-1, in order, to their columns {target: u
-    exponent}, leaving out any that is never a source, and rows[t] holds
-    the sources of t (an empty collection where t is never a target).  An
-    entry x --u^k--> y, where every other entry into y and out of x is u^k
-    or deeper, splits off as a summand: the basis changes s <- s + u^(e-k)
-    x, for each other source s of y with d(s,y) = u^e, and y <- y +
-    u^(e-k) t, for each other target t of x with d(x,t) = u^e, delete x and
-    y and add the zig-zag u^(e_s + e_t - k) to d(s,t).  Each pass walks the
-    sources in position order, each cancelling its u^k target with the
-    fewest incoming entries (the least fill-in).  cols is left with the
-    survivors that have columns, in order.
+    cols maps positions of 0..n-1, in the order they are walked, to their
+    columns {target: u exponent}, leaving out any that is never a source,
+    and rows[t] holds the sources of t (an empty collection where t is
+    never a target).  An entry x --u^k--> y, where every other entry into y
+    and out of x is u^k or deeper, splits off as a summand: the basis
+    changes s <- s + u^(e-k) x, for each other source s of y with d(s,y) =
+    u^e, and y <- y + u^(e-k) t, for each other target t of x with d(x,t) =
+    u^e, delete x and y and add the zig-zag u^(e_s + e_t - k) to d(s,t).
+    Each pass walks the sources in cols' order, each cancelling its u^k
+    target with the fewest incoming entries (the least fill-in).  cols is
+    left with the survivors that have columns, in that order.  Both
+    arguments below hold in any order; the order decides only which pairs
+    cancel and how much fill-in the zig-zags make.
 
     Without levels the run goes on to the end, one pass per exponent k that
     is still the least one left: a zig-zag through a u^k pivot is u^k only
@@ -290,6 +292,7 @@ def eliminate(cols: dict[int, MonoVec], rows: list[set[int]], level: Sequence[in
             for t in cols.pop(y, ()):
                 rows[t].discard(y)
             srcs = rows[y]
+            rows[x] = rows[y] = frozenset()  # no column holds x or y now: free their sets
             srcs.discard(x)
             if log is not None:
                 log += [(t, y, e - k) for t, e in xcol.items()]

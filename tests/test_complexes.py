@@ -12,6 +12,7 @@ from hypothesis import given
 
 from skeinseq import gf2, serde
 from skeinseq import khovanov as kh
+from skeinseq.cli import HOPF_PD
 from skeinseq.complexes import (
     CONV_FLOER,
     CONV_KH,
@@ -40,8 +41,8 @@ from skeinseq.complexes import (
 )
 from skeinseq.models import MODEL_NAMES, ActionSpec, ModelComplex, build_model
 from skeinseq.poly import FULL, HALF, Poly, VarSet
-from skeinseq.spectral import FilteredComplex
-from skeinseq.umod import ModuleDecomposition, vec_add_shifted
+from skeinseq.spectral import FilteredComplex, analyze, pages
+from skeinseq.umod import ModuleDecomposition, Summand, eliminate, vec_add_shifted
 from test_khovanov import reference_cube, torus_2
 from test_properties import SUITE, knots
 from test_spectral_hard import one_map_complexes, planted_sums
@@ -658,6 +659,35 @@ def test_induced_identity_and_u():
             assert mat.get((i, i)) == 1
         else:
             assert (i, i) not in mat  # order-1 torsion dies under u
+
+
+def test_induced_matrix_checks_the_chain_map_by_position():
+    """induced_matrix checks d phi + phi d = 0 on the exponent columns: the
+    basepoint actions of a cube pass, and a copy with an entry dropped,
+    raised by u or added raises exactly when ChainMap.is_chain_map fails."""
+    rng = random.Random(2512)
+    cc = kh.ckh(kh.cyclic_knot(5))
+    cx = cc.complex
+    hom = UHomology(cx)
+    u = Poly.var(cx.vars, "u")
+    raised = 0
+    for arc in cc.diagram.arcs[:4]:
+        act = kh.basepoint_action(cc, arc)
+        assert act.is_chain_map()
+        assert hom.induced_matrix(act) == {(i, i): 1 for i in range(hom.free_rank)}
+        for key in rng.sample(sorted(act.entries), 6):
+            new = (key[0], cx.ids[rng.randrange(cx.n)])
+            for entries in ({k: p for k, p in act.entries.items() if k != key},
+                            {**act.entries, key: act.entries[key] * u},
+                            {new: u, **act.entries}):
+                bad = ChainMap(cx, cx, entries, check=False)
+                if bad.is_chain_map():
+                    hom.induced_matrix(bad)
+                    continue
+                raised += 1
+                with pytest.raises(ValueError, match="not a chain map"):
+                    hom.induced_matrix(bad)
+    assert raised > 40
 
 
 def test_induced_rejects_non_chain_map():
@@ -1439,3 +1469,97 @@ def test_mod_u_dims_on_torsion_towers():
         for tampered in [rest] + [rest[:i] + [t] + rest[i:] for t in changed]:
             with pytest.raises(ArithmeticError, match="mod-u dimension mismatch"):
                 check_mod_u(cx, tampered)
+
+
+# -- the elimination order --------------------------------------------------------
+
+
+def position_order_decomposition(cx):
+    """(pairs, H(cx)) from umod.eliminate fed the sources in position order,
+    not against the direction of d as cancel_units feeds them."""
+    cols = dict(enumerate(cx.exponent_columns()))
+    rows = [set() for _ in cols]
+    for i, col in cols.items():
+        for j in col:
+            rows[j].add(i)
+    pairs = []
+    eliminate(cols, rows, cancelled=pairs)
+    paired = {i for x, y, _ in pairs for i in (x, y)}
+    return pairs, ModuleDecomposition(
+        [Summand(None, cx.grade_at(i, True), i) for i in range(cx.n) if i not in paired]
+        + [Summand(k, cx.grade_at(y, True), y) for _, y, k in pairs if k])
+
+
+def graded_orders(dec):
+    return [(s.grades, s.order) for s in dec.summands]
+
+
+def test_cancel_units_gives_the_position_order_homology():
+    """UHomology, the position-order elimination and the dense reference give
+    the same (grades, order) summands on random square-zero kh and floer
+    complexes, torsion_towers, the minus cubes of the kh-cube diagrams and
+    cyclic_knot(3..9), although the cancelled pairs differ."""
+    rng = random.Random(2513)
+    cases = [torsion_towers()]
+    for convention, unit, alex in SQUARE_ZERO_KINDS:
+        if unit:
+            for _ in range(40):
+                vs, gens, diff, _ = random_square_zero(rng, convention, unit, alex)
+                cases.append(ChainComplex(vs, gens, diff, convention))
+    diagrams = kh_cube_diagrams()
+    cases += [kh.ckh(d).complex for d in diagrams + [kh.cyclic_knot(n) for n in range(3, 10, 2)]]
+    torsion = moved = 0
+    for cx in cases:
+        ref_pairs, ref = position_order_decomposition(cx)
+        hom = UHomology(cx)
+        assert graded_orders(hom) == graded_orders(ref) == graded_orders(
+            reference_decomposition(cx))
+        pairs = []
+        cancel_units(cx, cancelled=pairs)
+        torsion += len(hom.torsion)
+        moved += pairs != ref_pairs
+    assert {cx.convention for cx in cases} == {CONV_KH, CONV_FLOER}
+    assert torsion > 50 and moved > 40
+
+
+def test_cancel_units_with_levels_keeps_position_order_and_pages():
+    """With levels, the survivors keep their position order and grades, and
+    the reduced filtered complex has the unreduced one's pages."""
+    rng = random.Random(2514)
+    for d in kh_cube_diagrams():
+        cc = kh.ckh(d)
+        cx = cc.complex
+        for levels in (cc.levels, {g.gid: 2 * g.h + rng.randrange(2) for g in cx.gens}):
+            fc = FilteredComplex(cx, levels)
+            red = cancel_units(cx, fc.level)
+            kept = set(red.ids)
+            at = [cx.order[g] for g in cx.ids if g in kept]
+            assert red.ids == [cx.ids[i] for i in at]
+            assert (red.h, red.q) == ([cx.h[i] for i in at], [cx.q[i] for i in at])
+            data, ref = analyze(fc.cancel_units()), analyze(fc)
+            max_r = ref.max_jump() + 1
+            assert pages(data, max_r) == pages(ref, max_r)
+            assert data.einf_by_level() == ref.einf_by_level()
+
+
+def test_summand_maps_do_not_depend_on_the_basis():
+    """The elimination order picks the generators that anchor the summands,
+    and the log replays against that basis.  Checked against fixed values,
+    not against each other: every cycle_rep is a cycle that class_coords
+    reads back as its unit vector, and each basepoint action of the mirror
+    Hopf link, and of every arc of a knot, is u times the identity."""
+    mh = kh.mirror(kh.parse_pd(HOPF_PD))
+    trefoil = kh.mirror(kh.parse_pd(TREFOIL_PD))
+    cases = [(mh, mh.component_arcs())]
+    for d in (trefoil, kh.cyclic_knot(5), kh.add_kink(trefoil, 2),
+              kh.connect_sum(kh.parse_pd(TREFOIL_PD), kh.parse_pd(FIG8_PD))):
+        cases.append((d, d.arcs))
+    for d, arcs in cases:
+        cc = kh.ckh(d)
+        hom = UHomology(cc.complex)
+        check_maps(hom)
+        assert not hom.torsion
+        u_times_one = {(i, i): 1 for i in range(hom.free_rank)}
+        for arc in arcs:
+            assert hom.induced_matrix(kh.basepoint_action(cc, arc)) == u_times_one, arc
+    assert len(cases[0][1]) == 2
