@@ -23,6 +23,6 @@ from .khovanov import LinkDiagram, basepoint_action, ckh, mirror, parse_pd, reso
 from .models import MODEL_NAMES, build_model, canonical_fg, run_model_suite, top_homology_table, verify_action
 from .poly import FULL, HALF, Poly, VarSet, parse_poly
 from .spectral import FilteredComplex, SpectralPage, analyze, check_constraints, converge, pages
-from .umod import ModuleDecomposition, module_decompose
+from .umod import ModuleDecomposition
 
 __version__ = "0.1.0"

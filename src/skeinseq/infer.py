@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .umod import MonoVec, homology_presentation, module_decompose
+from .umod import MonoVec, eliminate
 
 # Budgets of the two exponential loops, each checked before its loop starts:
 # enumerate_patterns tries every subset of the admissible entries of a page,
@@ -118,15 +118,46 @@ def _square_zero(mask: int, conflicts: list[list[int]]) -> bool:
 def _piece_homology(
     grades: list[Grade], entries: list[tuple[int, int, int]]
 ) -> list[Grade]:
-    """(h, q, order) of each summand of the homology of one page piece."""
-    dcols: list[MonoVec] = [dict() for _ in grades]
-    for (i, j, a) in entries:
-        dcols[i][j] = a
-    rel_cols = [{j: order} for j, (_, _, order) in enumerate(grades) if order != FREE]
-    basis, coords, vgrades = homology_presentation(
-        dcols, rel_cols, [(h, q) for h, q, _ in grades], (0, 2))
-    dec = module_decompose(len(basis), coords, vgrades, (0, 2))
-    return [s.grades + (FREE if s.order is None else s.order,) for s in dec.summands]
+    """(h, q, order) of each summand of the homology of one page piece.
+
+    The piece runs through eliminate as a free complex with the same
+    homology (Weibel, "An Introduction to Homological Algebra", 1994, ch. 5):
+    each tower x of order o gets its two-term resolution, a y with y --u^o-->
+    x, at the grade of u^o x less d's bidegree (read off an entry).  An entry
+    x_i --u^a--> x_j lifts to y_i --u^(o_i + a - o_j)--> y_j, which
+    _candidates keeps from a torsion source to a deep enough torsion target,
+    and each 2-path i -> j -> l whose u^(a+b) x_l only the torsion of l kills
+    adds x_i --u^(a+b-o_l)--> y_l, mod 2, so that the lift squares to zero.
+    A pair --u^k--> y with k >= 1 is u^k torsion at y, and a survivor free.
+    """
+    i, j, a = entries[0] if entries else (0, 0, 0)  # no entry: no y is a target
+    dh, dq = grades[j][0] - grades[i][0], grades[j][1] - 2 * a - grades[i][1]
+    at = [(h, q) for h, q, _ in grades]  # (h, q) by position: the x's, then the y's
+    y: dict[int, int] = {}  # a torsion tower -> the position of its y
+    cols: dict[int, MonoVec] = {}
+    for x, (h, q, o) in enumerate(grades):
+        if o != FREE:
+            y[x] = len(at)
+            cols[len(at)] = {x: o}
+            at.append((h - dh, q - 2 * o - dq))
+    for i, j, a in entries:
+        cols.setdefault(i, {})[j] = a
+        if i in y:
+            cols[y[i]][y[j]] = grades[i][2] + a - grades[j][2]
+        for j2, l, b in entries:
+            if j2 == j and l in y and a + b >= grades[l][2]:
+                col = cols[i]
+                if col.pop(y[l], None) is None:
+                    col[y[l]] = a + b - grades[l][2]
+    rows: list[set[int]] = [set() for _ in at]
+    for s, col in cols.items():
+        for t in col:
+            rows[t].add(s)
+    pairs: list[tuple[int, int, int]] = []
+    eliminate(cols, rows, cancelled=pairs)
+    paired = {p for s, t, _ in pairs for p in (s, t)}
+    return [at[t] + (k,) for _, t, k in pairs if k] + [
+        g + (FREE,) for p, g in enumerate(at) if p not in paired]
 
 
 def _page_homology(
@@ -143,9 +174,8 @@ def _page_homology(
     tower bitmasks (1 << src | 1 << tgt) of the picked entries; towers no
     entry touches pass through.  pieces caches a piece's grades by its entry
     bits, which fix its towers, for one page and entry list; shapes caches
-    them per grade-shifted shape, which module_decompose sees.  The grades
-    are sorted as module_decompose sorts those of the whole page (ties are
-    identical towers).
+    them per grade-shifted shape, which is all _piece_homology sees.  The
+    grades are sorted (ties are identical towers).
     """
     merged: list[tuple[int, int]] = []  # (tower bits, entry bits) per piece
     rest = mask
@@ -288,6 +318,7 @@ def enumerate_patterns(e2: PageSpec, target: TargetSpec) -> list[Pattern]:
     candidate pairs with the same surviving composite has an even number of
     pairs inside it (_conflicts).  Its page homology is the sum over the
     connected pieces found by OR-merging the entries' tower bitmasks, each
+    run through umod.eliminate as a free complex (_piece_homology) and
     cached by entry bits for the page and by grade-shifted shape for the
     call (_page_homology).  Pages with no two towers k apart in h carry no
     d_k and are skipped.  No cache outlives the call.

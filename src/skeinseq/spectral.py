@@ -113,17 +113,19 @@ class FilteredComplex:
         ``cancelled``, which `analyze` passes on to E_1 and d_1.  The
         unreduced window is held to ``MAX_EXPANSION_SLOTS`` first, so the
         reduction admits and refuses the same inputs as the expansion.  A
-        complex without variables, or with no jump-1 unit, is returned as
-        it is.
+        complex without variables, or with no jump-1 unit (a scan of its
+        columns, before any copy), is returned as it is.
         """
         base = self.base
         if not base.vars.n:
             return self
         check_expansion_size(base, self._lo)
-        pairs: list[tuple[int, int, int]] = []
-        core = cancel_units(base, self.level, pairs)
-        if not pairs:
+        level = self.level
+        if not any(not e and level[t] == level[s] + 1
+                   for s, col in enumerate(base.cols) for t, e in col.items()):
             return self
+        pairs: list[tuple[int, int, int]] = []
+        core = cancel_units(base, level, pairs)  # cancels at least the first unit found
         out = FilteredComplex(core, self.levels, self.extra_depth)
         out.trusted_floor, out._lo = self.trusted_floor, self._lo
         # every generator pair repeats at each u-step below it

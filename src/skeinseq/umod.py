@@ -5,7 +5,8 @@ degree, so a homogeneous entry of a matrix over F2[u] is a single monomial
 u^e.  A vector is stored as {slot: exponent}; adding u^s times another
 vector either creates entries or cancels equal ones, and homogeneity
 guarantees colliding exponents agree (asserted).  ``eliminate`` is the one
-F2[u] elimination, of chain complexes and of presentations alike.
+F2[u] elimination: of chain complexes, and of the page pieces of ``infer``,
+whose torsion towers it sees through their two-term free resolutions.
 """
 
 from __future__ import annotations
@@ -29,133 +30,13 @@ def vec_add_shifted(dst: MonoVec, src: MonoVec, shift: int) -> None:
             )
 
 
-def reduce_columns(
-    cols: list[MonoVec],
-) -> tuple[dict[int, tuple[MonoVec, MonoVec]], list[MonoVec]]:
-    """Column reduction over F2[u] with valuation-aware pivoting.
-
-    Returns (pivots, kernel_logs): pivots maps a leading slot to the
-    reduced column owning it (minimal valuation there) plus its combination
-    log over original column indices; kernel_logs are the logs of columns
-    that reduced to zero.  All operations are unimodular, so for
-    homogeneous input the logs form a free basis of the kernel.
-    """
-    pivots: dict[int, tuple[MonoVec, MonoVec]] = {}
-    kernel_logs: list[MonoVec] = []
-    for j, col in enumerate(cols):
-        vec = dict(col)
-        log: MonoVec = {j: 0}
-        while True:
-            if not vec:
-                kernel_logs.append(log)
-                break
-            lead = min(vec)
-            e = vec[lead]
-            hit = pivots.get(lead)
-            if hit is None:
-                pivots[lead] = (vec, log)
-                break
-            pvec, plog = hit
-            pe = pvec[lead]
-            if e >= pe:
-                vec_add_shifted(vec, pvec, e - pe)
-                vec_add_shifted(log, plog, e - pe)
-            else:
-                # the newcomer has smaller valuation: it takes the pivot slot
-                # and the displaced column keeps reducing
-                pivots[lead] = (vec, log)
-                nvec, nlog = dict(pvec), dict(plog)
-                vec_add_shifted(nvec, vec, pe - e)
-                vec_add_shifted(nlog, log, pe - e)
-                vec, log = nvec, nlog
-    return pivots, kernel_logs
-
-
-class EchelonBasis:
-    """Homogeneous vectors with distinct leads, sorted by lead.
-
-    The lead index (lead slot -> position) is built once here, so every solve
-    against the basis reads it instead of rebuilding it.
-    """
-
-    __slots__ = ("vecs", "lead")
-
-    def __init__(self, vecs: list[MonoVec]) -> None:
-        self.vecs = vecs
-        self.lead = {min(b): i for i, b in enumerate(vecs)}
-
-    def __len__(self) -> int:
-        return len(self.vecs)
-
-    def __getitem__(self, i: int) -> MonoVec:
-        return self.vecs[i]
-
-
-def echelonize(cols: list[MonoVec]) -> EchelonBasis:
-    """Reduce a list of homogeneous vectors to echelon form (distinct leads)."""
-    pivots, kernel = reduce_columns(cols)
-    if kernel:
-        raise ArithmeticError("echelonize expected independent columns")
-    return EchelonBasis([vec for _, (vec, _) in sorted(pivots.items())])
-
-
-def solve_in_echelon(basis: EchelonBasis, target: MonoVec) -> MonoVec:
-    """Coordinates of target in an echelon basis (raises if unsolvable)."""
-    coords: MonoVec = {}
-    vec = dict(target)
-    by_lead = basis.lead
-    vecs = basis.vecs
-    while vec:
-        lead = min(vec)
-        i = by_lead.get(lead)
-        if i is None:
-            raise ArithmeticError("vector outside the span (slot %d)" % lead)
-        b = vecs[i]
-        shift = vec[lead] - b[lead]
-        if shift < 0:
-            raise ArithmeticError("vector not in the F2[u]-span (needs u^%d)" % shift)
-        vec_add_shifted(vec, b, shift)
-        if i in coords:
-            raise ArithmeticError("echelon solve revisited column %d" % i)
-        coords[i] = shift
-    return coords
-
-
-def homology_presentation(
-    cols: list[MonoVec],
-    relations: list[MonoVec],
-    grades: list[tuple[int, ...]],
-    step: tuple[int, ...],
-) -> tuple[EchelonBasis, list[MonoVec], list[tuple[int, ...]]]:
-    """Homology of d on coker(relations), presented over its cycles.
-
-    cols are the columns of d over generators of the given grades, and
-    relations are columns over the same generators that d preserves.  The
-    cycles, the v with d v in the span of the relations, are the
-    projections onto the d-columns of ker[d | relations], put in echelon
-    form.  The boundaries are the nonzero columns of d followed by the
-    relations.  Returns the cycle basis, each boundary's coordinates in it,
-    and each cycle's grade: that of its lead slot, lowered by u^e.  The
-    homology is module_decompose(len(basis), coords, grades, step).
-    """
-    n = len(cols)
-    _, logs = reduce_columns(cols + relations)
-    projections = ({slot: e for slot, e in log.items() if slot < n} for log in logs)
-    basis = echelonize([p for p in projections if p])
-    coords = [solve_in_echelon(basis, v) for v in [c for c in cols if c] + relations]
-    return basis, coords, [
-        tuple(x - basis[i][slot] * s for x, s in zip(grades[slot], step))
-        for slot, i in basis.lead.items()
-    ]
-
-
 @dataclass(frozen=True)
 class Summand:
     """One direct summand of a decomposed module."""
 
     order: int | None  # None = free, k >= 1 = F2[u]/(u^k)
     grades: tuple[int, ...]
-    index: int  # the generator (row of the presentation) that spans it
+    index: int  # the generator that spans it
 
     @property
     def free(self) -> bool:
@@ -317,37 +198,3 @@ def eliminate(cols: dict[int, MonoVec], rows: list[set[int]], level: Sequence[in
         if left <= k:
             raise ArithmeticError("a u^%d entry is left after its pass" % left)
         k = left
-
-
-def module_decompose(n_gens: int, relations: list[MonoVec], grades: list[tuple[int, ...]],
-                     u_grade_step: tuple[int, ...]) -> ModuleDecomposition:
-    """Smith-style decomposition of coker(relations) over F2[u].
-
-    relations are columns {generator: exponent}; grades are per-generator
-    grading tuples, and u lowers a grade by u_grade_step.  Every relation
-    column is checked to be homogeneous.  eliminate runs the two-term free
-    complex relations -> generators to the end: a generator left spans a
-    free summand, and a pair relation --u^k--> generator spans u^k torsion
-    at that generator's grade, or kills the generator if k = 0.
-    """
-    cols: dict[int, MonoVec] = {}
-    rows: list[set[int]] = [set() for _ in range(n_gens)]
-    for j, col in enumerate(relations, n_gens):
-        seen = None
-        for row, e in col.items():
-            rows[row].add(j)
-            if len(col) > 1:  # one entry is homogeneous on its own
-                g = [x - e * s for x, s in zip(grades[row], u_grade_step)]
-                if seen is None:
-                    seen = g
-                elif seen != g:
-                    raise ValueError("non-homogeneous presentation column: %r" % (col,))
-        cols[j] = dict(col)
-    rows += [frozenset()] * len(relations)  # a relation is never a target
-    pairs: list[tuple[int, int, int]] = []
-    eliminate(cols, rows, cancelled=pairs)
-    pivots: dict[int, int] = {}
-    for _, y, k in pairs:
-        pivots[y] = k
-    return ModuleDecomposition([Summand(pivots.get(g), grades[g], g)
-                                for g in range(n_gens) if pivots.get(g) != 0])

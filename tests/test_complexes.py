@@ -1225,7 +1225,7 @@ def test_truncation_window_depth_two_is_inside_depth_four():
 def reference_decomposition(cx):
     """The homology of a one-variable complex by presentation: every cycle
     and boundary of the whole complex, then the dense Smith scan, which
-    shares no elimination with UHomology (module_decompose does)."""
+    shares no elimination with UHomology (test_umod.decompose does)."""
     return ModuleDecomposition(dense_decompose(*cube_presentation(cx)))
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from skeinseq import infer
 from skeinseq import khovanov as kh
 from skeinseq.complexes import UHomology
 from skeinseq.infer import (
@@ -22,6 +23,8 @@ from skeinseq.infer import (
     resolve_filtration,
 )
 from skeinseq.spectral import SpectralPage, check_constraints
+from skeinseq.umod import eliminate
+from test_umod import dense_decompose, homology_presentation
 
 TREFOIL_PAGE = PageSpec(
     (Tower("z", 0, -1), Tower("y", 1, 1), Tower("x", 3, 5))
@@ -203,6 +206,18 @@ def test_page_homology_with_torsion_cross_checked():
     assert out == ((0, -2, FREE), (3, 7, 1))
 
 
+def test_page_homology_with_two_overflow_paths():
+    """d x4 = x0 + u x3, d x3 = u x2 and d x0 = u^2 x2 = 0, beside a lone x1:
+    both 2-paths out of x4 reach u^2 x2, which the torsion of x2 kills, so
+    their corrections x4 -> y2 cancel mod 2.  Checked against the
+    presentation reference."""
+    page = [(1, 0, 2), (2, 3, 1), (2, 4, 2), (1, 2, FREE), (0, 0, FREE)]
+    entries = [(4, 0, 0), (3, 2, 1), (4, 3, 1), (0, 2, 2)]
+    want = [(1, 0, 2), (2, 3, 1), (2, 4, 1)]
+    assert list(_page_homology(page, entries, 0b1111, {}, {})) == want
+    assert _presented_homology(page, entries) == want
+
+
 def test_page_homology_matches_complex_homology():
     """The infer page calculus agrees with the chain-level machinery."""
     from skeinseq.complexes import CONV_KH, ChainComplex, Generator, UHomology
@@ -260,15 +275,30 @@ def _picked(cands, mask):
 
 
 def _whole_page_homology(summands, entries):
-    """The page homology as one module calculation over every tower."""
-    return _named(_piece_homology(_grades(summands), entries))
+    """The page homology as one module calculation over every tower, sorted
+    as _page_homology sorts it."""
+    return _named(sorted(_piece_homology(_grades(summands), entries)))
 
 
-def _ref_candidates(summands, k):
+def _presented_homology(grades, entries):
+    """The sorted page homology by the presentation route of test_umod:
+    cycles and boundaries by column reduction, then the dense Smith scan."""
+    dcols = [{} for _ in grades]
+    for (i, j, a) in entries:
+        dcols[i][j] = a
+    relations = [{j: o} for j, (_, _, o) in enumerate(grades) if o != FREE]
+    basis, coords, vgrades = homology_presentation(
+        dcols, relations, [g[:2] for g in grades], (0, 2))
+    return sorted(s.grades + (FREE if s.free else s.order,)
+                  for s in dense_decompose(len(basis), coords, vgrades, (0, 2)))
+
+
+def _ref_candidates(summands, k, dq=None):
+    """The admissible entries of d_k, of bidegree (k, dq) (default 2k - 2)."""
     out = []
     for i, s in enumerate(summands):
         for j, t in enumerate(summands):
-            num = t.q - s.q - (2 * k - 2)
+            num = t.q - s.q - (2 * k - 2 if dq is None else dq)
             if t.h - s.h != k or num % 2 or num < 0:
                 continue
             if s.order is not None and (t.order is None or s.order + num // 2 < t.order):
@@ -403,6 +433,47 @@ def test_page_homology_on_pages_of_repeated_grades():
             checked += 1
             three_pieces += len(_pieces(len(towers), picked)) >= 3
     assert checked > 800 and three_pieces > 120
+
+
+def test_free_model_matches_the_presentation_reference(monkeypatch):
+    """Random square-zero pages of free and u, u^2, u^3 towers, with d of
+    bidegree (k, 2k - 2) or off it: _piece_homology on the whole page, and
+    _page_homology piece by piece, give the summands of the presentation
+    route, cycles and boundaries by column reduction and then the dense
+    Smith scan, which share no elimination with them.  The pages cover
+    entries out of torsion towers, 2-paths whose composite only the torsion
+    of its target kills (the d^2 correction), and pairs whose target is a
+    resolving generator y."""
+    targets = []
+
+    def recording(cols, rows, *args, cancelled, **kwargs):
+        eliminate(cols, rows, *args, cancelled=cancelled, **kwargs)
+        targets.append([t for _, t, _ in cancelled])
+    monkeypatch.setattr(infer, "eliminate", recording)
+    rng = random.Random(1105)
+    checked = torsion_source = overflow = y_target = 0
+    for _ in range(8000):
+        k = rng.choice((1, 3, 5))
+        levels = [rng.randrange(3) for _ in range(rng.randrange(2, 8))]
+        towers = [Tower("t%d" % i, k * v, (2 * k - 2) * v + rng.randrange(-2, 10),
+                        rng.choice((None, None, 1, 2, 3)))
+                  for i, v in enumerate(levels)]
+        cands = _ref_candidates(towers, k, 2 * k - 2 + rng.choice((0, 0, 1, -1)))
+        mask = rng.getrandbits(len(cands))
+        picked = _picked(cands, mask)
+        if not picked or not _ref_square_zero(towers, picked):
+            continue
+        grades = _grades(towers)
+        want = _presented_homology(grades, picked)
+        targets.clear()
+        assert sorted(_piece_homology(grades, picked)) == want, (towers, picked)
+        y_target += any(t >= len(towers) for t in targets[0])
+        assert list(_page_homology(grades, cands, mask, {}, {})) == want, (towers, picked)
+        checked += 1
+        torsion_source += any(not towers[i].free for (i, _, _) in picked)
+        overflow += any(j == j2 and not towers[l].free and a + b >= towers[l].order
+                        for (_, j, a) in picked for (j2, l, b) in picked)
+    assert checked > 2000 and torsion_source >= 100 and overflow >= 50 and y_target >= 100
 
 
 def _reference_patterns(e2, target):

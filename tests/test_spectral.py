@@ -756,6 +756,26 @@ def test_cancelled_pairs_are_counted_per_translate():
     assert data.max_jump() == 1
 
 
+def test_no_jump_one_unit_is_not_copied(capsys, monkeypatch, tmp_path):
+    """A complex with no unit entry of level jump 1 comes back as it is,
+    before complexes.cancel_units copies a column: here a unit of jump 2 and
+    a u entry of jump 1, and the planted floer sums, which have no unit."""
+    def refuse(*args):
+        raise AssertionError("cancel_units ran on a complex with no jump-1 unit")
+    monkeypatch.setattr(spectral, "cancel_units", refuse)
+    gens = [Generator("a", 0), Generator("b", -1), Generator("c", 0), Generator("d", 0)]
+    diff = {("a", "b"): Poly.one(U1), ("c", "d"): Poly.var(U1, "u")}
+    fc = FilteredComplex(ChainComplex(U1, gens, diff, CONV_FLOER),
+                         {"a": 0, "b": 2, "c": 1, "d": 2})
+    assert fc.cancel_units() is fc
+    for planted_fc, _ in planted_sums():
+        assert planted_fc.cancel_units() is planted_fc
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(serde.dump_complex(fc.base, fc.levels)))
+    assert cli.main(["ss", "--in", str(path)]) == 0
+    assert "# converge\tpass\n" in capsys.readouterr().out
+
+
 def test_ss_output_is_the_unreduced_one(capsys, monkeypatch, tmp_path):
     """cmd_ss prints the same bytes with and without the cancellation."""
     rng = random.Random(7)
