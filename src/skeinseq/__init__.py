@@ -12,14 +12,12 @@ from .complexes import (
     collapse_pairs,
     homology,
     homology_f2,
-    kill_vars,
     phi_action,
-    slice_dims,
     substitute,
     tensor,
 )
 from .infer import PageSpec, Pattern, TargetSpec, Tower, enumerate_patterns, resolve_filtration
-from .khovanov import LinkDiagram, basepoint_action, ckh, mirror, parse_pd, resolve, smooth, cyclic_knot, unlink
+from .khovanov import LinkDiagram, basepoint_action, ckh, mirror, parse_pd, smooth, cyclic_knot, unlink
 from .models import MODEL_NAMES, build_model, canonical_fg, run_model_suite, top_homology_table, verify_action
 from .poly import FULL, HALF, Poly, VarSet, parse_poly
 from .spectral import FilteredComplex, SpectralPage, analyze, check_constraints, converge, pages

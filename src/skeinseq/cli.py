@@ -11,7 +11,7 @@ from . import khovanov as kh
 from . import models, serde
 from .complexes import ChainComplex, UHomology, check_mod_u, homology, homology_f2, mod_u_dims
 from .infer import enumerate_patterns, resolve_filtration
-from .spectral import FilteredComplex, analyze, check_constraints, converge, pages
+from .spectral import FilteredComplex, analyze, check_constraints, check_ring, converge, pages
 
 
 def _normalize(keys):
@@ -105,6 +105,7 @@ def cmd_ss(args) -> int:
     cx, levels, _ = serde.load_complex(serde.read_json(args.infile))
     if levels is None:
         raise ValueError("the ss input needs filtration levels")
+    check_ring(cx)  # before verify_d2, which multiplies several variables out
     bad = cx.verify_d2()
     if bad:
         src, tgt, p = bad[0]
@@ -221,7 +222,7 @@ def _khovanov_golden_rows():
     note("unknot hat dim 2", sum(flavor_dims(unknot, "hat").values()) == 2)
     mt = kh.mirror(kh.parse_pd(TREFOIL_PD))
     cx = kh.ckh(mt).complex
-    hom = homology(cx, "u")
+    hom = homology(cx)
     note("mirror trefoil minus free rank 3", hom.free_rank == 3 and not hom.torsion)
     note("mirror trefoil hat dim 6", sum(flavor_dims(cx, "hat").values()) == 6)
     dims = flavor_dims(cx, "reduced")
@@ -231,7 +232,7 @@ def _khovanov_golden_rows():
     )
     mh = kh.mirror(kh.parse_pd(HOPF_PD))
     cc = kh.ckh(mh)
-    hom = homology(cc.complex, "u")
+    hom = homology(cc.complex)
     note("mirror hopf minus free rank 2", hom.free_rank == 2 and not hom.torsion)
     acts = [
         hom.induced_matrix(kh.basepoint_action(cc, arc))
@@ -244,7 +245,7 @@ def _khovanov_golden_rows():
     fc = FilteredComplex(cc.complex, cc.levels).cancel_units()
     note("mirror hopf cube converges", converge(fc, analyze(fc)).ok)
     for n in (1, 2, 3, 4):
-        hom = homology(kh.ckh(kh.unlink(n)).complex, "u")
+        hom = homology(kh.ckh(kh.unlink(n)).complex)
         note(
             "unlink %d minus rank 2^%d over F[U]" % (n, n),
             hom.free_rank == 2 ** (n - 1) and not hom.torsion,

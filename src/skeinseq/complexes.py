@@ -210,9 +210,6 @@ class ChainComplex:
     def grade(self, gid: str) -> tuple[int, ...]:
         return self.grade_at(self.order[gid])
 
-    def ugrade(self, gid: str) -> tuple[int, ...]:
-        return self.grade_at(self.order[gid], True)
-
     def ustep(self) -> tuple[int, ...]:
         """Per-power grade drop of the unique variable."""
         if self.vars.n != 1:
@@ -307,15 +304,6 @@ class ChainComplex:
                     p = polys[e] = self._poly(e)
                 out.append((ids[i], tgt, p))
         return out
-
-    # -- rebuilding helpers -----------------------------------------------------
-
-    def with_generator_order(self, new_order: Sequence[str]) -> "ChainComplex":
-        if sorted(new_order) != sorted(self.order):
-            raise ValueError("new order must be a permutation of generator ids")
-        gens = [self.gen(g) for g in new_order]
-        return ChainComplex(self.vars, gens, self.diff, self.convention, self.pairs,
-                            check=False)
 
 
 # -- matrix helpers over Poly -------------------------------------------------
@@ -515,15 +503,13 @@ class ChainMap:
         dm = mat_compose(self.target.diff, self.entries, grade)
         return mat_add(md, dm)
 
-    def is_chain_map(self) -> bool:
-        return not self.anticommutator()
-
 
 # -- constructions --------------------------------------------------------------
 
 
-def tensor(c1: ChainComplex, c2: ChainComplex, sep: str = "*") -> ChainComplex:
-    """Tensor product over the shared ground ring; gradings add."""
+def tensor(c1: ChainComplex, c2: ChainComplex) -> ChainComplex:
+    """Tensor product over the shared ground ring; gradings add.  The
+    generator of g1 and g2 is named g1*g2."""
     if c1.vars != c2.vars:
         raise ValueError("tensor factors over different variable universes")
     if c1.convention != c2.convention:
@@ -537,14 +523,14 @@ def tensor(c1: ChainComplex, c2: ChainComplex, sep: str = "*") -> ChainComplex:
                 if g1.alex2 is None or g2.alex2 is None
                 else (g1.alex2 + g2.alex2) % 2
             )
-            gens.append(Generator(g1.gid + sep + g2.gid, g1.h + g2.h, q, a))
+            gens.append(Generator(g1.gid + "*" + g2.gid, g1.h + g2.h, q, a))
     diff: dict[tuple[str, str], Poly] = {}
     for (src, tgt), p in c1.diff.items():
         for g2 in c2.gens:
-            diff[(src + sep + g2.gid, tgt + sep + g2.gid)] = p
+            diff[(src + "*" + g2.gid, tgt + "*" + g2.gid)] = p
     for (src, tgt), p in c2.diff.items():
         for g1 in c1.gens:
-            key = (g1.gid + sep + src, g1.gid + sep + tgt)
+            key = (g1.gid + "*" + src, g1.gid + "*" + tgt)
             cur = diff.get(key)
             acc = p if cur is None else cur + p
             if acc:
@@ -572,38 +558,23 @@ def substitute(
     return ChainComplex(target, cx.gens, diff, cx.convention, pairs)
 
 
-def collapse_pairs(cx: ChainComplex, prefix: str = "u") -> ChainComplex:
-    """Identify the two variables of every declared basepoint pair."""
+def collapse_pairs(cx: ChainComplex) -> ChainComplex:
+    """Identify the two variables of every declared basepoint pair p as u<p>."""
     assignment: dict[str, str] = {}
     for pid in sorted(cx.pairs):
-        new = prefix + pid
+        new = "u" + pid
         for n in cx.pairs[pid]:
             assignment[n] = new
     return substitute(cx, assignment)
 
 
-def collapse_all(cx: ChainComplex, name: str = "u") -> ChainComplex:
-    """Send every variable to a single one (units must agree)."""
+def collapse_all(cx: ChainComplex) -> ChainComplex:
+    """Send every variable to a single one, u (units must agree)."""
     units = set(cx.vars.units)
     if len(units) > 1:
         raise ValueError("cannot collapse mixed units to one variable")
-    assignment = {n: name for n in cx.vars.names}
+    assignment = {n: "u" for n in cx.vars.names}
     return substitute(cx, assignment)
-
-
-def kill_vars(cx: ChainComplex) -> ChainComplex:
-    """Quotient by every variable: keep only constant monomial terms.
-
-    A constant term has the grading of its entry, so the quotient of a
-    homogeneous complex is homogeneous and is not checked again.
-    """
-    if cx.vars.n > 1:
-        zero = (0,) * cx.vars.n
-        cols = [{j: 0 for j, p in col.items() if zero in p.terms} for col in cx.cols]
-    else:
-        cols = [{j: 0 for j, e in col.items() if not e} for col in cx.cols]
-    return ChainComplex.from_columns(VarSet((), ()), cx.ids, cx.h, cx.q, cx.alex2, cols,
-                                     cx.convention, check=False, order=cx.order)
 
 
 def phi_action(cx: ChainComplex, pair: str, side: str = "z") -> ChainMap:
@@ -799,17 +770,12 @@ def check_mod_u(cx: ChainComplex, summands: Sequence[Summand]) -> None:
             )
 
 
-def homology(cx: ChainComplex, ring: str):
-    """Spec-level homology dispatcher: ring is 'f2' or 'u'.  With 'f2' a
-    one-variable complex is read mod u, and cx must square to zero (see
-    homology_f2)."""
-    if ring == "f2":
-        return homology_f2(cx)
-    if ring == "u":
-        hom = UHomology(cx)
-        check_truncation_stability(hom)
-        return hom
-    raise ValueError("ring must be 'f2' or 'u'")
+def homology(cx: ChainComplex) -> UHomology:
+    """The F2[u] decomposition of a one-variable complex, checked against
+    brute-force slice dimensions (check_truncation_stability)."""
+    hom = UHomology(cx)
+    check_truncation_stability(hom)
+    return hom
 
 
 # -- the F2 expansion of a complex over F2[u1..um] ------------------------------
@@ -1053,19 +1019,6 @@ class Expansion:
                 cleared[tgt] = space.pivots
         return {grade: len(blk) - rank_out[grade] - rank_into.get(grade, 0)
                 for grade, blk in blocks.items() if grade in rank_out}
-
-
-def slice_dims(cx: ChainComplex, h_from: int, h_to: int) -> dict[int, int]:
-    """F2 dimensions of homology per h-slice for floer-convention complexes;
-    cx must square to zero (see Expansion.dims)."""
-    if cx.convention != CONV_FLOER:
-        raise ValueError("slice_dims expects the floer convention")
-    lo, hi = min(h_from, h_to), max(h_from, h_to)
-    dims = dict.fromkeys(range(lo, hi + 1), 0)
-    for grade, dim in Expansion(cx, lo - 1).dims().items():
-        if grade[0] in dims:
-            dims[grade[0]] += dim
-    return dims
 
 
 def _window_dims(cx: ChainComplex, lo: int) -> dict[Grade, int]:

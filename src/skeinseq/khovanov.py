@@ -270,14 +270,6 @@ def smooth(d: LinkDiagram, crossing: int, choice: int) -> LinkDiagram:
 # -- resolutions ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResolutionState:
-    """One vertex of the cube; circles are ordered by their least arc."""
-
-    vertex: tuple[int, ...]
-    circles: tuple[frozenset[int], ...]
-
-
 def _resolver(d: LinkDiagram):
     """(lab, count) of the all-0 vertex of d's cube, and flip(lab, count, j,
     v), that of vertex v from that of v with crossing j at 0: lab[k] is the
@@ -324,23 +316,6 @@ def _resolver(d: LinkDiagram):
         return new, count + 1
 
     return (lab, count), flip
-
-
-def _state(arcs: tuple[int, ...], vertex: tuple[int, ...], lab: list[int], count: int):
-    circles: list[list[int]] = [[] for _ in range(count)]
-    for a, x in zip(arcs, lab):
-        circles[x].append(a)
-    return ResolutionState(vertex, tuple(map(frozenset, circles)))
-
-
-def resolve(d: LinkDiagram, vertex: tuple[int, ...]) -> ResolutionState:
-    """Circles of the complete resolution given one 0/1 choice per crossing."""
-    if len(vertex) != len(d.crossings):
-        raise ValueError("vertex length mismatch")
-    (lab, count), flip = _resolver(d)
-    for j in (j for j, bit in enumerate(vertex) if bit):  # from the all-0 vertex up
-        lab, count = flip(lab, count, j, sum(1 << k for k, b in enumerate(vertex[:j + 1]) if b))
-    return _state(d.arcs, tuple(vertex), lab, count)
 
 
 # -- the cube --------------------------------------------------------------------
@@ -427,8 +402,9 @@ def _cube_ids(d: LinkDiagram, basepoint_arc: int, labs: list[tuple[list[int], in
 
 @dataclass
 class CubeComplex:
-    """Assembled cube complex plus the (lab, count) of each vertex, from
-    which the views levels, states and info are built on first use."""
+    """Assembled cube complex plus the (lab, count) of each vertex, by
+    vertex index (bit j is crossing j's smoothing); levels is built on first
+    use."""
 
     diagram: LinkDiagram
     basepoint_arc: int
@@ -439,26 +415,6 @@ class CubeComplex:
     def levels(self) -> dict[str, int]:
         """The filtration level of each generator, its h."""
         return dict(zip(self.complex.ids, self.complex.h))
-
-    @cached_property
-    def states(self) -> list[ResolutionState]:
-        arcs = self.diagram.arcs
-        return [_state(arcs, v, lab, count)
-                for _, v, lab, count, _, _ in _vertices(self.diagram, self.basepoint_arc, self.labs)]
-
-    @cached_property
-    def info(self) -> dict[str, tuple[int, frozenset[frozenset[int]]]]:
-        ids = self.complex.ids
-        info: dict[str, tuple[int, frozenset[frozenset[int]]]] = {}
-        vertices = _vertices(self.diagram, self.basepoint_arc, self.labs)
-        for (i, _, _, _, base, pos), st in zip(vertices, self.states):
-            labels: list[frozenset[frozenset[int]]] = [frozenset()]
-            for x, c in enumerate(st.circles):
-                if x != base:
-                    labels += [s | {c} for s in labels]
-            for g, lab in zip(ids[pos:pos + len(labels)], labels):
-                info[g] = (i, lab)
-        return info
 
 
 def ckh(d: LinkDiagram, basepoint: int | None = None) -> CubeComplex:

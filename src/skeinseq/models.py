@@ -439,7 +439,7 @@ def _z11_checks(m: ModelComplex) -> list[tuple[str, bool, str]]:
     """Collapsed-ring identities: path form of the anticommutator and the
     kernel of each nontrivial loop action on the rank-2 alexander summand."""
     checks: list[tuple[str, bool, str]] = []
-    cxc = collapse_all(m.complex, "u")
+    cxc = collapse_all(m.complex)
     kappa = m.action_map("A_kappa", cxc)
     lam = m.action_map("A_lambda", cxc)
     # with one u the two path endpoints carry the same square, so the path
@@ -525,7 +525,7 @@ def run_model_suite() -> list[tuple[str, bool, str]]:
         note("%s d2=0 collapsed" % name, not cxc.verify_d2())
 
     m = build_model("k_nonori")
-    hom = homology(collapse_pairs(m.complex), "u")
+    hom = homology(collapse_pairs(m.complex))
     note("k_nonori homology free rank 2", hom.free_rank == 2 and not hom.torsion)
     cp = canonical_fg(m)
     note("k_nonori theta=g", cp.theta == "g" and cp.g == frozenset({"g"})
@@ -551,13 +551,13 @@ def run_model_suite() -> list[tuple[str, bool, str]]:
         note("%s golden pattern" % name, table.canonical is not None)
 
     m = build_model("l_ori")
-    hom = homology(collapse_all(m.complex), "u")
+    hom = homology(collapse_all(m.complex))
     note("l_ori collapsed torsion-free", not hom.torsion and hom.free_rank == 16)
     for label, passed, detail in verify_action(m, "A23").checks:
         note("l_ori " + label, passed, detail)
 
     m = build_model("trefoil_cfl")
-    hom = homology(m.complex, "u")
+    hom = homology(m.complex)
     note(
         "trefoil_cfl homology F[u] + F[u]/u",
         hom.free_rank == 1 and hom.torsion == [1],

@@ -42,10 +42,12 @@ def _field(obj: dict[str, Any], key: str, what: str) -> Any:
 
 
 def _int(val: Any, what: str) -> int:
-    if isinstance(val, (int, float, str)):
+    """An int, an integral float or a string of digits as an int; a bool or
+    a fractional float is refused, not truncated."""
+    if type(val) in (int, str) or type(val) is float and val.is_integer():
         try:
             return int(val)
-        except (ValueError, OverflowError):
+        except ValueError:
             pass
     raise ValueError("%s must be an integer, not %r" % (what, val))
 

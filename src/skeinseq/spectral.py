@@ -50,6 +50,13 @@ from .complexes import (
 )
 
 
+def check_ring(cx: ChainComplex) -> None:
+    """Refuse a complex over more than one variable, which the spectral
+    engine does not handle."""
+    if cx.vars.n > 1:
+        raise ValueError("the spectral engine works over F2 or a single F2[u]")
+
+
 class PairEvent(NamedTuple):
     y: int  # slot of the source of the differential (lower filtration level)
     x: int  # slot of the target (higher level)
@@ -83,8 +90,7 @@ class FilteredComplex:
         # the lowest slice value analysed: the blocks from it up one u-step
         # are the first periodic block of each class
         self.period_floor: int | None = None
-        if base.vars.n > 1:
-            raise ValueError("the spectral engine works over F2 or a single F2[u]")
+        check_ring(base)
         if base.vars.n:
             axis = int(base.convention == CONV_KH)
             step = base.ustep()[axis]

@@ -9,7 +9,7 @@ from skeinseq.complexes import UHomology, collapse_all, homology_f2
 from skeinseq.infer import PageSpec, Pattern, TargetSpec, Tower, enumerate_patterns, resolve_filtration
 from skeinseq.models import build_model, canonical_fg, run_model_suite, top_homology_table, verify_action
 from skeinseq.spectral import FilteredComplex, SpectralPage, analyze, check_constraints, converge, pages
-from test_khovanov import reference_cube
+from test_khovanov import reference_cube, reordered
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 HOPF = "PD[X(1,3,2,4),X(3,1,4,2)]"
@@ -86,7 +86,7 @@ def test_criterion_2_unlinks():
 
 
 def test_criterion_3_model_complexes():
-    from skeinseq.complexes import collapse_pairs, slice_dims
+    from skeinseq.complexes import _window_dims, collapse_pairs
 
     t0 = time.time()
     ok = True
@@ -96,8 +96,8 @@ def test_criterion_3_model_complexes():
     ok = ok and tab.canonical is not None and len(tab.vectors) == 2
     hom = UHomology(collapse_pairs(build_model("k_nonori").complex))
     ok = ok and hom.free_rank == 2 and hom.torsion == []
-    dims = slice_dims(collapse_pairs(build_model("k_ori").complex), -3, 0)
-    ok = ok and dims == {d: 2 for d in range(-3, 1)}
+    dims = _window_dims(collapse_pairs(build_model("k_ori").complex), -3)
+    ok = ok and dims == {(d,): 2 for d in range(-3, 1)}
     cp = canonical_fg(build_model("k_ori"))
     ok = ok and cp.theta == "f" and cp.f == frozenset({"ay", "bx"})
     ok = ok and cp.g == frozenset({"ax", "by"})
@@ -258,7 +258,7 @@ def test_criterion_8_property_suites():
     rng = random.Random(99)
     for _ in range(3):
         rng.shuffle(order)
-        cx2 = cc.complex.with_generator_order(order)
+        cx2 = reordered(cc.complex, order)
         ok = ok and UHomology(cx2).by_grading() == base_hom
         data2 = analyze(FilteredComplex(cx2, cc.levels))
         for r in (1, 2, 3):

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 import time
 
@@ -248,6 +249,27 @@ def test_ss_rejects_nonzero_d_squared(tmp_path, capsys):
     assert "does not square to zero" in err and "from a to c" in err
 
 
+def test_ss_refuses_two_variables_before_the_d2_check(tmp_path, capsys, monkeypatch):
+    """A document over two variables is refused before verify_d2 multiplies
+    them out; a document without levels is still refused for that first."""
+    def no_d2(self):
+        raise AssertionError("d^2 checked on a document the engine refuses")
+
+    monkeypatch.setattr(ChainComplex, "verify_d2", no_d2)
+    gens = [{"id": "a", "h": 0, "filtration": 0}, {"id": "b", "h": 0, "filtration": 1}]
+    doc = {"variables": [{"name": "u"}, {"name": "v"}], "generators": gens,
+           "diff": [{"from": "a", "to": "b", "poly": "u+v"}]}
+    path = tmp_path / "uv.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "ss", "--in", str(path)) == (
+        2, "", "error: the spectral engine works over F2 or a single F2[u]\n")
+    for g in gens:
+        del g["filtration"]
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "ss", "--in", str(path)) == (
+        2, "", "error: the ss input needs filtration levels\n")
+
+
 def dense_floer_doc(n):
     """Three levels g0_* -> g1_* -> g2_* of n generators each, every entry 1,
     so d^2(s, t) is n mod 2 for every s and t."""
@@ -420,21 +442,57 @@ TARGET = {"free_rank": 1}
     ("target", {"basis": ["b", "c", "b"]}, "basis name 'b' appears twice"),
     ("target", {"basis": ["b"], "actions": {"U": [["z", "b"]]}},
      "entry ['z', 'b'] of action 'U' names 'z', which is not in 'basis'"),
+    # a fractional number or a boolean is refused, not truncated
+    ("ss", {"generators": [{"id": "a", "h": 0.9, "filtration": 1}]},
+     "generator 'a' h must be an integer, not 0.9"),
+    ("ss", {"generators": [{"id": "a", "h": 0, "filtration": 1.7}]},
+     "generator 'a' filtration must be an integer, not 1.7"),
+    ("ss", {"generators": [{"id": "a", "h": True, "filtration": 0}]},
+     "generator 'a' h must be an integer, not True"),
+    ("ss", {"convention": "kh", "generators": [{"id": "a", "h": 0, "q": 1.5, "filtration": 0}]},
+     "generator 'a' q must be an integer, not 1.5"),
+    ("e2", {"towers": [{"name": "x", "h": 0.5, "q": 0}]}, "tower 'x' h must be an integer, not 0.5"),
+    ("e2", {"towers": [{"name": "x", "h": 0, "q": 0, "order": False}]},
+     "tower 'x' order must be an integer, not False"),
+    ("target", {"free_rank": 1.5}, "'free_rank' must be an integer, not 1.5"),
+    ("target", {"free_rank": 0, "torsion": [True]}, "a torsion order must be an integer, not True"),
+    ("target", {"anchors": [[0, 0.25, None]]}, "an anchor q must be an integer, not 0.25"),
+    ("kh", {"crossings": [[1.9, 2, 2, 1]]}, "an arc label must be an integer, not 1.9"),
+    ("kh", {"crossings": [], "free_loops": True}, "'free_loops' must be an integer, not True"),
 ])
 def test_malformed_json_exits_2(tmp_path, capsys, cmd, doc, message):
+    code, out, err = run(capsys, *reader_argv(tmp_path, cmd, doc))
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
+def reader_argv(tmp_path, cmd, doc):
+    """The argv that hands doc to one reader: the ss complex, the infer e2
+    page or target spec, or the kh --in diagram (the other infer spec valid)."""
     bad, e2, target = tmp_path / "bad.json", tmp_path / "e2.json", tmp_path / "t.json"
     bad.write_text(json.dumps(doc))
     e2.write_text(json.dumps(E2))
     target.write_text(json.dumps(TARGET))
-    argv = {
+    return {
         "ss": ["ss", "--in", str(bad)],
         "e2": ["infer", "--e2", str(bad), "--target", str(target)],
         "target": ["infer", "--e2", str(e2), "--target", str(bad)],
         "kh": ["kh", "--in", str(bad)],
     }[cmd]
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("cmd, doc, same", [
+    ("ss", {"generators": [{"id": "a", "h": 0.0, "filtration": "1"}]},
+     {"generators": [{"id": "a", "h": 0, "filtration": 1}]}),
+    ("e2", {"towers": [{"name": "x", "h": "0", "q": 0.0}]}, E2),
+    ("target", {"free_rank": 1.0}, TARGET),
+    ("kh", {"crossings": [[1.0, "2", 2, 1]], "free_loops": 1.0},
+     {"crossings": [[1, 2, 2, 1]], "free_loops": 1}),
+])
+def test_integral_floats_and_digit_strings_are_integers(tmp_path, capsys, cmd, doc, same):
+    want = run(capsys, *reader_argv(tmp_path, cmd, same))
+    assert want[0] == 0
+    assert run(capsys, *reader_argv(tmp_path, cmd, doc)) == want
 
 
 def test_infer_cli(tmp_path, capsys):
@@ -778,6 +836,38 @@ def test_examples_suite(capsys):
     assert out == EXAMPLES_TSV
 
 
+def count_calls(monkeypatch, fn):
+    """Wrap fn wherever a skeinseq module holds it; the list its calls append to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("skeinseq."):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_each_command_runs_its_checks(capsys, monkeypatch):
+    """examples checks each of its nine F2[u] decompositions against
+    brute-force slice dimensions; kh minus and hat check the summands mod u
+    once; reduced runs neither check."""
+    stability = count_calls(monkeypatch, skeinseq.complexes.check_truncation_stability)
+    mod_u = count_calls(monkeypatch, skeinseq.complexes.check_mod_u)
+    assert run(capsys, "examples")[0] == 0
+    assert len(stability) == 9
+    for flavor, checks in (("minus", 1), ("hat", 1), ("reduced", 0)):
+        stability.clear()
+        mod_u.clear()
+        code, out, err = run(capsys, "kh", "--pd", TREFOIL, "--flavor", flavor, "--basepoint", "1")
+        assert code == 0 and err == ""
+        assert (len(mod_u), len(stability)) == (checks, 0), flavor
+
+
 def test_diagram_json_input(tmp_path, capsys):
     doc = {"crossings": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]}
     path = tmp_path / "d.json"
@@ -791,7 +881,6 @@ def test_oversized_cube_exits_2_before_resolving(capsys, monkeypatch):
     def no_states(*args, **kwargs):
         raise AssertionError("resolve called on an oversized cube")
 
-    monkeypatch.setattr(kh, "resolve", no_states)
     monkeypatch.setattr(kh, "_resolver", no_states)
     d = kh.cyclic_knot(31)
     pd = "PD[%s]" % ",".join("X(%d,%d,%d,%d)" % c for c in d.crossings)
@@ -808,7 +897,6 @@ def test_free_loops_count_against_the_cube_limit(capsys, monkeypatch, tmp_path,
     def no_states(*args, **kwargs):
         raise AssertionError("resolve called on an oversized cube")
 
-    monkeypatch.setattr(kh, "resolve", no_states)
     monkeypatch.setattr(kh, "_resolver", no_states)
     arcs = [list(c) for c in kh.cyclic_knot(crossings).crossings] if crossings else []
     path = tmp_path / "loops.json"

@@ -31,11 +31,9 @@ from skeinseq.complexes import (
     expansion_size,
     homology,
     homology_f2,
-    kill_vars,
     mat_compose,
     mod_u_dims,
     phi_action,
-    slice_dims,
     substitute,
     tensor,
 )
@@ -43,7 +41,7 @@ from skeinseq.models import MODEL_NAMES, ActionSpec, ModelComplex, build_model
 from skeinseq.poly import FULL, HALF, Poly, VarSet
 from skeinseq.spectral import FilteredComplex, analyze, pages
 from skeinseq.umod import ModuleDecomposition, Summand, eliminate, vec_add_shifted
-from test_khovanov import reference_cube, torus_2
+from test_khovanov import kill_vars, reference_cube, reordered, torus_2
 from test_properties import SUITE, knots
 from test_spectral_hard import one_map_complexes, planted_sums
 from test_umod import cube_presentation, dense_decompose
@@ -296,23 +294,9 @@ def test_homology_f2_reads_one_variable_complexes_mod_u():
         assert cx.vars.n == 1
         quotient = kill_vars(cx)
         assert homology_f2(cx) == homology_f2(quotient) == ref_homology_f2(quotient)
-        assert homology(cx, "f2") == homology_f2(quotient)
     assert any(e for cx in cases for col in cx.cols for e in col.values())
     with pytest.raises(ValueError, match="at most one variable"):
         homology_f2(build_model(MODEL_NAMES[0]).complex)
-
-
-def test_kill_vars_keeps_no_reference_to_its_source():
-    """The quotient keeps its own id list, not the source."""
-    for make in (lambda: kh.ckh(kh.cyclic_knot(5)).complex, torsion_towers):
-        want = make().ids
-        source = make()
-        quotient = kill_vars(source)
-        ref = weakref.ref(source)
-        del source
-        gc.collect()
-        assert ref() is None
-        assert quotient.ids == want and quotient.order == {g: i for i, g in enumerate(want)}
 
 
 def test_cancel_units_keeps_no_reference_to_its_source():
@@ -349,7 +333,7 @@ def test_exponent_columns_reject_two_term_entries():
         ChainComplex(U1, gens, {("a", "b"): one + u * u}, CONV_FLOER)
     flat = ChainComplex(U1, [Generator("a", 0), Generator("b", 0)], {}, CONV_FLOER)
     cmap = ChainMap(flat, flat, {("a", "b"): one + u * u}, check=False)
-    assert cmap.is_chain_map()
+    assert not cmap.anticommutator()
     with pytest.raises(ValueError, match="inhomogeneous entry a -> b"):
         UHomology(flat).induced_matrix(cmap)
 
@@ -546,20 +530,20 @@ def test_substitute_identity_and_collapse():
 
 def test_homology_trefoil_model():
     m = build_model("trefoil_cfl")
-    hom = homology(m.complex, "u")
+    hom = homology(m.complex)
     assert hom.free_rank == 1
     assert hom.torsion == [1]
 
 
 def test_homology_left_model_collapse():
     m = build_model("k_nonori")
-    hom = homology(collapse_pairs(m.complex), "u")
+    hom = homology(collapse_pairs(m.complex))
     assert hom.free_rank == 2 and hom.torsion == []
 
 
 def test_homology_zero_diff():
     cx = ChainComplex(U1, [Generator(g, 0) for g in "abc"], {}, CONV_FLOER)
-    hom = homology(cx, "u")
+    hom = homology(cx)
     assert hom.free_rank == 3 and hom.torsion == []
 
 
@@ -664,7 +648,7 @@ def test_induced_identity_and_u():
 def test_induced_matrix_checks_the_chain_map_by_position():
     """induced_matrix checks d phi + phi d = 0 on the exponent columns: the
     basepoint actions of a cube pass, and a copy with an entry dropped,
-    raised by u or added raises exactly when ChainMap.is_chain_map fails."""
+    raised by u or added raises exactly when its anticommutator is nonzero."""
     rng = random.Random(2512)
     cc = kh.ckh(kh.cyclic_knot(5))
     cx = cc.complex
@@ -673,7 +657,7 @@ def test_induced_matrix_checks_the_chain_map_by_position():
     raised = 0
     for arc in cc.diagram.arcs[:4]:
         act = kh.basepoint_action(cc, arc)
-        assert act.is_chain_map()
+        assert not act.anticommutator()
         assert hom.induced_matrix(act) == {(i, i): 1 for i in range(hom.free_rank)}
         for key in rng.sample(sorted(act.entries), 6):
             new = (key[0], cx.ids[rng.randrange(cx.n)])
@@ -681,7 +665,7 @@ def test_induced_matrix_checks_the_chain_map_by_position():
                             {**act.entries, key: act.entries[key] * u},
                             {new: u, **act.entries}):
                 bad = ChainMap(cx, cx, entries, check=False)
-                if bad.is_chain_map():
+                if not bad.anticommutator():
                     hom.induced_matrix(bad)
                     continue
                 raised += 1
@@ -756,7 +740,7 @@ def test_kunneth_on_model_factors():
     fc = kill_vars(_two_step(vs, {}, "z", "w", "z1+w2", None))
     for c1, c2 in ((fa, fc), (fa, fa), (fc, fc)):
         h1, h2 = homology_f2(c1), homology_f2(c2)
-        ht = homology_f2(tensor(c1, c2, sep="&"))
+        ht = homology_f2(tensor(c1, c2))
         for grade, dim in ht.items():
             want = sum(
                 d1 * h2.get((grade[0] - g1[0], (grade[1] - g1[1]) % 2), 0)
@@ -773,19 +757,18 @@ def test_homology_invariant_under_permutation():
     rng = random.Random(42)
     for _ in range(4):
         rng.shuffle(order)
-        hom2 = UHomology(cx.with_generator_order(order))
+        hom2 = UHomology(reordered(cx, order))
         assert hom2.by_grading() == hom.by_grading()
 
 
 def test_slice_dims_k_ori():
     m = build_model("k_ori")
     cx = collapse_pairs(m.complex)
-    dims = slice_dims(cx, -4, 0)
-    assert dims == {d: 2 for d in range(-4, 1)}
+    assert _window_dims(cx, -4) == {(d,): 2 for d in range(-4, 1)}
 
 
 def test_random_one_map_homology_stability():
-    """homology(cx, 'u') self-checks against truncated slice dimensions."""
+    """homology(cx) self-checks against truncated slice dimensions."""
     rng = random.Random(60221023)
     for _ in range(80):
         n_src, n_tgt = rng.randrange(1, 4), rng.randrange(1, 4)
@@ -798,7 +781,7 @@ def test_random_one_map_homology_stability():
                 if e >= 0 and rng.random() < 0.6:
                     diff[(gens[i].gid, gens[n_src + j].gid)] = Poly.var(U1, "u", e)
         cx = ChainComplex(U1, gens, diff, CONV_FLOER)
-        hom = homology(cx, "u")  # raises if the windows disagree
+        hom = homology(cx)  # raises if the windows disagree
         assert hom.free_rank + len(hom.torsion) <= cx.n
 
 
@@ -807,11 +790,11 @@ FIG8_PD = "PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]"
 
 
 def test_kh_convention_slice_check():
-    """homology(cx, 'u') on minus cubes checks the q-slices of the decomposition."""
+    """homology(cx) on minus cubes checks the q-slices of the decomposition."""
     diagrams = [kh.parse_pd(TREFOIL_PD), kh.parse_pd(FIG8_PD), kh.cyclic_knot(5)]
     for d in diagrams:
         cx = kh.ckh(d).complex
-        hom = homology(cx, "u")  # raises if a slice disagrees
+        hom = homology(cx)  # raises if a slice disagrees
         qs = [g.q for g in cx.gens]
         lo = min(qs) - 4
         dims = Expansion(cx, lo).dims()
@@ -830,7 +813,7 @@ def test_kh_convention_slice_check():
                 e = (t.q - s.q) // 2
                 if e >= 0 and rng.random() < 0.6:
                     diff[(s.gid, t.gid)] = Poly.var(U1, "u", e)
-        hom = homology(ChainComplex(U1, gens + tgts, diff, CONV_KH), "u")
+        hom = homology(ChainComplex(U1, gens + tgts, diff, CONV_KH))
         torsion += len(hom.torsion)
     assert torsion > 10
 
@@ -957,6 +940,12 @@ def q_dims(cx, lo, hi):
     return {g: d for g, d in Expansion(cx, lo).dims().items() if g[1] <= hi}
 
 
+def h_dims(cx, lo, hi):
+    """The h-slices lo..hi of a floer complex, read off _window_dims."""
+    dims = _window_dims(cx, lo)
+    return {h: dims.get((h,), 0) for h in range(lo, hi + 1)}
+
+
 def one_map_floer(rng):
     n_src, n_tgt = rng.randrange(1, 4), rng.randrange(1, 4)
     gens = [Generator("s%d" % i, rng.randrange(2, 4)) for i in range(n_src)]
@@ -1022,7 +1011,7 @@ def test_slice_dims_match_dense_references():
     for cx in floer_reference_cases():
         hs = [g.h for g in cx.gens]
         for lo, hi in ((min(hs) - 3, max(hs)), (min(hs) - 1, max(hs) - 1), (max(hs), max(hs))):
-            assert slice_dims(cx, lo, hi) == ref_slice_dims(cx, lo, hi), (lo, hi)
+            assert h_dims(cx, lo, hi) == ref_slice_dims(cx, lo, hi), (lo, hi)
         nvars.add(cx.vars.n)
     assert nvars == {1, 2, 3}
     for cx in kh_reference_cases():
@@ -1146,7 +1135,7 @@ def test_expansion_dims_by_clearing_match_the_rank_loop():
         floors = []
         if cx.vars.n:
             axis = int(cx.convention == CONV_KH)
-            vals = [cx.ugrade(g.gid)[axis] for g in cx.gens]
+            vals = [cx.grade_at(i, True)[axis] for i in range(cx.n)]
             step = cx.vars.units[0] * (2 if axis else 1)
             floors = [min(vals) - (max(vals) - min(vals)) - 4 * step, min(vals) - 1, max(vals)]
         if cx.vars.n <= 1:
@@ -1170,7 +1159,7 @@ def test_expansion_size_counts_the_slots():
     cases = []
     for cx in list(floer_reference_cases()) + list(kh_reference_cases()):
         axis = int(cx.convention == CONV_KH)
-        vals = [cx.ugrade(g.gid)[axis] for g in cx.gens]
+        vals = [cx.grade_at(i, True)[axis] for i in range(cx.n)]
         for depth in (0, 3, 9):
             cases.append((cx, min(vals) - depth))
         cases.append((cx, max(vals) + 1))
@@ -1211,7 +1200,7 @@ def test_truncation_window_depth_two_is_inside_depth_four():
     for cx in complexes:
         axis = int(cx.convention == CONV_KH)
         step = cx.ustep()[axis]
-        vals = [cx.ugrade(g.gid)[axis] for g in cx.gens]
+        vals = [cx.grade_at(i, True)[axis] for i in range(cx.n)]
         lo2, lo4 = (min(vals) - (max(vals) - min(vals)) - extra * step
                     for extra in (2, 4))
         deep = _window_dims(cx, lo4)
@@ -1238,7 +1227,7 @@ def check_maps(hom):
         rep = hom.cycle_rep(i)
         boundary = {}
         for g, e in rep.items():
-            assert tuple(x - e * u for x, u in zip(cx.ugrade(cx.gens[g].gid), step)) == s.grades
+            assert tuple(x - e * u for x, u in zip(cx.grade_at(g, True), step)) == s.grades
             vec_add_shifted(boundary, cols[g], e)
         assert boundary == {}
         assert hom.class_coords(rep) == {i: 0}

@@ -7,7 +7,7 @@ import pytest
 from skeinseq import khovanov as kh
 from skeinseq import serde
 from skeinseq.cli import flavor_dims, main
-from skeinseq.complexes import CONV_KH, ChainComplex, UHomology, homology_f2, kill_vars, mod_u_dims
+from skeinseq.complexes import CONV_KH, ChainComplex, UHomology, homology_f2, mod_u_dims
 from skeinseq.poly import HALF, Poly, VarSet
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
@@ -67,19 +67,19 @@ def test_negative_crossing_arc_rejected():
 
 def test_resolve_circle_counts():
     d = kh.parse_pd(TREFOIL)
-    assert len(kh.resolve(d, (0, 0, 0)).circles) == 2
-    assert len(kh.resolve(d, (1, 1, 1)).circles) == 3
+    assert len(resolve(d, (0, 0, 0)).circles) == 2
+    assert len(resolve(d, (1, 1, 1)).circles) == 3
     kink = kh.parse_pd("PD[X(1,2,2,1)]")
-    c0 = len(kh.resolve(kink, (0,)).circles)
-    c1 = len(kh.resolve(kink, (1,)).circles)
+    c0 = len(resolve(kink, (0,)).circles)
+    c1 = len(resolve(kink, (1,)).circles)
     assert abs(c0 - c1) == 1
 
 
 def test_resolve_swap():
     d = kh.parse_pd(TREFOIL)
     # the mirror's smoothings are d's smoothings exchanged
-    assert len(kh.resolve(kh.mirror(d), (0, 0, 0)).circles) == 3
-    assert len(kh.resolve(kh.mirror(d), (1, 1, 1)).circles) == 2
+    assert len(resolve(kh.mirror(d), (0, 0, 0)).circles) == 3
+    assert len(resolve(kh.mirror(d), (1, 1, 1)).circles) == 2
 
 
 def test_edge_map_merge_split_rules():
@@ -139,7 +139,7 @@ def test_basepoint_action_squares_to_U():
     cc = kh.ckh(d)
     for arc in (1, 4):
         x = kh.basepoint_action(cc, arc)
-        assert x.is_chain_map()
+        assert not x.anticommutator()
         from skeinseq.complexes import mat_compose
 
         sq = mat_compose(x.entries, x.entries)
@@ -158,7 +158,7 @@ def test_mirror_involution_circle_counts():
     d = kh.parse_pd(TREFOIL)
     dd = kh.mirror(kh.mirror(d))
     for bits in itertools.product((0, 1), repeat=3):
-        assert len(kh.resolve(d, bits).circles) == len(kh.resolve(dd, bits).circles)
+        assert len(resolve(d, bits).circles) == len(resolve(dd, bits).circles)
 
 
 def test_mirror_preserves_hat_dims():
@@ -331,7 +331,7 @@ def test_induced_action_basis_independent():
     order = [g.gid for g in cc.complex.gens]
     rng = _random.Random(31)
     for trial in range(3):
-        cx = cc.complex if trial == 0 else cc.complex.with_generator_order(order)
+        cx = cc.complex if trial == 0 else reordered(cc.complex, order)
         hom = UHomology(cx)
         mats = []
         for arc in d.component_arcs():
@@ -364,7 +364,50 @@ def test_minus_determines_hat_bigraded():
 # reference_ckh is the string-based cube builder that ckh replaced: a dict
 # union-find per state, an edge map found by comparing the circles of its two
 # states and applied to the label set of each generator, and ids spelled from
-# label sets.  ckh must reproduce every field, in order.
+# label sets.  ckh must reproduce every field, in order; the states and the
+# labels of each generator are read off the cube's labs by the views below.
+
+
+@dataclass(frozen=True)
+class ResolutionState:
+    """One vertex of the cube; circles are ordered by their least arc."""
+
+    vertex: tuple[int, ...]
+    circles: tuple[frozenset[int], ...]
+
+
+def cube_states(cc):
+    """The resolution of every vertex of a cube, by vertex index, read off
+    its labs: lab[k] is the circle of the k-th arc."""
+    n, states = len(cc.diagram.crossings), []
+    for i, (lab, count) in enumerate(cc.labs):
+        circles = [[] for _ in range(count)]
+        for a, x in zip(cc.diagram.arcs, lab):
+            circles[x].append(a)
+        states.append(ResolutionState(tuple(i >> j & 1 for j in range(n)),
+                                      tuple(map(frozenset, circles))))
+    return states
+
+
+def resolve(d, vertex):
+    """d's resolution with one 0/1 smoothing per crossing, read off its cube."""
+    return cube_states(kh.ckh(d))[sum(bit << j for j, bit in enumerate(vertex))]
+
+
+def cube_info(cc):
+    """(vertex index, x-labelled circles) of every generator of a cube, by
+    id: a vertex's generators by label mask over its circles off the
+    basepoint."""
+    ids, info, pos = cc.complex.ids, {}, 0
+    for i, st in enumerate(cube_states(cc)):
+        labels = [frozenset()]
+        for c in st.circles:
+            if cc.basepoint_arc not in c:
+                labels += [s | {c} for s in labels]
+        for g, lab in zip(ids[pos:pos + len(labels)], labels):
+            info[g] = (i, lab)
+        pos += len(labels)
+    return info
 
 
 def _reference_resolve(d, vertex, swap=False):
@@ -385,7 +428,7 @@ def _reference_resolve(d, vertex, swap=False):
     for a in d.arcs:
         groups.setdefault(find(a), set()).add(a)
     circles = tuple(sorted((frozenset(g) for g in groups.values()), key=min))
-    return kh.ResolutionState(tuple(vertex), circles)
+    return ResolutionState(tuple(vertex), circles)
 
 
 @dataclass(frozen=True)
@@ -517,6 +560,24 @@ def reference_cube(d, flavor, basepoint=None):
     return ReferenceCube(ChainComplex(vs, gens, dict(items), CONV_KH), levels)
 
 
+def kill_vars(cx):
+    """The quotient by every variable, H(C/u)'s complex: the constant terms
+    of the entries, at the grades of the generators."""
+    if cx.vars.n > 1:
+        zero = (0,) * cx.vars.n
+        cols = [{j: 0 for j, p in col.items() if zero in p.terms} for col in cx.cols]
+    else:
+        cols = [{j: 0 for j, e in col.items() if not e} for col in cx.cols]
+    return ChainComplex.from_columns(VarSet((), ()), cx.ids, cx.h, cx.q, cx.alex2, cols,
+                                     cx.convention, check=False, order=cx.order)
+
+
+def reordered(cx, order):
+    """cx with its generators listed in the given order of their ids."""
+    return ChainComplex(cx.vars, [cx.gen(g) for g in order], cx.diff, cx.convention,
+                        cx.pairs, check=False)
+
+
 def _by_source(items):
     """Entries grouped by source, each source's in their order."""
     out = {}
@@ -530,7 +591,7 @@ def _cube_fields(cc):
     order (its global order is source order, not the reference's edge order)."""
     diff = cc.complex.diff
     return (list(cc.complex.gens), (diff, _by_source(diff.items())), cc.levels,
-            cc.info, cc.states, cc.basepoint_arc)
+            cube_info(cc), cube_states(cc), cc.basepoint_arc)
 
 
 def _assert_same_cube(d, basepoint=None, swap=False):
@@ -737,11 +798,6 @@ def test_resolver_matches_union_find(name):
     d = extra.get(name) or _reference_family()[name]
     want = union_find_labs(d)
     assert resolver_labs(d) == want
-    n = len(d.crossings)
-    for i in range(0, 1 << n, max(1, (1 << n) // 16)):
-        vertex = tuple(i >> j & 1 for j in range(n))
-        lab, count = want[i]
-        assert kh.resolve(d, vertex) == kh._state(d.arcs, vertex, lab, count)
     if name != "x1212":
         assert kh.ckh(d).labs == want
 

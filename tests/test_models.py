@@ -1,6 +1,6 @@
 import pytest
 
-from skeinseq.complexes import CONV_FLOER, ChainComplex, Generator, UHomology, collapse_all, collapse_pairs, slice_dims
+from skeinseq.complexes import CONV_FLOER, ChainComplex, Generator, UHomology, _window_dims, collapse_all, collapse_pairs
 from skeinseq.models import (
     MODEL_NAMES,
     ActionSpec,
@@ -167,5 +167,4 @@ def test_trefoil_cfl_values():
 
 def test_k_ori_slice_dims_rank_two():
     cx = collapse_pairs(build_model("k_ori").complex)
-    dims = slice_dims(cx, -3, 0)
-    assert dims == {d: 2 for d in range(-3, 1)}
+    assert _window_dims(cx, -3) == {(d,): 2 for d in range(-3, 1)}

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from skeinseq import khovanov as kh
 from skeinseq.cli import flavor_dims
-from skeinseq.complexes import UHomology, kill_vars
+from skeinseq.complexes import UHomology
 from test_khovanov import (
     _assert_rebuilds,
     _assert_same_cube,
     assert_tables_match_the_reference,
     assert_views_spell_the_reference,
+    kill_vars,
     resolver_labs,
     union_find_labs,
 )

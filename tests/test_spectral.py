@@ -29,7 +29,7 @@ from skeinseq.spectral import (
     pages,
 )
 from test_acceptance import corpus
-from test_khovanov import reference_cube
+from test_khovanov import reference_cube, reordered
 from test_spectral_hard import one_map_complexes, planted_sums
 
 U1 = VarSet(("u",), (HALF,))
@@ -168,7 +168,7 @@ def test_page_output_invariant_under_permutation():
     base = analyze(fc)
     for _ in range(3):
         rng.shuffle(order)
-        cx2 = cc.complex.with_generator_order(order)
+        cx2 = reordered(cc.complex, order)
         fc2 = FilteredComplex(cx2, cc.levels)
         data2 = analyze(fc2)
         for r in (1, 2, 3):
