@@ -30,9 +30,9 @@ CONV_KH = "kh"
 
 # Input size limits; both are checked before any expensive work.  The largest
 # cube khovanov.ckh builds: a 13-crossing cube (cyclic_knot(13), 16383 minus
-# generators) takes about 0.25 s to build, 0.15-0.2 s to cancel down to its 431
-# free summands (cancel_units) and 0.06 s to check mod u; `kh --flavor minus`
-# runs in about 0.7 s end to end, in about 49 MB (2-vCPU VM, Python 3.11).  Each
+# generators) takes about 0.12-0.14 s to build, 0.15-0.2 s to cancel down to
+# its 431 free summands (cancel_units) and 0.06 s to check mod u; `kh --flavor
+# minus` runs in about 0.7 s end to end, in about 49 MB (2-vCPU VM, Python 3.11).  Each
 # further crossing doubles the vertices, and a 30-crossing diagram would
 # enumerate 2^30 states.  A free loop doubles the generators of every vertex,
 # so ckh counts crossings plus free loops against it.

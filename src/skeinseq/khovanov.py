@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 from .complexes import CONV_KH, MAX_CUBE_GENERATORS, MAX_CUBE_VERTICES, ChainComplex, ChainMap, Generator
 from .poly import HALF, Poly, VarSet
@@ -271,10 +272,11 @@ def smooth(d: LinkDiagram, crossing: int, choice: int) -> LinkDiagram:
 
 
 def _resolver(d: LinkDiagram):
-    """(lab, count) of the all-0 vertex of d's cube, and flip(lab, count, j,
-    v), that of vertex v from that of v with crossing j at 0: lab[k] is the
-    circle of the k-th arc of d.arcs, circles numbered by least arc.  A split
-    walks the circle of a and b in v (off the plane it can meet c: no split)."""
+    """(lab, count) of the all-0 vertex of d's cube, and split(lab, count, j,
+    v), that of vertex v from that of v with crossing j at 0 when that edge
+    does not merge: lab[k] is the circle of the k-th arc of d.arcs, circles
+    numbered by least arc.  A split walks the circle of a and b in v (off the
+    plane it can meet c: no split)."""
     arcs = d.arcs
     index = {a: k for k, a in enumerate(arcs)}
     # an arc end is 4 * crossing + slot; far[e] is the other end of e's arc
@@ -300,11 +302,7 @@ def _resolver(d: LinkDiagram):
                 lab[x] = count
             count += 1
 
-    def flip(lab: list[int], count: int, j: int, v: int) -> tuple[list[int], int]:
-        x, y = lab[at[4 * j]], lab[at[4 * j + 1]]
-        if x != y:  # merge the circles of a and b into the lower number
-            lo, hi = min(x, y), max(x, y)
-            return [lo if z == hi else z - (z > hi) for z in lab], count - 1
+    def split(lab: list[int], count: int, j: int, v: int) -> tuple[list[int], int]:
         side = walk(4 * j, v)
         if at[4 * j + 2] in side:
             return lab, count
@@ -315,7 +313,7 @@ def _resolver(d: LinkDiagram):
             new[k] = t
         return new, count + 1
 
-    return (lab, count), flip
+    return (lab, count), split
 
 
 # -- the cube --------------------------------------------------------------------
@@ -327,9 +325,10 @@ def _resolver(d: LinkDiagram):
 # ascending mask, and its h and q follow from the vertex and the mask; ids are
 # spelled only when read (_cube_ids).  The edge that turns crossing
 # (a, b, c, d) from its 0- to its 1-smoothing merges the circles of a and b
-# when they differ, and otherwise splits theirs into the target circles of a
-# and c: four lookups in the two labs.  An edge is a rule on masks
-# (_edge_rule), built once per kind, source size and bits.
+# when their bits differ (distinct circles have distinct bits), and otherwise
+# splits theirs into the target circles of a and c, read off the two vertices'
+# rows of arc bits.  An edge is a rule on masks (_edge_rule), built once per
+# kind, source size and bits.
 
 
 def _vertex_ids(vertex: tuple[int, ...], free: list[int]) -> list[str]:
@@ -445,11 +444,25 @@ def ckh(d: LinkDiagram, basepoint: int | None = None) -> CubeComplex:
     elif basepoint not in arcs:
         raise ValueError("basepoint on unknown arc %r" % (basepoint,))
 
-    start, flip = _resolver(d)
-    labs = [start]  # vertex i from i without its top bit
+    index = {a: k for k, a in enumerate(arcs)}
+    crossings = [(index[a], index[b], index[c]) for (a, b, c, _) in d.crossings]
+    start, split = _resolver(d)
+    labs = [start]  # vertex i from a neighbour whose edge into i merges, else by a split
     for i in range(1, 1 << n):
-        j = i.bit_length() - 1
-        labs.append(flip(*labs[i ^ 1 << j], j, i))
+        for k, (a, b, _) in enumerate(crossings):
+            if i >> k & 1:
+                lab, count = labs[i ^ 1 << k]
+                x, y = lab[a], lab[b]
+                if x != y:  # the lower number names the merged circle, those above y move down
+                    if x > y:
+                        x, y = y, x
+                    to = list(range(count - 1))
+                    to.insert(y, x)
+                    labs.append((list(map(to.__getitem__, lab)), count - 1))
+                    break
+        else:
+            j = i.bit_length() - 1
+            labs.append(split(*labs[i ^ 1 << j], j, i))
     total = sum(1 << (count - 1) for _, count in labs)
     if total > MAX_CUBE_GENERATORS:
         raise ValueError(
@@ -457,47 +470,45 @@ def ckh(d: LinkDiagram, basepoint: int | None = None) -> CubeComplex:
             " limit of %d" % (n, total, MAX_CUBE_GENERATORS)
         )
 
-    # the basepoint circle and the circle bits by vertex
-    bp = arcs.index(basepoint)
-    bases = [lab[bp] for lab, _ in labs]
-    bits = [[0 if x == b else 1 << (x - (x > b)) for x in range(count)]
-            for (_, count), b in zip(labs, bases)]
-    # by position, h is the vertex's 1-smoothings and q = count + h - 2 * (x labels)
-    hs, qs, starts = [], [], []  # and the position of each vertex's first generator
-    drops = [-2 * bin(m).count("1") for m in range(1 << max(count for _, count in labs))]
-    for i, (_, count) in enumerate(labs):
-        h, size = bin(i).count("1"), count - 1
+    # ab[i][k] is the bit of the k-th arc's circle at vertex i (0 on the
+    # basepoint circle); by position, h is the vertex's 1-smoothings and
+    # q = count + h - 2 * (x labels); rows are shared by like vertices
+    bp = index[basepoint]
+    drops = [-2 * m.bit_count() for m in range(1 << max(count for _, count in labs))]
+    bit_rows: dict[tuple[int, int], list[int]] = {}
+    q_rows: dict[tuple[int, int], list[int]] = {}
+    ab, hs, qs, starts = [], [], [], []  # and the position of each vertex's first generator
+    for i, (lab, count) in enumerate(labs):
+        b, h, size = lab[bp], i.bit_count(), count - 1
+        bit = bit_rows.get((count, b)) or bit_rows.setdefault(
+            (count, b), [0 if x == b else 1 << (x - (x > b)) for x in range(count)])
+        ab.append(list(map(bit.__getitem__, lab)))
         starts.append(len(hs))
         hs += [h] * (1 << size)
-        qs += map((count + h).__add__, drops[:1 << size])
+        qs += q_rows.get((count + h, size)) or q_rows.setdefault(
+            (count + h, size), list(map((count + h).__add__, drops[:1 << size])))
 
-    index = {a: k for k, a in enumerate(arcs)}
-    crossings = [(index[a], index[b], index[c]) for (a, b, c, _) in d.crossings]
     cols: list[dict[int, int]] = [{} for _ in hs]
     pos = list(range(len(hs)))  # one int object per position, shared by every entry
     rules: dict[tuple, list[tuple[int, int, int]]] = {}
-    for i, (lab, _) in enumerate(labs):
-        bit = bits[i]
-        size = len(bit) - 1
-        at = starts[i]
-        for j, (a, b, c) in enumerate(crossings):
-            if (i >> j) & 1:
-                continue
-            i2 = i | (1 << j)
-            lab2, bit2 = labs[i2][0], bits[i2]
-            x, y = lab[a], lab[b]
-            split = x == y
-            if not split:  # merge the circles of a and b
-                key = (split, size, (bit[x], bit[y]), (bit2[lab2[a]],))
-            else:  # split the circle of a and b into those of a and c
-                p, q = sorted((lab2[a], lab2[c]))
+    # crossing by crossing; a column belongs to one vertex, so its entries come by crossing
+    for j, (a, b, c) in enumerate(crossings):
+        w = 1 << j
+        src = ([1] * w + [0] * w) * (len(labs) >> j + 1)  # the vertices with crossing j at 0
+        for (_, count), sa, at, (lab2, _), ta, at2 in zip(
+            compress(labs, src), compress(ab, src), compress(starts, src),
+            compress(labs[w:], src), compress(ab[w:], src), compress(starts[w:], src),
+        ):
+            if sa[a] != sa[b]:  # merge the circles of a and b
+                key = (False, count, sa[a], sa[b], ta[a])
+            else:  # split the circle of a and b into those of a and c, in circle order
+                p, q = ta[a], ta[c]
                 if p == q:
                     raise ValueError("circle counts differ by 0, not 1")
-                key = (split, size, (bit[x],), (bit2[p], bit2[q]))
+                key = (True, count, sa[a], p, q) if lab2[a] < lab2[c] else (True, count, sa[a], q, p)
             rule = rules.get(key)
-            if rule is None:
-                rule = rules[key] = _edge_rule(*key)
-            at2 = starts[i2]
+            if rule is None:  # a merge has two source bits, a split one
+                rule = rules[key] = _edge_rule(key[0], count - 1, key[2:4 - key[0]], key[4 - key[0]:])
             for m, t, e in rule:
                 cols[at + m][pos[at2 + t]] = e
 

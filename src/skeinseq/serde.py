@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from typing import Any
 
 from .complexes import CONV_FLOER, CONV_KH, ChainComplex, Generator
@@ -268,6 +269,15 @@ def load_target_spec(doc: dict[str, Any]) -> TargetSpec:
     )
 
 
+# The largest JSON file read, checked before parsing (json.load holds several
+# times a document's size): a dump of the T(2,11) minus cube is 54 MB, of the
+# cyclic_knot(13) cube 10.7 MB, and the dense 3 x 300 floer document 8.7 MB.
+MAX_JSON_BYTES = 1 << 26
+
+
 def read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > MAX_JSON_BYTES:
+            raise ValueError("%s has %d bytes, above the limit of %d" % (path, size, MAX_JSON_BYTES))
         return json.load(fh)

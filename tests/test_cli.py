@@ -481,6 +481,25 @@ def reader_argv(tmp_path, cmd, doc):
     }[cmd]
 
 
+@pytest.mark.parametrize("cmd", ["ss", "e2", "target", "kh"])
+def test_oversized_json_exits_2_before_parsing(tmp_path, capsys, monkeypatch, cmd):
+    # a sparse file one byte over the limit: refused by its size, never parsed
+    argv, bad, load = reader_argv(tmp_path, cmd, {}), tmp_path / "bad.json", json.load
+
+    def guarded(fh, *args, **kwargs):
+        assert fh.name != str(bad), "json parsed above the byte limit"
+        return load(fh, *args, **kwargs)
+
+    with open(bad, "r+b") as fh:
+        fh.truncate(serde.MAX_JSON_BYTES + 1)
+    monkeypatch.setattr(json, "load", guarded)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s has %d bytes, above the limit of %d\n" % (
+        bad, serde.MAX_JSON_BYTES + 1, serde.MAX_JSON_BYTES)
+
+
 @pytest.mark.parametrize("cmd, doc, same", [
     ("ss", {"generators": [{"id": "a", "h": 0.0, "filtration": "1"}]},
      {"generators": [{"id": "a", "h": 0, "filtration": 1}]}),

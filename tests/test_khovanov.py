@@ -780,25 +780,18 @@ def union_find_labs(d):
     return out
 
 
-def resolver_labs(d):
-    """Every vertex's (lab, count) as ckh derives them: vertex i from i
-    without its top bit."""
-    start, flip = kh._resolver(d)
-    labs = [start]
-    for i in range(1, 1 << len(d.crossings)):
-        j = i.bit_length() - 1
-        labs.append(flip(*labs[i ^ 1 << j], j, i))
-    return labs
-
-
 @pytest.mark.parametrize("name", sorted(_reference_family()) + ["c11", "x1212"])
 def test_resolver_matches_union_find(name):
     # c11 is non-planar, and X(1,2,1,2) has an edge that neither merges nor splits
     extra = {"c11": kh.cyclic_knot(11), "x1212": kh.parse_pd("PD[X(1,2,1,2)]")}
     d = extra.get(name) or _reference_family()[name]
     want = union_find_labs(d)
-    assert resolver_labs(d) == want
-    if name != "x1212":
+    if name == "x1212":  # ckh refuses the edge; the split walk meets c and splits nothing
+        start, split = kh._resolver(d)
+        assert [start, split(*start, 0, 1)] == want
+        with pytest.raises(ValueError, match="circle counts differ by 0, not 1"):
+            kh.ckh(d)
+    else:
         assert kh.ckh(d).labs == want
 
 
@@ -836,3 +829,145 @@ def test_views_spell_the_reference_generators(name):
     d = _reference_family()[name]
     for basepoint in (None, max(d.arcs)):
         assert_views_spell_the_reference(d, basepoint)
+
+
+# -- the previous builder -----------------------------------------------------------
+#
+# previous_ckh is the cube builder that ckh replaced: every vertex from the
+# vertex without its top bit (a merge relabels, a split walks), and every edge
+# keyed on the circle numbers of its two labs, source by source.  ckh must give
+# the same labs, grades and columns, each column's entries in the same order:
+# that order decides eliminate's ties and Summand.index.
+
+
+def _previous_resolver(d):
+    """(lab, count) of the all-0 vertex, and flip(lab, count, j, v), that of
+    vertex v from that of v with crossing j at 0, by merge or split."""
+    arcs = d.arcs
+    index = {a: k for k, a in enumerate(arcs)}
+    at = [index[a] for cr in d.crossings for a in cr]
+    ends = {}
+    for e, k in enumerate(at):
+        ends.setdefault(k, []).append(e)
+    far = [ends[k][ends[k][0] == e] for e, k in enumerate(at)]
+
+    def walk(e0, v):
+        out, e = [], e0
+        while True:
+            out.append(at[e])
+            e = far[e]
+            e ^= 1 if v >> (e >> 2) & 1 else 3
+            if e == e0:
+                return out
+
+    lab, count = [-1] * len(arcs), 0
+    for k in range(len(arcs)):
+        if lab[k] < 0:
+            for x in walk(ends[k][0], 0) if k in ends else (k,):
+                lab[x] = count
+            count += 1
+
+    def flip(lab, count, j, v):
+        x, y = lab[at[4 * j]], lab[at[4 * j + 1]]
+        if x != y:
+            lo, hi = min(x, y), max(x, y)
+            return [lo if z == hi else z - (z > hi) for z in lab], count - 1
+        side = walk(4 * j, v)
+        if at[4 * j + 2] in side:
+            return lab, count
+        side = max(side, walk(4 * j + 2, v), key=min)
+        t = max(lab[:min(side)]) + 1
+        new = [z + (z >= t) for z in lab]
+        for k in side:
+            new[k] = t
+        return new, count + 1
+
+    return (lab, count), flip
+
+
+def previous_ckh(d, basepoint=None):
+    """(labs, h, q, exponent columns) of d's minus cube, as the previous
+    builder made them."""
+    n, arcs = len(d.crossings), d.arcs
+    basepoint = min(arcs) if basepoint is None else basepoint
+    start, flip = _previous_resolver(d)
+    labs = [start]
+    for i in range(1, 1 << n):
+        j = i.bit_length() - 1
+        labs.append(flip(*labs[i ^ 1 << j], j, i))
+    bp = arcs.index(basepoint)
+    bits = [[0 if x == lab[bp] else 1 << (x - (x > lab[bp])) for x in range(count)]
+            for lab, count in labs]
+    hs, qs, starts = [], [], []
+    drops = [-2 * bin(m).count("1") for m in range(1 << max(count for _, count in labs))]
+    for i, (_, count) in enumerate(labs):
+        h, size = bin(i).count("1"), count - 1
+        starts.append(len(hs))
+        hs += [h] * (1 << size)
+        qs += map((count + h).__add__, drops[:1 << size])
+    index = {a: k for k, a in enumerate(arcs)}
+    crossings = [(index[a], index[b], index[c]) for (a, b, c, _) in d.crossings]
+    cols = [{} for _ in hs]
+    rules = {}
+    for i, (lab, _) in enumerate(labs):
+        bit, size = bits[i], len(bits[i]) - 1
+        for j, (a, b, c) in enumerate(crossings):
+            if i >> j & 1:
+                continue
+            i2 = i | 1 << j
+            lab2, bit2 = labs[i2][0], bits[i2]
+            x, y = lab[a], lab[b]
+            if x != y:
+                key = (False, size, (bit[x], bit[y]), (bit2[lab2[a]],))
+            else:
+                p, q = sorted((lab2[a], lab2[c]))
+                if p == q:
+                    raise ValueError("circle counts differ by 0, not 1")
+                key = (True, size, (bit[x],), (bit2[p], bit2[q]))
+            if key not in rules:
+                rules[key] = kh._edge_rule(*key)
+            for m, t, e in rules[key]:
+                cols[starts[i] + m][starts[i2] + t] = e
+    return labs, hs, qs, cols
+
+
+def _random_diagrams(count, seed=28):
+    """Seeded diagrams of 3 to 7 crossings: connected sums, kinks and mirrors
+    of small knots and links, each with up to two free loops."""
+    rng = random.Random(seed)
+    primes = [kh.parse_pd(TREFOIL), kh.parse_pd(FIG8), kh.parse_pd(HOPF), kh.cyclic_knot(5)]
+    out = []
+    while len(out) < count:
+        d = rng.choice(primes)
+        for _ in range(rng.randint(1, 3)):
+            move = rng.choice(("sum", "kink", "mirror"))
+            if move == "mirror":
+                d = kh.mirror(d)
+            elif move == "kink" and len(d.crossings) < 7:
+                d = kh.add_kink(d, rng.choice(d.arcs))
+            elif move == "sum":
+                other = rng.choice(primes)
+                if len(d.crossings) + len(other.crossings) <= 7:
+                    d = kh.connect_sum(d, other, rng.choice(d.arcs), rng.choice(other.arcs))
+        d = kh.LinkDiagram(d.crossings, rng.randint(0, 2))
+        if len(d.crossings) >= 3 and d not in out:
+            out.append(d)
+    return out
+
+
+def _previous_builder_cases():
+    cases = dict(_reference_family(), c11=kh.cyclic_knot(11), t2_9=torus_2(9))
+    cases.update(("random%02d" % k, d) for k, d in enumerate(_random_diagrams(40)))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_previous_builder_cases()))
+def test_ckh_matches_the_previous_builder(name):
+    d = _previous_builder_cases()[name]
+    # every basepoint arc on up to 5 crossings, the least and the greatest above
+    for basepoint in d.arcs if len(d.crossings) <= 5 else (min(d.arcs), max(d.arcs)):
+        cc = kh.ckh(d, basepoint)
+        labs, hs, qs, cols = previous_ckh(d, basepoint)
+        assert cc.labs == labs, basepoint
+        assert (cc.complex.h, cc.complex.q) == (hs, qs), basepoint
+        assert [list(c.items()) for c in cc.complex.cols] == [list(c.items()) for c in cols], basepoint

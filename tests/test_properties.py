@@ -17,7 +17,6 @@ from test_khovanov import (
     assert_tables_match_the_reference,
     assert_views_spell_the_reference,
     kill_vars,
-    resolver_labs,
     union_find_labs,
 )
 
@@ -172,7 +171,7 @@ def test_resolver_matches_union_find_on_generated_links(d, smoothings, data):
         if d.crossings:
             d = kh.smooth(d, data.draw(st.integers(0, len(d.crossings) - 1)),
                           data.draw(st.integers(0, 1)))
-    assert resolver_labs(d) == union_find_labs(d)
+    assert kh.ckh(d).labs == union_find_labs(d)
 
 
 @SUITE
