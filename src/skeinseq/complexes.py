@@ -81,6 +81,7 @@ class ChainComplex:
     entry, in order, that is off degree or on an unknown generator; without
     it an unknown generator or a one-variable entry that is not a single
     monomial still raises, and no entry off degree is looked for.
+    ``on_degree`` records that a check found every entry on degree.
     """
 
     def __init__(self, vars: VarSet, gens: Sequence[Generator], diff: MatrixEntries,
@@ -92,6 +93,7 @@ class ChainComplex:
                        [g.alex2 for g in gens], convention, pairs)
         self.cols = _columns(self, self, _by_position(self, self, diff),
                              self._degree_codes() if check else None)
+        self.on_degree = check
 
     @classmethod
     def from_columns(cls, vars: VarSet, ids: list[str] | Callable[[], list[str]],
@@ -114,6 +116,7 @@ class ChainComplex:
             i, j = bad
             raise ValueError("inhomogeneous differential entry %s -> %s: %s"
                              % (cx.ids[i], cx.ids[j], cx._poly(cols[i][j])))
+        cx.on_degree = check
         return cx
 
     def _set_gens(self, vars: VarSet, ids, h: list[int], q: list | None, alex2: list | None,
@@ -246,9 +249,10 @@ class ChainComplex:
         source XORs the columns of its middle generators: the cost is the
         entries times the machine words of a level, not the 2-paths.  Over
         several variables, or with an entry off degree (only check=False
-        builds one), it is mat_compose of the id-keyed differential.
+        builds one, so only those complexes are scanned for it), it is
+        mat_compose of the id-keyed differential.
         """
-        if self.vars.n <= 1 and self._off_degree() is None:
+        if self.vars.n <= 1 and (self.on_degree or self._off_degree() is None):
             return self._d2_by_parity()
         order = self.order
         return [(src, tgt, p) for (src, tgt), p in sorted(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from operator import itemgetter
 from typing import Any
 
 from .complexes import CONV_FLOER, CONV_KH, ChainComplex, Generator
@@ -141,28 +142,37 @@ def _diff_columns(entries: list | tuple, vs: VarSet, order: dict[str, int], n: i
                   parsed: dict[str, Poly]) -> list[dict[int, int]] | None:
     """The 'diff' array over at most one variable read in one pass into
     exponent columns, as ``ChainComplex.from_columns`` takes them, or None
-    from the first entry that names no generator, repeats an earlier one,
-    or is not a single monomial (zero included): those are summed, dropped
-    or refused as the id-keyed constructor does, and so is every entry over
-    several variables."""
+    from the first entry that is malformed, names no generator, repeats an
+    earlier one, or is not a single monomial (zero included): the id-keyed
+    route names the malformed one and sums, drops or refuses the others as
+    it does every entry over several variables.  Ids and texts that are not
+    strings are looked up again as strings."""
     if vs.n > 1:
         return None
     cols: list[dict[int, int]] = [{} for _ in range(n)]
-    exps: dict[frozenset, int] = {}  # an entry's terms -> its exponent
-    for src, tgt, p in _diff_entries(entries, vs, parsed):
-        i, j = order.get(src), order.get(tgt)
-        if i is None or j is None:
-            return None
-        col = cols[i]
-        if j in col:
-            return None
-        terms = p.terms
-        e = exps.get(terms)
-        if e is None:
-            if len(terms) != 1:
+    exps: dict[str, int] = {}  # an entry's text -> its exponent
+    try:
+        for src, tgt, text in map(itemgetter("from", "to", "poly"), entries):
+            i, j = order.get(src), order.get(tgt)
+            if i is None or j is None:
+                i, j = order.get(str(src)), order.get(str(tgt))
+                if i is None or j is None:
+                    return None
+            e = exps.get(text)
+            if e is None:
+                text = str(text)
+                p = parsed.get(text)
+                if p is None:
+                    p = parsed[text] = parse_poly(vs, text)
+                if len(p.terms) != 1:
+                    return None
+                e = exps[text] = sum(next(iter(p.terms)))
+            col = cols[i]
+            if j in col:
                 return None
-            e = exps[terms] = sum(next(iter(terms)))
-        col[j] = e
+            col[j] = e
+    except (TypeError, KeyError):  # not an object, a key missing, or a value unhashable:
+        return None  # the id-keyed route names the first malformed entry
     return cols
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import cycle, islice, repeat
 from math import inf
 from typing import NamedTuple
 
@@ -177,8 +178,9 @@ def _unroll(fc: FilteredComplex, counts: Counter, top: float | None = None) -> C
     the slice value at least the trusted floor, and every other key once.
     Every grade in a key shifts (h or q down j steps, alex2 flipped j times
     by the weight of u and taken mod 2, as the expansion's blocks hold it);
-    its other entries, jumps and levels, stay.  Without a variable there is
-    nothing to translate."""
+    its other entries, jumps and levels, stay.  Each grade's translates are
+    spelled once per call and count.  Without a variable there is nothing to
+    translate."""
     cx, floor = fc.base, fc.trusted_floor
     if floor is None:
         return counts
@@ -188,16 +190,23 @@ def _unroll(fc: FilteredComplex, counts: Counter, top: float | None = None) -> C
         top = fc.period_floor + step[axis] - 1
     flip = cx.vars.units[0] % 2
     width = len(step)
+    spelled: dict[tuple[Grade, int], list[Grade]] = {}  # (grade, count) -> its translates
 
-    def shift(grade: Grade, j: int) -> Grade:
-        head = tuple(g - j * s for g, s in zip(grade, step))
-        return head + tuple((a + j * flip) % 2 for a in grade[width:])
+    def translates(grade: Grade, n: int) -> list[Grade]:
+        got = spelled.get((grade, n))
+        if got is None:
+            parts = [range(g, g - n * s, -s) if s else repeat(g, n) for g, s in zip(grade, step)]
+            parts += [islice(cycle((a % 2, (a + flip) % 2)), max(n, 0)) for a in grade[width:]]
+            got = spelled[grade, n] = list(zip(*parts))
+        return got
 
     out: Counter = Counter()
+    get = out.get  # not out[k] += count: a missing key would call Counter.__missing__
     for key, count in counts.items():
         v = key[0][axis]
-        for j in range((v - floor) // step[axis] + 1 if v <= top else 1):
-            out[tuple(shift(g, j) if type(g) is tuple else g for g in key)] += count
+        n = (v - floor) // step[axis] + 1 if v <= top else 1
+        for k in zip(*[translates(g, n) if type(g) is tuple else repeat(g, n) for g in key]):
+            out[k] = get(k, 0) + count
     return out
 
 

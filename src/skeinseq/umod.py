@@ -178,6 +178,10 @@ def eliminate(cols: dict[int, MonoVec], rows: list[set[int]], level: Sequence[in
             if log is not None:
                 log += [(t, y, e - k) for t, e in xcol.items()]
                 log += [(x, s, cols[s][y] - k) for s in srcs]
+            if not xcol:  # no zig-zag: y only leaves the other sources
+                for s in srcs:
+                    del cols[s][y]
+                continue
             for s in srcs:
                 scol = cols[s]
                 base = scol.pop(y) - k

@@ -459,6 +459,20 @@ TARGET = {"free_rank": 1}
     ("target", {"anchors": [[0, 0.25, None]]}, "an anchor q must be an integer, not 0.25"),
     ("kh", {"crossings": [[1.9, 2, 2, 1]]}, "an arc label must be an integer, not 1.9"),
     ("kh", {"crossings": [], "free_loops": True}, "'free_loops' must be an integer, not True"),
+    ("ss", {"generators": [GEN], "diff": [["a", "a", "1"]]},
+     "a diff entry must be a JSON object, not an array"),
+    ("ss", {"generators": [GEN], "diff": [{"from": "a", "to": "a"}]}, "a diff entry has no 'poly'"),
+    ("ss", {"generators": [GEN], "diff": [{"from": "a", "to": "z", "poly": "1"}]},
+     "entry on unknown generator (a,z)"),
+    ("ss", {"generators": [GEN], "diff": [{"from": ["a"], "to": "a", "poly": "1"}]},
+     "entry on unknown generator (['a'],a)"),
+    ("ss", {"generators": [GEN], "diff": [{"from": "a", "to": "a", "poly": True}]},
+     "unknown variable 'True'"),
+    # diff entries: the first malformed entry is named, whatever comes before or after it
+    ("ss", {"generators": [GEN], "diff": [{"from": "a", "to": "z", "poly": "1"}, {"from": "a"}]},
+     "a diff entry has no 'to'"),
+    ("ss", {"generators": [GEN], "diff": [{"from": "a", "to": "a", "poly": "w"}, 5]},
+     "unknown variable 'w'"),
 ])
 def test_malformed_json_exits_2(tmp_path, capsys, cmd, doc, message):
     code, out, err = run(capsys, *reader_argv(tmp_path, cmd, doc))

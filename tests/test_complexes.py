@@ -92,6 +92,13 @@ def reference_d2(cx):
                   key=lambda row: (order[row[0]], row[1]))
 
 
+def mat_compose_d2(cx):
+    """verify_d2's answer off its mat_compose route."""
+    order = cx.order
+    return sorted(((s, t, p) for (s, t), p in mat_compose(cx.diff, cx.diff, cx.grade).items()),
+                  key=lambda row: (order[row[0]], row[1]))
+
+
 def random_entries(rng, vs, gids, density=0.35):
     """A random sparse matrix over gids with entries of one to three terms."""
     out = {}
@@ -124,6 +131,7 @@ def test_mat_compose_and_verify_d2_match_poly_product_reference():
                 ChainComplex(vs, gens, a, CONV_FLOER, check=False)
             a = {key: Poly(vs, frozenset([min(p.terms)])) for key, p in a.items()}
         cx = ChainComplex(vs, gens, a, CONV_FLOER, check=False)
+        assert not cx.on_degree
         assert cx.verify_d2() == reference_d2(cx)
     assert cancelled > 100  # products that cancel to zero are exercised
     # two paths with equal products cancel exactly
@@ -146,7 +154,8 @@ def test_mat_compose_and_verify_d2_match_poly_product_reference():
         key = next(iter(bad))
         bad[key] = bad[key] * Poly.var(cc.complex.vars, "u")
         tampered = ChainComplex(cc.complex.vars, cc.complex.gens, bad, CONV_KH, check=False)
-        assert tampered.verify_d2() == reference_d2(tampered) != []
+        assert not tampered.on_degree
+        assert tampered.verify_d2() == reference_d2(tampered) == mat_compose_d2(tampered) != []
 
 
 def test_mat_compose_matches_reference_on_wide_multi_block_cubes():
@@ -176,7 +185,8 @@ def test_mat_compose_matches_reference_on_wide_multi_block_cubes():
         bad = {(s, t): p * u if s == mid else p for (s, t), p in diff.items()}
         tampered = ChainComplex(cx.vars, cx.gens, bad, CONV_KH, check=False)
         got = tampered.verify_d2()
-        assert got == reference_d2(tampered)
+        assert not tampered.on_degree
+        assert got == reference_d2(tampered) == mat_compose_d2(tampered)
         assert any(len(p.terms) == 2 for _, _, p in got)
         for grade in (tampered.grade, None):
             assert mat_compose(bad, bad, grade) == poly_product_compose(bad, bad)
@@ -238,8 +248,11 @@ def test_verify_d2_by_parity_matches_the_reference():
     """On-degree complexes, square-zero or with planted violations (entries
     the greedy build refused, or an entry dropped), give the Poly reference's
     d^2: kh and floer, HALF and FULL units, floer with and without alex2,
-    and variable-free complexes; one dense complex has levels of many words."""
-    rng = random.Random(2207)
+    and variable-free complexes; one dense complex has levels of many words.
+    Both checked constructors record that every entry is on degree, and a
+    column twin built unchecked with one entry a u-power deeper records
+    nothing and gets the mat_compose answer."""
+    rng, tamper = random.Random(2207), random.Random(2912)  # tamper leaves rng's draws as they were
     seen = collections.Counter()
     for trial in range(270):
         kind = SQUARE_ZERO_KINDS[trial % len(SQUARE_ZERO_KINDS)]
@@ -252,9 +265,21 @@ def test_verify_d2_by_parity_matches_the_reference():
             cases.append({key: p for key, p in diff.items() if key != rng.choice(sorted(diff))})
         for entries in cases:
             cx = ChainComplex(vs, gens, entries, kind[0])  # checked: every entry on degree
-            assert cx._off_degree() is None
+            cols = [dict(col) for col in cx.cols]
+            twin = ChainComplex.from_columns(vs, cx.ids, cx.h, cx.q, cx.alex2, cols, kind[0])
+            for built in (cx, twin):  # the checked constructions record it
+                assert built.on_degree and built._off_degree() is None
             got = cx.verify_d2()
-            assert got == reference_d2(cx)
+            assert got == reference_d2(cx) == twin.verify_d2()
+            off = [(i, j) for i, col in enumerate(cols) for j in col]
+            if kind[1] and off:  # one entry a u-power deeper: off degree, unchecked
+                i, j = tamper.choice(off)
+                cols[i][j] += 1
+                bad = ChainComplex.from_columns(vs, cx.ids, cx.h, cx.q, cx.alex2, cols, kind[0],
+                                                check=False)
+                assert not bad.on_degree and bad._off_degree() == (i, j)
+                assert bad.verify_d2() == reference_d2(bad) == mat_compose_d2(bad)
+                seen["off degree"] += 1
             assert (entries is diff) <= (got == [])
             reached = {(s, t) for (s, m) in entries for (m2, t) in entries if m == m2}
             seen[kind, "zero" if not got else "nonzero"] += 1
@@ -265,6 +290,7 @@ def test_verify_d2_by_parity_matches_the_reference():
     for kind in SQUARE_ZERO_KINDS:
         assert seen[kind, "zero"] and seen[kind, "nonzero"], kind
     assert seen["cancelled"] > 100 and seen["u power"] > 20 and seen["levels"] > 5, seen
+    assert seen["off degree"] > 100, seen
     # a dense all-ones complex, 70 or 71 generators per level: bitsets wider
     # than a machine word, and ids whose order is not the positions' order
     one = Poly.one(U1)

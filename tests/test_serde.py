@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 
 import pytest
 
@@ -133,3 +135,96 @@ def test_load_complex_refuses_repeated_ids_once(monkeypatch):
     cx, _, _ = load_complex({"variables": u, "generators": twice[:2],
                              "diff": [{"from": "a", "to": "b", "poly": "1"}]})
     assert cx.ids == ["a", "b"] and cx.order == {"a": 0, "b": 1} and cx.order is built[0]
+
+
+def id_keyed(doc, monkeypatch):
+    """load_complex(doc) off the id-keyed route alone: the constructor that
+    sums repeated entries and checks each one against its degree."""
+    with monkeypatch.context() as m:
+        m.setattr(serde, "_diff_columns", lambda *args: None)
+        return load_complex(doc)
+
+
+def same_complex(got, want):
+    """The two load_complex results hold the same complex: ids, grades,
+    levels, and each column's entries in the same order."""
+    (cx, levels, actions), (ref, ref_levels, ref_actions) = got, want
+    assert cx.ids == ref.ids and cx.h == ref.h and cx.q == ref.q and cx.alex2 == ref.alex2
+    assert [list(col.items()) for col in cx.cols] == [list(col.items()) for col in ref.cols]
+    assert (cx.convention, cx.pairs, levels, actions) == (
+        ref.convention, ref.pairs, ref_levels, ref_actions)
+    assert cx.on_degree and ref.on_degree
+
+
+def test_load_complex_reads_the_diff_as_the_id_keyed_route(monkeypatch):
+    """The diff read in one batch gives the id-keyed route's complex, entry
+    order included, on cube dumps and floer documents (with and without
+    alex2), their entries and generators shuffled, ids and texts given as
+    numbers or not; no text is parsed twice, and the id-keyed route is not
+    taken."""
+    from test_spectral import alex2_planted_sums
+    from test_spectral_hard import planted_sums
+
+    docs = [dump_complex(cc.complex, cc.levels) for cc in (
+        kh.ckh(kh.parse_pd("PD[X(1,3,2,4),X(3,1,4,2)]")), kh.ckh(kh.cyclic_knot(5)))]
+    docs += [dump_complex(fc.base, fc.levels) for fc, _ in list(planted_sums())[:6]]
+    docs += [dump_complex(fc.base, fc.levels) for fc in list(alex2_planted_sums())[:6]]
+    rng = random.Random(2913)
+    for doc in list(docs):
+        doc = copy.deepcopy(doc)
+        rng.shuffle(doc["generators"])
+        rng.shuffle(doc["diff"])
+        docs.append(doc)
+        numeric = copy.deepcopy(doc)  # ids 0, 1, ... and the text "1" as the number 1
+        number = {g["id"]: k for k, g in enumerate(numeric["generators"])}
+        for g in numeric["generators"]:
+            g["id"] = number[g["id"]]
+        for e in numeric["diff"]:
+            e["from"], e["to"] = number[e["from"]], number[e["to"]]
+            if e["poly"] == "1":
+                e["poly"] = 1
+        docs.append(numeric)
+    by_ids, parses = [], []
+    keyed, parse = serde._diff_by_ids, serde.parse_poly
+    monkeypatch.setattr(serde, "_diff_by_ids", lambda *args: by_ids.append(1) or keyed(*args))
+    monkeypatch.setattr(serde, "parse_poly", lambda vs, text: parses.append(text) or parse(vs, text))
+    numbers = 0
+    for doc in docs:
+        del parses[:], by_ids[:]
+        got = load_complex(doc)
+        assert by_ids == []
+        assert sorted(parses) == sorted({str(e["poly"]) for e in doc["diff"]})
+        same_complex(got, id_keyed(doc, monkeypatch))
+        numbers += any(type(e["poly"]) is int for e in doc["diff"])
+    assert numbers == 2  # the two cube dumps hold the text "1"
+
+
+def test_load_complex_takes_the_id_keyed_route_for_the_rest(monkeypatch):
+    """A repeated entry, an unknown id, a non-object entry and an entry with
+    a key missing, anywhere in the diff, give the id-keyed route's complex
+    or its message."""
+    u = [{"name": "u", "unit": "1/2"}]
+    gens = [{"id": "a", "h": 1}, {"id": "b", "h": 1}, {"id": "c", "h": 1}]
+    ab, ac = {"from": "a", "to": "b", "poly": "u"}, {"from": "a", "to": "c", "poly": "u"}
+    for diff in ([ab, ab], [ab, ac, ab], [ab, ab, ab], [ac, {"from": "a", "to": "b", "poly": "0"}]):
+        doc = {"variables": u, "generators": gens, "diff": diff}
+        same_complex(load_complex(doc), id_keyed(doc, monkeypatch))
+    for diff, message in (
+        ([ab, {"from": "a", "to": "z", "poly": "u"}], r"^entry on unknown generator \(a,z\)$"),
+        ([{"from": 5, "to": "b", "poly": "u"}, ab], r"^entry on unknown generator \(5,b\)$"),
+        ([ab, ["a", "c", "u"]], "^a diff entry must be a JSON object, not an array$"),
+        ([ab, ac, None], "^a diff entry must be a JSON object, not null$"),
+        ([{"from": "a", "to": "z", "poly": "u"}, "ab"],
+         "^a diff entry must be a JSON object, not a string$"),
+        ([ab, {"from": "a", "poly": "u"}], "^a diff entry has no 'to'$"),
+        ([ab, ab, {"to": "b", "poly": "u"}], "^a diff entry has no 'from'$"),
+        ([{"from": "a", "to": "b", "poly": "1"}], "^inhomogeneous differential entry a -> b: 1$"),
+    ):
+        doc = {"variables": u, "generators": gens, "diff": diff}
+        for load in (load_complex, lambda doc: id_keyed(doc, monkeypatch)):
+            with pytest.raises(ValueError, match=message):
+                load(doc)
+    for poly in (["u"], True, None):  # a text that is not a string is parsed as its str
+        doc = {"variables": u, "generators": gens, "diff": [ab, {"from": "a", "to": "c", "poly": poly}]}
+        with pytest.raises(KeyError, match="unknown variable"):
+            load_complex(doc)

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import json
+import math
 import random
 from bisect import bisect_left
 from itertools import islice
@@ -754,6 +756,87 @@ def test_cancelled_pairs_are_counted_per_translate():
     assert data.page_dims(1) == ref.page_dims(1)
     assert data.page_dims(2) == ref.page_dims(2) == {}
     assert data.max_jump() == 1
+
+
+def ref_unroll(fc, counts, top=None):
+    """_unroll key by key and translate by translate, each grade shifted
+    one tuple at a time."""
+    cx, floor = fc.base, fc.trusted_floor
+    if floor is None:
+        return counts
+    axis = int(cx.convention == CONV_KH)
+    step = cx.ustep()
+    if top is None:
+        top = fc.period_floor + step[axis] - 1
+    flip = cx.vars.units[0] % 2
+    width = len(step)
+
+    def shift(grade, j):
+        head = tuple(g - j * s for g, s in zip(grade, step))
+        return head + tuple((a + j * flip) % 2 for a in grade[width:])
+
+    out = collections.Counter()
+    for key, count in counts.items():
+        v = key[0][axis]
+        for j in range((v - floor) // step[axis] + 1 if v <= top else 1):
+            out[tuple(shift(g, j) if type(g) is tuple else g for g in key)] += count
+    return out
+
+
+def test_unroll_matches_the_per_tuple_reference():
+    """Random counters keyed by (grade, grade, jump) and by (grade, level),
+    with slice values below the trusted floor, between it and top, and
+    above top, give the per-tuple reference's counts: kh and floer, HALF
+    and FULL units, floer with and without alex2 (flipped by a HALF unit,
+    kept by a FULL one), the default top and top = inf.  Without a
+    variable the counter comes back as it is."""
+    rng = random.Random(2911)
+    seen = collections.Counter()
+    for trial in range(240):
+        convention = (CONV_KH, CONV_FLOER)[trial % 2]
+        unit = (HALF, FULL)[trial // 2 % 2]
+        alex = convention == CONV_FLOER and trial // 4 % 2 == 1
+        vs = VarSet(("u",), (unit,))
+        gens = [Generator("g%d" % i, rng.randrange(-2, 3),
+                          rng.randrange(-6, 7) if convention == CONV_KH else None,
+                          rng.randrange(-3, 4) if alex else None)
+                for i in range(rng.randrange(1, 6))]
+        cx = ChainComplex(vs, gens, {}, convention)
+        fc = FilteredComplex(cx, {g.gid: rng.randrange(4) for g in gens},
+                             rng.choice((0, 0, 3, 10)))
+        axis = int(convention == CONV_KH)
+        lo, hi = fc.trusted_floor - 3 * unit, max(cx.q if axis else cx.h) + 3 * unit
+
+        def grade():
+            v = rng.randrange(lo, hi + 1)
+            if axis:
+                return (rng.randrange(-2, 3), v)
+            return (v, rng.randrange(-3, 4)) if alex else (v,)
+        counts = collections.Counter()
+        for _ in range(rng.randrange(0, 12)):
+            key = ((grade(), grade(), rng.randrange(1, 4)) if rng.random() < 0.5
+                   else (grade(), rng.randrange(-1, 4)))
+            counts[key] += rng.randrange(1, 4)
+        counts[(cx.grade_at(0), cx.grade_at(0), 1)] += 1  # a repeated grade
+        before = dict(counts)
+        for top in (None, math.inf):
+            got = spectral._unroll(fc, counts, top)
+            assert got == ref_unroll(fc, counts, top)
+            assert isinstance(got, collections.Counter) and dict(counts) == before
+            edge = fc.period_floor + cx.ustep()[axis] - 1 if top is None else top
+            for key in counts:
+                v = key[0][axis]
+                seen[convention, unit, alex, "below" if v < fc.trusted_floor
+                     else "translated" if v <= edge else "once"] += 1
+    for convention, unit, alex in ((CONV_KH, HALF, False), (CONV_KH, FULL, False),
+                                   (CONV_FLOER, HALF, False), (CONV_FLOER, FULL, False),
+                                   (CONV_FLOER, HALF, True), (CONV_FLOER, FULL, True)):
+        for where in ("below", "translated", "once"):
+            assert seen[convention, unit, alex, where], (convention, unit, alex, where)
+    flat = FilteredComplex(ChainComplex(VarSet((), ()), [Generator("a", 0)], {}), {"a": 0})
+    counts = collections.Counter({((0,), 0): 2})
+    assert spectral._unroll(flat, counts) is counts
+    assert spectral._unroll(flat, counts, math.inf) is counts
 
 
 def test_no_jump_one_unit_is_not_copied(capsys, monkeypatch, tmp_path):
