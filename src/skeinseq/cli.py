@@ -59,7 +59,8 @@ def cmd_kh(args) -> int:
     d = _diagram_from_args(args)
     if args.flavor == "reduced" and args.basepoint is None:
         raise ValueError("reduced flavor requires --basepoint")
-    cx = kh.ckh(d, args.basepoint).complex
+    # a kink only shifts the gradings, which the tables normalize away
+    cx = kh.ckh(*kh.undo_kinks(d, args.basepoint)).complex
     lines: list[str] = []
     payload: dict = {"flavor": args.flavor}
     if args.flavor == "minus":
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        # str() of a KeyError is the repr of its key: print a message as it is
+        if isinstance(exc, KeyError) and len(exc.args) == 1 and isinstance(exc.args[0], str):
+            exc = exc.args[0]
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except (AssertionError, ArithmeticError) as exc:

@@ -203,6 +203,53 @@ def add_kink(d: LinkDiagram, arc: int) -> LinkDiagram:
     return LinkDiagram(tuple(crossings), d.free_loops, d.basepoints)
 
 
+def undo_kinks(d: LinkDiagram, basepoint: int | None = None) -> tuple[LinkDiagram, int]:
+    """d with its first Reidemeister kinks undone (the inverse of add_kink,
+    repeated while one is left), and the basepoint moved with its arc.
+
+    A kink is a crossing with one arc in two cyclically adjacent slots: it
+    goes, and its other two arcs merge into the smaller id, or into a new
+    free loop when they are one arc (a curl that is a whole component).  A
+    kink shifts Khovanov homology only, the minus cube's too (Bar-Natan's
+    local proof holds for any rank-2 Frobenius system), and the basepoint
+    stays on its component; the default is ckh's on d.  Linear in the
+    crossings: d.arcs, which spells every free loop, is not read.
+    """
+    crossings = [list(cr) for cr in d.crossings]
+    ends: dict[int, list[tuple[int, int]]] = {}  # arc -> its (crossing, slot) pairs
+    for i, cr in enumerate(crossings):
+        for s, a in enumerate(cr):
+            ends.setdefault(a, []).append((i, s))
+    if basepoint is None:
+        basepoint = -d.free_loops if d.free_loops else min(ends)
+    elif basepoint not in ends and not d._is_loop_arc(basepoint):
+        raise ValueError("basepoint on unknown arc %r" % (basepoint,))
+    loops, gone, todo = d.free_loops, set(), list(range(len(crossings)))
+    while todo:
+        i = todo.pop()
+        cr = crossings[i]
+        # cr[s - 3] is slot s + 1 mod 4, and cr[s - 2], cr[s - 1] the other two
+        s = next((s for s in range(4) if cr[s] == cr[s - 3]), None)
+        if s is None or i in gone:
+            continue
+        gone.add(i)
+        x, p, q = cr[s], cr[s - 2], cr[s - 1]
+        if p == q:
+            loops += 1
+            if basepoint in (x, p):
+                basepoint = -loops
+            continue
+        keep, drop = min(p, q), max(p, q)
+        j, t = next(e for e in ends[drop] if e[0] != i)
+        crossings[j][t] = keep
+        ends[keep] = [e if e[0] != i else (j, t) for e in ends[keep]]
+        if basepoint in (x, drop):
+            basepoint = keep
+        todo.append(j)
+    kept = tuple(tuple(cr) for i, cr in enumerate(crossings) if i not in gone)
+    return LinkDiagram(kept, loops), basepoint
+
+
 def connect_sum(d1: LinkDiagram, d2: LinkDiagram, arc1: int | None = None,
                 arc2: int | None = None) -> LinkDiagram:
     """Connected sum splicing one arc of each diagram."""

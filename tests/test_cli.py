@@ -26,6 +26,8 @@ from test_complexes import reference_decomposition
 from test_khovanov import reference_cube, torus_2
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
+HOPF = "PD[X(1,3,2,4),X(3,1,4,2)]"
+FIG8 = "PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]"
 
 
 def run(capsys, *argv):
@@ -167,6 +169,70 @@ def test_kh_and_ss_read_the_columns_only(tmp_path, capsys, monkeypatch):
         with pytest.raises(AssertionError, match="spelled"):
             getattr(fresh, view)
     assert [run(capsys, *argv) for argv in runs] == want
+
+
+def _crossing_arcs(d):
+    return sorted({a for cr in d.crossings for a in cr})
+
+
+def _kinked_diagram(rng, max_crossings=6):
+    """A seeded diagram with first Reidemeister kinks: a trefoil, Hopf link
+    or figure-eight, maybe summed with a mirror trefoil or joined by a curl
+    that is a whole component, then kinks on random arcs (often on the last
+    kink's loop arc, so they nest), every crossing turned by 0-3 slots (one
+    slot is a crossing change, two the same crossing: a kink lands in any
+    two adjacent slots, (3, 0) too), and sometimes a free loop."""
+    d = kh.parse_pd(rng.choice((TREFOIL, HOPF, FIG8)))
+    if rng.random() < 0.3 and len(d.crossings) <= max_crossings - 3:
+        d = kh.connect_sum(d, kh.mirror(kh.parse_pd(TREFOIL)))
+    if rng.random() < 0.3:
+        m = max(_crossing_arcs(d)) + 1
+        d = kh.LinkDiagram(d.crossings + (rng.choice([(m, m + 1, m + 1, m), (m, m, m + 1, m + 1)]),))
+    for _ in range(rng.randrange(1, max(2, max_crossings - len(d.crossings) + 1))):
+        arcs = _crossing_arcs(d)
+        d = kh.add_kink(d, arcs[-2] if rng.random() < 0.3 else rng.choice(arcs))
+    turns = [rng.randrange(4) for _ in d.crossings]
+    return kh.LinkDiagram(tuple(cr[t:] + cr[:t] for cr, t in zip(d.crossings, turns)),
+                          int(rng.random() < 0.3))
+
+
+def test_kh_undoes_kinks_to_the_tables_of_the_full_cube(capsys, monkeypatch):
+    """kh of a kinked diagram prints, byte for byte, what the full cube of the
+    diagram as given prints (ckh(d, arc) with UHomology or flavor_dims), in
+    every flavour and both formats, mirrored or not, at the default basepoint
+    and on every arc: the loop arcs of the kinks and the arcs that merge away
+    too."""
+    hopf_every_arc, nested = kh.parse_pd(HOPF), kh.parse_pd(TREFOIL)
+    for arc in (1, 2, 3, 4):
+        hopf_every_arc = kh.add_kink(hopf_every_arc, arc)
+    for _ in range(3):  # each kink on the loop arc of the one before
+        nested = kh.add_kink(nested, _crossing_arcs(nested)[-2])
+    rng = random.Random(30)
+    diagrams = [hopf_every_arc, nested] + [_kinked_diagram(rng) for _ in range(10)]
+    undo_kinks = kh.undo_kinks
+    seen = dict.fromkeys(("(3, 0)", "nested", "free loop", "moved", "moved to a loop"), 0)
+    for d in diagrams:
+        free = undo_kinks(d)[0]
+        seen["(3, 0)"] += any(cr[3] == cr[0] for cr in d.crossings)
+        seen["nested"] += len(d.crossings) - len(free.crossings) > sum(
+            any(cr[s] == cr[s - 3] for s in range(4)) for cr in d.crossings)
+        seen["free loop"] += free.free_loops > d.free_loops
+        pd = "PD[%s]" % ",".join(["X(%d,%d,%d,%d)" % c for c in d.crossings]
+                                 + ["U"] * d.free_loops)
+        for k, arc in enumerate([None] + list(d.arcs)):
+            if arc is not None:
+                moved = undo_kinks(d, arc)[1]
+                seen["moved"] += moved != arc
+                seen["moved to a loop"] += moved < 0 < arc
+            for flavor in skeinseq.cli.FLAVORS[:2 if arc is None else 3]:
+                argv = ["kh", "--pd", pd, "--flavor", flavor, "--out", ("tsv", "json")[k % 2]]
+                argv += ([] if arc is None else ["--basepoint=%d" % arc]) + ["--mirror"] * (k % 3 == 1)
+                got = run(capsys, *argv)
+                monkeypatch.setattr(kh, "undo_kinks", lambda d, basepoint: (d, basepoint))
+                want = run(capsys, *argv)
+                monkeypatch.undo()
+                assert got == want and got[0] == 0, (pd, arc, flavor)
+    assert all(seen.values()), seen
 
 
 def test_ss_roundtrip(tmp_path, capsys):
@@ -999,6 +1065,61 @@ def test_unknown_basepoint_exits_2_before_resolving(capsys, monkeypatch, flavor)
     assert code == 2
     assert out == ""
     assert "basepoint on unknown arc 99" in err
+
+
+@pytest.mark.parametrize("flavor", ["minus", "hat", "reduced"])
+def test_ten_thousand_kinks_on_the_unknot_run_at_once(capsys, flavor):
+    # a removal in time linear in the crossings: a quadratic one takes seconds
+    n = 10 ** 4
+    pd = "PD[%s]" % ",".join("X(%d,%d,%d,%d)" % (2 * k + 1, 2 * k + 2, 2 * k + 2, (2 * k + 3) % (2 * n))
+                             for k in range(n))
+    want = run(capsys, "kh", "--pd", "U", "--flavor", flavor, "--basepoint=-1")
+    t0 = time.perf_counter()
+    got = run(capsys, "kh", "--pd", pd, "--flavor", flavor, "--basepoint=%d" % (2 * n - 1))
+    assert time.perf_counter() - t0 < 1
+    assert got == want and want[0] == 0
+
+
+def test_kink_with_a_trillion_free_loops_exits_2_at_once(capsys, tmp_path):
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps({"crossings": [[1, 2, 2, 1]], "free_loops": 10 ** 12}))
+    t0 = time.perf_counter()
+    for flavor in ("minus", "hat", "reduced"):
+        code, out, err = run(capsys, "kh", "--in", str(path), "--flavor", flavor,
+                             "--basepoint", "1")
+        assert (code, out) == (2, "")
+        assert "with %d free loops counts as 2^%d vertices" % (10 ** 12 + 1, 10 ** 12 + 1) in err
+        assert "limit of %d" % kh.MAX_CUBE_VERTICES in err
+    assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("pd", ["PD[X(1,2,1,2)]", "PD[X(1,2,1,3),X(3,4,4,2)]"])
+def test_no_kink_leaves_a_nonplanar_edge_to_the_cube(capsys, pd):
+    # X(1,2,1,2) repeats its arcs in opposite slots, no kink; undoing the kink
+    # X(3,4,4,2) leaves it, and ckh refuses it as before
+    for flavor in ("minus", "hat", "reduced"):
+        code, out, err = run(capsys, "kh", "--pd", pd, "--flavor", flavor, "--basepoint", "1")
+        assert (code, out) == (2, "")
+        assert "circle counts differ by 0, not 1" in err
+
+
+@pytest.mark.parametrize("arc", ["99", "-1", "0"])
+def test_unknown_basepoint_of_a_kinked_diagram_exits_2(capsys, arc):
+    # the basepoint is checked against the diagram as given: -1 would be the
+    # free loop that undoing the kink leaves, and is still unknown
+    for flavor in ("minus", "hat", "reduced"):
+        code, out, err = run(capsys, "kh", "--pd", "PD[X(1,2,2,1)]", "--flavor", flavor,
+                             "--basepoint", arc)
+        assert (code, out) == (2, "")
+        assert err == "error: basepoint on unknown arc %s\n" % arc
+
+
+def test_unknown_variable_message_is_printed_as_it_is(capsys, tmp_path):
+    # a KeyError's message, not its repr in quotes
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"variables": [{"name": "u"}], "generators": [{"id": "a", "h": 0}],
+                                "diff": [{"from": "a", "to": "a", "poly": "w"}]}))
+    assert run(capsys, "ss", "--in", str(path)) == (2, "", "error: unknown variable 'w'\n")
 
 
 def test_ss_oversized_expansion_exits_2_quickly(tmp_path, capsys):

@@ -284,6 +284,53 @@ def test_reidemeister_spot_checks():
         assert h1.torsion == h2.torsion
 
 
+def test_undo_kinks_is_the_inverse_of_add_kink():
+    # the loop arc and the arc that merges away carry the basepoint to the kept arc
+    for d in (kh.parse_pd(HOPF), kh.parse_pd(TREFOIL), kh.cyclic_knot(5),
+              kh.LinkDiagram(kh.parse_pd(HOPF).crossings, 2)):
+        for arc in (a for a in d.arcs if a > 0):
+            kinked = kh.add_kink(d, arc)
+            loop, cont = max(kinked.arcs) - 1, max(kinked.arcs)
+            assert kh.undo_kinks(kinked) == (d, min(d.arcs))
+            for b in kinked.arcs:
+                assert kh.undo_kinks(kinked, b) == (d, arc if b in (loop, cont) else b)
+
+
+def test_undo_kinks_undoes_the_kinks_that_a_removal_makes():
+    # a kink on a kink's loop arc: the outer one is a kink once the inner one is
+    # gone, whichever of them comes first, and the unknot's curl becomes a loop
+    trefoil = kh.parse_pd(TREFOIL)
+    for d, want in ((trefoil, (sorted(trefoil.crossings), 0)),
+                    (kh.parse_pd("PD[X(1,2,2,1)]"), ([], 1))):
+        nested = kh.add_kink(d, 1)
+        for _ in range(3):
+            nested = kh.add_kink(nested, max(nested.arcs) - 1)
+        for order in (nested.crossings, nested.crossings[::-1]):
+            free = kh.undo_kinks(kh.LinkDiagram(order))[0]
+            assert (sorted(free.crossings), free.free_loops) == want
+
+
+def test_undo_kinks_turns_a_curl_component_into_a_free_loop():
+    for pd in ("PD[X(1,2,2,1)]", "PD[X(1,1,2,2)]", "PD[X(1,2,2,3),X(3,4,4,1)]"):
+        for b in (None,) + kh.parse_pd(pd).arcs:
+            assert kh.undo_kinks(kh.parse_pd(pd), b) == (kh.unlink(1), -1)
+    # the default is the input's least arc, an old loop; a curl becomes the next loop
+    d = kh.LinkDiagram(kh.parse_pd(TREFOIL).crossings + ((7, 8, 8, 7),), 2)
+    free = kh.LinkDiagram(kh.parse_pd(TREFOIL).crossings, 3)
+    assert kh.undo_kinks(d) == (free, -2)
+    assert kh.undo_kinks(d, 8) == kh.undo_kinks(d, 7) == (free, -3)
+    assert kh.undo_kinks(d, 4) == (free, 4)
+
+
+def test_undo_kinks_keeps_what_is_not_a_kink():
+    d = kh.parse_pd("PD[X(1,2,1,2)]")  # one arc in opposite slots
+    assert kh.undo_kinks(d) == (d, 1)
+    assert kh.undo_kinks(kh.parse_pd("PD[X(1,2,1,3),X(3,4,4,2)]"), 4) == (d, 2)
+    for b in (0, 3, -1):
+        with pytest.raises(ValueError, match="basepoint on unknown arc %d$" % b):
+            kh.undo_kinks(d, b)
+
+
 def test_cube_homogeneous_and_deterministic():
     d = kh.parse_pd(TREFOIL)
     a = kh.ckh(d)
@@ -678,7 +725,8 @@ def test_torus_2_has_reduced_rank_n():
 def test_generator_budget_counts_the_cube(monkeypatch, capsys):
     # the count read off the resolved states is the size of the one cube: a
     # limit equal to it admits the cube, one less refuses it, and every
-    # flavour's kh run with it
+    # flavour's kh run with the limit one below its own cube, that of the
+    # kink-free diagram (the whole cube when there is no kink)
     for d in _reference_family().values():
         count = kh.ckh(d, max(d.arcs)).complex.n
         assert count == len(kh.ckh(d).complex.gens)
@@ -690,6 +738,15 @@ def test_generator_budget_counts_the_cube(monkeypatch, capsys):
             kh.ckh(d, max(d.arcs))
         pd = "PD[%s]" % ",".join(["X(%d,%d,%d,%d)" % c for c in d.crossings]
                                  + ["U"] * d.free_loops)
+        free = kh.undo_kinks(d, max(d.arcs))
+        if free[0] != d:
+            for flavor in ("minus", "hat", "reduced"):  # a refused cube whose kink-free form fits
+                assert main(["kh", "--pd", pd, "--flavor", flavor, "--basepoint",
+                             str(max(d.arcs))]) == 0
+            capsys.readouterr()
+            count = kh.ckh(*free).complex.n
+            monkeypatch.setattr(kh, "MAX_CUBE_GENERATORS", count - 1)
+            message = " has %d generators, above the limit of %d" % (count, count - 1)
         for flavor in ("minus", "hat", "reduced"):
             assert main(["kh", "--pd", pd, "--flavor", flavor, "--basepoint",
                          str(max(d.arcs))]) == 2

@@ -112,8 +112,14 @@ def test_reduced_multiplicative_under_connect_sum(d1, d2):
 @SUITE
 @given(knots(max_crossings=MAX_CROSSINGS - 1), st.data())
 def test_hat_invariant_under_kink_up_to_shift(d, data):
+    # on the cubes of both diagrams: hat, minus (free rank and torsion by
+    # grade) and reduced at an arc that both have, so kh may undo kinks
     kinked = kh.add_kink(d, data.draw(st.sampled_from(d.arcs)))
+    arc = data.draw(st.sampled_from(d.arcs))
     assert normalized(hat_table(kinked)) == normalized(hat_table(d))
+    assert normalized(reduced_table(kinked, arc)) == normalized(reduced_table(d, arc))
+    minus = [UHomology(kh.ckh(x, arc).complex).by_grading() for x in (kinked, d)]
+    assert normalized(minus[0]) == normalized(minus[1])
 
 
 @SUITE
