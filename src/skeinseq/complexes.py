@@ -19,7 +19,7 @@ from functools import cached_property, reduce
 from itertools import chain, repeat
 from math import comb
 from operator import xor
-from typing import Any, Callable, Container, Hashable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Container, Iterator, Mapping, Sequence
 
 from . import gf2
 from .poly import Poly, VarSet
@@ -91,8 +91,7 @@ class ChainComplex:
         self.gens = gens = tuple(gens)
         self._set_gens(vars, [g.gid for g in gens], [g.h for g in gens], [g.q for g in gens],
                        [g.alex2 for g in gens], convention, pairs)
-        self.cols = _columns(self, self, _by_position(self, self, diff),
-                             self._degree_codes() if check else None)
+        self.cols = _columns(self, self, diff, self._degree_codes() if check else None)
         self.on_degree = check
 
     @classmethod
@@ -115,7 +114,7 @@ class ChainComplex:
         if check and (bad := cx._off_degree()) is not None:
             i, j = bad
             raise ValueError("inhomogeneous differential entry %s -> %s: %s"
-                             % (cx.ids[i], cx.ids[j], cx._poly(cols[i][j])))
+                             % (cx.ids[i], cx.ids[j], _lifter(vars)(cols[i][j])))
         cx.on_degree = check
         return cx
 
@@ -162,12 +161,6 @@ class ChainComplex:
                     return i, j
         return None
 
-    def _poly(self, e: int) -> Poly:
-        """The entry u^e as a Poly (1 over no variable)."""
-        if self.vars.n:
-            return Poly.var(self.vars, self.vars.names[0], e)
-        return Poly.one(self.vars)
-
     ids = cached_property(lambda self: self._spell())  # unless given as a list
     order = cached_property(lambda self: {g: i for i, g in enumerate(self.ids)})
 
@@ -179,20 +172,10 @@ class ChainComplex:
     @cached_property
     def diff(self) -> dict[tuple[str, str], Poly]:
         """The differential keyed by (source id, target id), source by
-        source, for output, the models and products with maps."""
-        gids = self.ids
-        if self.vars.n > 1:
-            return {(gids[i], gids[j]): p for i, col in enumerate(self.cols)
-                    for j, p in col.items()}
-        polys: dict[int, Poly] = {}  # one shared entry per exponent
-        out: dict[tuple[str, str], Poly] = {}
-        for src, col in zip(gids, self.cols):
-            for j, e in col.items():
-                p = polys.get(e)
-                if p is None:
-                    p = polys[e] = self._poly(e)
-                out[src, gids[j]] = p
-        return out
+        source, for output, ``tensor``, ``substitute`` and ``phi_action``."""
+        gids, lift = self.ids, _lifter(self.vars)
+        return {(src, gids[j]): lift(e) for src, col in zip(gids, self.cols)
+                for j, e in col.items()}
 
     # -- basic access ---------------------------------------------------------
 
@@ -210,9 +193,6 @@ class ChainComplex:
             return (self.h[i], self.q[i])
         return (self.h[i],) if u or self.alex2 is None else (self.h[i], self.alex2[i])
 
-    def grade(self, gid: str) -> tuple[int, ...]:
-        return self.grade_at(self.order[gid])
-
     def ustep(self) -> tuple[int, ...]:
         """Per-power grade drop of the unique variable."""
         if self.vars.n != 1:
@@ -221,19 +201,6 @@ class ChainComplex:
         if self.convention == CONV_KH:
             return (0, 2 * unit)
         return (unit,)
-
-    def exponent_columns(self, entries: MatrixEntries | None = None) -> list[MonoVec]:
-        """A copy of the differential's columns, or one-variable id-keyed
-        entries (a map's) as columns by source position, {target position:
-        u exponent}.
-
-        Raises ValueError naming an entry that is not a single monomial.
-        """
-        if self.vars.n != 1:
-            raise ValueError("exponent columns need a one-variable complex")
-        if entries is None:
-            return [dict(col) for col in self.cols]
-        return _columns(self, self, _by_position(self, self, entries), None, True)
 
     def verify_d2(self) -> list[tuple[str, str, Poly]]:
         """Nonzero entries of the squared differential (empty means pass), by
@@ -250,14 +217,11 @@ class ChainComplex:
         entries times the machine words of a level, not the 2-paths.  Over
         several variables, or with an entry off degree (only check=False
         builds one, so only those complexes are scanned for it), it is
-        mat_compose of the id-keyed differential.
+        ``_compose`` of the columns with themselves.
         """
         if self.vars.n <= 1 and (self.on_degree or self._off_degree() is None):
             return self._d2_by_parity()
-        order = self.order
-        return [(src, tgt, p) for (src, tgt), p in sorted(
-            mat_compose(self.diff, self.diff, self.grade).items(),
-            key=lambda kv: (order[kv[0][0]], kv[0][1]))]
+        return _rows(self, self, _compose(self, [(self.cols, self.cols)]))
 
     def _d2_by_parity(self) -> list[tuple[str, str, Poly]]:
         """verify_d2 of a complex over at most one variable whose entries are
@@ -299,110 +263,58 @@ class ChainComplex:
                 t = lv[low.bit_length() - 1]
                 tgts.append((ids[t], (vals[t] - vals[i] + back) // scale))
                 bits ^= low
-        out: list[tuple[str, str, Poly]] = []
-        polys: dict[int, Poly] = {}  # one shared entry per exponent
-        for i, tgts in by_src.items():
-            for tgt, e in sorted(tgts):
-                p = polys.get(e)
-                if p is None:
-                    p = polys[e] = self._poly(e)
-                out.append((ids[i], tgt, p))
-        return out
+        lift = _lifter(self.vars)
+        return [(ids[i], tgt, lift(e)) for i, tgts in by_src.items() for tgt, e in sorted(tgts)]
 
 
 # -- matrix helpers over Poly -------------------------------------------------
 
 
-def mat_compose(
-    second: MatrixEntries, first: MatrixEntries,
-    grade: Callable[[str], Hashable] | None = None,
-) -> dict[tuple[str, str], Poly]:
-    """Matrix of (second after first); entries map src -> sum coeff * tgt.
+def _lifter(vs: VarSet) -> Callable[[Any], Poly]:
+    """The Poly of a column entry: u^e over at most one variable (1 over
+    none), one shared Poly per exponent; the entry itself over several."""
+    if vs.n > 1:
+        return lambda p: p
+    polys: dict[int, Poly] = {}
 
-    Each row of second (the entries out of one generator) is a bitset of
-    targets per (entry terms, target grade), bit i for the i-th target of
-    that grade (all targets share one grade when grade is None), so a
-    bitset is no wider than a grade.  A source of first XORs the rows of
-    its middle generators, one accumulator per entry terms of first, so
-    paths cancel in pairs without a product; only what is left is
-    multiplied out, once per pair of entry terms.  Exact for any input,
-    homogeneous or not.
-    """
-    if not first or not second:
-        return {}
-    vs = next(iter(first.values())).vars
-    if next(iter(second.values())).vars != vs:
-        raise ValueError("polynomials over different variable universes")
-    place: dict[str, tuple[int, int]] = {}  # target -> (its block, its bit)
-    blocks: dict[Hashable, int] = {}  # grade -> block
-    names: list[list[str]] = []  # block -> its targets by bit
-    rows: dict[str, dict[tuple, int]] = {}  # mid -> (entry terms, block) -> bits
-    keys: dict[tuple, tuple] = {}  # one key object per (entry terms, block)
-    for (mid, tgt), p in second.items():
-        at = place.get(tgt)
-        if at is None:
-            b = blocks.setdefault(grade(tgt) if grade else None, len(names))
-            if b == len(names):
-                names.append([])
-            at = place[tgt] = b, 1 << len(names[b])
-            names[b].append(tgt)
-        b, bit = at
-        row = rows.get(mid)
-        if row is None:
-            row = rows[mid] = {}
-        k = keys.setdefault((p.terms, b), (p.terms, b))
-        row[k] = row.get(k, 0) | bit
-    firsts: dict[str, dict[frozenset, list[str]]] = {}  # src -> terms -> mids
-    for (src, mid), p in first.items():
-        if mid in rows:
-            firsts.setdefault(src, {}).setdefault(p.terms, []).append(mid)
-    products: dict[tuple[frozenset, frozenset], frozenset] = {}
-    out: dict[tuple[str, str], Poly] = {}
-    for src, by_terms in firsts.items():
-        prods: dict[tuple, int] = {}  # (product terms, block) -> bits
-        for t1, mids in by_terms.items():
-            acc: dict[tuple, int] = {}
-            for mid in mids:
-                for k, bits in rows[mid].items():
-                    acc[k] = acc.get(k, 0) ^ bits
-            for (t2, b), bits in acc.items():
-                if bits:
-                    prod = products.get((t1, t2))
-                    if prod is None:
-                        prod = products[t1, t2] = (Poly(vs, t1) * Poly(vs, t2)).terms
-                    prods[prod, b] = prods.get((prod, b), 0) ^ bits
-        terms: dict[str, frozenset] = {}
-        for (prod, b), bits in prods.items():
-            block = names[b]
-            while bits:
-                low = bits & -bits
-                tgt = block[low.bit_length() - 1]
-                terms[tgt] = terms.get(tgt, frozenset()) ^ prod
-                bits ^= low
-        for tgt, ms in terms.items():
-            if ms:
-                out[src, tgt] = Poly(vs, ms)
+    def lift(e: int) -> Poly:
+        p = polys.get(e)
+        if p is None:
+            p = polys[e] = Poly.var(vs, vs.names[0], e) if vs.n else Poly.one(vs)
+        return p
+    return lift
+
+
+def _compose(cx: ChainComplex,
+             products: Sequence[tuple[Columns, Columns]]) -> list[dict[int, Poly]]:
+    """The columns, by source position, of the sum of (second after first)
+    over the pairs (second, first) of columns in the ``cols`` layout of cx's
+    variables; zero entries are dropped.  Each entry is lifted to its Poly,
+    and each distinct pair of entries is multiplied once.  Exact for any
+    input, homogeneous or not."""
+    lift, vs = _lifter(cx.vars), cx.vars
+    prods: dict[tuple, frozenset] = {}  # (first entry, second entry) -> terms of the product
+    out = []
+    for i in range(len(products[0][1])):
+        acc: dict[int, frozenset] = {}  # target -> terms so far
+        for second, first in products:
+            for m, e in first[i].items():
+                for t, f in second[m].items():
+                    p = prods.get((e, f))
+                    if p is None:
+                        p = prods[e, f] = (lift(e) * lift(f)).terms
+                    acc[t] = acc[t] ^ p if t in acc else p
+        out.append({t: Poly(vs, p) for t, p in acc.items() if p})
     return out
 
 
-def mat_add(a: MatrixEntries, b: MatrixEntries) -> dict[tuple[str, str], Poly]:
-    out: dict[tuple[str, str], Poly] = dict(a)
-    for key, p in b.items():
-        cur = out.get(key)
-        acc = p if cur is None else cur + p
-        if acc:
-            out[key] = acc
-        elif key in out:
-            del out[key]
-    return out
-
-
-def _by_position(source: ChainComplex, target: ChainComplex, entries: MatrixEntries):
-    """entries as ((source position, target position), Poly), in order; an
-    id that names no generator is kept as it is."""
-    s_order, t_order = source.order, target.order
-    return (((s_order.get(src, src), t_order.get(tgt, tgt)), p)
-            for (src, tgt), p in entries.items())
+def _rows(source: ChainComplex, target: ChainComplex,
+          cols: list[dict[int, Poly]]) -> list[tuple[str, str, Poly]]:
+    """Columns as (source id, target id, Poly) rows, by source position,
+    then by target id."""
+    sids, tids = source.ids, target.ids
+    return [(sids[i], tid, p) for i, col in enumerate(cols)
+            for tid, p in sorted((tids[j], p) for j, p in col.items())]
 
 
 def _grade_codes(source: ChainComplex, target: ChainComplex,
@@ -429,11 +341,10 @@ def _grade_codes(source: ChainComplex, target: ChainComplex,
             [2 * (h + dh) + (a - h + flip) % 2 for h, a in zip(source.h, source.alex2)], 2)
 
 
-def _columns(source: ChainComplex, target: ChainComplex, entries, codes=None,
-             is_map: bool = False) -> Columns:
-    """Columns by source position of entries ((i, j), Poly) from
-    ``_by_position``, zero entries dropped: the u exponent over at most one
-    variable, the Poly over several.
+def _columns(source: ChainComplex, target: ChainComplex, entries: MatrixEntries,
+             codes=None, is_map: bool = False) -> Columns:
+    """Columns by source position of id-keyed entries, zero entries dropped:
+    the u exponent over at most one variable, the Poly over several.
 
     Given ``_grade_codes``, each entry is checked in order to sit on degree:
     its terms must all drop h alike, so the drop is found once per distinct
@@ -446,7 +357,9 @@ def _columns(source: ChainComplex, target: ChainComplex, entries, codes=None,
     cols: Columns = [{} for _ in source.h]
     known: dict[frozenset, tuple] = {}  # an entry's terms -> (column entry, h drop)
     val, want, step = codes or (None, None, 0)
-    for (i, j), p in entries:
+    s_order, t_order = source.order, target.order
+    for (src, tgt), p in entries.items():
+        i, j = s_order.get(src, src), t_order.get(tgt, tgt)  # an unknown id stays as it is
         terms = p.terms
         if not terms:
             continue
@@ -477,7 +390,12 @@ def _columns(source: ChainComplex, target: ChainComplex, entries, codes=None,
 
 
 class ChainMap:
-    """A graded map between complexes over the same variable universe."""
+    """A graded map between complexes over the same variable universe,
+    held as columns by source position in the ``ChainComplex.cols`` layout;
+    ``entries`` is the id-keyed input as given.  check=True raises
+    ValueError on the first entry, in order, that is off degree; with it
+    or without, an unknown generator raises KeyError and a one-variable
+    entry that is not a single monomial ValueError."""
 
     def __init__(
         self,
@@ -493,19 +411,15 @@ class ChainMap:
             raise ValueError("chain map across different variable universes")
         self.source = source
         self.target = target
-        if check:
-            _columns(source, target, _by_position(source, target, entries),
-                     _grade_codes(source, target, dh, dq or 0, dalex), True)
-            if not all(entries.values()):
-                entries = {k: p for k, p in entries.items() if p}
         self.entries = entries
+        self.cols = _columns(source, target, entries,
+                             _grade_codes(source, target, dh, dq or 0, dalex) if check else None,
+                             True)
 
-    def anticommutator(self) -> dict[tuple[str, str], Poly]:
-        """M d + d M for an endomap-shaped pair of complexes."""
-        grade = self.target.grade
-        md = mat_compose(self.entries, self.source.diff, grade)
-        dm = mat_compose(self.target.diff, self.entries, grade)
-        return mat_add(md, dm)
+    def anticommutator(self) -> list[tuple[str, str, Poly]]:
+        """Nonzero entries of M d + d M, spelled as ``verify_d2`` spells d^2."""
+        s, t = self.source, self.target
+        return _rows(s, t, _compose(s, [(self.cols, s.cols), (t.cols, self.cols)]))
 
 
 # -- constructions --------------------------------------------------------------
@@ -672,11 +586,13 @@ class UHomology(ModuleDecomposition):
             yield row
 
     def induced_matrix(self, cmap: ChainMap) -> dict[tuple[int, int], int]:
-        """Matrix u^e entries of an endomorphism on the summand basis."""
+        """Matrix u^e entries of an endomorphism on the summand basis.
+        Raises ValueError unless d M + M d = 0, which ``_compose`` checks on
+        the map's columns."""
         if cmap.source is not self.cx or cmap.target is not self.cx:
             raise ValueError("map is not an endomorphism of this complex")
-        cols = self.cx.exponent_columns(cmap.entries)
-        if not _anticommutes(self.cx.cols, cols):
+        cols = cmap.cols
+        if any(_compose(self.cx, [(cols, self.cx.cols), (self.cx.cols, cols)])):
             raise ValueError("not a chain map")
         reps = _replay(reversed(self._ops()), [{s.index: 0} for s in self.summands])
         images: list[MonoVec] = [{} for _ in reps]
@@ -685,20 +601,6 @@ class UHomology(ModuleDecomposition):
                 vec_add_shifted(img, cols[slot], e)
         return {(pos, pos2): e for pos, row in enumerate(self._classes(images))
                 for pos2, e in row.items()}
-
-
-def _anticommutes(d: list[MonoVec], m: list[MonoVec]) -> bool:
-    """Whether d m + m d = 0 for exponent columns d and m by position: the
-    terms u^e t of each column of the sum cancel in pairs."""
-    for dcol, mcol in zip(d, m):
-        odd: set[tuple[int, int]] = set()
-        for col, by in ((dcol, m), (mcol, d)):
-            for j, e in col.items():
-                for t, f in by[j].items():
-                    odd ^= {(t, e + f)}
-        if odd:
-            return False
-    return True
 
 
 def cancel_units(cx: ChainComplex, level: Sequence[int] | None = None,
@@ -713,7 +615,7 @@ def cancel_units(cx: ChainComplex, level: Sequence[int] | None = None,
     their original order; no id is spelled unless it raises."""
     if cx.vars.n != 1:
         raise ValueError("cancelling units needs a one-variable complex")
-    ecols = cx.exponent_columns()
+    ecols = [dict(col) for col in cx.cols]  # eliminate mutates them
     rows: list[set[int]] = [set() for _ in ecols]  # target -> its sources
     for i, col in enumerate(ecols):
         for j in col:

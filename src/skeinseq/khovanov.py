@@ -26,7 +26,6 @@ Crossing = tuple[int, int, int, int]
 class LinkDiagram:
     crossings: tuple[Crossing, ...]
     free_loops: int = 0
-    basepoints: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
         counts: dict[int, int] = {}
@@ -46,9 +45,6 @@ class LinkDiagram:
             raise ValueError("negative free loop count")
         if not self.crossings and not self.free_loops:
             raise ValueError("no crossings (use the unknot token 'U')")
-        for name, arc in self.basepoints:
-            if arc not in counts and not self._is_loop_arc(arc):
-                raise ValueError("basepoint %r on unknown arc %r" % (name, arc))
 
     def _is_loop_arc(self, arc: int) -> bool:
         return -self.free_loops <= arc <= -1
@@ -148,11 +144,7 @@ def parse_pd(text: str) -> LinkDiagram:
 
 def mirror(d: LinkDiagram) -> LinkDiagram:
     """Reverse the crossing convention by rotating each PD tuple one step."""
-    return LinkDiagram(
-        tuple((b, c, d, a) for (a, b, c, d) in d.crossings),
-        d.free_loops,
-        d.basepoints,
-    )
+    return LinkDiagram(tuple((b, c, d, a) for (a, b, c, d) in d.crossings), d.free_loops)
 
 
 def unlink(n: int) -> LinkDiagram:
@@ -200,7 +192,7 @@ def add_kink(d: LinkDiagram, arc: int) -> LinkDiagram:
                 row.append(a)
         crossings.append(tuple(row))
     crossings.append((arc, loop, loop, cont))
-    return LinkDiagram(tuple(crossings), d.free_loops, d.basepoints)
+    return LinkDiagram(tuple(crossings), d.free_loops)
 
 
 def undo_kinks(d: LinkDiagram, basepoint: int | None = None) -> tuple[LinkDiagram, int]:

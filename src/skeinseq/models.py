@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import gf2
 from .complexes import (
@@ -18,11 +19,12 @@ from .complexes import (
     ChainMap,
     Expansion,
     Generator,
+    _compose,
+    _lifter,
+    _rows,
     collapse_all,
     collapse_pairs,
     homology,
-    mat_add,
-    mat_compose,
     phi_action,
     tensor,
 )
@@ -56,9 +58,18 @@ class ModelComplex:
             if cx is not self.complex:
                 p = _transport(self.complex, cx, p)
             key = (src, tgt)
-            entries[key] = entries.get(key, Poly.zero(cx.vars)) + p
-        entries = {k: p for k, p in entries.items() if p}  # repeats may cancel
+            entries[key] = entries.get(key, Poly.zero(cx.vars)) + p  # repeats may cancel
         return ChainMap(cx, cx, entries, dh=spec.dh, check=False)
+
+    @cached_property
+    def top_frame(self) -> tuple[ChainComplex, list[str], list[int], dict[str, list[int]]]:
+        """The pair-collapsed complex, its top generators and top cycle basis,
+        and each pair's derivative action on the top slice."""
+        cx = collapse_pairs(self.complex)
+        tops, cycles = _top_cycles(cx)
+        phis = {pid: _top_map(phi_action(self.complex, pid), tops, lambda mono: not any(mono))
+                for pid in sorted(self.complex.pairs)}
+        return cx, tops, cycles, phis
 
 
 def _transport(src_cx: ChainComplex, dst_cx: ChainComplex, p: Poly) -> Poly:
@@ -197,15 +208,17 @@ def _top_cycles(cx: ChainComplex) -> tuple[list[str], list[int]]:
     return [cx.gens[i].gid for i in tops], sorted(gf2.column_kernel(cols))
 
 
-def _top_map(entries, tops: list[str], keep) -> list[int]:
+def _top_map(cmap: ChainMap, tops: list[str], keep) -> list[int]:
     """F2 map on the top generators as bitset columns: column i is the image
     of top generator i, each entry counting the parity of its terms that
     keep accepts."""
-    pos = {g: i for i, g in enumerate(tops)}
+    order, lift = cmap.source.order, _lifter(cmap.source.vars)
+    pos = {order[g]: i for i, g in enumerate(tops)}
     cols = [0] * len(tops)
-    for (src, tgt), p in entries.items():
-        if src in pos and tgt in pos and sum(map(keep, p.terms)) % 2:
-            cols[pos[src]] ^= 1 << pos[tgt]
+    for i, k in pos.items():
+        for j, e in cmap.cols[i].items():
+            if j in pos and sum(map(keep, lift(e).terms)) % 2:
+                cols[k] ^= 1 << pos[j]
     return cols
 
 
@@ -227,20 +240,6 @@ def _alex(cx: ChainComplex, tops: list[str], vec: int) -> int | None:
     """The alexander grading of a homogeneous top vector, else None."""
     vals = {cx.gen(g).alex2 for g in _support(tops, vec)}
     return vals.pop() if len(vals) == 1 else None
-
-
-def _top_frame(
-    m: ModelComplex,
-) -> tuple[ChainComplex, list[str], list[int], dict[str, list[int]]]:
-    """The pair-collapsed complex, its top generators and top cycle basis,
-    and each pair's derivative action on the top slice."""
-    cx = collapse_pairs(m.complex)
-    tops, cycles = _top_cycles(cx)
-    phis = {
-        pid: _top_map(phi_action(m.complex, pid).entries, tops, lambda mono: not any(mono))
-        for pid in sorted(m.complex.pairs)
-    }
-    return cx, tops, cycles, phis
 
 
 GOLDEN_PATTERNS = {
@@ -290,7 +289,7 @@ def top_homology_table(m: ModelComplex) -> TopTable:
     bases realizing the golden arrow pattern exactly; a model whose
     actions cannot be put in that shape raises.
     """
-    cx, tops, cycles, phis = _top_frame(m)
+    cx, tops, cycles, phis = m.top_frame
     space = gf2.ColumnSpace()
     for v in cycles:
         space.add(v)
@@ -368,7 +367,7 @@ def canonical_fg(m: ModelComplex) -> CanonicalPair:
     """The unique homogeneous top classes with g killed by every action."""
     if m.kind not in ("nonori", "ori"):
         raise ValueError("canonical pair defined for the two-generator tops")
-    cx, tops, cycles, phis = _top_frame(m)
+    cx, tops, cycles, phis = m.top_frame
     if len(cycles) != 2:
         raise ArithmeticError("characterization not satisfiable: top rank != 2")
     vecs = sorted({cycles[0], cycles[1], cycles[0] ^ cycles[1]})
@@ -405,15 +404,14 @@ def verify_action(m: ModelComplex, name: str) -> ActionReport:
         return ActionReport(name, _l_ori_action_checks(m))
     spec = m.actions[name]
     checks: list[tuple[str, bool, str]] = []
-    amap = m.action_map(name)
+    cx, amap = m.complex, m.action_map(name)
     anti = amap.anticommutator()
     if spec.kind == "loop":
         checks.append(("loop anticommutator", not anti, _describe(anti)))
-    else:
-        want = _path_rhs(m.complex, spec)
-        diff = mat_add(anti, {(gid, gid): p for gid, p in want.items()})
+    else:  # the rows that M d + d M and the right-hand side do not share
+        diff = set(anti) ^ set(_path_rhs(cx, spec))
         checks.append(("path anticommutator", not diff, _describe(diff)))
-    square = mat_compose(amap.entries, amap.entries)
+    square = _rows(cx, cx, _compose(cx, [(amap.cols, amap.cols)]))
     checks.append(("square vanishes", not square, _describe(square)))
 
     if m.name == "z11_2":
@@ -421,18 +419,18 @@ def verify_action(m: ModelComplex, name: str) -> ActionReport:
     return ActionReport(name, checks)
 
 
-def _describe(entries) -> str:
-    if not entries:
-        return ""
-    parts = ["%s->%s:%s" % (k[0], k[1], p) for k, p in sorted(entries.items(), key=lambda kv: kv[0])]
+def _describe(rows) -> str:
+    """The first four of (source id, target id, Poly) rows, by ids."""
+    parts = ["%s->%s:%s" % row for row in sorted(rows, key=lambda r: (r[0], r[1], str(r[2])))]
     return "; ".join(parts[:4])
 
 
-def _path_rhs(cx: ChainComplex, spec: ActionSpec) -> dict[str, Poly]:
+def _path_rhs(cx: ChainComplex, spec: ActionSpec) -> list[tuple[str, str, Poly]]:
+    """(u1^2 + u2^2) times the identity, as rows."""
     assert spec.endpoints is not None
     u1, u2 = spec.endpoints
     p = Poly.var(cx.vars, u1, 2) + Poly.var(cx.vars, u2, 2)
-    return {g.gid: p for g in cx.gens}
+    return [(g.gid, g.gid, p) for g in cx.gens]
 
 
 def _z11_checks(m: ModelComplex) -> list[tuple[str, bool, str]]:
@@ -457,10 +455,9 @@ def _z11_checks(m: ModelComplex) -> list[tuple[str, bool, str]]:
     checks.append(("C0 rank 2", space0.rank == 2, "rank %d" % space0.rank))
     vecs = space0.vectors()
     kernels = []
-    both = mat_add(kappa.entries, lam.entries)
-    for label, entries in (("A_kappa", kappa.entries), ("A_lambda", lam.entries),
-                           ("A_kappa+A_lambda", both)):
-        cols = _top_map(entries, tops, lambda mono: sum(mono) == 1)
+    top_k, top_l = (_top_map(a, tops, lambda mono: sum(mono) == 1) for a in (kappa, lam))
+    for label, cols in (("A_kappa", top_k), ("A_lambda", top_l),
+                        ("A_kappa+A_lambda", [a ^ b for a, b in zip(top_k, top_l)])):
         kern = gf2.column_kernel([_combine(cols, v) for v in vecs])
         kvecs = sorted(_combine(vecs, combo) for combo in kern)
         kernels.append((label, kvecs))
@@ -489,8 +486,7 @@ def _l_ori_action_checks(m: ModelComplex) -> list[tuple[str, bool, str]]:
         return out
 
     def phi_as_matrix(pid: str) -> dict[str, int]:
-        cols = _top_map(phi_action(m.complex, pid).entries, table.top_gens,
-                        lambda mono: not any(mono))
+        cols = _top_map(phi_action(m.complex, pid), table.top_gens, lambda mono: not any(mono))
         return {nm: _combine(cols, vec_of[nm]) for nm in order}
 
     a12 = as_matrix(L_ORI_TOP_ACTIONS["A12"])
@@ -517,14 +513,14 @@ def run_model_suite() -> list[tuple[str, bool, str]]:
     def note(label: str, passed: bool, detail: str = "") -> None:
         rows.append((label, passed, detail))
 
-    for name in MODEL_NAMES:
-        m = build_model(name)
+    built = {name: build_model(name) for name in MODEL_NAMES}
+    for name, m in built.items():
         bad = m.complex.verify_d2()
-        note("%s d2=0" % name, not bad, _describe({(s, t): p for s, t, p in bad}))
+        note("%s d2=0" % name, not bad, _describe(bad))
         cxc = collapse_pairs(m.complex)
         note("%s d2=0 collapsed" % name, not cxc.verify_d2())
 
-    m = build_model("k_nonori")
+    m = built["k_nonori"]
     hom = homology(collapse_pairs(m.complex))
     note("k_nonori homology free rank 2", hom.free_rank == 2 and not hom.torsion)
     cp = canonical_fg(m)
@@ -532,7 +528,7 @@ def run_model_suite() -> list[tuple[str, bool, str]]:
          and cp.f == frozenset({"f"}))
     note("k_nonori top pattern", top_homology_table(m).canonical is not None)
 
-    m = build_model("k_ori")
+    m = built["k_ori"]
     table = top_homology_table(m)
     note("k_ori top rank 2", len(table.vectors) == 2)
     cp = canonical_fg(m)
@@ -545,27 +541,24 @@ def run_model_suite() -> list[tuple[str, bool, str]]:
     note("k_ori u injective on top", _u_injective_on_top(m))
 
     for name, rank in (("l_nonori", 4), ("l_ori", 4)):
-        m = build_model(name)
-        table = top_homology_table(m)
+        table = top_homology_table(built[name])
         note("%s top rank %d" % (name, rank), len(table.vectors) == rank)
         note("%s golden pattern" % name, table.canonical is not None)
 
-    m = build_model("l_ori")
+    m = built["l_ori"]
     hom = homology(collapse_all(m.complex))
     note("l_ori collapsed torsion-free", not hom.torsion and hom.free_rank == 16)
     for label, passed, detail in verify_action(m, "A23").checks:
         note("l_ori " + label, passed, detail)
 
-    m = build_model("trefoil_cfl")
-    hom = homology(m.complex)
+    hom = homology(built["trefoil_cfl"].complex)
     note(
         "trefoil_cfl homology F[u] + F[u]/u",
         hom.free_rank == 1 and hom.torsion == [1],
     )
 
-    m = build_model("z11_2")
     for action in ("A_kappa", "A_lambda"):
-        rep = verify_action(m, action)
+        rep = verify_action(built["z11_2"], action)
         for label, passed, detail in rep.checks:
             note("z11_2 %s %s" % (action, label), passed, detail)
     return rows
@@ -573,7 +566,7 @@ def run_model_suite() -> list[tuple[str, bool, str]]:
 
 def _u_injective_on_top(m: ModelComplex) -> bool:
     """No top class dies under multiplication by one u variable."""
-    cx, tops, cycles, _ = _top_frame(m)
+    cx, tops, cycles, _ = m.top_frame
     top = max(g.h for g in cx.gens)
     exp = Expansion(cx, top - 1)
     space = gf2.ColumnSpace()

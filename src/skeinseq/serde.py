@@ -214,16 +214,14 @@ def dump_complex(cx: ChainComplex, levels: dict[str, int] | None = None) -> dict
 
 def load_diagram(doc: dict[str, Any]) -> LinkDiagram:
     doc = _object(doc, "a diagram")
+    if "basepoints" in doc:
+        raise ValueError("'basepoints' is not read from a diagram: give the reduced"
+                         " flavor's arc with --basepoint")
     crossings = tuple(
         tuple(_int(x, "an arc label") for x in _array(c, "a crossing"))
         for c in _array(doc.get("crossings", []), "'crossings'")
     )
-    basepoints = tuple(
-        sorted((str(k), _int(v, "basepoint %r" % k))
-               for k, v in _object(doc.get("basepoints", {}), "'basepoints'").items())
-    )
-    return LinkDiagram(crossings, _int(doc.get("free_loops", 0), "'free_loops'"),
-                       basepoints)
+    return LinkDiagram(crossings, _int(doc.get("free_loops", 0), "'free_loops'"))
 
 
 def load_page_spec(doc: dict[str, Any]) -> PageSpec:

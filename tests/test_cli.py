@@ -490,56 +490,70 @@ E2 = {"towers": [{"name": "x", "h": 0, "q": 0}]}
 TARGET = {"free_rank": 1}
 
 
-@pytest.mark.parametrize("cmd, doc, message", [
-    ("ss", [1, 2], "a complex must be a JSON object, not an array"),
-    ("ss", "x", "a complex must be a JSON object, not a string"),
-    ("ss", {"generators": 5}, "'generators' must be a JSON array"),
-    ("ss", {"generators": ["a"]}, "a generator must be a JSON object"),
-    ("ss", {"generators": [GEN], "diff": [5]}, "a diff entry must be a JSON object"),
-    ("ss", {"generators": [{"id": "a", "h": [0]}]}, "generator 'a' h must be an integer"),
-    ("ss", {"variables": [{"name": "u", "unit": "2"}], "generators": [GEN]},
+# (tag, command, document, message).  A case is named command-tag-message;
+# the tags are fixed, so a case added anywhere renames no other.
+MALFORMED = [
+    ("doc0", "ss", [1, 2], "a complex must be a JSON object, not an array"),
+    ("x", "ss", "x", "a complex must be a JSON object, not a string"),
+    ("doc2", "ss", {"generators": 5}, "'generators' must be a JSON array"),
+    ("doc3", "ss", {"generators": ["a"]}, "a generator must be a JSON object"),
+    ("doc4", "ss", {"generators": [GEN], "diff": [5]}, "a diff entry must be a JSON object"),
+    ("doc5", "ss", {"generators": [{"id": "a", "h": [0]}]}, "generator 'a' h must be an integer"),
+    ("doc6", "ss", {"variables": [{"name": "u", "unit": "2"}], "generators": [GEN]},
      "unknown unit '2'"),
-    ("e2", [1], "a page spec must be a JSON object"),
-    ("e2", {"towers": 5}, "'towers' must be a JSON array"),
-    ("e2", {"towers": [{"name": "x", "h": 0}]}, "tower 'x' has no 'q'"),
-    ("target", {"anchors": [[0]]}, "an anchor must be a JSON array"),
-    ("target", {"actions": {"U": [1]}}, "an entry of action 'U'"),
-    ("kh", {"crossings": [3]}, "a crossing must be a JSON array"),
-    ("target", {"basis": ["b", "c", "b"]}, "basis name 'b' appears twice"),
-    ("target", {"basis": ["b"], "actions": {"U": [["z", "b"]]}},
+    ("doc7", "e2", [1], "a page spec must be a JSON object"),
+    ("doc8", "e2", {"towers": 5}, "'towers' must be a JSON array"),
+    ("doc9", "e2", {"towers": [{"name": "x", "h": 0}]}, "tower 'x' has no 'q'"),
+    ("doc10", "target", {"anchors": [[0]]}, "an anchor must be a JSON array"),
+    ("doc11", "target", {"actions": {"U": [1]}}, "an entry of action 'U'"),
+    ("doc12", "kh", {"crossings": [3]}, "a crossing must be a JSON array"),
+    ("doc13", "target", {"basis": ["b", "c", "b"]}, "basis name 'b' appears twice"),
+    ("doc14", "target", {"basis": ["b"], "actions": {"U": [["z", "b"]]}},
      "entry ['z', 'b'] of action 'U' names 'z', which is not in 'basis'"),
     # a fractional number or a boolean is refused, not truncated
-    ("ss", {"generators": [{"id": "a", "h": 0.9, "filtration": 1}]},
+    ("doc15", "ss", {"generators": [{"id": "a", "h": 0.9, "filtration": 1}]},
      "generator 'a' h must be an integer, not 0.9"),
-    ("ss", {"generators": [{"id": "a", "h": 0, "filtration": 1.7}]},
+    ("doc16", "ss", {"generators": [{"id": "a", "h": 0, "filtration": 1.7}]},
      "generator 'a' filtration must be an integer, not 1.7"),
-    ("ss", {"generators": [{"id": "a", "h": True, "filtration": 0}]},
+    ("doc17", "ss", {"generators": [{"id": "a", "h": True, "filtration": 0}]},
      "generator 'a' h must be an integer, not True"),
-    ("ss", {"convention": "kh", "generators": [{"id": "a", "h": 0, "q": 1.5, "filtration": 0}]},
+    ("doc18", "ss",
+     {"convention": "kh", "generators": [{"id": "a", "h": 0, "q": 1.5, "filtration": 0}]},
      "generator 'a' q must be an integer, not 1.5"),
-    ("e2", {"towers": [{"name": "x", "h": 0.5, "q": 0}]}, "tower 'x' h must be an integer, not 0.5"),
-    ("e2", {"towers": [{"name": "x", "h": 0, "q": 0, "order": False}]},
+    ("doc19", "e2", {"towers": [{"name": "x", "h": 0.5, "q": 0}]},
+     "tower 'x' h must be an integer, not 0.5"),
+    ("doc20", "e2", {"towers": [{"name": "x", "h": 0, "q": 0, "order": False}]},
      "tower 'x' order must be an integer, not False"),
-    ("target", {"free_rank": 1.5}, "'free_rank' must be an integer, not 1.5"),
-    ("target", {"free_rank": 0, "torsion": [True]}, "a torsion order must be an integer, not True"),
-    ("target", {"anchors": [[0, 0.25, None]]}, "an anchor q must be an integer, not 0.25"),
-    ("kh", {"crossings": [[1.9, 2, 2, 1]]}, "an arc label must be an integer, not 1.9"),
-    ("kh", {"crossings": [], "free_loops": True}, "'free_loops' must be an integer, not True"),
-    ("ss", {"generators": [GEN], "diff": [["a", "a", "1"]]},
+    ("doc21", "target", {"free_rank": 1.5}, "'free_rank' must be an integer, not 1.5"),
+    ("doc22", "target", {"free_rank": 0, "torsion": [True]},
+     "a torsion order must be an integer, not True"),
+    ("doc23", "target", {"anchors": [[0, 0.25, None]]},
+     "an anchor q must be an integer, not 0.25"),
+    ("doc24", "kh", {"crossings": [[1.9, 2, 2, 1]]}, "an arc label must be an integer, not 1.9"),
+    ("doc25", "kh", {"crossings": [], "free_loops": True},
+     "'free_loops' must be an integer, not True"),
+    ("doc26", "ss", {"generators": [GEN], "diff": [["a", "a", "1"]]},
      "a diff entry must be a JSON object, not an array"),
-    ("ss", {"generators": [GEN], "diff": [{"from": "a", "to": "a"}]}, "a diff entry has no 'poly'"),
-    ("ss", {"generators": [GEN], "diff": [{"from": "a", "to": "z", "poly": "1"}]},
+    ("doc27", "ss", {"generators": [GEN], "diff": [{"from": "a", "to": "a"}]},
+     "a diff entry has no 'poly'"),
+    ("doc28", "ss", {"generators": [GEN], "diff": [{"from": "a", "to": "z", "poly": "1"}]},
      "entry on unknown generator (a,z)"),
-    ("ss", {"generators": [GEN], "diff": [{"from": ["a"], "to": "a", "poly": "1"}]},
+    ("doc29", "ss", {"generators": [GEN], "diff": [{"from": ["a"], "to": "a", "poly": "1"}]},
      "entry on unknown generator (['a'],a)"),
-    ("ss", {"generators": [GEN], "diff": [{"from": "a", "to": "a", "poly": True}]},
+    ("doc30", "ss", {"generators": [GEN], "diff": [{"from": "a", "to": "a", "poly": True}]},
      "unknown variable 'True'"),
     # diff entries: the first malformed entry is named, whatever comes before or after it
-    ("ss", {"generators": [GEN], "diff": [{"from": "a", "to": "z", "poly": "1"}, {"from": "a"}]},
+    ("doc31", "ss",
+     {"generators": [GEN], "diff": [{"from": "a", "to": "z", "poly": "1"}, {"from": "a"}]},
      "a diff entry has no 'to'"),
-    ("ss", {"generators": [GEN], "diff": [{"from": "a", "to": "a", "poly": "w"}, 5]},
+    ("doc32", "ss", {"generators": [GEN], "diff": [{"from": "a", "to": "a", "poly": "w"}, 5]},
      "unknown variable 'w'"),
-])
+]
+
+
+@pytest.mark.parametrize("cmd, doc, message", [case[1:] for case in MALFORMED],
+                         ids=["%s-%s-%s" % (cmd, tag, message)
+                              for tag, cmd, _, message in MALFORMED])
 def test_malformed_json_exits_2(tmp_path, capsys, cmd, doc, message):
     code, out, err = run(capsys, *reader_argv(tmp_path, cmd, doc))
     assert code == 2
@@ -587,7 +601,7 @@ def test_oversized_json_exits_2_before_parsing(tmp_path, capsys, monkeypatch, cm
     ("target", {"free_rank": 1.0}, TARGET),
     ("kh", {"crossings": [[1.0, "2", 2, 1]], "free_loops": 1.0},
      {"crossings": [[1, 2, 2, 1]], "free_loops": 1}),
-])
+], ids=["ss-doc0-same0", "e2-doc1-same1", "target-doc2-same2", "kh-doc3-same3"])
 def test_integral_floats_and_digit_strings_are_integers(tmp_path, capsys, cmd, doc, same):
     want = run(capsys, *reader_argv(tmp_path, cmd, same))
     assert want[0] == 0
@@ -805,12 +819,9 @@ def corrupted_pd_texts(draw):
 def corrupted_diagram_docs(draw):
     """The JSON text of a small diagram with crossings dropped, repeated or
     relabelled, fields dropped or replaced, and perhaps cut short."""
-    doc = {"crossings": _kh_crossings(draw),
-           "free_loops": draw(st.integers(0, 2)),
-           "basepoints": {"p": draw(KH_LABELS)}}
-    fields = [(doc, key) for key in ("crossings", "free_loops", "basepoints")]
-    fields += [(doc["basepoints"], "p")] + [(doc["crossings"], i)
-                                            for i in range(len(doc["crossings"]))]
+    doc = {"crossings": _kh_crossings(draw), "free_loops": draw(st.integers(0, 2))}
+    fields = [(doc, key) for key in ("crossings", "free_loops")]
+    fields += [(doc["crossings"], i) for i in range(len(doc["crossings"]))]
     for _ in range(draw(st.integers(0, 2))):
         obj, key = draw(st.sampled_from(fields))
         if isinstance(obj, dict) and draw(st.booleans()):
@@ -974,6 +985,19 @@ def test_diagram_json_input(tmp_path, capsys):
     code, out, err = run(capsys, "kh", "--in", str(path), "--flavor", "hat")
     assert code == 0
     assert "# total\t6" in out
+
+
+def test_diagram_basepoints_are_refused(tmp_path, capsys):
+    """A diagram document that names basepoints exits 2 and points to
+    --basepoint, for every flavor and with --basepoint given too."""
+    doc = {"crossings": [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]], "basepoints": {"p": 1}}
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    for flags in (["--flavor", "hat"], ["--flavor", "minus"],
+                  ["--flavor", "reduced", "--basepoint=1"]):
+        code, out, err = run(capsys, "kh", "--in", str(path), *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error: 'basepoints'") and "--basepoint" in err
 
 
 def test_oversized_cube_exits_2_before_resolving(capsys, monkeypatch):

@@ -22,6 +22,9 @@ from skeinseq.complexes import (
     Expansion,
     Generator,
     UHomology,
+    _compose,
+    _lifter,
+    _rows,
     _window_dims,
     cancel_units,
     check_mod_u,
@@ -31,7 +34,6 @@ from skeinseq.complexes import (
     expansion_size,
     homology,
     homology_f2,
-    mat_compose,
     mod_u_dims,
     phi_action,
     substitute,
@@ -86,17 +88,34 @@ def poly_product_compose(second, first):
     return out
 
 
+def poly_sum(*mats):
+    """The reference sum of id-keyed matrices, zero entries dropped."""
+    out = {}
+    for mat in mats:
+        for key, p in mat.items():
+            out[key] = out[key] + p if key in out else p
+    return {key: p for key, p in out.items() if p}
+
+
+def reference_rows(cx, entries):
+    """Id-keyed entries as verify_d2 spells them: by source position, then
+    by target id."""
+    order = cx.order
+    return sorted(((s, t, p) for (s, t), p in entries.items()),
+                  key=lambda row: (order[row[0]], row[1]))
+
+
 def reference_d2(cx):
-    order = cx.order
-    return sorted(((s, t, p) for (s, t), p in poly_product_compose(cx.diff, cx.diff).items()),
-                  key=lambda row: (order[row[0]], row[1]))
+    return reference_rows(cx, poly_product_compose(cx.diff, cx.diff))
 
 
-def mat_compose_d2(cx):
-    """verify_d2's answer off its mat_compose route."""
-    order = cx.order
-    return sorted(((s, t, p) for (s, t), p in mat_compose(cx.diff, cx.diff, cx.grade).items()),
-                  key=lambda row: (order[row[0]], row[1]))
+def assert_products_match(cx, *maps):
+    """Every product (second after first) of d and the maps, by _compose on
+    the columns, equals the Poly reference on the id-keyed entries."""
+    mats = [(cx.cols, cx.diff)] + [(x.cols, x.entries) for x in maps]
+    for (cols2, ids2), (cols1, ids1) in itertools.product(mats, repeat=2):
+        got = _rows(cx, cx, _compose(cx, [(cols2, cols1)]))
+        assert {(s, t): p for s, t, p in got} == poly_product_compose(ids2, ids1)
 
 
 def random_entries(rng, vs, gids, density=0.35):
@@ -111,73 +130,119 @@ def random_entries(rng, vs, gids, density=0.35):
     return out
 
 
-def test_mat_compose_and_verify_d2_match_poly_product_reference():
+def homogeneous_slots(vs, gens, delta):
+    """Every entry u^e from s to t of a map over F2[u] that moves h by delta:
+    t.h = s.h + delta + unit * e (d itself moves it by -1)."""
+    unit = vs.units[0]
+    return [((s.gid, t.gid), Poly.var(vs, "u", (t.h - s.h - delta) // unit))
+            for s in gens for t in gens
+            if t.h - s.h - delta >= 0 and (t.h - s.h - delta) % unit == 0]
+
+
+def test_compose_routes_match_poly_product_reference():
+    """Every product that goes through _compose gives the Poly reference's
+    answer: the anticommutator of random maps over 0-3 variables (HALF and
+    FULL units) with a random differential, verify_d2 of that differential
+    (off degree or over several variables, where it does not take the
+    parity route), and the chain-map check of induced_matrix, which accepts
+    d h + h d for a random h and refuses it with one entry toggled exactly
+    when the reference anticommutator is nonzero."""
     rng = random.Random(41)
-    cancelled = 0
+    seen = collections.Counter()
     for trial in range(300):
         nv = rng.randrange(4)
         vs = VarSet(tuple("xyz"[:nv]), tuple(rng.choice((HALF, FULL)) for _ in range(nv)))
         gids = ["g%d" % i for i in range(rng.randrange(1, 7))]
-        a, b = random_entries(rng, vs, gids), random_entries(rng, vs, gids)
-        for second, first in ((a, b), (a, a), (a, {}), ({}, b)):
-            want = poly_product_compose(second, first)
-            assert mat_compose(second, first) == want
-            reached = {(s, t) for (s, m) in first for (m2, t) in second if m == m2}
-            cancelled += len(reached) - len(want)
+        d, m = random_entries(rng, vs, gids), random_entries(rng, vs, gids)
         gens = [Generator(g, 0) for g in rng.sample(gids, len(gids))]  # not sorted by id
-        if nv <= 1 and any(len(p.terms) > 1 for p in a.values()):
-            # a one-variable entry is stored as one exponent: keep one term of each
-            with pytest.raises(ValueError, match="inhomogeneous entry"):
-                ChainComplex(vs, gens, a, CONV_FLOER, check=False)
-            a = {key: Poly(vs, frozenset([min(p.terms)])) for key, p in a.items()}
-        cx = ChainComplex(vs, gens, a, CONV_FLOER, check=False)
+        if nv <= 1:  # a one-variable entry is stored as one exponent: keep one term of each
+            if any(len(p.terms) > 1 for p in m.values()):
+                flat = ChainComplex(vs, gens, {})
+                with pytest.raises(ValueError, match="inhomogeneous entry"):
+                    ChainMap(flat, flat, m, check=False)
+            d, m = ({key: Poly(vs, frozenset([min(p.terms)])) for key, p in x.items()}
+                    for x in (d, m))
+        cx = ChainComplex(vs, gens, d, CONV_FLOER, check=False)
         assert not cx.on_degree
         assert cx.verify_d2() == reference_d2(cx)
-    assert cancelled > 100  # products that cancel to zero are exercised
+        seen["several variables" if nv > 1 else "off degree" if cx._off_degree() else
+             "parity"] += 1
+        want = poly_sum(poly_product_compose(m, d), poly_product_compose(d, m))
+        assert ChainMap(cx, cx, m, check=False).anticommutator() == reference_rows(cx, want)
+        reached = {(s, t) for (s, x) in m for (y, t) in d if x == y}
+        reached |= {(s, t) for (s, x) in d for (y, t) in m if x == y}
+        seen["cancelled"] += len(reached) - len(want)
+    assert seen["cancelled"] > 100 and seen["several variables"] > 100, seen
+    assert seen["off degree"] > 50, seen
     # two paths with equal products cancel exactly
     xy = VarSet(("x", "y"), (HALF, HALF))
     x, y = Poly.var(xy, "x"), Poly.var(xy, "y")
+    gens = [Generator(g, 0) for g in ("s", "m1", "m2", "t")]
     first = {("s", "m1"): x, ("s", "m2"): y}
-    assert mat_compose({("m1", "t"): y, ("m2", "t"): x}, first) == {}
-    assert mat_compose({("m1", "t"): y, ("m2", "t"): x + y}, first) == {("s", "t"): y * y}
-    with pytest.raises(ValueError, match="different variable universes"):
-        mat_compose({("m1", "t"): Poly.one(U1)}, first)
-    # one-variable cubes: d squared, the basepoint actions and their squares
+    assert ChainComplex(xy, gens, {**first, ("m1", "t"): y, ("m2", "t"): x},
+                        check=False).verify_d2() == []
+    assert ChainComplex(xy, gens, {**first, ("m1", "t"): y, ("m2", "t"): x + y},
+                        check=False).verify_d2() == [("s", "t", y * y)]
+    # induced_matrix over one variable: accepts a null-homotopic map and refuses a toggled one
+    for trial in range(180):
+        kind = SQUARE_ZERO_KINDS[trial % len(SQUARE_ZERO_KINDS)]
+        if not kind[1] or kind[0] != CONV_FLOER:
+            continue
+        vs, gens, diff, _ = random_square_zero(rng, *kind)
+        cx = ChainComplex(vs, gens, diff, CONV_FLOER)
+        hom = UHomology(cx)
+        delta = rng.randrange(-1, 2)
+        h = dict(slot for slot in homogeneous_slots(vs, gens, delta) if rng.random() < 0.4)
+        m = poly_sum(poly_product_compose(h, diff), poly_product_compose(diff, h))
+        slots = homogeneous_slots(vs, gens, delta - 1)  # the entries m may have
+        toggled = [poly_sum(m, dict([slot]))
+                   for slot in rng.sample(slots, min(3, len(slots)))]
+        for entries in [m] + toggled:
+            want = poly_sum(poly_product_compose(entries, diff), poly_product_compose(diff, entries))
+            cmap = ChainMap(cx, cx, entries, check=False)
+            assert cmap.anticommutator() == reference_rows(cx, want)
+            if want:
+                with pytest.raises(ValueError, match="not a chain map"):
+                    hom.induced_matrix(cmap)
+            else:
+                hom.induced_matrix(cmap)
+            seen["refused" if want else "accepted", entries is m and bool(m)] += 1
+    assert seen["accepted", True] > 30 and seen["accepted", False] > 10, seen
+    assert seen["refused", False] > 50, seen
+
+
+def test_compose_and_verify_d2_match_poly_product_reference_on_cubes():
+    """On one-variable cubes, d squared, the basepoint actions and their
+    squares by _compose, and the verify_d2 of a tampered cube, give the
+    Poly reference's answer."""
     for d in (kh.parse_pd(TREFOIL_PD), kh.cyclic_knot(5)):
         cc = kh.ckh(d)
-        diff = cc.complex.diff
-        assert mat_compose(diff, diff) == poly_product_compose(diff, diff) == {}
-        x = kh.basepoint_action(cc, min(d.arcs)).entries
-        for second, first in ((x, diff), (diff, x), (x, x)):
-            assert mat_compose(second, first) == poly_product_compose(second, first)
-        bad = dict(diff)
+        cx = cc.complex
+        assert_products_match(cx, kh.basepoint_action(cc, min(d.arcs)))
+        bad = dict(cx.diff)
         key = next(iter(bad))
-        bad[key] = bad[key] * Poly.var(cc.complex.vars, "u")
-        tampered = ChainComplex(cc.complex.vars, cc.complex.gens, bad, CONV_KH, check=False)
+        bad[key] = bad[key] * Poly.var(cx.vars, "u")
+        tampered = ChainComplex(cx.vars, cx.gens, bad, CONV_KH, check=False)
         assert not tampered.on_degree
-        assert tampered.verify_d2() == reference_d2(tampered) == mat_compose_d2(tampered) != []
+        assert tampered.verify_d2() == reference_d2(tampered) != []
 
 
-def test_mat_compose_matches_reference_on_wide_multi_block_cubes():
-    """Bitsets wider than a machine word, numbered per grade block or over
-    all targets at once, give the products of the Poly reference."""
+def test_compose_matches_reference_on_wide_multi_block_cubes():
+    """Cubes with more than a machine word of generators and many grades:
+    the products of _compose and the verify_d2 of a tampered cube give the
+    Poly reference's answer."""
     d = kh.cyclic_knot(7)
     for cc in (kh.ckh(d), reference_cube(d, "hat")):
         cx = cc.complex
-        widths = collections.Counter(cx.grade(g.gid) for g in cx.gens)
+        widths = collections.Counter(cx.grade_at(cx.order[g.gid]) for g in cx.gens)
         assert cx.n > 64 and len(widths) > 10
-        diff = cx.diff
-        for grade in (cx.grade, None):
-            assert mat_compose(diff, diff, grade) == poly_product_compose(diff, diff) == {}
         if not cx.vars.n:
+            assert_products_match(cx)
             assert max(widths.values()) > 64
             continue
-        for arc in sorted(cc.diagram.arcs)[:2]:
-            x = kh.basepoint_action(cc, arc).entries
-            for second, first in ((x, diff), (diff, x), (x, x)):
-                want = poly_product_compose(second, first)
-                for grade in (cx.grade, None):
-                    assert mat_compose(second, first, grade) == want
+        assert_products_match(cx, *(kh.basepoint_action(cc, arc)
+                                    for arc in sorted(cc.diagram.arcs)[:2]))
+        diff = cx.diff
         # every entry out of one middle generator gains a u, so the paths
         # through it meet the others at one (s, t) with u^(e+1) against u^e
         u = Poly.var(cx.vars, "u")
@@ -186,10 +251,8 @@ def test_mat_compose_matches_reference_on_wide_multi_block_cubes():
         tampered = ChainComplex(cx.vars, cx.gens, bad, CONV_KH, check=False)
         got = tampered.verify_d2()
         assert not tampered.on_degree
-        assert got == reference_d2(tampered) == mat_compose_d2(tampered)
+        assert got == reference_d2(tampered)
         assert any(len(p.terms) == 2 for _, _, p in got)
-        for grade in (tampered.grade, None):
-            assert mat_compose(bad, bad, grade) == poly_product_compose(bad, bad)
 
 
 def on_degree(convention, unit, src, tgt, e):
@@ -251,7 +314,7 @@ def test_verify_d2_by_parity_matches_the_reference():
     and variable-free complexes; one dense complex has levels of many words.
     Both checked constructors record that every entry is on degree, and a
     column twin built unchecked with one entry a u-power deeper records
-    nothing and gets the mat_compose answer."""
+    nothing and gets the _compose answer."""
     rng, tamper = random.Random(2207), random.Random(2912)  # tamper leaves rng's draws as they were
     seen = collections.Counter()
     for trial in range(270):
@@ -278,7 +341,7 @@ def test_verify_d2_by_parity_matches_the_reference():
                 bad = ChainComplex.from_columns(vs, cx.ids, cx.h, cx.q, cx.alex2, cols, kind[0],
                                                 check=False)
                 assert not bad.on_degree and bad._off_degree() == (i, j)
-                assert bad.verify_d2() == reference_d2(bad) == mat_compose_d2(bad)
+                assert bad.verify_d2() == reference_d2(bad)
                 seen["off degree"] += 1
             assert (entries is diff) <= (got == [])
             reached = {(s, t) for (s, m) in entries for (m2, t) in entries if m == m2}
@@ -357,11 +420,10 @@ def test_exponent_columns_reject_two_term_entries():
         ChainComplex(U1, gens, {("a", "b"): one + u * u}, CONV_FLOER, check=False)
     with pytest.raises(ValueError, match="inhomogeneous differential entry a -> b"):
         ChainComplex(U1, gens, {("a", "b"): one + u * u}, CONV_FLOER)
+    # and so does a map's constructor, with the same message
     flat = ChainComplex(U1, [Generator("a", 0), Generator("b", 0)], {}, CONV_FLOER)
-    cmap = ChainMap(flat, flat, {("a", "b"): one + u * u}, check=False)
-    assert not cmap.anticommutator()
-    with pytest.raises(ValueError, match="inhomogeneous entry a -> b"):
-        UHomology(flat).induced_matrix(cmap)
+    with pytest.raises(ValueError, match="inhomogeneous entry a -> b: 1\\+u\\^2$"):
+        ChainMap(flat, flat, {("a", "b"): one + u * u}, check=False)
 
 
 def _reference_entry_ok(cx, src, tgt, p, dh, dq, dalex, drops):
@@ -412,6 +474,13 @@ def _reference_checked(source, target, entries, dh, dq, dalex, is_map):
     except (KeyError, ValueError) as exc:
         return type(exc), str(exc)
     return entries
+
+
+def map_entries(cmap):
+    """A map's columns keyed by ids, each entry lifted to its Poly."""
+    lift = _lifter(cmap.source.vars)
+    return {(cmap.source.ids[i], cmap.target.ids[j]): lift(e)
+            for i, col in enumerate(cmap.cols) for j, e in col.items()}
 
 
 def _outcome(build):
@@ -467,7 +536,7 @@ def test_degree_check_matches_the_per_monomial_reference():
             dh, dq, dalex = rng.randrange(-1, 2), rng.choice((None, -2, 0, 2)), rng.randrange(2)
             source = ChainComplex(vs, src_gens, {}, convention)
             target = ChainComplex(vs, tgt_gens, {}, convention)
-            got = _outcome(lambda: ChainMap(source, target, entries, dh, dq, dalex).entries)
+            got = _outcome(lambda: map_entries(ChainMap(source, target, entries, dh, dq, dalex)))
             want = _reference_checked(source, target, entries, dh, dq, dalex, True)
         assert got == want, (entries, got, want)
         verdict = "rejected" if isinstance(want, tuple) else "accepted"
@@ -506,7 +575,7 @@ def test_no_zero_entry_reaches_the_differential():
     assert ChainComplex(xy, gens, clean, CONV_FLOER, check=False).diff == clean
     # without the check too
     assert ChainComplex(xy, gens, diff, CONV_FLOER, {"1": ("x", "y")}, check=False).diff == clean
-    assert ChainMap(cx, cx, {("a", "b"): zero, ("b", "b"): x}, dh=-1).entries == {
+    assert map_entries(ChainMap(cx, cx, {("a", "b"): zero, ("b", "b"): x}, dh=-1)) == {
         ("b", "b"): x}
     # x + y becomes u + u under the collapse
     assert collapse_pairs(cx).diff == {} and collapse_all(cx).diff == {}
@@ -520,7 +589,7 @@ def test_no_zero_entry_reaches_the_differential():
     # an action whose repeated entries cancel
     spec = ActionSpec("twice", "loop", (("a", "b", "x"), ("a", "b", "x"), ("b", "b", "y")))
     model = ModelComplex("m", cx, {"twice": spec})
-    assert model.action_map("twice").entries == {("b", "b"): y}
+    assert map_entries(model.action_map("twice")) == {("b", "b"): y}
     minus = kh.ckh(kh.cyclic_knot(5)).complex
     for c in (minus, reference_cube(kh.cyclic_knot(5), "hat").complex, build_model("l_ori").complex,
               cancel_units(minus), kill_vars(minus)):
@@ -587,7 +656,7 @@ def _top_phi(m, pid, side):
 
     tops, cycles = _top_cycles(collapse_pairs(m.complex))
     pm = phi_action(m.complex, pid, side)
-    cols = _top_map(pm.entries, tops, lambda mm: not any(mm))
+    cols = _top_map(pm, tops, lambda mm: not any(mm))
     return cycles, [_combine(cols, v) for v in cycles]
 
 
@@ -946,7 +1015,7 @@ def ref_homology_f2(cx):
     """One dense rank per grading of a variable-free complex."""
     groups = {}
     for g in cx.gens:
-        groups.setdefault(cx.grade(g.gid), []).append(g.gid)
+        groups.setdefault(cx.grade_at(cx.order[g.gid]), []).append(g.gid)
     cols = ref_diff_by_source(cx)
     rank_out, rank_into = {}, {}
     for grade, grp in groups.items():
@@ -955,7 +1024,8 @@ def ref_homology_f2(cx):
             continue
         vecs = [sum(1 << cx.order[t] for t in cols[gid]) for gid in grp]
         rank = rank_out[grade] = gf2.matrix_rank(vecs, cx.n)
-        rank_into[cx.grade(first)] = rank_into.get(cx.grade(first), 0) + rank
+        tgt = cx.grade_at(cx.order[first])
+        rank_into[tgt] = rank_into.get(tgt, 0) + rank
     return dict(sorted(
         (grade, len(grp) - rank_out.get(grade, 0) - rank_into.get(grade, 0))
         for grade, grp in groups.items()))
@@ -1248,7 +1318,7 @@ def check_maps(hom):
     """Each summand's cycle_rep is a cycle of its grade that class_coords
     reads back as that summand, and every boundary d g reads 0."""
     cx = hom.cx
-    cols, step = cx.exponent_columns(), cx.ustep()
+    cols, step = [dict(c) for c in cx.cols], cx.ustep()
     for i, s in enumerate(hom.summands):
         rep = hom.cycle_rep(i)
         boundary = {}
@@ -1492,7 +1562,7 @@ def test_mod_u_dims_on_torsion_towers():
 def position_order_decomposition(cx):
     """(pairs, H(cx)) from umod.eliminate fed the sources in position order,
     not against the direction of d as cancel_units feeds them."""
-    cols = dict(enumerate(cx.exponent_columns()))
+    cols = dict(enumerate([dict(c) for c in cx.cols]))
     rows = [set() for _ in cols]
     for i, col in cols.items():
         for j in col:

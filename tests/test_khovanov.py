@@ -140,12 +140,11 @@ def test_basepoint_action_squares_to_U():
     for arc in (1, 4):
         x = kh.basepoint_action(cc, arc)
         assert not x.anticommutator()
-        from skeinseq.complexes import mat_compose
+        from skeinseq.complexes import _compose, _rows
 
-        sq = mat_compose(x.entries, x.entries)
-        vs = cc.complex.vars
-        expect = {(g.gid, g.gid): Poly.var(vs, "u", 2) for g in cc.complex.gens}
-        assert sq == expect
+        cx = cc.complex
+        sq = _rows(cx, cx, _compose(cx, [(x.cols, x.cols)]))
+        assert sq == [(g, g, Poly.var(cx.vars, "u", 2)) for g in cx.ids]
 
 
 def test_basepoint_action_unknown_point():
@@ -779,7 +778,7 @@ def test_cube_entry_with_wrong_exponent_rejected():
             kh.ChainComplex(vs, cx.gens, diff, kh.CONV_KH)
         # the same exponent written by position gets the same message
         i, j = cx.order[key[0]], cx.order[key[1]]
-        cols = cx.exponent_columns()
+        cols = [dict(c) for c in cx.cols]
         cols[i][j] += 1
         with pytest.raises(ValueError) as by_position:
             kh.ChainComplex.from_columns(vs, cx.ids, cx.h, cx.q, None, cols, kh.CONV_KH)

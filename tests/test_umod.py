@@ -236,7 +236,7 @@ def cube_presentation(cx):
     complex: its cycles, and every boundary in them."""
     step = cx.ustep()
     basis, coords, grades = homology_presentation(
-        cx.exponent_columns(), [], [cx.grade_at(i, True) for i in range(cx.n)], step)
+        [dict(c) for c in cx.cols], [], [cx.grade_at(i, True) for i in range(cx.n)], step)
     return len(basis), coords, grades, step
 
 
