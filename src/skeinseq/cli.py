@@ -103,6 +103,8 @@ def cmd_kh(args) -> int:
 
 
 def cmd_ss(args) -> int:
+    if min(args.max_r, args.truncation) < 0:  # refused before the input is read
+        raise ValueError("--max-r and --truncation must be at least 0")
     cx, levels, _ = serde.load_complex(serde.read_json(args.infile))
     if levels is None:
         raise ValueError("the ss input needs filtration levels")

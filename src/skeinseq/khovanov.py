@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 
 from .complexes import CONV_KH, MAX_CUBE_GENERATORS, MAX_CUBE_VERTICES, ChainComplex, ChainMap, Generator
 from .poly import HALF, Poly, VarSet
@@ -314,8 +313,8 @@ def _resolver(d: LinkDiagram):
     """(lab, count) of the all-0 vertex of d's cube, and split(lab, count, j,
     v), that of vertex v from that of v with crossing j at 0 when that edge
     does not merge: lab[k] is the circle of the k-th arc of d.arcs, circles
-    numbered by least arc.  A split walks the circle of a and b in v (off the
-    plane it can meet c: no split)."""
+    numbered by least arc.  A split walks the circle of a in v (off the plane
+    it can meet c: no split); the rest of their circle at j = 0 is c's."""
     arcs = d.arcs
     index = {a: k for k, a in enumerate(arcs)}
     # an arc end is 4 * crossing + slot; far[e] is the other end of e's arc
@@ -345,9 +344,16 @@ def _resolver(d: LinkDiagram):
         side = walk(4 * j, v)
         if at[4 * j + 2] in side:
             return lab, count
-        side = max(side, walk(4 * j + 2, v), key=min)  # the half without the least arc
-        t = max(lab[:min(side)]) + 1  # the circles whose least arcs come first
-        new = [z + (z >= t) for z in lab]
+        x = lab[side[0]]  # splits into side and the rest: the half without x's least arc is new
+        least = lab.index(x)
+        if keep := least in side:  # the rest is new: its least arc is x's first off side
+            while least in side:
+                least = lab.index(x, least + 1)
+        t = max(lab[:least if keep else min(side)]) + 1  # after circles with smaller least arcs
+        to = [*range(t), *range(t + 1, count + 1)]  # circles from t on move up
+        if keep:  # x's arcs go to t, side's stay on x
+            to[x], t = t, x
+        new = list(map(to.__getitem__, lab))
         for k in side:
             new[k] = t
         return new, count + 1
@@ -359,15 +365,15 @@ def _resolver(d: LinkDiagram):
 #
 # Inside ckh a state is its lab, and the labels of a generator are a bitmask
 # over the free circles of its state: the circles other than the basepoint
-# circle b, in order, so circle x has bit 1 << (x - (x > b)).  Generator m of
-# a vertex is the one with mask m, so a vertex's generators are listed by
-# ascending mask, and its h and q follow from the vertex and the mask; ids are
-# spelled only when read (_cube_ids).  The edge that turns crossing
-# (a, b, c, d) from its 0- to its 1-smoothing merges the circles of a and b
-# when their bits differ (distinct circles have distinct bits), and otherwise
-# splits theirs into the target circles of a and c, read off the two vertices'
-# rows of arc bits.  An edge is a rule on masks (_edge_rule), built once per
-# kind, source size and bits.
+# circle b, in order, so circle x has bit 1 << (x - (x > b)), in a bit row
+# shared by the vertices with the same count and b.  Generator m of a vertex
+# has mask m, so a vertex's generators are listed by ascending mask, and its
+# h and q follow from the vertex and the mask; ids are spelled only when read
+# (_cube_ids).  The edge that turns crossing (a, b, c, d) from its 0- to its
+# 1-smoothing merges the circles of a and b when their bits differ (distinct
+# circles have distinct bits), and otherwise splits theirs into the target
+# circles of a and c.  An edge is a rule on masks (_edge_rule), built once per
+# call and key: source count and bits, a merge's for either order of the two.
 
 
 def _vertex_ids(vertex: tuple[int, ...], free: list[int]) -> list[str]:
@@ -393,31 +399,24 @@ def _edge_rule(
     hold the bit of each changed circle at the source and the target (the
     split's in order), 0 for the basepoint circle.  That circle carries no
     label, so an x on it in the image is one more power of u.  A merge sends
-    x x to U, x 1 and 1 x to x, 1 1 to 1; a split sends 1 to 1 x + x 1 and x
-    to x x + U.  A carry table moves the circles the edge leaves alone,
-    which keep their order, to their target bits.
+    x x to U, x 1 and 1 x to x, 1 1 to 1, whichever order its source bits
+    come in; a split sends 1 to 1 x + x 1 and x to x x + U.  A carry table
+    moves the circles the edge leaves alone, which keep their order, to
+    their target bits.
     """
-    sel = sum(src_bits)
-    changed = sum(tgt_bits)
-    size2 = size - sum(map(bool, src_bits)) + sum(map(bool, tgt_bits))
-    kept = iter([1 << b for b in range(size2) if not changed >> b & 1])
+    sel, changed = sum(src_bits), sum(tgt_bits)
+    kept = iter([1 << b for b in range(size + (1 if split else -1)) if not changed >> b & 1])
     carry = [0]
     for b in range(size):
-        tb = 0 if sel >> b & 1 else next(kept)
-        carry += [m | tb for m in carry]
-    terms: dict[int, list[tuple[int, int]]] = {}
-    free = [b for b in src_bits if b]
-    for sub in range(1 << len(free)):
-        picked = [b for k, b in enumerate(free) if sub >> k & 1]
-        # (U-power, bits of the x-labelled target circles) of each term
-        if not split:
-            outs = [(len(picked) // 2, tgt_bits if len(picked) == 1 else ())]
-        elif picked:
-            outs = [(0, tgt_bits), (1, ())]
-        else:
-            outs = [(0, tgt_bits[:1]), (0, tgt_bits[1:])]
-        terms[sum(picked)] = [(sum(xs), 2 * ucount + xs.count(0)) for ucount, xs in outs]
-    return [(m, carry[m] | mask, t) for m in range(1 << size) for mask, t in terms[m & sel]]
+        carry += list(map((0 if sel >> b & 1 else next(kept)).__or__, carry))
+    # (target bits, u exponent) of each term, by the x-labelled changed source circles
+    if split:
+        p, q = tgt_bits
+        terms = [[(p, int(not p)), (q, int(not q))], [(p | q, (not p) + (not q)), (0, 2)]]
+    else:
+        terms = [[(0, 0)], [(changed, int(not changed))], [(0, 2)]]
+    return [(m, c | mask, t) for m, c in enumerate(carry)
+            for mask, t in terms[(m & sel).bit_count()]]
 
 
 def _vertices(d: LinkDiagram, basepoint_arc: int, labs: list[tuple[list[int], int]]):
@@ -486,19 +485,25 @@ def ckh(d: LinkDiagram, basepoint: int | None = None) -> CubeComplex:
     index = {a: k for k, a in enumerate(arcs)}
     crossings = [(index[a], index[b], index[c]) for (a, b, c, _) in d.crossings]
     start, split = _resolver(d)
-    labs = [start]  # vertex i from a neighbour whose edge into i merges, else by a split
+    # vertex i from a neighbour i ^ low (low a set bit of i) whose edge into i
+    # merges, else by a split; one relabel list per pair of merged circles
+    ends = {1 << k: (a, b) for k, (a, b, _) in enumerate(crossings)}
+    relabel: dict[tuple[int, int], list[int]] = {}
+    labs = [start]
     for i in range(1, 1 << n):
-        for k, (a, b, _) in enumerate(crossings):
-            if i >> k & 1:
-                lab, count = labs[i ^ 1 << k]
-                x, y = lab[a], lab[b]
-                if x != y:  # the lower number names the merged circle, those above y move down
-                    if x > y:
-                        x, y = y, x
-                    to = list(range(count - 1))
-                    to.insert(y, x)
-                    labs.append((list(map(to.__getitem__, lab)), count - 1))
-                    break
+        m = i
+        while m:
+            low = m & -m
+            lab, count = labs[i ^ low]
+            a, b = ends[low]
+            x, y = lab[a], lab[b]
+            if x != y:  # the lower number names the merged circle, those above move down
+                if (to := relabel.get((x, y))) is None:
+                    to = relabel[x, y] = relabel[y, x] = list(range(len(arcs) - 1))
+                    to.insert(max(x, y), min(x, y))
+                labs.append((list(map(to.__getitem__, lab)), count - 1))
+                break
+            m ^= low
         else:
             j = i.bit_length() - 1
             labs.append(split(*labs[i ^ 1 << j], j, i))
@@ -509,20 +514,18 @@ def ckh(d: LinkDiagram, basepoint: int | None = None) -> CubeComplex:
             " limit of %d" % (n, total, MAX_CUBE_GENERATORS)
         )
 
-    # ab[i][k] is the bit of the k-th arc's circle at vertex i (0 on the
-    # basepoint circle); by position, h is the vertex's 1-smoothings and
-    # q = count + h - 2 * (x labels); rows are shared by like vertices
+    # a vertex is (lab, count, bits, its first position), bits[x] circle x's bit
+    # (0 on the basepoint circle), a row shared by like vertices; by position, h
+    # is the vertex's 1-smoothings and q = count + h - 2 * (x labels)
     bp = index[basepoint]
     drops = [-2 * m.bit_count() for m in range(1 << max(count for _, count in labs))]
     bit_rows: dict[tuple[int, int], list[int]] = {}
     q_rows: dict[tuple[int, int], list[int]] = {}
-    ab, hs, qs, starts = [], [], [], []  # and the position of each vertex's first generator
+    verts, hs, qs = [], [], []
     for i, (lab, count) in enumerate(labs):
         b, h, size = lab[bp], i.bit_count(), count - 1
-        bit = bit_rows.get((count, b)) or bit_rows.setdefault(
-            (count, b), [0 if x == b else 1 << (x - (x > b)) for x in range(count)])
-        ab.append(list(map(bit.__getitem__, lab)))
-        starts.append(len(hs))
+        verts.append((lab, count, bit_rows.get((count, b)) or bit_rows.setdefault(
+            (count, b), [0 if x == b else 1 << (x - (x > b)) for x in range(count)]), len(hs)))
         hs += [h] * (1 << size)
         qs += q_rows.get((count + h, size)) or q_rows.setdefault(
             (count + h, size), list(map((count + h).__add__, drops[:1 << size])))
@@ -533,23 +536,24 @@ def ckh(d: LinkDiagram, basepoint: int | None = None) -> CubeComplex:
     # crossing by crossing; a column belongs to one vertex, so its entries come by crossing
     for j, (a, b, c) in enumerate(crossings):
         w = 1 << j
-        src = ([1] * w + [0] * w) * (len(labs) >> j + 1)  # the vertices with crossing j at 0
-        for (_, count), sa, at, (lab2, _), ta, at2 in zip(
-            compress(labs, src), compress(ab, src), compress(starts, src),
-            compress(labs[w:], src), compress(ab[w:], src), compress(starts[w:], src),
-        ):
-            if sa[a] != sa[b]:  # merge the circles of a and b
-                key = (False, count, sa[a], sa[b], ta[a])
-            else:  # split the circle of a and b into those of a and c, in circle order
-                p, q = ta[a], ta[c]
-                if p == q:
-                    raise ValueError("circle counts differ by 0, not 1")
-                key = (True, count, sa[a], p, q) if lab2[a] < lab2[c] else (True, count, sa[a], q, p)
-            rule = rules.get(key)
-            if rule is None:  # a merge has two source bits, a split one
-                rule = rules[key] = _edge_rule(key[0], count - 1, key[2:4 - key[0]], key[4 - key[0]:])
-            for m, t, e in rule:
-                cols[at + m][pos[at2 + t]] = e
+        for lo in range(0, len(verts), 2 * w):
+            for i in range(lo, lo + w):
+                lab, count, bits, at = verts[i]
+                lab2, _, bits2, at2 = verts[i + w]
+                sa, sb = bits[lab[a]], bits[lab[b]]
+                if sa != sb:  # merge the circles of a and b
+                    key = (count, sa | sb, bits2[lab2[a]])
+                    rule = rules.get(key) or rules.setdefault(
+                        key, _edge_rule(False, count - 1, (sa, sb), key[2:]))
+                else:  # split the circle of a and b into those of a and c, in circle order
+                    p, q = lab2[a], lab2[c]
+                    if p == q:
+                        raise ValueError("circle counts differ by 0, not 1")
+                    p, q = (bits2[p], bits2[q]) if p < q else (bits2[q], bits2[p])
+                    rule = rules.get(key := (count, sa, p, q)) or rules.setdefault(
+                        key, _edge_rule(True, count - 1, (sa,), (p, q)))
+                for m, t, e in rule:
+                    cols[at + m][pos[at2 + t]] = e
 
     # a speller that refers to no cube, so no cube is freed only by the cyclic GC
     cx = ChainComplex.from_columns(VarSet(("u",), (HALF,)), lambda: _cube_ids(d, basepoint, labs),

@@ -62,10 +62,25 @@ class ModelComplex:
         return ChainMap(cx, cx, entries, dh=spec.dh, check=False)
 
     @cached_property
+    def collapsed(self) -> ChainComplex:
+        return collapse_pairs(self.complex)
+
+    @cached_property
+    def top_table(self) -> TopTable:
+        return top_homology_table(self)
+
+    def z11_checks(self) -> list[tuple[str, bool, str]]:
+        """_z11_checks of the current A_kappa and A_lambda, built once for both."""
+        key = (self.actions["A_kappa"], self.actions["A_lambda"])
+        if self.__dict__.get("_z11", (None,))[0] != key:
+            self._z11 = key, _z11_checks(self)
+        return self._z11[1]
+
+    @cached_property
     def top_frame(self) -> tuple[ChainComplex, list[str], list[int], dict[str, list[int]]]:
         """The pair-collapsed complex, its top generators and top cycle basis,
         and each pair's derivative action on the top slice."""
-        cx = collapse_pairs(self.complex)
+        cx = self.collapsed
         tops, cycles = _top_cycles(cx)
         phis = {pid: _top_map(phi_action(self.complex, pid), tops, lambda mono: not any(mono))
                 for pid in sorted(self.complex.pairs)}
@@ -415,7 +430,7 @@ def verify_action(m: ModelComplex, name: str) -> ActionReport:
     checks.append(("square vanishes", not square, _describe(square)))
 
     if m.name == "z11_2":
-        checks.extend(_z11_checks(m))
+        checks.extend(m.z11_checks())
     return ActionReport(name, checks)
 
 
@@ -471,7 +486,7 @@ def _z11_checks(m: ModelComplex) -> list[tuple[str, bool, str]]:
 
 def _l_ori_action_checks(m: ModelComplex) -> list[tuple[str, bool, str]]:
     """Additivity identities tying the golden degree -1 tables together."""
-    table = top_homology_table(m)
+    table = m.top_table
     vec_of = table.canonical
     assert vec_of is not None
     order = ("a", "b", "c", "d")
@@ -517,20 +532,18 @@ def run_model_suite() -> list[tuple[str, bool, str]]:
     for name, m in built.items():
         bad = m.complex.verify_d2()
         note("%s d2=0" % name, not bad, _describe(bad))
-        cxc = collapse_pairs(m.complex)
-        note("%s d2=0 collapsed" % name, not cxc.verify_d2())
+        note("%s d2=0 collapsed" % name, not m.collapsed.verify_d2())
 
     m = built["k_nonori"]
-    hom = homology(collapse_pairs(m.complex))
+    hom = homology(m.collapsed)
     note("k_nonori homology free rank 2", hom.free_rank == 2 and not hom.torsion)
     cp = canonical_fg(m)
     note("k_nonori theta=g", cp.theta == "g" and cp.g == frozenset({"g"})
          and cp.f == frozenset({"f"}))
-    note("k_nonori top pattern", top_homology_table(m).canonical is not None)
+    note("k_nonori top pattern", m.top_table.canonical is not None)
 
     m = built["k_ori"]
-    table = top_homology_table(m)
-    note("k_ori top rank 2", len(table.vectors) == 2)
+    note("k_ori top rank 2", len(m.top_table.vectors) == 2)
     cp = canonical_fg(m)
     note(
         "k_ori f=ay+bx g=ax+by theta=f",
@@ -541,7 +554,7 @@ def run_model_suite() -> list[tuple[str, bool, str]]:
     note("k_ori u injective on top", _u_injective_on_top(m))
 
     for name, rank in (("l_nonori", 4), ("l_ori", 4)):
-        table = top_homology_table(built[name])
+        table = built[name].top_table
         note("%s top rank %d" % (name, rank), len(table.vectors) == rank)
         note("%s golden pattern" % name, table.canonical is not None)
 

@@ -69,13 +69,14 @@ class FilteredComplex:
     by position); entries raise the level.
 
     extra_depth widens the reported grading window (the engine itself is
-    exact; the override only deepens how far the tables run).
+    exact; the override only deepens how far the tables run); it is at least 0.
     """
 
     def __init__(self, base: ChainComplex, levels: dict[str, int],
                  extra_depth: int = 0) -> None:
-        self.base = base
-        self.extra_depth = max(0, extra_depth)
+        if extra_depth < 0:
+            raise ValueError("extra_depth must be at least 0, not %d" % extra_depth)
+        self.base, self.extra_depth = base, extra_depth
         self.levels = dict(levels)
         try:
             self.level = level = [self.levels[g] for g in base.ids]  # by position

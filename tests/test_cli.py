@@ -336,6 +336,23 @@ def test_ss_refuses_two_variables_before_the_d2_check(tmp_path, capsys, monkeypa
         2, "", "error: the ss input needs filtration levels\n")
 
 
+@pytest.mark.parametrize("flag", ["--max-r", "--truncation"])
+def test_ss_refuses_a_negative_window_option_before_reading(tmp_path, capsys, monkeypatch, flag):
+    """A negative --max-r or --truncation exits 2 before the input is read;
+    0 still means the default."""
+    cc = kh.ckh(kh.parse_pd(TREFOIL))
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(serde.dump_complex(cc.complex, cc.levels)))
+    reads = count_calls(monkeypatch, serde.read_json)
+    for value in ("-1", "-50"):
+        assert run(capsys, "ss", "--in", str(path), flag, value) == (
+            2, "", "error: --max-r and --truncation must be at least 0\n")
+    assert reads == []
+    code, out, err = run(capsys, "ss", "--in", str(path), flag, "0")
+    assert code == 0 and err == "" and len(reads) == 1
+    assert out == run(capsys, "ss", "--in", str(path))[1]
+
+
 def dense_floer_doc(n):
     """Three levels g0_* -> g1_* -> g2_* of n generators each, every entry 1,
     so d^2(s, t) is n mod 2 for every s and t."""

@@ -941,9 +941,37 @@ def _previous_resolver(d):
     return (lab, count), flip
 
 
-def previous_ckh(d, basepoint=None):
+def reference_edge_rule(split, size, src_bits, tgt_bits):
+    """The rule _edge_rule built before merges shared one rule for both
+    orders of their source bits: every term spelled out per subset of the
+    x-labelled changed circles."""
+    sel = sum(src_bits)
+    changed = sum(tgt_bits)
+    size2 = size - sum(map(bool, src_bits)) + sum(map(bool, tgt_bits))
+    kept = iter([1 << b for b in range(size2) if not changed >> b & 1])
+    carry = [0]
+    for b in range(size):
+        tb = 0 if sel >> b & 1 else next(kept)
+        carry += [m | tb for m in carry]
+    terms = {}
+    free = [b for b in src_bits if b]
+    for sub in range(1 << len(free)):
+        picked = [b for k, b in enumerate(free) if sub >> k & 1]
+        # (U-power, bits of the x-labelled target circles) of each term
+        if not split:
+            outs = [(len(picked) // 2, tgt_bits if len(picked) == 1 else ())]
+        elif picked:
+            outs = [(0, tgt_bits), (1, ())]
+        else:
+            outs = [(0, tgt_bits[:1]), (0, tgt_bits[1:])]
+        terms[sum(picked)] = [(sum(xs), 2 * ucount + xs.count(0)) for ucount, xs in outs]
+    return [(m, carry[m] | mask, t) for m in range(1 << size) for mask, t in terms[m & sel]]
+
+
+def previous_ckh(d, basepoint=None, rules=None):
     """(labs, h, q, exponent columns) of d's minus cube, as the previous
-    builder made them."""
+    builder made them, with a fresh reference rule per edge key; rules, when
+    given, collects them by key."""
     n, arcs = len(d.crossings), d.arcs
     basepoint = min(arcs) if basepoint is None else basepoint
     start, flip = _previous_resolver(d)
@@ -964,7 +992,7 @@ def previous_ckh(d, basepoint=None):
     index = {a: k for k, a in enumerate(arcs)}
     crossings = [(index[a], index[b], index[c]) for (a, b, c, _) in d.crossings]
     cols = [{} for _ in hs]
-    rules = {}
+    rules = {} if rules is None else rules
     for i, (lab, _) in enumerate(labs):
         bit, size = bits[i], len(bits[i]) - 1
         for j, (a, b, c) in enumerate(crossings):
@@ -981,7 +1009,7 @@ def previous_ckh(d, basepoint=None):
                     raise ValueError("circle counts differ by 0, not 1")
                 key = (True, size, (bit[x],), (bit2[p], bit2[q]))
             if key not in rules:
-                rules[key] = kh._edge_rule(*key)
+                rules[key] = reference_edge_rule(*key)
             for m, t, e in rules[key]:
                 cols[starts[i] + m][starts[i2] + t] = e
     return labs, hs, qs, cols
@@ -1013,6 +1041,8 @@ def _random_diagrams(count, seed=28):
 
 def _previous_builder_cases():
     cases = dict(_reference_family(), c11=kh.cyclic_knot(11), t2_9=torus_2(9))
+    # split-heavy and non-planar at the cube limit, at their least and greatest arcs
+    cases.update(t2_11=torus_2(11), c13=kh.cyclic_knot(13))
     cases.update(("random%02d" % k, d) for k, d in enumerate(_random_diagrams(40)))
     return cases
 
@@ -1026,4 +1056,21 @@ def test_ckh_matches_the_previous_builder(name):
         labs, hs, qs, cols = previous_ckh(d, basepoint)
         assert cc.labs == labs, basepoint
         assert (cc.complex.h, cc.complex.q) == (hs, qs), basepoint
-        assert [list(c.items()) for c in cc.complex.cols] == [list(c.items()) for c in cols], basepoint
+        # the same entries, and each column's targets in the same order
+        assert cc.complex.cols == cols, basepoint
+        assert list(map(tuple, cc.complex.cols)) == list(map(tuple, cols)), basepoint
+
+
+@pytest.mark.parametrize("name", sorted(_reference_family()))
+def test_shared_rules_match_a_fresh_reference(name):
+    """ckh builds one rule per merge for both orders of its source bits:
+    every edge key the previous builder meets, in either order, gets the
+    fresh reference rule of that key."""
+    d = _reference_family()[name]
+    rules = {}
+    for basepoint in d.arcs:
+        previous_ckh(d, basepoint, rules)
+    for (split, size, src, tgt), want in rules.items():
+        assert kh._edge_rule(split, size, src, tgt) == want
+        assert kh._edge_rule(split, size, src[::-1], tgt) == want
+    assert bool(rules) == bool(d.crossings)

@@ -1,5 +1,6 @@
 import pytest
 
+import skeinseq.models as models
 from skeinseq.complexes import CONV_FLOER, ChainComplex, Generator, UHomology, _window_dims, collapse_all, collapse_pairs
 from skeinseq.models import (
     MODEL_NAMES,
@@ -168,3 +169,36 @@ def test_trefoil_cfl_values():
 def test_k_ori_slice_dims_rank_two():
     cx = collapse_pairs(build_model("k_ori").complex)
     assert _window_dims(cx, -3) == {(d,): 2 for d in range(-3, 1)}
+
+
+def test_suite_builds_each_shared_piece_once(monkeypatch):
+    """run_model_suite collapses each model once, builds each top table once
+    (l_ori's A23 checks read it too) and the z11_2 collapsed-ring checks
+    once for both loop actions."""
+    calls = {"collapse_pairs": [], "top_homology_table": [], "_z11_checks": []}
+    for attr, seen in calls.items():
+        def counted(arg, fn=getattr(models, attr), seen=seen):
+            seen.append(arg)
+            return fn(arg)
+        monkeypatch.setattr(models, attr, counted)
+    assert all(ok for _, ok, _ in run_model_suite())
+    assert len(calls["collapse_pairs"]) == len(MODEL_NAMES)
+    assert sorted(m.name for m in calls["top_homology_table"]) == [
+        "k_nonori", "k_ori", "l_nonori", "l_ori"]
+    assert [m.name for m in calls["_z11_checks"]] == ["z11_2"]
+
+
+def test_z11_checks_follow_a_changed_loop_action():
+    """The z11_2 checks kept on the model are rebuilt when a loop action
+    changes after a first verify_action."""
+    m = build_model("z11_2")
+    assert verify_action(m, "A_kappa").ok
+    spec = m.actions["A_kappa"]
+    # without ay -> ax the kernel of A_kappa on C0 changes
+    entries = tuple(e for e in spec.entries if e[:2] != ("ay", "ax"))
+    m.actions["A_kappa"] = ActionSpec(spec.name, spec.kind, entries, spec.endpoints, spec.dh)
+    fresh = build_model("z11_2")
+    fresh.actions["A_kappa"] = m.actions["A_kappa"]
+    rep = verify_action(m, "A_kappa")
+    assert rep.checks == verify_action(fresh, "A_kappa").checks
+    assert not [ok for label, ok, _ in rep.checks if label == "ker A_kappa on C0 rank 1"][0]

@@ -101,6 +101,14 @@ def test_filtration_violation():
         FilteredComplex(cx, {"a": 0, "b": 0})
 
 
+def test_negative_extra_depth_is_refused():
+    """extra_depth below 0 raises instead of being read as 0."""
+    cc = kh.ckh(kh.parse_pd(TREFOIL))
+    with pytest.raises(ValueError, match="extra_depth must be at least 0, not -1"):
+        FilteredComplex(cc.complex, cc.levels, -1)
+    assert FilteredComplex(cc.complex, cc.levels, 0).extra_depth == 0
+
+
 def test_cube_pages_collapse_at_e2():
     for text in (TREFOIL, "PD[X(1,3,2,4),X(3,1,4,2)]"):
         d = kh.parse_pd(text)
