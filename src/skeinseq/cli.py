@@ -10,7 +10,7 @@ import sys
 from . import khovanov as kh
 from . import models, serde
 from .complexes import ChainComplex, UHomology, check_mod_u, homology, homology_f2, mod_u_dims
-from .infer import enumerate_patterns, resolve_filtration
+from .infer import check_survivor_budget, enumerate_patterns, resolve_filtration
 from .spectral import FilteredComplex, analyze, check_constraints, check_ring, converge, pages
 
 
@@ -159,6 +159,8 @@ def cmd_ss(args) -> int:
 def cmd_infer(args) -> int:
     e2 = serde.load_page_spec(serde.read_json(args.e2))
     target = serde.load_target_spec(serde.read_json(args.target))
+    if args.resolve:
+        check_survivor_budget(target, target.free_rank)
     patterns = enumerate_patterns(e2, target)
     lines = ["pattern\tk\tsrc\ttgt\tx_power"]
     rows = []

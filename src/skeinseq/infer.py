@@ -115,6 +115,25 @@ def _square_zero(mask: int, conflicts: list[list[int]]) -> bool:
     return True
 
 
+def _free_rank_above(mask: int, tables: list[tuple[int, dict[int, int]]], limit: int) -> bool:
+    """Whether mask's free-to-free entries have F2 rank above limit; tables hold, per
+    free source, its entry bits and the target bits of each subset of them."""
+    rows = [table[mask & sb] for sb, table in tables if mask & sb]
+    if len(rows) <= limit:
+        return False
+    leads: dict[int, int] = {}  # leading bit length -> reduced row
+    for row in rows:
+        lead = row.bit_length()
+        while lead in leads:
+            row ^= leads[lead]
+            lead = row.bit_length()
+        if lead:
+            leads[lead] = row
+            if len(leads) > limit:
+                return True
+    return False
+
+
 def _piece_homology(
     grades: list[Grade], entries: list[tuple[int, int, int]]
 ) -> list[Grade]:
@@ -259,13 +278,14 @@ class _Search:
         """Entry suffixes from d_k on that reach the target, in mask order.
 
         names are the page's tower names, None for the p<i>@h,q names of a
-        later page, built only once a suffix list is not empty.
+        later page, built only once a suffix list is not empty.  A mask is skipped when its
+        free-to-free entries have F2 rank above limit = (n_free - free_rank) // 2.
         """
         searched, key = self.searched, (page, k)
         found = searched.get(key)
         if found is not None:
             return found
-        if sum(o == FREE for _, _, o in page) < self.target.free_rank:
+        if (limit := (sum(o == FREE for _, _, o in page) - self.target.free_rank) // 2) < 0:
             found = searched[key] = []
             return found
         hs = {h for h, _, _ in page}
@@ -284,11 +304,19 @@ class _Search:
         if len(cands) > MAX_CANDIDATES:
             raise ValueError("too many candidate entries on page %d" % k)
         conflicts = _conflicts(page, cands)
+        free = [(i, j, e) for e, (i, j, _) in enumerate(cands) if page[i][2] == page[j][2] == FREE]
+        by_source: dict[int, dict[int, int]] = {}  # source -> {entry bits: target bits}
+        # no mask's rank passes limit when the entries have at most limit sources or targets
+        if min(len({i for i, _, _ in free}), len({j for _, j, _ in free})) > limit:
+            for i, j, e in free:
+                table = by_source.setdefault(i, {0: 0})
+                table.update({s | 1 << e: t | 1 << j for s, t in table.items()})
+        tables = [(max(table), table) for table in by_source.values()]
         pieces: dict[int, list[Grade]] = {}
         here: list[tuple] | None = None
         found.extend(self.suffixes(page, k + 1, names))
         for mask in range(1, 1 << len(cands)):
-            if not _square_zero(mask, conflicts):
+            if not _square_zero(mask, conflicts) or tables and _free_rank_above(mask, tables, limit):
                 continue
             rests = self.suffixes(_page_homology(page, cands, mask, pieces, self.shapes), k + 1)
             if not rests:
@@ -320,8 +348,11 @@ def enumerate_patterns(e2: PageSpec, target: TargetSpec) -> list[Pattern]:
     connected pieces found by OR-merging the entries' tower bitmasks, each
     run through umod.eliminate as a free complex (_piece_homology) and
     cached by entry bits for the page and by grade-shifted shape for the
-    call (_page_homology).  Pages with no two towers k apart in h carry no
-    d_k and are skipped.  No cache outlives the call.
+    call (_page_homology).  A mask is skipped before it when its page has too few
+    free towers: localized at u the torsion dies and each entry is a unit, so the
+    page keeps n_free - 2r, r the F2 rank of the free-to-free entries (_candidates
+    has none from torsion to free), and no later page adds any (_free_rank_above).
+    Pages with no two towers k apart in h carry no d_k.  No cache outlives the call.
     """
     if len(e2.towers) > 12:
         raise ValueError("start page too large for exhaustive search")
@@ -391,6 +422,13 @@ def replay(e2: PageSpec, pattern: Pattern) -> list[Tower]:
     return summands
 
 
+def check_survivor_budget(target: TargetSpec, free: int) -> None:
+    """Refuse to assign the target basis to over MAX_RESOLVE_SURVIVORS free survivors."""
+    if target.actions and len(target.basis) == free > MAX_RESOLVE_SURVIVORS:
+        raise ValueError("%d free survivors to assign: resolving takes at most %d"
+                         % (free, MAX_RESOLVE_SURVIVORS))
+
+
 def resolve_filtration(
     e2: PageSpec, pattern: Pattern, target: TargetSpec
 ) -> FiltrationReport:
@@ -412,11 +450,7 @@ def resolve_filtration(
     names = list(target.basis)
     if len(names) != len(free):
         return FiltrationReport("no assignment", rows)
-    if len(free) > MAX_RESOLVE_SURVIVORS:
-        raise ValueError(
-            "%d free survivors to assign: resolving takes at most %d"
-            % (len(free), MAX_RESOLVE_SURVIVORS)
-        )
+    check_survivor_budget(target, len(free))
     valid: list[dict[str, str]] = []
     forced_sets = []
     for perm in itertools.permutations(free):

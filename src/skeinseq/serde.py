@@ -43,14 +43,18 @@ def _field(obj: dict[str, Any], key: str, what: str) -> Any:
     return obj[key]
 
 
-def _int(val: Any, what: str) -> int:
-    """An int, an integral float or a string of digits as an int; a bool or
-    a fractional float is refused, not truncated."""
+def _int(val: Any, what: str, least: float = float("-inf")) -> int:
+    """An int, an integral float or a string of digits as an int, refused
+    below least; a bool or a fractional float is refused, not truncated."""
     if type(val) in (int, str) or type(val) is float and val.is_integer():
         try:
-            return int(val)
+            num = int(val)
         except ValueError:
             pass
+        else:
+            if num >= least:
+                return num
+            raise ValueError("%s must be at least %d, not %r" % (what, least, val))
     raise ValueError("%s must be an integer, not %r" % (what, val))
 
 
@@ -249,7 +253,7 @@ def load_target_spec(doc: dict[str, Any]) -> TargetSpec:
             if not isinstance(a, (list, tuple)) or len(a) < 3:
                 raise ValueError("an anchor must be a JSON array [h, q, order]")
             anchors.append((_int(a[0], "an anchor h"), _int(a[1], "an anchor q"),
-                            None if a[2] is None else _int(a[2], "an anchor order")))
+                            None if a[2] is None else _int(a[2], "an anchor order", 1)))
         anchors = tuple(anchors)
     basis = tuple(str(b) for b in _array(doc.get("basis", []), "'basis'"))
     for i, b in enumerate(basis):
@@ -269,8 +273,8 @@ def load_target_spec(doc: dict[str, Any]) -> TargetSpec:
             mat[(row, col)] = 1
         actions[str(name)] = mat
     return TargetSpec(
-        _int(doc.get("free_rank", 0), "'free_rank'"),
-        tuple(_int(k, "a torsion order") for k in _array(doc.get("torsion", []), "'torsion'")),
+        _int(doc.get("free_rank", 0), "'free_rank'", 0),
+        tuple(_int(k, "a torsion order", 1) for k in _array(doc.get("torsion", []), "'torsion'")),
         anchors,
         basis,
         actions,

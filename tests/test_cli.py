@@ -655,17 +655,46 @@ def test_infer_resolve_hopf(tmp_path, capsys):
     assert "# deeper\tbd\tthan\tb" in out
 
 
-def test_infer_resolve_survivor_budget(tmp_path, capsys):
-    """Eleven free survivors would mean 11! assignments: exit 2 instead."""
+def no_search(*args):
+    raise AssertionError("the search ran")
+
+
+def test_infer_resolve_survivor_budget(tmp_path, capsys, monkeypatch):
+    """Eleven free survivors would mean 11! assignments: exit 2 before the
+    search, also when no pattern reaches the target (a page of ten towers);
+    without --resolve, or with a basis that is not the free survivors, the
+    search runs."""
     e2 = {"towers": [{"name": "t%d" % i, "h": 0, "q": 100 * i} for i in range(11)]}
     names = ["b%d" % i for i in range(11)]
     target = {"free_rank": 11, "basis": names, "actions": {"U2": [["b1", "b0"]]}}
     p1, p2 = tmp_path / "e2.json", tmp_path / "t.json"
-    p1.write_text(json.dumps(e2))
     p2.write_text(json.dumps(target))
+    monkeypatch.setattr(skeinseq.cli, "enumerate_patterns", no_search)
+    for towers in (e2["towers"], e2["towers"][:10]):
+        p1.write_text(json.dumps({"towers": towers}))
+        code, out, err = run(capsys, "infer", "--e2", str(p1), "--target", str(p2), "--resolve")
+        assert (code, out) == (2, "")
+        assert err == "error: 11 free survivors to assign: resolving takes at most 8\n"
+    monkeypatch.undo()
+    code, out, err = run(capsys, "infer", "--e2", str(p1), "--target", str(p2))
+    assert code == 0 and "# count\t0" in out
+    p2.write_text(json.dumps(dict(target, basis=names + ["b11"])))
     code, out, err = run(capsys, "infer", "--e2", str(p1), "--target", str(p2), "--resolve")
-    assert code == 2
-    assert "11 free survivors to assign: resolving takes at most 8" in err
+    assert code == 0 and "# count\t0" in out
+
+
+@pytest.mark.parametrize("target, message", [
+    ({"free_rank": -1}, "'free_rank' must be at least 0, not -1"),
+    ({"free_rank": 1, "torsion": [0]}, "a torsion order must be at least 1, not 0"),
+    ({"free_rank": 1, "torsion": [1, -2]}, "a torsion order must be at least 1, not -2"),
+    ({"free_rank": 1, "anchors": [[0, 0, 0]]}, "an anchor order must be at least 1, not 0"),
+], ids=["free_rank", "torsion0", "torsion-2", "anchor0"])
+def test_infer_refuses_an_impossible_target_before_searching(tmp_path, capsys, monkeypatch,
+                                                              target, message):
+    monkeypatch.setattr(skeinseq.cli, "enumerate_patterns", no_search)
+    code, out, err = run(capsys, *reader_argv(tmp_path, "target", target))
+    assert (code, out) == (2, "")
+    assert err == "error: %s\n" % message
 
 
 def test_infer_start_page_budget(tmp_path, capsys):
@@ -688,6 +717,7 @@ def test_infer_candidate_budget_before_any_mask(tmp_path, capsys, monkeypatch):
     # every nonzero mask is tested for square-zero, and this page has no
     # composable entries, so each one also gets its page homology
     monkeypatch.setattr(skeinseq.infer, "_square_zero", no_mask)
+    monkeypatch.setattr(skeinseq.infer, "_free_rank_above", no_mask)
     monkeypatch.setattr(skeinseq.infer, "_page_homology", no_mask)
     towers = [{"name": "a%d" % i, "h": 0, "q": 0} for i in range(6)]
     towers += [{"name": "b%d" % i, "h": 3, "q": 4} for i in range(6)]

@@ -15,6 +15,7 @@ from skeinseq.infer import (
     _candidates,
     _canonical_key,
     _conflicts,
+    _free_rank_above,
     _page_homology,
     _piece_homology,
     _square_zero,
@@ -525,15 +526,100 @@ def _planted_page(rng, n):
     return page, TargetSpec(n - 2 * pairs, tuple(sorted(torsion)))
 
 
+def _anchored(page, target, pattern):
+    """The target with the anchors of the limit the pattern reaches."""
+    return TargetSpec(target.free_rank, target.torsion,
+                      tuple((t.h, t.q, t.order) for t in replay(page, pattern)))
+
+
 def test_memoised_search_matches_plain_reference():
-    rng = random.Random(8)
-    found = 0
+    """The planted target, and targets two and four free towers below the
+    start page, where the free-rank bound drops most masks, the latter also
+    with the anchors of a limit they reach."""
+    rng, pick = random.Random(8), random.Random(12)
+    found = below = anchored = 0
     for n in (8, 9, 10, 11, 12) * 2:
         page, target = _planted_page(rng, n)
         want = _reference_patterns(page, target)
         assert enumerate_patterns(page, target) == want
         found += len(want)
-    assert found > 20
+        for drop in (2, 4):
+            torsion = pick.sample(target.torsion, min(drop // 2, len(target.torsion)))
+            lower = TargetSpec(n - drop, tuple(sorted(torsion)))
+            want = _reference_patterns(page, lower)
+            assert enumerate_patterns(page, lower) == want
+            below += len(want)
+            if want:
+                lower = _anchored(page, lower, pick.choice(want))
+                want = _reference_patterns(page, lower)
+                assert want and enumerate_patterns(page, lower) == want
+                anchored += len(want)
+    assert found > 20 and below > 100 and anchored > 40
+
+
+def _ref_rank(rows):
+    """The F2 rank of int bit rows."""
+    rank, rows = 0, list(rows)
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
+
+
+def _ref_tables(towers, cands):
+    """The tables of _free_rank_above: per free source, its free-to-free
+    entry bits and the target bits of each subset of them."""
+    tables = []
+    for i in range(len(towers)):
+        ents = [(e, j) for e, (s, j, _) in enumerate(cands)
+                if s == i and towers[i].free and towers[j].free]
+        if ents:
+            table = {}
+            for sub in range(1 << len(ents)):
+                picked = [ents[x] for x in range(len(ents)) if sub >> x & 1]
+                table[sum(1 << e for e, _ in picked)] = sum(1 << j for _, j in picked)
+            tables.append((sum(1 << e for e, _ in ents), table))
+    return tables
+
+
+def test_free_towers_left_are_free_towers_less_twice_the_free_rank():
+    """Localized at u the torsion towers die and each entry u^a is a unit, so
+    the page homology of a square-zero mask has n_free - 2 rank_F2(B) free
+    towers, B the 0/1 matrix of its free-to-free entries; _free_rank_above
+    reads that rank against every limit."""
+    rng = random.Random(3301)
+    checked = with_torsion = rank_two = two_path = 0
+    for _ in range(1000):
+        k = rng.choice((1, 3, 5))
+        levels = [rng.choice((0, 1, 1, 2)) for _ in range(rng.randrange(4, 11))]
+        towers = [Tower("t%d" % i, k * v, (2 * k - 2) * v + 2 * rng.randrange(3),
+                        rng.choice((None, None, None, 1, 2, 3)))
+                  for i, v in enumerate(levels)]
+        cands = _ref_candidates(towers, k)[:12]
+        tables = _ref_tables(towers, cands)
+        n_free = sum(t.free for t in towers)
+        for _ in range(8):
+            mask = rng.getrandbits(len(cands))
+            picked = _picked(cands, mask)
+            if not picked or not _ref_square_zero(towers, picked):
+                continue
+            rows = {}
+            for (i, j, _) in picked:
+                if towers[i].free and towers[j].free:
+                    rows[i] = rows.get(i, 0) | 1 << j
+            rank = _ref_rank(rows.values())
+            out = _page_homology(_grades(towers), cands, mask, {}, {})
+            assert sum(o == FREE for _, _, o in out) == n_free - 2 * rank
+            for limit in range(n_free):
+                assert _free_rank_above(mask, tables, limit) == (rank > limit)
+            checked += 1
+            with_torsion += n_free < len(towers)
+            rank_two += rank >= 2
+            two_path += any(j == j2 for (_, j, _) in picked for (j2, _, _) in picked)
+    assert checked > 4000 and with_torsion > 4000 and rank_two > 400 and two_path > 250
 
 
 def test_search_leaves_no_cycle():

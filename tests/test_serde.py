@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 
 import pytest
 
@@ -67,6 +68,27 @@ def test_spec_loaders():
     )
     assert target.free_rank == 2 and target.torsion == (1,)
     assert target.actions["A"] == {("a", "a"): 1}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"free_rank": -1}, "'free_rank' must be at least 0, not -1"),
+    ({"free_rank": "-3"}, "'free_rank' must be at least 0, not '-3'"),
+    ({"torsion": [2, 0]}, "a torsion order must be at least 1, not 0"),
+    ({"torsion": [-2]}, "a torsion order must be at least 1, not -2"),
+    ({"anchors": [[0, 0, None], [0, 0, 0]]}, "an anchor order must be at least 1, not 0"),
+    ({"anchors": [[0, 0, -1.0]]}, "an anchor order must be at least 1, not -1.0"),
+])
+def test_target_spec_refuses_an_impossible_limit(doc, message):
+    """No limit has a negative free rank or a torsion tower of order below
+    one; the field is named."""
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        load_target_spec(doc)
+
+
+def test_target_spec_takes_the_least_possible_limit():
+    target = load_target_spec({"free_rank": 0, "torsion": [1], "anchors": [[-1, -2, 1]]})
+    assert (target.free_rank, target.torsion, target.anchors) == (0, (1,), ((-1, -2, 1),))
+    assert load_target_spec({"anchors": [[3, 5, None]]}).anchors == ((3, 5, None),)
 
 
 def test_load_complex_rejects_wrong_exponent():
