@@ -31,12 +31,7 @@ def _diagram_from_args(args) -> kh.LinkDiagram:
         d = serde.load_diagram(serde.read_json(args.infile))
     else:
         raise ValueError("a diagram is required (--pd or --in)")
-    if args.mirror:
-        d = kh.mirror(d)
-    # exchanging the two smoothings of every crossing is mirroring
-    if args.swap_resolutions:
-        d = kh.mirror(d)
-    return d
+    return kh.mirror(d) if args.mirror else d
 
 
 FLAVORS = ("minus", "hat", "reduced")
@@ -280,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", choices=FLAVORS, default="minus")
     p.add_argument("--basepoint", type=int)
     p.add_argument("--mirror", action="store_true")
-    p.add_argument("--swap-resolutions", action="store_true")
     p.add_argument("--out", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_kh)
 

@@ -101,20 +101,19 @@ class ChainComplex:
                      pairs: Mapping[str, tuple[str, ...]] | None = None,
                      check: bool = True,
                      order: dict[str, int] | None = None) -> "ChainComplex":
-        """The complex over at most one variable of its ids (a list, or a
-        function that spells one), grade arrays and exponent columns, kept;
-        check=True raises the id-keyed constructor's ValueError on the first
-        entry off degree, by source position.  order, when given, is the
-        list's id -> position dict, already built by the caller."""
-        if vars.n > 1:
-            raise ValueError("exponent columns need at most one variable")
+        """The complex of its ids (a list, or a function that spells one),
+        grade arrays and columns in the ``cols`` layout, kept; check=True
+        raises the id-keyed constructor's ValueError on the first entry off
+        degree, by source position.  order, when given, is the list's id ->
+        position dict, already built by the caller."""
         cx = cls.__new__(cls)
         cx._set_gens(vars, ids, h, q, alex2, convention, pairs, order)
         cx.cols = cols
         if check and (bad := cx._off_degree()) is not None:
             i, j = bad
+            e = cols[i][j]
             raise ValueError("inhomogeneous differential entry %s -> %s: %s"
-                             % (cx.ids[i], cx.ids[j], _lifter(vars)(cols[i][j])))
+                             % (cx.ids[i], cx.ids[j], e if type(e) is Poly else _lifter(vars)(e)))
         cx.on_degree = check
         return cx
 
@@ -150,15 +149,28 @@ class ChainComplex:
         return _grade_codes(self, self, -1 if self.convention == CONV_FLOER else 1, 0, 0)
 
     def _off_degree(self) -> tuple[int, int] | None:
-        """(source, target) position of the first exponent-column entry, by
-        source position, that is off degree; None if every entry is on it."""
+        """(source, target) position of the first column entry, by source
+        position, that is off degree; None if every entry is on it.  An
+        exponent drops h by the unit times itself, a Poly over several
+        variables by the drop its terms share (found once per set of terms);
+        one with none, or a one-variable Poly (a sum of powers), fails by a
+        TypeError."""
         val, want, step = self._degree_codes()
-        step *= self.vars.units[0] if self.vars.n else 0
-        for i, col in enumerate(self.cols):
-            w = want[i]
-            for j, e in col.items():
-                if val[j] != w + e * step:
-                    return i, j
+        cols, vs = self.cols, self.vars
+        if vs.n > 1:  # an entry's terms -> their common h drop
+            drops = {t: ds.pop() if len(ds := {vs.h_drop(m) for m in t}) == 1 else None
+                     for t in {p.terms for col in cols for p in col.values()}}
+            cols = [{j: drops[p.terms] for j, p in col.items()} for col in cols]
+        else:
+            step *= vs.units[0] if vs.n else 0
+        try:
+            for i, col in enumerate(cols):
+                w = want[i]
+                for j, e in col.items():
+                    if val[j] != w + step * e:
+                        return i, j
+        except TypeError:
+            return i, j
         return None
 
     ids = cached_property(lambda self: self._spell())  # unless given as a list
@@ -615,14 +627,9 @@ def cancel_units(cx: ChainComplex, level: Sequence[int] | None = None,
     their original order; no id is spelled unless it raises."""
     if cx.vars.n != 1:
         raise ValueError("cancelling units needs a one-variable complex")
-    ecols = [dict(col) for col in cx.cols]  # eliminate mutates them
-    rows: list[set[int]] = [set() for _ in ecols]  # target -> its sources
-    for i, col in enumerate(ecols):
-        for j in col:
-            rows[j].add(i)
-    cols = {i: ecols[i] for i in sorted(range(cx.n), key=cx.h.__getitem__,
-                                          reverse=cx.convention == CONV_KH)}
-    eliminate(cols, rows, level, cancelled, log, lambda i: cx.ids[i])
+    cols = {i: dict(cx.cols[i]) for i in sorted(range(cx.n), key=cx.h.__getitem__,
+                                                 reverse=cx.convention == CONV_KH)}
+    eliminate(cols, cx.n, level, cancelled, log, lambda i: cx.ids[i])  # on copies: it mutates them
     new = {i: k for k, i in enumerate(sorted(cols))}  # a survivor's position among them
 
     def pick(grades: list | None) -> list | None:  # a survivors' array

@@ -168,12 +168,8 @@ def _piece_homology(
                 col = cols[i]
                 if col.pop(y[l], None) is None:
                     col[y[l]] = a + b - grades[l][2]
-    rows: list[set[int]] = [set() for _ in at]
-    for s, col in cols.items():
-        for t in col:
-            rows[t].add(s)
     pairs: list[tuple[int, int, int]] = []
-    eliminate(cols, rows, cancelled=pairs)
+    eliminate(cols, len(at), cancelled=pairs)
     paired = {p for s, t, _ in pairs for p in (s, t)}
     return [at[t] + (k,) for _, t, k in pairs if k] + [
         g + (FREE,) for p, g in enumerate(at) if p not in paired]

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import json
 import os
-from operator import itemgetter
+from operator import itemgetter, length_hint
 from typing import Any
 
-from .complexes import CONV_FLOER, CONV_KH, ChainComplex, Generator
+from .complexes import CONV_FLOER, CONV_KH, ChainComplex, _lifter
 from .infer import PageSpec, TargetSpec, Tower
 from .khovanov import LinkDiagram
 from .poly import FULL, HALF, Poly, VarSet, parse_poly
@@ -95,21 +95,16 @@ def load_complex(doc: dict[str, Any]):
     if convention is None:
         convention = CONV_FLOER if qs.count(None) == len(qs) else CONV_KH
     entries = _array(doc.get("diff", []), "'diff'")
-    parsed: dict[str, Poly] = {}  # entry text -> its (frozen) polynomial
     order = {g: i for i, g in enumerate(ids)}  # the one id -> position dict
-    cols = _diff_columns(entries, vs, order, len(ids), parsed)
-    diff = None if cols is not None else _diff_by_ids(entries, vs, parsed)
+    cols, unknown = _diff_columns(entries, vs, order, len(ids))
     pairs = {str(k): tuple(_array(v, "pair %r" % k))
              for k, v in _object(doc.get("pairs", {}), "'pairs'").items()}
-    cx = None
-    if cols is not None:
-        try:  # handed the id -> position dict, the complex does not index the ids again
-            cx = ChainComplex.from_columns(vs, ids, hs, qs, alexes, cols,
-                                           convention, pairs, order=order)
-        except ValueError:  # raised again below, naming the document's first bad entry
-            diff = _diff_by_ids(entries, vs, parsed)
-    if cx is None:
-        cx = ChainComplex(vs, list(map(Generator, ids, hs, qs, alexes)), diff, convention, pairs)
+    # handed the id -> position dict, the complex does not index the ids again; its
+    # own checks come before an unknown generator, and the degree check after it
+    cx = ChainComplex.from_columns(vs, ids, hs, qs, alexes, cols, convention, pairs,
+                                   check=unknown is None, order=order)
+    if unknown is not None:
+        raise ValueError("entry on unknown generator (%s,%s)" % unknown)
     lv = None
     if levels:
         if len(levels) != len(ids):
@@ -122,10 +117,42 @@ def load_complex(doc: dict[str, Any]):
     return cx, lv, doc.get("actions", [])
 
 
-def _diff_entries(entries: list | tuple, vs: VarSet, parsed: dict[str, Poly]):
-    """(source id, target id, Poly) of each entry of a 'diff' array, in
-    order, once its shape is checked; each distinct text is parsed once."""
-    for e in entries:
+def _diff_columns(entries: list | tuple, vs: VarSet, order: dict[str, int],
+                  n: int) -> tuple[list[dict[int, Any]], tuple[str, str] | None]:
+    """The 'diff' array read once, in order, into the columns that
+    ``ChainComplex.from_columns`` takes (the u exponent over at most one
+    variable, the Poly over several), and the (source id, target id) of the
+    first entry that names no generator, or None.  Ids and texts that are
+    not strings are read as their str, each distinct text is parsed once,
+    and a malformed entry or text raises in order.  The inner loop takes an
+    entry whose ids are known and whose text is a string seen before as
+    one monomial (any nonzero one over several variables), and stops on any
+    other, read below it.  A place given more than once or not as one
+    monomial is summed at the end, in the place of its first entry: a zero
+    sum is dropped, and a one-variable sum of several powers stays a Poly,
+    which the degree check refuses."""
+    cols: list[dict[int, Any]] = [{} for _ in range(n)]
+    known: dict[str, Any] = {}  # a text that is one monomial -> its column entry
+    parsed: dict[str, Poly] = {}  # a text -> its polynomial
+    later: list[tuple[int, int, Any]] = []  # (source, target, entry) to add to a place
+    unknown, zero = None, Poly.zero(vs)
+    get, it = itemgetter("from", "to", "poly"), iter(entries)
+    while True:
+        try:
+            for src, tgt, text in map(get, it):
+                i, j, e = order.get(src), order.get(tgt), known.get(text)
+                if i is None or j is None or e is None:
+                    break
+                col = cols[i]
+                if j in col:
+                    later.append((i, j, e))
+                else:
+                    col[j] = e
+            else:
+                break
+        except (TypeError, KeyError):  # not an object, a key missing, or a value unhashable
+            pass
+        e = entries[len(entries) - length_hint(it) - 1]  # the entry the loop stopped on
         if type(e) is not dict:
             _object(e, "a diff entry")
         try:
@@ -133,61 +160,32 @@ def _diff_entries(entries: list | tuple, vs: VarSet, parsed: dict[str, Poly]):
         except KeyError:
             for key in ("from", "to", "poly"):
                 _field(e, key, "a diff entry")
-        if type(text) is not str:
-            text = str(text)
-        p = parsed.get(text)
+        src, tgt, key = str(src), str(tgt), str(text)
+        p = parsed.get(key)
         if p is None:
-            p = parsed[text] = parse_poly(vs, text)
-        yield (src if type(src) is str else str(src),
-               tgt if type(tgt) is str else str(tgt), p)
+            p = parsed[key] = parse_poly(vs, key)
+        i, j = order.get(src), order.get(tgt)
+        if i is None or j is None:
+            unknown = unknown or (src, tgt)
+        elif j in cols[i] or len(p.terms) != 1 and (vs.n <= 1 or not p):
+            cols[i].setdefault(j, zero)  # the place, kept for the sum
+            later.append((i, j, p))
+        else:
+            cols[i][j] = known[key] = p if vs.n > 1 else sum(next(iter(p.terms)))
+    lift = _lifter(vs)
 
-
-def _diff_columns(entries: list | tuple, vs: VarSet, order: dict[str, int], n: int,
-                  parsed: dict[str, Poly]) -> list[dict[int, int]] | None:
-    """The 'diff' array over at most one variable read in one pass into
-    exponent columns, as ``ChainComplex.from_columns`` takes them, or None
-    from the first entry that is malformed, names no generator, repeats an
-    earlier one, or is not a single monomial (zero included): the id-keyed
-    route names the malformed one and sums, drops or refuses the others as
-    it does every entry over several variables.  Ids and texts that are not
-    strings are looked up again as strings."""
-    if vs.n > 1:
-        return None
-    cols: list[dict[int, int]] = [{} for _ in range(n)]
-    exps: dict[str, int] = {}  # an entry's text -> its exponent
-    try:
-        for src, tgt, text in map(itemgetter("from", "to", "poly"), entries):
-            i, j = order.get(src), order.get(tgt)
-            if i is None or j is None:
-                i, j = order.get(str(src)), order.get(str(tgt))
-                if i is None or j is None:
-                    return None
-            e = exps.get(text)
-            if e is None:
-                text = str(text)
-                p = parsed.get(text)
-                if p is None:
-                    p = parsed[text] = parse_poly(vs, text)
-                if len(p.terms) != 1:
-                    return None
-                e = exps[text] = sum(next(iter(p.terms)))
-            col = cols[i]
-            if j in col:
-                return None
-            col[j] = e
-    except (TypeError, KeyError):  # not an object, a key missing, or a value unhashable:
-        return None  # the id-keyed route names the first malformed entry
-    return cols
-
-
-def _diff_by_ids(entries: list | tuple, vs: VarSet,
-                 parsed: dict[str, Poly]) -> dict[tuple[str, str], Poly]:
-    """The 'diff' array keyed by ids, repeated entries summed."""
-    diff: dict[tuple[str, str], Poly] = {}
-    for src, tgt, p in _diff_entries(entries, vs, parsed):
-        key = (src, tgt)
-        diff[key] = diff[key] + p if key in diff else p
-    return diff
+    def terms_of(x: Any) -> frozenset:
+        return x.terms if type(x) is Poly else lift(x).terms
+    sums: dict[tuple[int, int], frozenset] = {}  # a place in later -> the terms of its sum
+    for i, j, e in later:
+        terms = sums.get((i, j))
+        sums[i, j] = (terms_of(cols[i][j]) if terms is None else terms) ^ terms_of(e)
+    for (i, j), terms in sums.items():
+        if not terms:
+            del cols[i][j]
+        else:
+            cols[i][j] = sum(next(iter(terms))) if vs.n <= 1 and len(terms) == 1 else Poly(vs, terms)
+    return cols, unknown
 
 
 def dump_complex(cx: ChainComplex, levels: dict[str, int] | None = None) -> dict:

@@ -95,7 +95,7 @@ def _replay(ops: Iterable[tuple[int, int, int]], vecs: list[MonoVec]) -> list[Mo
     return out
 
 
-def eliminate(cols: dict[int, MonoVec], rows: list[set[int]], level: Sequence[int] | None = None,
+def eliminate(cols: dict[int, MonoVec], n: int, level: Sequence[int] | None = None,
               cancelled: list[tuple[int, int, int]] | None = None,
               log: list[tuple[int, int, int]] | None = None,
               name: Callable[[int], object] = str) -> None:
@@ -103,13 +103,13 @@ def eliminate(cols: dict[int, MonoVec], rows: list[set[int]], level: Sequence[in
     Khovanov homology computations", JKTR 2007), in place.
 
     cols maps positions of 0..n-1, in the order they are walked, to their
-    columns {target: u exponent}, leaving out any that is never a source,
-    and rows[t] holds the sources of t (an empty collection where t is
-    never a target).  An entry x --u^k--> y, where every other entry into y
-    and out of x is u^k or deeper, splits off as a summand: the basis
-    changes s <- s + u^(e-k) x, for each other source s of y with d(s,y) =
-    u^e, and y <- y + u^(e-k) t, for each other target t of x with d(x,t) =
-    u^e, delete x and y and add the zig-zag u^(e_s + e_t - k) to d(s,t).
+    columns {target: u exponent}, leaving out any that is never a source;
+    the sources of each target are indexed from them, in that order.  An
+    entry x --u^k--> y, where every other entry into y and out of x is u^k
+    or deeper, splits off as a summand: the basis changes s <- s + u^(e-k)
+    x, for each other source s of y with d(s,y) = u^e, and y <- y +
+    u^(e-k) t, for each other target t of x with d(x,t) = u^e, delete x
+    and y and add the zig-zag u^(e_s + e_t - k) to d(s,t).
     Each pass walks the sources in cols' order, each cancelling its u^k
     target with the fewest incoming entries (the least fill-in).  cols is
     left with the survivors that have columns, in that order.  Both
@@ -144,7 +144,10 @@ def eliminate(cols: dict[int, MonoVec], rows: list[set[int]], level: Sequence[in
     in order as _replay operations (b <- b + u^m c is (c, b, m)); name(i)
     spells position i in the message of a collision.
     """
-    n = len(rows)
+    rows: list[set[int]] = [set() for _ in range(n)]  # target -> its sources
+    for s, col in cols.items():
+        for t in col:
+            rows[t].add(s)
     k = 0
     while True:
         for x in list(cols):

@@ -103,16 +103,18 @@ def test_deterministic_output(capsys):
 
 def test_swap_and_mirror_flags(capsys):
     code1, out1, _ = run(capsys, "kh", "--pd", TREFOIL, "--flavor", "hat")
-    code2, out2, _ = run(
-        capsys, "kh", "--pd", TREFOIL, "--flavor", "hat", "--swap-resolutions"
-    )
+    code2, out2, _ = run(capsys, "kh", "--pd", TREFOIL, "--flavor", "hat", "--mirror")
     assert code1 == code2 == 0
     assert "# total\t6" in out1 and "# total\t6" in out2
-    # swapping the smoothings is mirroring, and the two flags cancel
-    _, out3, _ = run(capsys, "kh", "--pd", TREFOIL, "--flavor", "hat", "--mirror")
-    _, out4, _ = run(capsys, "kh", "--pd", TREFOIL, "--flavor", "hat", "--mirror",
-                     "--swap-resolutions")
-    assert out2 == out3 != out1 == out4
+    assert out1 != out2
+
+
+def test_swap_resolutions_flag_is_gone(capsys):
+    """Exchanging the smoothings is mirroring: --mirror is the one flag."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["kh", "--pd", TREFOIL, "--swap-resolutions"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --swap-resolutions" in capsys.readouterr().err
 
 
 def test_parser_reused_across_calls(capsys):
@@ -122,7 +124,7 @@ def test_parser_reused_across_calls(capsys):
         ("kh", "--pd", TREFOIL, "--flavor", "hat"),
         ("kh", "--pd", TREFOIL, "--flavor", "hat", "--out", "json"),
         ("kh", "--pd", TREFOIL, "--flavor", "hat"),
-        ("kh", "--pd", TREFOIL, "--flavor", "minus", "--swap-resolutions"),
+        ("kh", "--pd", TREFOIL, "--flavor", "minus", "--mirror"),
         ("kh", "--pd", TREFOIL, "--flavor", "minus"),
     ]
     together = [run(capsys, *argv) for argv in calls]
@@ -841,7 +843,7 @@ def _kh_flags(draw):
     basepoint = draw(st.none() | KH_LABELS)
     if basepoint is not None:
         flags += ["--basepoint", str(basepoint)]
-    return flags + draw(st.sampled_from([[], ["--mirror"], ["--swap-resolutions"]]))
+    return flags + draw(st.sampled_from([[], ["--mirror"]]))
 
 
 def _cut(draw, text):

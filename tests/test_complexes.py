@@ -1563,12 +1563,8 @@ def position_order_decomposition(cx):
     """(pairs, H(cx)) from umod.eliminate fed the sources in position order,
     not against the direction of d as cancel_units feeds them."""
     cols = dict(enumerate([dict(c) for c in cx.cols]))
-    rows = [set() for _ in cols]
-    for i, col in cols.items():
-        for j in col:
-            rows[j].add(i)
     pairs = []
-    eliminate(cols, rows, cancelled=pairs)
+    eliminate(cols, cx.n, cancelled=pairs)
     paired = {i for x, y, _ in pairs for i in (x, y)}
     return pairs, ModuleDecomposition(
         [Summand(None, cx.grade_at(i, True), i) for i in range(cx.n) if i not in paired]

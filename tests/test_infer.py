@@ -447,8 +447,8 @@ def test_free_model_matches_the_presentation_reference(monkeypatch):
     resolving generator y."""
     targets = []
 
-    def recording(cols, rows, *args, cancelled, **kwargs):
-        eliminate(cols, rows, *args, cancelled=cancelled, **kwargs)
+    def recording(cols, n, *args, cancelled, **kwargs):
+        eliminate(cols, n, *args, cancelled=cancelled, **kwargs)
         targets.append([t for _, t, _ in cancelled])
     monkeypatch.setattr(infer, "eliminate", recording)
     rng = random.Random(1105)

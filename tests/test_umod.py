@@ -153,11 +153,9 @@ def decompose(n_gens: int, relations: list[MonoVec], grades: list[tuple[int, ...
     at that generator's grade, or kills the generator if k = 0.
     """
     cols: dict[int, MonoVec] = {}
-    rows: list[set[int]] = [set() for _ in range(n_gens)]
     for j, col in enumerate(relations, n_gens):
         seen = None
         for row, e in col.items():
-            rows[row].add(j)
             if len(col) > 1:  # one entry is homogeneous on its own
                 g = [x - e * s for x, s in zip(grades[row], u_grade_step)]
                 if seen is None:
@@ -165,9 +163,8 @@ def decompose(n_gens: int, relations: list[MonoVec], grades: list[tuple[int, ...
                 elif seen != g:
                     raise ValueError("non-homogeneous presentation column: %r" % (col,))
         cols[j] = dict(col)
-    rows += [frozenset()] * len(relations)  # a relation is never a target
     pairs: list[tuple[int, int, int]] = []
-    eliminate(cols, rows, cancelled=pairs)
+    eliminate(cols, n_gens + len(relations), cancelled=pairs)
     pivots: dict[int, int] = {}
     for _, y, k in pairs:
         pivots[y] = k
