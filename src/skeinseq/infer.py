@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .umod import MonoVec, eliminate
@@ -115,14 +115,13 @@ def _square_zero(mask: int, conflicts: list[list[int]]) -> bool:
     return True
 
 
-def _free_rank_above(mask: int, tables: list[tuple[int, dict[int, int]]], limit: int) -> bool:
-    """Whether mask's free-to-free entries have F2 rank above limit; tables hold, per
-    free source, its entry bits and the target bits of each subset of them."""
-    rows = [table[mask & sb] for sb, table in tables if mask & sb]
-    if len(rows) <= limit:
-        return False
+def _free_rank(mask: int, tables: list[tuple[int, dict[int, int]]], limit: int) -> int:
+    """The F2 rank of mask's free-to-free entries, or limit + 1 as soon as it is
+    above limit; tables hold, per free source, its entry bits and the target
+    bits of each subset of them."""
     leads: dict[int, int] = {}  # leading bit length -> reduced row
-    for row in rows:
+    for sb, table in tables:
+        row = table[mask & sb]
         lead = row.bit_length()
         while lead in leads:
             row ^= leads[lead]
@@ -130,8 +129,44 @@ def _free_rank_above(mask: int, tables: list[tuple[int, dict[int, int]]], limit:
         if lead:
             leads[lead] = row
             if len(leads) > limit:
+                break
+    return len(leads)
+
+
+def _augment(i: int, targets: dict[int, Iterable[int]], match: dict[int, int],
+             seen: set[int]) -> bool:
+    """Whether a path from source i that alternates between unmatched and matched
+    edges ends at an unmatched target, which then grows the matching (Kuhn,
+    "The Hungarian method", 1955); match maps each matched target to its source."""
+    for j in targets[i]:
+        if j not in seen:
+            seen.add(j)
+            if j not in match or _augment(match[j], targets, match, seen):
+                match[j] = i
                 return True
     return False
+
+
+def _pieces(entries: list[tuple[int, int, int]], mask: int) -> list[tuple[int, int]]:
+    """(tower bits, entry bits) of each connected piece of the entries picked by
+    mask, found by OR-merging their tower bitmasks (1 << src | 1 << tgt)."""
+    merged: list[tuple[int, int]] = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i, j, _ = entries[low.bit_length() - 1]
+        towers, bits = 1 << i | 1 << j, low
+        apart = []
+        for piece in merged:
+            if piece[0] & towers:
+                towers |= piece[0]
+                bits |= piece[1]
+            else:
+                apart.append(piece)
+        apart.append((towers, bits))
+        merged = apart
+    return merged
 
 
 def _piece_homology(
@@ -175,50 +210,75 @@ def _piece_homology(
         g + (FREE,) for p, g in enumerate(at) if p not in paired]
 
 
+def _admissible(bits: int, conflicts: list[list[int]], tables: list[tuple[int, dict[int, int]]],
+                limit: int, sub: int = 0) -> Iterable[tuple[int, int]]:
+    """(submask, rank) of each submask of a component's entry bits, from sub on
+    in increasing order, that squares to zero and whose free-to-free rank is
+    at most limit; only the component's conflict groups and rank tables are
+    read."""
+    conflicts = [group for group in conflicts if group[0] & bits]
+    tables = [table for table in tables if table[0] & bits]
+    while True:
+        if _square_zero(sub, conflicts) and (
+                r := _free_rank(sub, tables, limit) if tables else 0) <= limit:
+            yield sub, r
+        sub = (sub - bits) & bits
+        if not sub:
+            return
+
+
+def _tabulate(comps: list[tuple[int, int]], conflicts: list[list[int]],
+              tables: list[tuple[int, dict[int, int]]], limit: int) -> list[list]:
+    """The masks over the entries of comps, connected components of the
+    candidate graph, whose part in each component squares to zero and whose
+    free-to-free ranks sum to at most limit, by rank: each as [rank, mask,
+    (submask, tower bits) per component, None for the grades not built yet]."""
+    out: list[list] = [[0, 0, (), None]]
+    for towers, bits in comps:
+        subs = list(_admissible(bits, conflicts, tables, limit))
+        out = [[rank + r, mask | sub, parts + ((sub, towers),), None]
+               for rank, mask, parts, _ in out for sub, r in subs if rank + r <= limit]
+    out.sort(key=lambda entry: entry[0])
+    return out
+
+
 def _page_homology(
     page: Sequence[Grade],
     entries: list[tuple[int, int, int]],
     mask: int,
     pieces: dict[int, list[Grade]],
     shapes: dict[tuple, list[Grade]],
+    report: int | None = None,
 ) -> tuple[Grade, ...]:
     """Homology of the page under the entries picked by mask, as grades.
 
     Homology of a direct sum is the sum of the homologies, so the towers are
-    split into the connected pieces of the differential by OR-merging the
-    tower bitmasks (1 << src | 1 << tgt) of the picked entries; towers no
+    split into the connected pieces of the differential (_pieces); towers no
     entry touches pass through.  pieces caches a piece's grades by its entry
     bits, which fix its towers, for one page and entry list; shapes caches
     them per grade-shifted shape, which is all _piece_homology sees.  The
-    grades are sorted (ties are identical towers).
+    grades are sorted (ties are identical towers).  report, if given, holds
+    the bits of the towers whose grades are returned, a set that contains
+    every piece of mask; by default all of them.
     """
-    merged: list[tuple[int, int]] = []  # (tower bits, entry bits) per piece
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        i, j, _ = entries[low.bit_length() - 1]
-        towers, bits = 1 << i | 1 << j, low
-        apart = []
-        for piece in merged:
-            if piece[0] & towers:
-                towers |= piece[0]
-                bits |= piece[1]
-            else:
-                apart.append(piece)
-        apart.append((towers, bits))
-        merged = apart
     out: list[Grade] = []
-    alone = (1 << len(page)) - 1
-    for towers, bits in merged:
+    alone = (1 << len(page)) - 1 if report is None else report
+    for towers, bits in _pieces(entries, mask):
         alone ^= towers
         hom = pieces.get(bits)
         if hom is None:
             idxs = [i for i in range(len(page)) if towers >> i & 1]
+            # by grade: pieces alike but for the order of their towers share a shape
+            idxs.sort(key=page.__getitem__)
             h0, q0, _ = page[idxs[0]]
             pos = {i: p for p, i in enumerate(idxs)}
-            local = sorted((pos[i], pos[j], a) for e, (i, j, a) in enumerate(entries)
-                           if bits >> e & 1)
+            local, left = [], bits
+            while left:
+                low = left & -left
+                left ^= low
+                i, j, a = entries[low.bit_length() - 1]
+                local.append((pos[i], pos[j], a))
+            local.sort()
             grades = [(page[i][0] - h0, page[i][1] - q0, page[i][2]) for i in idxs]
             # flat, so that a cached shape holds no tuple per tower or entry
             shape = (len(grades), *itertools.chain(*grades, *local))
@@ -274,8 +334,23 @@ class _Search:
         """Entry suffixes from d_k on that reach the target, in mask order.
 
         names are the page's tower names, None for the p<i>@h,q names of a
-        later page, built only once a suffix list is not empty.  A mask is skipped when its
-        free-to-free entries have F2 rank above limit = (n_free - free_rank) // 2.
+        later page, built only once a suffix list is not empty.  A mask is
+        skipped when it does not square to zero, or when its free-to-free
+        entries have F2 rank above limit = (n_free - free_rank) // 2.
+
+        The candidates fall into the connected components of the graph whose
+        nodes are towers and whose edges are candidates, and each test of a
+        mask splits over them: the pairs of a conflict group share towers, so
+        the group lies in one component; the free-to-free matrix is
+        block-diagonal, so its rank is the sum of its blocks' ranks; and the
+        page homology is the sum over pieces, each inside one component.  So
+        the components but the largest are tabulated once (_tabulate), and
+        each submask of the largest that passes its own tests is combined
+        with the tabulated masks whose ranks fit the rest of limit.  A page of
+        one component tabulates nothing.  The masks that reach the target are
+        emitted in increasing order, which gives the list of a walk over every
+        mask; the order of the recursive calls does not matter, as the result
+        for a (page, k) depends on nothing else.
         """
         searched, key = self.searched, (page, k)
         found = searched.get(key)
@@ -299,30 +374,61 @@ class _Search:
         cands = _candidates(page, k)
         if len(cands) > MAX_CANDIDATES:
             raise ValueError("too many candidate entries on page %d" % k)
-        conflicts = _conflicts(page, cands)
-        free = [(i, j, e) for e, (i, j, _) in enumerate(cands) if page[i][2] == page[j][2] == FREE]
-        by_source: dict[int, dict[int, int]] = {}  # source -> {entry bits: target bits}
-        # no mask's rank passes limit when the entries have at most limit sources or targets
-        if min(len({i for i, _, _ in free}), len({j for _, j, _ in free})) > limit:
-            for i, j, e in free:
-                table = by_source.setdefault(i, {0: 0})
-                table.update({s | 1 << e: t | 1 << j for s, t in table.items()})
-        tables = [(max(table), table) for table in by_source.values()]
-        pieces: dict[int, list[Grade]] = {}
-        here: list[tuple] | None = None
         found.extend(self.suffixes(page, k + 1, names))
-        for mask in range(1, 1 << len(cands)):
-            if not _square_zero(mask, conflicts) or tables and _free_rank_above(mask, tables, limit):
-                continue
-            rests = self.suffixes(_page_homology(page, cands, mask, pieces, self.shapes), k + 1)
-            if not rests:
-                continue
-            if here is None:
-                if names is None:
-                    names = _page_names(page)
-                here = [(k, names[i], names[j], a) for (i, j, a) in cands]
-            entries = tuple(here[e] for e in range(len(cands)) if mask >> e & 1)
-            found.extend(entries + rest for rest in rests)
+        if not cands:
+            return found
+        conflicts = _conflicts(page, cands)
+        free: dict[int, dict[int, int]] = {}  # free source -> {free target: entry index}
+        for e, (i, j, _) in enumerate(cands):
+            if page[i][2] == page[j][2] == FREE:
+                free.setdefault(i, {})[j] = e
+        # no mask's rank passes the term rank of the free-to-free entries, the size of a
+        # largest matching of free sources to free targets: rank tables only above limit
+        tables: list[tuple[int, dict[int, int]]] = []  # (entry bits, {entry bits: target bits})
+        match: dict[int, int] = {}  # free target -> its free source in the matching
+        if len(free) > limit and sum(_augment(i, free, match, set()) for i in free) > limit:
+            for ts in free.values():
+                table = {0: 0}
+                for j, e in ts.items():
+                    table.update({s | 1 << e: t | 1 << j for s, t in table.items()})
+                tables.append((max(table), table))
+        pieces: dict[int, list[Grade]] = {}
+        # the components of the graph of towers and candidates, (tower bits, entry bits) each;
+        # the largest is walked below, against the table of the others' masks
+        comps = _pieces(cands, (1 << len(cands)) - 1)
+        others: list[list] = [[0, 0, (), ()]]  # no other component: one mask, zero
+        report = (1 << len(page)) - 1  # the walked component's towers and the untouched ones
+        if len(comps) > 1:
+            comps.sort(key=lambda comp: comp[1].bit_count(), reverse=True)
+            others = _tabulate(comps[1:], conflicts, tables, limit)
+            for towers, _ in comps[1:]:
+                report ^= towers
+        bits = comps[0][1]
+        hits: list[tuple[int, list[tuple]]] = []  # (mask, its suffixes) where there are any
+        # the zero submask of bits only to pair with a nonzero mask of the others
+        for sub, r in _admissible(bits, conflicts, tables, limit,
+                                  0 if len(others) > 1 else bits & -bits):
+            grades = _page_homology(page, cands, sub, pieces, self.shapes, report)
+            for entry in others:
+                rank, mask, parts, more = entry
+                if r + rank > limit:
+                    break
+                if not (mask := mask | sub):
+                    continue  # the zero mask, searched above on the page itself
+                if more is None:
+                    more = entry[3] = tuple(itertools.chain.from_iterable(
+                        _page_homology(page, cands, s, pieces, self.shapes, towers)
+                        for s, towers in parts))
+                rests = self.suffixes(tuple(sorted(grades + more)) if more else grades, k + 1)
+                if rests:
+                    hits.append((mask, rests))
+        if hits:
+            if names is None:
+                names = _page_names(page)
+            here = [(k, names[i], names[j], a) for (i, j, a) in cands]
+            for mask, rests in sorted(hits):
+                entries = tuple(here[e] for e in range(len(cands)) if mask >> e & 1)
+                found.extend(entries + rest for rest in rests)
         return found
 
 
@@ -341,14 +447,21 @@ def enumerate_patterns(e2: PageSpec, target: TargetSpec) -> list[Pattern]:
     kept for the call.  A mask squares to zero iff each group of composable
     candidate pairs with the same surviving composite has an even number of
     pairs inside it (_conflicts).  Its page homology is the sum over the
-    connected pieces found by OR-merging the entries' tower bitmasks, each
-    run through umod.eliminate as a free complex (_piece_homology) and
-    cached by entry bits for the page and by grade-shifted shape for the
-    call (_page_homology).  A mask is skipped before it when its page has too few
-    free towers: localized at u the torsion dies and each entry is a unit, so the
-    page keeps n_free - 2r, r the F2 rank of the free-to-free entries (_candidates
-    has none from torsion to free), and no later page adds any (_free_rank_above).
-    Pages with no two towers k apart in h carry no d_k.  No cache outlives the call.
+    connected pieces found by OR-merging the entries' tower bitmasks
+    (_pieces), each run through umod.eliminate as a free complex
+    (_piece_homology) and cached by entry bits for the page and by
+    grade-shifted shape for the call (_page_homology).  A mask is skipped
+    before it when its page has too few free towers: localized at u the
+    torsion dies and each entry is a unit, so the page keeps n_free - 2r, r
+    the F2 rank of the free-to-free entries (_candidates has none from
+    torsion to free), and no later page adds any (_free_rank); no rank is
+    computed on a page whose free-to-free term rank, a largest matching of
+    sources to targets (_augment), is at most the bound.  All three tests
+    split over the connected components of the page's candidate graph: the
+    components but the largest are tabulated over their own masks, and the
+    largest is walked one mask at a time against that table, with the hits
+    put back in mask order (_Search.suffixes).  Pages with no two towers k
+    apart in h carry no d_k.  No cache outlives the call.
     """
     if len(e2.towers) > 12:
         raise ValueError("start page too large for exhaustive search")

@@ -128,14 +128,23 @@ def _diff_columns(entries: list | tuple, vs: VarSet, order: dict[str, int],
     entry whose ids are known and whose text is a string seen before as
     one monomial (any nonzero one over several variables), and stops on any
     other, read below it.  A place given more than once or not as one
-    monomial is summed at the end, in the place of its first entry: a zero
-    sum is dropped, and a one-variable sum of several powers stays a Poly,
-    which the degree check refuses."""
+    monomial keeps a running sum, to which each of its entries is added as it
+    is read, and the sum goes in the place of its first entry at the end: a
+    zero sum is dropped, and a one-variable sum of several powers stays a
+    Poly, which the degree check refuses."""
     cols: list[dict[int, Any]] = [{} for _ in range(n)]
     known: dict[str, Any] = {}  # a text that is one monomial -> its column entry
     parsed: dict[str, Poly] = {}  # a text -> its polynomial
-    later: list[tuple[int, int, Any]] = []  # (source, target, entry) to add to a place
-    unknown, zero = None, Poly.zero(vs)
+    sums: dict[tuple[int, int], frozenset] = {}  # a place summed -> the terms of its sum so far
+    unknown, zero, lift = None, Poly.zero(vs), _lifter(vs)
+
+    def add(i: int, j: int, e: Any) -> None:
+        """Add entry e to the running sum of place (i, j), begun at its first entry."""
+        terms = sums.get((i, j))
+        if terms is None:
+            first = cols[i][j]
+            terms = first.terms if type(first) is Poly else lift(first).terms
+        sums[i, j] = terms ^ (e.terms if type(e) is Poly else lift(e).terms)
     get, it = itemgetter("from", "to", "poly"), iter(entries)
     while True:
         try:
@@ -145,7 +154,7 @@ def _diff_columns(entries: list | tuple, vs: VarSet, order: dict[str, int],
                     break
                 col = cols[i]
                 if j in col:
-                    later.append((i, j, e))
+                    add(i, j, e)
                 else:
                     col[j] = e
             else:
@@ -169,17 +178,9 @@ def _diff_columns(entries: list | tuple, vs: VarSet, order: dict[str, int],
             unknown = unknown or (src, tgt)
         elif j in cols[i] or len(p.terms) != 1 and (vs.n <= 1 or not p):
             cols[i].setdefault(j, zero)  # the place, kept for the sum
-            later.append((i, j, p))
+            add(i, j, p)
         else:
             cols[i][j] = known[key] = p if vs.n > 1 else sum(next(iter(p.terms)))
-    lift = _lifter(vs)
-
-    def terms_of(x: Any) -> frozenset:
-        return x.terms if type(x) is Poly else lift(x).terms
-    sums: dict[tuple[int, int], frozenset] = {}  # a place in later -> the terms of its sum
-    for i, j, e in later:
-        terms = sums.get((i, j))
-        sums[i, j] = (terms_of(cols[i][j]) if terms is None else terms) ^ terms_of(e)
     for (i, j), terms in sums.items():
         if not terms:
             del cols[i][j]

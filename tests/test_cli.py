@@ -23,6 +23,7 @@ from skeinseq.cli import main
 from skeinseq.complexes import MAX_EXPANSION_SLOTS, ChainComplex
 from skeinseq.umod import ModuleDecomposition
 from test_complexes import reference_decomposition
+from test_infer import _grouped_page, _one_loop_suffixes
 from test_khovanov import reference_cube, torus_2
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
@@ -716,11 +717,12 @@ def test_infer_candidate_budget_before_any_mask(tmp_path, capsys, monkeypatch):
     def no_mask(*args):
         raise AssertionError("a mask was tried")
 
-    # every nonzero mask is tested for square-zero, and this page has no
-    # composable entries, so each one also gets its page homology
-    monkeypatch.setattr(skeinseq.infer, "_square_zero", no_mask)
-    monkeypatch.setattr(skeinseq.infer, "_free_rank_above", no_mask)
-    monkeypatch.setattr(skeinseq.infer, "_page_homology", no_mask)
+    # the term rank and the components come first; the components but the
+    # largest are tabulated, each mask of a component is tested for square-zero
+    # and its rank, and one that passes gets its page homology, piece by piece
+    for routine in ("_augment", "_pieces", "_tabulate", "_admissible", "_square_zero",
+                    "_free_rank", "_page_homology", "_piece_homology"):
+        monkeypatch.setattr(skeinseq.infer, routine, no_mask)
     towers = [{"name": "a%d" % i, "h": 0, "q": 0} for i in range(6)]
     towers += [{"name": "b%d" % i, "h": 3, "q": 4} for i in range(6)]
     p1, p2 = tmp_path / "e2.json", tmp_path / "t.json"
@@ -729,6 +731,34 @@ def test_infer_candidate_budget_before_any_mask(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "infer", "--e2", str(p1), "--target", str(p2))
     assert code == 2
     assert "too many candidate entries on page 3" in err
+
+
+def test_infer_outputs_match_the_one_loop_search(tmp_path, capsys, monkeypatch):
+    """Pages of one to four groups of towers, against targets with and without
+    anchors and with a basis and actions to resolve: infer with --resolve, in
+    TSV and JSON, prints what the one-loop search of every mask prints."""
+    rng = random.Random(3536)
+    resolved = 0
+    for trial in range(24):
+        page = _grouped_page(rng, 1 + trial % 4)[:8]
+        towers = [{"name": "t%d" % i, "h": h, "q": q} for i, (h, q, _) in enumerate(page)]
+        # odd trials: the start page itself, which the zero pattern reaches
+        free = len(page) if trial % 2 else max(len(page) - 2 * rng.randrange(1, 3), 1)
+        basis = ["b%d" % i for i in range(free)]
+        target = {"free_rank": free, "basis": basis, "actions": {"U": [[basis[-1], basis[0]]]}}
+        if trial % 2:
+            target["anchors"] = [[h, q, None] for h, q, _ in page]
+        p1, p2 = tmp_path / "e2.json", tmp_path / "t.json"
+        p1.write_text(json.dumps({"towers": towers}))
+        p2.write_text(json.dumps(target))
+        outs = []
+        for search in (skeinseq.infer._Search.suffixes, _one_loop_suffixes):
+            monkeypatch.setattr(skeinseq.infer._Search, "suffixes", search)
+            outs.append([run(capsys, "infer", "--e2", str(p1), "--target", str(p2), "--resolve",
+                             "--out", out) for out in ("tsv", "json")])
+        assert outs[0] == outs[1]
+        resolved += "# filtration" in outs[0][0][1]
+    assert resolved > 15
 
 
 INFER_PAGES = [

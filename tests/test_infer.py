@@ -12,12 +12,16 @@ from skeinseq.infer import (
     Pattern,
     TargetSpec,
     Tower,
+    _augment,
     _candidates,
     _canonical_key,
     _conflicts,
-    _free_rank_above,
+    _free_rank,
+    _matches_target,
     _page_homology,
+    _page_names,
     _piece_homology,
+    _Search,
     _square_zero,
     enumerate_patterns,
     replay,
@@ -570,8 +574,8 @@ def _ref_rank(rows):
 
 
 def _ref_tables(towers, cands):
-    """The tables of _free_rank_above: per free source, its free-to-free
-    entry bits and the target bits of each subset of them."""
+    """The tables of _free_rank: per free source, its free-to-free entry
+    bits and the target bits of each subset of them."""
     tables = []
     for i in range(len(towers)):
         ents = [(e, j) for e, (s, j, _) in enumerate(cands)
@@ -588,8 +592,8 @@ def _ref_tables(towers, cands):
 def test_free_towers_left_are_free_towers_less_twice_the_free_rank():
     """Localized at u the torsion towers die and each entry u^a is a unit, so
     the page homology of a square-zero mask has n_free - 2 rank_F2(B) free
-    towers, B the 0/1 matrix of its free-to-free entries; _free_rank_above
-    reads that rank against every limit."""
+    towers, B the 0/1 matrix of its free-to-free entries; _free_rank reads
+    that rank, or limit + 1 once the rank passes limit, for every limit."""
     rng = random.Random(3301)
     checked = with_torsion = rank_two = two_path = 0
     for _ in range(1000):
@@ -613,8 +617,8 @@ def test_free_towers_left_are_free_towers_less_twice_the_free_rank():
             rank = _ref_rank(rows.values())
             out = _page_homology(_grades(towers), cands, mask, {}, {})
             assert sum(o == FREE for _, _, o in out) == n_free - 2 * rank
-            for limit in range(n_free):
-                assert _free_rank_above(mask, tables, limit) == (rank > limit)
+            for limit in range(n_free + 1):
+                assert _free_rank(mask, tables, limit) == min(rank, limit + 1)
             checked += 1
             with_torsion += n_free < len(towers)
             rank_two += rank >= 2
@@ -633,3 +637,312 @@ def test_search_leaves_no_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- the search split over the components of the candidate graph ---------------
+
+
+def _mask_free_rank(page, cands, mask):
+    """The F2 rank of the 0/1 matrix of mask's free-to-free entries."""
+    rows = {}
+    for (i, j, _) in _picked(cands, mask):
+        if page[i][2] == page[j][2] == FREE:
+            rows[i] = rows.get(i, 0) | 1 << j
+    return _ref_rank(rows.values())
+
+
+def _one_loop_suffixes(self, page, k, names=None):
+    """_Search.suffixes as one loop over every mask of the page, its free
+    rank read off _mask_free_rank: the reference for the search split over
+    the components of the candidate graph."""
+    searched, key = self.searched, (page, k)
+    found = searched.get(key)
+    if found is not None:
+        return found
+    if (limit := (sum(o == FREE for _, _, o in page) - self.target.free_rank) // 2) < 0:
+        found = searched[key] = []
+        return found
+    hs = {h for h, _, _ in page}
+    k = min((g for g in (t - s for s in hs for t in hs) if g >= k and g % 2), default=None)
+    found = searched.get((page, k))
+    if found is not None:
+        searched[key] = found
+        return found
+    found = searched[key] = searched[(page, k)] = []
+    if k is None:
+        if _matches_target(page, self.target):
+            found.append(())
+        return found
+    cands = _candidates(page, k)
+    if len(cands) > infer.MAX_CANDIDATES:
+        raise ValueError("too many candidate entries on page %d" % k)
+    conflicts, pieces = _conflicts(page, cands), {}
+    found.extend(self.suffixes(page, k + 1, names))
+    for mask in range(1, 1 << len(cands)):
+        if not _square_zero(mask, conflicts) or _mask_free_rank(page, cands, mask) > limit:
+            continue
+        rests = self.suffixes(_page_homology(page, cands, mask, pieces, self.shapes), k + 1)
+        if rests:
+            if names is None:
+                names = _page_names(page)
+            entries = tuple((k, names[i], names[j], a) for (i, j, a) in _picked(cands, mask))
+            found.extend(entries + rest for rest in rests)
+    return found
+
+
+class _OneLoopSearch(_Search):
+    suffixes = _one_loop_suffixes
+
+
+class _Counted:
+    """Counts the (page, k) of every suffixes call, the recursive ones too: a
+    search makes one for the zero mask and one for each mask that passes
+    square-zero and the free-rank bound."""
+
+    def __init__(self, target):
+        super().__init__(target)
+        self.calls = {}
+
+    def suffixes(self, page, k, names=None):
+        self.calls[page, k] = self.calls.get((page, k), 0) + 1
+        return super().suffixes(page, k, names)
+
+
+class _CountedSearch(_Counted, _Search):
+    pass
+
+
+class _CountedOneLoopSearch(_Counted, _OneLoopSearch):
+    pass
+
+
+def _grouped_page(rng, groups, orders=(FREE,), heights=(0, 1, 3, 4, 6)):
+    """Grades of groups groups of towers, 20 apart in h.  A group has towers at
+    h = 0 and 3 and up to two more at one of heights, by default so that d_3
+    and d_5 have candidates, at q = 2h + 1, 3 or 5; q stays too close for
+    d_15 or later to join two groups, so every component of a candidate graph
+    lies in one."""
+    out = []
+    for g in range(groups):
+        for h in (0, 3) + tuple(rng.choice(heights) for _ in range(rng.randrange(3))):
+            out.append((20 * g + h, 2 * (h + rng.randrange(3)) + 1, rng.choice(orders)))
+    return tuple(out)
+
+
+def _first_components(page):
+    """The number of components of the candidate graph of the first page the
+    search takes candidates from (a search from k = 2)."""
+    hs = {h for h, _, _ in page}
+    k = min((g for g in (t - s for s in hs for t in hs) if g >= 2 and g % 2), default=None)
+    cands = _candidates(page, k) if k else []
+    return len(infer._pieces(cands, (1 << len(cands)) - 1))
+
+
+def _same_suffixes(page, target, names=None):
+    """The split search and the one-loop reference agree on the page, in the
+    same order, also on a refusal, and search the same pages as often: the
+    free-rank bound drops the same masks.  Returns the suffixes."""
+    ref, split = _CountedOneLoopSearch(target), _CountedSearch(target)
+    try:
+        want = ref.suffixes(page, 2, names)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            split.suffixes(page, 2, names)
+        return []
+    assert split.suffixes(page, 2, names) == want
+    assert split.calls == ref.calls
+    return want
+
+
+def test_component_search_matches_the_one_loop_reference():
+    """Seeded pages of one to four groups of towers: free start pages with the
+    targets two and four free towers below them, and with the limit, with
+    and without its anchors, of a random square-zero d_3 and no later
+    differential, often with torsion; and start pages with torsion towers.
+    The split search gives the one-loop search's suffix lists, in the same
+    order."""
+    rng = random.Random(3535)
+    comps = {}
+    hits = anchored = torsion = 0
+    for trial in range(240):
+        groups = 1 + trial % 4
+        page = _grouped_page(rng, groups)[:12]
+        count = _first_components(page)
+        comps[count] = comps.get(count, 0) + 1
+        names = ["t%d" % i for i in range(len(page))]
+        for drop in (2, 4):
+            hits += len(_same_suffixes(page, TargetSpec(len(page) - drop), names))
+        cands = _candidates(page, 3)
+        mask = rng.getrandbits(len(cands))
+        if _square_zero(mask, _conflicts(page, cands)):
+            limit = _page_homology(page, cands, mask, {}, {})
+            orders = tuple(sorted(o for _, _, o in limit if o != FREE))
+            target = TargetSpec(len(limit) - len(orders), orders)
+            assert _same_suffixes(page, target, names)
+            anchors = tuple((h, q, None if o == FREE else o) for h, q, o in limit)
+            found = _same_suffixes(page, TargetSpec(target.free_rank, orders, anchors), names)
+            assert any(len(s) == mask.bit_count() for s in found)
+            anchored += len(found)
+            torsion += bool(orders)
+        mixed = _grouped_page(rng, groups, (FREE, FREE, 1, 2, 3))[:12]
+        n_free = sum(o == FREE for _, _, o in mixed)
+        for drop in (0, 2):
+            hits += len(_same_suffixes(mixed, TargetSpec(max(n_free - drop, 0))))
+    assert all(comps.get(c, 0) >= 20 for c in (1, 2, 3, 4)), comps
+    assert hits > 300 and anchored > 300 and torsion > 100
+
+
+def test_each_conflict_group_lies_in_one_component():
+    """Each pair of a conflict group is i -> j -> l, and the pairs of a group
+    share i and l, so all of them lie in one component of the candidate
+    graph; the split square-zero test equals the whole-page one."""
+    rng = random.Random(71)
+    groups_seen = split = 0
+    for _ in range(800):
+        page = _grouped_page(rng, rng.randrange(1, 4), (FREE, FREE, FREE, 1, 2), (6,))
+        cands = _candidates(page, 3)[:12]
+        comps = infer._pieces(cands, (1 << len(cands)) - 1)
+        conflicts = _conflicts(page, cands)
+        for group in conflicts:
+            assert sum(any(pair & bits for pair in group) for _, bits in comps) == 1
+            assert all(pair & bits in (0, pair) for _, bits in comps for pair in group)
+            groups_seen += 1
+        own = [[g for g in conflicts if g[0] & bits] for _, bits in comps]
+        for _ in range(10):
+            mask = rng.getrandbits(len(cands))
+            assert _square_zero(mask, conflicts) == all(
+                _square_zero(mask & bits, mine) for (_, bits), mine in zip(comps, own))
+        split += len(comps) > 1 and any(own)
+    assert groups_seen > 300 and split > 50
+
+
+def test_free_rank_is_the_sum_over_components():
+    """The free-to-free 0/1 matrix is block-diagonal over the components of
+    the candidate graph, so its F2 rank is the sum of the blocks' ranks, and
+    the rank tables of a component hold only its own sources."""
+    rng = random.Random(72)
+    checked = several = 0
+    for _ in range(300):
+        page = _grouped_page(rng, rng.randrange(1, 5), (FREE, FREE, FREE, 1, 2))
+        cands = _candidates(page, 3)[:14]
+        towers = _named(page)
+        tables = _ref_tables(towers, cands)
+        comps = infer._pieces(cands, (1 << len(cands)) - 1)
+        for _ in range(20):
+            mask = rng.getrandbits(len(cands))
+            rank = _mask_free_rank(page, cands, mask)
+            parts = [_free_rank(mask & bits, [t for t in tables if t[0] & bits], len(page))
+                     for _, bits in comps]
+            assert sum(parts) == rank == _free_rank(mask, tables, len(page))
+            assert sum(len([t for t in tables if t[0] & bits]) for _, bits in comps) == len(tables)
+            checked += 1
+            several += sum(p > 0 for p in parts) > 1
+    assert checked > 5000 and several > 400
+
+
+def _ref_matching(edges, used=frozenset()):
+    """The size of a largest matching of a {source: targets} graph, by trying
+    every target, or none, for the first source."""
+    if not edges:
+        return 0
+    (i, targets), rest = next(iter(edges.items())), dict(list(edges.items())[1:])
+    return max([_ref_matching(rest, used)] + [1 + _ref_matching(rest, used | {j})
+                                              for j in targets if j not in used])
+
+
+def test_term_rank_is_the_largest_rank():
+    """The largest F2 rank over the subsets of the free-to-free candidates is
+    their term rank, the size of a largest matching of sources to targets
+    that _augment grows: a matching's entries alone have it as their rank.
+    On random graphs, where the first target a source tries is often the
+    wrong one, _augment's matching is a largest one."""
+    rng = random.Random(73)
+    seen = set()
+    for _ in range(400):
+        page = _grouped_page(rng, rng.randrange(1, 3), (FREE, FREE, FREE, 1))
+        cands = _candidates(page, 3)[:12]
+        free = {}
+        for e, (i, j, _) in enumerate(cands):
+            if page[i][2] == page[j][2] == FREE:
+                free.setdefault(i, {})[j] = e
+        match = {}
+        term = sum(_augment(i, free, match, set()) for i in free)
+        assert len(match) == term and len(set(match.values())) == term
+        assert all(j in free[i] for j, i in match.items())
+        best = max(_mask_free_rank(page, cands, mask) for mask in range(1 << len(cands)))
+        assert term == best == _ref_matching(free)
+        seen.add(term)
+    assert {0, 1, 2, 3, 4} <= seen
+    rerouted = 0
+    for _ in range(500):
+        edges = {}
+        for i in rng.sample(range(6), rng.randrange(1, 7)):
+            edges[i] = rng.sample(range(6, 12), rng.randrange(1, 4))
+        match, greedy = {}, set()  # greedy: each source takes its first free target
+        for targets in edges.values():
+            greedy.update([j for j in targets if j not in greedy][:1])
+        term = sum(_augment(i, edges, match, set()) for i in edges)
+        assert term == len(match) == _ref_matching(edges)
+        assert all(j in edges[i] for j, i in match.items())
+        rerouted += term > len(greedy)
+    assert rerouted > 50
+
+
+def test_tabulate_lists_the_masks_of_the_other_components():
+    """_tabulate lists, by rank, every mask over the components' entries
+    whose part in each component squares to zero and whose free-to-free
+    ranks sum to at most limit, with that sum and its part per component,
+    and no grades yet."""
+    rng = random.Random(74)
+    checked = 0
+    for _ in range(200):
+        page = _grouped_page(rng, rng.randrange(2, 5), (FREE, FREE, FREE, 1, 2), (0, 3, 6))
+        cands = _candidates(page, 3)[:12]
+        comps = infer._pieces(cands, (1 << len(cands)) - 1)
+        if len(comps) < 2:
+            continue
+        conflicts, tables = _conflicts(page, cands), _ref_tables(_named(page), cands)
+        others = comps[1:]
+        bits = sum(b for _, b in others)
+        for limit in range(4):
+            got = infer._tabulate(others, conflicts, tables, limit)
+            assert [rank for rank, *_ in got] == sorted(rank for rank, *_ in got)
+            want = {}
+            sub = 0
+            while True:
+                rank = _mask_free_rank(page, cands, sub)
+                if rank <= limit and _ref_square_zero(_named(page), _picked(cands, sub)):
+                    want[sub] = rank
+                sub = (sub - bits) & bits
+                if not sub:
+                    break
+            assert {mask: rank for rank, mask, _, _ in got} == want
+            assert len(got) == len(want)
+            for rank, mask, parts, grades in got:
+                assert grades is None
+                assert [(s, t) for s, t in parts] == [(mask & b, t) for t, b in others]
+            checked += 1
+    assert checked > 200
+
+
+def test_a_one_component_page_tabulates_nothing(monkeypatch):
+    """A page whose candidates form one component is walked mask by mask with
+    no table; a page of two groups tabulates the smaller one."""
+    tabulated = []
+
+    def recording(comps, *args):
+        tabulated.append(comps)
+        return tabulate(comps, *args)
+    tabulate = infer._tabulate
+    monkeypatch.setattr(infer, "_tabulate", recording)
+    # three towers at (0, 0) and three at (3, 4): nine d_3 units, one component,
+    # and no page after it has a candidate
+    one = PageSpec(tuple(Tower("a%d" % i, 0, 0) for i in range(3))
+                   + tuple(Tower("b%d" % i, 3, 4) for i in range(3)))
+    # patterns are told apart by their number of entries: the invertible 3 x 3
+    # matrices over F2 have three to seven
+    assert sorted(len(p.entries) for p in enumerate_patterns(one, TargetSpec(0))) == [3, 4, 5, 6, 7]
+    assert tabulated == []
+    two = PageSpec(one.towers + (Tower("c", 21, 1), Tower("d", 24, 5)))
+    assert sorted(len(p.entries) for p in enumerate_patterns(two, TargetSpec(0))) == [4, 5, 6, 7, 8]
+    assert [[bits.bit_count() for _, bits in comps] for comps in tabulated] == [[1]]
