@@ -133,7 +133,9 @@ def cmd_ss(args) -> int:
             "inf\t%d\t%d\t%d\tlevel=%d" % (q_rel, grade[0] - h0, dim, level)
         )
     if cx.convention == "kh":
-        cons = check_constraints(page_list)
+        # the grades of --truncation 0: a deeper window repeats their d_r below them
+        floor = None if fc.trusted_floor is None else fc.trusted_floor + fc.extra_depth
+        cons = check_constraints(page_list, floor)
         lines.append("# constraints\t%s" % ("pass" if cons.ok else "FAIL"))
         for v in cons.violations:
             lines.append("# violation\td%d\t%s" % (v.r, v.reason))

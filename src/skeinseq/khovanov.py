@@ -7,6 +7,13 @@ with labels 1, x and relation x^2 = U.  ckh builds one cube, the minus
 complex C: a free module over F2[u] with u the label action of the marked
 point, so U = u^2.  The other flavours are its quotients, hat C/U = C/u^2
 and reduced C/u, and are read off C (cli.flavor_dims).
+
+C is built in the basis y = x + u on every free circle, the trivial change
+of Frobenius system of Khovanov's "Link homology and Frobenius extensions"
+(Fund. Math. 2006): over F2, y^2 = x^2 + u^2 = 0, and y acts as 0 on the
+marked circle.  In that basis the differential has no u at all, so C is
+(C mod u) tensor F2[u], and ckh writes only the u^0 entries of the x-basis
+cube, which are C mod u itself.
 """
 
 from __future__ import annotations
@@ -363,7 +370,7 @@ def _resolver(d: LinkDiagram):
 
 # -- the cube --------------------------------------------------------------------
 #
-# Inside ckh a state is its lab, and the labels of a generator are a bitmask
+# Inside ckh a state is its lab, and the y-labels of a generator are a bitmask
 # over the free circles of its state: the circles other than the basepoint
 # circle b, in order, so circle x has bit 1 << (x - (x > b)), in a bit row
 # shared by the vertices with the same count and b.  Generator m of a vertex
@@ -380,7 +387,7 @@ def _vertex_ids(vertex: tuple[int, ...], free: list[int]) -> list[str]:
     """Generator ids of one vertex indexed by label mask over its free circles,
     given by their least arcs.
 
-    An id is "v<vertex bits>|<least arc of each x-labelled circle, by bit>".
+    An id is "v<vertex bits>|<least arc of each y-labelled circle, by bit>".
     """
     ids = ["v%s|" % "".join(map(str, vertex))]
     for a in free:
@@ -391,32 +398,31 @@ def _vertex_ids(vertex: tuple[int, ...], free: list[int]) -> list[str]:
 
 def _edge_rule(
     split: bool, size: int, src_bits: tuple[int, ...], tgt_bits: tuple[int, ...],
-) -> list[tuple[int, int, int]]:
-    """A merge or split on label masks: the entries (source mask, target
-    mask, u exponent), by source mask.
+) -> list[tuple[int, int]]:
+    """A merge or split on label masks in the y-basis: its entries (source
+    mask, target mask), each 1, by source mask.
 
     size is the number of free circles at the source; src_bits and tgt_bits
     hold the bit of each changed circle at the source and the target (the
-    split's in order), 0 for the basepoint circle.  That circle carries no
-    label, so an x on it in the image is one more power of u.  A merge sends
-    x x to U, x 1 and 1 x to x, 1 1 to 1, whichever order its source bits
-    come in; a split sends 1 to 1 x + x 1 and x to x x + U.  A carry table
-    moves the circles the edge leaves alone, which keep their order, to
-    their target bits.
+    split's in order), 0 for the basepoint circle, on which y acts as 0.  A
+    merge sends 1 1 to 1, y 1 and 1 y to y, y y to 0, whichever order its
+    source bits come in; a split sends 1 to 1 y + y 1 and y to y y; a term
+    with a y on the basepoint circle is 0.  These are the u^0 terms of the
+    x-basis rule (x x = U, x on the basepoint circle u); the others cancel
+    in the y-basis.  A carry table moves the circles the edge leaves alone,
+    which keep their order, to their target bits.
     """
     sel, changed = sum(src_bits), sum(tgt_bits)
     kept = iter([1 << b for b in range(size + (1 if split else -1)) if not changed >> b & 1])
     carry = [0]
     for b in range(size):
         carry += list(map((0 if sel >> b & 1 else next(kept)).__or__, carry))
-    # (target bits, u exponent) of each term, by the x-labelled changed source circles
+    # target bits of each term, by the y-labelled changed source circles
     if split:
-        p, q = tgt_bits
-        terms = [[(p, int(not p)), (q, int(not q))], [(p | q, (not p) + (not q)), (0, 2)]]
+        terms = [[t for t in tgt_bits if t], [changed] if all(tgt_bits) else []]
     else:
-        terms = [[(0, 0)], [(changed, int(not changed))], [(0, 2)]]
-    return [(m, c | mask, t) for m, c in enumerate(carry)
-            for mask, t in terms[(m & sel).bit_count()]]
+        terms = [[0], [changed] if changed else [], []]
+    return [(m, c | t) for m, c in enumerate(carry) for t in terms[(m & sel).bit_count()]]
 
 
 def _vertices(d: LinkDiagram, basepoint_arc: int, labs: list[tuple[list[int], int]]):
@@ -458,9 +464,11 @@ def ckh(d: LinkDiagram, basepoint: int | None = None) -> CubeComplex:
     """The minus cube-of-resolutions complex, marked at the basepoint arc
     (the least arc by default).
 
-    h is the number of 1-resolutions, q the label grading, and the
-    filtration level equals h.  Gradings are relative; reports normalize.
-    Hat and reduced are its quotients by u^2 and u (cli.flavor_dims).
+    Generators are labelled in the y-basis (y = x + u on each free circle,
+    of the degree of x), so every entry is 1.  h is the number of
+    1-resolutions, q the label grading, and the filtration level equals h.
+    Gradings are relative; reports normalize.  Hat and reduced are its
+    quotients by u^2 and u (cli.flavor_dims).
     """
     n = len(d.crossings)
     if 1 << n > MAX_CUBE_VERTICES:
@@ -516,7 +524,7 @@ def ckh(d: LinkDiagram, basepoint: int | None = None) -> CubeComplex:
 
     # a vertex is (lab, count, bits, its first position), bits[x] circle x's bit
     # (0 on the basepoint circle), a row shared by like vertices; by position, h
-    # is the vertex's 1-smoothings and q = count + h - 2 * (x labels)
+    # is the vertex's 1-smoothings and q = count + h - 2 * (y labels)
     bp = index[basepoint]
     drops = [-2 * m.bit_count() for m in range(1 << max(count for _, count in labs))]
     bit_rows: dict[tuple[int, int], list[int]] = {}
@@ -532,7 +540,7 @@ def ckh(d: LinkDiagram, basepoint: int | None = None) -> CubeComplex:
 
     cols: list[dict[int, int]] = [{} for _ in hs]
     pos = list(range(len(hs)))  # one int object per position, shared by every entry
-    rules: dict[tuple, list[tuple[int, int, int]]] = {}
+    rules: dict[tuple, list[tuple[int, int]]] = {}
     # crossing by crossing; a column belongs to one vertex, so its entries come by crossing
     for j, (a, b, c) in enumerate(crossings):
         w = 1 << j
@@ -552,8 +560,8 @@ def ckh(d: LinkDiagram, basepoint: int | None = None) -> CubeComplex:
                     p, q = (bits2[p], bits2[q]) if p < q else (bits2[q], bits2[p])
                     rule = rules.get(key := (count, sa, p, q)) or rules.setdefault(
                         key, _edge_rule(True, count - 1, (sa,), (p, q)))
-                for m, t, e in rule:
-                    cols[at + m][pos[at2 + t]] = e
+                for m, t in rule:
+                    cols[at + m][pos[at2 + t]] = 0
 
     # a speller that refers to no cube, so no cube is freed only by the cyclic GC
     cx = ChainComplex.from_columns(VarSet(("u",), (HALF,)), lambda: _cube_ids(d, basepoint, labs),
@@ -562,24 +570,20 @@ def ckh(d: LinkDiagram, basepoint: int | None = None) -> CubeComplex:
 
 
 def basepoint_action(cc: CubeComplex, arc: int) -> ChainMap:
-    """Multiplication by the label of the circle through a marked arc."""
+    """Multiplication by the label x = y + u of the circle through a marked
+    arc: u on every generator, plus 1 -> y on that circle when it is free
+    (y y = 0, and y acts as 0 on the basepoint circle)."""
     if arc not in cc.diagram.arcs:
         raise ValueError("unknown point %r" % arc)
     vs = cc.complex.vars
-    u, uu, one = Poly.var(vs, "u", 1), Poly.var(vs, "u", 2), Poly.one(vs)
+    u, one = Poly.var(vs, "u", 1), Poly.one(vs)
     gids = cc.complex.ids
     k = cc.diagram.arcs.index(arc)
-    entries: dict[tuple[str, str], Poly] = {}
+    entries = {(g, g): u for g in gids}
     for _, _, lab, count, base, pos in _vertices(cc.diagram, cc.basepoint_arc, cc.labs):
         x = lab[k]
-        vids = gids[pos:pos + (1 << (count - 1))]
-        if x == base:
-            entries.update(((g, g), u) for g in vids)
-            continue
-        bit = 1 << (x - (x > base))
-        for m, g in enumerate(vids):
-            if m & bit:
-                entries[(g, vids[m ^ bit])] = uu
-            else:
-                entries[(g, vids[m | bit])] = one
+        if x != base:
+            vids = gids[pos:pos + (1 << (count - 1))]
+            bit = 1 << (x - (x > base))
+            entries.update(((g, vids[m | bit]), one) for m, g in enumerate(vids) if not m & bit)
     return ChainMap(cc.complex, cc.complex, entries, dh=0, dq=-2)

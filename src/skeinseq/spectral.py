@@ -349,38 +349,31 @@ class ConstraintReport:
         return not self.violations
 
 
-def check_constraints(pages_list: list[SpectralPage]) -> ConstraintReport:
-    """Check d_k bidegrees (2k-2, k), vanishing of even pages, q/2 parity."""
+def check_constraints(pages_list: list[SpectralPage],
+                      floor: int | None = None) -> ConstraintReport:
+    """Check d_k bidegrees (2k-2, k), vanishing of even pages, q/2 parity.
+
+    Given floor, only the d_k whose source q is at least floor are read, so
+    that a window widened by extra_depth, which adds the u-translates of the
+    same differentials below it, reports the same violations.
+    """
     violations: list[ConstraintViolation] = []
     for page in pages_list:
         k = page.r
         for (src, tgt), count in page.d_ranks.items():
-            if not count:
+            if not count or floor is not None and len(src) > 1 and src[1] < floor:
                 continue
             if len(src) < 2 or len(tgt) < 2:
-                violations.append(
-                    ConstraintViolation(k, src, tgt, "missing (q,h) bigrading")
-                )
+                violations.append(ConstraintViolation(k, src, tgt, "missing (q,h) bigrading"))
                 continue
-            h_s, q_s = src
-            h_t, q_t = tgt
-            if (q_t - q_s, h_t - h_s) != (2 * k - 2, k):
-                violations.append(
-                    ConstraintViolation(
-                        k,
-                        src,
-                        tgt,
-                        "bidegree (%d,%d) != (2k-2,k)" % (q_t - q_s, h_t - h_s),
-                    )
-                )
-            if k % 2 == 0:
-                violations.append(
-                    ConstraintViolation(k, src, tgt, "nonzero even-page differential")
-                )
-            if ((q_t - q_s) // 2) % 2 != 0:
-                violations.append(
-                    ConstraintViolation(k, src, tgt, "q/2 parity not preserved")
-                )
+            (h_s, q_s), (h_t, q_t) = src, tgt
+            dq, dh = q_t - q_s, h_t - h_s
+            for bad, reason in (((dq, dh) != (2 * k - 2, k),
+                                 "bidegree (%d,%d) != (2k-2,k)" % (dq, dh)),
+                                (k % 2 == 0, "nonzero even-page differential"),
+                                ((dq // 2) % 2 != 0, "q/2 parity not preserved")):
+                if bad:
+                    violations.append(ConstraintViolation(k, src, tgt, reason))
     return ConstraintReport(violations)
 
 

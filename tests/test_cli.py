@@ -1283,7 +1283,10 @@ def _ss_rows(out):
 
 def test_ss_truncation_only_extends_the_tables(tmp_path, capsys):
     """ss --truncation 5 reports the --truncation 0 tables on every grade
-    that both report, and more grades below them."""
+    that both report, and more grades below them, and the same # lines: the
+    constraint report reads the grades of --truncation 0 only.  The cube is
+    filtered by h and by 2h plus a random bit, for 20 seeds of that bit; a
+    filtration off h has d_2 and d_3, which break the kh constraints."""
     rng = random.Random(404)
     gens, diff = [], []
     for k in range(30):  # planted floer pieces with an alex2 grading, as in the benchmark
@@ -1297,16 +1300,22 @@ def test_ss_truncation_only_extends_the_tables(tmp_path, capsys):
     floer = {"variables": [{"name": "u", "unit": "1/2"}], "convention": "floer",
              "generators": gens, "diff": diff}
     cc = kh.ckh(kh.mirror(kh.parse_pd(TREFOIL)))
-    levels = {g.gid: 2 * g.h + rng.randrange(2) for g in cc.complex.gens}
-    for i, doc in enumerate((floer, serde.dump_complex(cc.complex, cc.levels),
-                             serde.dump_complex(cc.complex, levels))):
+    docs = [floer, serde.dump_complex(cc.complex, cc.levels)]
+    for seed in range(20):
+        bit = random.Random(seed)
+        docs.append(serde.dump_complex(
+            cc.complex, {g.gid: 2 * g.h + bit.randrange(2) for g in cc.complex.gens}))
+    violated = 0
+    for i, doc in enumerate(docs):
         path = tmp_path / ("c%d.json" % i)
         path.write_text(json.dumps(doc))
         (code0, out0, _), (code5, out5, _) = (
             run(capsys, "ss", "--in", str(path), "--truncation", t) for t in ("0", "5"))
         assert code0 == code5 == 0
         (rows0, notes0), (rows5, notes5) = _ss_rows(out0), _ss_rows(out5)
-        assert notes0 == notes5
+        assert notes0 == notes5, i
+        violated += "# constraints\tFAIL" in notes0
         grades0 = {key[1:3] for key in rows0}
         assert {k: v for k, v in rows5.items() if k[1:3] in grades0} == rows0
         assert len(rows5) > len(rows0)
+    assert violated

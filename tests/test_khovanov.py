@@ -83,19 +83,106 @@ def test_resolve_swap():
 
 
 def test_edge_map_merge_split_rules():
-    # entries of _edge_rule as (source mask, target mask, u exponent)
+    # entries of _edge_rule as (source mask, target mask), in the y-basis
     rule = kh._edge_rule
 
-    # merge: 1 1 -> 1, x 1 and 1 x -> x, x x -> U 1
-    assert rule(False, 2, (1, 2), (1,)) == [(0, 0, 0), (1, 1, 0), (2, 1, 0), (3, 0, 2)]
-    # split: 1 -> 1 x + x 1, x -> x x + U 1 (the first target circle first)
-    assert rule(True, 1, (1,), (1, 2)) == [(0, 1, 0), (0, 2, 0), (1, 3, 0), (1, 0, 2)]
+    # merge: 1 1 -> 1, y 1 and 1 y -> y, y y -> 0
+    assert rule(False, 2, (1, 2), (1,)) == [(0, 0), (1, 1), (2, 1)]
+    # split: 1 -> 1 y + y 1, y -> y y (the first target circle first)
+    assert rule(True, 1, (1,), (1, 2)) == [(0, 1), (0, 2), (1, 3)]
     # a circle the edge leaves alone rides along: bit 1 at the source, bit 2 after a split
-    assert rule(True, 2, (1,), (1, 4))[4:] == [(2, 3, 0), (2, 6, 0), (3, 7, 0), (3, 2, 2)]
-    # an x on the basepoint circle (bit 0) is one power of u
-    assert rule(False, 1, (0, 1), (0,)) == [(0, 0, 0), (1, 0, 1)]
-    assert rule(True, 0, (0,), (0, 1)) == [(0, 0, 1), (0, 1, 0)]
-    assert rule(True, 1, (1,), (0, 1)) == [(0, 0, 1), (0, 1, 0), (1, 1, 1), (1, 0, 2)]
+    assert rule(True, 2, (1,), (1, 4))[3:] == [(2, 3), (2, 6), (3, 7)]
+    # a y on the basepoint circle (bit 0) is 0
+    assert rule(False, 1, (0, 1), (0,)) == [(0, 0)]
+    assert rule(True, 0, (0,), (0, 1)) == [(0, 1)]
+    assert rule(True, 1, (1,), (0, 1)) == [(0, 1)]
+
+
+def x_basis_edge_rule(split, size, src_bits, tgt_bits):
+    """The rule in the x-basis, as ckh built it before the y-basis: entries
+    (source mask, target mask, u exponent).  A merge sends x x to U, x 1 and
+    1 x to x, 1 1 to 1; a split sends 1 to 1 x + x 1 and x to x x + U; an x
+    on the basepoint circle (bit 0) is one more power of u."""
+    sel, changed = sum(src_bits), sum(tgt_bits)
+    kept = iter([1 << b for b in range(size + (1 if split else -1)) if not changed >> b & 1])
+    carry = [0]
+    for b in range(size):
+        carry += list(map((0 if sel >> b & 1 else next(kept)).__or__, carry))
+    # (target bits, u exponent) of each term, by the x-labelled changed source circles
+    if split:
+        p, q = tgt_bits
+        terms = [[(p, int(not p)), (q, int(not q))], [(p | q, (not p) + (not q)), (0, 2)]]
+    else:
+        terms = [[(0, 0)], [(changed, int(not changed))], [(0, 2)]]
+    return [(m, c | mask, t) for m, c in enumerate(carry)
+            for mask, t in terms[(m & sel).bit_count()]]
+
+
+def _submasks(m):
+    """Every submask of m, m itself among them."""
+    s = m
+    while True:
+        yield s
+        if not s:
+            return
+        s = (s - 1) & m
+
+
+def conjugated(x_rule, size):
+    """An x-basis rule on size free source circles in the y-basis, y = x + u
+    on every free circle, as {(source mask, target mask): the u exponents
+    with coefficient 1 in that entry}.
+
+    y^s is the sum of u^|s - r| x^r over the submasks r of s, and x^t the
+    same sum of the y^w over the submasks w of t (over F2 the basis change
+    is its own inverse); the basepoint circle has no label, so it does not
+    change."""
+    by_source = {}
+    for m, t, e in x_rule:
+        by_source.setdefault(m, []).append((t, e))
+    out = {}
+    for s in range(1 << size):
+        for r in _submasks(s):
+            for t, e in by_source.get(r, ()):
+                for w in _submasks(t):
+                    k = (s, w)
+                    out[k] = out.get(k, set()) ^ {(s ^ r).bit_count() + e + (t ^ w).bit_count()}
+    return {k: v for k, v in out.items() if v}
+
+
+def rule_keys(most=4):
+    """Every merge and split with at most most free source circles, over
+    every placement of the changed circles' bits, the basepoint circle's
+    (bit 0) among them: (split, size, source bits, target bits)."""
+    for size in range(most + 1):
+        src, tgt = [0, *(1 << b for b in range(size))], range(size + 1)
+        for sa, sb in itertools.permutations(src, 2):
+            free = [1 << b for b in range(size - 1)] if sa and sb else [0]
+            yield from ((False, size, (sa, sb), (t,)) for t in free)
+        for sa in src:
+            for p, q in itertools.permutations([0, *(1 << b for b in tgt)], 2):
+                if bool(p and q) == bool(sa):
+                    yield True, size, (sa,), (p, q)
+
+
+def test_y_basis_rules_are_the_x_basis_rules_conjugated():
+    """Conjugating every x-basis rule by y = x + u gives _edge_rule: only u^0
+    entries, and exactly its.  The cube's differential is rule tensor carry,
+    edge by edge, and the change of basis a tensor product over circles, so
+    this covers every cube.  Without its U terms, an x-basis rule that has
+    them conjugates to something else, so the check is not vacuous."""
+    keys = list(rule_keys())
+    assert len(keys) == 230
+    with_u2 = 0
+    for key in keys:
+        x_rule = x_basis_edge_rule(*key)
+        size = key[1]
+        assert conjugated(x_rule, size) == {(m, t): {0} for m, t in kh._edge_rule(*key)}, key
+        dropped = [entry for entry in x_rule if entry[2] < 2]
+        if dropped != x_rule:
+            with_u2 += 1
+            assert conjugated(dropped, size) != conjugated(x_rule, size), key
+    assert with_u2 == 180
 
 
 def test_edge_map_rejects_bad_pair():
@@ -441,7 +528,7 @@ def resolve(d, vertex):
 
 
 def cube_info(cc):
-    """(vertex index, x-labelled circles) of every generator of a cube, by
+    """(vertex index, y-labelled circles) of every generator of a cube, by
     id: a vertex's generators by label mask over its circles off the
     basepoint."""
     ids, info, pos = cc.complex.ids, {}, 0
@@ -485,6 +572,20 @@ class _ReferenceEdgeMap:
     kind: str
     sources: tuple
     targets: tuple
+
+    def apply_y(self, labels):
+        """The same map on y-label subsets, y = x + u: y y -> 0 in a merge,
+        y -> y y in a split, and never a U."""
+        if self.kind == "merge":
+            c1, c2 = self.sources
+            eps = (c1 in labels) + (c2 in labels)
+            rest = labels - {c1, c2}
+            return [] if eps == 2 else [(0, rest | set(self.targets) if eps else rest)]
+        (src,) = self.sources
+        d1, d2 = self.targets
+        if src in labels:
+            return [(0, labels - {src} | {d1, d2})]
+        return [(0, labels | {d1}), (0, labels | {d2})]
 
     def apply(self, labels):
         if self.kind == "merge":
@@ -533,7 +634,10 @@ def _reference_subsets(items):
 
 
 def reference_ckh(d, flavor, basepoint=None, swap=False):
-    """(gens, diff items, levels, info, states, basepoint_arc) of the old ckh."""
+    """(gens, diff items, levels, info, states, basepoint_arc) of the old ckh;
+    minus in the y-basis (a y on the basepoint circle is 0), hat and reduced
+    in the x-basis (an x on the basepoint circle is u, and reduced drops
+    every term with a u)."""
     arcs = d.arcs
     if flavor in ("minus", "reduced"):
         basepoint = min(arcs) if basepoint is None else basepoint
@@ -570,10 +674,13 @@ def reference_ckh(d, flavor, basepoint=None, swap=False):
             i2 = i | (1 << j)
             em = _reference_edge_map(st, states[i2])
             base2 = _circle_of(states[i2], basepoint) if basepoint is not None else None
+            apply = em.apply_y if flavor == "minus" else em.apply
             for gid in by_vertex[i]:
-                for (ucount, out) in em.apply(info[gid][1]):
+                for (ucount, out) in apply(info[gid][1]):
                     t = 2 * ucount
                     if base2 is not None and base2 in out:
+                        if flavor == "minus":
+                            continue
                         out = out - {base2}
                         t += 1
                     if flavor == "hat" and ucount:
@@ -943,8 +1050,9 @@ def _previous_resolver(d):
 
 def reference_edge_rule(split, size, src_bits, tgt_bits):
     """The rule _edge_rule built before merges shared one rule for both
-    orders of their source bits: every term spelled out per subset of the
-    x-labelled changed circles."""
+    orders of their source bits, in the y-basis: every term spelled out per
+    subset of the y-labelled changed circles, and dropped when it puts a y on
+    the basepoint circle (bit 0)."""
     sel = sum(src_bits)
     changed = sum(tgt_bits)
     size2 = size - sum(map(bool, src_bits)) + sum(map(bool, tgt_bits))
@@ -957,21 +1065,21 @@ def reference_edge_rule(split, size, src_bits, tgt_bits):
     free = [b for b in src_bits if b]
     for sub in range(1 << len(free)):
         picked = [b for k, b in enumerate(free) if sub >> k & 1]
-        # (U-power, bits of the x-labelled target circles) of each term
+        # bits of the y-labelled target circles of each term
         if not split:
-            outs = [(len(picked) // 2, tgt_bits if len(picked) == 1 else ())]
+            outs = [] if len(picked) == 2 else [tgt_bits if picked else ()]
         elif picked:
-            outs = [(0, tgt_bits), (1, ())]
+            outs = [tgt_bits]
         else:
-            outs = [(0, tgt_bits[:1]), (0, tgt_bits[1:])]
-        terms[sum(picked)] = [(sum(xs), 2 * ucount + xs.count(0)) for ucount, xs in outs]
-    return [(m, carry[m] | mask, t) for m in range(1 << size) for mask, t in terms[m & sel]]
+            outs = [tgt_bits[:1], tgt_bits[1:]]
+        terms[sum(picked)] = [sum(xs) for xs in outs if all(xs)]
+    return [(m, carry[m] | mask) for m in range(1 << size) for mask in terms[m & sel]]
 
 
 def previous_ckh(d, basepoint=None, rules=None):
     """(labs, h, q, exponent columns) of d's minus cube, as the previous
-    builder made them, with a fresh reference rule per edge key; rules, when
-    given, collects them by key."""
+    builder made them but in the y-basis, with a fresh reference rule per
+    edge key; rules, when given, collects them by key."""
     n, arcs = len(d.crossings), d.arcs
     basepoint = min(arcs) if basepoint is None else basepoint
     start, flip = _previous_resolver(d)
@@ -1010,8 +1118,8 @@ def previous_ckh(d, basepoint=None, rules=None):
                 key = (True, size, (bit[x],), (bit2[p], bit2[q]))
             if key not in rules:
                 rules[key] = reference_edge_rule(*key)
-            for m, t, e in rules[key]:
-                cols[starts[i] + m][starts[i2] + t] = e
+            for m, t in rules[key]:
+                cols[starts[i] + m][starts[i2] + t] = 0
     return labs, hs, qs, cols
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from skeinseq import khovanov as kh
 from skeinseq.cli import flavor_dims
-from skeinseq.complexes import UHomology
+from skeinseq.complexes import UHomology, homology_f2
 from test_khovanov import (
     _assert_rebuilds,
     _assert_same_cube,
@@ -131,6 +131,24 @@ def test_basepoint_action_is_u_on_homology(d, data):
     hom = UHomology(cc.complex)
     act = hom.induced_matrix(kh.basepoint_action(cc, data.draw(st.sampled_from(d.arcs))))
     assert not hom.torsion and act == {(i, i): 1 for i in range(hom.free_rank)}
+
+
+@SUITE
+@given(knots(max_crossings=6, primes=PRIMES + (kh.parse_pd(HOPF),)), st.integers(0, 3),
+       st.data())
+def test_minus_homology_is_one_tower_per_reduced_generator(d, smoothings, data):
+    # in the y-basis the cube C has no u in its differential, so C is
+    # (C mod u) tensor F2[u]: H(C) has no torsion, and its towers sit at the
+    # grades of H(C mod u), as many at each as its dimension there
+    for _ in range(smoothings):
+        if d.crossings:
+            d = kh.smooth(d, data.draw(st.integers(0, len(d.crossings) - 1)),
+                          data.draw(st.integers(0, 1)))
+    cx = kh.ckh(d, data.draw(st.sampled_from(d.arcs))).complex
+    hom = UHomology(cx)
+    assert not hom.torsion
+    towers = {grade: free for grade, (free, _) in hom.by_grading().items()}
+    assert towers == {grade: dim for grade, dim in homology_f2(cx).items() if dim}
 
 
 @SUITE
