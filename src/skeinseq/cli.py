@@ -6,10 +6,11 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 
 from . import khovanov as kh
 from . import models, serde
-from .complexes import ChainComplex, UHomology, check_mod_u, homology, homology_f2, mod_u_dims
+from .complexes import ChainComplex, homology, homology_f2
 from .infer import check_survivor_budget, enumerate_patterns, resolve_filtration
 from .spectral import FilteredComplex, analyze, check_constraints, check_ring, converge, pages
 
@@ -37,17 +38,35 @@ def _diagram_from_args(args) -> kh.LinkDiagram:
 FLAVORS = ("minus", "hat", "reduced")
 
 
+def _hat(red: dict[tuple[int, ...], int], step: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """H(C/u^2) of a cube C = (C mod u) tensor F2[u] from red = H(C/u): each
+    dimension at its grade and one u-step below."""
+    hat = Counter(red)
+    hat.update({tuple(g - s for g, s in zip(k, step)): v for k, v in red.items()})
+    return dict(hat)
+
+
 def flavor_dims(cx: ChainComplex, flavor: str) -> dict[tuple[int, ...], int]:
-    """The nonzero hat or reduced dimensions of a minus cube by grade: hat
-    is cx/U = cx/u^2, read off the minus summands checked mod u; reduced
-    cx/u, the F2 homology of the cube's u^0 entries."""
-    if flavor == "hat":
-        hom = UHomology(cx)
-        check_mod_u(cx, hom.summands)
-        dims = mod_u_dims(hom.summands, cx.ustep(), (1, 0), 2)  # kh: d raises h by 1
-    else:
-        dims = homology_f2(cx)
-    return {k: v for k, v in dims.items() if v}
+    """The nonzero hat or reduced dimensions of a minus cube by grade.  The
+    cube is (C mod u) tensor F2[u] (khovanov), so reduced, H(C/u), is
+    homology_f2 of it, and hat is read off that."""
+    red = {k: v for k, v in homology_f2(cx).items() if v}
+    return _hat(red, cx.ustep()) if flavor == "hat" else red
+
+
+def check_determinant(red: dict[tuple[int, ...], int], det: int) -> None:
+    """Check a reduced Khovanov table of a planar diagram against the
+    determinant of its link: chi, the sum of (-1)^h i^q dim, has modulus
+    det, and the total is at least det (Manolescu and Ozsvath, 2008).  chi
+    is summed as integer real and imaginary parts, so the test is exact."""
+    parts = [0, 0]
+    for (h, q), dim in red.items():
+        parts[q % 2] += (-1) ** (h + q // 2) * dim  # i^q is (-1)^(q // 2), times i if q is odd
+    norm, total = parts[0] ** 2 + parts[1] ** 2, sum(red.values())
+    if norm != det * det or total < det:
+        raise ArithmeticError(
+            "determinant check failed: the reduced table has |chi(i)|^2 = %d and"
+            " total %d, where the determinant is %d" % (norm, total, det))
 
 
 def cmd_kh(args) -> int:
@@ -55,44 +74,33 @@ def cmd_kh(args) -> int:
     if args.flavor == "reduced" and args.basepoint is None:
         raise ValueError("reduced flavor requires --basepoint")
     # a kink only shifts the gradings, which the tables normalize away
-    cx = kh.ckh(*kh.undo_kinks(d, args.basepoint)).complex
-    lines: list[str] = []
+    d, basepoint = kh.undo_kinks(d, args.basepoint)
+    cx = kh.ckh(d, basepoint).complex
+    red = flavor_dims(cx, "reduced")  # the one elimination of every flavour
+    # |chi| = det on a connected diagram on the sphere, which has n + 2 faces.  The
+    # count can also be n + 2 on several pieces, one off the sphere, but there
+    # |chi| = 0 = det: each state of a piece without the basepoint gives a factor
+    # q + 1/q.  Off the sphere the identity fails (cyclic_knot(n >= 5)).
+    if not d.free_loops and d.faces() == len(d.crossings) + 2:
+        check_determinant(red, kh.determinant(d))
+    dims = _hat(red, cx.ustep()) if args.flavor == "hat" else red
+    h0, q0 = _normalize(list(dims))
+    minus = args.flavor == "minus"  # one free tower per reduced dimension, no torsion
+    lines = ["h_rel\tq_rel\tfree\ttorsion" if minus else "h_rel\tq_rel\tdim"]
+    rows = []
+    for (h, q), dim in sorted(dims.items()):
+        lines.append("%d\t%d\t%d" % (h - h0, q - q0, dim) + "\t-" * minus)
+        rows.append({"h_rel": h - h0, "q_rel": q - q0,
+                     **({"free": dim, "torsion": []} if minus else {"dim": dim})})
+    total = sum(dims.values())
     payload: dict = {"flavor": args.flavor}
-    if args.flavor == "minus":
-        hom = UHomology(cx)
-        check_mod_u(cx, hom.summands)
-        table = hom.by_grading()
-        h0, q0 = _normalize(list(table))
-        lines.append("h_rel\tq_rel\tfree\ttorsion")
-        rows = []
-        for (h, q), (free, tors) in sorted(table.items()):
-            prof = ",".join("u^%d" % k for k in tors) if tors else "-"
-            lines.append("%d\t%d\t%d\t%s" % (h - h0, q - q0, free, prof))
-            rows.append(
-                {"h_rel": h - h0, "q_rel": q - q0, "free": free, "torsion": tors}
-            )
-        lines.append("# free_rank\t%d" % hom.free_rank)
-        lines.append("# torsion_count\t%d" % len(hom.torsion))
-        lines.append("# rank_over_U\t%d" % (2 * hom.free_rank))
-        payload.update(
-            {
-                "anchors": rows,
-                "free_rank": hom.free_rank,
-                "torsion": hom.torsion,
-                "rank_over_U": 2 * hom.free_rank,
-            }
-        )
+    if minus:
+        lines += ["# free_rank\t%d" % total, "# torsion_count\t0",
+                  "# rank_over_U\t%d" % (2 * total)]
+        payload.update(anchors=rows, free_rank=total, torsion=[], rank_over_U=2 * total)
     else:
-        dims = flavor_dims(cx, args.flavor)
-        h0, q0 = _normalize(list(dims))
-        lines.append("h_rel\tq_rel\tdim")
-        rows = []
-        for (h, q), dim in sorted(dims.items()):
-            lines.append("%d\t%d\t%d" % (h - h0, q - q0, dim))
-            rows.append({"h_rel": h - h0, "q_rel": q - q0, "dim": dim})
-        total = sum(dims.values())
         lines.append("# total\t%d" % total)
-        payload.update({"dims": rows, "total": total})
+        payload.update(dims=rows, total=total)
     _emit(args, lines, payload)
     return 0
 

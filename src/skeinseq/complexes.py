@@ -30,12 +30,12 @@ CONV_KH = "kh"
 
 # Input size limits; both are checked before any expensive work.  The largest
 # cube khovanov.ckh builds: a 13-crossing cube (cyclic_knot(13), 16383 minus
-# generators) takes about 0.12-0.14 s to build, 0.15-0.2 s to cancel down to
-# its 431 free summands (cancel_units) and 0.06 s to check mod u; `kh --flavor
-# minus` runs in about 0.7 s end to end, in about 49 MB (2-vCPU VM, Python 3.11).  Each
-# further crossing doubles the vertices, and a 30-crossing diagram would
-# enumerate 2^30 states.  A free loop doubles the generators of every vertex,
-# so ckh counts crossings plus free loops against it.
+# generators) takes about 0.09-0.15 s to build and 0.04 s for homology_f2 to
+# read its 431 towers; `kh --flavor minus` runs in about 0.2-0.4 s end to end,
+# in about 28 MB (2-vCPU VM, Python 3.11).  Each further crossing doubles the
+# vertices, and a 30-crossing diagram would enumerate 2^30 states.  A free
+# loop doubles the generators of every vertex, so ckh counts crossings plus
+# free loops against it.
 MAX_CUBE_VERTICES = 1 << 13
 # The most slots an Expansion holds.  The spectral window of the minus cube of
 # cyclic_knot(9) has 17142 slots, of cyclic_knot(11) 70647 and of
@@ -641,46 +641,6 @@ def cancel_units(cx: ChainComplex, level: Sequence[int] | None = None,
         cx.vars, lambda: pick(spell()), pick(cx.h), pick(cx.q), pick(cx.alex2),
         [{new[t]: e for t, e in cols[i].items()} for i in new],
         cx.convention, cx.pairs, check=False)
-
-
-def mod_u_dims(summands: Sequence[Summand], step: Grade, back: Grade, m: int) -> Counter:
-    """The F2 dimensions of H(C tensor F2[u]/u^m) by grade, from a decomposition
-    of H(C) over F2[u] (universal coefficients; step is the grade drop of u,
-    back the grade change of d).  A free summand at g gives one at each
-    g - j step, j < m.  A u^k summand at g, the class of y where x --u^k--> y,
-    gives one at each g - j step for j < min(k, m) (the cokernel of u^k) and
-    one at each g_x - j step for m - min(k, m) <= j < m (its kernel), where
-    x sits at g_x = g - k step - back."""
-    dims: Counter = Counter()
-
-    def add(grades: Grade, js: range) -> None:
-        dims.update(tuple(g - j * u for g, u in zip(grades, step)) for j in js)
-    for s in summands:
-        k = m if s.free else min(s.order, m)
-        add(s.grades, range(k))
-        if not s.free:
-            x = tuple(g - s.order * u - b for g, u, b in zip(s.grades, step, back))
-            add(x, range(m - k, m))
-    return dims
-
-
-def check_mod_u(cx: ChainComplex, summands: Sequence[Summand]) -> None:
-    """Compare a decomposition of H(cx) with the F2 homology of cx/u, which
-    mod_u_dims predicts at m = 1.  H(cx/u) comes from homology_f2 alone (F2
-    ranks, not cancellation), so the check shares no work with the
-    decomposition.  cx must square to zero (see homology_f2)."""
-    step = cx.ustep()  # raises unless cx has one variable
-    back = (1, 0) if cx.convention == CONV_KH else (-1,)  # a differential step
-    dims: Counter = Counter()
-    for grade, dim in homology_f2(cx).items():
-        dims[grade[:len(step)]] += dim  # floer: forget the mod-2 alexander grade
-    predicted = mod_u_dims(summands, step, back, 1)
-    for key in sorted(set(dims) | set(predicted)):
-        if dims[key] != predicted[key]:
-            raise ArithmeticError(
-                "mod-u dimension mismatch at %r: %d vs %d predicted"
-                % (key, dims[key], predicted[key])
-            )
 
 
 def homology(cx: ChainComplex) -> UHomology:

@@ -6,14 +6,16 @@ The coefficient algebra assigns each resolved circle the rank-2 module
 with labels 1, x and relation x^2 = U.  ckh builds one cube, the minus
 complex C: a free module over F2[u] with u the label action of the marked
 point, so U = u^2.  The other flavours are its quotients, hat C/U = C/u^2
-and reduced C/u, and are read off C (cli.flavor_dims).
+and reduced C/u.
 
 C is built in the basis y = x + u on every free circle, the trivial change
 of Frobenius system of Khovanov's "Link homology and Frobenius extensions"
 (Fund. Math. 2006): over F2, y^2 = x^2 + u^2 = 0, and y acts as 0 on the
 marked circle.  In that basis the differential has no u at all, so C is
 (C mod u) tensor F2[u], and ckh writes only the u^0 entries of the x-basis
-cube, which are C mod u itself.
+cube, which are C mod u itself.  So Khr = H(C/u) gives every flavour, minus
+Khr tensor F2[u] and hat Khr tensor F2[u]/u^2 (cli.cmd_kh), and determinant,
+which shares no code with the cube, checks it on planar diagrams.
 """
 
 from __future__ import annotations
@@ -26,6 +28,21 @@ from .complexes import CONV_KH, MAX_CUBE_GENERATORS, MAX_CUBE_VERTICES, ChainCom
 from .poly import HALF, Poly, VarSet
 
 Crossing = tuple[int, int, int, int]
+
+
+def _classes(arcs, pairs) -> dict[int, int]:
+    """Each arc's class root once the two arcs of every pair are joined."""
+    parent = {a: a for a in arcs}
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return {a: find(a) for a in arcs}
 
 
 @dataclass(frozen=True)
@@ -63,23 +80,9 @@ class LinkDiagram:
 
     def component_arcs(self) -> list[int]:
         """Least arc id of every link component, by strand-following."""
-        parent = {a: a for a in self.arcs}
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a: int, b: int) -> None:
-            parent[find(a)] = find(b)
-
-        for (a, b, c, d) in self.crossings:
-            union(a, c)
-            union(b, d)
         reps: dict[int, int] = {}
-        for a in self.arcs:
-            r = find(a)
+        for a, r in _classes(self.arcs, [p for (a, b, c, d) in self.crossings
+                                         for p in ((a, c), (b, d))]).items():
             reps[r] = min(reps.get(r, a), a)
         return sorted(reps.values())
 
@@ -283,16 +286,7 @@ def smooth(d: LinkDiagram, crossing: int, choice: int) -> LinkDiagram:
     a, b, c, dd = d.crossings[crossing]
     joins = [(a, dd), (b, c)] if choice == 0 else [(a, b), (c, dd)]
     rest = [cr for i, cr in enumerate(d.crossings) if i != crossing]
-    parent = {x: x for x in d.arcs}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (x, y) in joins:
-        parent[find(x)] = find(y)
+    find = _classes(d.arcs, joins).__getitem__
     occur: dict[int, int] = {}
     for cr in rest:
         for x in cr:
@@ -311,6 +305,38 @@ def smooth(d: LinkDiagram, crossing: int, choice: int) -> LinkDiagram:
         tuple(relabel[find(x)] for x in cr) for cr in rest  # type: ignore
     )
     return LinkDiagram(new_crossings, new_loops)
+
+
+def determinant(d: LinkDiagram) -> int:
+    """|det| of the link of d: of an (n-1)-minor of its Fox colouring
+    matrix, by exact integer (Bareiss) elimination.  The row of X(a,b,c,d)
+    says 2 [b] = [a] + [c], where [e] is the overpass that holds edge e (the
+    edges joined at the crossings they pass over, b to d).  0 on a split
+    diagram (free loops beside crossings, a component that never passes
+    under, or two pieces), 1 on the unknot.  On a planar diagram dim Khr >=
+    det, and det is |chi(Khr)| at q = i (Manolescu and Ozsvath, 2008)."""
+    n = len(d.crossings)
+    if d.free_loops:
+        return int(not n and d.free_loops == 1)
+    over = _classes(d.arcs, [(b, e) for (_, b, _, e) in d.crossings])
+    col = {r: k for k, r in enumerate(sorted(set(over.values())))}
+    if len(col) != n:  # an overpass with no end is a component on top
+        return 0
+    m = [[0] * n for _ in d.crossings]
+    for row, (a, b, c, _) in zip(m, d.crossings):
+        for e, x in ((b, 2), (a, -1), (c, -1)):
+            row[col[over[e]]] += x
+    m, prev = [row[1:] for row in m[1:]], 1
+    for k in range(n - 1):  # each pivot divides the next step exactly
+        p = next((i for i in range(k, n - 1) if m[i][k]), None)
+        if p is None:
+            return 0
+        m[k], m[p] = m[p], m[k]
+        for i in range(k + 1, n - 1):
+            m[i][k + 1:] = [(x * m[k][k] - m[i][k] * y) // prev
+                            for x, y in zip(m[i][k + 1:], m[k][k + 1:])]
+        prev = m[k][k]
+    return abs(prev)
 
 
 # -- resolutions ----------------------------------------------------------------
@@ -467,8 +493,9 @@ def ckh(d: LinkDiagram, basepoint: int | None = None) -> CubeComplex:
     Generators are labelled in the y-basis (y = x + u on each free circle,
     of the degree of x), so every entry is 1.  h is the number of
     1-resolutions, q the label grading, and the filtration level equals h.
-    Gradings are relative; reports normalize.  Hat and reduced are its
-    quotients by u^2 and u (cli.flavor_dims).
+    Gradings are relative; reports normalize.  The cube is (C mod u) tensor
+    F2[u], so homology_f2 of it, reduced Khr, gives every flavour: minus has
+    a free tower at each of its grades, and hat is its quotient by u^2.
     """
     n = len(d.crossings)
     if 1 << n > MAX_CUBE_VERTICES:

@@ -20,8 +20,8 @@ import skeinseq.spectral
 from skeinseq import khovanov as kh
 from skeinseq import serde
 from skeinseq.cli import main
-from skeinseq.complexes import MAX_EXPANSION_SLOTS, ChainComplex
-from skeinseq.umod import ModuleDecomposition
+from skeinseq.complexes import MAX_EXPANSION_SLOTS, ChainComplex, UHomology, homology_f2
+from mod_u import kh_output
 from test_complexes import reference_decomposition
 from test_infer import _grouped_page, _one_loop_suffixes
 from test_khovanov import reference_cube, torus_2
@@ -46,31 +46,48 @@ def test_kh_minus_table(capsys):
     assert "# rank_over_U\t6" in out
 
 
-def test_kh_minus_table_is_the_unreduced_one(capsys, monkeypatch):
-    """The minus table equals the one read off a presentation of the whole
-    unreduced cube, byte for byte."""
-    diagrams = [kh.parse_pd(TREFOIL), kh.add_kink(kh.parse_pd(TREFOIL), 2),
-                kh.cyclic_knot(5), kh.connect_sum(kh.parse_pd(TREFOIL), kh.parse_pd(TREFOIL)),
+def test_kh_minus_table_is_the_unreduced_one(capsys):
+    """kh minus and hat, read off homology_f2 of the kink-free cube, print
+    byte for byte the tables spelled from the F2[u] homology of the whole
+    cube of the diagram as given: from a presentation of it
+    (reference_decomposition) and from UHomology, hat through the universal
+    coefficient theorem at u^2, mirrored or not."""
+    tre = kh.parse_pd(TREFOIL)
+    diagrams = [tre, kh.add_kink(tre, 2), kh.cyclic_knot(5), kh.connect_sum(tre, tre),
+                kh.parse_pd(HOPF), kh.LinkDiagram(kh.parse_pd(FIG8).crossings, 1),
                 kh.unlink(3)]
     for d in diagrams:
         pd = "PD[%s]" % ",".join(["X(%d,%d,%d,%d)" % c for c in d.crossings]
                                  + ["U"] * d.free_loops)
-        outs = []
-        for homology in (skeinseq.cli.UHomology, reference_decomposition):
-            monkeypatch.setattr(skeinseq.cli, "UHomology", homology)
-            for fmt in ("tsv", "json"):
-                code, out, err = run(capsys, "kh", "--pd", pd, "--out", fmt)
-                assert code == 0
-                outs.append(out)
-        assert outs[:2] == outs[2:]
+        for mirror in (False, True):
+            cx = kh.ckh(kh.mirror(d) if mirror else d).complex
+            decs = [reference_decomposition(cx), UHomology(cx)]
+            for flavor in ("minus", "hat"):
+                for fmt in ("tsv", "json"):
+                    code, out, err = run(capsys, "kh", "--pd", pd, "--flavor", flavor,
+                                         "--out", fmt, *["--mirror"] * mirror)
+                    assert code == 0 and err == ""
+                    assert [out] * 2 == [kh_output(dec, cx, flavor, fmt) for dec in decs], (
+                        pd, mirror, flavor, fmt)
 
 
-def test_kh_minus_checks_the_unreduced_cube_mod_u(capsys, monkeypatch):
-    # a homology that lost every summand fails the mod-u check of the cube
-    monkeypatch.setattr(skeinseq.cli, "UHomology", lambda cx: ModuleDecomposition([]))
-    code, out, err = run(capsys, "kh", "--pd", TREFOIL, "--flavor", "minus")
-    assert code == 3 and out == ""
-    assert err.startswith("internal invariant failure: mod-u dimension mismatch")
+def test_kh_checks_the_reduced_table_by_the_determinant(capsys, monkeypatch):
+    # a homology_f2 that lost a generator fails the determinant check, in every flavour
+    def lossy(cx):
+        dims = homology_f2(cx)
+        dims[max(k for k, v in dims.items() if v)] -= 1
+        return dims
+
+    monkeypatch.setattr(skeinseq.cli, "homology_f2", lossy)
+    for flavor in skeinseq.cli.FLAVORS:
+        code, out, err = run(capsys, "kh", "--pd", TREFOIL, "--flavor", flavor, "--basepoint=1")
+        assert code == 3 and out == "", flavor
+        assert err == ("internal invariant failure: determinant check failed: the reduced"
+                       " table has |chi(i)|^2 = 4 and total 2, where the determinant is 3\n")
+    # off the sphere the identity fails, so the non-planar cyclic_knot(5) is not checked
+    d = kh.cyclic_knot(5)
+    pd = "PD[%s]" % ",".join("X(%d,%d,%d,%d)" % c for c in d.crossings)
+    assert run(capsys, "kh", "--pd", pd)[0] == 0
 
 
 def test_kh_reduced_requires_basepoint(capsys):
@@ -201,7 +218,7 @@ def _kinked_diagram(rng, max_crossings=6):
 
 def test_kh_undoes_kinks_to_the_tables_of_the_full_cube(capsys, monkeypatch):
     """kh of a kinked diagram prints, byte for byte, what the full cube of the
-    diagram as given prints (ckh(d, arc) with UHomology or flavor_dims), in
+    diagram as given prints (ckh(d, arc) read by homology_f2), in
     every flavour and both formats, mirrored or not, at the default basepoint
     and on every arc: the loop arcs of the kinks and the arcs that merge away
     too."""
@@ -1043,18 +1060,27 @@ def count_calls(monkeypatch, fn):
 
 def test_each_command_runs_its_checks(capsys, monkeypatch):
     """examples checks each of its nine F2[u] decompositions against
-    brute-force slice dimensions; kh minus and hat check the summands mod u
-    once; reduced runs neither check."""
+    brute-force slice dimensions; kh runs one F2 elimination, homology_f2,
+    and no F2[u] one in every flavour, and checks its table by the
+    determinant once where it has n + 2 faces, and never on the non-planar
+    cyclic_knot(5) or beside a free loop."""
     stability = count_calls(monkeypatch, skeinseq.complexes.check_truncation_stability)
-    mod_u = count_calls(monkeypatch, skeinseq.complexes.check_mod_u)
+    det = count_calls(monkeypatch, kh.determinant)
+    f2 = count_calls(monkeypatch, skeinseq.complexes.homology_f2)
+    units = count_calls(monkeypatch, skeinseq.complexes.cancel_units)
     assert run(capsys, "examples")[0] == 0
     assert len(stability) == 9
-    for flavor, checks in (("minus", 1), ("hat", 1), ("reduced", 0)):
-        stability.clear()
-        mod_u.clear()
-        code, out, err = run(capsys, "kh", "--pd", TREFOIL, "--flavor", flavor, "--basepoint", "1")
-        assert code == 0 and err == ""
-        assert (len(mod_u), len(stability)) == (checks, 0), flavor
+    cyclic5 = "PD[%s]" % ",".join("X(%d,%d,%d,%d)" % c for c in kh.cyclic_knot(5).crossings)
+    # beside the trefoil, a piece with 2 crossings and 2 faces, on the torus: 7 faces
+    # in all, as on the sphere, and the check holds there (|chi(i)| = 0 = det)
+    torus_piece = TREFOIL[:-1] + ",X(7,8,9,10),X(7,8,9,10)]"
+    for pd, checks in ((TREFOIL, 1), (cyclic5, 0), (TREFOIL[:-1] + ",U]", 0), (torus_piece, 1)):
+        for flavor in skeinseq.cli.FLAVORS:
+            for calls in (stability, det, f2, units):
+                calls.clear()
+            code, out, err = run(capsys, "kh", "--pd", pd, "--flavor", flavor, "--basepoint", "1")
+            assert code == 0 and err == ""
+            assert [len(c) for c in (det, f2, units, stability)] == [checks, 1, 0, 0], flavor
 
 
 def test_diagram_json_input(tmp_path, capsys):

@@ -27,14 +27,12 @@ from skeinseq.complexes import (
     _rows,
     _window_dims,
     cancel_units,
-    check_mod_u,
     check_truncation_stability,
     collapse_all,
     collapse_pairs,
     expansion_size,
     homology,
     homology_f2,
-    mod_u_dims,
     phi_action,
     substitute,
     tensor,
@@ -43,6 +41,7 @@ from skeinseq.models import MODEL_NAMES, ActionSpec, ModelComplex, build_model
 from skeinseq.poly import FULL, HALF, Poly, VarSet
 from skeinseq.spectral import FilteredComplex, analyze, pages
 from skeinseq.umod import ModuleDecomposition, Summand, eliminate, vec_add_shifted
+from mod_u import check_mod_u, mod_u_dims
 from test_khovanov import kill_vars, reference_cube, reordered, torus_2
 from test_properties import SUITE, knots
 from test_spectral_hard import one_map_complexes, planted_sums

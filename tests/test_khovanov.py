@@ -7,8 +7,9 @@ import pytest
 from skeinseq import khovanov as kh
 from skeinseq import serde
 from skeinseq.cli import flavor_dims, main
-from skeinseq.complexes import CONV_KH, ChainComplex, UHomology, homology_f2, mod_u_dims
+from skeinseq.complexes import CONV_KH, ChainComplex, UHomology, homology_f2
 from skeinseq.poly import HALF, Poly, VarSet
+from mod_u import mod_u_dims
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 HOPF = "PD[X(1,3,2,4),X(3,1,4,2)]"
@@ -902,6 +903,23 @@ def test_face_count():
     assert kh.parse_pd("PD[X(1,2,2,1)]").faces() == 3
     # 3 faces where a planar 5-crossing diagram has 7
     assert kh.cyclic_knot(5).faces() == 3
+
+
+def test_determinant_known_values():
+    tre, fig8, hopf = kh.parse_pd(TREFOIL), kh.parse_pd(FIG8), kh.parse_pd(HOPF)
+    assert kh.determinant(tre) == kh.determinant(kh.mirror(tre)) == 3
+    assert kh.determinant(fig8) == kh.determinant(kh.add_kink(fig8, 3)) == 5
+    assert kh.determinant(kh.connect_sum(tre, tre)) == 9
+    assert kh.determinant(hopf) == 2
+    # torus_2 spells T(2, n) for odd n; T(2, 4) is the PD code of L4a1
+    assert [kh.determinant(torus_2(n)) for n in (3, 5, 7, 9, 11, 13)] == [3, 5, 7, 9, 11, 13]
+    assert kh.determinant(kh.parse_pd("PD[X(6,1,7,2),X(8,3,5,4),X(2,5,3,6),X(4,7,1,8)]")) == 4
+    assert kh.determinant(kh.parse_pd("U")) == kh.determinant(kh.parse_pd("PD[X(1,2,2,1)]")) == 1
+    # split: free loops with or without crossings, two pieces, a component
+    # that never passes under (an unlink drawn with two crossings)
+    assert kh.determinant(kh.unlink(2)) == kh.determinant(kh.LinkDiagram(tre.crossings, 1)) == 0
+    assert kh.determinant(kh.parse_pd(TREFOIL[:-1] + ",X(7,10,8,11),X(9,12,10,7),X(11,8,12,9)]")) == 0
+    assert kh.determinant(kh.parse_pd("PD[X(1,3,2,4),X(1,4,2,3)]")) == 0
 
 
 def _assert_rebuilds(cx):

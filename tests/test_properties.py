@@ -5,12 +5,17 @@ kinks and mirrors, with at most MAX_CROSSINGS crossings so that every cube
 stays small.  The runs are derandomized so the suite is repeatable.
 """
 
+import contextlib
+import io
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mod_u import kh_output
 from skeinseq import khovanov as kh
-from skeinseq.cli import flavor_dims
+from skeinseq.cli import flavor_dims, main
 from skeinseq.complexes import UHomology, homology_f2
+from skeinseq.umod import ModuleDecomposition
 from test_khovanov import (
     _assert_rebuilds,
     _assert_same_cube,
@@ -19,6 +24,7 @@ from test_khovanov import (
     kill_vars,
     union_find_labs,
 )
+from test_umod import cube_presentation, dense_decompose
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 FIG8 = "PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]"
@@ -152,6 +158,30 @@ def test_minus_homology_is_one_tower_per_reduced_generator(d, smoothings, data):
 
 
 @SUITE
+@given(knots(max_crossings=5, primes=PRIMES + (kh.parse_pd(HOPF),)), st.integers(0, 2),
+       st.integers(0, 1), st.booleans(), st.data())
+def test_kh_minus_and_hat_outputs_are_the_unreduced_ones(d, smoothings, loops, mirror, data):
+    # kh reads minus and hat off homology_f2 of the kink-free cube; the same
+    # bytes are spelled from the F2[u] homology of the whole cube as given,
+    # by UHomology and by the dense presentation reference
+    for _ in range(smoothings):
+        if d.crossings:
+            d = kh.smooth(d, data.draw(st.integers(0, len(d.crossings) - 1)),
+                          data.draw(st.integers(0, 1)))
+    d = kh.LinkDiagram(d.crossings, d.free_loops + loops)
+    pd = "PD[%s]" % ",".join(["X(%d,%d,%d,%d)" % c for c in d.crossings] + ["U"] * d.free_loops)
+    cx = kh.ckh(kh.mirror(d) if mirror else d).complex
+    decs = [UHomology(cx), ModuleDecomposition(dense_decompose(*cube_presentation(cx)))]
+    for flavor in ("minus", "hat"):
+        for fmt in ("tsv", "json"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["kh", "--pd", pd, "--flavor", flavor, "--out", fmt]
+                            + ["--mirror"] * mirror) == 0
+            assert [out.getvalue()] * 2 == [kh_output(dec, cx, flavor, fmt) for dec in decs]
+
+
+@SUITE
 @given(knots(max_crossings=5, primes=PRIMES + (kh.parse_pd(HOPF),)),
        st.integers(0, 4), st.booleans(), st.data())
 def test_ckh_matches_reference_on_generated_links(d, smoothings, swap, data):
@@ -218,3 +248,21 @@ def test_cyclic_knots_past_the_trefoil_are_not_planar():
     assert kh.cyclic_knot(3).faces() == 5
     assert {n: kh.cyclic_knot(n).faces() for n in (5, 7, 9, 11, 13)} == {
         5: 3, 7: 3, 9: 5, 11: 3, 13: 3}
+
+
+@SUITE
+@given(knots(primes=PLANAR_PRIMES), st.integers(0, 3), st.integers(0, 1), st.data())
+def test_reduced_euler_characteristic_at_i_is_the_determinant(d, smoothings, loops, data):
+    # chi(Khr) is the Jones polynomial in q^2 = t, and |V(-1)| = det: so
+    # |chi(i)| = det and dim Khr >= det on planar diagrams, links and split
+    # ones included (a split link has det 0, and Khr of it chi(i) = 0)
+    for _ in range(smoothings):
+        if d.crossings:
+            d = kh.smooth(d, data.draw(st.integers(0, len(d.crossings) - 1)),
+                          data.draw(st.integers(0, 1)))
+    d = kh.LinkDiagram(d.crossings, d.free_loops + loops)
+    red = reduced_table(d, data.draw(st.sampled_from(d.arcs)))
+    chi = sum((-1) ** h * (1, 1j, -1, -1j)[q % 4] * v for (h, q), v in red.items())
+    det = kh.determinant(d)
+    assert chi.real ** 2 + chi.imag ** 2 == det ** 2 and sum(red.values()) >= det
+    assert det == 0 or not d.free_loops or not d.crossings
