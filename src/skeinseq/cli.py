@@ -10,7 +10,7 @@ from collections import Counter
 
 from . import khovanov as kh
 from . import models, serde
-from .complexes import ChainComplex, homology, homology_f2
+from .complexes import homology
 from .infer import check_survivor_budget, enumerate_patterns, resolve_filtration
 from .spectral import FilteredComplex, analyze, check_constraints, check_ring, converge, pages
 
@@ -46,12 +46,12 @@ def _hat(red: dict[tuple[int, ...], int], step: tuple[int, ...]) -> dict[tuple[i
     return dict(hat)
 
 
-def flavor_dims(cx: ChainComplex, flavor: str) -> dict[tuple[int, ...], int]:
+def flavor_dims(cc: kh.CubeComplex, flavor: str) -> dict[tuple[int, ...], int]:
     """The nonzero hat or reduced dimensions of a minus cube by grade.  The
-    cube is (C mod u) tensor F2[u] (khovanov), so reduced, H(C/u), is
-    homology_f2 of it, and hat is read off that."""
-    red = {k: v for k, v in homology_f2(cx).items() if v}
-    return _hat(red, cx.ustep()) if flavor == "hat" else red
+    cube is (C mod u) tensor F2[u] (khovanov), so reduced, H(C/u), is khr
+    of it, and hat is read off that."""
+    red = {k: v for k, v in kh.khr(cc).items() if v}
+    return _hat(red, cc.ustep) if flavor == "hat" else red
 
 
 def check_determinant(red: dict[tuple[int, ...], int], det: int) -> None:
@@ -75,15 +75,15 @@ def cmd_kh(args) -> int:
         raise ValueError("reduced flavor requires --basepoint")
     # a kink only shifts the gradings, which the tables normalize away
     d, basepoint = kh.undo_kinks(d, args.basepoint)
-    cx = kh.ckh(d, basepoint).complex
-    red = flavor_dims(cx, "reduced")  # the one elimination of every flavour
+    cc = kh.ckh(d, basepoint)
+    red = flavor_dims(cc, "reduced")  # the one elimination of every flavour
     # |chi| = det on a connected diagram on the sphere, which has n + 2 faces.  The
     # count can also be n + 2 on several pieces, one off the sphere, but there
     # |chi| = 0 = det: each state of a piece without the basepoint gives a factor
     # q + 1/q.  Off the sphere the identity fails (cyclic_knot(n >= 5)).
     if not d.free_loops and d.faces() == len(d.crossings) + 2:
         check_determinant(red, kh.determinant(d))
-    dims = _hat(red, cx.ustep()) if args.flavor == "hat" else red
+    dims = _hat(red, cc.ustep) if args.flavor == "hat" else red
     h0, q0 = _normalize(list(dims))
     minus = args.flavor == "minus"  # one free tower per reduced dimension, no torsion
     lines = ["h_rel\tq_rel\tfree\ttorsion" if minus else "h_rel\tq_rel\tdim"]
@@ -228,14 +228,14 @@ def _khovanov_golden_rows():
     def note(label, passed, detail=""):
         rows.append((label, passed, detail))
 
-    unknot = kh.ckh(kh.parse_pd("U")).complex
+    unknot = kh.ckh(kh.parse_pd("U"))
     note("unknot hat dim 2", sum(flavor_dims(unknot, "hat").values()) == 2)
     mt = kh.mirror(kh.parse_pd(TREFOIL_PD))
-    cx = kh.ckh(mt).complex
-    hom = homology(cx)
+    cc = kh.ckh(mt)
+    hom = homology(cc.complex)
     note("mirror trefoil minus free rank 3", hom.free_rank == 3 and not hom.torsion)
-    note("mirror trefoil hat dim 6", sum(flavor_dims(cx, "hat").values()) == 6)
-    dims = flavor_dims(cx, "reduced")
+    note("mirror trefoil hat dim 6", sum(flavor_dims(cc, "hat").values()) == 6)
+    dims = flavor_dims(cc, "reduced")
     note(
         "mirror trefoil reduced dim 3 in one delta class",
         sum(dims.values()) == 3 and len({q - 2 * h for (h, q) in dims}) == 1,

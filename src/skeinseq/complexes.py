@@ -30,12 +30,12 @@ CONV_KH = "kh"
 
 # Input size limits; both are checked before any expensive work.  The largest
 # cube khovanov.ckh builds: a 13-crossing cube (cyclic_knot(13), 16383 minus
-# generators) takes about 0.09-0.15 s to build and 0.04 s for homology_f2 to
-# read its 431 towers; `kh --flavor minus` runs in about 0.2-0.4 s end to end,
-# in about 28 MB (2-vCPU VM, Python 3.11).  Each further crossing doubles the
-# vertices, and a 30-crossing diagram would enumerate 2^30 states.  A free
-# loop doubles the generators of every vertex, so ckh counts crossings plus
-# free loops against it.
+# generators) takes about 0.1 s to build as bitsets and 0.01 s for khovanov.khr
+# to read its 431 towers off them; `kh --flavor minus` runs in about 0.3-0.45 s
+# end to end, in about 26 MB (2-vCPU VM, Python 3.11).  Each further crossing
+# doubles the vertices, and a 30-crossing diagram would enumerate 2^30 states.
+# A free loop doubles the generators of every vertex, so ckh counts crossings
+# plus free loops against it.
 MAX_CUBE_VERTICES = 1 << 13
 # The most slots an Expansion holds.  The spectral window of the minus cube of
 # cyclic_knot(9) has 17142 slots, of cyclic_knot(11) 70647 and of
@@ -534,9 +534,9 @@ def homology_f2(cx: ChainComplex) -> dict[tuple[int, ...], int]:
     one-variable complex C is read mod u: the result is H(C/u), from its
     u^0 entries, without a copy.
 
-    cx must square to zero (``Expansion.dims`` clears by it).  Every shipped
-    caller reads a khovanov cube, square-zero by construction and checked by
-    the tests; ``ss`` never calls it and runs ``verify_d2`` on its input."""
+    cx must square to zero (``Expansion.dims`` clears by it).  No shipped
+    command calls it: ``kh`` reads the cube's own bitsets (khovanov.khr), and
+    it is their reference in the tests, on cubes square-zero by construction."""
     if cx.vars.n > 1:
         raise ValueError("plain F2 homology needs at most one variable")
     return Expansion(cx).dims()
@@ -707,11 +707,11 @@ class Expansion:
     radix ``radix``, wide enough that adding an entry's monomial never
     carries.  floor may be None only over at most one variable: the slots
     are then the generators, and the differential is read mod u (a column
-    holds its u^0 targets only), so the expansion is that of C/u; ``cols``
-    is then built when first read, and ``dims`` builds only the columns it
-    inserts.  ``index`` (slot key -> slot) and ``grade`` (slot -> grade)
-    are built when first read.  An expansion of more than
-    ``MAX_EXPANSION_SLOTS`` slots raises ValueError before any is built.
+    holds its u^0 targets only), so the expansion is that of C/u;
+    ``of_blocks`` takes one whose blocks and columns are already built.
+    ``index`` (slot key -> slot) and ``grade`` (slot -> grade) are built when
+    first read.  An expansion of more than ``MAX_EXPANSION_SLOTS`` slots
+    raises ValueError before any is built.
     """
 
     def __init__(self, cx: ChainComplex, floor: int | None = None,
@@ -727,13 +727,12 @@ class Expansion:
             self.radix = 2
             grades = list(zip(hs, cx.q) if kh else zip(hs, [a % 2 for a in alex]) if alex
                           else zip(hs))
-            self._place = place = [0] * n  # a generator's place in its block
+            place = [0] * n  # a generator's place in its block
             for i in range(n) if order is None else order:
                 blk = buckets.setdefault(grades[i], [])
                 place[i] = len(blk)
                 blk.append(i)
         else:
-            self._place = None
             scale = 2 if kh else 1  # slice drop per unit of a monomial's h drop
             vals = cx.q if kh else hs
             depth = max([(v - floor) // scale for v in vals], default=0)
@@ -786,6 +785,7 @@ class Expansion:
                 j = next((j for i in blk for j, e in cx.cols[i].items() if not e), None)
                 if j is not None:
                     self.lands[grade] = grades[j]
+            self.cols = [sum([1 << place[j] for j, e in cx.cols[i].items() if not e]) for i in keys]
             return
         index = dict(zip(keys, range(len(keys))))  # key -> slot, while the columns are built
         self.gen = [k % n for k in keys]
@@ -803,22 +803,19 @@ class Expansion:
                 except KeyError:
                     append(None)
 
-    @cached_property
-    def cols(self) -> list[int | None]:
-        """Every column, built on first read where there is no floor."""
-        return self._block_columns(range(len(self._keys)), ())
+    @classmethod
+    def of_blocks(cls, blocks: dict[Grade, range], cols: list[int],
+                  lands: dict[Grade, Grade]) -> "Expansion":
+        """A floorless expansion given as its blocks, columns and lands, with
+        no complex behind it (khovanov.ckh builds a cube so)."""
+        ex = cls.__new__(cls)
+        ex.blocks, ex.cols, ex.lands = blocks, cols, lands
+        return ex
 
     def _block_columns(self, slots: range, skip: Container[int]) -> list[int | None]:
-        """cols[s] for each slot s of the range whose place in it is not in
-        skip; without a floor they are built here from ``cx.cols``, so a
-        slot skipped is never built."""
-        place, start = self._place, slots.start
-        if place is None:
-            cols = self.cols
-            return [cols[s] for s in slots if s - start not in skip]
-        ccols = self.cx.cols
-        return [sum([1 << place[j] for j, e in ccols[i].items() if not e])
-                for p, i in enumerate(self._keys[start:slots.stop]) if p not in skip]
+        """cols[s] for each slot s of the range whose place in it is not in skip."""
+        cols, start = self.cols, slots.start
+        return [cols[s] for s in slots if s - start not in skip]
 
     @cached_property
     def grade(self) -> list[Grade]:
@@ -871,8 +868,7 @@ class Expansion:
         reduced image of the block before are skipped (clearing): that image
         is a set of cycles in echelon form by lowest bit, so from the highest
         lead down each skipped column is a sum of kept ones, and reaches
-        below the floor only if one of them does.  Without a floor a skipped
-        column is never built.
+        below the floor only if one of them does.
         """
         blocks = self.blocks
         rank_out: dict[Grade, int] = {}

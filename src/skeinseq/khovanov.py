@@ -13,18 +13,24 @@ of Frobenius system of Khovanov's "Link homology and Frobenius extensions"
 (Fund. Math. 2006): over F2, y^2 = x^2 + u^2 = 0, and y acts as 0 on the
 marked circle.  In that basis the differential has no u at all, so C is
 (C mod u) tensor F2[u], and ckh writes only the u^0 entries of the x-basis
-cube, which are C mod u itself.  So Khr = H(C/u) gives every flavour, minus
-Khr tensor F2[u] and hat Khr tensor F2[u]/u^2 (cli.cmd_kh), and determinant,
-which shares no code with the cube, checks it on planar diagrams.
+cube, which are C mod u itself, as F2 bitsets over the blocks of one grade
+(its ChainComplex is a view).  So Khr = H(C/u), read off them by khr, gives
+every flavour, minus Khr tensor F2[u] and hat Khr tensor F2[u]/u^2
+(cli.cmd_kh), and determinant, which shares no code with the cube, checks it
+on planar diagrams.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import accumulate
+from math import comb
+from operator import add
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .complexes import CONV_KH, MAX_CUBE_GENERATORS, MAX_CUBE_VERTICES, ChainComplex, ChainMap, Generator
+from .complexes import (CONV_KH, MAX_CUBE_GENERATORS, MAX_CUBE_VERTICES, ChainComplex, ChainMap,
+                        Expansion, Generator)
 from .poly import HALF, Poly, VarSet
 
 Crossing = tuple[int, int, int, int]
@@ -407,6 +413,11 @@ def _resolver(d: LinkDiagram):
 # circles have distinct bits), and otherwise splits theirs into the target
 # circles of a and c.  An edge is a rule on masks (_edge_rule), built once per
 # call and key: source count and bits, a merge's for either order of the two.
+#
+# ckh holds the cube as F2 bitsets over blocks of one grade: a vertex's masks
+# of popcount p have q = count + h - 2p and fill a run of block (h, q), after
+# the runs of the vertices before it.  A merge keeps a term's popcount and a
+# split adds one, so the targets of a mask lie in one run of the target vertex.
 
 
 def _vertex_ids(vertex: tuple[int, ...], free: list[int]) -> list[str]:
@@ -471,14 +482,48 @@ def _cube_ids(d: LinkDiagram, basepoint_arc: int, labs: list[tuple[list[int], in
 
 @dataclass
 class CubeComplex:
-    """Assembled cube complex plus the (lab, count) of each vertex, by
-    vertex index (bit j is crossing j's smoothing); levels is built on first
-    use."""
+    """The cube as F2 block bitsets, and the (lab, count) of each vertex by
+    index (bit j is crossing j's smoothing): blocks[(h, q)] is the range of
+    slots of a grade, ascending, slots[i][count - 1 - p] the first of vertex
+    i's run of popcount p, and cols[s] the image of slot s over the block
+    (h + 1, q).  complex and levels are views built on first read."""
 
     diagram: LinkDiagram
     basepoint_arc: int
-    complex: ChainComplex
     labs: list[tuple[list[int], int]] = field(repr=False)
+    blocks: dict[tuple[int, int], range] = field(repr=False)
+    slots: list[list[int]] = field(repr=False)
+    cols: list[int] = field(repr=False)
+    ustep = (0, 2 * HALF)  # the grade drop (h, q) of a power of u
+
+    @cached_property
+    def complex(self) -> ChainComplex:
+        """The cube by position (a vertex's generators by mask), each column's
+        targets in ascending position, every entry checked by from_columns."""
+        labs, blocks, cols = self.labs, self.blocks, self.cols
+        pos, hs, qs = [0] * len(cols), [], []  # the position of each slot; grades by position
+        for i, ((_, count), base) in enumerate(zip(labs, self.slots)):
+            nxt = list(base)  # the next slot of each run
+            for m in range(1 << (count - 1)):
+                pos[nxt[count - 1 - m.bit_count()]] = len(hs)
+                nxt[count - 1 - m.bit_count()] += 1
+                hs.append(i.bit_count())
+                qs.append(count + i.bit_count() - 2 * m.bit_count())
+        diff: list = [None] * len(cols)
+        for (h, q), blk in blocks.items():
+            at = blocks.get((h + 1, q), blk).start  # a block with no target has no entry
+            for s in blk:
+                c, t, out = cols[s], at - 1, []
+                while c:  # shifted down past each target, so the int shrinks as it is read
+                    low = (c & -c).bit_length()
+                    t += low
+                    out.append(pos[t])
+                    c >>= low
+                diff[pos[s]] = dict.fromkeys(out, 0)
+        # a speller that refers to no cube, so no cube is freed only by the cyclic GC
+        d, basepoint = self.diagram, self.basepoint_arc
+        return ChainComplex.from_columns(VarSet(("u",), (HALF,)), lambda: _cube_ids(d, basepoint, labs),
+                                         hs, qs, None, diff, CONV_KH)
 
     @cached_property
     def levels(self) -> dict[str, int]:
@@ -488,14 +533,15 @@ class CubeComplex:
 
 def ckh(d: LinkDiagram, basepoint: int | None = None) -> CubeComplex:
     """The minus cube-of-resolutions complex, marked at the basepoint arc
-    (the least arc by default).
+    (the least arc by default), as F2 block bitsets.
 
     Generators are labelled in the y-basis (y = x + u on each free circle,
     of the degree of x), so every entry is 1.  h is the number of
     1-resolutions, q the label grading, and the filtration level equals h.
     Gradings are relative; reports normalize.  The cube is (C mod u) tensor
-    F2[u], so homology_f2 of it, reduced Khr, gives every flavour: minus has
-    a free tower at each of its grades, and hat is its quotient by u^2.
+    F2[u], so khr of it, reduced Khr, gives every flavour: minus has a free
+    tower at each of its grades, and hat is its quotient by u^2.  Every entry
+    is checked on degree as it is built (bit_rule).
     """
     n = len(d.crossings)
     if 1 << n > MAX_CUBE_VERTICES:
@@ -549,51 +595,80 @@ def ckh(d: LinkDiagram, basepoint: int | None = None) -> CubeComplex:
             " limit of %d" % (n, total, MAX_CUBE_GENERATORS)
         )
 
-    # a vertex is (lab, count, bits, its first position), bits[x] circle x's bit
-    # (0 on the basepoint circle), a row shared by like vertices; by position, h
-    # is the vertex's 1-smoothings and q = count + h - 2 * (y labels)
-    bp = index[basepoint]
-    drops = [-2 * m.bit_count() for m in range(1 << max(count for _, count in labs))]
-    bit_rows: dict[tuple[int, int], list[int]] = {}
-    q_rows: dict[tuple[int, int], list[int]] = {}
-    verts, hs, qs = [], [], []
-    for i, (lab, count) in enumerate(labs):
-        b, h, size = lab[bp], i.bit_count(), count - 1
-        verts.append((lab, count, bit_rows.get((count, b)) or bit_rows.setdefault(
-            (count, b), [0 if x == b else 1 << (x - (x > b)) for x in range(count)]), len(hs)))
-        hs += [h] * (1 << size)
-        qs += q_rows.get((count + h, size)) or q_rows.setdefault(
-            (count + h, size), list(map((count + h).__add__, drops[:1 << size])))
+    # a vertex is (lab, count, bits), bits[x] circle x's bit (0 on the basepoint
+    # circle b) in a row shared by its count and b.  acc[h][q - h + top] counts
+    # block (h, q) so far, so places[i], the offsets of vertex i's runs in their
+    # blocks (p descending), are one extended slice of acc[h]
+    bp, top = index[basepoint], max(count for _, count in labs)
+    rank, seen = [], [0] * top  # a mask's place among the masks of its popcount
+    for m in range(1 << (top - 1)):
+        rank.append(seen[m.bit_count()])
+        seen[m.bit_count()] += 1
+    rows = [[[0 if x == b else 1 << (x - (x > b)) for x in range(count)] for b in range(count)]
+            for count in range(top + 1)]
+    verts = [(lab, count, rows[count][lab[bp]]) for lab, count in labs]
+    # by count, the runs' slice of acc[h] and their sizes; comb(count - 1, p) is symmetric in p
+    shapes = [(slice(top + 2 - count, top + count + 1, 2), [comb(count - 1, p) for p in range(count)])
+              for count in range(top + 1)]
+    acc = [[0] * (2 * top + 1) for _ in range(n + 1)]
+    places = []
+    for i, (_, count) in enumerate(labs):
+        run, (runs, sizes) = acc[i.bit_count()], shapes[count]
+        places.append(at := run[runs])
+        run[runs] = map(add, at, sizes)
+    blocks, starts, first = {}, [], 0  # blocks in ascending (h, q); starts[h][j] is a first slot
+    for h, run in enumerate(acc):
+        starts.append(list(accumulate(run, initial=first)))
+        blocks.update(((h, h + j - top), range(s, s + k))
+                      for j, (s, k) in enumerate(zip(starts[h], run)) if k)
+        first = starts[h][-1]
+    slots = [list(map(add, starts[i.bit_count()][shapes[count][0]], at))
+             for i, ((_, count), at) in enumerate(zip(labs, places))]
 
-    cols: list[dict[int, int]] = [{} for _ in hs]
-    pos = list(range(len(hs)))  # one int object per position, shared by every entry
-    rules: dict[tuple, list[tuple[int, int]]] = {}
-    # crossing by crossing; a column belongs to one vertex, so its entries come by crossing
+    def bit_rule(i: int, i2: int, split: bool, key: tuple) -> list:
+        """The rule of the edge from vertex i to i2 (key: both counts, source and
+        target bits) as (run in slots, rank, run in places, target bits by rank)
+        per source mask with a target, every entry checked on degree."""
+        size = key[0] - 1
+        entries, tbits = _edge_rule(split, size, key[2:3], key[3:]), [0] * (1 << size)
+        for m, t in entries:
+            if t.bit_count() != m.bit_count() + split or key[1] != size + 2 * split:
+                raise ValueError("inhomogeneous differential entry v%s mask %d -> v%s mask %d: 1" % (
+                    format(i, "0%db" % n)[::-1], m, format(i2, "0%db" % n)[::-1], t))
+            tbits[m] |= 1 << rank[t]
+        return [(size - m.bit_count(), rank[m], size - m.bit_count() - 1 + split, x)
+                for m, x in enumerate(tbits) if x]
+
+    cols = [0] * total
+    rules: dict[tuple, list] = {}
     for j, (a, b, c) in enumerate(crossings):
         w = 1 << j
         for lo in range(0, len(verts), 2 * w):
             for i in range(lo, lo + w):
-                lab, count, bits, at = verts[i]
-                lab2, _, bits2, at2 = verts[i + w]
+                lab, count, bits = verts[i]
+                lab2, count2, bits2 = verts[i + w]
                 sa, sb = bits[lab[a]], bits[lab[b]]
-                if sa != sb:  # merge the circles of a and b
-                    key = (count, sa | sb, bits2[lab2[a]])
-                    rule = rules.get(key) or rules.setdefault(
-                        key, _edge_rule(False, count - 1, (sa, sb), key[2:]))
-                else:  # split the circle of a and b into those of a and c, in circle order
+                if split := sa == sb:  # split the circle of a and b into those of a and c, in order
                     p, q = lab2[a], lab2[c]
                     if p == q:
                         raise ValueError("circle counts differ by 0, not 1")
-                    p, q = (bits2[p], bits2[q]) if p < q else (bits2[q], bits2[p])
-                    rule = rules.get(key := (count, sa, p, q)) or rules.setdefault(
-                        key, _edge_rule(True, count - 1, (sa,), (p, q)))
-                for m, t in rule:
-                    cols[at + m][pos[at2 + t]] = 0
+                    key = ((count, count2, sa, bits2[p], bits2[q]) if p < q
+                           else (count, count2, sa, bits2[q], bits2[p]))
+                else:  # merge the circles of a and b, in either order
+                    key = (count, count2, sa | sb, bits2[lab2[a]])
+                if (terms := rules.get(key)) is None:
+                    terms = rules[key] = bit_rule(i, i + w, split, key)
+                src, dst = slots[i], places[i + w]
+                for k, r, k2, tbits in terms:
+                    cols[src[k] + r] |= tbits << dst[k2]
+    return CubeComplex(d, basepoint, labs, blocks, slots, cols)
 
-    # a speller that refers to no cube, so no cube is freed only by the cyclic GC
-    cx = ChainComplex.from_columns(VarSet(("u",), (HALF,)), lambda: _cube_ids(d, basepoint, labs),
-                                   hs, qs, None, cols, CONV_KH)
-    return CubeComplex(d, basepoint, cx, labs)
+
+def khr(cc: CubeComplex) -> dict[tuple[int, int], int]:
+    """Reduced Khovanov homology H(C/u) of the cube by grade, zeros included,
+    read off its block bitsets by Expansion.dims: homology_f2(cc.complex)."""
+    lands = {(h, q): (h + 1, q) for h, q in cc.blocks if (h + 1, q) in cc.blocks}
+    return Expansion.of_blocks(cc.blocks, cc.cols, lands).dims()
 
 
 def basepoint_action(cc: CubeComplex, arc: int) -> ChainMap:

@@ -48,7 +48,7 @@ def report(criterion, ok):
 
 
 def hat_dim(d):
-    return sum(flavor_dims(kh.ckh(d).complex, "hat").values())
+    return sum(flavor_dims(kh.ckh(d), "hat").values())
 
 
 def test_criterion_1_khovanov_flavors():
@@ -67,7 +67,7 @@ def test_criterion_1_khovanov_flavors():
         for arc in mh.component_arcs()
     ]
     ok = ok and acts[0] == acts[1]
-    dims = flavor_dims(kh.ckh(mt).complex, "reduced")
+    dims = flavor_dims(kh.ckh(mt), "reduced")
     ok = ok and sum(dims.values()) == 3
     ok = ok and len({q - 2 * h for (h, q) in dims}) == 1
     elapsed = time.time() - t0
@@ -144,7 +144,7 @@ def test_criterion_5_spectral_engine():
             ok = ok and p2 == pinf  # E2 = Einf
             if cc is not minus:
                 want = {k: v for k, v in homology_f2(cc.complex).items() if v}
-                ok = ok and p2 == want == flavor_dims(minus.complex, "hat")  # Einf = Kh
+                ok = ok and p2 == want == flavor_dims(minus, "hat")  # Einf = Kh
             else:
                 hom = UHomology(cc.complex)
                 ok = ok and _windowed(hom, data.trusted_floor) == p2
@@ -244,7 +244,7 @@ def test_criterion_8_property_suites():
     for name in KNOT_NAMES:
         d = diagrams[name]
         hat = hat_dim(d)
-        red = sum(flavor_dims(kh.ckh(d).complex, "reduced").values())
+        red = sum(flavor_dims(kh.ckh(d), "reduced").values())
         hom = UHomology(kh.ckh(d).complex)
         ok = ok and hat <= 2 * red
         ok = ok and hat == 2 * hom.free_rank

@@ -72,13 +72,15 @@ def test_kh_minus_table_is_the_unreduced_one(capsys):
 
 
 def test_kh_checks_the_reduced_table_by_the_determinant(capsys, monkeypatch):
-    # a homology_f2 that lost a generator fails the determinant check, in every flavour
-    def lossy(cx):
-        dims = homology_f2(cx)
+    # a khr that lost a generator fails the determinant check, in every flavour
+    khr = kh.khr
+
+    def lossy(cc):
+        dims = khr(cc)
         dims[max(k for k, v in dims.items() if v)] -= 1
         return dims
 
-    monkeypatch.setattr(skeinseq.cli, "homology_f2", lossy)
+    monkeypatch.setattr(kh, "khr", lossy)
     for flavor in skeinseq.cli.FLAVORS:
         code, out, err = run(capsys, "kh", "--pd", TREFOIL, "--flavor", flavor, "--basepoint=1")
         assert code == 3 and out == "", flavor
@@ -1060,27 +1062,28 @@ def count_calls(monkeypatch, fn):
 
 def test_each_command_runs_its_checks(capsys, monkeypatch):
     """examples checks each of its nine F2[u] decompositions against
-    brute-force slice dimensions; kh runs one F2 elimination, homology_f2,
-    and no F2[u] one in every flavour, and checks its table by the
-    determinant once where it has n + 2 faces, and never on the non-planar
-    cyclic_knot(5) or beside a free loop."""
+    brute-force slice dimensions; kh runs one F2 elimination, khr on the
+    cube's bitsets, no homology_f2 and no F2[u] one in every flavour, and
+    checks its table by the determinant once where it has n + 2 faces, and
+    never on the non-planar cyclic_knot(5) or beside a free loop."""
     stability = count_calls(monkeypatch, skeinseq.complexes.check_truncation_stability)
     det = count_calls(monkeypatch, kh.determinant)
+    khr = count_calls(monkeypatch, kh.khr)
     f2 = count_calls(monkeypatch, skeinseq.complexes.homology_f2)
     units = count_calls(monkeypatch, skeinseq.complexes.cancel_units)
     assert run(capsys, "examples")[0] == 0
-    assert len(stability) == 9
+    assert len(stability) == 9 and len(khr) == 3 and not f2
     cyclic5 = "PD[%s]" % ",".join("X(%d,%d,%d,%d)" % c for c in kh.cyclic_knot(5).crossings)
     # beside the trefoil, a piece with 2 crossings and 2 faces, on the torus: 7 faces
     # in all, as on the sphere, and the check holds there (|chi(i)| = 0 = det)
     torus_piece = TREFOIL[:-1] + ",X(7,8,9,10),X(7,8,9,10)]"
     for pd, checks in ((TREFOIL, 1), (cyclic5, 0), (TREFOIL[:-1] + ",U]", 0), (torus_piece, 1)):
         for flavor in skeinseq.cli.FLAVORS:
-            for calls in (stability, det, f2, units):
+            for calls in (stability, det, khr, f2, units):
                 calls.clear()
             code, out, err = run(capsys, "kh", "--pd", pd, "--flavor", flavor, "--basepoint", "1")
             assert code == 0 and err == ""
-            assert [len(c) for c in (det, f2, units, stability)] == [checks, 1, 0, 0], flavor
+            assert [len(c) for c in (det, khr, f2, units, stability)] == [checks, 1, 0, 0, 0], flavor
 
 
 def test_diagram_json_input(tmp_path, capsys):

@@ -25,11 +25,11 @@ KNOTS = {
 
 
 def hat_dim(d):
-    return sum(flavor_dims(kh.ckh(d).complex, "hat").values())
+    return sum(flavor_dims(kh.ckh(d), "hat").values())
 
 
 def reduced_dim(d, arc=None):
-    return sum(flavor_dims(kh.ckh(d, arc).complex, "reduced").values())
+    return sum(flavor_dims(kh.ckh(d, arc), "reduced").values())
 
 
 def test_parse_trefoil():
@@ -485,12 +485,12 @@ def test_minus_determines_hat_bigraded():
     reference hat cube (u-torsion included: test_complexes builds some)."""
     for name, make in KNOTS.items():
         d = make()
-        cx = kh.ckh(d).complex
-        hom = UHomology(cx)
-        want = mod_u_dims(hom.summands, cx.ustep(), (1, 0), 2)
+        cc = kh.ckh(d)
+        hom = UHomology(cc.complex)
+        want = mod_u_dims(hom.summands, cc.complex.ustep(), (1, 0), 2)
         got = homology_f2(reference_cube(d, "hat").complex)
         assert {k: v for k, v in got.items() if v} == want, name
-        assert flavor_dims(cx, "hat") == want, name
+        assert flavor_dims(cc, "hat") == want, name
 
 
 # -- reference cube ---------------------------------------------------------------
@@ -769,10 +769,10 @@ def _assert_same_cube(d, basepoint=None, swap=False):
 def assert_tables_match_the_reference(d, basepoint=None):
     """The kh hat and reduced tables of d, read off its minus cube, equal the
     F2 homology of the reference hat and reduced cubes, grade by grade."""
-    cx = kh.ckh(d, basepoint).complex
+    cc = kh.ckh(d, basepoint)
     for flavor in ("hat", "reduced"):
         want = homology_f2(reference_cube(d, flavor, basepoint).complex)
-        assert flavor_dims(cx, flavor) == {k: v for k, v in want.items() if v}, flavor
+        assert flavor_dims(cc, flavor) == {k: v for k, v in want.items() if v}, flavor
 
 
 def _reference_family():
@@ -816,7 +816,11 @@ def test_ckh_matches_reference(name):
 
 
 def torus_2(n):
-    """T(2, n), the closure of the 2-braid sigma_1^n."""
+    """T(2, n), the closure of the 2-braid sigma_1^n, for odd n: for even n
+    this code is a split diagram, not T(2, n), so it raises."""
+    if n % 2 == 0:
+        raise ValueError("torus_2 needs an odd n")
+
     def w(x):
         return (x - 1) % (2 * n) + 1
 
@@ -827,6 +831,8 @@ def torus_2(n):
 def test_torus_2_has_reduced_rank_n():
     for n in (3, 5, 7):
         assert reduced_dim(torus_2(n), 1) == n
+    with pytest.raises(ValueError, match="odd n"):
+        torus_2(4)
 
 
 def test_generator_budget_counts_the_cube(monkeypatch, capsys):
@@ -1185,6 +1191,65 @@ def test_ckh_matches_the_previous_builder(name):
         # the same entries, and each column's targets in the same order
         assert cc.complex.cols == cols, basepoint
         assert list(map(tuple, cc.complex.cols)) == list(map(tuple, cols)), basepoint
+
+
+def _khr_cases():
+    """(diagram, basepoint arcs): the reference family at every arc, and at the
+    least and greatest arcs seeded diagrams with free loops, T(2,9) and c11."""
+    cases = {name: (d, d.arcs) for name, d in _reference_family().items()}
+    more = dict(t2_9=torus_2(9), c11=kh.cyclic_knot(11))
+    more.update(("random%02d" % k, d) for k, d in enumerate(_random_diagrams(40)))
+    cases.update((name, (d, (min(d.arcs), max(d.arcs)))) for name, d in more.items())
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_khr_cases()))
+def test_khr_of_the_bitsets_is_homology_f2_of_the_view(name):
+    """khr reads the cube's block bitsets without building its ChainComplex,
+    and gives homology_f2 of that view, grade for grade and in its order."""
+    d, arcs = _khr_cases()[name]
+    for arc in arcs:
+        cc = kh.ckh(d, arc)
+        got = kh.khr(cc)
+        assert "complex" not in vars(cc), arc
+        want = homology_f2(cc.complex)
+        assert list(got.items()) == list(want.items()), arc
+
+
+def test_kh_checks_each_cube_entry_without_the_view(capsys, monkeypatch):
+    """ckh checks every entry on degree as it builds the bitsets, so kh exits 2
+    on an edge rule with an entry off degree, or on a vertex with one circle
+    too many, without building the cube's ChainComplex."""
+    def no_view(*args, **kwargs):
+        raise AssertionError("the cube's ChainComplex was built")
+
+    monkeypatch.setattr(kh.ChainComplex, "from_columns", no_view)
+    rule, resolver, splits = kh._edge_rule, kh._resolver, []
+
+    def extra_circle(d):  # every vertex made by a split gets a circle more
+        start, split = resolver(d)
+
+        def tampered(lab, count, j, v):
+            splits.append(v)
+            lab, count = split(lab, count, j, v)
+            return lab, count + 1
+        return start, tampered
+
+    tampers = [("_edge_rule", lambda *args: rule(*args) + [(0, 3)]),  # 1 -> y y, off in both
+               ("_resolver", extra_circle)]
+    for name, tamper in tampers:
+        with monkeypatch.context() as m:
+            m.setattr(kh, name, tamper)
+            with pytest.raises(ValueError, match="^inhomogeneous differential entry v"):
+                kh.ckh(kh.parse_pd(FIG8))
+            for flavor in ("minus", "hat", "reduced"):
+                code = main(["kh", "--pd", FIG8, "--flavor", flavor, "--basepoint=1"])
+                out = capsys.readouterr()
+                assert code == 2 and out.out == "", (name, flavor)
+                assert out.err.startswith("error: inhomogeneous differential entry v"), (name, out.err)
+    assert splits
+    # untampered, the same runs pass
+    assert main(["kh", "--pd", FIG8]) == 0
 
 
 @pytest.mark.parametrize("name", sorted(_reference_family()))

@@ -60,11 +60,11 @@ def knots(draw, max_crossings=MAX_CROSSINGS, primes=PRIMES):
 
 
 def hat_table(d):
-    return flavor_dims(kh.ckh(d).complex, "hat")
+    return flavor_dims(kh.ckh(d), "hat")
 
 
 def reduced_table(d, arc=None):
-    return flavor_dims(kh.ckh(d, arc).complex, "reduced")
+    return flavor_dims(kh.ckh(d, arc), "reduced")
 
 
 def reduced_dim(d, arc=None):

@@ -153,7 +153,7 @@ def test_e2_equals_kh_hat():
     fc = FilteredComplex(cc.complex, cc.levels)
     data = analyze(fc)
     want = {k: v for k, v in homology_f2(cc.complex).items() if v}
-    assert data.page_dims(2) == want == cli.flavor_dims(kh.ckh(d).complex, "hat")
+    assert data.page_dims(2) == want == cli.flavor_dims(kh.ckh(d), "hat")
 
 
 def test_monotone_dims_and_equality_iff_zero_d():
